@@ -288,11 +288,3 @@ def synth_station(station_id: str,
         missing = rng.random(n) < missing_rate
     return TemperatureSeries(station_id, start, step, temp, missing)
 
-
-def __getattr__(name):
-    # `cli` logically belongs to this reporting layer but lives in its own
-    # module; resolving it lazily avoids a circular import.
-    if name == "cli":
-        from .cli import cli
-        return cli
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -120,13 +120,15 @@ class DistanceMatrix:
 
     labels: list[str]
     values: np.ndarray
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         n = len(self.labels)
         if self.values.shape != (n, n):
             raise ContractError(f"distance matrix must be {n}x{n}")
-        if len(set(self.labels)) != n:
+        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        if len(self._index) != n:
             raise ContractError("distance matrix labels must be unique")
         if not np.allclose(self.values, self.values.T, atol=1e-9):
             raise ContractError("distance matrix must be symmetric")
@@ -136,7 +138,45 @@ class DistanceMatrix:
         return len(self.labels)
 
     def get(self, a: str, b: str) -> float:
-        return float(self.values[self.labels.index(a), self.labels.index(b)])
+        return float(self.values[self._index[a], self._index[b]])
+
+
+def _dtw_batch(x: np.ndarray, y: np.ndarray, config: DtwConfig) -> np.ndarray:
+    """``dtw_distance(x[:, k], y[:, k], config)`` for every column k, bitwise equal.
+
+    ``x`` is (n, jobs) and ``y`` is (m, jobs). Runs the scalar recursion
+    cell by cell over the n x m grid, each step vectorised over the job
+    axis. Only two DP rows of shape (m + 1, jobs) are kept and the local
+    cost row is formed per i, so memory stays O(jobs * m).
+    """
+    n, m = x.shape[0], y.shape[0]
+    prev = np.full((m + 1, x.shape[1]), np.inf)
+    cur = prev.copy()
+    c = np.empty_like(y)
+    best = np.empty_like(y)
+    step = np.empty_like(y)
+    for i in range(n):
+        np.subtract(x[i], y, out=c)
+        if config.metric == "absolute":
+            np.abs(c, out=c)
+        else:
+            np.multiply(c, c, out=c)
+        np.multiply(config.wd, c, out=best)
+        best += prev[:-1]
+        np.multiply(config.wh, c, out=step)
+        step += prev[1:]
+        np.minimum(best, step, out=best)
+        np.multiply(config.wv, c, out=step)
+        start = 0
+        if i == 0:
+            cur[1] = c[0]
+            start = 1
+        for j in range(start, m):
+            np.add(cur[j], step[j], out=cur[j + 1])
+            np.minimum(best[j], cur[j + 1], out=cur[j + 1])
+            cur[j + 1] += config.lam * abs(i - j)
+        prev, cur = cur, prev
+    return prev[m].copy()
 
 
 def pairwise_dtw(profiles: Mapping[str, Sequence[float]],
@@ -144,19 +184,31 @@ def pairwise_dtw(profiles: Mapping[str, Sequence[float]],
     """All-pairs DTW distances, symmetrized as (d(a,b) + d(b,a)) / 2.
 
     Labels are taken in sorted order so the matrix layout does not depend
-    on dict insertion order.
+    on dict insertion order. Both directions of every pair run as jobs of
+    one batched kernel per profile-length combination; the entries are
+    bitwise equal to the ``dtw_distance`` formula above.
     """
     labels = sorted(profiles)
     if len(labels) < 2:
         raise SampleTooSmallError("pairwise DTW needs at least 2 profiles")
     arrays = [np.asarray(profiles[lab], dtype=np.float64) for lab in labels]
+    if any(a.size == 0 for a in arrays):
+        raise EmptyInputError("DTW inputs must be non-empty")
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ContractError("DTW inputs must be finite")
     n = len(labels)
+    iu, ju = np.triu_indices(n, 1)
+    first = np.concatenate([iu, ju])
+    second = np.concatenate([ju, iu])
+    sizes = np.array([a.size for a in arrays])
+    sizes_a, sizes_b = sizes[first], sizes[second]
+    totals = np.empty(first.size)
+    for len_a, len_b in set(zip(sizes_a.tolist(), sizes_b.tolist())):
+        jobs = np.flatnonzero((sizes_a == len_a) & (sizes_b == len_b))
+        totals[jobs] = _dtw_batch(np.stack([arrays[k] for k in first[jobs]], axis=1),
+                                  np.stack([arrays[k] for k in second[jobs]], axis=1), config)
     values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            ab = dtw_distance(arrays[i], arrays[j], config)
-            ba = dtw_distance(arrays[j], arrays[i], config)
-            values[i, j] = values[j, i] = 0.5 * (ab + ba)
+    values[iu, ju] = values[ju, iu] = 0.5 * (totals[:iu.size] + totals[iu.size:])
     return DistanceMatrix(labels, values)
 
 
@@ -187,51 +239,53 @@ class ClusterReport:
         return sorted(lab for lab, c in self.assignment.items() if c == cluster_id)
 
 
-def _cluster_name(members: frozenset[str]) -> str:
-    return "+".join(sorted(members))
-
-
 def agglomerative_cluster(dist: DistanceMatrix, k: int) -> ClusterReport:
     """Average-linkage agglomerative clustering cut at k clusters.
 
     The distance between clusters is the unweighted mean of all original
-    cross-pair distances. Merge ties pick the pair whose (sorted) name pair
-    is lexicographically smallest, which pins the dendrogram down for tied
-    inputs.
+    cross-pair distances, kept as a matrix of cross sums that each merge
+    folds together (Lance-Williams for average linkage). Merge ties pick the
+    pair whose (sorted) name pair is lexicographically smallest, which pins
+    the dendrogram down for tied inputs.
     """
     n = dist.n
     if not 1 <= k <= n:
         raise ContractError(f"k must be in 1..{n}, got {k}")
-    index = {lab: i for i, lab in enumerate(dist.labels)}
-    clusters: list[frozenset[str]] = [frozenset([lab]) for lab in dist.labels]
+    sums = dist.values.copy()
+    sizes = np.ones(n)
+    alive = np.ones(n, dtype=bool)
+    members = [[lab] for lab in dist.labels]
+    names = list(dist.labels)
+    heights = sums.copy()
+    np.fill_diagonal(heights, np.inf)
     merges: list[Merge] = []
-    cut: list[frozenset[str]] | None = [set(c) for c in clusters] if k == n else None
-
-    def linkage(a: frozenset[str], b: frozenset[str]) -> float:
-        rows = [index[x] for x in a]
-        cols = [index[y] for y in b]
-        return float(dist.values[np.ix_(rows, cols)].mean())
-
-    step = 0
-    while len(clusters) > 1:
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                h = linkage(clusters[i], clusters[j])
-                names = tuple(sorted((_cluster_name(clusters[i]), _cluster_name(clusters[j]))))
-                key = (h, names)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        (h, names), i, j = best
-        step += 1
-        merges.append(Merge(step, names[0], names[1], h))
-        merged = clusters[i] | clusters[j]
-        clusters = [c for idx, c in enumerate(clusters) if idx not in (i, j)]
-        clusters.append(merged)
-        if len(clusters) == k:
-            cut = [set(c) for c in clusters]
-    ordered = sorted(cut, key=lambda c: min(c))
-    assignment = {lab: cid for cid, members in enumerate(ordered, start=1) for lab in members}
+    cut = [list(m) for m in members] if k == n else None
+    for step in range(1, n):
+        h = heights.min()
+        # Dead and diagonal entries hold inf too, which ties when every
+        # live pair is infinitely far apart.
+        tied = [(a, b) for a, b in np.argwhere(heights == h).tolist()
+                if a != b and alive[a] and alive[b]]
+        i, j = min(tied, key=lambda ab: sorted((names[ab[0]], names[ab[1]])))
+        pair = sorted((names[i], names[j]))
+        merges.append(Merge(step, pair[0], pair[1], float(h)))
+        sums[i] += sums[j]
+        sums[:, i] += sums[:, j]
+        sizes[i] += sizes[j]
+        alive[j] = False
+        members[i] += members[j]
+        members[j] = []
+        names[i] = "+".join(sorted(members[i]))
+        row = np.where(alive, sums[i] / (sizes[i] * sizes), np.inf)
+        row[i] = np.inf
+        heights[i] = heights[:, i] = row
+        heights[j] = heights[:, j] = np.inf
+        if n - step == k:
+            cut = [list(m) for m in members if m]
+    cluster_of: dict[str, int] = {}
+    for cid, group in enumerate(sorted(cut, key=min), start=1):
+        cluster_of.update((lab, cid) for lab in group)
+    assignment = {lab: cluster_of[lab] for lab in dist.labels}
     return ClusterReport(k, list(dist.labels), assignment, merges)
 
 
@@ -241,16 +295,16 @@ def silhouette(dist: DistanceMatrix, assignment: Mapping[str, int]) -> tuple[dic
     a(i) is the mean distance to the sample's own cluster (excluding
     itself), b(i) the smallest mean distance to any other cluster. Samples
     in singleton clusters score 0, as does the a == b case; with a single
-    cluster overall every score is 0.
+    cluster overall every score is 0. Rows are averaged in label order, so
+    the scores do not depend on the iteration order of ``assignment``.
     """
     if set(assignment) != set(dist.labels):
         raise ContractError("assignment must cover exactly the matrix labels")
     members: dict[int, list[int]] = {}
-    for lab, cid in assignment.items():
-        members.setdefault(cid, []).append(dist.labels.index(lab))
+    for i, lab in enumerate(dist.labels):
+        members.setdefault(assignment[lab], []).append(i)
     scores: dict[str, float] = {}
-    for lab in dist.labels:
-        i = dist.labels.index(lab)
+    for i, lab in enumerate(dist.labels):
         own = assignment[lab]
         own_rows = [r for r in members[own] if r != i]
         if not own_rows or len(members) == 1:
@@ -272,12 +326,13 @@ def _centered_distances(x: np.ndarray) -> np.ndarray:
     return d - row - col + d.mean()
 
 
-def dcor(x: Sequence[float], y: Sequence[float]) -> float:
-    """Distance correlation between two equal-length 1-D samples.
+def _dcor_inputs(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Validated samples, each scaled by a power of two to a largest
+    magnitude in [0.5, 1).
 
-    Pairwise absolute-difference matrices are double-centered; dcor is
-    dCov/sqrt(dVarX*dVarY), clamped to [0, 1]. A constant sample has zero
-    distance variance and scores 0 against anything.
+    dcor is scale-invariant and power-of-two scaling is exact, so results
+    are unchanged, except that samples of tiny values no longer underflow
+    the variance product to zero.
     """
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
@@ -287,6 +342,17 @@ def dcor(x: Sequence[float], y: Sequence[float]) -> float:
         raise SampleTooSmallError(f"dcor needs at least 2 values, got {xa.size}")
     if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
         raise ContractError("dcor inputs must be finite")
+    return tuple(np.ldexp(a, -np.frexp(np.abs(a).max())[1]) for a in (xa, ya))
+
+
+def dcor(x: Sequence[float], y: Sequence[float]) -> float:
+    """Distance correlation between two equal-length 1-D samples.
+
+    Pairwise absolute-difference matrices are double-centered; dcor is
+    dCov/sqrt(dVarX*dVarY), clamped to [0, 1]. A constant sample has zero
+    distance variance and scores 0 against anything.
+    """
+    xa, ya = _dcor_inputs(x, y)
     A = _centered_distances(xa)
     B = _centered_distances(ya)
     return _dcor_from_centered(A, B)
@@ -322,14 +388,7 @@ def dcor_permutation_test(x: Sequence[float], y: Sequence[float],
     """
     if n_perm < 99:
         raise ContractError(f"n_perm must be at least 99, got {n_perm}")
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.size != ya.size:
-        raise ContractError("dcor inputs must have equal length")
-    if xa.size < 2:
-        raise SampleTooSmallError(f"dcor needs at least 2 values, got {xa.size}")
-    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
-        raise ContractError("dcor inputs must be finite")
+    xa, ya = _dcor_inputs(x, y)
     A = _centered_distances(xa)
     B = _centered_distances(ya)
     observed = _dcor_from_centered(A, B)

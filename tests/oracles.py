@@ -129,9 +129,16 @@ def silhouette_loops(labels, dist_lookup, assignment) -> dict:
 
 
 def dcor_loops(x, y) -> float:
-    """Distance correlation with explicit double loops, no numpy."""
-    x = list(x)
-    y = list(y)
+    """Distance correlation with explicit double loops, no numpy.
+
+    Each sample is first divided by its largest magnitude; dcor is
+    scale-invariant, and this keeps the variance product of tiny-valued
+    samples from underflowing to zero.
+    """
+    sx = max(map(abs, x)) or 1.0
+    sy = max(map(abs, y)) or 1.0
+    x = [v / sx for v in x]
+    y = [v / sy for v in y]
     n = len(x)
 
     def centered(v):
@@ -151,3 +158,31 @@ def dcor_loops(x, y) -> float:
     if dcov2 <= 0:
         return 0.0
     return min(1.0, math.sqrt(dcov2 / math.sqrt(dvarx * dvary)))
+
+
+def average_linkage_blockmean(labels, values) -> list[tuple[str, str, float]]:
+    """Average-linkage merge sequence by recomputing every block mean.
+
+    Each step scans every pair of live clusters, takes the mean of all
+    original cross distances (summed exactly with fsum) and merges the pair
+    with the smallest (height, sorted name pair) key. Returns
+    (name_a, name_b, height) per merge, clusters named by their sorted
+    members joined with '+'.
+    """
+    index = {lab: i for i, lab in enumerate(labels)}
+    clusters = [[lab] for lab in labels]
+    merges = []
+    while len(clusters) > 1:
+        best = None
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                a, b = clusters[i], clusters[j]
+                h = math.fsum(values[index[x]][index[y]] for x in a for y in b) / (len(a) * len(b))
+                names = tuple(sorted(("+".join(sorted(a)), "+".join(sorted(b)))))
+                if best is None or (h, names) < best[0]:
+                    best = ((h, names), i, j)
+        (h, names), i, j = best
+        merges.append((names[0], names[1], h))
+        merged = clusters[i] + clusters[j]
+        clusters = [c for idx, c in enumerate(clusters) if idx not in (i, j)] + [merged]
+    return merges

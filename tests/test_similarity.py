@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +113,43 @@ class TestDtw:
             pairwise_dtw({"A": [1.0]})
 
 
+class TestBatchedDtw:
+    """``pairwise_dtw`` runs one batched kernel; it must equal the scalar
+    ``dtw_distance`` exactly, not just closely."""
+
+    CONFIGS = (DtwConfig(), DtwConfig(wh=1.0, wv=1.5, wd=2.5, lam=0.3, metric="squared"))
+
+    @staticmethod
+    def assert_matches_scalar(profiles, cfg):
+        dist = pairwise_dtw(profiles, cfg)
+        for a in dist.labels:
+            for b in dist.labels:
+                want = 0.0 if a == b else 0.5 * (dtw_distance(profiles[a], profiles[b], cfg)
+                                                 + dtw_distance(profiles[b], profiles[a], cfg))
+                assert dist.get(a, b) == want, (a, b)
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_random_day_profiles(self, cfg):
+        rng = np.random.default_rng(5)
+        profiles = {f"S{i:02d}": rng.normal(0.0, 1.0, 24) for i in range(32)}
+        self.assert_matches_scalar(profiles, cfg)
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_mixed_lengths(self, cfg):
+        rng = np.random.default_rng(6)
+        lengths = [5, 9, 1, 4, 7, 1, 24, 5, 9]
+        profiles = {f"P{i}": rng.normal(0.0, 2.0, n) for i, n in enumerate(lengths)}
+        self.assert_matches_scalar(profiles, cfg)
+
+    def test_empty_and_non_finite_profiles_rejected(self):
+        with pytest.raises(EmptyInputError):
+            pairwise_dtw({"A": [1.0, 2.0], "B": []})
+        with pytest.raises(ContractError):
+            pairwise_dtw({"A": [1.0, 2.0], "B": [3.0, np.nan], "C": [0.0]})
+        with pytest.raises(ContractError):
+            pairwise_dtw({"A": [np.inf], "B": [1.0]})
+
+
 class TestClustering:
     @pytest.fixture
     def toy_matrix(self):
@@ -152,6 +194,42 @@ class TestClustering:
             agglomerative_cluster(toy_matrix, 5)
         rep = agglomerative_cluster(toy_matrix, 4)
         assert sorted(rep.assignment.values()) == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_block_mean_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(0.0, 1.0, (25, 3))
+        m = np.abs(pts[:, None] - pts[None, :]).sum(axis=2)
+        labels = [f"S{i:02d}" for i in rng.permutation(25)]
+        rep = agglomerative_cluster(DistanceMatrix(labels, m), 3)
+        want = oracles.average_linkage_blockmean(labels, m.tolist())
+        assert [(g.cluster_a, g.cluster_b) for g in rep.merges] == [w[:2] for w in want]
+        np.testing.assert_allclose([g.height for g in rep.merges], [w[2] for w in want],
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_exact_ties_match_block_mean_oracle(self, seed):
+        # Integer distances in {1, 2, 3}: sums and means are exact, so the
+        # many tied heights are equal in both implementations and only the
+        # name tie-break decides.
+        rng = np.random.default_rng(seed)
+        n = 16
+        m = np.triu(rng.integers(1, 4, (n, n)).astype(float), 1)
+        m = m + m.T
+        labels = [f"L{i:02d}" for i in rng.permutation(n)]
+        rep = agglomerative_cluster(DistanceMatrix(labels, m), 2)
+        want = oracles.average_linkage_blockmean(labels, m.tolist())
+        assert [(g.cluster_a, g.cluster_b, g.height) for g in rep.merges] == want
+
+    def test_infinite_distances_merge_last(self):
+        labels = ["a", "b", "c", "d", "e"]
+        m = np.full((5, 5), np.inf)
+        m[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+        m[2:, 2:] = [[0.0, 2.0, 3.0], [2.0, 0.0, 2.0], [3.0, 2.0, 0.0]]
+        rep = agglomerative_cluster(DistanceMatrix(labels, m), 1)
+        want = oracles.average_linkage_blockmean(labels, m.tolist())
+        assert [(g.cluster_a, g.cluster_b, g.height) for g in rep.merges] == want
+        assert want[-1] == ("a+b", "c+d+e", np.inf)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -226,6 +304,31 @@ class TestSilhouette:
             assert scores[lab] == pytest.approx(want[lab], abs=1e-12)
 
 
+_HASH_SEED_SCRIPT = """
+import numpy as np
+from diurnal import DistanceMatrix, agglomerative_cluster, silhouette
+rng = np.random.default_rng(2024)
+pts = rng.normal(0.0, 1.0, (40, 6))
+m = np.abs(pts[:, None] - pts[None, :]).sum(axis=2)
+dist = DistanceMatrix([f"S{i:02d}" for i in range(40)], m)
+rep = agglomerative_cluster(dist, 4)
+scores, mean = silhouette(dist, rep.assignment)
+print(repr([g.height for g in rep.merges]), repr(scores), repr(mean))
+"""
+
+
+def test_cluster_and_silhouette_independent_of_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _HASH_SEED_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+
+
 class TestDcor:
     def test_cancellation_case(self):
         assert dcor([0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]) == 0.0
@@ -252,6 +355,14 @@ class TestDcor:
             dcor([1.0], [1.0])
         with pytest.raises(ContractError):
             dcor([1.0, np.inf], [1.0, 2.0])
+
+    def test_tiny_values_do_not_underflow(self):
+        # The variance product of these samples is below the smallest
+        # double, which once raised ZeroDivisionError.
+        tiny = [0.0, 4.149396238913565e-148]
+        assert dcor(tiny, tiny) == 1.0
+        x, y = [1.0, 3.0, 2.0, 8.0], [0.0, 1.0, 5.0, 2.0]
+        assert dcor([v * 2.0 ** -600 for v in x], y) == dcor(x, y)
 
     @given(st.lists(values, min_size=2, max_size=12),
            st.lists(values, min_size=2, max_size=12))
