@@ -17,14 +17,15 @@ month is shorter; labels stay comparable across months and years that way.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from datetime import timedelta
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
 
-from ._util import fmt, parse_float
+from ._util import Block, csv_prefix, factorize, parse_float, parse_floats, read_blocks
 from .errors import ContractError, EmptyInputError, ParseError
 from .impute import MONTH_ABBR
 from .ingest import TemperatureSeries, time_fields
@@ -158,73 +159,164 @@ def year_series(panel: WindowHourPanel, window_label: str, hour: int) -> tuple[n
     return years, panel.means[valid, w, hour]
 
 
+_HOURS = [f"{h}," for h in range(24)]
+
+
 def write_panel(path: str | Path, panels: Iterable[WindowHourPanel]) -> None:
     """Write panels as CSV rows, one per (station, year, window, hour).
 
     Invalid cells keep their row with an empty mean and valid=0 so the grid
-    shape survives the round trip.
+    shape survives the round trip. Each panel's rows are built as one
+    (year, window, hour) array of strings.
     """
     panels = sorted(panels, key=lambda p: p.station_id)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PANEL_HEADER)
+        csv.writer(fh).writerow(PANEL_HEADER)
         for p in panels:
-            for yi, year in enumerate(p.years):
-                for w, label in enumerate(p.labels):
-                    for hour in range(24):
-                        ok = p.counts[yi, w, hour] > 0
-                        writer.writerow((
-                            p.station_id, p.scale, year, label, hour,
-                            fmt(float(p.means[yi, w, hour])) if ok else "",
-                            "1" if ok else "0",
-                        ))
+            head = csv_prefix(p.station_id, p.scale)
+            years = np.array([f"{head}{year}," for year in p.years], dtype=str)
+            labels = np.array([csv_prefix(label) for label in p.labels], dtype=str)
+            keys = np.strings.add(np.strings.add(years[:, None, None], labels[None, :, None]),
+                                  np.array(_HOURS)[None, None, :])
+            ok = (p.counts > 0).ravel()
+            means = p.means.ravel()
+            text = np.array(list(map(repr, means.tolist())), dtype=str)
+            text = np.where(ok & ~np.isnan(means), text, "")
+            rows = np.strings.add(np.strings.add(keys.ravel(), text),
+                                  np.where(ok, ",1\r\n", ",0\r\n"))
+            fh.write("".join(rows.tolist()))
+
+
+def _check_panel_row(line_no: int, row: list[str], scales: dict[str, str]) -> None:
+    """Raise the ``ParseError`` one panel row earns, if any; ``scales`` maps
+    each station seen so far to its scale and learns this row's."""
+    sid, scale, year, label, hour, mean, valid = (f.strip() for f in row)
+    if scale not in SCALES:
+        raise ParseError(f"unknown scale {scale!r}", line_no)
+    if sid in scales and scales[sid] != scale:
+        raise ParseError(f"station {sid} appears under two scales", line_no)
+    scales[sid] = scale
+    try:
+        year, hour, mean = int(year), int(hour), parse_float(mean)
+        np.int64(year)  # the bulk parse holds years as int64
+    except (ValueError, OverflowError):
+        raise ParseError("malformed year, hour or mean", line_no) from None
+    if not 0 <= hour <= 23:
+        raise ParseError(f"hour {hour} out of range 0-23", line_no)
+    if valid not in ("0", "1"):
+        raise ParseError(f"valid flag {valid!r} is not 0 or 1", line_no)
+    if label not in build_calendar(scale).labels:
+        raise ParseError(f"label {label!r} does not belong to scale {scale}", line_no)
+    if valid == "1" and not math.isfinite(mean):
+        raise ParseError(f"valid cell with non-finite mean {row[5].strip()!r}", line_no)
+
+
+def _word_panel_error(block: Block, scales: dict[str, str]) -> NoReturn:
+    """Raise the error of the first bad row of a block the columnar parse
+    rejected, worded row by row from the scales known before the block."""
+    scales = dict(scales)
+    for line_no, row in block.rows():
+        _check_panel_row(line_no, row, scales)
+    raise AssertionError(f"block at line {block.start} rejected, but every row is valid")
+
+
+def _int_codes(column: np.ndarray) -> np.ndarray:
+    """``int()`` of every string, as int64; raises ValueError or OverflowError."""
+    uniq, inv = factorize(column)
+    return np.array([int(u) for u in uniq], dtype=np.int64)[inv]
 
 
 def read_panel(path: str | Path) -> dict[str, WindowHourPanel]:
     """Read a panel CSV back into per-station panels.
 
     Counts are reduced to the valid flag on the way out, so a re-read panel
-    reports count 1 for every valid cell.
+    reports count 1 for every valid cell. Besides malformed fields, a row
+    with an hour outside 0-23, a valid flag other than 0 or 1, a label
+    outside its scale or a valid cell without a finite mean raises
+    ``ParseError`` with its line; so does a second row for the same
+    (station, year, window, hour) cell, once every row has been read.
     """
-    rows: dict[str, dict] = {}
-    scales: dict[str, str] = {}
+    calendars = {scale: build_calendar(scale) for scale in SCALES}
+    scale_of: dict[str, str] = {}
+    codes: dict[str, int] = {}
+    parts = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
+        for block in read_blocks(fh, len(PANEL_HEADER)):
+            if block.ragged:
+                _word_panel_error(block, scale_of)
+            if not len(block.line_no):
                 continue
-            if row[0].strip() == "station_id":
-                continue
-            if len(row) != 7:
-                raise ParseError(f"expected 7 fields, got {len(row)}", line_no)
-            sid, scale, year, label, hour, mean, valid = (f.strip() for f in row)
-            if scale not in SCALES:
-                raise ParseError(f"unknown scale {scale!r}", line_no)
-            if sid in scales and scales[sid] != scale:
-                raise ParseError(f"station {sid} appears under two scales", line_no)
-            scales[sid] = scale
+            sid, scale, year, label, hour, mean, valid = block.columns
+            names, station = factorize(sid.text())
+            scales, scale_code = factorize(scale.text())
+            labels, label_code = factorize(label.text())
+            # Each station keeps the scale of its first row in the file.
+            first = np.unique(station, return_index=True)[1]
+            kept = np.array([scale_of.get(name, scales[scale_code[i]])
+                             for name, i in zip(names, first)])
+            # Window of each (scale, label) pair; -1 where the label is not the scale's.
+            window = np.array([[calendars[sc].labels.index(lab)
+                                if sc in calendars and lab in calendars[sc].labels else -1
+                                for lab in labels] for sc in scales], np.int64)
+            window = window[scale_code, label_code]
+            given = mean.length > 0
+            value = np.full(len(mean), np.nan)
             try:
-                cell = (int(year), label, int(hour), parse_float(mean), valid == "1")
-            except ValueError:
-                raise ParseError("malformed year, hour or mean", line_no) from None
-            rows.setdefault(sid, {})[(cell[0], cell[1], cell[2])] = cell[3:]
-    if not rows:
+                year, hour = _int_codes(year.text()), _int_codes(hour.text())
+                value[given] = parse_floats(mean[given])
+            except (ValueError, OverflowError):
+                _word_panel_error(block, scale_of)
+            valid = valid.text()
+            flags = factorize(valid)[0]
+            valid = valid == "1"
+            if (not set(scales) <= set(SCALES) or not set(flags) <= {"0", "1"}
+                    or (np.array(scales)[scale_code] != kept[station]).any()
+                    or ((hour < 0) | (hour > 23)).any() or (window < 0).any()
+                    or (valid & ~np.isfinite(value)).any()):
+                _word_panel_error(block, scale_of)
+            for name, sc in zip(names, kept.tolist()):
+                scale_of.setdefault(name, sc)
+            code = np.array([codes.setdefault(name, len(codes)) for name in names], np.int64)
+            parts.append((code[station], year, window, hour, value, valid, block.line_no))
+    if not parts:
         raise EmptyInputError(f"no panel rows found in {path}")
+    return _build_panels(list(codes), scale_of, *map(np.concatenate, zip(*parts)))
+
+
+def _build_panels(names: list[str], scale_of: dict[str, str], code: np.ndarray,
+                  year: np.ndarray, window: np.ndarray, hour: np.ndarray,
+                  value: np.ndarray, valid: np.ndarray,
+                  line_no: np.ndarray) -> dict[str, WindowHourPanel]:
+    """Per-station panels from every panel row: one lexsort by (station,
+    year, window, hour) finds repeated cells and each station's rows, which
+    are then scattered onto its (year, window, hour) grid."""
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), np.int64)
+    rank[by_name] = np.arange(len(names))
+    station = rank[code]
+    order = np.lexsort((hour, window, year, station))
+    keys = np.stack([station, year, window, hour])[:, order]
+    repeat = np.concatenate(([False], (keys[:, 1:] == keys[:, :-1]).all(axis=0)))
+    if repeat.any():
+        k = order[repeat][np.argmin(line_no[order[repeat]])]
+        sid = names[code[k]]
+        label = build_calendar(scale_of[sid]).labels[window[k]]
+        raise ParseError(f"station {sid}: second row for year {year[k]}, window {label}, "
+                         f"hour {hour[k]}", int(line_no[k]))
+    bounds = np.searchsorted(keys[0], np.arange(len(names) + 1))
     out = {}
-    for sid in sorted(rows):
-        cal = build_calendar(scales[sid])
-        cells = rows[sid]
-        years = sorted({y for y, _, _ in cells})
+    for r, c in enumerate(by_name):
+        rows = order[bounds[r]:bounds[r + 1]]
+        sid = names[c]
+        cal = build_calendar(scale_of[sid])
+        years, yi = np.unique(year[rows], return_inverse=True)
         shape = (len(years), cal.n_windows, 24)
         means = np.full(shape, np.nan)
         counts = np.zeros(shape, dtype=np.int64)
-        for (year, label, hour), (mean, ok) in cells.items():
-            if label not in cal.labels:
-                raise ParseError(f"label {label!r} does not belong to scale {scales[sid]}")
-            if ok:
-                yi = years.index(year)
-                w = cal.labels.index(label)
-                means[yi, w, hour] = mean
-                counts[yi, w, hour] = 1
-        out[sid] = WindowHourPanel(sid, scales[sid], years, list(cal.labels), means, counts)
+        v = valid[rows]
+        cell = (yi[v], window[rows][v], hour[rows][v])
+        means[cell] = value[rows][v]
+        counts[cell] = 1
+        out[sid] = WindowHourPanel(sid, cal.scale, [int(y) for y in years],
+                                   list(cal.labels), means, counts)
     return out

@@ -16,11 +16,21 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
-from ._util import fmt
+from ._util import (
+    BLOCK_LINES,
+    Block,
+    Column,
+    csv_prefix,
+    factorize,
+    fmt,
+    iter_rows,
+    parse_floats,
+    read_blocks,
+)
 from .errors import (
     ContractError,
     DuplicateTimestampError,
@@ -151,71 +161,206 @@ def time_fields(index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return years, months, days, hours
 
 
-def _parse_timestamp(text: str, line_no: int) -> datetime:
-    raw = text.strip()
-    if raw.endswith(("Z", "z")):
-        raw = raw[:-1] + "+00:00"
-    try:
-        ts = datetime.fromisoformat(raw)
-    except ValueError:
-        raise ParseError(f"malformed timestamp {text!r}", line_no) from None
+_US = timedelta(microseconds=1)
+_EPOCH = datetime(1970, 1, 1)
+_US_RANGE = ((datetime.min - _EPOCH) // _US, (datetime.max - _EPOCH) // _US)
+_DAY_US = 86_400_000_000
+# Layout of "YYYY-MM-DDTHH:MM:SS": its digit columns, and the columns of
+# the year, month, day, hour, minute and second.
+_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_FIELDS = [(0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19)]
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _number(d: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Decimal value of the digit columns ``lo:hi`` of a digit-value matrix."""
+    out = d[:, lo].astype(np.int64)
+    for j in range(lo + 1, hi):
+        out = out * 10 + d[:, j]
+    return out
+
+
+def _days_from_civil(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.ndarray:
+    """Days since 1970-01-01 of proleptic Gregorian dates (H. Hinnant's algorithm)."""
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+
+
+def timestamp_us(text: str) -> int:
+    """UTC microseconds since 1970 of a stripped timestamp, as
+    ``datetime.fromisoformat`` reads it, with ``Z`` or ``z`` for UTC; a time
+    without an offset is UTC. Raises ``ValueError`` where ``fromisoformat``
+    does, and ``OverflowError`` where the offset moves the time outside
+    years 1-9999."""
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    ts = datetime.fromisoformat(text)
     if ts.tzinfo is not None:
         ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
-    return ts
+    return (ts - _EPOCH) // _US
 
 
-def _iter_record_rows(lines: Iterable[str]):
-    """Yield (line_no, station_id, timestamp, value-or-None) from record CSV lines."""
-    reader = csv.reader(lines)
-    for line_no, row in enumerate(reader, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
+def parse_timestamps(column: Column) -> np.ndarray:
+    """``timestamp_us`` of every row of a column of stripped timestamps.
+
+    The common form is parsed in bulk: ``YYYY-MM-DD``, then ``T``, ``t`` or
+    a space, then ``HH:MM:SS``, an optional ``.`` with one or more fraction
+    digits (digits past the sixth are dropped, as ``fromisoformat`` does),
+    and an optional ``Z``, ``z`` or ``+HH:MM``/``-HH:MM`` offset. Any other
+    text (another ISO 8601 spelling, or no timestamp at all) goes through
+    ``timestamp_us`` one row at a time, which raises where it is malformed.
+    """
+    # Zero columns up to the date-time's 20 and six past the widest row
+    # leave room to read every fixed field and an offset.
+    c, length = column.codes, column.length
+    c = np.pad(c, ((0, 0), (0, max(20 - c.shape[1], 0) + 6)))
+    d = c - c.dtype.type(48)  # digit values where c holds digits, large elsewhere
+    digit = d <= 9
+    ok = digit[:, _DIGITS].all(axis=1)
+    ok &= (c[:, 4] == 45) & (c[:, 7] == 45) & (c[:, 13] == 58) & (c[:, 16] == 58)
+    ok &= (c[:, 10] == 84) | (c[:, 10] == 116) | (c[:, 10] == 32)  # 'T', 't', ' '
+    # Fraction: '.' at column 19, then a run of digits.
+    frac = c[:, 19] == 46
+    frac_len = np.zeros(len(c), np.int64)
+    micro = 0
+    if frac.any():
+        frac_len[frac] = np.argmin(digit[frac, 20:], axis=1)
+        ok &= ~frac | (frac_len > 0)
+        place = np.where(np.arange(6) < frac_len[:, None], 10 ** np.arange(5, -1, -1), 0)
+        micro = (d[:, 20:26].astype(np.int64) * place).sum(axis=1)
+    # Offset: nothing, 'Z'/'z', or '+HH:MM'/'-HH:MM' ending the string.
+    tz_at = 19 + frac + frac_len
+    rest = length - tz_at
+    tz = np.take_along_axis(c, tz_at[:, None], axis=1)[:, 0]
+    ok &= (rest == 0) | ((rest == 1) & ((tz == 90) | (tz == 122))) | (rest == 6)
+    offset = 0
+    if (rest == 6).any():
+        o = np.take_along_axis(d, tz_at[:, None] + np.arange(6), axis=1)
+        off_h, off_m = _number(o, 1, 3), _number(o, 4, 6)
+        signed = (rest == 6) & ((tz == 43) | (tz == 45)) & (o[:, 3] == 58 - 48)  # ':'
+        signed &= (o[:, [1, 2, 4, 5]] <= 9).all(axis=1) & (off_h <= 23) & (off_m <= 59)
+        ok &= (rest != 6) | signed
+        offset = np.where(signed, np.where(tz == 45, -60, 60) * (off_h * 60 + off_m), 0)
+    year, month, day, hour, minute, second = (_number(d, lo, hi) for lo, hi in _FIELDS)
+    ok &= (year >= 1) & (month >= 1) & (month <= 12)
+    month = np.clip(month, 1, 12)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    ok &= (day >= 1) & (day <= _MONTH_DAYS[month - 1] + (leap & (month == 2)))
+    ok &= (hour <= 23) & (minute <= 59) & (second <= 59)
+    secs = ((_days_from_civil(year, month, day) * 24 + hour) * 60 + minute) * 60
+    us = (secs + second - offset) * 1_000_000 + micro
+    ok &= (us >= _US_RANGE[0]) & (us <= _US_RANGE[1])
+    if not ok.all():
+        other = np.flatnonzero(~ok)
+        us[other] = [timestamp_us(t) for t in column[other].text().tolist()]
+    return us
+
+
+def _to_datetime(us: int) -> datetime:
+    return _EPOCH + timedelta(microseconds=int(us))
+
+
+def _check_record_row(line_no: int, row: list[str]) -> None:
+    """Raise the error one records row earns, if any."""
+    if not row[0].strip():
+        raise ParseError("empty station_id", line_no)
+    try:
+        timestamp_us(row[1].strip())
+    except ValueError:
+        raise ParseError(f"malformed timestamp {row[1]!r}", line_no) from None
+    raw_temp = row[2].strip()
+    if raw_temp:
+        try:
+            value = float(raw_temp)
+        except ValueError:
+            raise ParseError(f"malformed temperature {row[2]!r}", line_no) from None
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite temperature {row[2]!r}", line_no)
+
+
+def _word_record_error(block: Block) -> NoReturn:
+    """Raise the error of the first bad row of a block the columnar parse
+    rejected, worded row by row."""
+    for line_no, row in block.rows():
+        _check_record_row(line_no, row)
+    raise AssertionError(f"block at line {block.start} rejected, but every row is valid")
+
+
+def _read_record_columns(lines: Iterable[str]) -> tuple:
+    """Every row of a records file as columns, in file order: ``(names,
+    code, us, value, line_no)`` with the station ids by code in order of
+    first appearance, each row's station code, UTC microseconds since 1970,
+    temperature (NaN where the field is empty) and line number."""
+    codes: dict[str, int] = {}
+    parts = []
+    for block in read_blocks(lines, len(RECORDS_HEADER)):
+        if block.ragged:
+            _word_record_error(block)
+        if not len(block.line_no):
             continue
-        if row[0].strip() == "station_id":
-            continue  # header
-        if len(row) != 3:
-            raise ParseError(f"expected 3 fields, got {len(row)}", line_no)
-        sid = row[0].strip()
-        if not sid:
-            raise ParseError("empty station_id", line_no)
-        ts = _parse_timestamp(row[1], line_no)
-        raw_temp = row[2].strip()
-        if raw_temp == "":
-            value = None
-        else:
-            try:
-                value = float(raw_temp)
-            except ValueError:
-                raise ParseError(f"malformed temperature {row[2]!r}", line_no) from None
-            if not math.isfinite(value):
-                raise ParseError(f"non-finite temperature {row[2]!r}", line_no)
-        yield line_no, sid, ts, value
+        sid, stamp, temp = block.columns
+        names, inv = factorize(sid.text())
+        given = temp.length > 0
+        value = np.full(len(temp), np.nan)
+        try:
+            us = parse_timestamps(stamp)
+            value[given] = parse_floats(temp[given])
+        except (ValueError, OverflowError):
+            _word_record_error(block)
+        if "" in names or not np.isfinite(value[given]).all():
+            _word_record_error(block)
+        code = np.array([codes.setdefault(s, len(codes)) for s in names], np.int64)
+        parts.append((code[inv], us, value, block.line_no))
+    if not parts:
+        return [], None, None, None, None
+    return (list(codes), *map(np.concatenate, zip(*parts)))
 
 
-def _build_series(station_id: str,
-                  recs: list[tuple[int, datetime, float | None]],
-                  step: timedelta) -> TemperatureSeries:
-    recs = sorted(recs, key=lambda r: r[1])
-    first = recs[0][1]
-    span = recs[-1][1] - first
-    n = span // step + 1
-    values = np.full(n, np.nan)
-    missing = np.ones(n, dtype=bool)
-    prev_ts = None
-    for line_no, ts, value in recs:
-        if ts == prev_ts:
-            raise DuplicateTimestampError(
-                f"station {station_id}: duplicate timestamp {ts.isoformat()}")
-        prev_ts = ts
-        delta = ts - first
-        if delta % step:
+def _build_series(step: timedelta | None, names: list[str], code: np.ndarray,
+                  us: np.ndarray, value: np.ndarray,
+                  line_no: np.ndarray) -> dict[str, TemperatureSeries]:
+    """Dense series for every station, in station-id order, from the columns
+    of ``_read_record_columns``: one lexsort by (station, time) orders all
+    rows, then each station's slice is checked and scattered onto its slot
+    grid. ``step=None`` infers each station's step as the smallest positive
+    gap between its records."""
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(by_name), np.int64)
+    rank[by_name] = np.arange(len(by_name))
+    key = rank[code]
+    order = np.lexsort((us, key))
+    bounds = np.searchsorted(key[order], np.arange(len(by_name) + 1))
+    out = {}
+    for r, c in enumerate(by_name):
+        rows = order[bounds[r]:bounds[r + 1]]
+        sid = names[c]
+        stamps = us[rows]
+        gaps = np.diff(stamps)
+        step_us = (_smallest_gap(gaps) if step is None else step) // _US
+        delta = stamps - stamps[0]
+        n = int(delta[-1]) // step_us + 1
+        bad = np.concatenate(([False], gaps == 0)) | (delta % step_us != 0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            stamp = _to_datetime(stamps[k]).isoformat()
+            if k and gaps[k - 1] == 0:
+                raise DuplicateTimestampError(f"station {sid}: duplicate timestamp {stamp}")
             raise ParseError(
-                f"timestamp {ts.isoformat()} not aligned to the "
-                f"{int(step.total_seconds())}s step", line_no)
-        k = delta // step
-        if value is not None:
-            values[k] = value
-            missing[k] = False
-    return TemperatureSeries(station_id, first, step, values, missing)
+                f"timestamp {stamp} not aligned to the "
+                f"{int((step_us * _US).total_seconds())}s step", int(line_no[rows[k]]))
+        slot = delta // step_us
+        reading = value[rows]
+        present = ~np.isnan(reading)
+        values = np.full(n, np.nan)
+        values[slot[present]] = reading[present]
+        missing = np.ones(n, dtype=bool)
+        missing[slot[present]] = False
+        out[sid] = TemperatureSeries(sid, _to_datetime(stamps[0]), step_us * _US,
+                                     values, missing)
+    return out
 
 
 def parse_records(lines: Iterable[str], expected_step: timedelta) -> TemperatureSeries:
@@ -225,25 +370,26 @@ def parse_records(lines: Iterable[str], expected_step: timedelta) -> Temperature
     temperature field is empty, come back masked. Duplicate timestamps and
     malformed lines raise; zero usable rows raises ``EmptyInputError``.
     """
-    groups: dict[str, list] = {}
-    for line_no, sid, ts, value in _iter_record_rows(lines):
-        groups.setdefault(sid, []).append((line_no, ts, value))
-    if not groups:
+    columns = _read_record_columns(lines)
+    names = columns[0]
+    if not names:
         raise EmptyInputError("no records found")
-    if len(groups) > 1:
-        raise ContractError(
-            f"expected a single station, found {sorted(groups)}")
-    (sid, recs), = groups.items()
-    return _build_series(sid, recs, expected_step)
+    if len(names) > 1:
+        raise ContractError(f"expected a single station, found {sorted(names)}")
+    (series,) = _build_series(expected_step, *columns).values()
+    return series
 
 
 def infer_step(timestamps: Sequence[datetime]) -> timedelta:
     """Guess the sampling step as the smallest positive gap between records."""
-    if len(timestamps) < 2:
-        return HOUR
-    ordered = sorted(timestamps)
-    diffs = [b - a for a, b in zip(ordered, ordered[1:]) if b > a]
-    return min(diffs) if diffs else HOUR
+    us = np.sort(np.array([(ts - _EPOCH) // _US for ts in timestamps], np.int64))
+    return _smallest_gap(np.diff(us))
+
+
+def _smallest_gap(gaps: np.ndarray) -> timedelta:
+    """The smallest positive gap (microseconds) as a step; an hour if none is."""
+    positive = gaps[gaps > 0]
+    return timedelta(microseconds=int(positive.min())) if positive.size else HOUR
 
 
 def read_records(path: str | Path,
@@ -253,30 +399,61 @@ def read_records(path: str | Path,
     With ``expected_step=None`` the step is inferred per station from the
     smallest gap between its records.
     """
-    groups: dict[str, list] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        for line_no, sid, ts, value in _iter_record_rows(fh):
-            groups.setdefault(sid, []).append((line_no, ts, value))
-    if not groups:
+        columns = _read_record_columns(fh)
+    if not columns[0]:
         raise EmptyInputError(f"no records found in {path}")
-    out = {}
-    for sid in sorted(groups):
-        recs = groups[sid]
-        step = expected_step or infer_step([ts for _, ts, _ in recs])
-        out[sid] = _build_series(sid, recs, step)
-    return out
+    return _build_series(expected_step or None, *columns)
 
 
 def write_records(path: str | Path, series: Iterable[TemperatureSeries]) -> None:
-    """Write series back out in the records CSV layout (masked slots stay empty)."""
+    """Write series back out in the records CSV layout (masked slots stay empty).
+
+    Rows go out in blocks. A block's distinct days, times of day and
+    temperatures are each formatted once (``np.datetime_as_string``, and
+    ``repr`` as ``fmt`` renders a float) and then gathered per row.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORDS_HEADER)
+        csv.writer(fh).writerow(RECORDS_HEADER)
         for s in sorted(series, key=lambda s: s.station_id):
-            for k in range(s.n):
-                ts = s.timestamp(k)
-                temp = "" if s.missing[k] else fmt(float(s.values[k]))
-                writer.writerow((s.station_id, ts.isoformat() + "Z", temp))
+            prefix = csv_prefix(s.station_id)
+            start_us = (s.start - _EPOCH) // _US
+            step_us = s.step // _US
+            for lo in range(0, s.n, BLOCK_LINES):
+                k = np.arange(lo, min(lo + BLOCK_LINES, s.n))
+                day, tod = np.divmod(start_us + k * step_us, _DAY_US)
+                parts = [prefix, "", "", "Z,", "", "\r\n"] * len(k)
+                parts[1::6] = _gather(day, _day_text)
+                parts[2::6] = _gather(tod, _time_text)
+                # Every masked slot, and only those, holds NaN.
+                parts[4::6] = _gather(s.values[k].view(np.int64), _float_text)
+                fh.write("".join(parts))
+
+
+def _gather(keys: np.ndarray, texts) -> list[str]:
+    """``texts(distinct keys)`` looked up for every key, as a list."""
+    uniq, inv = np.unique(keys, return_inverse=True)
+    return np.array(texts(uniq), dtype=object)[inv].tolist()
+
+
+def _day_text(days: np.ndarray) -> list[str]:
+    """``YYYY-MM-DD`` of days since 1970-01-01."""
+    return np.datetime_as_string(days.astype("datetime64[D]")).tolist()
+
+
+def _time_text(tods: np.ndarray) -> list[str]:
+    """``THH:MM:SS`` of microseconds into a day, with ``.ffffff`` where they
+    are not whole seconds, as ``datetime.isoformat`` writes them."""
+    stamps = tods.astype("datetime64[us]")
+    whole = np.datetime_as_string(stamps, unit="s")
+    exact = np.datetime_as_string(stamps, unit="us")
+    return [t[10:] for t in np.where(tods % 1_000_000 == 0, whole, exact).tolist()]
+
+
+def _float_text(bits: np.ndarray) -> list[str]:
+    """``fmt`` of float64s given by their bit patterns (so ``-0.0`` stays
+    apart from ``0.0``): ``repr``, or empty for NaN."""
+    return ["" if v != v else repr(v) for v in bits.view(np.float64).tolist()]
 
 
 def to_hourly(series: TemperatureSeries) -> TemperatureSeries:
@@ -333,28 +510,20 @@ def missing_report(series: TemperatureSeries,
 def read_metadata(path: str | Path) -> dict[str, StationMeta]:
     """Read the station metadata CSV, validating every row."""
     out: dict[str, StationMeta] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if row[0].strip() == "station_id":
-                continue
-            if len(row) != 7:
-                raise ParseError(f"expected 7 fields, got {len(row)}", line_no)
-            sid = row[0].strip()
-            try:
-                group = StationGroup(row[2].strip())
-                region = Region(row[3].strip())
-            except ValueError as exc:
-                raise ParseError(str(exc), line_no) from None
-            try:
-                lat, lon, alt = (float(row[i]) for i in (4, 5, 6))
-            except ValueError:
-                raise ParseError("malformed coordinate or altitude", line_no) from None
-            if sid in out:
-                raise ParseError(f"duplicate station_id {sid!r}", line_no)
-            out[sid] = StationMeta(sid, row[1].strip(), group, region, lat, lon, alt)
+    for line_no, row in iter_rows(path, len(METADATA_HEADER)):
+        sid = row[0].strip()
+        try:
+            group = StationGroup(row[2].strip())
+            region = Region(row[3].strip())
+        except ValueError as exc:
+            raise ParseError(str(exc), line_no) from None
+        try:
+            lat, lon, alt = (float(row[i]) for i in (4, 5, 6))
+        except ValueError:
+            raise ParseError("malformed coordinate or altitude", line_no) from None
+        if sid in out:
+            raise ParseError(f"duplicate station_id {sid!r}", line_no)
+        out[sid] = StationMeta(sid, row[1].strip(), group, region, lat, lon, alt)
     if not out:
         raise EmptyInputError(f"no station metadata found in {path}")
     return out

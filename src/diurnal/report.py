@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._util import fmt, parse_float, roman
+from ._util import fmt, iter_rows, parse_float, roman
 from .errors import ContractError, EmptyInputError, ParseError
 from .impute import MONTH_ABBR
 from .ingest import HALF_HOUR, HOUR, StationMeta, TemperatureSeries
@@ -123,22 +123,14 @@ def write_cluster_csv(path: str | Path, report: ClusterReport,
 def read_cluster_csv(path: str | Path) -> dict[str, tuple[int, float]]:
     """Read station -> (cluster_id, silhouette) from a cluster CSV."""
     out: dict[str, tuple[int, float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if row[0].strip() == "station_id":
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", line_no)
-            sid = row[0].strip()
-            if sid in out:
-                raise ParseError(f"duplicate station_id {sid!r}", line_no)
-            try:
-                out[sid] = (int(row[1]), parse_float(row[2]))
-            except ValueError:
-                raise ParseError("malformed cluster id or silhouette", line_no) from None
+    for line_no, row in iter_rows(path, 3):
+        sid = row[0].strip()
+        if sid in out:
+            raise ParseError(f"duplicate station_id {sid!r}", line_no)
+        try:
+            out[sid] = (int(row[1]), parse_float(row[2]))
+        except ValueError:
+            raise ParseError("malformed cluster id or silhouette", line_no) from None
     if not out:
         raise EmptyInputError(f"no cluster rows found in {path}")
     return out

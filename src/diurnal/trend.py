@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import fmt, parse_bool, parse_float
+from ._util import fmt, iter_rows, parse_bool, parse_float
 from .aggregate import SCALES, WindowHourPanel, build_calendar, year_series
 from .errors import (
     ContractError,
@@ -217,26 +217,18 @@ def write_trend_csv(path: str | Path, cells: Iterable[TrendCell]) -> None:
 
 def read_trend_csv(path: str | Path) -> list[TrendCell]:
     cells = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if row[0].strip() == "station_id":
-                continue
-            if len(row) != 12:
-                raise ParseError(f"expected 12 fields, got {len(row)}", line_no)
-            sid, scale, label, hour, n, s, var_s, z, p, slope, lag1, flag = (
-                f.strip() for f in row)
-            if scale not in SCALES:
-                raise ParseError(f"unknown scale {scale!r}", line_no)
-            try:
-                cells.append(TrendCell(
-                    sid, scale, label, int(hour), int(n), int(s),
-                    parse_float(var_s), parse_float(z), parse_float(p),
-                    parse_float(slope), parse_float(lag1), parse_bool(flag)))
-            except ValueError:
-                raise ParseError("malformed numeric field", line_no) from None
+    for line_no, row in iter_rows(path, 12):
+        sid, scale, label, hour, n, s, var_s, z, p, slope, lag1, flag = (
+            f.strip() for f in row)
+        if scale not in SCALES:
+            raise ParseError(f"unknown scale {scale!r}", line_no)
+        try:
+            cells.append(TrendCell(
+                sid, scale, label, int(hour), int(n), int(s),
+                parse_float(var_s), parse_float(z), parse_float(p),
+                parse_float(slope), parse_float(lag1), parse_bool(flag)))
+        except ValueError:
+            raise ParseError("malformed numeric field", line_no) from None
     if not cells:
         raise EmptyInputError(f"no trend rows found in {path}")
     return cells

@@ -2,15 +2,32 @@
 
 Everything here is written in the most literal way available: plain loops,
 stdlib statistics, scipy distributions. None of it shares code with the
-package, so a bug in the library cannot hide in a common code path.
+package, so a bug in the library cannot hide in a common code path. The
+reference CSV readers and writers at the end are the package's former
+per-row I/O; they borrow only its data classes, calendars and error types,
+so their results and exceptions compare directly with the columnar code.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import statistics
+from datetime import datetime, timedelta, timezone
 
+import numpy as np
 from scipy import stats
+
+from diurnal import (
+    ContractError,
+    DuplicateTimestampError,
+    EmptyInputError,
+    ParseError,
+    TemperatureSeries,
+    WindowHourPanel,
+    build_calendar,
+)
+from diurnal.aggregate import SCALES
 
 
 def mk_s_enumerated(x) -> int:
@@ -186,3 +203,181 @@ def average_linkage_blockmean(labels, values) -> list[tuple[str, str, float]]:
         merged = clusters[i] + clusters[j]
         clusters = [c for idx, c in enumerate(clusters) if idx not in (i, j)] + [merged]
     return merges
+
+
+# --- Reference CSV I/O: one Python step per row ---------------------------
+
+def _fmt_float(value: float) -> str:
+    return "" if math.isnan(value) else repr(float(value))
+
+
+def _parse_timestamp_row(text, line_no):
+    raw = text.strip()
+    if raw.endswith(("Z", "z")):
+        raw = raw[:-1] + "+00:00"
+    try:
+        ts = datetime.fromisoformat(raw)
+    except ValueError:
+        raise ParseError(f"malformed timestamp {text!r}", line_no) from None
+    if ts.tzinfo is not None:
+        ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
+    return ts
+
+
+def _record_rows(lines):
+    for line_no, row in enumerate(csv.reader(lines), start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if row[0].strip() == "station_id":
+            continue
+        if len(row) != 3:
+            raise ParseError(f"expected 3 fields, got {len(row)}", line_no)
+        sid = row[0].strip()
+        if not sid:
+            raise ParseError("empty station_id", line_no)
+        ts = _parse_timestamp_row(row[1], line_no)
+        raw_temp = row[2].strip()
+        if raw_temp == "":
+            value = None
+        else:
+            try:
+                value = float(raw_temp)
+            except ValueError:
+                raise ParseError(f"malformed temperature {row[2]!r}", line_no) from None
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite temperature {row[2]!r}", line_no)
+        yield line_no, sid, ts, value
+
+
+def _series_rows(station_id, recs, step):
+    recs = sorted(recs, key=lambda r: r[1])
+    first = recs[0][1]
+    n = (recs[-1][1] - first) // step + 1
+    values = np.full(n, np.nan)
+    missing = np.ones(n, dtype=bool)
+    prev_ts = None
+    for line_no, ts, value in recs:
+        if ts == prev_ts:
+            raise DuplicateTimestampError(
+                f"station {station_id}: duplicate timestamp {ts.isoformat()}")
+        prev_ts = ts
+        delta = ts - first
+        if delta % step:
+            raise ParseError(
+                f"timestamp {ts.isoformat()} not aligned to the "
+                f"{int(step.total_seconds())}s step", line_no)
+        k = delta // step
+        if value is not None:
+            values[k] = value
+            missing[k] = False
+    return TemperatureSeries(station_id, first, step, values, missing)
+
+
+def _smallest_gap(timestamps):
+    ordered = sorted(timestamps)
+    diffs = [b - a for a, b in zip(ordered, ordered[1:]) if b > a]
+    return min(diffs) if diffs else timedelta(hours=1)
+
+
+def parse_records_rows(lines, expected_step):
+    """Single-station records parse, row by row."""
+    groups = {}
+    for line_no, sid, ts, value in _record_rows(lines):
+        groups.setdefault(sid, []).append((line_no, ts, value))
+    if not groups:
+        raise EmptyInputError("no records found")
+    if len(groups) > 1:
+        raise ContractError(f"expected a single station, found {sorted(groups)}")
+    (sid, recs), = groups.items()
+    return _series_rows(sid, recs, expected_step)
+
+
+def read_records_rows(path, expected_step=None):
+    """Multi-station records read, row by row."""
+    groups = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        for line_no, sid, ts, value in _record_rows(fh):
+            groups.setdefault(sid, []).append((line_no, ts, value))
+    if not groups:
+        raise EmptyInputError(f"no records found in {path}")
+    out = {}
+    for sid in sorted(groups):
+        recs = groups[sid]
+        step = expected_step or _smallest_gap([ts for _, ts, _ in recs])
+        out[sid] = _series_rows(sid, recs, step)
+    return out
+
+
+def write_records_rows(path, series):
+    """Records CSV writer, one ``writerow`` per slot."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("station_id", "timestamp", "temp_c"))
+        for s in sorted(series, key=lambda s: s.station_id):
+            for k in range(s.n):
+                ts = s.start + k * s.step
+                temp = "" if s.missing[k] else _fmt_float(float(s.values[k]))
+                writer.writerow((s.station_id, ts.isoformat() + "Z", temp))
+
+
+def read_panel_rows(path):
+    """Panel CSV read, row by row, without the checks the columnar reader
+    added (it lets a repeated cell win and keeps any hour, flag or mean)."""
+    rows, scales = {}, {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        for line_no, row in enumerate(csv.reader(fh), start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if row[0].strip() == "station_id":
+                continue
+            if len(row) != 7:
+                raise ParseError(f"expected 7 fields, got {len(row)}", line_no)
+            sid, scale, year, label, hour, mean, valid = (f.strip() for f in row)
+            if scale not in SCALES:
+                raise ParseError(f"unknown scale {scale!r}", line_no)
+            if sid in scales and scales[sid] != scale:
+                raise ParseError(f"station {sid} appears under two scales", line_no)
+            scales[sid] = scale
+            try:
+                cell = (int(year), label, int(hour),
+                        math.nan if mean == "" else float(mean), valid == "1")
+            except ValueError:
+                raise ParseError("malformed year, hour or mean", line_no) from None
+            rows.setdefault(sid, {})[cell[:3]] = cell[3:]
+    if not rows:
+        raise EmptyInputError(f"no panel rows found in {path}")
+    out = {}
+    for sid in sorted(rows):
+        cal = build_calendar(scales[sid])
+        cells = rows[sid]
+        years = sorted({y for y, _, _ in cells})
+        shape = (len(years), cal.n_windows, 24)
+        means = np.full(shape, np.nan)
+        counts = np.zeros(shape, dtype=np.int64)
+        for (year, label, hour), (mean, ok) in cells.items():
+            if label not in cal.labels:
+                raise ParseError(f"label {label!r} does not belong to scale {scales[sid]}")
+            if ok:
+                yi, w = years.index(year), cal.labels.index(label)
+                means[yi, w, hour] = mean
+                counts[yi, w, hour] = 1
+        out[sid] = WindowHourPanel(sid, scales[sid], years, list(cal.labels), means, counts)
+    return out
+
+
+def write_panel_rows(path, panels):
+    """Panel CSV writer: four nested loops, one ``writerow`` per cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("station_id", "scale", "year", "window_label", "hour",
+                         "mean_temp", "valid"))
+        for p in sorted(panels, key=lambda p: p.station_id):
+            for yi, year in enumerate(p.years):
+                for w, label in enumerate(p.labels):
+                    for hour in range(24):
+                        ok = p.counts[yi, w, hour] > 0
+                        writer.writerow((
+                            p.station_id, p.scale, year, label, hour,
+                            _fmt_float(float(p.means[yi, w, hour])) if ok else "",
+                            "1" if ok else "0",
+                        ))

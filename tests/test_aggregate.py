@@ -10,6 +10,7 @@ import pytest
 from diurnal import (
     ContractError,
     EmptyInputError,
+    ParseError,
     build_calendar,
     hourly_window_means,
     read_panel,
@@ -220,3 +221,50 @@ class TestPanelRoundTrip:
         path.write_text("station_id,scale,year,window_label,hour,mean_temp,valid\n")
         with pytest.raises(EmptyInputError):
             read_panel(path)
+
+
+PANEL_HEAD = "station_id,scale,year,window_label,hour,mean_temp,valid\n"
+
+
+class TestPanelReadErrors:
+    """Rows that used to give silent wrong numbers now raise with their line."""
+
+    def _read(self, tmp_path, *rows):
+        path = tmp_path / "p.csv"
+        path.write_text(PANEL_HEAD + "S1,30d,2000,Jan,0,1.5,1\n" + "".join(r + "\n" for r in rows))
+        return read_panel(path)
+
+    def test_duplicate_cell(self, tmp_path):
+        with pytest.raises(ParseError, match=r"^line 4: station S1: second row for year "
+                                             r"2000, window Jan, hour 0"):
+            self._read(tmp_path, "S1,30d,2000,Feb,0,2.0,1", "S1,30d,2000,Jan,0,9.0,1")
+
+    @pytest.mark.parametrize("hour", ["-1", "24"])
+    def test_hour_out_of_range(self, tmp_path, hour):
+        with pytest.raises(ParseError, match=rf"^line 3: hour {hour} out of range 0-23"):
+            self._read(tmp_path, f"S1,30d,2000,Jan,{hour},2.0,1")
+
+    @pytest.mark.parametrize("mean", ["", "nan", "inf", "-inf"])
+    def test_valid_cell_needs_finite_mean(self, tmp_path, mean):
+        with pytest.raises(ParseError, match=r"^line 3: valid cell with non-finite mean"):
+            self._read(tmp_path, f"S1,30d,2000,Jan,1,{mean},1")
+
+    def test_invalid_cell_may_hold_any_mean(self, tmp_path):
+        panel = self._read(tmp_path, "S1,30d,2000,Jan,1,nan,0", "S1,30d,2000,Jan,2,,0")["S1"]
+        assert panel.counts.sum() == 1
+
+    @pytest.mark.parametrize("flag", ["2", "yes", "", "true"])
+    def test_valid_flag_is_zero_or_one(self, tmp_path, flag):
+        with pytest.raises(ParseError, match=r"^line 3: valid flag .* is not 0 or 1"):
+            self._read(tmp_path, f"S1,30d,2000,Jan,1,2.0,{flag}")
+
+    def test_foreign_label_names_its_line(self, tmp_path):
+        with pytest.raises(ParseError, match=r"^line 3: label 'Dec-Jan' does not belong "
+                                             r"to scale 30d"):
+            self._read(tmp_path, "S1,30d,2000,Dec-Jan,1,2.0,1")
+
+    def test_errors_escape_the_cli_as_parse_errors(self, tmp_path):
+        from diurnal.cli import cli
+        path = tmp_path / "p.csv"
+        path.write_text(PANEL_HEAD + "S1,30d,2000,Jan,24,1.5,1\n")
+        assert cli(["trend", "--panel", str(path), "--out", str(tmp_path / "t.csv")]) != 0

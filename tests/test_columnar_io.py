@@ -1,0 +1,427 @@
+"""The columnar records and panel I/O against the former per-row code.
+
+Readers must give bitwise-equal arrays, or raise the same exception type
+with the same message (so the same ``line N``), on any file; writers must
+write the same bytes. The per-row reference code lives in ``oracles.py``.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+import random
+from datetime import datetime, timedelta
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from diurnal import (
+    ParseError,
+    TemperatureSeries,
+    WindowHourPanel,
+    build_calendar,
+    parse_records,
+    read_panel,
+    read_records,
+    write_panel,
+    write_records,
+)
+from diurnal import _util, aggregate, ingest
+from helpers import HALF_HOUR, HOUR
+
+SETTINGS = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                           HealthCheck.too_slow])
+
+# (field as written, station id it stands for)
+STATION_FIELDS = [("T01", "T01"), ("B2", "B2"), (" S3 ", "S3"), ('"Q,1"', "Q,1"),
+                  ('"Q""2"', 'Q"2'), ("Zürich", "Zürich"), ('"M\nL"', "M\nL"),
+                  ("N\0", "N\0"), ("N\0\0", "N\0\0"), ('"T01"', "T01")]
+BAD_RECORD_LINES = [
+    "T01,not-a-time,1.0",
+    "T01,2001-02-30T00:00:00Z,1.0",
+    "T01,2001-01-01T24:00:00Z,1.0",
+    "T01,2001-001,1.0",
+    "T01,2001-01-01T00:00:00+2:00,1.0",
+    "T01,0001-01-01T00:00:00+01:00,1.0",
+    'T01,2001-01-01T00:00:00Z,"1\n.5"',
+    "T01,2001-01-01T00:00:00Z,1\0",
+    "T01,2001-01-01T00:00:00Z,abc",
+    "T01,2001-01-01T00:00:00Z,nan",
+    "T01,2001-01-01T00:00:00Z, -inf",
+    "T01,2001-01-01T00:00:00Z",
+    "T01,2001-01-01T00:00:00Z,1,2",
+    " ,2001-01-01T00:00:00Z,1.0",
+]
+FILLER_LINES = ["", "   ", "\t", "station_id,timestamp,temp_c", "station_id",
+                " station_id ,x"]
+
+
+def _outcome(fn, *args):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type itself is compared
+        return "error", type(exc), str(exc)
+
+
+def _same_array(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_same_series(got, want):
+    assert list(got) == list(want)
+    for sid in want:
+        g, w = got[sid], want[sid]
+        assert (g.station_id, g.start, g.step) == (w.station_id, w.start, w.step)
+        assert _same_array(g.values, w.values)
+        assert _same_array(g.missing, w.missing)
+
+
+def _assert_same_panels(got, want):
+    assert list(got) == list(want)
+    for sid in want:
+        g, w = got[sid], want[sid]
+        assert (g.station_id, g.scale, g.years, g.labels) == (
+            w.station_id, w.scale, w.years, w.labels)
+        assert _same_array(g.means, w.means)
+        assert _same_array(g.counts, w.counts)
+
+
+def _assert_same_outcome(got, want, same):
+    assert got[0] == want[0], (got, want)
+    if want[0] == "error":
+        assert got[1:] == want[1:]
+    else:
+        same(got[1], want[1])
+
+
+# (offset as written, its minutes east of UTC); None writes a naive time.
+OFFSETS = [(None, 0), ("Z", 0), ("z", 0), ("+00:00", 0), ("+02:00", 120), ("-05:30", -330),
+           ("+0200", 120), ("-0530", -330), ("+02", 120), ("-05", -300)]
+
+
+@st.composite
+def _stamp(draw, ts: datetime) -> str:
+    """``ts`` (naive UTC) in one of the ISO 8601 spellings that
+    ``datetime.fromisoformat`` reads: extended or basic format, any date-time
+    separator, seconds and minutes left out where they are zero, a ``.`` or
+    ``,`` fraction, and a ``Z`` or numeric offset."""
+    offset, minutes = draw(st.sampled_from(OFFSETS))
+    local = ts + timedelta(minutes=minutes)
+    basic = draw(st.booleans())
+    date = local.strftime("%Y%m%d" if basic else "%Y-%m-%d")
+    hhmm = local.strftime("%H%M" if basic else "%H:%M")
+    seconds = local.strftime("%S" if basic else ":%S")
+    if local.microsecond:
+        digits = f"{local.microsecond:06d}"
+        seconds += draw(st.sampled_from(".,")) + draw(st.sampled_from(
+            [digits, digits.rstrip("0"), digits + "123"]))
+    elif draw(st.booleans()):
+        seconds += draw(st.sampled_from([".0", ".000000"]))
+    elif seconds.endswith("00") and draw(st.booleans()):
+        seconds = ""
+        if hhmm in ("00:00", "0000") and not offset and draw(st.booleans()):
+            hhmm = None  # a date alone is its midnight
+    text = date if hhmm is None else date + draw(st.sampled_from("Tt x")) + hhmm + seconds
+    text += offset or ""
+    return draw(st.sampled_from(["{}", " {} ", '"{}"'])).format(text)
+
+
+_TEMPS = st.one_of(
+    st.sampled_from(["", " ", "-0.0", "1e-05", "1E3", "+4", ".5", "5.", "1_0", " 12.5 ",
+                     "0.30000000000000004", "007.250"]),
+    st.floats(-60, 60).map(repr),
+    st.floats(-60, 60).map(lambda v: f"{v:.1f}"),
+)
+
+
+@st.composite
+def records_file(draw, max_stations=3):
+    """Record lines for 1-3 stations, shuffled, with blank and header lines,
+    duplicate or misaligned timestamps now and then, and 0-2 bad lines."""
+    rows = []
+    for field, _ in draw(st.lists(st.sampled_from(STATION_FIELDS), min_size=1,
+                                  max_size=max_stations, unique_by=lambda f: f[1])):
+        step = draw(st.sampled_from([HOUR, HALF_HOUR, timedelta(milliseconds=500)]))
+        start = datetime(2000, 12, 31, 22) + draw(st.sampled_from(
+            [timedelta(0), timedelta(microseconds=500000), timedelta(minutes=30)]))
+        slots = draw(st.lists(st.integers(0, 30), min_size=1, max_size=25))
+        for k in slots:
+            stamp = draw(_stamp(start + k * step))
+            rows.append(f"{field},{stamp},{draw(_TEMPS)}")
+    random.Random(draw(st.integers(0, 2**32))).shuffle(rows)
+    for line in draw(st.lists(st.sampled_from(FILLER_LINES + BAD_RECORD_LINES), max_size=3)):
+        rows.insert(draw(st.integers(0, len(rows))), line)
+    if draw(st.booleans()):
+        rows.insert(0, "station_id,timestamp,temp_c")
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return [row + ending for row in rows]
+
+
+@pytest.fixture(params=[2, 3, 7, _util.BLOCK_LINES])
+def block_lines(request):
+    """Block sizes small enough to put block edges, and errors, anywhere."""
+    with mock.patch.object(_util, "BLOCK_LINES", request.param):
+        yield request.param
+
+
+class TestRecordsReader:
+    @given(lines=records_file(), expected=st.sampled_from([None, HOUR]))
+    @SETTINGS
+    def test_read_records_matches_row_reader(self, tmp_path, block_lines, lines, expected):
+        path = tmp_path / "records.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        _assert_same_outcome(_outcome(read_records, path, expected),
+                             _outcome(oracles.read_records_rows, path, expected),
+                             _assert_same_series)
+
+    @given(lines=records_file(max_stations=1), step=st.sampled_from([HOUR, HALF_HOUR]),
+           terminated=st.booleans())
+    @SETTINGS
+    def test_parse_records_matches_row_parser(self, block_lines, lines, step, terminated):
+        if not terminated:
+            lines = [line.rstrip("\r\n") for line in lines]
+        got = _outcome(parse_records, lines, step)
+        want = _outcome(oracles.parse_records_rows, lines, step)
+        _assert_same_outcome(got, want, lambda g, w: _assert_same_series({0: g}, {0: w}))
+
+    def test_first_of_two_bad_lines_wins_across_blocks(self, tmp_path, block_lines):
+        good = [f"T01,2001-01-01T{h:02d}:00:00Z,{h}.5\n" for h in range(20)]
+        lines = ["station_id,timestamp,temp_c\n"] + good[:15] + [
+            "T01,2001-01-01T99:00:00Z,1.0\n"] + good[15:] + ["T01,2001-01-02,x\n"]
+        path = tmp_path / "records.csv"
+        path.write_text("".join(lines))
+        with pytest.raises(ParseError, match=r"^line 17: malformed timestamp"):
+            read_records(path)
+
+    @pytest.mark.parametrize("text", [
+        'T01,2001-01-01T00:00:00Z,"1\n.5"\n',
+        '"T\n01",2001-01-01T00:00:00Z,1.5\nT01,2001-01-01T01:00:00Z,x\n',
+        'T01,2001-01-01T00:00:00Z,"1.5\n',
+        "T01,2001-01-01T00:00:00Z,1\x00\n",
+        "T\x00,2001-01-01T00:00:00Z,1\nT,2001-01-01T00:00:00Z,2\n",
+        "T01,2001-01-01\x0000:00:00\x00,1\n",
+        "T01,0001-01-01T00:00:00+01:00,1\n",
+    ])
+    def test_csv_and_timestamp_corners_read_as_before(self, tmp_path, block_lines, text):
+        path = tmp_path / "records.csv"
+        path.write_text("station_id,timestamp,temp_c\n" + text, encoding="utf-8")
+        _assert_same_outcome(_outcome(read_records, path, None),
+                             _outcome(oracles.read_records_rows, path, None),
+                             _assert_same_series)
+
+    @pytest.mark.parametrize("before", ["", "T01,2001-01-01,x\n"])
+    @pytest.mark.parametrize("long", ['"ABCDEFGHIJKLMN",2001-01-02,1\n',
+                                      "ABCDEFGHIJKLMN,2001-01-02,1\n"])
+    def test_csv_error_comes_after_the_rows_before_it(self, tmp_path, block_lines,
+                                                      before, long):
+        path = tmp_path / "records.csv"
+        path.write_text("station_id,timestamp,temp_c\nT01,2001-01-01,1.5\n"
+                        + before + long + "T01,2001-01-03,2\n")
+        limit = csv.field_size_limit(12)  # ABCDEFGHIJKLMN is a field too large
+        try:
+            got = _outcome(read_records, path, None)
+            want = _outcome(oracles.read_records_rows, path, None)
+        finally:
+            csv.field_size_limit(limit)
+        assert want[1] is (ParseError if before else csv.Error)
+        _assert_same_outcome(got, want, _assert_same_series)
+
+    def test_quoted_field_across_a_block_edge(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_util, "BLOCK_LINES", 2)
+        path = tmp_path / "records.csv"
+        head = 'station_id,timestamp,temp_c\n"A\nB\nC",2001-01-01T00:00:00Z,1.5\n'
+        path.write_text(head + "D,2001-01-01T00:00:00Z,2.5\n")
+        assert {sid: s.values.tolist() for sid, s in read_records(path).items()} == {
+            "A\nB\nC": [1.5], "D": [2.5]}
+        path.write_text(head + "D,bad,2.5\n")  # row 3, on line 5
+        with pytest.raises(ParseError, match=r"^line 3: malformed timestamp 'bad'$"):
+            read_records(path)
+
+    @pytest.mark.parametrize("stamp,utc", [
+        ("2001-01-01T05:00", datetime(2001, 1, 1, 5)),
+        ("2001-01-01", datetime(2001, 1, 1)),
+        ("20010101T050000", datetime(2001, 1, 1, 5)),
+        ("2001-01-01T05:00:00+0200", datetime(2001, 1, 1, 3)),
+        ("2001-01-01T05:00:00+02", datetime(2001, 1, 1, 3)),
+        ("2001-01-01x05:00:00", datetime(2001, 1, 1, 5)),
+        ("2001-01-01T05:00:00,5", datetime(2001, 1, 1, 5, 0, 0, 500000)),
+        ("2001-W01-1T05:00:00", datetime(2001, 1, 1, 5)),
+    ])
+    def test_other_iso_spellings_read_as_before(self, stamp, utc):
+        lines = [f'T01,"{stamp}",1.0', f"T01,{(utc + HOUR).isoformat()}Z,2.0"]
+        series = parse_records(lines, HOUR)
+        assert series.start == utc
+        _assert_same_series({0: series}, {0: oracles.parse_records_rows(lines, HOUR)})
+
+
+def _panel_cell_rows(draw, field, sid_scale, years):
+    cal = build_calendar(sid_scale)
+    cells = draw(st.lists(st.tuples(st.sampled_from(years), st.sampled_from(cal.labels),
+                                    st.integers(0, 23)),
+                          min_size=1, max_size=30, unique=True))
+    rows = []
+    for year, label, hour in cells:
+        mean = draw(st.one_of(st.just(""), st.floats(-40, 40).map(repr),
+                              st.floats(-40, 40).map(lambda v: f"{v:.1f}")))
+        valid = "1" if mean and draw(st.booleans()) else "0"
+        pad = draw(st.sampled_from(["{}", " {} "]))
+        rows.append(",".join([field, sid_scale, pad.format(year), label,
+                              pad.format(hour), pad.format(mean), valid]))
+    return rows
+
+
+BAD_PANEL_LINES = [
+    "T01,45d,2000,Jan,0,1.0,1",
+    "T01,30d,20x0,Jan,0,1.0,1",
+    "T01,30d,2000,Jan,a,1.0,1",
+    "T01,30d,2000,Jan,0,zz,0",
+    "T01,30d,2000,Jan,0,1.0",
+    "T01,60da,2000,Jan-Feb,0,1.0,1",
+]
+
+
+@st.composite
+def panel_file(draw):
+    """Panel lines for 1-3 stations, shuffled, with blank and header lines
+    and 0-2 bad lines; cells are unique and every row passes the checks the
+    row reader lacks, so both readers must agree."""
+    rows = []
+    stations = [("T01", "T01")] + draw(st.lists(st.sampled_from(STATION_FIELDS[1:-1]),
+                                                max_size=2, unique=True))
+    for field, sid in stations:
+        scale = "30d" if sid == "T01" else draw(st.sampled_from(["30d", "60db", "10d"]))
+        years = draw(st.lists(st.integers(1998, 2003), min_size=1, max_size=3, unique=True))
+        rows += _panel_cell_rows(draw, field, scale, years)
+    random.Random(draw(st.integers(0, 2**32))).shuffle(rows)
+    fillers = ["", "  ", "station_id,scale,year,window_label,hour,mean_temp,valid"]
+    for line in draw(st.lists(st.sampled_from(fillers) | st.sampled_from(BAD_PANEL_LINES),
+                              max_size=3, unique=True)):
+        rows.insert(draw(st.integers(0, len(rows))), line)
+    rows.insert(0, "station_id,scale,year,window_label,hour,mean_temp,valid")
+    return [row + "\n" for row in rows]
+
+
+class TestPanelReader:
+    @given(lines=panel_file())
+    @SETTINGS
+    def test_read_panel_matches_row_reader(self, tmp_path, block_lines, lines):
+        path = tmp_path / "panel.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        _assert_same_outcome(_outcome(read_panel, path),
+                             _outcome(oracles.read_panel_rows, path),
+                             _assert_same_panels)
+
+
+ODD_VALUES = [-0.0, 1e16, 1e-05, 0.1 + 0.2, 1 / 3, -273.15, 5e-324, 1.7976931348623157e308]
+ODD_IDS = ["T01", "a,b", 'q"x', "Zürich", " pad ", "line\nbreak"]
+
+
+@st.composite
+def series_list(draw):
+    out = []
+    for sid in draw(st.lists(st.sampled_from(ODD_IDS), min_size=1, max_size=3, unique=True)):
+        n = draw(st.integers(1, 40))
+        values = draw(st.lists(st.one_of(st.sampled_from(ODD_VALUES),
+                                         st.floats(allow_nan=False, allow_infinity=False)),
+                               min_size=n, max_size=n))
+        missing = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        start = datetime(1999, 12, 31, 23) + timedelta(
+            microseconds=draw(st.sampled_from([0, 500000, 1])))
+        step = draw(st.sampled_from([HOUR, HALF_HOUR, timedelta(milliseconds=250),
+                                     timedelta(seconds=1.5)]))
+        out.append(TemperatureSeries(sid, start, step, values, missing))
+    return out
+
+
+@st.composite
+def panel_list(draw):
+    out = []
+    for sid in draw(st.lists(st.sampled_from(ODD_IDS), min_size=1, max_size=3, unique=True)):
+        scale = draw(st.sampled_from(["30d", "60db", "10d"]))
+        labels = list(build_calendar(scale).labels)
+        if draw(st.booleans()):
+            labels[0] = "Dec,Jan"  # a label csv has to quote
+        n_years = draw(st.integers(1, 3))
+        shape = (n_years, len(labels), 24)
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        odd = np.array(ODD_VALUES + [math.nan])
+        means = np.where(rng.random(shape) < 0.2, rng.choice(odd, shape),
+                         rng.normal(0.0, 20.0, shape))
+        counts = rng.choice([0, 1, 3], shape)
+        years = sorted(draw(st.lists(st.integers(1, 9999), min_size=n_years,
+                                     max_size=n_years, unique=True)))
+        out.append(WindowHourPanel(sid, scale, years, labels, means, counts))
+    return out
+
+
+class TestWriters:
+    @given(series=series_list())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_write_records_bytes_match_row_writer(self, tmp_path, series):
+        write_records(tmp_path / "new.csv", series)
+        oracles.write_records_rows(tmp_path / "old.csv", series)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_write_records_odd_cases(self, tmp_path):
+        series = [TemperatureSeries("a,b", datetime(2000, 1, 1, 0, 0, 0, 500000), HALF_HOUR,
+                                    ODD_VALUES[:4] + [0.0], [False] * 4 + [True])]
+        write_records(tmp_path / "new.csv", series)
+        text = (tmp_path / "new.csv").read_text()
+        assert text.splitlines()[1:] == [
+            '"a,b",2000-01-01T00:00:00.500000Z,-0.0', '"a,b",2000-01-01T00:30:00.500000Z,1e+16',
+            '"a,b",2000-01-01T01:00:00.500000Z,1e-05',
+            '"a,b",2000-01-01T01:30:00.500000Z,0.30000000000000004',
+            '"a,b",2000-01-01T02:00:00.500000Z,']
+
+    def test_write_records_long_series(self, tmp_path):
+        n = 3 * _util.BLOCK_LINES + 5
+        rng = np.random.default_rng(3)
+        series = [TemperatureSeries("S1", datetime(2000, 1, 1), HOUR, rng.normal(10, 5, n),
+                                    rng.random(n) < 0.1)]
+        write_records(tmp_path / "new.csv", series)
+        oracles.write_records_rows(tmp_path / "old.csv", series)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @given(panels=panel_list())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_write_panel_bytes_match_row_writer(self, tmp_path, panels):
+        write_panel(tmp_path / "new.csv", panels)
+        oracles.write_panel_rows(tmp_path / "old.csv", panels)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+class TestFastPath:
+    """Well-formed files must never reach the row-by-row code."""
+
+    def test_clean_files_stay_columnar(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_util, "BLOCK_LINES", 50)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the row-by-row path ran on a well-formed file")
+
+        monkeypatch.setattr(ingest, "_word_record_error", refuse)
+        monkeypatch.setattr(ingest, "timestamp_us", refuse)
+        monkeypatch.setattr(aggregate, "_word_panel_error", refuse)
+        monkeypatch.setattr(_util, "_split_rows", refuse)
+        n = 240
+        rng = np.random.default_rng(1)
+        series = [TemperatureSeries(sid, datetime(2001, 1, 1), HOUR, rng.normal(5, 3, n),
+                                    rng.random(n) < 0.2) for sid in ("S1", "S2")]
+        write_records(tmp_path / "records.csv", series)
+        back = read_records(tmp_path / "records.csv")
+        assert [s.n for s in back.values()] == [n, n]
+        panels = [WindowHourPanel("S1", "30d", [2001], list(build_calendar("30d").labels),
+                                  rng.normal(5, 3, (1, 12, 24)), np.ones((1, 12, 24), int))]
+        write_panel(tmp_path / "panel.csv", panels)
+        assert read_panel(tmp_path / "panel.csv")["S1"].counts.sum() == 288
