@@ -25,12 +25,6 @@ _ROMAN = (
     (5, "V"), (4, "IV"), (1, "I"),
 )
 
-# Characters of a plain decimal: 0 padding, 1 digit, 2 point, 3 sign, 4 other.
-_FLOAT_CHARS = np.full(256, 4, np.uint8)
-_FLOAT_CHARS[0] = 0
-_FLOAT_CHARS[ord("0"):ord("9") + 1] = 1
-_FLOAT_CHARS[ord(".")] = 2
-_FLOAT_CHARS[[ord("+"), ord("-")]] = 3
 # Code that stands for a NUL inside a field: no code point, so no parser
 # takes it for a character it accepts.
 _NUL_CODE = 0x110000
@@ -128,23 +122,9 @@ class Column:
 
 
 def parse_floats(column: Column) -> np.ndarray:
-    """``float()`` of every row of a column of non-empty strings, bit for bit.
-
-    Plain decimals (an optional sign, digits and at most one point) are cast
-    as ASCII bytes, which numpy rounds correctly as ``float()`` does; anything
-    else goes through numpy's str cast, which calls ``float()``. Raises
-    ``ValueError`` where ``float()`` would.
-    """
-    codes = column.codes
-    kind = _FLOAT_CHARS[codes if codes.dtype == np.uint8 else np.minimum(codes, np.uint32(255))]
-    plain = ((kind <= 3).all(axis=1) & (kind[:, 1:] != 3).all(axis=1)
-             & ((kind == 2).sum(axis=1) <= 1) & (kind == 1).any(axis=1))
-    out = np.empty(len(column))
-    ascii_ = codes[plain].astype(np.uint8, copy=False)
-    out[plain] = ascii_.view(f"S{ascii_.shape[1]}").ravel().astype(np.float64)
-    if not plain.all():
-        out[~plain] = column[~plain].text().astype(np.float64)
-    return out
+    """``float()`` of every row of a column of non-empty strings; raises
+    ``ValueError`` where ``float()`` does."""
+    return np.fromiter(map(float, column.text().tolist()), np.float64, len(column))
 
 
 def factorize(column: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -209,8 +189,9 @@ class Block:
 def read_blocks(lines: Iterable[str], n_fields: int) -> Iterator[Block]:
     """Split CSV lines into ``Block``s, with the row semantics of
     ``csv.reader`` over all the lines plus ``data_rows``; line numbers count
-    csv rows. A ``csv.Error`` is raised once the rows before it have been
-    yielded, as the reader would raise it."""
+    csv rows. A ``csv.Error`` (a field over ``csv.field_size_limit()``) is
+    raised as a ``ParseError`` with its row's line, once the rows before it
+    have been yielded."""
     it = iter(lines)
     start = 1
     while block := list(islice(it, BLOCK_LINES)):
@@ -224,7 +205,7 @@ def read_blocks(lines: Iterable[str], n_fields: int) -> Iterator[Block]:
             start += len(block)
         yield out
         if error is not None:
-            raise error
+            raise ParseError(str(error), start)
 
 
 def _csv_rows(lines: list[str],

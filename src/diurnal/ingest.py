@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -134,9 +134,9 @@ class TemperatureSeries:
         return self.start + (self.n - 1) * self.step
 
     def index64(self) -> np.ndarray:
-        """Slot timestamps as a ``datetime64[s]`` array."""
-        step_s = int(self.step.total_seconds())
-        return np.datetime64(self.start, "s") + np.arange(self.n) * np.timedelta64(step_s, "s")
+        """Slot timestamps as a ``datetime64[us]`` array."""
+        step = np.timedelta64(self.step // _US, "us")
+        return np.datetime64(self.start, "us") + np.arange(self.n) * step
 
     def timestamp(self, k: int) -> datetime:
         return self.start + k * self.step
@@ -163,30 +163,7 @@ def time_fields(index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 
 _US = timedelta(microseconds=1)
 _EPOCH = datetime(1970, 1, 1)
-_US_RANGE = ((datetime.min - _EPOCH) // _US, (datetime.max - _EPOCH) // _US)
 _DAY_US = 86_400_000_000
-# Layout of "YYYY-MM-DDTHH:MM:SS": its digit columns, and the columns of
-# the year, month, day, hour, minute and second.
-_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
-_FIELDS = [(0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19)]
-_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-
-
-def _number(d: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Decimal value of the digit columns ``lo:hi`` of a digit-value matrix."""
-    out = d[:, lo].astype(np.int64)
-    for j in range(lo + 1, hi):
-        out = out * 10 + d[:, j]
-    return out
-
-
-def _days_from_civil(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.ndarray:
-    """Days since 1970-01-01 of proleptic Gregorian dates (H. Hinnant's algorithm)."""
-    y = year - (month <= 2)
-    era = y // 400
-    yoe = y - era * 400
-    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
 
 
 def timestamp_us(text: str) -> int:
@@ -206,53 +183,30 @@ def timestamp_us(text: str) -> int:
 def parse_timestamps(column: Column) -> np.ndarray:
     """``timestamp_us`` of every row of a column of stripped timestamps.
 
-    The common form is parsed in bulk: ``YYYY-MM-DD``, then ``T``, ``t`` or
-    a space, then ``HH:MM:SS``, an optional ``.`` with one or more fraction
-    digits (digits past the sixth are dropped, as ``fromisoformat`` does),
-    and an optional ``Z``, ``z`` or ``+HH:MM``/``-HH:MM`` offset. Any other
-    text (another ISO 8601 spelling, or no timestamp at all) goes through
-    ``timestamp_us`` one row at a time, which raises where it is malformed.
+    Rows laid out as ``YYYY-MM-DD``, then ``T`` or a space, then
+    ``HH:MM:SS`` and an optional ``Z``, from year 1 on, go through numpy's
+    datetime64 cast in bulk, which rejects the dates and times
+    ``fromisoformat`` rejects. Any other row (another ISO 8601 spelling, or
+    no timestamp at all), and every row of a column the cast refuses, goes
+    through ``timestamp_us`` one at a time, which raises where it is
+    malformed.
     """
-    # Zero columns up to the date-time's 20 and six past the widest row
-    # leave room to read every fixed field and an offset.
-    c, length = column.codes, column.length
-    c = np.pad(c, ((0, 0), (0, max(20 - c.shape[1], 0) + 6)))
-    d = c - c.dtype.type(48)  # digit values where c holds digits, large elsewhere
-    digit = d <= 9
-    ok = digit[:, _DIGITS].all(axis=1)
-    ok &= (c[:, 4] == 45) & (c[:, 7] == 45) & (c[:, 13] == 58) & (c[:, 16] == 58)
-    ok &= (c[:, 10] == 84) | (c[:, 10] == 116) | (c[:, 10] == 32)  # 'T', 't', ' '
-    # Fraction: '.' at column 19, then a run of digits.
-    frac = c[:, 19] == 46
-    frac_len = np.zeros(len(c), np.int64)
-    micro = 0
-    if frac.any():
-        frac_len[frac] = np.argmin(digit[frac, 20:], axis=1)
-        ok &= ~frac | (frac_len > 0)
-        place = np.where(np.arange(6) < frac_len[:, None], 10 ** np.arange(5, -1, -1), 0)
-        micro = (d[:, 20:26].astype(np.int64) * place).sum(axis=1)
-    # Offset: nothing, 'Z'/'z', or '+HH:MM'/'-HH:MM' ending the string.
-    tz_at = 19 + frac + frac_len
-    rest = length - tz_at
-    tz = np.take_along_axis(c, tz_at[:, None], axis=1)[:, 0]
-    ok &= (rest == 0) | ((rest == 1) & ((tz == 90) | (tz == 122))) | (rest == 6)
-    offset = 0
-    if (rest == 6).any():
-        o = np.take_along_axis(d, tz_at[:, None] + np.arange(6), axis=1)
-        off_h, off_m = _number(o, 1, 3), _number(o, 4, 6)
-        signed = (rest == 6) & ((tz == 43) | (tz == 45)) & (o[:, 3] == 58 - 48)  # ':'
-        signed &= (o[:, [1, 2, 4, 5]] <= 9).all(axis=1) & (off_h <= 23) & (off_m <= 59)
-        ok &= (rest != 6) | signed
-        offset = np.where(signed, np.where(tz == 45, -60, 60) * (off_h * 60 + off_m), 0)
-    year, month, day, hour, minute, second = (_number(d, lo, hi) for lo, hi in _FIELDS)
-    ok &= (year >= 1) & (month >= 1) & (month <= 12)
-    month = np.clip(month, 1, 12)
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    ok &= (day >= 1) & (day <= _MONTH_DAYS[month - 1] + (leap & (month == 2)))
-    ok &= (hour <= 23) & (minute <= 59) & (second <= 59)
-    secs = ((_days_from_civil(year, month, day) * 24 + hour) * 60 + minute) * 60
-    us = (secs + second - offset) * 1_000_000 + micro
-    ok &= (us >= _US_RANGE[0]) & (us <= _US_RANGE[1])
+    c = np.pad(column.codes, ((0, 0), (0, max(20 - column.codes.shape[1], 0))))
+    ok = (column.length == 19) | ((column.length == 20) & (c[:, 19] == 90))  # 'Z'
+    head = c[:, :19]
+    # Fourteen digits around "--T::" or "-- ::".
+    ok &= np.count_nonzero(head - head.dtype.type(48) <= 9, axis=1) == 14
+    ok &= (head[:, [4, 7, 13, 16]] == [45, 45, 58, 58]).all(axis=1)
+    ok &= (head[:, 10] == 84) | (head[:, 10] == 32)
+    # numpy reads year 0; fromisoformat does not.
+    ok &= (head[:, :4] != 48).any(axis=1)
+    us = np.empty(len(column), np.int64)
+    # numpy warns on a trailing 'Z', so only the first 19 bytes are cast.
+    stamps = np.ascontiguousarray(head[ok], dtype=np.uint8).view("S19").ravel()
+    try:
+        us[ok] = stamps.astype("datetime64[us]").view(np.int64)
+    except ValueError:
+        ok[:] = False
     if not ok.all():
         other = np.flatnonzero(~ok)
         us[other] = [timestamp_us(t) for t in column[other].text().tolist()]
@@ -269,7 +223,7 @@ def _check_record_row(line_no: int, row: list[str]) -> None:
         raise ParseError("empty station_id", line_no)
     try:
         timestamp_us(row[1].strip())
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ParseError(f"malformed timestamp {row[1]!r}", line_no) from None
     raw_temp = row[2].strip()
     if raw_temp:
@@ -378,12 +332,6 @@ def parse_records(lines: Iterable[str], expected_step: timedelta) -> Temperature
         raise ContractError(f"expected a single station, found {sorted(names)}")
     (series,) = _build_series(expected_step, *columns).values()
     return series
-
-
-def infer_step(timestamps: Sequence[datetime]) -> timedelta:
-    """Guess the sampling step as the smallest positive gap between records."""
-    us = np.sort(np.array([(ts - _EPOCH) // _US for ts in timestamps], np.int64))
-    return _smallest_gap(np.diff(us))
 
 
 def _smallest_gap(gaps: np.ndarray) -> timedelta:

@@ -17,12 +17,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._util import fmt, parse_float
+from ._util import fmt
 from .errors import (
     ContractError,
     DegenerateDataError,
     EmptyInputError,
-    ParseError,
     SampleTooSmallError,
 )
 
@@ -410,29 +409,3 @@ def write_distance_csv(path: str | Path, dist: DistanceMatrix) -> None:
         writer.writerow(["label"] + dist.labels)
         for i, lab in enumerate(dist.labels):
             writer.writerow([lab] + [fmt(float(v)) for v in dist.values[i]])
-
-
-def read_distance_csv(path: str | Path) -> DistanceMatrix:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(f.strip() for f in row)]
-    if not rows:
-        raise EmptyInputError(f"no distance rows found in {path}")
-    header = rows[0]
-    if header[0].strip() != "label":
-        raise ParseError("distance matrix header must start with 'label'", 1)
-    labels = [f.strip() for f in header[1:]]
-    n = len(labels)
-    values = np.zeros((n, n))
-    if len(rows) - 1 != n:
-        raise ParseError(f"expected {n} data rows, got {len(rows) - 1}")
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != n + 1:
-            raise ParseError(f"expected {n + 1} fields, got {len(row)}", r)
-        if row[0].strip() != labels[r - 2]:
-            raise ParseError(f"row label {row[0]!r} does not match column order", r)
-        try:
-            values[r - 2] = [parse_float(f) for f in row[1:]]
-        except ValueError:
-            raise ParseError("malformed distance", r) from None
-    return DistanceMatrix(labels, values)

@@ -4,8 +4,10 @@ Everything here is written in the most literal way available: plain loops,
 stdlib statistics, scipy distributions. None of it shares code with the
 package, so a bug in the library cannot hide in a common code path. The
 reference CSV readers and writers at the end are the package's former
-per-row I/O; they borrow only its data classes, calendars and error types,
-so their results and exceptions compare directly with the columnar code.
+per-row I/O, except that a timestamp moved out of range by its offset and a
+``csv.Error`` are ``ParseError``s with their line; they borrow only its data
+classes, calendars and error types, so their results and exceptions compare
+directly with the columnar code.
 """
 
 from __future__ import annotations
@@ -220,12 +222,31 @@ def _parse_timestamp_row(text, line_no):
     except ValueError:
         raise ParseError(f"malformed timestamp {text!r}", line_no) from None
     if ts.tzinfo is not None:
-        ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
+        try:
+            ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
+        except OverflowError:
+            raise ParseError(f"malformed timestamp {text!r}", line_no) from None
     return ts
 
 
+def _numbered_rows(lines):
+    """``(line_no, row)`` for the csv rows of ``lines``, numbered from 1; a
+    ``csv.Error`` becomes a ``ParseError`` on the row it stopped at."""
+    reader = csv.reader(lines)
+    line_no = 0
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(str(exc), line_no + 1) from None
+        line_no += 1
+        yield line_no, row
+
+
 def _record_rows(lines):
-    for line_no, row in enumerate(csv.reader(lines), start=1):
+    for line_no, row in _numbered_rows(lines):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if row[0].strip() == "station_id":
@@ -325,7 +346,7 @@ def read_panel_rows(path):
     added (it lets a repeated cell win and keeps any hour, flag or mean)."""
     rows, scales = {}, {}
     with open(path, newline="", encoding="utf-8") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
+        for line_no, row in _numbered_rows(fh):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if row[0].strip() == "station_id":

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import csv
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from diurnal import WindowHourPanel, build_calendar, write_panel
 from diurnal.cli import cli
 
 
@@ -160,6 +162,18 @@ class TestExitCodes:
         assert code == 1
         assert "impute first" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row,message", [
+        ("T01,0001-01-01T00:00:00+01:00,1",
+         "error: line 2: malformed timestamp '0001-01-01T00:00:00+01:00'"),
+        ("T" * (csv.field_size_limit() + 1) + ",2001-01-01T00:00:00Z,1",
+         f"error: line 2: field larger than field limit ({csv.field_size_limit()})"),
+    ], ids=["offset-overflow", "field-over-limit"])
+    def test_unreadable_record_exits_one_with_its_line(self, tmp_path, capsys, row, message):
+        records = tmp_path / "records.csv"
+        records.write_text(f"station_id,timestamp,temp_c\n{row}\n", encoding="utf-8")
+        assert run("impute", "--records", str(records), "--out", str(tmp_path / "f.csv")) == 1
+        assert capsys.readouterr().err.strip() == message
+
     def test_skip_missing_flag_clears_it(self, pipeline_dir, tmp_path):
         assert run("aggregate", "--records", str(pipeline_dir / "data" / "records.csv"),
                    "--scale", "30d", "--out", str(tmp_path / "out.csv"),
@@ -212,6 +226,41 @@ class TestClusterOptions:
     def test_k_larger_than_stations(self, pipeline_dir, tmp_path, capsys):
         assert run("cluster", "--panel", str(pipeline_dir / "panel.csv"),
                    "--out-dir", str(tmp_path), "--k", "99", "--window", "Jan") == 1
+
+
+class TestProfileErrors:
+    @pytest.fixture
+    def thin_panel(self, tmp_path):
+        """Two stations over two years. S1's Jan cell at hour 3 is valid in
+        one year only; S2's Jan cell at hour 5 in none."""
+        labels = list(build_calendar("30d").labels)
+        rng = np.random.default_rng(5)
+        panels = []
+        for sid, hour, n_valid in (("S1", 3, 1), ("S2", 5, 0)):
+            counts = np.ones((2, 12, 24), np.int64)
+            counts[n_valid:, 0, hour] = 0
+            means = np.where(counts > 0, rng.normal(5.0, 3.0, counts.shape), np.nan)
+            panels.append(WindowHourPanel(sid, "30d", [2001, 2002], labels, means, counts))
+        path = tmp_path / "panel.csv"
+        write_panel(path, panels)
+        return path
+
+    def test_slope_needs_two_valid_years(self, thin_panel, tmp_path, capsys):
+        assert run("cluster", "--panel", str(thin_panel), "--out-dir", str(tmp_path / "c"),
+                   "--k", "2", "--window", "Jan", "--features", "slope") == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: station S1, window Jan, hour 3: "
+            "need at least 2 valid years for slope features, have 1")
+
+    @pytest.mark.parametrize("argv", [
+        ("cluster", "--out-dir", "{tmp}/c", "--k", "2", "--features", "level"),
+        ("dcor", "--out", "{tmp}/d.csv"),
+    ])
+    def test_level_needs_a_valid_year(self, thin_panel, tmp_path, capsys, argv):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert run(*argv, "--panel", str(thin_panel), "--window", "Jan") == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: station S2, window Jan, hour 5: no valid years for level features")
 
 
 class TestConsoleScript:

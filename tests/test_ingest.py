@@ -26,7 +26,6 @@ from diurnal import (
     write_metadata,
     write_records,
 )
-from diurnal.ingest import infer_step
 from helpers import HALF_HOUR, HOUR, make_series
 
 
@@ -155,10 +154,16 @@ class TestRecordsRoundTrip:
         back = read_records(tmp_path / "r.csv")
         assert back["H01"].step == HALF_HOUR
 
-    def test_infer_step_smallest_gap(self):
-        t0 = datetime(2000, 1, 1)
-        assert infer_step([t0, t0 + 2 * HOUR, t0 + 3 * HOUR]) == HOUR
-        assert infer_step([t0]) == HOUR
+    def test_step_inference_smallest_gap(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("\n".join(_lines("G01,2000-01-01T00:00:00Z,1.0",
+                                          "G01,2000-01-01T03:00:00Z,3.0",
+                                          "G01,2000-01-01T02:00:00Z,2.0",
+                                          "S01,2000-01-01T00:00:00Z,4.0")))
+        back = read_records(path)
+        assert (back["G01"].step, back["G01"].missing.tolist()) == (
+            HOUR, [False, True, False, False])
+        assert back["S01"].step == HOUR  # a single record defaults to an hour
 
 
 class TestToHourly:
@@ -220,6 +225,14 @@ class TestTimeFields:
         years, months, days, hours = time_fields(idx)
         assert (years[0], months[0], days[0], hours[0]) == (
             dt.year, dt.month, dt.day, dt.hour)
+
+    def test_sub_second_index(self):
+        s = make_series(np.ones(6), start=datetime(2000, 1, 31, 23, 59, 59),
+                        step=timedelta(milliseconds=500))
+        idx = s.index64()
+        assert idx.tolist() == [s.timestamp(k) for k in range(6)]
+        assert len(np.unique(idx)) == 6
+        assert time_fields(idx)[1].tolist() == [1, 1, 2, 2, 2, 2]
 
     def test_leap_day_fields(self):
         idx = np.array([np.datetime64("2020-02-29T13:00:00", "s")])

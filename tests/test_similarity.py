@@ -29,7 +29,7 @@ from diurnal import (
     pairwise_dtw,
     silhouette,
 )
-from diurnal.similarity import read_distance_csv, write_distance_csv
+from diurnal.similarity import write_distance_csv
 
 values = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 short_seq = st.lists(values, min_size=1, max_size=6)
@@ -403,16 +403,17 @@ class TestDcor:
 
 
 class TestDistanceCsv:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        pts = rng.normal(0.0, 3.0, 5)
-        m = np.abs(pts[:, None] - pts[None, :])
-        dist = DistanceMatrix([f"s{i}" for i in range(5)], m)
+    def test_written_bytes(self, tmp_path):
+        third = 1 / 3
+        dist = DistanceMatrix(["s0", "a,b", "s2"], np.array(
+            [[0.0, third, 1e-05], [third, 0.0, 2.5], [1e-05, 2.5, 0.0]]))
         path = tmp_path / "d.csv"
         write_distance_csv(path, dist)
-        back = read_distance_csv(path)
-        assert back.labels == dist.labels
-        assert back.values.tolist() == dist.values.tolist()
+        assert path.read_bytes() == (
+            b'label,s0,"a,b",s2\r\n'
+            b"s0,0.0,0.3333333333333333,1e-05\r\n"
+            b'"a,b",0.3333333333333333,0.0,2.5\r\n'
+            b"s2,1e-05,2.5,0.0\r\n")
 
     def test_matrix_validation(self):
         with pytest.raises(ContractError, match="symmetric"):
