@@ -61,15 +61,16 @@ from .similarity import (
     agglomerative_cluster,
     dcor,
     dcor_permutation_test,
+    dcor_table,
     dtw_distance,
     pairwise_dtw,
     silhouette,
 )
 from .trend import (
-    Direction,
     MKResult,
     SenSlope,
     TrendCell,
+    hour_profiles,
     lag1_autocorrelation,
     mk_test,
     sen_slope,
@@ -93,7 +94,8 @@ __all__ = [
     "bin_cell", "cluster_table", "contour_grid", "radar_sheet", "synth_station",
     "DtwConfig", "DistanceMatrix", "ClusterReport", "Merge", "DcorResult",
     "dtw_distance", "pairwise_dtw", "agglomerative_cluster", "silhouette",
-    "dcor", "dcor_permutation_test",
-    "Direction", "MKResult", "SenSlope", "TrendCell",
+    "dcor", "dcor_permutation_test", "dcor_table",
+    "MKResult", "SenSlope", "TrendCell",
     "mk_test", "sen_slope", "lag1_autocorrelation", "serial_flag", "trend_surface",
+    "hour_profiles",
 ]

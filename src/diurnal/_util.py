@@ -69,6 +69,14 @@ def roman(n: int) -> str:
     return "".join(out)
 
 
+def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    """Write a header and rows with ``csv.writer`` as UTF-8."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def csv_prefix(*fields: str) -> str:
     """The fields as ``csv.writer`` renders them at the start of a row, each
     followed by a comma (quoted only where the text needs it)."""
@@ -158,9 +166,13 @@ def data_rows(rows: Iterable[list[str]], n_fields: int,
 
 
 def iter_rows(path: str | Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line_no, row)`` for every data row of a CSV file (see ``data_rows``)."""
+    """Yield ``(line_no, row)`` for every data row of a CSV file (see
+    ``data_rows``); a ``csv.Error`` becomes a ``ParseError`` on its row."""
     with open(path, newline="", encoding="utf-8") as fh:
-        yield from data_rows(csv.reader(fh), n_fields)
+        rows, error = _csv_rows(fh.readlines(), iter(()))
+    yield from data_rows(rows, n_fields)
+    if error is not None:
+        raise ParseError(str(error), len(rows) + 1)
 
 
 @dataclass

@@ -18,7 +18,6 @@ failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import dataclass
 from datetime import datetime
@@ -26,9 +25,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
-from ._util import fmt, parse_bool
+from ._util import parse_bool
 from .aggregate import (
     SCALES,
     WindowHourPanel,
@@ -36,7 +33,6 @@ from .aggregate import (
     hourly_window_means,
     read_panel,
     write_panel,
-    year_series,
 )
 from .errors import ContractError, EmptyInputError, ParseError, PipelineError
 from .impute import MONTH_ABBR, seasonal_split_impute
@@ -67,15 +63,13 @@ from .similarity import (
     METRICS,
     DtwConfig,
     agglomerative_cluster,
-    dcor_permutation_test,
+    dcor_table,
     pairwise_dtw,
     silhouette,
+    write_dcor_csv,
     write_distance_csv,
 )
-from .trend import read_trend_csv, sen_slope, trend_surface, write_trend_csv
-
-DCOR_HEADER = ("scale", "window_label", "station_a", "station_b",
-               "dcor", "p_value", "n_perm")
+from .trend import hour_profiles, read_trend_csv, trend_surface, write_trend_csv
 
 _REQUIRED = object()
 
@@ -358,25 +352,6 @@ def _shared_scale(panels: Mapping[str, WindowHourPanel]) -> str:
     return scales.pop()
 
 
-def _hour_profile(panel: WindowHourPanel, label: str, kind: str) -> np.ndarray:
-    vals = []
-    for hour in range(24):
-        years, v = year_series(panel, label, hour)
-        if kind == "slope":
-            if years.size < 2:
-                raise ContractError(
-                    f"station {panel.station_id}, window {label}, hour {hour}: "
-                    f"need at least 2 valid years for slope features, have {years.size}")
-            vals.append(sen_slope(v, years).slope)
-        else:
-            if v.size == 0:
-                raise ContractError(
-                    f"station {panel.station_id}, window {label}, hour {hour}: "
-                    "no valid years for level features")
-            vals.append(float(v.mean()))
-    return np.asarray(vals)
-
-
 def _select_windows(ns, scale: str) -> list[str]:
     labels = build_calendar(scale).labels
     if ns.window is None:
@@ -395,9 +370,7 @@ def _run_cluster(ns) -> int:
     out = Path(ns.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for label in windows:
-        profiles = {sid: _hour_profile(panels[sid], label, ns.features)
-                    for sid in sorted(panels)}
-        dist = pairwise_dtw(profiles, config)
+        dist = pairwise_dtw(hour_profiles(panels, label, ns.features), config)
         rep = agglomerative_cluster(dist, ns.k)
         scores, mean = silhouette(dist, rep.assignment)
         write_distance_csv(out / f"dtw_{label}.csv", dist)
@@ -426,25 +399,14 @@ def _run_dcor(ns) -> int:
     scale = _shared_scale(panels)
     windows = _select_windows(ns, scale)
     labels = build_calendar(scale).labels
-    sids = sorted(panels)
-    if len(sids) < 2:
+    if len(panels) < 2:
         raise ContractError("dcor needs at least 2 stations in the panel")
     rows = []
     for label in windows:
-        w = labels.index(label)
-        profiles = {sid: _hour_profile(panels[sid], label, "level") for sid in sids}
-        for i in range(len(sids)):
-            for j in range(i + 1, len(sids)):
-                res = dcor_permutation_test(
-                    profiles[sids[i]], profiles[sids[j]],
-                    n_perm=ns.n_perm, seed=[ns.seed, w, i, j])
-                rows.append((scale, label, sids[i], sids[j], res))
-    with open(ns.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DCOR_HEADER)
-        for scale_, label, a, b, res in rows:
-            writer.writerow((scale_, label, a, b, fmt(res.dcor),
-                             fmt(res.p_value), res.n_perm))
+        pairs = dcor_table(hour_profiles(panels, label, "level"), n_perm=ns.n_perm,
+                           seed=[ns.seed, labels.index(label)])
+        rows += [(scale, label, *pair) for pair in pairs]
+    write_dcor_csv(ns.out, rows)
     print(f"wrote {ns.out} ({len(rows)} pairs)")
     return 0
 

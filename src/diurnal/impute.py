@@ -29,12 +29,6 @@ class SeasonalBlockPlan:
     labels: list[str]
     slots: list[np.ndarray]
 
-    def block(self, label: str) -> np.ndarray:
-        try:
-            return self.slots[self.labels.index(label)]
-        except ValueError:
-            raise KeyError(label) from None
-
 
 def seasonal_plan(series: TemperatureSeries) -> SeasonalBlockPlan:
     """Build the month pools for a series without imputing anything."""

@@ -30,6 +30,7 @@ from ._util import (
     iter_rows,
     parse_floats,
     read_blocks,
+    write_csv,
 )
 from .errors import (
     ContractError,
@@ -128,10 +129,6 @@ class TemperatureSeries:
     @property
     def n(self) -> int:
         return int(self.values.size)
-
-    @property
-    def end(self) -> datetime:
-        return self.start + (self.n - 1) * self.step
 
     def index64(self) -> np.ndarray:
         """Slot timestamps as a ``datetime64[us]`` array."""
@@ -478,9 +475,7 @@ def read_metadata(path: str | Path) -> dict[str, StationMeta]:
 
 
 def write_metadata(path: str | Path, stations: Iterable[StationMeta]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METADATA_HEADER)
-        for m in sorted(stations, key=lambda m: m.station_id):
-            writer.writerow((m.station_id, m.name, m.group.value, m.region.value,
-                             fmt(m.latitude), fmt(m.longitude), fmt(m.altitude_m)))
+    write_csv(path, METADATA_HEADER, (
+        (m.station_id, m.name, m.group.value, m.region.value,
+         fmt(m.latitude), fmt(m.longitude), fmt(m.altitude_m))
+        for m in sorted(stations, key=lambda m: m.station_id)))

@@ -7,8 +7,8 @@ plotting stack consumes the files.
 
 from __future__ import annotations
 
-import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._util import fmt, iter_rows, parse_float, roman
+from ._util import fmt, iter_rows, parse_float, roman, write_csv
 from .errors import ContractError, EmptyInputError, ParseError
 from .impute import MONTH_ABBR
 from .ingest import HALF_HOUR, HOUR, StationMeta, TemperatureSeries
@@ -44,21 +44,10 @@ def bin_cell(sen_slope: float, p_value: float) -> tuple[str, str]:
         raise ContractError("sen_slope must be finite")
     if not (math.isfinite(p_value) and 0.0 <= p_value <= 1.0):
         raise ContractError(f"p_value {p_value} out of [0, 1]")
-    if sen_slope <= -0.03:
-        slope_band = SLOPE_BANDS[0]
-    elif sen_slope <= 0.0:
-        slope_band = SLOPE_BANDS[1]
-    elif sen_slope <= 0.03:
-        slope_band = SLOPE_BANDS[2]
-    else:
-        slope_band = SLOPE_BANDS[3]
-    if p_value <= 0.05:
-        p_band = P_BANDS[0]
-    elif p_value <= 0.10:
-        p_band = P_BANDS[1]
-    else:
-        p_band = P_BANDS[2]
-    return slope_band, p_band
+    # bisect_left counts the band edges below the value, so an edge value
+    # stays in the band it closes.
+    return (SLOPE_BANDS[bisect_left((-0.03, 0.0, 0.03), sen_slope)],
+            P_BANDS[bisect_left((0.05, 0.10), p_value)])
 
 
 @dataclass(frozen=True)
@@ -92,32 +81,23 @@ def contour_grid(cells: Iterable[TrendCell]) -> list[ContourGrid]:
     for sid in sorted(by_station):
         order = window_order(scales[sid])
         rows = sorted(by_station[sid], key=lambda c: (order[c.window_label], c.hour))
-        out = []
-        for c in rows:
-            slope_band, p_band = bin_cell(c.sen_slope, c.p_value)
-            out.append(ContourCell(c.window_label, c.hour, c.sen_slope, c.p_value,
-                                   slope_band, p_band))
-        grids.append(ContourGrid(sid, scales[sid], out))
+        grids.append(ContourGrid(sid, scales[sid], [
+            ContourCell(c.window_label, c.hour, c.sen_slope, c.p_value,
+                        *bin_cell(c.sen_slope, c.p_value)) for c in rows]))
     return grids
 
 
 def write_contour_csv(path: str | Path, grids: Iterable[ContourGrid]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CONTOUR_HEADER)
-        for g in sorted(grids, key=lambda g: g.station_id):
-            for c in g.cells:
-                writer.writerow((g.station_id, g.scale, c.window_label, c.hour,
-                                 fmt(c.sen_slope), fmt(c.p_value), c.slope_band, c.p_band))
+    write_csv(path, CONTOUR_HEADER, (
+        (g.station_id, g.scale, c.window_label, c.hour, fmt(c.sen_slope), fmt(c.p_value),
+         c.slope_band, c.p_band)
+        for g in sorted(grids, key=lambda g: g.station_id) for c in g.cells))
 
 
 def write_cluster_csv(path: str | Path, report: ClusterReport,
                       scores: Mapping[str, float]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CLUSTER_HEADER)
-        for sid in sorted(report.labels):
-            writer.writerow((sid, report.assignment[sid], fmt(float(scores[sid]))))
+    write_csv(path, CLUSTER_HEADER, ((sid, report.assignment[sid], fmt(float(scores[sid])))
+                                     for sid in sorted(report.labels)))
 
 
 def read_cluster_csv(path: str | Path) -> dict[str, tuple[int, float]]:
@@ -137,11 +117,8 @@ def read_cluster_csv(path: str | Path) -> dict[str, tuple[int, float]]:
 
 
 def write_merges_csv(path: str | Path, merges: Iterable[Merge]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MERGES_HEADER)
-        for m in sorted(merges, key=lambda m: m.step):
-            writer.writerow((m.step, m.cluster_a, m.cluster_b, fmt(m.height)))
+    write_csv(path, MERGES_HEADER, ((m.step, m.cluster_a, m.cluster_b, fmt(m.height))
+                                    for m in sorted(merges, key=lambda m: m.step)))
 
 
 def cluster_table(report: ClusterReport, scores: Mapping[str, float],
@@ -193,18 +170,13 @@ def radar_sheet(monthly: Mapping[str, Mapping[str, tuple[int, float]]],
     if not monthly:
         raise EmptyInputError("no monthly clusterings given")
     rows: list[RadarRow] = []
-    for month in MONTH_ABBR:
-        if month not in monthly:
-            continue
-        entries = monthly[month]
+    for month in [m for m in MONTH_ABBR if m in monthly]:
         groups: dict[tuple[int, str], list[float]] = {}
-        for sid, (cid, score) in entries.items():
+        for sid, (cid, score) in monthly[month].items():
             if sid not in meta:
                 raise ContractError(f"station {sid} missing from metadata")
-            key = (cid, meta[sid].region.value)
-            groups.setdefault(key, []).append(score)
-        for (cid, region) in sorted(groups):
-            vals = groups[(cid, region)]
+            groups.setdefault((cid, meta[sid].region.value), []).append(score)
+        for (cid, region), vals in sorted(groups.items()):
             rows.append(RadarRow(month, cid, region, sum(vals) / len(vals), len(vals)))
     unknown = set(monthly) - set(MONTH_ABBR)
     if unknown:
@@ -213,12 +185,8 @@ def radar_sheet(monthly: Mapping[str, Mapping[str, tuple[int, float]]],
 
 
 def write_radar_csv(path: str | Path, sheet: RadarSheet) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RADAR_HEADER)
-        for r in sheet.rows:
-            writer.writerow((r.month, r.cluster, r.region,
-                             fmt(r.mean_silhouette), r.count))
+    write_csv(path, RADAR_HEADER, ((r.month, r.cluster, r.region, fmt(r.mean_silhouette),
+                                   r.count) for r in sheet.rows))
 
 
 def synth_station(station_id: str,

@@ -9,21 +9,16 @@ weights break symmetry, the pairwise matrix averages both directions.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._util import fmt
-from .errors import (
-    ContractError,
-    DegenerateDataError,
-    EmptyInputError,
-    SampleTooSmallError,
-)
+from ._util import fmt, write_csv
+from .errors import ContractError, EmptyInputError, SampleTooSmallError
 
 METRICS = ("absolute", "squared")
 
@@ -354,18 +349,23 @@ def dcor(x: Sequence[float], y: Sequence[float]) -> float:
     xa, ya = _dcor_inputs(x, y)
     A = _centered_distances(xa)
     B = _centered_distances(ya)
-    return _dcor_from_centered(A, B)
+    return float(_dcor_stack(A, B[None])[0])
 
 
-def _dcor_from_centered(A: np.ndarray, B: np.ndarray) -> float:
-    a2 = float((A * A).mean())
-    b2 = float((B * B).mean())
-    if a2 <= 0.0 or b2 <= 0.0:
-        return 0.0
-    ab = float((A * B).mean())
-    if ab <= 0.0:
-        return 0.0
-    return min(1.0, math.sqrt(ab / math.sqrt(a2 * b2)))
+def _dcor_stack(A: np.ndarray, Bs: np.ndarray) -> np.ndarray:
+    """dcor of centered ``A`` against each centered matrix of the C-contiguous
+    stack ``Bs``; a zero variance or a non-positive covariance scores 0."""
+    a2 = (A * A).mean()
+    b2 = (Bs * Bs).mean(axis=(1, 2))
+    ab = (A * Bs).mean(axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.minimum(1.0, np.sqrt(ab / np.sqrt(a2 * b2)))
+    return np.where((a2 > 0.0) & (b2 > 0.0) & (ab > 0.0), r, 0.0)
+
+
+# Matrix cells one batch of permuted matrices may hold (8 bytes each), so
+# the permutation test's memory does not grow with ``n_perm``.
+PERM_BATCH_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -390,22 +390,43 @@ def dcor_permutation_test(x: Sequence[float], y: Sequence[float],
     xa, ya = _dcor_inputs(x, y)
     A = _centered_distances(xa)
     B = _centered_distances(ya)
-    observed = _dcor_from_centered(A, B)
+    observed = float(_dcor_stack(A, B[None])[0])
     # Permuting y and re-centering equals permuting the centered matrix's
-    # rows and columns together, so B is centered once up front.
+    # rows and columns together, so B is centered once up front and each
+    # batch of permutations, drawn in order, is scored with one gather.
     rng = np.random.default_rng(seed)
+    batch = max(1, PERM_BATCH_CELLS // B.size)
     hits = 0
-    for _ in range(n_perm):
-        perm = rng.permutation(xa.size)
-        if _dcor_from_centered(A, B[np.ix_(perm, perm)]) >= observed:
-            hits += 1
+    for done in range(0, n_perm, batch):
+        P = np.stack([rng.permutation(xa.size) for _ in range(min(batch, n_perm - done))])
+        hits += int(np.count_nonzero(
+            _dcor_stack(A, B[P[:, :, None], P[:, None, :]]) >= observed))
     return DcorResult(observed, (1 + hits) / (n_perm + 1), n_perm)
+
+
+DCOR_HEADER = ("scale", "window_label", "station_a", "station_b",
+               "dcor", "p_value", "n_perm")
+
+
+def dcor_table(profiles: Mapping[str, Sequence[float]], n_perm: int = 199,
+               seed: Sequence[int] = (0,)) -> list[tuple[str, str, DcorResult]]:
+    """``(label_a, label_b, dcor_permutation_test)`` of every pair of sorted
+    labels; pair (i, j) draws its permutations from seed ``[*seed, i, j]``."""
+    labels = sorted(profiles)
+    return [(labels[i], labels[j],
+             dcor_permutation_test(profiles[labels[i]], profiles[labels[j]],
+                                   n_perm=n_perm, seed=[*seed, i, j]))
+            for i, j in combinations(range(len(labels)), 2)]
+
+
+def write_dcor_csv(path: str | Path,
+                   rows: Iterable[tuple[str, str, str, str, DcorResult]]) -> None:
+    """Write ``(scale, window_label, station_a, station_b, result)`` rows."""
+    write_csv(path, DCOR_HEADER, ((scale, label, a, b, fmt(res.dcor), fmt(res.p_value),
+                                   res.n_perm) for scale, label, a, b, res in rows))
 
 
 def write_distance_csv(path: str | Path, dist: DistanceMatrix) -> None:
     """Write a labeled distance matrix; first column holds the row label."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + dist.labels)
-        for i, lab in enumerate(dist.labels):
-            writer.writerow([lab] + [fmt(float(v)) for v in dist.values[i]])
+    write_csv(path, ["label"] + dist.labels,
+              ([lab] + [fmt(float(v)) for v in row] for lab, row in zip(dist.labels, dist.values)))

@@ -22,10 +22,14 @@ from scipy import stats
 
 from diurnal import (
     ContractError,
+    DcorResult,
+    DegenerateDataError,
     DuplicateTimestampError,
     EmptyInputError,
     ParseError,
+    SampleTooSmallError,
     TemperatureSeries,
+    TrendCell,
     WindowHourPanel,
     build_calendar,
 )
@@ -205,6 +209,154 @@ def average_linkage_blockmean(labels, values) -> list[tuple[str, str, float]]:
         merged = clusters[i] + clusters[j]
         clusters = [c for idx, c in enumerate(clusters) if idx not in (i, j)] + [merged]
     return merges
+
+
+# --- Former per-cell trend, profile and permutation paths -----------------
+#
+# The package's code before its statistics became row kernels, one Python
+# call per cell or permutation. The batched code must give the same bits,
+# raise the same errors with the same messages, and draw the same
+# permutations in the same order.
+
+def mk_test_cell(x) -> tuple[int, int, float, float, float]:
+    """Former ``mk_test``: (n, S, var_S, z, p)."""
+    arr = np.asarray(x, dtype=np.float64)
+    n = arr.size
+    if n < 3:
+        raise SampleTooSmallError(f"Mann-Kendall needs at least 3 values, got {n}")
+    if not np.all(np.isfinite(arr)):
+        raise ContractError("Mann-Kendall input must be finite")
+    iu = np.triu_indices(n, k=1)
+    s = int(np.sign(arr[iu[1]] - arr[iu[0]]).sum())
+    var_s = n * (n - 1) * (2 * n + 5)
+    _, tie_counts = np.unique(arr, return_counts=True)
+    for t in tie_counts:
+        if t > 1:
+            var_s -= t * (t - 1) * (2 * t + 5)
+    var_s /= 18.0
+    if var_s <= 0:
+        raise DegenerateDataError("all values tied, Mann-Kendall variance is zero")
+    if s > 0:
+        z = (s - 1) / math.sqrt(var_s)
+    elif s < 0:
+        z = (s + 1) / math.sqrt(var_s)
+    else:
+        z = 0.0
+    return n, s, float(var_s), float(z), float(math.erfc(abs(z) / math.sqrt(2.0)))
+
+
+def sen_slope_cell(x, t) -> float:
+    """Former ``sen_slope(x, t).slope``."""
+    arr = np.asarray(x, dtype=np.float64)
+    tt = np.asarray(t, dtype=np.float64)
+    if not (np.all(np.isfinite(arr)) and np.all(np.isfinite(tt))):
+        raise ContractError("Sen's slope input must be finite")
+    iu = np.triu_indices(arr.size, k=1)
+    dt = tt[iu[1]] - tt[iu[0]]
+    dx = arr[iu[1]] - arr[iu[0]]
+    usable = dt != 0
+    slopes = np.sort(dx[usable] / dt[usable])
+    m = slopes.size
+    if m % 2:
+        return float(slopes[m // 2])
+    return float(0.5 * (slopes[m // 2 - 1] + slopes[m // 2]))
+
+
+def lag1_cell(x) -> float:
+    """Former ``lag1_autocorrelation``, one ``np.dot`` per sum."""
+    arr = np.asarray(x, dtype=np.float64)
+    d = arr - arr.mean()
+    denom = float(np.dot(d, d))
+    if denom == 0.0:
+        raise DegenerateDataError(
+            "centered sum of squares is zero, lag-1 autocorrelation is undefined")
+    return float(np.dot(d[:-1], d[1:]) / denom)
+
+
+def _year_series(panel, label, hour):
+    w = panel.labels.index(label)
+    valid = panel.counts[:, w, hour] > 0
+    return np.asarray(panel.years, dtype=np.int64)[valid], panel.means[valid, w, hour]
+
+
+def trend_surface_cells(panel, min_years=3) -> list:
+    """Former ``trend_surface``: one MK, Sen and lag-1 call per cell."""
+    cells = []
+    for label in panel.labels:
+        for hour in range(24):
+            years, vals = _year_series(panel, label, hour)
+            if years.size < min_years:
+                continue
+            try:
+                n, s, var_s, z, p = mk_test_cell(vals)
+            except DegenerateDataError:
+                continue
+            r1 = lag1_cell(vals)
+            cells.append(TrendCell(panel.station_id, panel.scale, label, hour, n, s,
+                                   var_s, z, p, sen_slope_cell(vals, years), r1,
+                                   abs(r1) > 1.96 / math.sqrt(years.size)))
+    return cells
+
+
+def hour_profile_cells(panel, label, kind) -> np.ndarray:
+    """Former ``cli._hour_profile``: one Sen call or mean per hour."""
+    vals = []
+    for hour in range(24):
+        years, v = _year_series(panel, label, hour)
+        if kind == "slope":
+            if years.size < 2:
+                raise ContractError(
+                    f"station {panel.station_id}, window {label}, hour {hour}: "
+                    f"need at least 2 valid years for slope features, have {years.size}")
+            vals.append(sen_slope_cell(v, years))
+        else:
+            if v.size == 0:
+                raise ContractError(
+                    f"station {panel.station_id}, window {label}, hour {hour}: "
+                    "no valid years for level features")
+            vals.append(float(v.mean()))
+    return np.asarray(vals)
+
+
+def _centered_distances(x):
+    d = np.abs(x[:, None] - x[None, :])
+    return d - d.mean(axis=1, keepdims=True) - d.mean(axis=0, keepdims=True) + d.mean()
+
+
+def _dcor_from_centered(A, B) -> float:
+    a2 = float((A * A).mean())
+    b2 = float((B * B).mean())
+    if a2 <= 0.0 or b2 <= 0.0:
+        return 0.0
+    ab = float((A * B).mean())
+    if ab <= 0.0:
+        return 0.0
+    return min(1.0, math.sqrt(ab / math.sqrt(a2 * b2)))
+
+
+def dcor_permutation_loop(x, y, n_perm=199, seed=0):
+    """Former ``dcor_permutation_test``: one re-indexed matrix per permutation."""
+    xa, ya = (np.ldexp(a, -np.frexp(np.abs(a).max())[1])
+              for a in (np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)))
+    A = _centered_distances(xa)
+    B = _centered_distances(ya)
+    observed = _dcor_from_centered(A, B)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(n_perm):
+        perm = rng.permutation(xa.size)
+        if _dcor_from_centered(A, B[np.ix_(perm, perm)]) >= observed:
+            hits += 1
+    return DcorResult(observed, (1 + hits) / (n_perm + 1), n_perm)
+
+
+def dcor_table_loop(profiles, n_perm, seed):
+    """Former pair loop of the ``dcor`` command: sorted labels, pair (i, j)
+    seeded ``[*seed, i, j]``."""
+    sids = sorted(profiles)
+    return [(sids[i], sids[j], dcor_permutation_loop(profiles[sids[i]], profiles[sids[j]],
+                                                      n_perm, [*seed, i, j]))
+            for i in range(len(sids)) for j in range(i + 1, len(sids))]
 
 
 # --- Reference CSV I/O: one Python step per row ---------------------------

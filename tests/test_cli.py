@@ -174,6 +174,16 @@ class TestExitCodes:
         assert run("impute", "--records", str(records), "--out", str(tmp_path / "f.csv")) == 1
         assert capsys.readouterr().err.strip() == message
 
+    def test_unreadable_metadata_exits_one_with_its_line(self, pipeline_dir, tmp_path, capsys):
+        meta = tmp_path / "meta.csv"
+        name = "N" * (csv.field_size_limit() + 1)
+        meta.write_text("station_id,name,group,region,latitude,longitude,altitude_m\n"
+                        f"SYN01,{name},UKH,UK,52.0,-1.5,600\n", encoding="utf-8")
+        assert run("cluster", "--panel", str(pipeline_dir / "panel.csv"), "--window", "Jan",
+                   "--out-dir", str(tmp_path / "c"), "--k", "2", "--meta", str(meta)) == 1
+        assert capsys.readouterr().err.strip() == (
+            f"error: line 2: field larger than field limit ({csv.field_size_limit()})")
+
     def test_skip_missing_flag_clears_it(self, pipeline_dir, tmp_path):
         assert run("aggregate", "--records", str(pipeline_dir / "data" / "records.csv"),
                    "--scale", "30d", "--out", str(tmp_path / "out.csv"),

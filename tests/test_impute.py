@@ -57,7 +57,7 @@ def test_gap_bridged_within_month_pool_across_years():
     miss[jan2000[-1]] = True
     filled, plan = seasonal_split_impute(make_series(vals, miss, start=start))
     assert filled.values[jan2000[-1]] == 15.0
-    jan_pool = plan.block("Jan")
+    jan_pool = plan.slots[plan.labels.index("Jan")]
     assert jan_pool.tolist() == np.concatenate([jan2000, jan2001]).tolist()
 
 
@@ -80,8 +80,6 @@ def test_plan_partitions_all_slots():
                                                    "Nov", "Dec"].index)
     union = np.sort(np.concatenate(plan.slots))
     assert union.tolist() == list(range(s.n))
-    with pytest.raises(KeyError):
-        plan.block("Smarch")
 
 
 def test_empty_series_rejected():

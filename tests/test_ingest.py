@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -26,6 +27,8 @@ from diurnal import (
     write_metadata,
     write_records,
 )
+from diurnal.report import read_cluster_csv
+from diurnal.trend import read_trend_csv
 from helpers import HALF_HOUR, HOUR, make_series
 
 
@@ -287,3 +290,35 @@ class TestStationMeta:
             "S1,A,XX,UK,54.0,-2.0,600\n")
         with pytest.raises(ParseError):
             read_metadata(path)
+
+
+# A header and one valid row for each reader of the small tables.
+SMALL_TABLES = {
+    "metadata": (read_metadata, "station_id,name,group,region,latitude,longitude,altitude_m",
+                 "S1,A,UKH,UK,54.0,-2.0,600"),
+    "trend": (read_trend_csv, "station_id,scale,window_label,hour,n,S,var_S,z,p_value,"
+              "sen_slope,lag1,serial_flag", "S1,30d,Jan,0,5,3,8.5,0.7,0.49,0.1,0.2,0"),
+    "cluster": (read_cluster_csv, "station_id,cluster,silhouette", "S1,1,0.5"),
+}
+
+
+@pytest.mark.parametrize("table", sorted(SMALL_TABLES))
+class TestSmallTableReaders:
+    def test_field_over_limit_is_a_parse_error_with_its_line(self, tmp_path, table):
+        reader, header, row = SMALL_TABLES[table]
+        limit = csv.field_size_limit()
+        path = tmp_path / "t.csv"
+        path.write_text(f"{header}\n{row}\nS2{'x' * limit},{row.split(',', 1)[1]}\n{row}\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            reader(path)
+        assert str(exc.value) == f"line 3: field larger than field limit ({limit})"
+        assert exc.value.line_no == 3
+
+    def test_earlier_bad_row_wins(self, tmp_path, table):
+        reader, header, row = SMALL_TABLES[table]
+        path = tmp_path / "t.csv"
+        path.write_text(f"{header}\n{row},extra\n\"{'x' * csv.field_size_limit()}\"\n",
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match="^line 2: expected"):
+            reader(path)

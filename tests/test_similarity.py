@@ -25,11 +25,13 @@ from diurnal import (
     agglomerative_cluster,
     dcor,
     dcor_permutation_test,
+    dcor_table,
     dtw_distance,
     pairwise_dtw,
     silhouette,
 )
-from diurnal.similarity import write_distance_csv
+from diurnal import similarity
+from diurnal.similarity import DcorResult, write_dcor_csv, write_distance_csv
 
 values = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 short_seq = st.lists(values, min_size=1, max_size=6)
@@ -400,6 +402,55 @@ class TestDcor:
     def test_minimum_permutations_enforced(self):
         with pytest.raises(ContractError, match="99"):
             dcor_permutation_test([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], n_perm=50)
+
+
+class TestBatchedPermutations:
+    """The batched permutation test against the former one-permutation loop:
+    the same draws in the same order, so the same p-value bit for bit."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.sampled_from([None, 0, 1]),
+           st.integers(99, 260))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_loop(self, seed, n, decimals, n_perm):
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=n), 0.3 * rng.normal(size=n)
+        if decimals is not None:  # ties
+            x, y = np.round(x, decimals), np.round(y + 0.5 * x, decimals)
+        got = dcor_permutation_test(x, y, n_perm=n_perm, seed=[seed, 1])
+        assert repr(got) == repr(oracles.dcor_permutation_loop(x, y, n_perm, [seed, 1]))
+
+    def test_constant_profile_p_is_one(self):
+        res = dcor_permutation_test(np.full(24, 3.5), np.arange(24.0), n_perm=199, seed=2)
+        assert res == DcorResult(0.0, 1.0, 199)
+        assert res == oracles.dcor_permutation_loop(np.full(24, 3.5), np.arange(24.0), 199, 2)
+
+    @pytest.mark.parametrize("batch", [1, 7, 113, 500])
+    @pytest.mark.parametrize("n_perm", [99, 199, 250])
+    def test_batch_size_does_not_matter(self, monkeypatch, batch, n_perm):
+        # batch = 113 is what 24-hour profiles get from the default budget.
+        rng = np.random.default_rng(batch + n_perm)
+        x = rng.normal(size=24)
+        y = x + rng.normal(size=24)
+        monkeypatch.setattr(similarity, "PERM_BATCH_CELLS", batch * 24 * 24)
+        got = dcor_permutation_test(x, y, n_perm=n_perm, seed=[5, 0, 1, 2])
+        assert got == oracles.dcor_permutation_loop(x, y, n_perm, [5, 0, 1, 2])
+
+    def test_table_matches_pair_loop(self):
+        rng = np.random.default_rng(9)
+        profiles = {sid: rng.normal(size=24) for sid in ("S4", "S1", "S3", "S2", "S5")}
+        got = dcor_table(profiles, n_perm=199, seed=[7, 3])
+        assert got == oracles.dcor_table_loop(profiles, 199, [7, 3])
+        assert [(a, b) for a, b, _ in got][:4] == [("S1", "S2"), ("S1", "S3"),
+                                                   ("S1", "S4"), ("S1", "S5")]
+
+    def test_csv_bytes(self, tmp_path):
+        path = tmp_path / "dcor.csv"
+        write_dcor_csv(path, [("30d", "Jan", "a,b", "S2", DcorResult(0.5, 0.005, 199)),
+                              ("30d", "Jan", "S2", "S3", DcorResult(1 / 3, 1.0, 199))])
+        assert path.read_bytes() == (
+            b"scale,window_label,station_a,station_b,dcor,p_value,n_perm\r\n"
+            b'30d,Jan,"a,b",S2,0.5,0.005,199\r\n'
+            b"30d,Jan,S2,S3,0.3333333333333333,1.0,199\r\n")
 
 
 class TestDistanceCsv:
