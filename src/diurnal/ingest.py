@@ -191,17 +191,19 @@ def parse_timestamps(column: Column) -> np.ndarray:
     c = np.pad(column.codes, ((0, 0), (0, max(20 - column.codes.shape[1], 0))))
     ok = (column.length == 19) | ((column.length == 20) & (c[:, 19] == 90))  # 'Z'
     head = c[:, :19]
-    # Fourteen digits around "--T::" or "-- ::".
-    ok &= np.count_nonzero(head - head.dtype.type(48) <= 9, axis=1) == 14
-    ok &= (head[:, [4, 7, 13, 16]] == [45, 45, 58, 58]).all(axis=1)
-    ok &= (head[:, 10] == 84) | (head[:, 10] == 32)
+    # Positions as rows: with every digit read as '0' and a space as 'T',
+    # the layout is one compare.
+    codes = np.ascontiguousarray(head.T)
+    layout = np.where(codes - codes.dtype.type(48) <= 9, 48, codes)
+    layout[10, layout[10] == 32] = 84
+    ok &= (layout == np.frombuffer(b"0000-00-00T00:00:00", np.uint8)[:, None]).all(axis=0)
     # numpy reads year 0; fromisoformat does not.
-    ok &= (head[:, :4] != 48).any(axis=1)
+    ok &= (codes[:4] != 48).any(axis=0)
     us = np.empty(len(column), np.int64)
     # numpy warns on a trailing 'Z', so only the first 19 bytes are cast.
-    stamps = np.ascontiguousarray(head[ok], dtype=np.uint8).view("S19").ravel()
+    stamps = np.ascontiguousarray(head if ok.all() else head[ok], dtype=np.uint8)
     try:
-        us[ok] = stamps.astype("datetime64[us]").view(np.int64)
+        us[ok] = stamps.view("S19").ravel().astype("datetime64[us]").view(np.int64)
     except ValueError:
         ok[:] = False
     if not ok.all():

@@ -9,7 +9,6 @@ weights break symmetry, the pairwise matrix averages both directions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
@@ -40,6 +39,9 @@ class DtwConfig:
     metric: str = "absolute"
 
     def __post_init__(self):
+        for name in ("wh", "wv", "wd", "lam"):
+            if not np.isfinite(getattr(self, name)):
+                raise ContractError(f"DTW {name} must be finite, got {getattr(self, name)}")
         if min(self.wh, self.wv, self.wd) <= 0:
             raise ContractError("DTW move weights must be positive")
         if self.lam < 0:
@@ -51,61 +53,62 @@ class DtwConfig:
 DEFAULT_CONFIG = DtwConfig()
 
 
-def _local_cost(x: np.ndarray, y: np.ndarray, metric: str) -> np.ndarray:
-    diff = x[:, None] - y[None, :]
-    return np.abs(diff) if metric == "absolute" else diff * diff
+def _dtw_inputs(arrays: Sequence[Sequence[float]]) -> list[np.ndarray]:
+    """The sequences as float64 arrays, each non-empty and finite."""
+    out = [np.asarray(a, dtype=np.float64) for a in arrays]
+    if any(a.size == 0 for a in out):
+        raise EmptyInputError("DTW inputs must be non-empty")
+    if not all(np.all(np.isfinite(a)) for a in out):
+        raise ContractError("DTW inputs must be finite")
+    return out
+
+
+def _dtw_batch(x: np.ndarray, y: np.ndarray, config: DtwConfig) -> np.ndarray:
+    """The DTW cost of ``x[:, k]`` against ``y[:, k]`` for every column k.
+
+    ``x`` is (n, jobs) and ``y`` is (m, jobs). Cell by cell over the n x m
+    grid, each step vectorised over the job axis, D[i, j] = min(D[i-1, j-1]
+    + wd * c, D[i-1, j] + wh * c, D[i, j-1] + wv * c) + lam * |i - j| for
+    local cost c, from D[0, 0] = c. Only two DP rows of shape (m + 1, jobs)
+    are kept and the local cost row is formed per i, so memory stays
+    O(jobs * m).
+    """
+    n, m = x.shape[0], y.shape[0]
+    prev = np.full((m + 1, x.shape[1]), np.inf)
+    cur = prev.copy()
+    c = np.empty_like(y)
+    best = np.empty_like(y)
+    step = np.empty_like(y)
+    for i in range(n):
+        np.subtract(x[i], y, out=c)
+        if config.metric == "absolute":
+            np.abs(c, out=c)
+        else:
+            np.multiply(c, c, out=c)
+        np.multiply(config.wd, c, out=best)
+        best += prev[:-1]
+        np.multiply(config.wh, c, out=step)
+        step += prev[1:]
+        np.minimum(best, step, out=best)
+        np.multiply(config.wv, c, out=step)
+        if i == 0:
+            cur[1] = c[0]
+        for j in range(int(i == 0), m):
+            np.add(cur[j], step[j], out=cur[j + 1])
+            np.minimum(best[j], cur[j + 1], out=cur[j + 1])
+            cur[j + 1] += config.lam * abs(i - j)
+        prev, cur = cur, prev
+    return prev[m].copy()
 
 
 def dtw_distance(x: Sequence[float], y: Sequence[float],
-                 config: DtwConfig = DEFAULT_CONFIG,
-                 return_path: bool = False):
-    """Weighted DTW alignment cost between two sequences.
-
-    Every path cell (i, j) contributes its move weight times the local cost
-    plus ``lam * |i - j|``; the starting cell carries its bare local cost.
-    With ``return_path`` the optimal path is returned as well, as 0-based
-    (i, j) pairs; cost ties prefer diagonal over horizontal over vertical
-    moves during backtracking.
-    """
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.size == 0 or ya.size == 0:
-        raise EmptyInputError("DTW inputs must be non-empty")
-    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
-        raise ContractError("DTW inputs must be finite")
-    n, m = xa.size, ya.size
-    cost = _local_cost(xa, ya, config.metric)
-    penalty = config.lam * np.abs(np.arange(n)[:, None] - np.arange(m)[None, :])
-    D = np.full((n + 1, m + 1), np.inf)
-    D[1, 1] = cost[0, 0]
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            if i == 1 and j == 1:
-                continue
-            c = cost[i - 1, j - 1]
-            D[i, j] = min(D[i - 1, j - 1] + config.wd * c,
-                          D[i - 1, j] + config.wh * c,
-                          D[i, j - 1] + config.wv * c) + penalty[i - 1, j - 1]
-    total = float(D[n, m])
-    if not return_path:
-        return total
-    path = [(n - 1, m - 1)]
-    i, j = n, m
-    while (i, j) != (1, 1):
-        c = cost[i - 1, j - 1]
-        pen = penalty[i - 1, j - 1]
-        here = D[i, j]
-        if math.isclose(here, D[i - 1, j - 1] + config.wd * c + pen,
-                        rel_tol=1e-12, abs_tol=1e-12):
-            i, j = i - 1, j - 1
-        elif math.isclose(here, D[i - 1, j] + config.wh * c + pen,
-                          rel_tol=1e-12, abs_tol=1e-12):
-            i = i - 1
-        else:
-            j = j - 1
-        path.append((i - 1, j - 1))
-    path.reverse()
-    return total, path
+                 config: DtwConfig = DEFAULT_CONFIG) -> float:
+    """Weighted DTW alignment cost between two sequences, the one-pair case
+    of the kernel ``pairwise_dtw`` runs: every path cell (i, j) adds its move
+    weight times the local cost plus ``lam * |i - j|``, and the starting cell
+    its bare local cost."""
+    xa, ya = _dtw_inputs((x, y))
+    return float(_dtw_batch(xa[:, None], ya[:, None], config)[0])
 
 
 @dataclass
@@ -135,61 +138,19 @@ class DistanceMatrix:
         return float(self.values[self._index[a], self._index[b]])
 
 
-def _dtw_batch(x: np.ndarray, y: np.ndarray, config: DtwConfig) -> np.ndarray:
-    """``dtw_distance(x[:, k], y[:, k], config)`` for every column k, bitwise equal.
-
-    ``x`` is (n, jobs) and ``y`` is (m, jobs). Runs the scalar recursion
-    cell by cell over the n x m grid, each step vectorised over the job
-    axis. Only two DP rows of shape (m + 1, jobs) are kept and the local
-    cost row is formed per i, so memory stays O(jobs * m).
-    """
-    n, m = x.shape[0], y.shape[0]
-    prev = np.full((m + 1, x.shape[1]), np.inf)
-    cur = prev.copy()
-    c = np.empty_like(y)
-    best = np.empty_like(y)
-    step = np.empty_like(y)
-    for i in range(n):
-        np.subtract(x[i], y, out=c)
-        if config.metric == "absolute":
-            np.abs(c, out=c)
-        else:
-            np.multiply(c, c, out=c)
-        np.multiply(config.wd, c, out=best)
-        best += prev[:-1]
-        np.multiply(config.wh, c, out=step)
-        step += prev[1:]
-        np.minimum(best, step, out=best)
-        np.multiply(config.wv, c, out=step)
-        start = 0
-        if i == 0:
-            cur[1] = c[0]
-            start = 1
-        for j in range(start, m):
-            np.add(cur[j], step[j], out=cur[j + 1])
-            np.minimum(best[j], cur[j + 1], out=cur[j + 1])
-            cur[j + 1] += config.lam * abs(i - j)
-        prev, cur = cur, prev
-    return prev[m].copy()
-
-
 def pairwise_dtw(profiles: Mapping[str, Sequence[float]],
                  config: DtwConfig = DEFAULT_CONFIG) -> DistanceMatrix:
     """All-pairs DTW distances, symmetrized as (d(a,b) + d(b,a)) / 2.
 
     Labels are taken in sorted order so the matrix layout does not depend
     on dict insertion order. Both directions of every pair run as jobs of
-    one batched kernel per profile-length combination; the entries are
-    bitwise equal to the ``dtw_distance`` formula above.
+    one batched kernel per profile-length combination, so each entry is
+    bitwise equal to the mean of ``dtw_distance`` both ways.
     """
     labels = sorted(profiles)
     if len(labels) < 2:
         raise SampleTooSmallError("pairwise DTW needs at least 2 profiles")
-    arrays = [np.asarray(profiles[lab], dtype=np.float64) for lab in labels]
-    if any(a.size == 0 for a in arrays):
-        raise EmptyInputError("DTW inputs must be non-empty")
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise ContractError("DTW inputs must be finite")
+    arrays = _dtw_inputs([profiles[lab] for lab in labels])
     n = len(labels)
     iu, ju = np.triu_indices(n, 1)
     first = np.concatenate([iu, ju])

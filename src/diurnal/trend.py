@@ -202,7 +202,7 @@ def trend_surface(panel: WindowHourPanel, min_years: int = MIN_YEARS) -> list[Tr
         r1, flat = _lag1_rows(x)
         bad += zip(cells[flat], x[flat])
         stats = (s[untied], var_s[untied], z[untied], p[untied], _sen_rows(x, years), r1,
-                 np.abs(r1) > 1.96 / math.sqrt(years.size))
+                 serial_flag(r1, years.size))
         found += ((c, TrendCell(panel.station_id, panel.scale, panel.labels[c // 24],
                                 c % 24, years.size, *v))
                   for c, *v in zip(cells.tolist(), *(a.tolist() for a in stats)))
@@ -261,6 +261,7 @@ def write_trend_csv(path: str | Path, cells: Iterable[TrendCell]) -> None:
 
 
 def read_trend_csv(path: str | Path) -> list[TrendCell]:
+    labels = {scale: window_order(scale) for scale in SCALES}
     cells = []
     for line_no, row in iter_rows(path, 12):
         sid, scale, label, hour, n, s, var_s, z, p, slope, lag1, flag = (
@@ -268,12 +269,17 @@ def read_trend_csv(path: str | Path) -> list[TrendCell]:
         if scale not in SCALES:
             raise ParseError(f"unknown scale {scale!r}", line_no)
         try:
-            cells.append(TrendCell(
+            cell = TrendCell(
                 sid, scale, label, int(hour), int(n), int(s),
                 parse_float(var_s), parse_float(z), parse_float(p),
-                parse_float(slope), parse_float(lag1), parse_bool(flag)))
+                parse_float(slope), parse_float(lag1), parse_bool(flag))
         except ValueError:
             raise ParseError("malformed numeric field", line_no) from None
+        if not 0 <= cell.hour <= 23:
+            raise ParseError(f"hour {cell.hour} out of range 0-23", line_no)
+        if label not in labels[scale]:
+            raise ParseError(f"label {label!r} does not belong to scale {scale}", line_no)
+        cells.append(cell)
     if not cells:
         raise EmptyInputError(f"no trend rows found in {path}")
     return cells

@@ -130,6 +130,29 @@ def dtw_enumerated(x, y, wh=1.0, wv=1.0, wd=2.0, lam=0.0, metric="absolute") -> 
     return best
 
 
+def dtw_loop(x, y, wh=1.0, wv=1.0, wd=2.0, lam=0.0, metric="absolute") -> float:
+    """DTW cost by the cell-by-cell dynamic program over the full grid, the
+    package's former scalar ``dtw_distance``; ties and rounding follow the
+    same float operations in the same order, so results compare bitwise."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, m = x.size, y.size
+    diff = x[:, None] - y[None, :]
+    cost = np.abs(diff) if metric == "absolute" else diff * diff
+    penalty = lam * np.abs(np.arange(n)[:, None] - np.arange(m)[None, :])
+    D = np.full((n + 1, m + 1), np.inf)
+    D[1, 1] = cost[0, 0]
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            if i == 1 and j == 1:
+                continue
+            c = cost[i - 1, j - 1]
+            D[i, j] = min(D[i - 1, j - 1] + wd * c,
+                          D[i - 1, j] + wh * c,
+                          D[i, j - 1] + wv * c) + penalty[i - 1, j - 1]
+    return float(D[n, m])
+
+
 def silhouette_loops(labels, dist_lookup, assignment) -> dict:
     """Silhouette per sample from a (label, label) -> distance callable."""
     scores = {}

@@ -184,6 +184,29 @@ class TestExitCodes:
         assert capsys.readouterr().err.strip() == (
             f"error: line 2: field larger than field limit ({csv.field_size_limit()})")
 
+    @pytest.mark.parametrize("row,message", [
+        ("S1,30d,Smarch,0,5,3,8.5,0.7,0.49,0.1,0.2,0",
+         "error: line 2: label 'Smarch' does not belong to scale 30d"),
+        ("S1,30d,Jan,99,5,3,8.5,0.7,0.49,0.1,0.2,0", "error: line 2: hour 99 out of range 0-23"),
+    ], ids=["foreign-label", "hour-99"])
+    def test_contour_rejects_trend_row_outside_its_calendar(self, tmp_path, capsys, row, message):
+        trend = tmp_path / "trend.csv"
+        trend.write_text("station_id,scale,window_label,hour,n,S,var_S,z,p_value,sen_slope,"
+                         f"lag1,serial_flag\n{row}\n", encoding="utf-8")
+        assert run("contour", "--trend", str(trend), "--out", str(tmp_path / "c.csv")) == 1
+        assert capsys.readouterr().err.strip() == message
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("--lambda", "nan", "error: DTW lam must be finite, got nan"),
+        ("--weights", "inf,1,1", "error: DTW wh must be finite, got inf"),
+    ])
+    def test_cluster_rejects_non_finite_dtw_option(self, pipeline_dir, tmp_path, capsys,
+                                                   option, value, message):
+        assert run("cluster", "--panel", str(pipeline_dir / "panel.csv"), "--window", "Jan",
+                   "--out-dir", str(tmp_path / "c"), "--k", "2", option, value) == 1
+        assert capsys.readouterr().err.strip() == message
+
     def test_skip_missing_flag_clears_it(self, pipeline_dir, tmp_path):
         assert run("aggregate", "--records", str(pipeline_dir / "data" / "records.csv"),
                    "--scale", "30d", "--out", str(tmp_path / "out.csv"),

@@ -212,6 +212,10 @@ class TestRecordsReader:
         "T01,0000-01-01T00:00:00Z,1\n",
         "T01,+001-01-01T00:00:00,1\n",
         "T01,-001-01-01 00:00:00Z,1\n",
+        "T01,2001-01-01 05:00:00,1\nT01,2001-01-01T06:00:00Z,2\n",
+        "T01,2001-01-01T05 00:00,1\n",
+        "T01,2001-01-01T05:00:0İ,1\n",
+        "T01,2001-01-01T05:00:0١,1\n",
     ])
     def test_csv_and_timestamp_corners_read_as_before(self, tmp_path, block_lines, text):
         path = tmp_path / "records.csv"

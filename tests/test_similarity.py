@@ -57,20 +57,6 @@ class TestDtw:
         # the diagonal, costing lam even though the local cost is zero.
         assert dtw_distance([0.0, 0.0], [0.0], DtwConfig(lam=0.25)) == 0.25
 
-    def test_path_endpoints_and_monotonicity(self):
-        cost, path = dtw_distance([1.0, 3.0, 2.0], [2.0, 2.0], return_path=True)
-        assert cost == 2.0
-        assert path[0] == (0, 0) and path[-1] == (2, 1)
-        for (i0, j0), (i1, j1) in zip(path, path[1:]):
-            assert (i1 - i0, j1 - j0) in ((1, 1), (1, 0), (0, 1))
-
-    def test_tie_prefers_diagonal(self):
-        # All-zero series: every move is free. Backtracking from the end
-        # takes the diagonal whenever it ties, so the extra step is spent
-        # as early as possible.
-        _, path = dtw_distance([0.0, 0.0, 0.0], [0.0, 0.0], return_path=True)
-        assert path == [(0, 0), (1, 0), (2, 1)]
-
     def test_symmetric_when_weights_match(self):
         x, y = [1.0, 5.0, 2.0, 8.0], [2.0, 2.0, 6.0]
         cfg = DtwConfig(wh=1.0, wv=1.0, wd=2.0)
@@ -90,6 +76,12 @@ class TestDtw:
         with pytest.raises(ContractError):
             DtwConfig(metric="euclidean")
 
+    @pytest.mark.parametrize("name", ["wh", "wv", "wd", "lam"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_config_rejected(self, name, value):
+        with pytest.raises(ContractError, match=f"^DTW {name} must be finite"):
+            DtwConfig(**{name: value})
+
     @given(short_seq, short_seq)
     @settings(max_examples=60, deadline=None)
     def test_matches_enumeration_oracle(self, x, y):
@@ -106,8 +98,8 @@ class TestDtw:
         assert dist.labels == ["A", "B", "C"]
         assert (dist.values == dist.values.T).all()
         assert (np.diag(dist.values) == 0.0).all()
-        ab = 0.5 * (dtw_distance(profiles["A"], profiles["B"], cfg)
-                    + dtw_distance(profiles["B"], profiles["A"], cfg))
+        ab = 0.5 * (_loop(profiles["A"], profiles["B"], cfg)
+                    + _loop(profiles["B"], profiles["A"], cfg))
         assert dist.get("A", "B") == ab
 
     def test_pairwise_needs_two(self):
@@ -115,9 +107,13 @@ class TestDtw:
             pairwise_dtw({"A": [1.0]})
 
 
+def _loop(x, y, cfg):
+    return oracles.dtw_loop(x, y, cfg.wh, cfg.wv, cfg.wd, cfg.lam, cfg.metric)
+
+
 class TestBatchedDtw:
-    """``pairwise_dtw`` runs one batched kernel; it must equal the scalar
-    ``dtw_distance`` exactly, not just closely."""
+    """``pairwise_dtw`` and ``dtw_distance`` run one batched kernel; it must
+    equal the scalar dynamic program exactly, not just closely."""
 
     CONFIGS = (DtwConfig(), DtwConfig(wh=1.0, wv=1.5, wd=2.5, lam=0.3, metric="squared"))
 
@@ -126,9 +122,21 @@ class TestBatchedDtw:
         dist = pairwise_dtw(profiles, cfg)
         for a in dist.labels:
             for b in dist.labels:
-                want = 0.0 if a == b else 0.5 * (dtw_distance(profiles[a], profiles[b], cfg)
-                                                 + dtw_distance(profiles[b], profiles[a], cfg))
+                want = 0.0 if a == b else 0.5 * (_loop(profiles[a], profiles[b], cfg)
+                                                 + _loop(profiles[b], profiles[a], cfg))
                 assert dist.get(a, b) == want, (a, b)
+
+    @pytest.mark.parametrize("cfg", [
+        DtwConfig(), DtwConfig(wh=0.5, wv=3.0), DtwConfig(lam=0.7),
+        DtwConfig(wh=1.5, wv=1.0, wd=2.5, lam=0.2, metric="squared")],
+        ids=["default", "wh-ne-wv", "lam", "squared"])
+    def test_dtw_distance_matches_loop_each_way(self, cfg):
+        rng = np.random.default_rng(7)
+        for n in range(1, 31):
+            for m in (1, 31 - n, n, int(rng.integers(1, 31))):
+                x, y = rng.normal(0.0, 3.0, n), rng.normal(0.0, 3.0, m)
+                assert dtw_distance(x, y, cfg) == _loop(x, y, cfg), (n, m)
+                assert dtw_distance(y, x, cfg) == _loop(y, x, cfg), (m, n)
 
     @pytest.mark.parametrize("cfg", CONFIGS)
     def test_random_day_profiles(self, cfg):

@@ -15,6 +15,7 @@ import oracles
 from diurnal import (
     ContractError,
     DegenerateDataError,
+    ParseError,
     PipelineError,
     SampleTooSmallError,
     build_calendar,
@@ -226,6 +227,28 @@ class TestTrendSurface:
         write_trend_csv(tmp_path / "a.csv", cells)
         write_trend_csv(tmp_path / "b.csv", list(reversed(cells)))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+TREND_CSV_HEADER = "station_id,scale,window_label,hour,n,S,var_S,z,p_value,sen_slope,lag1,serial_flag"
+
+
+class TestTrendCsvReader:
+    @pytest.mark.parametrize("row,message", [
+        ("S1,30d,Smarch,0,5,3,8.5,0.7,0.49,0.1,0.2,0",
+         "line 3: label 'Smarch' does not belong to scale 30d"),
+        ("S1,10d,Jan,0,5,3,8.5,0.7,0.49,0.1,0.2,0",
+         "line 3: label 'Jan' does not belong to scale 10d"),
+        ("S1,30d,Feb,99,5,3,8.5,0.7,0.49,0.1,0.2,0", "line 3: hour 99 out of range 0-23"),
+        ("S1,30d,Feb,-1,5,3,8.5,0.7,0.49,0.1,0.2,0", "line 3: hour -1 out of range 0-23"),
+    ], ids=["foreign-label", "label-of-other-scale", "hour-99", "hour-negative"])
+    def test_row_outside_its_calendar_is_a_parse_error(self, tmp_path, row, message):
+        path = tmp_path / "trend.csv"
+        path.write_text(f"{TREND_CSV_HEADER}\nS1,30d,Jan,23,5,3,8.5,0.7,0.49,0.1,0.2,0\n"
+                        f"{row}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            read_trend_csv(path)
+        assert str(exc.value) == message
+        assert exc.value.line_no == 3
 
 
 def _bits(cells):
