@@ -240,7 +240,7 @@ def read_panel(path: str | Path) -> dict[str, WindowHourPanel]:
     scale_of: dict[str, str] = {}
     codes: dict[str, int] = {}
     parts = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for block in read_blocks(fh, len(PANEL_HEADER)):
             if block.ragged:
                 _word_panel_error(block, scale_of)
@@ -259,11 +259,9 @@ def read_panel(path: str | Path) -> dict[str, WindowHourPanel]:
                                 if sc in calendars and lab in calendars[sc].labels else -1
                                 for lab in labels] for sc in scales], np.int64)
             window = window[scale_code, label_code]
-            given = mean.length > 0
-            value = np.full(len(mean), np.nan)
             try:
                 year, hour = _int_codes(year.text()), _int_codes(hour.text())
-                value[given] = parse_floats(mean[given])
+                value = parse_floats(mean)
             except (ValueError, OverflowError):
                 _word_panel_error(block, scale_of)
             valid = valid.text()

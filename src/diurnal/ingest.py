@@ -28,6 +28,7 @@ from ._util import (
     factorize,
     fmt,
     iter_rows,
+    line_blocks,
     parse_floats,
     read_blocks,
     write_csv,
@@ -242,28 +243,26 @@ def _word_record_error(block: Block) -> NoReturn:
     raise AssertionError(f"block at line {block.start} rejected, but every row is valid")
 
 
-def _read_record_columns(lines: Iterable[str]) -> tuple:
-    """Every row of a records file as columns, in file order: ``(names,
+def _read_record_columns(blocks: Iterable[Block]) -> tuple:
+    """Every row of a records file's blocks as columns, in file order: ``(names,
     code, us, value, line_no)`` with the station ids by code in order of
     first appearance, each row's station code, UTC microseconds since 1970,
     temperature (NaN where the field is empty) and line number."""
     codes: dict[str, int] = {}
     parts = []
-    for block in read_blocks(lines, len(RECORDS_HEADER)):
+    for block in blocks:
         if block.ragged:
             _word_record_error(block)
         if not len(block.line_no):
             continue
         sid, stamp, temp = block.columns
         names, inv = factorize(sid.text())
-        given = temp.length > 0
-        value = np.full(len(temp), np.nan)
         try:
             us = parse_timestamps(stamp)
-            value[given] = parse_floats(temp[given])
+            value = parse_floats(temp)
         except (ValueError, OverflowError):
             _word_record_error(block)
-        if "" in names or not np.isfinite(value[given]).all():
+        if "" in names or not np.isfinite(value[temp.length > 0]).all():
             _word_record_error(block)
         code = np.array([codes.setdefault(s, len(codes)) for s in names], np.int64)
         parts.append((code[inv], us, value, block.line_no))
@@ -323,7 +322,7 @@ def parse_records(lines: Iterable[str], expected_step: timedelta) -> Temperature
     temperature field is empty, come back masked. Duplicate timestamps and
     malformed lines raise; zero usable rows raises ``EmptyInputError``.
     """
-    columns = _read_record_columns(lines)
+    columns = _read_record_columns(line_blocks(lines, len(RECORDS_HEADER)))
     names = columns[0]
     if not names:
         raise EmptyInputError("no records found")
@@ -346,8 +345,8 @@ def read_records(path: str | Path,
     With ``expected_step=None`` the step is inferred per station from the
     smallest gap between its records.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        columns = _read_record_columns(fh)
+    with open(path, "rb") as fh:
+        columns = _read_record_columns(read_blocks(fh, len(RECORDS_HEADER)))
     if not columns[0]:
         raise EmptyInputError(f"no records found in {path}")
     return _build_series(expected_step or None, *columns)

@@ -261,8 +261,13 @@ def write_trend_csv(path: str | Path, cells: Iterable[TrendCell]) -> None:
 
 
 def read_trend_csv(path: str | Path) -> list[TrendCell]:
+    """Read a trend CSV back into cells. Besides malformed fields, a row
+    with an hour outside 0-23, a label outside its scale or a second row for
+    the same (station, scale, window, hour) cell raises ``ParseError`` with
+    its line."""
     labels = {scale: window_order(scale) for scale in SCALES}
     cells = []
+    seen = set()
     for line_no, row in iter_rows(path, 12):
         sid, scale, label, hour, n, s, var_s, z, p, slope, lag1, flag = (
             f.strip() for f in row)
@@ -279,6 +284,11 @@ def read_trend_csv(path: str | Path) -> list[TrendCell]:
             raise ParseError(f"hour {cell.hour} out of range 0-23", line_no)
         if label not in labels[scale]:
             raise ParseError(f"label {label!r} does not belong to scale {scale}", line_no)
+        key = (sid, scale, label, cell.hour)
+        if key in seen:
+            raise ParseError(f"station {sid}: second row for scale {scale}, window {label}, "
+                             f"hour {cell.hour}", line_no)
+        seen.add(key)
         cells.append(cell)
     if not cells:
         raise EmptyInputError(f"no trend rows found in {path}")

@@ -4,8 +4,9 @@ Everything here is written in the most literal way available: plain loops,
 stdlib statistics, scipy distributions. None of it shares code with the
 package, so a bug in the library cannot hide in a common code path. The
 reference CSV readers and writers at the end are the package's former
-per-row I/O, except that a timestamp moved out of range by its offset and a
-``csv.Error`` are ``ParseError``s with their line; they borrow only its data
+per-row I/O, except that a timestamp moved out of range by its offset, a
+``csv.Error`` and a byte that is not UTF-8 are ``ParseError``s with their
+line; they borrow only its data
 classes, calendars and error types, so their results and exceptions compare
 directly with the columnar code.
 """
@@ -406,7 +407,9 @@ def _parse_timestamp_row(text, line_no):
 
 def _numbered_rows(lines):
     """``(line_no, row)`` for the csv rows of ``lines``, numbered from 1; a
-    ``csv.Error`` becomes a ``ParseError`` on the row it stopped at."""
+    ``csv.Error`` becomes a ``ParseError`` on the row it stopped at, and so
+    does a row holding a byte that is not UTF-8 (read with
+    ``surrogateescape``, which holds byte b as the character U+DC00 + b)."""
     reader = csv.reader(lines)
     line_no = 0
     while True:
@@ -417,6 +420,9 @@ def _numbered_rows(lines):
         except csv.Error as exc:
             raise ParseError(str(exc), line_no + 1) from None
         line_no += 1
+        for ch in "".join(row):
+            if "\udc80" <= ch <= "\udcff":
+                raise ParseError(f"invalid UTF-8 byte 0x{ord(ch) - 0xDC00:02x}", line_no)
         yield line_no, row
 
 
@@ -491,7 +497,7 @@ def parse_records_rows(lines, expected_step):
 def read_records_rows(path, expected_step=None):
     """Multi-station records read, row by row."""
     groups = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, sid, ts, value in _record_rows(fh):
             groups.setdefault(sid, []).append((line_no, ts, value))
     if not groups:
@@ -520,7 +526,7 @@ def read_panel_rows(path):
     """Panel CSV read, row by row, without the checks the columnar reader
     added (it lets a repeated cell win and keeps any hour, flag or mean)."""
     rows, scales = {}, {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, row in _numbered_rows(fh):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue

@@ -174,6 +174,13 @@ class TestExitCodes:
         assert run("impute", "--records", str(records), "--out", str(tmp_path / "f.csv")) == 1
         assert capsys.readouterr().err.strip() == message
 
+    def test_invalid_utf8_record_exits_one_with_its_line(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        records.write_bytes(b"station_id,timestamp,temp_c\nT01,2001-01-01T00:00:00Z,1\n"
+                            b"T01,2001-01-01T01:00:00Z,2\xff\n")
+        assert run("impute", "--records", str(records), "--out", str(tmp_path / "f.csv")) == 1
+        assert capsys.readouterr().err.strip() == "error: line 3: invalid UTF-8 byte 0xff"
+
     def test_unreadable_metadata_exits_one_with_its_line(self, pipeline_dir, tmp_path, capsys):
         meta = tmp_path / "meta.csv"
         name = "N" * (csv.field_size_limit() + 1)
@@ -195,6 +202,16 @@ class TestExitCodes:
                          f"lag1,serial_flag\n{row}\n", encoding="utf-8")
         assert run("contour", "--trend", str(trend), "--out", str(tmp_path / "c.csv")) == 1
         assert capsys.readouterr().err.strip() == message
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_contour_rejects_a_repeated_trend_cell(self, tmp_path, capsys):
+        trend = tmp_path / "trend.csv"
+        trend.write_text("station_id,scale,window_label,hour,n,S,var_S,z,p_value,sen_slope,"
+                         "lag1,serial_flag\nS1,30d,Jan,0,5,3,8.5,0.7,0.49,0.1,0.2,0\n"
+                         "S1,30d,Jan,0,5,-3,8.5,-0.7,0.49,-0.4,0.2,0\n", encoding="utf-8")
+        assert run("contour", "--trend", str(trend), "--out", str(tmp_path / "c.csv")) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: line 3: station S1: second row for scale 30d, window Jan, hour 0")
         assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("option,value,message", [

@@ -8,6 +8,7 @@ write the same bytes. The per-row reference code lives in ``oracles.py``.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import random
 from datetime import datetime, timedelta
@@ -33,9 +34,18 @@ from diurnal import (
 from diurnal import _util, aggregate, ingest
 from helpers import HALF_HOUR, HOUR
 
-SETTINGS = settings(max_examples=60, deadline=None,
+
+def _settings(examples: int) -> settings:
+    """``examples`` per test on the default profile; another loaded profile
+    (``--hypothesis-profile deep``) sets the count itself."""
+    if settings.get_current_profile_name() != "default":
+        examples = settings.default.max_examples
+    return settings(max_examples=examples, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture,
                                            HealthCheck.too_slow])
+
+
+SETTINGS = _settings(60)
 
 # (field as written, station id it stands for)
 STATION_FIELDS = [("T01", "T01"), ("B2", "B2"), (" S3 ", "S3"), ('"Q,1"', "Q,1"),
@@ -135,7 +145,7 @@ def _stamp(draw, ts: datetime) -> str:
 
 _TEMPS = st.one_of(
     st.sampled_from(["", " ", "-0.0", "1e-05", "1E3", "+4", ".5", "5.", "1_0", " 12.5 ",
-                     "0.30000000000000004", "007.250"]),
+                     "0.30000000000000004", "007.250", "٣.٥", "1.5°"]),
     st.floats(-60, 60).map(repr),
     st.floats(-60, 60).map(lambda v: f"{v:.1f}"),
 )
@@ -160,14 +170,34 @@ def records_file(draw, max_stations=3):
         rows.insert(draw(st.integers(0, len(rows))), line)
     if draw(st.booleans()):
         rows.insert(0, "station_id,timestamp,temp_c")
-    ending = draw(st.sampled_from(["\n", "\r\n"]))
-    return [row + ending for row in rows]
+    return draw(_terminated(rows))
+
+
+@st.composite
+def _terminated(draw, rows):
+    """The rows as lines, all ending in one of the terminators text mode
+    reads, now and then after a UTF-8 byte order mark (which makes a header
+    a bad data row) or without a final terminator."""
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [row + ending for row in rows]
+    if lines and draw(st.integers(0, 3)) == 0:
+        lines[0] = "\ufeff" + lines[0]
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].removesuffix(ending)
+    return lines
+
+
+# Read size for each block size, so that lines straddle reads of the file.
+READ_SIZES = {2: 1, 3: 5, 7: 64}
 
 
 @pytest.fixture(params=[2, 3, 7, _util.BLOCK_LINES])
 def block_lines(request):
-    """Block sizes small enough to put block edges, and errors, anywhere."""
-    with mock.patch.object(_util, "BLOCK_LINES", request.param):
+    """Block and read sizes small enough to put block edges, read edges and
+    errors anywhere."""
+    read_bytes = READ_SIZES.get(request.param, _util.READ_BYTES)
+    with mock.patch.object(_util, "BLOCK_LINES", request.param), \
+            mock.patch.object(_util, "READ_BYTES", read_bytes):
         yield request.param
 
 
@@ -243,6 +273,40 @@ class TestRecordsReader:
             assert want[2] == "line 3: field larger than field limit (12)"
         _assert_same_outcome(got, want, _assert_same_series)
 
+    @pytest.mark.parametrize("data", [
+        b"T01,2001-01-01T00:00:00Z,1\nT01,2001-01-01T01:00:00Z,\xff\n",
+        b"T01,2001-01-01T00:00:00Z,1\r\nT\xc3,2001-01-01T01:00:00Z,2\r\n",
+        b"T01,2001-01-01T00:00:00Z,\xed\xa0\x80\n",
+        b'"T\n\xff",2001-01-01T00:00:00Z,1\nT01,2001-01-01T01:00:00Z,2\n',
+        b'T01,2001-01-01T00:00:00Z,"1\n.5"\nT01,2001-01-01T01:00:00Z,\xff\n',
+        b"T01,bad,1\nT01,2001-01-01T01:00:00Z,\xff\n",
+        b"T01,2001-01-01T00:00:00Z,1\n\xff" + b"T" * 40 + b",2001-01-01,1\n",
+        b"\xef\xbb\xbfT01,2001-01-01T00:00:00Z,1\n",
+        b"T01,2001-01-01T00:00:00Z,1\rT01,2001-01-01T01:00:00Z,2\r",
+        b"T01,2001-01-01T00:00:00Z,1\r\r\nT01,2001-01-01T01:00:00Z,2",
+        b"T01,2001-01-01T00:00:00Z,1\n\rT01,2001-01-01T01:00:00Z,2\n",
+        b"T01,2001-01-01T00:00:00Z,1\x00\r\n",
+    ], ids=["bad-byte", "cut-sequence", "encoded-surrogate", "bad-byte-in-quotes",
+            "bad-byte-after-quotes", "earlier-bad-row", "bad-byte-and-long-field", "bom",
+            "cr", "cr-then-crlf", "lf-then-cr", "nul"])
+    def test_bytes_read_as_the_row_reader(self, tmp_path, block_lines, data):
+        path = tmp_path / "records.csv"
+        path.write_bytes(b"station_id,timestamp,temp_c\n" + data)
+        limit = csv.field_size_limit(32)  # the 41-byte station id is over it
+        try:
+            got = _outcome(read_records, path, None)
+            want = _outcome(oracles.read_records_rows, path, None)
+        finally:
+            csv.field_size_limit(limit)
+        _assert_same_outcome(got, want, _assert_same_series)
+
+    def test_invalid_utf8_is_a_parse_error_with_its_line(self, tmp_path, block_lines):
+        path = tmp_path / "records.csv"
+        path.write_bytes(b"station_id,timestamp,temp_c\nT01,2001-01-01T00:00:00Z,1\n"
+                         b"T01,2001-01-01T01:00:00Z,2\xff\nT01,2001-01-01T02:00:00Z,3\n")
+        with pytest.raises(ParseError, match=r"^line 3: invalid UTF-8 byte 0xff$"):
+            read_records(path)
+
     def test_quoted_field_across_a_block_edge(self, tmp_path, monkeypatch):
         monkeypatch.setattr(_util, "BLOCK_LINES", 2)
         path = tmp_path / "records.csv"
@@ -278,7 +342,7 @@ def _panel_cell_rows(draw, field, sid_scale, years):
                           min_size=1, max_size=30, unique=True))
     rows = []
     for year, label, hour in cells:
-        mean = draw(st.one_of(st.just(""), st.floats(-40, 40).map(repr),
+        mean = draw(st.one_of(st.sampled_from(["", "٣.٥"]), st.floats(-40, 40).map(repr),
                               st.floats(-40, 40).map(lambda v: f"{v:.1f}")))
         valid = "1" if mean and draw(st.booleans()) else "0"
         pad = draw(st.sampled_from(["{}", " {} "]))
@@ -315,7 +379,7 @@ def panel_file(draw):
                               max_size=3, unique=True)):
         rows.insert(draw(st.integers(0, len(rows))), line)
     rows.insert(0, "station_id,scale,year,window_label,hour,mean_temp,valid")
-    return [row + "\n" for row in rows]
+    return draw(_terminated(rows))
 
 
 class TestPanelReader:
@@ -328,6 +392,31 @@ class TestPanelReader:
         _assert_same_outcome(_outcome(read_panel, path),
                              _outcome(oracles.read_panel_rows, path),
                              _assert_same_panels)
+
+
+    def test_invalid_utf8_is_a_parse_error_with_its_line(self, tmp_path, block_lines):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(b"station_id,scale,year,window_label,hour,mean_temp,valid\n"
+                         b"T01,30d,2000,Jan,0,1.5,1\nT01,30d,2000,Jan,1,\xe9,0\n")
+        with pytest.raises(ParseError, match=r"^line 3: invalid UTF-8 byte 0xe9$"):
+            read_panel(path)
+
+
+class TestByteLines:
+    @given(data=st.lists(st.sampled_from([b"a", b",", b"\r", b"\n", b"\r\n", b"\xc3\xa9"]),
+                         max_size=40).map(b"".join),
+           read_bytes=st.integers(1, 9), take=st.integers(1, 4))
+    @SETTINGS
+    def test_lines_end_where_text_mode_ends_them(self, data, read_bytes, take):
+        with mock.patch.object(_util, "READ_BYTES", read_bytes):
+            lines = _util._ByteLines(io.BytesIO(data))
+            got = []
+            while (cut := lines.take(take)) is not None:
+                chunk, ends = cut
+                assert 0 < len(ends) <= take and ends[-1] == len(chunk)
+                got += [chunk[b:e] for b, e in zip([0, *ends[:-1].tolist()], ends.tolist())]
+        text = io.StringIO(data.decode("utf-8"), newline="")
+        assert got == [line.encode("utf-8") for line in text]
 
 
 ODD_VALUES = [-0.0, 1e16, 1e-05, 0.1 + 0.2, 1 / 3, -273.15, 5e-324, 1.7976931348623157e308]
@@ -374,8 +463,7 @@ def panel_list(draw):
 
 class TestWriters:
     @given(series=series_list())
-    @settings(max_examples=100, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(_settings(100), suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_write_records_bytes_match_row_writer(self, tmp_path, series):
         write_records(tmp_path / "new.csv", series)
         oracles.write_records_rows(tmp_path / "old.csv", series)
@@ -402,8 +490,7 @@ class TestWriters:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     @given(panels=panel_list())
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(SETTINGS, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_write_panel_bytes_match_row_writer(self, tmp_path, panels):
         write_panel(tmp_path / "new.csv", panels)
         oracles.write_panel_rows(tmp_path / "old.csv", panels)
@@ -423,14 +510,55 @@ class TestFastPath:
         monkeypatch.setattr(ingest, "timestamp_us", refuse)
         monkeypatch.setattr(aggregate, "_word_panel_error", refuse)
         monkeypatch.setattr(_util, "_split_rows", refuse)
+        monkeypatch.setattr(_util, "_text_rows", refuse)  # the decode path
         n = 240
         rng = np.random.default_rng(1)
         series = [TemperatureSeries(sid, datetime(2001, 1, 1), HOUR, rng.normal(5, 3, n),
                                     rng.random(n) < 0.2) for sid in ("S1", "S2")]
-        write_records(tmp_path / "records.csv", series)
-        back = read_records(tmp_path / "records.csv")
-        assert [s.n for s in back.values()] == [n, n]
         panels = [WindowHourPanel("S1", "30d", [2001], list(build_calendar("30d").labels),
                                   rng.normal(5, 3, (1, 12, 24)), np.ones((1, 12, 24), int))]
+        write_records(tmp_path / "records.csv", series)
         write_panel(tmp_path / "panel.csv", panels)
-        assert read_panel(tmp_path / "panel.csv")["S1"].counts.sum() == 288
+        records, panel = ((tmp_path / name).read_bytes() for name in ("records.csv", "panel.csv"))
+        for ending in (b"\r\n", b"\n", b"\r"):
+            (tmp_path / "records.csv").write_bytes(records.replace(b"\r\n", ending))
+            back = read_records(tmp_path / "records.csv")
+            assert [s.n for s in back.values()] == [n, n]
+            (tmp_path / "panel.csv").write_bytes(panel.replace(b"\r\n", ending))
+            assert read_panel(tmp_path / "panel.csv")["S1"].counts.sum() == 288
+
+
+# Texts of at most 8 bytes, exactly 8 and 9 bytes, and longer.
+NARROW_TEXTS = ["-0.0", "+4", ".5", "5.", "1E3", "1_0", "12.5", "-12.3456", "12.5", "+4"]
+WIDE_TEXTS = ["-123.4567", "0.30000000000000004", "1.7976931348623157e+308", "-123.4567"]
+
+
+class TestParseFloats:
+    @pytest.mark.parametrize("texts", [NARROW_TEXTS, WIDE_TEXTS,
+                                       NARROW_TEXTS + WIDE_TEXTS + ["", "7"]],
+                             ids=["narrow", "wide", "mixed"])
+    def test_bits_match_float(self, texts):
+        (block,) = _util.line_blocks([f"x,{t}\n" for t in texts], 2)
+        assert block.csv_rows is None  # split in bulk
+        want = np.array([math.nan if t == "" else float(t) for t in texts])
+        for column in (block.columns[1], _util.Column.of(texts)):
+            assert _same_array(_util.parse_floats(column), want)
+
+    @pytest.mark.parametrize("text", ["abc", "abcdefghi", "1.5.1"])
+    def test_malformed_text_raises(self, text):
+        (block,) = _util.line_blocks(["x,1.5\n", f"x,{text}\n"], 2)
+        with pytest.raises(ValueError):
+            _util.parse_floats(block.columns[1])
+
+    @pytest.mark.parametrize("text,message", [
+        ("nan", "line 3: non-finite temperature 'nan'"),
+        ("abc", "line 3: malformed temperature 'abc'"),
+        ("-123.4567e", "line 3: malformed temperature '-123.4567e'"),
+    ])
+    def test_records_reader_words_the_bad_row(self, tmp_path, text, message):
+        path = tmp_path / "records.csv"
+        path.write_text(f"station_id,timestamp,temp_c\nT01,2001-01-01T00:00:00Z,1.5\n"
+                        f"T01,2001-01-01T01:00:00Z,{text}\n")
+        with pytest.raises(ParseError) as exc:
+            read_records(path)
+        assert str(exc.value) == message

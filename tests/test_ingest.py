@@ -315,6 +315,15 @@ class TestSmallTableReaders:
         assert str(exc.value) == f"line 3: field larger than field limit ({limit})"
         assert exc.value.line_no == 3
 
+    def test_invalid_utf8_is_a_parse_error_with_its_line(self, tmp_path, table):
+        reader, header, row = SMALL_TABLES[table]
+        path = tmp_path / "t.csv"
+        path.write_bytes(f"{header}\n{row}\nS\xff{row}\n".encode("latin-1"))
+        with pytest.raises(ParseError) as exc:
+            reader(path)
+        assert str(exc.value) == "line 3: invalid UTF-8 byte 0xff"
+        assert exc.value.line_no == 3
+
     def test_earlier_bad_row_wins(self, tmp_path, table):
         reader, header, row = SMALL_TABLES[table]
         path = tmp_path / "t.csv"

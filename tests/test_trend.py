@@ -251,6 +251,19 @@ class TestTrendCsvReader:
         assert exc.value.line_no == 3
 
 
+    def test_repeated_cell_is_rejected_at_its_second_row(self, tmp_path):
+        path = tmp_path / "trend.csv"
+        path.write_text(f"{TREND_CSV_HEADER}\nS1,30d,Jan,0,5,3,8.5,0.7,0.49,0.1,0.2,0\n"
+                        "S1,60da,Jan-Feb,0,5,3,8.5,0.7,0.49,0.1,0.2,0\n"
+                        "S2,30d,Jan,0,5,3,8.5,0.7,0.49,0.1,0.2,0\n"
+                        " S1 ,30d,Jan, 0 ,5,-3,8.5,-0.7,0.49,-0.4,0.2,0\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            read_trend_csv(path)
+        assert str(exc.value) == (
+            "line 5: station S1: second row for scale 30d, window Jan, hour 0")
+        assert exc.value.line_no == 5
+
+
 def _bits(cells):
     """Every field of every cell, floats by repr so that -0.0 and 0.0 differ."""
     return [repr(astuple(c)) for c in cells]
