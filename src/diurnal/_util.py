@@ -3,12 +3,13 @@ small tables, and one columnar block reader for records and panels."""
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
@@ -198,9 +199,10 @@ def data_rows(rows: Iterable[list[str]], n_fields: int,
 
 def iter_rows(path: str | Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line_no, row)`` for every data row of a CSV file (see
-    ``data_rows``); a ``csv.Error``, or a byte that is not UTF-8, becomes a
-    ``ParseError`` on its row once the rows before it have been yielded."""
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    ``data_rows``), after a UTF-8 byte order mark at its start; a
+    ``csv.Error``, or a byte that is not UTF-8, becomes a ``ParseError`` on
+    its row once the rows before it have been yielded."""
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         rows, error = _text_rows(fh.readlines(), iter(()), 1)
     yield from data_rows(rows, n_fields)
     if error is not None:
@@ -240,7 +242,8 @@ class Block:
 def read_blocks(fh: BinaryIO, n_fields: int) -> Iterator[Block]:
     """Split a CSV file opened in binary mode into ``Block``s, with the row
     semantics of ``csv.reader`` over the file read as UTF-8 text with
-    ``newline=""``, plus ``data_rows``; line numbers count csv rows. A
+    ``newline=""``, plus ``data_rows``; line numbers count csv rows, and a
+    UTF-8 byte order mark at the start of the file is skipped. A
     ``csv.Error`` (a field over ``csv.field_size_limit()``), or a byte that
     is not UTF-8, is raised as a ``ParseError`` with its row's line, once
     the rows before it have been yielded."""
@@ -253,8 +256,11 @@ def read_blocks(fh: BinaryIO, n_fields: int) -> Iterator[Block]:
 
 def line_blocks(lines: Iterable[str], n_fields: int) -> Iterator[Block]:
     """``read_blocks`` over lines of text, each a line to ``csv.reader``
-    whether or not it ends in a line terminator."""
+    whether or not it ends in a line terminator; a byte order mark at the
+    start of the first line is skipped."""
     it = iter(lines)
+    if (first := next(it, None)) is not None:
+        it = chain([first.removeprefix("\ufeff")], it)
 
     def cuts() -> Iterator[tuple[bytes, np.ndarray, list[str]]]:
         while block := list(islice(it, BLOCK_LINES)):
@@ -294,11 +300,12 @@ class _ByteLines:
     """The lines of a binary file, read ``READ_BYTES`` at a time. A line
     ends where text mode with ``newline=""`` ends one: after ``\\n``, after
     ``\\r\\n``, and after a ``\\r`` that does not begin a ``\\r\\n``; the last
-    line may have no terminator."""
+    line may have no terminator. A UTF-8 byte order mark at the start of
+    the file is skipped."""
 
     def __init__(self, fh: BinaryIO):
         self.fh = fh
-        self.buf = b""
+        self.buf = fh.read(len(codecs.BOM_UTF8)).removeprefix(codecs.BOM_UTF8)
         self.pos = 0  # where the lines not yet taken begin in buf
         self.scanned = 0  # where the search for line ends goes on in buf
         self.ends = np.empty(0, np.int64)  # the line ends found after pos

@@ -113,6 +113,13 @@ def _weights_arg(text: str) -> tuple[float, float, float]:
     return tuple(float(p) for p in parts)
 
 
+def _seed_arg(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"expected a non-negative integer, got {seed}")
+    return seed
+
+
 def _features_arg(text: str) -> str:
     if text not in ("slope", "level"):
         raise ValueError(f"expected slope or level, got {text!r}")
@@ -204,7 +211,7 @@ _SYNTH_OPTS = (
     _Opt("--group-spread", float, 3.0, "extra base temperature per station group index"),
     _Opt("--noise-sd", float, 1.0, "observation noise standard deviation"),
     _Opt("--missing-rate", float, 0.0, "fraction of slots masked at random"),
-    _Opt("--seed", int, 0, "random seed"),
+    _Opt("--seed", _seed_arg, 0, "random seed, a non-negative integer"),
 )
 
 _GROUP_CYCLE = (StationGroup.UKH, StationGroup.UKL, StationGroup.IH, StationGroup.IL)
@@ -390,7 +397,7 @@ _DCOR_OPTS = (
     _Opt("--out", str, _REQUIRED, "output dcor CSV"),
     _Opt("--window", str, None, "single window label (default: all windows)"),
     _Opt("--n-perm", int, 199, "permutations for the p-value (>= 99)"),
-    _Opt("--seed", int, 0, "random seed"),
+    _Opt("--seed", _seed_arg, 0, "random seed, a non-negative integer"),
 )
 
 

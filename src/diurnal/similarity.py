@@ -281,23 +281,29 @@ def _centered_distances(x: np.ndarray) -> np.ndarray:
     return d - row - col + d.mean()
 
 
-def _dcor_inputs(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Validated samples, each scaled by a power of two to a largest
-    magnitude in [0.5, 1).
+def _dcor_centered(samples: Sequence[Sequence[float]]) -> list[np.ndarray]:
+    """Each sample's double-centered distance matrix, after the checks that
+    a pair loop over ``samples`` would make first: equal lengths, at least 2
+    values, finite values.
 
-    dcor is scale-invariant and power-of-two scaling is exact, so results
-    are unchanged, except that samples of tiny values no longer underflow
-    the variance product to zero.
+    Each sample is first scaled by a power of two to a largest magnitude in
+    [0.5, 1). dcor is scale-invariant and power-of-two scaling is exact, so
+    results are unchanged, except that samples of tiny values no longer
+    underflow the variance product to zero.
     """
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.size != ya.size:
-        raise ContractError("dcor inputs must have equal length")
-    if xa.size < 2:
-        raise SampleTooSmallError(f"dcor needs at least 2 values, got {xa.size}")
-    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
-        raise ContractError("dcor inputs must be finite")
-    return tuple(np.ldexp(a, -np.frexp(np.abs(a).max())[1]) for a in (xa, ya))
+    arrays = [np.asarray(a, dtype=np.float64) for a in samples]
+    finite = [bool(np.isfinite(a).all()) for a in arrays]
+    # The first failing pair of a pair loop is always (0, k) for the first
+    # failing k, and its checks run in this order.
+    for a, ok in zip(arrays[1:], finite[1:]):
+        if a.size != arrays[0].size:
+            raise ContractError("dcor inputs must have equal length")
+        if a.size < 2:
+            raise SampleTooSmallError(f"dcor needs at least 2 values, got {a.size}")
+        if not (finite[0] and ok):
+            raise ContractError("dcor inputs must be finite")
+    return [_centered_distances(np.ldexp(a, -np.frexp(np.abs(a).max())[1]))
+            for a in arrays]
 
 
 def dcor(x: Sequence[float], y: Sequence[float]) -> float:
@@ -307,18 +313,17 @@ def dcor(x: Sequence[float], y: Sequence[float]) -> float:
     dCov/sqrt(dVarX*dVarY), clamped to [0, 1]. A constant sample has zero
     distance variance and scores 0 against anything.
     """
-    xa, ya = _dcor_inputs(x, y)
-    A = _centered_distances(xa)
-    B = _centered_distances(ya)
+    A, B = (M.ravel() for M in _dcor_centered((x, y)))
     return float(_dcor_stack(A, B[None])[0])
 
 
 def _dcor_stack(A: np.ndarray, Bs: np.ndarray) -> np.ndarray:
-    """dcor of centered ``A`` against each centered matrix of the C-contiguous
-    stack ``Bs``; a zero variance or a non-positive covariance scores 0."""
+    """dcor of flattened centered ``A`` against each row of the C-contiguous
+    stack ``Bs`` of flattened centered matrices; a zero variance or a
+    non-positive covariance scores 0."""
     a2 = (A * A).mean()
-    b2 = (Bs * Bs).mean(axis=(1, 2))
-    ab = (A * Bs).mean(axis=(1, 2))
+    b2 = (Bs * Bs).mean(axis=1)
+    ab = (A * Bs).mean(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.minimum(1.0, np.sqrt(ab / np.sqrt(a2 * b2)))
     return np.where((a2 > 0.0) & (b2 > 0.0) & (ab > 0.0), r, 0.0)
@@ -336,33 +341,51 @@ class DcorResult:
     n_perm: int
 
 
+def _dcor_tests(samples: Sequence[Sequence[float]], pairs: Sequence[tuple[int, int]],
+                seeds: Sequence[int | Sequence[int]], n_perm: int) -> list[DcorResult]:
+    """``dcor_permutation_test`` of ``samples[i]`` against ``samples[j]``
+    seeded ``seeds[k]``, for each ``pairs[k] = (i, j)``.
+
+    Permuting y and re-centering equals permuting the centered matrix's rows
+    and columns together, so every sample is centered once. A pair's
+    permutations are drawn in batches: one ``permuted`` call per batch
+    gives the rows that as many ``permutation`` calls would, in order, and
+    one flat gather builds the batch's permuted matrices.
+    """
+    if not pairs:
+        return []
+    if n_perm < 99:
+        raise ContractError(f"n_perm must be at least 99, got {n_perm}")
+    centered = _dcor_centered(samples)
+    n = len(centered[0])
+    batch = max(1, PERM_BATCH_CELLS // (n * n))
+    order = np.tile(np.arange(n), (min(batch, n_perm), 1))
+    out = []
+    for (i, j), seed in zip(pairs, seeds):
+        A, B = centered[i].ravel(), centered[j].ravel()
+        observed = float(_dcor_stack(A, B[None])[0])
+        rng = np.random.default_rng(seed)
+        hits = 0
+        for done in range(0, n_perm, batch):
+            p = rng.permuted(order[:n_perm - done], axis=1)
+            Bs = B.take((p[:, :, None] * n + p[:, None, :]).reshape(len(p), n * n))
+            hits += int(np.count_nonzero(_dcor_stack(A, Bs) >= observed))
+        out.append(DcorResult(observed, (1 + hits) / (n_perm + 1), n_perm))
+    return out
+
+
 def dcor_permutation_test(x: Sequence[float], y: Sequence[float],
                           n_perm: int = 199,
                           seed: int | Sequence[int] = 0) -> DcorResult:
-    """Permutation p-value for dcor(x, y).
+    """Permutation p-value for dcor(x, y), the one-pair case of the kernel
+    ``dcor_table`` runs.
 
     y is permuted ``n_perm`` times with a seeded generator; the p-value is
     (1 + #{dcor_perm >= dcor_observed}) / (n_perm + 1), so it can never be
     exactly zero. Fewer than 99 permutations would put the resolution above
     the usual 0.05 working level, so that is the allowed minimum.
     """
-    if n_perm < 99:
-        raise ContractError(f"n_perm must be at least 99, got {n_perm}")
-    xa, ya = _dcor_inputs(x, y)
-    A = _centered_distances(xa)
-    B = _centered_distances(ya)
-    observed = float(_dcor_stack(A, B[None])[0])
-    # Permuting y and re-centering equals permuting the centered matrix's
-    # rows and columns together, so B is centered once up front and each
-    # batch of permutations, drawn in order, is scored with one gather.
-    rng = np.random.default_rng(seed)
-    batch = max(1, PERM_BATCH_CELLS // B.size)
-    hits = 0
-    for done in range(0, n_perm, batch):
-        P = np.stack([rng.permutation(xa.size) for _ in range(min(batch, n_perm - done))])
-        hits += int(np.count_nonzero(
-            _dcor_stack(A, B[P[:, :, None], P[:, None, :]]) >= observed))
-    return DcorResult(observed, (1 + hits) / (n_perm + 1), n_perm)
+    return _dcor_tests((x, y), [(0, 1)], [seed], n_perm)[0]
 
 
 DCOR_HEADER = ("scale", "window_label", "station_a", "station_b",
@@ -372,12 +395,14 @@ DCOR_HEADER = ("scale", "window_label", "station_a", "station_b",
 def dcor_table(profiles: Mapping[str, Sequence[float]], n_perm: int = 199,
                seed: Sequence[int] = (0,)) -> list[tuple[str, str, DcorResult]]:
     """``(label_a, label_b, dcor_permutation_test)`` of every pair of sorted
-    labels; pair (i, j) draws its permutations from seed ``[*seed, i, j]``."""
+    labels; pair (i, j) draws its permutations from seed ``[*seed, i, j]``.
+    Every profile is checked and centered once, and the first bad input
+    raises what a loop of ``dcor_permutation_test`` over the pairs would."""
     labels = sorted(profiles)
-    return [(labels[i], labels[j],
-             dcor_permutation_test(profiles[labels[i]], profiles[labels[j]],
-                                   n_perm=n_perm, seed=[*seed, i, j]))
-            for i, j in combinations(range(len(labels)), 2)]
+    pairs = list(combinations(range(len(labels)), 2))
+    results = _dcor_tests([profiles[lab] for lab in labels], pairs,
+                          [[*seed, i, j] for i, j in pairs], n_perm)
+    return [(labels[i], labels[j], res) for (i, j), res in zip(pairs, results)]
 
 
 def write_dcor_csv(path: str | Path,

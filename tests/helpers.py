@@ -5,6 +5,7 @@ from __future__ import annotations
 from datetime import datetime, timedelta
 
 import numpy as np
+from hypothesis import HealthCheck, settings
 
 from diurnal import TemperatureSeries, WindowHourPanel, build_calendar
 
@@ -42,3 +43,13 @@ def grid_panel(rng, sid="S1", scale="60da", n_years=6, levels=3, step=0.25,
     counts = (rng.random(shape) < valid_rate).astype(np.int64)
     means = np.where(counts > 0, rng.integers(0, levels, shape) * step - 1.0, np.nan)
     return WindowHourPanel(sid, scale, years.tolist(), list(cal.labels), means, counts)
+
+
+def profile_settings(examples: int) -> settings:
+    """``examples`` per property test on the default profile; another loaded
+    profile (``--hypothesis-profile deep``) sets the count itself."""
+    if settings.get_current_profile_name() != "default":
+        examples = settings.default.max_examples
+    return settings(max_examples=examples, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                           HealthCheck.too_slow])

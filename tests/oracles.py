@@ -6,14 +6,15 @@ package, so a bug in the library cannot hide in a common code path. The
 reference CSV readers and writers at the end are the package's former
 per-row I/O, except that a timestamp moved out of range by its offset, a
 ``csv.Error`` and a byte that is not UTF-8 are ``ParseError``s with their
-line; they borrow only its data
-classes, calendars and error types, so their results and exceptions compare
-directly with the columnar code.
+line, and a UTF-8 byte order mark at the start of a file is skipped; they
+borrow only its data classes, calendars and error types, so their results
+and exceptions compare directly with the columnar code.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import statistics
 from datetime import datetime, timedelta, timezone
@@ -359,9 +360,18 @@ def _dcor_from_centered(A, B) -> float:
 
 
 def dcor_permutation_loop(x, y, n_perm=199, seed=0):
-    """Former ``dcor_permutation_test``: one re-indexed matrix per permutation."""
-    xa, ya = (np.ldexp(a, -np.frexp(np.abs(a).max())[1])
-              for a in (np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)))
+    """Former ``dcor_permutation_test``: its input checks in their order,
+    then one re-indexed matrix per permutation."""
+    if n_perm < 99:
+        raise ContractError(f"n_perm must be at least 99, got {n_perm}")
+    xa, ya = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if xa.size != ya.size:
+        raise ContractError("dcor inputs must have equal length")
+    if xa.size < 2:
+        raise SampleTooSmallError(f"dcor needs at least 2 values, got {xa.size}")
+    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
+        raise ContractError("dcor inputs must be finite")
+    xa, ya = (np.ldexp(a, -np.frexp(np.abs(a).max())[1]) for a in (xa, ya))
     A = _centered_distances(xa)
     B = _centered_distances(ya)
     observed = _dcor_from_centered(A, B)
@@ -406,11 +416,15 @@ def _parse_timestamp_row(text, line_no):
 
 
 def _numbered_rows(lines):
-    """``(line_no, row)`` for the csv rows of ``lines``, numbered from 1; a
-    ``csv.Error`` becomes a ``ParseError`` on the row it stopped at, and so
-    does a row holding a byte that is not UTF-8 (read with
-    ``surrogateescape``, which holds byte b as the character U+DC00 + b)."""
-    reader = csv.reader(lines)
+    """``(line_no, row)`` for the csv rows of ``lines``, numbered from 1,
+    after a byte order mark at the start of the first line; a ``csv.Error``
+    becomes a ``ParseError`` on the row it stopped at, and so does a row
+    holding a byte that is not UTF-8 (read with ``surrogateescape``, which
+    holds byte b as the character U+DC00 + b)."""
+    lines = iter(lines)
+    first = next(lines, None)
+    reader = csv.reader(lines if first is None
+                        else itertools.chain([first.removeprefix("\ufeff")], lines))
     line_no = 0
     while True:
         try:

@@ -151,6 +151,31 @@ class TestExitCodes:
             run()
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("command", ["synth", "dcor"])
+    def test_negative_seed_flag_exits_one(self, pipeline_dir, tmp_path, capsys, command):
+        # numpy's SeedSequence would raise a bare ValueError on it.
+        args = {"synth": ["--out-dir", str(tmp_path / "data")],
+                "dcor": ["--panel", str(pipeline_dir / "panel.csv"),
+                         "--out", str(tmp_path / "dcor.csv")]}[command]
+        with pytest.raises(SystemExit) as exc:
+            run(command, *args, "--seed", "-1")
+        assert exc.value.code == 1
+        assert "error: argument --seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["synth", "dcor"])
+    def test_negative_seed_in_config_exits_one(self, pipeline_dir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = tmp_path / "neg.cfg"
+        cfg.write_text("seed=-1\n" + {
+            "synth": f"out-dir={out / 'data'}\n",
+            "dcor": f"panel={pipeline_dir / 'panel.csv'}\nout={out / 'dcor.csv'}\n"}[command])
+        assert run(command, "--config", str(cfg)) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: config key seed: expected a non-negative integer, got -1")
+        assert list(out.iterdir()) == []
+
     def test_missing_input_file_exits_two(self, tmp_path, capsys):
         assert run("aggregate", "--records", str(tmp_path / "nope.csv"),
                    "--scale", "30d", "--out", str(tmp_path / "out.csv")) == 2
@@ -180,6 +205,17 @@ class TestExitCodes:
                             b"T01,2001-01-01T01:00:00Z,2\xff\n")
         assert run("impute", "--records", str(records), "--out", str(tmp_path / "f.csv")) == 1
         assert capsys.readouterr().err.strip() == "error: line 3: invalid UTF-8 byte 0xff"
+
+    def test_impute_reads_a_record_file_with_a_byte_order_mark(self, tmp_path):
+        # As spreadsheet tools save "CSV UTF-8".
+        records = tmp_path / "records.csv"
+        records.write_bytes(b"\xef\xbb\xbfstation_id,timestamp,temp_c\n"
+                            b"T01,2001-01-01T00:00:00Z,1\nT01,2001-01-01T01:00:00Z,\n"
+                            b"T01,2001-01-01T02:00:00Z,3\n")
+        assert run("impute", "--records", str(records), "--out", str(tmp_path / "f.csv")) == 0
+        assert (tmp_path / "f.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+            "T01,2001-01-01T00:00:00Z,1.0", "T01,2001-01-01T01:00:00Z,2.0",
+            "T01,2001-01-01T02:00:00Z,3.0"]
 
     def test_unreadable_metadata_exits_one_with_its_line(self, pipeline_dir, tmp_path, capsys):
         meta = tmp_path / "meta.csv"

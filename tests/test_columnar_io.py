@@ -7,6 +7,7 @@ write the same bytes. The per-row reference code lives in ``oracles.py``.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -32,20 +33,10 @@ from diurnal import (
     write_records,
 )
 from diurnal import _util, aggregate, ingest
-from helpers import HALF_HOUR, HOUR
+from helpers import HALF_HOUR, HOUR, profile_settings
 
 
-def _settings(examples: int) -> settings:
-    """``examples`` per test on the default profile; another loaded profile
-    (``--hypothesis-profile deep``) sets the count itself."""
-    if settings.get_current_profile_name() != "default":
-        examples = settings.default.max_examples
-    return settings(max_examples=examples, deadline=None,
-                    suppress_health_check=[HealthCheck.function_scoped_fixture,
-                                           HealthCheck.too_slow])
-
-
-SETTINGS = _settings(60)
+SETTINGS = profile_settings(60)
 
 # (field as written, station id it stands for)
 STATION_FIELDS = [("T01", "T01"), ("B2", "B2"), (" S3 ", "S3"), ('"Q,1"', "Q,1"),
@@ -176,8 +167,8 @@ def records_file(draw, max_stations=3):
 @st.composite
 def _terminated(draw, rows):
     """The rows as lines, all ending in one of the terminators text mode
-    reads, now and then after a UTF-8 byte order mark (which makes a header
-    a bad data row) or without a final terminator."""
+    reads, now and then after a UTF-8 byte order mark (which both readers
+    skip) or without a final terminator."""
     ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     lines = [row + ending for row in rows]
     if lines and draw(st.integers(0, 3)) == 0:
@@ -307,6 +298,23 @@ class TestRecordsReader:
         with pytest.raises(ParseError, match=r"^line 3: invalid UTF-8 byte 0xff$"):
             read_records(path)
 
+    @pytest.mark.parametrize("head", ["station_id,timestamp,temp_c\n", ""])
+    def test_byte_order_mark_at_file_start_is_skipped(self, tmp_path, block_lines, head):
+        text = head + "T01,2001-01-01T00:00:00Z,1.5\nT01,2001-01-01T01:00:00Z,2.5\n"
+        path = tmp_path / "records.csv"
+        path.write_bytes(codecs.BOM_UTF8 + text.encode())
+        series = read_records(path)
+        assert list(series) == ["T01"] and series["T01"].values.tolist() == [1.5, 2.5]
+        lines = ("\ufeff" + text).splitlines(keepends=True)
+        _assert_same_series({"T01": parse_records(lines, HOUR)}, series)
+
+    def test_only_one_byte_order_mark_is_skipped(self, tmp_path, block_lines):
+        path = tmp_path / "records.csv"
+        path.write_bytes(codecs.BOM_UTF8 * 2 + b"station_id,timestamp,temp_c\n"
+                         b"T01,2001-01-01T00:00:00Z,1.5\n")
+        with pytest.raises(ParseError, match=r"^line 1: malformed timestamp 'timestamp'$"):
+            read_records(path)
+
     def test_quoted_field_across_a_block_edge(self, tmp_path, monkeypatch):
         monkeypatch.setattr(_util, "BLOCK_LINES", 2)
         path = tmp_path / "records.csv"
@@ -394,6 +402,14 @@ class TestPanelReader:
                              _assert_same_panels)
 
 
+    def test_byte_order_mark_at_file_start_is_skipped(self, tmp_path, block_lines):
+        text = ("station_id,scale,year,window_label,hour,mean_temp,valid\n"
+                "T01,30d,2000,Jan,0,1.5,1\nT01,30d,2000,Jan,1,,0\n")
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        _assert_same_panels(read_panel(marked), read_panel(plain))
+
     def test_invalid_utf8_is_a_parse_error_with_its_line(self, tmp_path, block_lines):
         path = tmp_path / "panel.csv"
         path.write_bytes(b"station_id,scale,year,window_label,hour,mean_temp,valid\n"
@@ -463,7 +479,7 @@ def panel_list(draw):
 
 class TestWriters:
     @given(series=series_list())
-    @settings(_settings(100), suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(profile_settings(100), suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_write_records_bytes_match_row_writer(self, tmp_path, series):
         write_records(tmp_path / "new.csv", series)
         oracles.write_records_rows(tmp_path / "old.csv", series)

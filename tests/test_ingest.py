@@ -324,6 +324,18 @@ class TestSmallTableReaders:
         assert str(exc.value) == "line 3: invalid UTF-8 byte 0xff"
         assert exc.value.line_no == 3
 
+    def test_byte_order_mark_at_file_start_is_skipped(self, tmp_path, table):
+        reader, header, row = SMALL_TABLES[table]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(f"{header}\n{row}\n", encoding="utf-8")
+        marked.write_text(f"{header}\n{row}\n", encoding="utf-8-sig")
+        assert reader(marked) == reader(plain)
+        # A second mark is text: the header becomes a data row.
+        marked.write_text(f"\ufeff{header}\n{row}\n", encoding="utf-8-sig")
+        with pytest.raises(ParseError) as exc:
+            reader(marked)
+        assert exc.value.line_no == 1
+
     def test_earlier_bad_row_wins(self, tmp_path, table):
         reader, header, row = SMALL_TABLES[table]
         path = tmp_path / "t.csv"

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from diurnal import (
     DistanceMatrix,
     DtwConfig,
     EmptyInputError,
+    PipelineError,
     SampleTooSmallError,
     agglomerative_cluster,
     dcor,
@@ -32,6 +34,7 @@ from diurnal import (
 )
 from diurnal import similarity
 from diurnal.similarity import DcorResult, write_dcor_csv, write_distance_csv
+from helpers import profile_settings
 
 values = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 short_seq = st.lists(values, min_size=1, max_size=6)
@@ -459,6 +462,98 @@ class TestBatchedPermutations:
             b"scale,window_label,station_a,station_b,dcor,p_value,n_perm\r\n"
             b'30d,Jan,"a,b",S2,0.5,0.005,199\r\n'
             b"30d,Jan,S2,S3,0.3333333333333333,1.0,199\r\n")
+
+
+def _outcome(fn, *args):
+    """The repr of a call's result, or the type and message of the pipeline
+    error it raised."""
+    try:
+        return "ok", repr(fn(*args))
+    except PipelineError as exc:
+        return "error", type(exc), str(exc)
+
+
+# How a station's profile is broken: its middle value set to NaN or an
+# infinity, one value short or one value too many; None keeps it as drawn.
+BAD_PROFILES = [None, None, None, np.nan, np.inf, -np.inf, "short", "long"]
+
+
+@st.composite
+def dcor_profiles(draw, max_stations=8, lengths=st.integers(2, 30)):
+    """2-8 stations' profiles of one length, in shuffled label order: mixes
+    of a shared signal and noise, rounded now and then (ties), and now and
+    then a constant profile."""
+    n = draw(lengths)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shared = rng.normal(size=n)
+    decimals = draw(st.sampled_from([None, 0, 1]))
+    profiles = {}
+    for k in draw(st.permutations(range(draw(st.integers(2, max_stations))))):
+        if draw(st.integers(0, 5)) == 0:
+            x = np.full(n, draw(st.sampled_from([0.0, 3.5, -1e-3])))
+        else:
+            x = draw(st.floats(-1, 1)) * shared + rng.normal(size=n)
+        profiles[f"S{k}"] = x if decimals is None else np.round(x, decimals)
+    return profiles
+
+
+class TestDcorKernel:
+    """``dcor_table`` against the former pair loop of one-permutation tests,
+    bit for bit, and the numpy draw equivalence that the kernel rests on."""
+
+    @given(n=st.integers(1, 200), k=st.integers(1, 130),
+           seed=st.one_of(st.integers(0, 2**64 - 1),
+                          st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4)))
+    @profile_settings(60)
+    def test_permuted_rows_are_sequential_permutations(self, n, k, seed):
+        batched, sequential = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = batched.permuted(np.tile(np.arange(n), (k, 1)), axis=1)
+        want = np.stack([sequential.permutation(n) for _ in range(k)])
+        assert np.array_equal(got, want)
+        assert batched.bit_generator.state == sequential.bit_generator.state
+
+    @given(profiles=dcor_profiles(), n_perm=st.integers(99, 260),
+           seed=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=2),
+           rows=st.one_of(st.none(), st.integers(1, 98)))
+    @profile_settings(30)
+    def test_table_matches_pair_loop(self, profiles, n_perm, seed, rows):
+        # ``rows`` permutations per batch splits every pair over batches.
+        n = len(next(iter(profiles.values())))
+        cells = similarity.PERM_BATCH_CELLS if rows is None else rows * n * n
+        with mock.patch.object(similarity, "PERM_BATCH_CELLS", cells):
+            got = dcor_table(profiles, n_perm=n_perm, seed=seed)
+        assert repr(got) == repr(oracles.dcor_table_loop(profiles, n_perm, seed))
+
+    @given(profiles=dcor_profiles(max_stations=6, lengths=st.integers(0, 6)),
+           bad=st.lists(st.sampled_from(BAD_PROFILES), min_size=6, max_size=6),
+           n_perm=st.sampled_from([98, 99]))
+    @profile_settings(60)
+    def test_first_bad_profile_raises_as_the_pair_loop(self, profiles, bad, n_perm):
+        for (label, x), how in zip(sorted(profiles.items()), bad):
+            if how == "short":
+                profiles[label] = x[:-1]
+            elif how == "long":
+                profiles[label] = np.append(x, 1.0)
+            elif how is not None and x.size:
+                profiles[label] = np.where(np.arange(x.size) == x.size // 2, how, x)
+        assert _outcome(dcor_table, profiles, n_perm, [4]) == _outcome(
+            oracles.dcor_table_loop, profiles, n_perm, [4])
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("bad", ["nan", "inf", "short", "long"])
+    def test_bad_profile_at_any_position(self, position, bad):
+        rng = np.random.default_rng(position)
+        profiles = {f"S{k}": rng.normal(size=5) for k in range(4)}
+        x = profiles[f"S{position}"]
+        profiles[f"S{position}"] = {"nan": np.append(x[:4], np.nan),
+                                    "inf": np.append(np.inf, x[1:]),
+                                    "short": x[:4], "long": np.append(x, 0.5)}[bad]
+        want = _outcome(oracles.dcor_table_loop, profiles, 99, [2])
+        assert want[:2] == ("error", ContractError)
+        assert _outcome(dcor_table, profiles, 99, [2]) == want
+
+    def test_one_station_has_no_pairs(self):
+        assert dcor_table({"S1": [np.nan]}, n_perm=5) == []
 
 
 class TestDistanceCsv:
