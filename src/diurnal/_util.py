@@ -147,35 +147,44 @@ def parse_floats(column: Column) -> np.ndarray:
     """``parse_float`` of every row of a column: NaN where it is empty, else
     ``float()`` of its text; raises ``ValueError`` where ``float()`` does.
 
-    A bulk-split row of at most 8 bytes is its first word of codes, one
-    uint64 key, so ``float()`` runs once per distinct text and the result is
+    The bulk-split rows of at most 8 bytes are factorized by their word
+    keys, so ``float()`` runs once per distinct text and the result is
     gathered per row; any other row goes through ``float()`` on its own.
     """
-    narrow = np.zeros(len(column), bool)
-    if column.codes.dtype == np.uint8:
-        narrow = column.length <= 8
-        keys = np.where(narrow, column.codes[:, :8].view("<u8")[:, 0], 0)
-        keys, index = np.unique(keys, return_inverse=True)
-        # The zero padding falls away when a key is read as a bytes string.
-        texts = keys.view("S8").astype("U8").tolist()
-        out = np.array([parse_float(t) for t in texts])[index]
-    else:
-        out = np.empty(len(column))
+    narrow = (column.codes.dtype == np.uint8) & (column.length <= 8)
+    texts, index = factorize(Column(column.codes[:, :8] * narrow[:, None],
+                                    column.length * narrow))
+    out = np.array([parse_float(t) for t in texts])[index]
     if not narrow.all():
         wide = ~narrow
         out[wide] = [parse_float(t) for t in column[wide].text().tolist()]
     return out
 
 
-def factorize(column: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """``(distinct values in sorted order, index of each row's value)``.
+def factorize(column: Column) -> tuple[list[str], np.ndarray]:
+    """``(distinct texts in sorted order, index of each row's text)``.
 
-    Runs of equal values are collapsed first, so a column of long runs
-    (station ids, years) sorts only one value per run.
+    A bulk-split column whose rows all fit one 8-byte word is keyed by each
+    row's first word read big-endian: its zero padding sorts first, so the
+    keys sort as the texts do. Any other column is keyed by its text. The
+    keys go through ``unique_runs``.
     """
-    heads = np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
-    uniq, inv = np.unique(column[heads], return_inverse=True)
-    return uniq.tolist(), np.repeat(inv, np.diff(np.append(heads, len(column))))
+    keyed = column.codes.dtype == np.uint8 and column.length.max(initial=0) <= 8
+    uniq, inv = unique_runs(column.codes[:, :8].view(">u8").ravel() if keyed else column.text())
+    if keyed:
+        # A bytes string drops the zero padding.
+        uniq = uniq.astype(">u8").view("S8").astype(str)
+    return uniq.tolist(), inv
+
+
+def unique_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)``, sorting one value per run
+    where the runs are long (station ids, years)."""
+    heads = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    if 2 * len(heads) > len(values):
+        return np.unique(values, return_inverse=True)
+    uniq, inv = np.unique(values[heads], return_inverse=True)
+    return uniq, np.repeat(inv, np.diff(np.append(heads, len(values))))
 
 
 def _is_data(row: list[str]) -> bool:
@@ -423,19 +432,21 @@ def _split_plain(data: bytes, end: np.ndarray, start: int, n_fields: int) -> Blo
     comma = comma.reshape(len(end), n_fields - 1)
     if (comma[:, 0] < begin).any() or (comma[:, -1] >= stop).any():
         return None
+    # The little-endian 8-byte word that starts at each byte.
+    at = np.ndarray((len(c) - 7,), "<u8", c, 0, (1,))
     columns = []
     for j in range(n_fields):
         lo = begin if j == 0 else comma[:, j - 1] + 1
         chars = (comma[:, j] if j < n_fields - 1 else stop) - lo
         words = max(-(-int(chars.max()) // 8), 1)
-        codes = np.lib.stride_tricks.sliding_window_view(c, 8 * words)[lo]
+        word = np.stack([at[lo + 8 * k] for k in range(words)], axis=1)
         # Zero each row past its field's end, one 8-byte word at a time,
         # from the first word that some row's field does not fill.
-        word = codes.view("<u8")
         for k in range(int(chars.min()) // 8, words):
             word[:, k] &= _PREFIX[np.clip(chars - 8 * k, 0, 8)]
-        columns.append(Column(codes, chars))
-    header = columns[0].text() == "station_id"
+        columns.append(Column(word.view(np.uint8), chars))
+    sid = columns[0].codes  # holds no NUL, so an S view drops only the padding
+    header = sid.view(f"S{sid.shape[1]}")[:, 0] == b"station_id"
     if header.any():
         columns = [col[~header] for col in columns]
     return Block(start, n_fields, start + np.flatnonzero(~header), columns)

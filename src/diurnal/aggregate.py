@@ -25,7 +25,8 @@ from typing import Iterable, NoReturn
 
 import numpy as np
 
-from ._util import Block, csv_prefix, factorize, parse_float, parse_floats, read_blocks
+from ._util import (Block, Column, csv_prefix, factorize, parse_float, parse_floats,
+                    read_blocks, unique_runs)
 from .errors import ContractError, EmptyInputError, ParseError
 from .impute import MONTH_ABBR
 from .ingest import TemperatureSeries, time_fields
@@ -220,8 +221,8 @@ def _word_panel_error(block: Block, scales: dict[str, str]) -> NoReturn:
     raise AssertionError(f"block at line {block.start} rejected, but every row is valid")
 
 
-def _int_codes(column: np.ndarray) -> np.ndarray:
-    """``int()`` of every string, as int64; raises ValueError or OverflowError."""
+def _int_codes(column: Column) -> np.ndarray:
+    """``int()`` of every row's text, as int64; raises ValueError or OverflowError."""
     uniq, inv = factorize(column)
     return np.array([int(u) for u in uniq], dtype=np.int64)[inv]
 
@@ -247,9 +248,9 @@ def read_panel(path: str | Path) -> dict[str, WindowHourPanel]:
             if not len(block.line_no):
                 continue
             sid, scale, year, label, hour, mean, valid = block.columns
-            names, station = factorize(sid.text())
-            scales, scale_code = factorize(scale.text())
-            labels, label_code = factorize(label.text())
+            names, station = factorize(sid)
+            scales, scale_code = factorize(scale)
+            labels, label_code = factorize(label)
             # Each station keeps the scale of its first row in the file.
             first = np.unique(station, return_index=True)[1]
             kept = np.array([scale_of.get(name, scales[scale_code[i]])
@@ -260,13 +261,12 @@ def read_panel(path: str | Path) -> dict[str, WindowHourPanel]:
                                 for lab in labels] for sc in scales], np.int64)
             window = window[scale_code, label_code]
             try:
-                year, hour = _int_codes(year.text()), _int_codes(hour.text())
+                year, hour = _int_codes(year), _int_codes(hour)
                 value = parse_floats(mean)
             except (ValueError, OverflowError):
                 _word_panel_error(block, scale_of)
-            valid = valid.text()
-            flags = factorize(valid)[0]
-            valid = valid == "1"
+            flags, flag = factorize(valid)
+            valid = (np.array(flags) == "1")[flag]
             if (not set(scales) <= set(SCALES) or not set(flags) <= {"0", "1"}
                     or (np.array(scales)[scale_code] != kept[station]).any()
                     or ((hour < 0) | (hour > 23)).any() or (window < 0).any()
@@ -285,23 +285,28 @@ def _build_panels(names: list[str], scale_of: dict[str, str], code: np.ndarray,
                   year: np.ndarray, window: np.ndarray, hour: np.ndarray,
                   value: np.ndarray, valid: np.ndarray,
                   line_no: np.ndarray) -> dict[str, WindowHourPanel]:
-    """Per-station panels from every panel row: one lexsort by (station,
-    year, window, hour) finds repeated cells and each station's rows, which
-    are then scattered onto its (year, window, hour) grid."""
+    """Per-station panels from every panel row: one stable sort of a cell key
+    (station, year, window, hour) finds repeated cells and each station's
+    rows, which are then scattered onto its (year, window, hour) grid."""
     by_name = sorted(range(len(names)), key=names.__getitem__)
     rank = np.empty(len(names), np.int64)
     rank[by_name] = np.arange(len(names))
     station = rank[code]
-    order = np.lexsort((hour, window, year, station))
-    keys = np.stack([station, year, window, hour])[:, order]
-    repeat = np.concatenate(([False], (keys[:, 1:] == keys[:, :-1]).all(axis=0)))
-    if repeat.any():
-        k = order[repeat][np.argmin(line_no[order[repeat]])]
+    # Ranked (station, year) pairs keep the key below 864 x rows in int64 (a
+    # pair's code is below rows ** 2). The stable sort keeps a cell's rows in
+    # file order, and is adaptive: write_panel's files come in key order.
+    pair = unique_runs(station * len(year) + unique_runs(year)[1])[1]
+    key = (pair * 36 + window) * 24 + hour
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    repeat = order[1:][key[1:] == key[:-1]]
+    if len(repeat):
+        k = repeat[np.argmin(line_no[repeat])]
         sid = names[code[k]]
         label = build_calendar(scale_of[sid]).labels[window[k]]
         raise ParseError(f"station {sid}: second row for year {year[k]}, window {label}, "
                          f"hour {hour[k]}", int(line_no[k]))
-    bounds = np.searchsorted(keys[0], np.arange(len(names) + 1))
+    bounds = np.searchsorted(station[order], np.arange(len(names) + 1))
     out = {}
     for r, c in enumerate(by_name):
         rows = order[bounds[r]:bounds[r + 1]]

@@ -97,38 +97,43 @@ def _step_arg(text: str):
         return HOUR
     if text == "30m":
         return HALF_HOUR
-    raise ValueError(f"expected 1h or 30m, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected 1h or 30m, got {text!r}")
 
 
 def _scale_arg(text: str) -> str:
     if text not in SCALES:
-        raise ValueError(f"expected one of {', '.join(SCALES)}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected one of {', '.join(SCALES)}, got {text!r}")
     return text
 
 
 def _weights_arg(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"expected wh,wv,wd (three numbers), got {text!r}")
-    return tuple(float(p) for p in parts)
+    try:
+        wh, wv, wd = map(float, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected wh,wv,wd (three numbers), got {text!r}") from None
+    return wh, wv, wd
 
 
 def _seed_arg(text: str) -> int:
-    seed = int(text)
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
     if seed < 0:
-        raise ValueError(f"expected a non-negative integer, got {seed}")
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
     return seed
 
 
 def _features_arg(text: str) -> str:
     if text not in ("slope", "level"):
-        raise ValueError(f"expected slope or level, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected slope or level, got {text!r}")
     return text
 
 
 def _metric_arg(text: str) -> str:
     if text not in METRICS:
-        raise ValueError(f"expected one of {', '.join(METRICS)}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected one of {', '.join(METRICS)}, got {text!r}")
     return text
 
 
@@ -166,7 +171,7 @@ def _resolve(args: argparse.Namespace, opts: Sequence[_Opt],
         o = allowed[key]
         try:
             parsed[key] = parse_bool(raw) if o.is_flag else o.parse(raw)
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ContractError(f"config key {key}: {exc}") from None
     out = {}
     for o in opts:

@@ -256,7 +256,7 @@ def _read_record_columns(blocks: Iterable[Block]) -> tuple:
         if not len(block.line_no):
             continue
         sid, stamp, temp = block.columns
-        names, inv = factorize(sid.text())
+        names, inv = factorize(sid)
         try:
             us = parse_timestamps(stamp)
             value = parse_floats(temp)

@@ -176,6 +176,27 @@ class TestExitCodes:
             "error: config key seed: expected a non-negative integer, got -1")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command,key,value,message", [
+        ("synth", "step", "2h", "expected 1h or 30m, got '2h'"),
+        ("aggregate", "scale", "45d", "expected one of 10d, 30d, 60da, 60db, got '45d'"),
+        ("cluster", "weights", "1,x,2", "expected wh,wv,wd (three numbers), got '1,x,2'"),
+        ("cluster", "features", "shape", "expected slope or level, got 'shape'"),
+        ("cluster", "metric", "cosine", "expected one of absolute, squared, got 'cosine'"),
+        ("synth", "seed", "-1", "expected a non-negative integer, got -1"),
+        ("dcor", "seed", "abc", "expected a non-negative integer, got abc"),
+    ])
+    def test_bad_option_value_reads_the_same_as_flag_and_in_config(
+            self, tmp_path, capsys, command, key, value, message):
+        with pytest.raises(SystemExit) as exc:
+            run(command, f"--{key}", value)
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"diurnal {command}: error: argument --{key}: {message}")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        assert run(command, "--config", str(cfg)) == 1
+        assert capsys.readouterr().err.strip() == f"error: config key {key}: {message}"
+
     def test_missing_input_file_exits_two(self, tmp_path, capsys):
         assert run("aggregate", "--records", str(tmp_path / "nope.csv"),
                    "--scale", "30d", "--out", str(tmp_path / "out.csv")) == 2

@@ -354,10 +354,17 @@ def _panel_cell_rows(draw, field, sid_scale, years):
                               st.floats(-40, 40).map(lambda v: f"{v:.1f}")))
         valid = "1" if mean and draw(st.booleans()) else "0"
         pad = draw(st.sampled_from(["{}", " {} "]))
-        rows.append(",".join([field, sid_scale, pad.format(year), label,
+        # Zero-padded years of 5 and 12 bytes: a plain block's year column
+        # then holds rows of one word and of two.
+        year = draw(st.sampled_from([pad, "{:05d}", "{:012d}"])).format(year)
+        rows.append(",".join([field, sid_scale, year, label,
                               pad.format(hour), pad.format(mean), valid]))
     return rows
 
+
+# Plain station ids of 9-16 bytes: wider than one word, so a plain block
+# mixes columns keyed by one word with columns keyed by their text.
+PLAIN_LONG_IDS = st.text("ABCZ019_", min_size=9, max_size=16)
 
 BAD_PANEL_LINES = [
     "T01,45d,2000,Jan,0,1.0,1",
@@ -375,8 +382,9 @@ def panel_file(draw):
     and 0-2 bad lines; cells are unique and every row passes the checks the
     row reader lacks, so both readers must agree."""
     rows = []
-    stations = [("T01", "T01")] + draw(st.lists(st.sampled_from(STATION_FIELDS[1:-1]),
-                                                max_size=2, unique=True))
+    stations = [("T01", "T01")] + draw(st.lists(st.sampled_from(STATION_FIELDS[1:-1])
+                                                | PLAIN_LONG_IDS.map(lambda t: (t, t)),
+                                                max_size=2, unique_by=lambda f: f[1]))
     for field, sid in stations:
         scale = "30d" if sid == "T01" else draw(st.sampled_from(["30d", "60db", "10d"]))
         years = draw(st.lists(st.integers(1998, 2003), min_size=1, max_size=3, unique=True))
@@ -416,6 +424,23 @@ class TestPanelReader:
                          b"T01,30d,2000,Jan,0,1.5,1\nT01,30d,2000,Jan,1,\xe9,0\n")
         with pytest.raises(ParseError, match=r"^line 3: invalid UTF-8 byte 0xe9$"):
             read_panel(path)
+
+    def test_repeated_cell_across_blocks_reports_its_lowest_line(self, tmp_path, block_lines):
+        # The last station's last cell repeats at line 6 and the first
+        # station's first cell at line 7; the first in key order is not the
+        # first in the file.
+        path = tmp_path / "panel.csv"
+        path.write_text("station_id,scale,year,window_label,hour,mean_temp,valid\n"
+                        "A,30d,1,Jan,0,1.5,1\n"
+                        "ZZZ_LAST_STATION,30d,9999,Dec,23,2.5,1\n"
+                        "ZZZ_LAST_STATION,30d,1,Jan,0,3.5,1\n"
+                        "A,30d,9999,Dec,23,4.5,1\n"
+                        "ZZZ_LAST_STATION,30d,000000009999,Dec,23,5.5,1\n"
+                        "A,30d,00001,Jan,0,6.5,1\n")
+        with pytest.raises(ParseError) as exc:
+            read_panel(path)
+        assert str(exc.value) == ("line 6: station ZZZ_LAST_STATION: second row for "
+                                  "year 9999, window Dec, hour 23")
 
 
 class TestByteLines:
@@ -542,6 +567,14 @@ class TestFastPath:
             assert [s.n for s in back.values()] == [n, n]
             (tmp_path / "panel.csv").write_bytes(panel.replace(b"\r\n", ending))
             assert read_panel(tmp_path / "panel.csv")["S1"].counts.sum() == 288
+        # Means at 0.1 degC: every field below the header is at most 8 bytes,
+        # so each one is read as one integer key and never as text.
+        short = WindowHourPanel("S1", "30d", [2001], list(build_calendar("30d").labels),
+                                np.round(rng.normal(5, 3, (1, 12, 24)), 1),
+                                np.ones((1, 12, 24), int))
+        write_panel(tmp_path / "short.csv", [short])
+        monkeypatch.setattr(_util.Column, "text", refuse)
+        assert _same_array(read_panel(tmp_path / "short.csv")["S1"].means, short.means)
 
 
 # Texts of at most 8 bytes, exactly 8 and 9 bytes, and longer.
@@ -578,3 +611,75 @@ class TestParseFloats:
         with pytest.raises(ParseError) as exc:
             read_records(path)
         assert str(exc.value) == message
+
+
+# Plain text: printable ASCII but the quote and the comma. A small alphabet
+# gives shared prefixes and ties; lengths 7, 8 and 9 straddle one word.
+PLAIN = "".join(chr(c) for c in range(33, 127) if chr(c) not in '",')
+PLAIN_TEXTS = st.one_of(st.text(PLAIN, max_size=16), st.text("!09Az~", max_size=16),
+                        st.integers(7, 9).flatmap(lambda n: st.text("!09Az~", min_size=n,
+                                                                    max_size=n)))
+NUMBER_TEXTS = st.one_of(
+    st.sampled_from(["", "0", "-0", "+.5", "1e5", "1_0", "nan", "inf", "-Infinity", "1E-07"]),
+    st.floats().map(repr), st.integers(-10**15, 10**15).map(str),
+    st.tuples(st.floats(-1000, 1000), st.integers(0, 12)).map(lambda v: f"{v[0]:.{v[1]}f}"))
+
+
+@st.composite
+def runs(draw, texts):
+    """Texts in runs of 1-4 equal rows, or each on its own."""
+    values = draw(st.lists(texts, min_size=1, max_size=40))
+    if not draw(st.booleans()):
+        return values
+    return [v for v in values for _ in range(draw(st.integers(1, 4)))]
+
+
+def _plain_column(texts):
+    """The second field of lines ``s,<text>``, split in bulk."""
+    (block,) = _util.line_blocks([f"s,{t}\n" for t in texts], 2)
+    assert block.csv_rows is None
+    return block.columns[1]
+
+
+class TestKeyPath:
+    """Short fields of a plain block are keyed by one word; the keys must
+    give what the text gives."""
+
+    @given(texts=runs(PLAIN_TEXTS))
+    @SETTINGS
+    def test_factorize_matches_the_text(self, texts):
+        distinct = sorted(set(texts))
+        want = (distinct, [distinct.index(t) for t in texts])
+        for column in (_plain_column(texts), _util.Column.of(texts)):
+            names, index = _util.factorize(column)
+            assert (names, index.tolist()) == want
+
+    @given(texts=runs(st.text(st.sampled_from("a0\0é,\"") | st.sampled_from(PLAIN),
+                              max_size=10)))
+    @SETTINGS
+    def test_factorize_of_csv_split_columns(self, texts):
+        distinct = sorted(set(texts))
+        names, index = _util.factorize(_util.Column.of(texts))
+        assert (names, index.tolist()) == (distinct, [distinct.index(t) for t in texts])
+
+    @given(texts=runs(NUMBER_TEXTS))
+    @SETTINGS
+    def test_parse_floats_keeps_the_bits_of_float(self, texts):
+        want = np.array([math.nan if t == "" else float(t) for t in texts])
+        for column in (_plain_column(texts), _util.Column.of(texts)):
+            assert _same_array(_util.parse_floats(column), want)
+
+    @given(rows=st.integers(2, 4).flatmap(lambda n: st.lists(
+               st.lists(st.text(PLAIN, min_size=1, max_size=24), min_size=n, max_size=n),
+               min_size=1, max_size=20)),
+           ending=st.sampled_from(["\n", "\r\n", "\r"]))
+    @SETTINGS
+    def test_word_gather_text_matches_csv_reader(self, rows, ending):
+        rows = [row for row in rows if row[0] != "station_id"] or [["x"] * len(rows[0])]
+        lines = [",".join(row) + ending for row in rows]
+        (block,) = _util.line_blocks(lines, len(rows[0]))
+        assert block.csv_rows is None
+        fields = list(csv.reader(lines))
+        for j, column in enumerate(block.columns):
+            assert column.codes.flags.c_contiguous and column.codes.shape[1] % 8 == 0
+            assert column.text().tolist() == [row[j] for row in fields]
