@@ -33,7 +33,6 @@ from .ingest import (
     StationMeta,
     TemperatureSeries,
     missing_report,
-    parse_records,
     read_metadata,
     read_records,
     time_fields,
@@ -88,8 +87,8 @@ __all__ = [
     "ParseError", "DuplicateTimestampError", "EmptyInputError", "ImputationError",
     "SeasonalBlockPlan", "seasonal_plan", "seasonal_split_impute",
     "StationMeta", "StationGroup", "Region", "TemperatureSeries", "MissingReport",
-    "parse_records", "read_records", "write_records", "read_metadata",
-    "write_metadata", "to_hourly", "missing_report", "time_fields",
+    "read_records", "write_records", "read_metadata", "write_metadata",
+    "to_hourly", "missing_report", "time_fields",
     "ContourCell", "ContourGrid", "RadarRow", "RadarSheet",
     "bin_cell", "cluster_table", "contour_grid", "radar_sheet", "synth_station",
     "DtwConfig", "DistanceMatrix", "ClusterReport", "Merge", "DcorResult",

@@ -1,5 +1,6 @@
-"""Shared CSV helpers: deterministic cell formatting, one row reader for the
-small tables, and one columnar block reader for records and panels."""
+"""Shared CSV helpers: deterministic cell formatting, and the one CSV reader,
+``read_blocks``, that every table goes through: records and panels by
+columns, the metadata, cluster and trend tables row by row (``iter_rows``)."""
 
 from __future__ import annotations
 
@@ -9,7 +10,6 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain, islice
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
@@ -207,15 +207,13 @@ def data_rows(rows: Iterable[list[str]], n_fields: int,
 
 
 def iter_rows(path: str | Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line_no, row)`` for every data row of a CSV file (see
-    ``data_rows``), after a UTF-8 byte order mark at its start; a
-    ``csv.Error``, or a byte that is not UTF-8, becomes a ``ParseError`` on
-    its row once the rows before it have been yielded."""
-    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
-        rows, error = _text_rows(fh.readlines(), iter(()), 1)
-    yield from data_rows(rows, n_fields)
-    if error is not None:
-        raise error
+    """Yield ``(line_no, row)`` for every data row of a CSV file, as
+    ``read_blocks`` reads it (see ``data_rows``): a ``csv.Error``, or a byte
+    that is not UTF-8, becomes a ``ParseError`` on its row once the rows
+    before it have been yielded."""
+    with open(path, "rb") as fh:
+        for block in read_blocks(fh, n_fields):
+            yield from block.rows()
 
 
 @dataclass
@@ -255,47 +253,22 @@ def read_blocks(fh: BinaryIO, n_fields: int) -> Iterator[Block]:
     UTF-8 byte order mark at the start of the file is skipped. A
     ``csv.Error`` (a field over ``csv.field_size_limit()``), or a byte that
     is not UTF-8, is raised as a ``ParseError`` with its row's line, once
-    the rows before it have been yielded."""
+    the rows before it have been yielded.
+
+    Each cut of ``BLOCK_LINES`` lines is split in bulk where it can be;
+    any other cut goes to ``csv.reader``, which takes further lines while a
+    quoted field is open."""
     lines = _ByteLines(fh)
-    cuts = ((data, ends, None) for data, ends in iter(lambda: lines.take(BLOCK_LINES), None))
     more = (data.decode("utf-8", "surrogateescape")
             for data, _ in iter(lambda: lines.take(1), None))
-    return _blocks(cuts, more, n_fields)
-
-
-def line_blocks(lines: Iterable[str], n_fields: int) -> Iterator[Block]:
-    """``read_blocks`` over lines of text, each a line to ``csv.reader``
-    whether or not it ends in a line terminator; a byte order mark at the
-    start of the first line is skipped."""
-    it = iter(lines)
-    if (first := next(it, None)) is not None:
-        it = chain([first.removeprefix("\ufeff")], it)
-
-    def cuts() -> Iterator[tuple[bytes, np.ndarray, list[str]]]:
-        while block := list(islice(it, BLOCK_LINES)):
-            # The ends count characters, so they hold only for ASCII text,
-            # the only text the bulk split accepts.
-            ends = np.cumsum(np.fromiter(map(len, block), np.int64, len(block)))
-            yield "".join(block).encode("utf-8", "surrogatepass"), ends, block
-
-    return _blocks(cuts(), it, n_fields)
-
-
-def _blocks(cuts: Iterator[tuple[bytes, np.ndarray, list[str] | None]],
-            more: Iterator[str], n_fields: int) -> Iterator[Block]:
-    """Blocks from cuts ``(data, ends, lines)``: the bytes of some lines, the
-    end of each line in them, and the lines as text (None to decode them
-    from the bytes). A cut the bulk split refuses goes to ``csv.reader``,
-    which takes lines from ``more`` while a quoted field is open."""
     start = 1
-    for data, ends, lines in cuts:
+    while (cut := lines.take(BLOCK_LINES)) is not None:
+        data, ends = cut
         block = _split_plain(data, ends, start, n_fields)
         error = None
         if block is None:
-            if lines is None:
-                text = data.decode("utf-8", "surrogateescape")
-                lines = io.StringIO(text, newline="").readlines()
-            rows, error = _text_rows(lines, more, start)
+            text = data.decode("utf-8", "surrogateescape")
+            rows, error = _text_rows(io.StringIO(text, newline="").readlines(), more, start)
             block = _split_rows(rows, start, n_fields)
             start += len(rows)
         else:

@@ -28,7 +28,6 @@ from ._util import (
     factorize,
     fmt,
     iter_rows,
-    line_blocks,
     parse_floats,
     read_blocks,
     write_csv,
@@ -315,23 +314,6 @@ def _build_series(step: timedelta | None, names: list[str], code: np.ndarray,
     return out
 
 
-def parse_records(lines: Iterable[str], expected_step: timedelta) -> TemperatureSeries:
-    """Parse record CSV lines for a single station into a dense series.
-
-    Slots between the first and last timestamp that have no record, or whose
-    temperature field is empty, come back masked. Duplicate timestamps and
-    malformed lines raise; zero usable rows raises ``EmptyInputError``.
-    """
-    columns = _read_record_columns(line_blocks(lines, len(RECORDS_HEADER)))
-    names = columns[0]
-    if not names:
-        raise EmptyInputError("no records found")
-    if len(names) > 1:
-        raise ContractError(f"expected a single station, found {sorted(names)}")
-    (series,) = _build_series(expected_step, *columns).values()
-    return series
-
-
 def _smallest_gap(gaps: np.ndarray) -> timedelta:
     """The smallest positive gap (microseconds) as a step; an hour if none is."""
     positive = gaps[gaps > 0]
@@ -466,7 +448,9 @@ def read_metadata(path: str | Path) -> dict[str, StationMeta]:
         try:
             lat, lon, alt = (float(row[i]) for i in (4, 5, 6))
         except ValueError:
-            raise ParseError("malformed coordinate or altitude", line_no) from None
+            lat = lon = alt = math.nan
+        if not np.isfinite([lat, lon, alt]).all():
+            raise ParseError("malformed coordinate or altitude", line_no)
         if sid in out:
             raise ParseError(f"duplicate station_id {sid!r}", line_no)
         out[sid] = StationMeta(sid, row[1].strip(), group, region, lat, lon, alt)

@@ -101,16 +101,23 @@ def write_cluster_csv(path: str | Path, report: ClusterReport,
 
 
 def read_cluster_csv(path: str | Path) -> dict[str, tuple[int, float]]:
-    """Read station -> (cluster_id, silhouette) from a cluster CSV."""
+    """Read station -> (cluster_id, silhouette) from a cluster CSV. A row
+    with a cluster id below 1, or a silhouette that is empty or outside
+    [-1, 1], raises ``ParseError`` with its line, as a malformed one does."""
     out: dict[str, tuple[int, float]] = {}
     for line_no, row in iter_rows(path, 3):
         sid = row[0].strip()
         if sid in out:
             raise ParseError(f"duplicate station_id {sid!r}", line_no)
         try:
-            out[sid] = (int(row[1]), parse_float(row[2]))
+            cid, score = int(row[1]), parse_float(row[2])
         except ValueError:
             raise ParseError("malformed cluster id or silhouette", line_no) from None
+        if cid < 1:
+            raise ParseError(f"cluster id {cid} is not positive", line_no)
+        if not -1.0 <= score <= 1.0:
+            raise ParseError(f"silhouette {score} out of [-1, 1]", line_no)
+        out[sid] = (cid, score)
     if not out:
         raise EmptyInputError(f"no cluster rows found in {path}")
     return out

@@ -262,9 +262,9 @@ def write_trend_csv(path: str | Path, cells: Iterable[TrendCell]) -> None:
 
 def read_trend_csv(path: str | Path) -> list[TrendCell]:
     """Read a trend CSV back into cells. Besides malformed fields, a row
-    with an hour outside 0-23, a label outside its scale or a second row for
-    the same (station, scale, window, hour) cell raises ``ParseError`` with
-    its line."""
+    with an hour outside 0-23, a p-value outside [0, 1], a non-finite Sen's
+    slope, a label outside its scale or a second row for the same (station,
+    scale, window, hour) cell raises ``ParseError`` with its line."""
     labels = {scale: window_order(scale) for scale in SCALES}
     cells = []
     seen = set()
@@ -282,6 +282,10 @@ def read_trend_csv(path: str | Path) -> list[TrendCell]:
             raise ParseError("malformed numeric field", line_no) from None
         if not 0 <= cell.hour <= 23:
             raise ParseError(f"hour {cell.hour} out of range 0-23", line_no)
+        if not 0.0 <= cell.p_value <= 1.0:
+            raise ParseError(f"p_value {cell.p_value} out of [0, 1]", line_no)
+        if not math.isfinite(cell.sen_slope):
+            raise ParseError(f"sen_slope {cell.sen_slope} is not finite", line_no)
         if label not in labels[scale]:
             raise ParseError(f"label {label!r} does not belong to scale {scale}", line_no)
         key = (sid, scale, label, cell.hour)

@@ -440,14 +440,22 @@ def _numbered_rows(lines):
         yield line_no, row
 
 
-def _record_rows(lines):
+def table_rows(lines, n_fields):
+    """``(line_no, row)`` for the data rows among ``_numbered_rows(lines)``:
+    blank rows and rows whose first field is ``station_id`` are skipped, and
+    a row without ``n_fields`` fields is a ``ParseError``."""
     for line_no, row in _numbered_rows(lines):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if row[0].strip() == "station_id":
             continue
-        if len(row) != 3:
-            raise ParseError(f"expected 3 fields, got {len(row)}", line_no)
+        if len(row) != n_fields:
+            raise ParseError(f"expected {n_fields} fields, got {len(row)}", line_no)
+        yield line_no, row
+
+
+def _record_rows(lines):
+    for line_no, row in table_rows(lines, 3):
         sid = row[0].strip()
         if not sid:
             raise ParseError("empty station_id", line_no)
@@ -495,19 +503,6 @@ def _smallest_gap(timestamps):
     return min(diffs) if diffs else timedelta(hours=1)
 
 
-def parse_records_rows(lines, expected_step):
-    """Single-station records parse, row by row."""
-    groups = {}
-    for line_no, sid, ts, value in _record_rows(lines):
-        groups.setdefault(sid, []).append((line_no, ts, value))
-    if not groups:
-        raise EmptyInputError("no records found")
-    if len(groups) > 1:
-        raise ContractError(f"expected a single station, found {sorted(groups)}")
-    (sid, recs), = groups.items()
-    return _series_rows(sid, recs, expected_step)
-
-
 def read_records_rows(path, expected_step=None):
     """Multi-station records read, row by row."""
     groups = {}
@@ -541,13 +536,7 @@ def read_panel_rows(path):
     added (it lets a repeated cell win and keeps any hour, flag or mean)."""
     rows, scales = {}, {}
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, row in _numbered_rows(fh):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if row[0].strip() == "station_id":
-                continue
-            if len(row) != 7:
-                raise ParseError(f"expected 7 fields, got {len(row)}", line_no)
+        for line_no, row in table_rows(fh, 7):
             sid, scale, year, label, hour, mean, valid = (f.strip() for f in row)
             if scale not in SCALES:
                 raise ParseError(f"unknown scale {scale!r}", line_no)

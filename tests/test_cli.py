@@ -261,6 +261,32 @@ class TestExitCodes:
         assert capsys.readouterr().err.strip() == message
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("p,slope,message", [
+        ("nan", "0.1", "error: line 2: p_value nan out of [0, 1]"),
+        ("0.49", "", "error: line 2: sen_slope nan is not finite"),
+    ])
+    def test_contour_rejects_a_bad_p_value_or_slope_with_its_line(self, tmp_path, capsys,
+                                                                  p, slope, message):
+        trend = tmp_path / "trend.csv"
+        trend.write_text("station_id,scale,window_label,hour,n,S,var_S,z,p_value,sen_slope,"
+                         f"lag1,serial_flag\nS1,30d,Jan,0,5,3,8.5,0.7,{p},{slope},0.2,0\n",
+                         encoding="utf-8")
+        assert run("contour", "--trend", str(trend), "--out", str(tmp_path / "c.csv")) == 1
+        assert capsys.readouterr().err.strip() == message
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_radar_rejects_an_out_of_range_cluster_row(self, tmp_path, capsys):
+        meta = tmp_path / "meta.csv"
+        meta.write_text("station_id,name,group,region,latitude,longitude,altitude_m\n"
+                        "S1,A,UKH,UK,54.0,-2.0,600\n", encoding="utf-8")
+        (tmp_path / "c").mkdir()
+        (tmp_path / "c" / "clusters_Jan.csv").write_text(
+            "station_id,cluster_id,silhouette\nS1,0,nan\n", encoding="utf-8")
+        assert run("radar", "--clusters-dir", str(tmp_path / "c"), "--meta", str(meta),
+                   "--out", str(tmp_path / "radar.csv")) == 1
+        assert capsys.readouterr().err.strip() == "error: line 2: cluster id 0 is not positive"
+        assert not (tmp_path / "radar.csv").exists()
+
     def test_contour_rejects_a_repeated_trend_cell(self, tmp_path, capsys):
         trend = tmp_path / "trend.csv"
         trend.write_text("station_id,scale,window_label,hour,n,S,var_S,z,p_value,sen_slope,"

@@ -26,7 +26,6 @@ from diurnal import (
     TemperatureSeries,
     WindowHourPanel,
     build_calendar,
-    parse_records,
     read_panel,
     read_records,
     write_panel,
@@ -192,26 +191,27 @@ def block_lines(request):
         yield request.param
 
 
+def _assert_same_read(tmp_path, lines, expected_step):
+    """Write ``lines`` as a records file; ``read_records`` must read it as
+    the row reader does."""
+    path = tmp_path / "records.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(lines)
+    _assert_same_outcome(_outcome(read_records, path, expected_step),
+                         _outcome(oracles.read_records_rows, path, expected_step),
+                         _assert_same_series)
+
+
 class TestRecordsReader:
-    @given(lines=records_file(), expected=st.sampled_from([None, HOUR]))
+    @given(lines=records_file(), expected=st.sampled_from([None, HOUR, HALF_HOUR]))
     @SETTINGS
     def test_read_records_matches_row_reader(self, tmp_path, block_lines, lines, expected):
-        path = tmp_path / "records.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.writelines(lines)
-        _assert_same_outcome(_outcome(read_records, path, expected),
-                             _outcome(oracles.read_records_rows, path, expected),
-                             _assert_same_series)
+        _assert_same_read(tmp_path, lines, expected)
 
-    @given(lines=records_file(max_stations=1), step=st.sampled_from([HOUR, HALF_HOUR]),
-           terminated=st.booleans())
+    @given(lines=records_file(max_stations=1), step=st.sampled_from([HOUR, HALF_HOUR]))
     @SETTINGS
-    def test_parse_records_matches_row_parser(self, block_lines, lines, step, terminated):
-        if not terminated:
-            lines = [line.rstrip("\r\n") for line in lines]
-        got = _outcome(parse_records, lines, step)
-        want = _outcome(oracles.parse_records_rows, lines, step)
-        _assert_same_outcome(got, want, lambda g, w: _assert_same_series({0: g}, {0: w}))
+    def test_single_station_read_matches_row_reader(self, tmp_path, block_lines, lines, step):
+        _assert_same_read(tmp_path, lines, step)
 
     def test_first_of_two_bad_lines_wins_across_blocks(self, tmp_path, block_lines):
         good = [f"T01,2001-01-01T{h:02d}:00:00Z,{h}.5\n" for h in range(20)]
@@ -301,12 +301,12 @@ class TestRecordsReader:
     @pytest.mark.parametrize("head", ["station_id,timestamp,temp_c\n", ""])
     def test_byte_order_mark_at_file_start_is_skipped(self, tmp_path, block_lines, head):
         text = head + "T01,2001-01-01T00:00:00Z,1.5\nT01,2001-01-01T01:00:00Z,2.5\n"
-        path = tmp_path / "records.csv"
-        path.write_bytes(codecs.BOM_UTF8 + text.encode())
-        series = read_records(path)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+        series = read_records(marked)
         assert list(series) == ["T01"] and series["T01"].values.tolist() == [1.5, 2.5]
-        lines = ("\ufeff" + text).splitlines(keepends=True)
-        _assert_same_series({"T01": parse_records(lines, HOUR)}, series)
+        _assert_same_series(read_records(plain, HOUR), series)
 
     def test_only_one_byte_order_mark_is_skipped(self, tmp_path, block_lines):
         path = tmp_path / "records.csv"
@@ -336,11 +336,12 @@ class TestRecordsReader:
         ("2001-01-01T05:00:00,5", datetime(2001, 1, 1, 5, 0, 0, 500000)),
         ("2001-W01-1T05:00:00", datetime(2001, 1, 1, 5)),
     ])
-    def test_other_iso_spellings_read_as_before(self, stamp, utc):
-        lines = [f'T01,"{stamp}",1.0', f"T01,{(utc + HOUR).isoformat()}Z,2.0"]
-        series = parse_records(lines, HOUR)
-        assert series.start == utc
-        _assert_same_series({0: series}, {0: oracles.parse_records_rows(lines, HOUR)})
+    def test_other_iso_spellings_read_as_before(self, tmp_path, stamp, utc):
+        path = tmp_path / "records.csv"
+        path.write_text(f'T01,"{stamp}",1.0\nT01,{(utc + HOUR).isoformat()}Z,2.0\n')
+        series = read_records(path, HOUR)
+        assert series["T01"].start == utc
+        _assert_same_series(series, oracles.read_records_rows(path, HOUR))
 
 
 def _panel_cell_rows(draw, field, sid_scale, years):
@@ -441,6 +442,54 @@ class TestPanelReader:
             read_panel(path)
         assert str(exc.value) == ("line 6: station ZZZ_LAST_STATION: second row for "
                                   "year 9999, window Dec, hour 23")
+
+
+# Fields of the small tables as written: plain ones, and ones the bulk split
+# refuses (padded, quoted, spanning lines, non-ASCII, holding a NUL).
+PLAIN_TABLE_FIELDS = ["S1", "", "0.5", "-1", "Jan", "30d", "nan"]
+ODD_TABLE_FIELDS = [" 0.5 ", '"Q,1"', '"Q""2"', '"M\nL"', '"A\r\nB\rC"', "Zürich", "N\0"]
+
+
+@st.composite
+def table_file(draw):
+    """A field count of 3 or 12, and the lines of a small table with that
+    many fields: rows of plain fields, or of any fields, with blank and
+    header lines, and now and then a row holding a byte that is not UTF-8
+    (as its surrogate escape) or a row with another field count."""
+    n_fields = draw(st.sampled_from([3, 12]))
+    fields = PLAIN_TABLE_FIELDS + draw(st.sampled_from([[], ODD_TABLE_FIELDS]))
+    rows = draw(st.lists(st.lists(st.sampled_from(fields), min_size=n_fields,
+                                  max_size=n_fields).map(",".join), max_size=20))
+    fillers = ["", "  ", ",".join(["station_id"] + ["x"] * (n_fields - 1)),
+               ",".join(["S\udcff"] + ["x"] * (n_fields - 1)), "S1,x",
+               ",".join(["S1"] * (n_fields + 1))]
+    for line in draw(st.lists(st.sampled_from(fillers), max_size=3)):
+        rows.insert(draw(st.integers(0, len(rows))), line)
+    return n_fields, draw(_terminated(rows))
+
+
+def _rows_until_error(rows):
+    """The items an iterator of rows yields, and the ``ParseError`` that
+    ends it, if one does."""
+    got = []
+    try:
+        for row in rows:
+            got.append(row)
+    except ParseError as exc:
+        return got, str(exc)
+    return got, None
+
+
+class TestSmallTableRows:
+    @given(table=table_file())
+    @SETTINGS
+    def test_iter_rows_matches_row_reader(self, tmp_path, block_lines, table):
+        n_fields, lines = table
+        path = tmp_path / "table.csv"
+        path.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
+        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+            want = _rows_until_error(oracles.table_rows(fh, n_fields))
+        assert _rows_until_error(_util.iter_rows(path, n_fields)) == want
 
 
 class TestByteLines:
@@ -577,6 +626,11 @@ class TestFastPath:
         assert _same_array(read_panel(tmp_path / "short.csv")["S1"].means, short.means)
 
 
+def _bytes(lines):
+    """A binary file holding ``lines``, for ``read_blocks``."""
+    return io.BytesIO("".join(lines).encode())
+
+
 # Texts of at most 8 bytes, exactly 8 and 9 bytes, and longer.
 NARROW_TEXTS = ["-0.0", "+4", ".5", "5.", "1E3", "1_0", "12.5", "-12.3456", "12.5", "+4"]
 WIDE_TEXTS = ["-123.4567", "0.30000000000000004", "1.7976931348623157e+308", "-123.4567"]
@@ -587,7 +641,7 @@ class TestParseFloats:
                                        NARROW_TEXTS + WIDE_TEXTS + ["", "7"]],
                              ids=["narrow", "wide", "mixed"])
     def test_bits_match_float(self, texts):
-        (block,) = _util.line_blocks([f"x,{t}\n" for t in texts], 2)
+        (block,) = _util.read_blocks(_bytes(f"x,{t}\n" for t in texts), 2)
         assert block.csv_rows is None  # split in bulk
         want = np.array([math.nan if t == "" else float(t) for t in texts])
         for column in (block.columns[1], _util.Column.of(texts)):
@@ -595,7 +649,7 @@ class TestParseFloats:
 
     @pytest.mark.parametrize("text", ["abc", "abcdefghi", "1.5.1"])
     def test_malformed_text_raises(self, text):
-        (block,) = _util.line_blocks(["x,1.5\n", f"x,{text}\n"], 2)
+        (block,) = _util.read_blocks(_bytes(["x,1.5\n", f"x,{text}\n"]), 2)
         with pytest.raises(ValueError):
             _util.parse_floats(block.columns[1])
 
@@ -636,7 +690,7 @@ def runs(draw, texts):
 
 def _plain_column(texts):
     """The second field of lines ``s,<text>``, split in bulk."""
-    (block,) = _util.line_blocks([f"s,{t}\n" for t in texts], 2)
+    (block,) = _util.read_blocks(_bytes(f"s,{t}\n" for t in texts), 2)
     assert block.csv_rows is None
     return block.columns[1]
 
@@ -677,7 +731,7 @@ class TestKeyPath:
     def test_word_gather_text_matches_csv_reader(self, rows, ending):
         rows = [row for row in rows if row[0] != "station_id"] or [["x"] * len(rows[0])]
         lines = [",".join(row) + ending for row in rows]
-        (block,) = _util.line_blocks(lines, len(rows[0]))
+        (block,) = _util.read_blocks(_bytes(lines), len(rows[0]))
         assert block.csv_rows is None
         fields = list(csv.reader(lines))
         for j, column in enumerate(block.columns):

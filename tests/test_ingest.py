@@ -19,7 +19,6 @@ from diurnal import (
     StationGroup,
     StationMeta,
     missing_report,
-    parse_records,
     read_metadata,
     read_records,
     time_fields,
@@ -36,66 +35,68 @@ def _lines(*rows):
     return ["station_id,timestamp,temp_c"] + list(rows)
 
 
-class TestParseRecords:
-    def test_dense_happy_path(self):
-        s = parse_records(_lines(
-            "T01,2001-05-02T00:00:00Z,1.5",
-            "T01,2001-05-02T01:00:00Z,2.5",
-            "T01,2001-05-02T02:00:00Z,-3.25",
-        ), HOUR)
+def _read_one(tmp_path, *rows):
+    """The one series of a records file holding a header and ``rows``,
+    read with an hourly step."""
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join(_lines(*rows)) + "\n")
+    (series,) = read_records(path, HOUR).values()
+    return series
+
+
+class TestReadRecords:
+    def test_dense_happy_path(self, tmp_path):
+        s = _read_one(tmp_path,
+                      "T01,2001-05-02T00:00:00Z,1.5",
+                      "T01,2001-05-02T01:00:00Z,2.5",
+                      "T01,2001-05-02T02:00:00Z,-3.25")
         assert s.station_id == "T01"
         assert s.start == datetime(2001, 5, 2)
         assert s.n == 3
         assert not s.missing.any()
         assert s.values.tolist() == [1.5, 2.5, -3.25]
 
-    def test_gap_slots_are_masked_not_dropped(self):
-        s = parse_records(_lines(
-            "T01,2001-05-02T00:00:00Z,1.0",
-            "T01,2001-05-02T03:00:00Z,4.0",
-        ), HOUR)
+    def test_gap_slots_are_masked_not_dropped(self, tmp_path):
+        s = _read_one(tmp_path,
+                      "T01,2001-05-02T00:00:00Z,1.0",
+                      "T01,2001-05-02T03:00:00Z,4.0")
         assert s.n == 4
         assert s.missing.tolist() == [False, True, True, False]
         assert np.isnan(s.values[1]) and np.isnan(s.values[2])
 
-    def test_empty_temperature_field_is_missing(self):
-        s = parse_records(_lines(
-            "T01,2001-05-02T00:00:00Z,1.0",
-            "T01,2001-05-02T01:00:00Z,",
-            "T01,2001-05-02T02:00:00Z,3.0",
-        ), HOUR)
+    def test_empty_temperature_field_is_missing(self, tmp_path):
+        s = _read_one(tmp_path,
+                      "T01,2001-05-02T00:00:00Z,1.0",
+                      "T01,2001-05-02T01:00:00Z,",
+                      "T01,2001-05-02T02:00:00Z,3.0")
         assert s.missing.tolist() == [False, True, False]
 
-    def test_rows_sorted_before_building(self):
-        s = parse_records(_lines(
-            "T01,2001-05-02T01:00:00Z,2.0",
-            "T01,2001-05-02T00:00:00Z,1.0",
-        ), HOUR)
+    def test_rows_sorted_before_building(self, tmp_path):
+        s = _read_one(tmp_path,
+                      "T01,2001-05-02T01:00:00Z,2.0",
+                      "T01,2001-05-02T00:00:00Z,1.0")
         assert s.values.tolist() == [1.0, 2.0]
 
-    def test_timezone_forms_normalized_to_utc(self):
-        s = parse_records(_lines(
-            "T01,2001-05-02T00:00:00Z,1.0",
-            "T01,2001-05-02T01:00:00+00:00,2.0",
-            "T01,2001-05-02T04:00:00+02:00,3.0",  # 02:00 UTC
-            "T01,2001-05-02T03:00:00,4.0",        # naive treated as UTC
-        ), HOUR)
+    def test_timezone_forms_normalized_to_utc(self, tmp_path):
+        s = _read_one(tmp_path,
+                      "T01,2001-05-02T00:00:00Z,1.0",
+                      "T01,2001-05-02T01:00:00+00:00,2.0",
+                      "T01,2001-05-02T04:00:00+02:00,3.0",  # 02:00 UTC
+                      "T01,2001-05-02T03:00:00,4.0")        # naive treated as UTC
         assert s.n == 4
         assert s.values.tolist() == [1.0, 2.0, 3.0, 4.0]
 
-    def test_duplicate_timestamp_rejected(self):
+    def test_duplicate_timestamp_rejected(self, tmp_path):
         with pytest.raises(DuplicateTimestampError, match="2001-05-02T01:00:00"):
-            parse_records(_lines(
-                "T01,2001-05-02T01:00:00Z,1.0",
-                "T01,2001-05-02T01:00:00Z,1.0",
-            ), HOUR)
+            _read_one(tmp_path,
+                      "T01,2001-05-02T01:00:00Z,1.0",
+                      "T01,2001-05-02T01:00:00Z,1.0")
 
-    def test_misaligned_timestamp_names_line(self):
+    def test_misaligned_timestamp_names_line(self, tmp_path):
         with pytest.raises(ParseError, match="line 3"):
-            parse_records(_lines(
-                "T01,2001-05-02T00:00:00Z,1.0",
-                "T01,2001-05-02T00:30:00Z,2.0",
-            ), HOUR)
+            _read_one(tmp_path,
+                      "T01,2001-05-02T00:00:00Z,1.0",
+                      "T01,2001-05-02T00:30:00Z,2.0")
 
     @pytest.mark.parametrize("row", [
         "T01,2001-05-02T00:00:00Z,abc",
@@ -106,20 +107,13 @@ class TestParseRecords:
         "T01,2001-05-02T00:00:00Z,1.0,extra",
         ",2001-05-02T00:00:00Z,1.0",
     ])
-    def test_malformed_rows_rejected(self, row):
+    def test_malformed_rows_rejected(self, tmp_path, row):
         with pytest.raises(ParseError):
-            parse_records(_lines(row), HOUR)
+            _read_one(tmp_path, row)
 
-    def test_empty_input_rejected(self):
+    def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(EmptyInputError):
-            parse_records(_lines(), HOUR)
-
-    def test_multiple_stations_rejected(self):
-        with pytest.raises(ContractError, match="single station"):
-            parse_records(_lines(
-                "T01,2001-05-02T00:00:00Z,1.0",
-                "T02,2001-05-02T00:00:00Z,1.0",
-            ), HOUR)
+            _read_one(tmp_path)
 
 
 class TestRecordsRoundTrip:
@@ -291,6 +285,17 @@ class TestStationMeta:
         with pytest.raises(ParseError):
             read_metadata(path)
 
+    @pytest.mark.parametrize("coords", ["54.0,-2.0,inf", "nan,-2.0,600", "54.0,-inf,600",
+                                        "54.0,-2.0,abc"])
+    def test_non_finite_coordinate_is_a_parse_error_with_its_line(self, tmp_path, coords):
+        path = tmp_path / "meta.csv"
+        path.write_text("station_id,name,group,region,latitude,longitude,altitude_m\n"
+                        "S0,A,UKH,UK,54.0,-2.0,600\n"
+                        f"S1,A,UKH,UK,{coords}\n")
+        with pytest.raises(ParseError) as exc:
+            read_metadata(path)
+        assert str(exc.value) == "line 3: malformed coordinate or altitude"
+
 
 # A header and one valid row for each reader of the small tables.
 SMALL_TABLES = {
@@ -343,3 +348,45 @@ class TestSmallTableReaders:
                         encoding="utf-8")
         with pytest.raises(ParseError, match="^line 2: expected"):
             reader(path)
+
+
+class TestSmallTableValues:
+    """Values that no writer writes are a ``ParseError`` on their row, not a
+    silent result further on."""
+
+    @pytest.mark.parametrize("row,message", [
+        ("S1,0,0.5", "cluster id 0 is not positive"),
+        ("S1,-2,0.5", "cluster id -2 is not positive"),
+        ("S1,1,nan", "silhouette nan out of [-1, 1]"),
+        ("S1,1,", "silhouette nan out of [-1, 1]"),
+        ("S1,1,1.5", "silhouette 1.5 out of [-1, 1]"),
+        ("S1,1,-inf", "silhouette -inf out of [-1, 1]"),
+    ])
+    def test_cluster_row_out_of_range(self, tmp_path, row, message):
+        path = tmp_path / "clusters.csv"
+        path.write_text(f"station_id,cluster_id,silhouette\nS0,1,-1.0\n{row}\n")
+        with pytest.raises(ParseError) as exc:
+            read_cluster_csv(path)
+        assert str(exc.value) == f"line 3: {message}"
+
+    def test_cluster_bounds_are_inside(self, tmp_path):
+        path = tmp_path / "clusters.csv"
+        path.write_text("station_id,cluster_id,silhouette\nS0,1,-1.0\nS1,12,1.0\nS2,2,0\n")
+        assert read_cluster_csv(path) == {"S0": (1, -1.0), "S1": (12, 1.0), "S2": (2, 0.0)}
+
+    @pytest.mark.parametrize("p,slope,message", [
+        ("nan", "0.1", "p_value nan out of [0, 1]"),
+        ("", "0.1", "p_value nan out of [0, 1]"),
+        ("1.5", "0.1", "p_value 1.5 out of [0, 1]"),
+        ("-0.01", "0.1", "p_value -0.01 out of [0, 1]"),
+        ("0.49", "inf", "sen_slope inf is not finite"),
+        ("0.49", "", "sen_slope nan is not finite"),
+    ])
+    def test_trend_row_with_bad_p_value_or_slope(self, tmp_path, p, slope, message):
+        path = tmp_path / "trend.csv"
+        path.write_text("station_id,scale,window_label,hour,n,S,var_S,z,p_value,sen_slope,"
+                        "lag1,serial_flag\nS1,30d,Jan,0,5,3,8.5,0.7,0,-0.1,0.2,0\n"
+                        f"S1,30d,Jan,1,5,3,8.5,0.7,{p},{slope},0.2,0\n")
+        with pytest.raises(ParseError) as exc:
+            read_trend_csv(path)
+        assert str(exc.value) == f"line 3: {message}"
