@@ -41,8 +41,7 @@ from .ingest import (
     write_records,
 )
 from .report import (
-    ContourCell,
-    ContourGrid,
+    ContourTable,
     RadarRow,
     RadarSheet,
     bin_cell,
@@ -68,7 +67,8 @@ from .similarity import (
 from .trend import (
     MKResult,
     SenSlope,
-    TrendCell,
+    TrendRow,
+    TrendTable,
     hour_profiles,
     lag1_autocorrelation,
     mk_test,
@@ -89,12 +89,12 @@ __all__ = [
     "StationMeta", "StationGroup", "Region", "TemperatureSeries", "MissingReport",
     "read_records", "write_records", "read_metadata", "write_metadata",
     "to_hourly", "missing_report", "time_fields",
-    "ContourCell", "ContourGrid", "RadarRow", "RadarSheet",
+    "ContourTable", "RadarRow", "RadarSheet",
     "bin_cell", "cluster_table", "contour_grid", "radar_sheet", "synth_station",
     "DtwConfig", "DistanceMatrix", "ClusterReport", "Merge", "DcorResult",
     "dtw_distance", "pairwise_dtw", "agglomerative_cluster", "silhouette",
     "dcor", "dcor_permutation_test", "dcor_table",
-    "MKResult", "SenSlope", "TrendCell",
+    "MKResult", "SenSlope", "TrendRow", "TrendTable",
     "mk_test", "sen_slope", "lag1_autocorrelation", "serial_flag", "trend_surface",
     "hour_profiles",
 ]

@@ -1,6 +1,7 @@
-"""Shared CSV helpers: deterministic cell formatting, and the one CSV reader,
-``read_blocks``, that every table goes through: records and panels by
-columns, the metadata, cluster and trend tables row by row (``iter_rows``)."""
+"""Shared CSV helpers: deterministic cell formatting, tables held as columns
+and written in whole blocks, and the one CSV reader, ``read_blocks``, that
+every table goes through: records, panels and trend tables by columns, the
+metadata and cluster tables row by row (``iter_rows``)."""
 
 from __future__ import annotations
 
@@ -9,13 +10,13 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Callable, ClassVar, Iterable, Iterator
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ContractError, ParseError
 
 # Lines per block of the columnar reader. It bounds the reader's working
 # memory (a few MB per block) whatever the file size.
@@ -98,6 +99,71 @@ def csv_prefix(*fields: str) -> str:
     return buf.getvalue().removesuffix("\r\n")
 
 
+def gather(keys: np.ndarray, texts: Callable[[np.ndarray], list[str]]) -> list[str]:
+    """``texts(distinct keys)`` looked up for every key, as a list."""
+    uniq, inv = np.unique(keys, return_inverse=True)
+    return np.array(texts(uniq), dtype=object)[inv].tolist()
+
+
+def fmt_column(values: np.ndarray) -> list[str]:
+    """``fmt`` of every element of a bool, integer or float64 array, run once
+    per distinct value; floats are told apart by their bit patterns, so
+    ``-0.0`` stays apart from ``0.0``."""
+    if values.dtype == np.float64:
+        return gather(values.view(np.int64), lambda bits: [
+            "" if v != v else repr(v) for v in bits.view(np.float64).tolist()])
+    return gather(values, lambda uniq: list(map(fmt, uniq.tolist())))
+
+
+def csv_fields(*columns: np.ndarray) -> list[str]:
+    """Each row's text fields (object arrays of str) as ``csv.writer`` renders
+    them, joined by commas. ``csv_prefix`` runs once per run of rows whose
+    fields are all equal."""
+    n = len(columns[0])
+    head = np.zeros(n, dtype=bool)
+    head[:1] = True
+    for column in columns:
+        head[1:] |= column[1:] != column[:-1]
+    starts = np.flatnonzero(head)
+    texts = [csv_prefix(*row)[:-1] for row in zip(*(c[starts].tolist() for c in columns))]
+    return np.repeat(np.array(texts, dtype=object), np.diff(np.append(starts, n))).tolist()
+
+
+def write_columns(path: str | Path, header: Iterable[str], columns: list[list[str]]) -> None:
+    """Write a header, then rows given as columns of rendered fields, with the
+    bytes of ``csv.writer``: the fields are already quoted where needed."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        if columns[0]:
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+
+
+@dataclass(frozen=True, eq=False)
+class ColumnTable:
+    """A table held as columns: a frozen dataclass whose fields are numpy
+    arrays of one length, each cast on construction to its dtype in the
+    subclass's ``DTYPES`` (``object`` for text, so that any ``str`` keeps
+    its exact value)."""
+
+    DTYPES: ClassVar[tuple] = ()
+
+    def __post_init__(self):
+        for f, dtype in zip(fields(self), self.DTYPES):
+            object.__setattr__(self, f.name, np.asarray(getattr(self, f.name), dtype))
+        if len({len(column) for column in self.columns()}) > 1:
+            raise ContractError(f"{type(self).__name__} columns differ in length")
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+    def columns(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def take(self, index) -> ColumnTable:
+        """The table of the rows that ``index`` selects, in its order."""
+        return type(self)(*(column[index] for column in self.columns()))
+
+
 class Column:
     """One field of a block's rows: the stripped text as a (rows, width)
     matrix of code units, zero-padded (uint8 bytes from the bulk split of
@@ -157,8 +223,17 @@ def parse_floats(column: Column) -> np.ndarray:
     out = np.array([parse_float(t) for t in texts])[index]
     if not narrow.all():
         wide = ~narrow
-        out[wide] = [parse_float(t) for t in column[wide].text().tolist()]
+        # A bulk-split row wider than 8 bytes is never empty.
+        parse = float if column.codes.dtype == np.uint8 else parse_float
+        out[wide] = list(map(parse, column[wide].text().tolist()))
     return out
+
+
+def parse_ints(column: Column) -> np.ndarray:
+    """``int()`` of every row's text, run once per distinct text, as int64;
+    raises ValueError, or OverflowError outside int64."""
+    uniq, inv = factorize(column)
+    return np.array([int(u) for u in uniq], dtype=np.int64)[inv]
 
 
 def factorize(column: Column) -> tuple[list[str], np.ndarray]:

@@ -25,7 +25,7 @@ from typing import Iterable, NoReturn
 
 import numpy as np
 
-from ._util import (Block, Column, csv_prefix, factorize, parse_float, parse_floats,
+from ._util import (Block, csv_prefix, factorize, parse_float, parse_floats, parse_ints,
                     read_blocks, unique_runs)
 from .errors import ContractError, EmptyInputError, ParseError
 from .impute import MONTH_ABBR
@@ -221,12 +221,6 @@ def _word_panel_error(block: Block, scales: dict[str, str]) -> NoReturn:
     raise AssertionError(f"block at line {block.start} rejected, but every row is valid")
 
 
-def _int_codes(column: Column) -> np.ndarray:
-    """``int()`` of every row's text, as int64; raises ValueError or OverflowError."""
-    uniq, inv = factorize(column)
-    return np.array([int(u) for u in uniq], dtype=np.int64)[inv]
-
-
 def read_panel(path: str | Path) -> dict[str, WindowHourPanel]:
     """Read a panel CSV back into per-station panels.
 
@@ -261,7 +255,7 @@ def read_panel(path: str | Path) -> dict[str, WindowHourPanel]:
                                 for lab in labels] for sc in scales], np.int64)
             window = window[scale_code, label_code]
             try:
-                year, hour = _int_codes(year), _int_codes(hour)
+                year, hour = parse_ints(year), parse_ints(hour)
                 value = parse_floats(mean)
             except (ValueError, OverflowError):
                 _word_panel_error(block, scale_of)

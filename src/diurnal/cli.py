@@ -69,7 +69,13 @@ from .similarity import (
     write_dcor_csv,
     write_distance_csv,
 )
-from .trend import hour_profiles, read_trend_csv, trend_surface, write_trend_csv
+from .trend import (
+    TrendTable,
+    hour_profiles,
+    read_trend_csv,
+    trend_surface,
+    write_trend_csv,
+)
 
 _REQUIRED = object()
 
@@ -316,13 +322,12 @@ _TREND_OPTS = (
 
 def _run_trend(ns) -> int:
     panels = read_panel(ns.panel)
-    cells = []
-    for sid in sorted(panels):
-        cells.extend(trend_surface(panels[sid], min_years=ns.min_years))
-    if not cells:
+    table = TrendTable.concat([trend_surface(panels[sid], min_years=ns.min_years)
+                               for sid in sorted(panels)])
+    if not len(table):
         raise EmptyInputError("no cell had enough usable years for a trend test")
-    write_trend_csv(ns.out, cells)
-    print(f"wrote {ns.out} ({len(cells)} cells)")
+    write_trend_csv(ns.out, table)
+    print(f"wrote {ns.out} ({len(table)} cells)")
     return 0
 
 
@@ -335,9 +340,9 @@ _CONTOUR_OPTS = (
 
 
 def _run_contour(ns) -> int:
-    grids = contour_grid(read_trend_csv(ns.trend))
-    write_contour_csv(ns.out, grids)
-    print(f"wrote {ns.out} ({sum(len(g.cells) for g in grids)} cells)")
+    table = contour_grid(read_trend_csv(ns.trend))
+    write_contour_csv(ns.out, table)
+    print(f"wrote {ns.out} ({len(table)} cells)")
     return 0
 
 

@@ -27,6 +27,8 @@ from ._util import (
     csv_prefix,
     factorize,
     fmt,
+    fmt_column,
+    gather,
     iter_rows,
     parse_floats,
     read_blocks,
@@ -351,17 +353,11 @@ def write_records(path: str | Path, series: Iterable[TemperatureSeries]) -> None
                 k = np.arange(lo, min(lo + BLOCK_LINES, s.n))
                 day, tod = np.divmod(start_us + k * step_us, _DAY_US)
                 parts = [prefix, "", "", "Z,", "", "\r\n"] * len(k)
-                parts[1::6] = _gather(day, _day_text)
-                parts[2::6] = _gather(tod, _time_text)
+                parts[1::6] = gather(day, _day_text)
+                parts[2::6] = gather(tod, _time_text)
                 # Every masked slot, and only those, holds NaN.
-                parts[4::6] = _gather(s.values[k].view(np.int64), _float_text)
+                parts[4::6] = fmt_column(s.values[k])
                 fh.write("".join(parts))
-
-
-def _gather(keys: np.ndarray, texts) -> list[str]:
-    """``texts(distinct keys)`` looked up for every key, as a list."""
-    uniq, inv = np.unique(keys, return_inverse=True)
-    return np.array(texts(uniq), dtype=object)[inv].tolist()
 
 
 def _day_text(days: np.ndarray) -> list[str]:
@@ -376,12 +372,6 @@ def _time_text(tods: np.ndarray) -> list[str]:
     whole = np.datetime_as_string(stamps, unit="s")
     exact = np.datetime_as_string(stamps, unit="us")
     return [t[10:] for t in np.where(tods % 1_000_000 == 0, whole, exact).tolist()]
-
-
-def _float_text(bits: np.ndarray) -> list[str]:
-    """``fmt`` of float64s given by their bit patterns (so ``-0.0`` stays
-    apart from ``0.0``): ``repr``, or empty for NaN."""
-    return ["" if v != v else repr(v) for v in bits.view(np.float64).tolist()]
 
 
 def to_hourly(series: TemperatureSeries) -> TemperatureSeries:

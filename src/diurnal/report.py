@@ -2,7 +2,9 @@
 synthetic station generator for demos and self-checks.
 
 Everything here emits plain CSV or text; actual drawing is left to whatever
-plotting stack consumes the files.
+plotting stack consumes the files. Contour bins are a ``ContourTable`` of
+columns, binned from a ``TrendTable`` in whole arrays and written in one
+block.
 """
 
 from __future__ import annotations
@@ -16,15 +18,19 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._util import fmt, iter_rows, parse_float, roman, write_csv
+from ._util import (ColumnTable, csv_fields, csv_prefix, fmt, fmt_column, iter_rows,
+                    parse_float, roman, unique_runs, write_columns, write_csv)
 from .errors import ContractError, EmptyInputError, ParseError
 from .impute import MONTH_ABBR
 from .ingest import HALF_HOUR, HOUR, StationMeta, TemperatureSeries
 from .similarity import ClusterReport, Merge
-from .trend import TrendCell, window_order
+from .trend import TrendTable, table_windows
 
 SLOPE_BANDS = ("(-1.0, -0.03]", "(-0.03, 0.0]", "(0.0, 0.03]", "(0.03, 1.0]")
 P_BANDS = ("(0.001, 0.05]", "(0.05, 0.10]", "(0.10, 1]")
+# The inner edges of the bands.
+_SLOPE_EDGES = (-0.03, 0.0, 0.03)
+_P_EDGES = (0.05, 0.10)
 
 CONTOUR_HEADER = ("station_id", "scale", "window_label", "hour",
                   "sen_slope", "p_value", "slope_band", "p_band")
@@ -46,52 +52,66 @@ def bin_cell(sen_slope: float, p_value: float) -> tuple[str, str]:
         raise ContractError(f"p_value {p_value} out of [0, 1]")
     # bisect_left counts the band edges below the value, so an edge value
     # stays in the band it closes.
-    return (SLOPE_BANDS[bisect_left((-0.03, 0.0, 0.03), sen_slope)],
-            P_BANDS[bisect_left((0.05, 0.10), p_value)])
+    return (SLOPE_BANDS[bisect_left(_SLOPE_EDGES, sen_slope)],
+            P_BANDS[bisect_left(_P_EDGES, p_value)])
 
 
-@dataclass(frozen=True)
-class ContourCell:
-    window_label: str
-    hour: int
-    sen_slope: float
-    p_value: float
-    slope_band: str
-    p_band: str
+@dataclass(frozen=True, eq=False)
+class ContourTable(ColumnTable):
+    """Binned trend cells as columns, one per ``CONTOUR_HEADER`` field:
+    text as object arrays of ``str``, ``hour`` as int64, the slope and p as
+    float64, and each band as its int64 index into ``SLOPE_BANDS`` or
+    ``P_BANDS``. ``contour_grid`` gives the rows by station, then in
+    seasonal window order and by hour."""
+
+    DTYPES = (object, object, object, np.int64, np.float64, np.float64, np.int64, np.int64)
+
+    station_id: np.ndarray
+    scale: np.ndarray
+    window_label: np.ndarray
+    hour: np.ndarray
+    sen_slope: np.ndarray
+    p_value: np.ndarray
+    slope_band: np.ndarray
+    p_band: np.ndarray
 
 
-@dataclass
-class ContourGrid:
-    """Binned trend cells for one station, in seasonal window order."""
+def contour_grid(table: TrendTable) -> ContourTable:
+    """Bin trend cells (``bin_cell`` row by row) and order them by station,
+    then in seasonal window order and by hour. The first row of a station
+    whose scale differs from the station's first row raises
+    ``ContractError``, and so does the first row in that order that
+    ``bin_cell`` rejects."""
+    station = unique_runs(table.station_id)[1]
+    scale = unique_runs(table.scale)[1]
+    first = np.unique(station, return_index=True)[1]
+    mixed = scale != scale[first[station]]
+    if mixed.any():
+        sid = table.station_id[np.argmax(mixed)]
+        raise ContractError(f"station {sid} mixes scales in one contour grid")
+    t = table.take(np.lexsort((table.hour, table_windows(table), station)))
+    slope, p = t.sen_slope, t.p_value
+    bad = ~np.isfinite(slope) | ~((p >= 0.0) & (p <= 1.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        bin_cell(float(slope[k]), float(p[k]))
+    # searchsorted on the left counts the band edges below the value, as
+    # bin_cell's bisect_left does.
+    return ContourTable(t.station_id, t.scale, t.window_label, t.hour, slope, p,
+                        np.searchsorted(_SLOPE_EDGES, slope, side="left"),
+                        np.searchsorted(_P_EDGES, p, side="left"))
 
-    station_id: str
-    scale: str
-    cells: list[ContourCell]
 
-
-def contour_grid(cells: Iterable[TrendCell]) -> list[ContourGrid]:
-    """Bin trend cells and group them into per-station contour grids."""
-    by_station: dict[str, list[TrendCell]] = {}
-    scales: dict[str, str] = {}
-    for c in cells:
-        by_station.setdefault(c.station_id, []).append(c)
-        if scales.setdefault(c.station_id, c.scale) != c.scale:
-            raise ContractError(f"station {c.station_id} mixes scales in one contour grid")
-    grids = []
-    for sid in sorted(by_station):
-        order = window_order(scales[sid])
-        rows = sorted(by_station[sid], key=lambda c: (order[c.window_label], c.hour))
-        grids.append(ContourGrid(sid, scales[sid], [
-            ContourCell(c.window_label, c.hour, c.sen_slope, c.p_value,
-                        *bin_cell(c.sen_slope, c.p_value)) for c in rows]))
-    return grids
-
-
-def write_contour_csv(path: str | Path, grids: Iterable[ContourGrid]) -> None:
-    write_csv(path, CONTOUR_HEADER, (
-        (g.station_id, g.scale, c.window_label, c.hour, fmt(c.sen_slope), fmt(c.p_value),
-         c.slope_band, c.p_band)
-        for g in sorted(grids, key=lambda g: g.station_id) for c in g.cells))
+def write_contour_csv(path: str | Path, table: ContourTable) -> None:
+    """Write binned cells in table order, with the bytes of ``csv.writer``;
+    each column is rendered as in ``write_trend_csv``, and each band text is
+    quoted once."""
+    slope_bands = np.array([csv_prefix(b)[:-1] for b in SLOPE_BANDS], dtype=object)
+    p_bands = np.array([csv_prefix(b)[:-1] for b in P_BANDS], dtype=object)
+    write_columns(path, CONTOUR_HEADER, [
+        csv_fields(table.station_id, table.scale, table.window_label),
+        *map(fmt_column, (table.hour, table.sen_slope, table.p_value)),
+        slope_bands[table.slope_band].tolist(), p_bands[table.p_band].tolist()])
 
 
 def write_cluster_csv(path: str | Path, report: ClusterReport,

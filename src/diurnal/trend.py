@@ -6,19 +6,26 @@ slope estimates its magnitude in degrees per year, and the lag-1
 autocorrelation of the cell flags series whose significance may be
 inflated by serial dependence. Each statistic is one kernel over the rows
 of a (cells x years) matrix; the scalar functions are its one-row case.
+
+A trend surface is a ``TrendTable``: one numpy array per ``TREND_HEADER``
+field, from the kernels through ``trend.csv`` and back, with no Python
+object per cell on the way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from ._util import fmt, iter_rows, parse_bool, parse_float, write_csv
+from ._util import (Block, ColumnTable, csv_fields, factorize, fmt_column, iter_rows,
+                    parse_bool, parse_float, parse_floats, parse_ints, read_blocks,
+                    unique_runs, write_columns)
 from .aggregate import SCALES, WindowHourPanel, build_calendar
 from .errors import (
     ContractError,
@@ -48,20 +55,48 @@ class SenSlope:
     slope: float
 
 
-@dataclass(frozen=True)
-class TrendCell:
-    station_id: str
-    scale: str
-    window_label: str
-    hour: int
-    n: int
-    s: int
-    var_s: float
-    z: float
-    p_value: float
-    sen_slope: float
-    lag1: float
-    serial_flag: bool
+@dataclass(frozen=True, eq=False)
+class TrendTable(ColumnTable):
+    """Trend cells as columns, one per ``TREND_HEADER`` field (``s`` and
+    ``var_s`` are ``S`` and ``var_S``): text as object arrays of ``str``,
+    ``hour``, ``n`` and ``s`` as int64, the statistics as float64 and
+    ``serial_flag`` as bool. Row ``i`` of every column is one (station,
+    scale, window, hour) cell. Iterating yields each row as a ``TrendRow``;
+    two tables are equal when their rows are."""
+
+    DTYPES = (object, object, object, np.int64, np.int64, np.int64, np.float64,
+              np.float64, np.float64, np.float64, np.float64, bool)
+
+    station_id: np.ndarray
+    scale: np.ndarray
+    window_label: np.ndarray
+    hour: np.ndarray
+    n: np.ndarray
+    s: np.ndarray
+    var_s: np.ndarray
+    z: np.ndarray
+    p_value: np.ndarray
+    sen_slope: np.ndarray
+    lag1: np.ndarray
+    serial_flag: np.ndarray
+
+    def __iter__(self) -> Iterator[tuple]:
+        return map(TrendRow._make, zip(*(column.tolist() for column in self.columns())))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TrendTable):
+            return NotImplemented
+        return list(self) == list(other)
+
+    @classmethod
+    def concat(cls, tables: Sequence[TrendTable]) -> TrendTable:
+        """The rows of every table, in order."""
+        return cls(*(np.concatenate([getattr(t, f.name) for t in tables]) if tables else []
+                     for f in fields(cls)))
+
+
+# One row of a ``TrendTable``, as iterating over the table yields it.
+TrendRow = namedtuple("TrendRow", [f.name for f in fields(TrendTable)])
 
 
 def _mk_rows(x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -165,28 +200,39 @@ def serial_flag(r1: float, n: int) -> bool:
     return abs(r1) > 1.96 / math.sqrt(n)
 
 
+def _unique_rows(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a bool matrix and the index of each row's, as
+    ``np.unique(mask, axis=0, return_inverse=True)`` gives them but not in
+    its order: each row is packed into bytes and sorted as one opaque value,
+    which is many times faster than numpy's row-wise sort."""
+    key = np.packbits(mask, axis=1)
+    key = np.ascontiguousarray(key).view(f"V{key.shape[1]}").ravel()
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return mask[first], inverse
+
+
 def _year_groups(panel: WindowHourPanel, cells: np.ndarray) -> Iterator[tuple]:
     """Panel cells (flat ``window * 24 + hour`` indices) grouped by valid-year
     mask: per mask, its cells, valid years and C-contiguous (cells x years)
     matrix of yearly means."""
     shape = (len(panel.years), len(panel.labels) * 24)
     means = panel.means.reshape(shape)[:, cells]
-    masks, group = np.unique(panel.cell_valid().reshape(shape)[:, cells].T, axis=0,
-                             return_inverse=True)
+    masks, group = _unique_rows(panel.cell_valid().reshape(shape)[:, cells].T)
     years = np.asarray(panel.years, dtype=np.float64)
     for g, mask in enumerate(masks):
         rows = np.flatnonzero(group.ravel() == g)
         yield cells[rows], years[mask], np.ascontiguousarray(means[mask][:, rows].T)
 
 
-def trend_surface(panel: WindowHourPanel, min_years: int = MIN_YEARS) -> list[TrendCell]:
+def trend_surface(panel: WindowHourPanel, min_years: int = MIN_YEARS) -> TrendTable:
     """Run MK + Sen + serial-correlation screening over every panel cell.
 
-    Cells with fewer than ``min_years`` valid years, or whose yearly means
-    are all tied, are left out of the result rather than reported with
-    unusable statistics. The first kept cell with a non-finite mean, or a
-    centered sum of squares that underflows to zero, raises the error
-    ``mk_test`` or ``lag1_autocorrelation`` raises for it.
+    Returns one row per kept cell, in (window, hour) order. Cells with
+    fewer than ``min_years`` valid years, or whose yearly means are all
+    tied, are left out of the result rather than reported with unusable
+    statistics. The first kept cell with a non-finite mean, or a centered
+    sum of squares that underflows to zero, raises the error ``mk_test``
+    or ``lag1_autocorrelation`` raises for it.
     """
     if min_years < MIN_YEARS:
         raise ContractError(f"min_years must be at least {MIN_YEARS}")
@@ -201,16 +247,22 @@ def trend_surface(panel: WindowHourPanel, min_years: int = MIN_YEARS) -> list[Tr
         cells, x = cells[finite][untied], x[finite][untied]
         r1, flat = _lag1_rows(x)
         bad += zip(cells[flat], x[flat])
-        stats = (s[untied], var_s[untied], z[untied], p[untied], _sen_rows(x, years), r1,
-                 serial_flag(r1, years.size))
-        found += ((c, TrendCell(panel.station_id, panel.scale, panel.labels[c // 24],
-                                c % 24, years.size, *v))
-                  for c, *v in zip(cells.tolist(), *(a.tolist() for a in stats)))
+        found.append((cells, np.full(len(cells), years.size), s[untied], var_s[untied],
+                      z[untied], p[untied], _sen_rows(x, years), r1,
+                      serial_flag(r1, years.size)))
     if bad:
         row = min(bad, key=itemgetter(0))[1]
         mk_test(row)
         lag1_autocorrelation(row)
-    return [cell for _, cell in sorted(found, key=itemgetter(0))]
+    if not found:
+        found = [(np.empty(0, np.int64),) + (np.empty(0),) * 8]
+    cells, *stats = map(np.concatenate, zip(*found))
+    order = np.argsort(cells)
+    cells = cells[order]
+    return TrendTable(np.full(len(cells), panel.station_id, dtype=object),
+                      np.full(len(cells), panel.scale, dtype=object),
+                      np.array(panel.labels, dtype=object)[cells // 24], cells % 24,
+                      *(v[order] for v in stats))
 
 
 def hour_profiles(panels: Mapping[str, WindowHourPanel], window_label: str,
@@ -250,50 +302,142 @@ def window_order(scale: str) -> dict[str, int]:
     return {label: i for i, label in enumerate(build_calendar(scale).labels)}
 
 
-def write_trend_csv(path: str | Path, cells: Iterable[TrendCell]) -> None:
-    orders = {scale: window_order(scale) for scale in SCALES}
-    ordered = sorted(cells, key=lambda c: (
-        c.station_id, c.scale, orders[c.scale][c.window_label], c.hour))
-    write_csv(path, TREND_HEADER, (
-        (c.station_id, c.scale, c.window_label, c.hour, c.n, c.s, fmt(c.var_s), fmt(c.z),
-         fmt(c.p_value), fmt(c.sen_slope), fmt(c.lag1), fmt(c.serial_flag))
-        for c in ordered))
+def window_index(scale: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """Each row's window position in its scale's calendar (as ``window_order``
+    gives it), looked up once per distinct (scale, label) pair; -1 where the
+    scale is not one of ``SCALES`` or the label is not of its scale."""
+    scales, scale_code = unique_runs(scale)
+    labels, label_code = unique_runs(label)
+    pairs, pair_code = np.unique(scale_code * len(labels) + label_code, return_inverse=True)
+    orders = {sc: window_order(sc) for sc in SCALES}
+    window = [orders.get(scales[p // len(labels)], {}).get(labels[p % len(labels)], -1)
+              for p in pairs.tolist()]
+    return np.array(window, dtype=np.int64)[pair_code]
 
 
-def read_trend_csv(path: str | Path) -> list[TrendCell]:
-    """Read a trend CSV back into cells. Besides malformed fields, a row
-    with an hour outside 0-23, a p-value outside [0, 1], a non-finite Sen's
-    slope, a label outside its scale or a second row for the same (station,
-    scale, window, hour) cell raises ``ParseError`` with its line."""
+def table_windows(table) -> np.ndarray:
+    """``window_index`` of the rows of a table with ``scale`` and
+    ``window_label`` columns; the first row whose label is not of its scale
+    raises ``ContractError``."""
+    window = window_index(table.scale, table.window_label)
+    if (window < 0).any():
+        k = int(np.argmax(window < 0))
+        raise ContractError(f"label {table.window_label[k]!r} does not belong to scale "
+                            f"{table.scale[k]!r}")
+    return window
+
+
+def write_trend_csv(path: str | Path, table: TrendTable) -> None:
+    """Write trend cells in (station, scale, window, hour) order, with the
+    bytes of ``csv.writer``. Rows are ordered by one lexsort, and each
+    column is rendered once per distinct value (``fmt``), or for the text
+    fields once per (station, scale, window)."""
+    order = np.lexsort((table.hour, table_windows(table), unique_runs(table.scale)[1],
+                        unique_runs(table.station_id)[1]))
+    t = table.take(order)
+    write_columns(path, TREND_HEADER, [
+        csv_fields(t.station_id, t.scale, t.window_label),
+        *map(fmt_column, (t.hour, t.n, t.s, t.var_s, t.z, t.p_value, t.sen_slope, t.lag1,
+                          t.serial_flag))])
+
+
+def read_trend_csv(path: str | Path) -> TrendTable:
+    """Read a trend CSV back into a table, rows in file order. Besides
+    malformed fields, a row with an hour outside 0-23, a p-value outside
+    [0, 1], a non-finite Sen's slope, a label outside its scale or a second
+    row for the same (station, scale, window, hour) cell raises
+    ``ParseError`` with its line; so does an hour, n or S outside int64.
+
+    Each block is parsed by columns, every distinct text of a text, int or
+    flag field once, and the checks run on whole columns. If a block or a
+    check fails, or the reader raises, ``_word_trend_error`` words the
+    error row by row from the file's first row, so that the first bad row
+    of the file names it.
+    """
+    parts, parsed = [], True
+    try:
+        with open(path, "rb") as fh:
+            for block in read_blocks(fh, len(TREND_HEADER)):
+                part = None if block.ragged else _trend_columns(block)
+                if part is None:
+                    parsed = False
+                    break
+                parts.append(part)
+    except ParseError:
+        parsed = False
+    table = TrendTable.concat(parts)
+    if not parsed or not _cells_valid(table):
+        _word_trend_error(path)
+    if not len(table):
+        raise EmptyInputError(f"no trend rows found in {path}")
+    return table
+
+
+def _cells_valid(table: TrendTable) -> bool:
+    """Whether every row has an hour in 0-23, a p-value in [0, 1], a finite
+    Sen's slope and a label of its scale, and no (station, scale, window,
+    hour) cell has a second row."""
+    window = window_index(table.scale, table.window_label)
+    p = table.p_value
+    if (((table.hour < 0) | (table.hour > 23)).any() or not ((p >= 0.0) & (p <= 1.0)).all()
+            or not np.isfinite(table.sen_slope).all() or (window < 0).any()):
+        return False
+    # One integer per cell, below 3456 per station: a repeated cell sorts
+    # next to its first row.
+    station, scale = unique_runs(table.station_id)[1], unique_runs(table.scale)[1]
+    key = np.sort(((station * len(SCALES) + scale) * 36 + window) * 24 + table.hour)
+    return not (key[1:] == key[:-1]).any()
+
+
+def _trend_columns(block: Block) -> TrendTable | None:
+    """The table of one block's rows, every distinct text of a text, int or
+    flag field parsed once; None if a field is malformed."""
+    sid, scale, label, hour, n, s, var_s, z, p, slope, lag1, flag = block.columns
+    if not len(block.line_no):
+        return TrendTable(*[[]] * len(TREND_HEADER))
+    try:
+        ints = [parse_ints(column) for column in (hour, n, s)]
+        floats = [parse_floats(column) for column in (var_s, z, p, slope, lag1)]
+        flags, flag_code = factorize(flag)
+        flag = np.array([parse_bool(f) for f in flags], dtype=bool)[flag_code]
+    except (ValueError, OverflowError):
+        return None
+    text = []
+    for column in (sid, scale, label):
+        uniq, code = factorize(column)
+        text.append(np.array(uniq, dtype=object)[code])
+    return TrendTable(*text, *ints, *floats, flag)
+
+
+def _word_trend_error(path: str | Path) -> NoReturn:
+    """Raise the error of the first bad row of a trend CSV that the columnar
+    parse rejected, checking row by row from the file's first row."""
     labels = {scale: window_order(scale) for scale in SCALES}
-    cells = []
     seen = set()
-    for line_no, row in iter_rows(path, 12):
+    for line_no, row in iter_rows(path, len(TREND_HEADER)):
         sid, scale, label, hour, n, s, var_s, z, p, slope, lag1, flag = (
             f.strip() for f in row)
         if scale not in SCALES:
             raise ParseError(f"unknown scale {scale!r}", line_no)
         try:
-            cell = TrendCell(
-                sid, scale, label, int(hour), int(n), int(s),
-                parse_float(var_s), parse_float(z), parse_float(p),
-                parse_float(slope), parse_float(lag1), parse_bool(flag))
-        except ValueError:
+            hour, p, slope = int(hour), parse_float(p), parse_float(slope)
+            np.array([int(n), int(s)], dtype=np.int64)  # the columns hold int64
+            for value in (var_s, z, lag1):
+                parse_float(value)
+            parse_bool(flag)
+        except (ValueError, OverflowError):
             raise ParseError("malformed numeric field", line_no) from None
-        if not 0 <= cell.hour <= 23:
-            raise ParseError(f"hour {cell.hour} out of range 0-23", line_no)
-        if not 0.0 <= cell.p_value <= 1.0:
-            raise ParseError(f"p_value {cell.p_value} out of [0, 1]", line_no)
-        if not math.isfinite(cell.sen_slope):
-            raise ParseError(f"sen_slope {cell.sen_slope} is not finite", line_no)
+        if not 0 <= hour <= 23:
+            raise ParseError(f"hour {hour} out of range 0-23", line_no)
+        if not 0.0 <= p <= 1.0:
+            raise ParseError(f"p_value {p} out of [0, 1]", line_no)
+        if not math.isfinite(slope):
+            raise ParseError(f"sen_slope {slope} is not finite", line_no)
         if label not in labels[scale]:
             raise ParseError(f"label {label!r} does not belong to scale {scale}", line_no)
-        key = (sid, scale, label, cell.hour)
+        key = (sid, scale, label, hour)
         if key in seen:
             raise ParseError(f"station {sid}: second row for scale {scale}, window {label}, "
-                             f"hour {cell.hour}", line_no)
+                             f"hour {hour}", line_no)
         seen.add(key)
-        cells.append(cell)
-    if not cells:
-        raise EmptyInputError(f"no trend rows found in {path}")
-    return cells
+    raise AssertionError(f"{path} was rejected, but every row is valid")

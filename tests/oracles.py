@@ -17,6 +17,7 @@ import csv
 import itertools
 import math
 import statistics
+from bisect import bisect_left
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -31,11 +32,11 @@ from diurnal import (
     ParseError,
     SampleTooSmallError,
     TemperatureSeries,
-    TrendCell,
     WindowHourPanel,
     build_calendar,
 )
 from diurnal.aggregate import SCALES
+from diurnal.report import P_BANDS, SLOPE_BANDS
 
 
 def mk_s_enumerated(x) -> int:
@@ -305,7 +306,8 @@ def _year_series(panel, label, hour):
 
 
 def trend_surface_cells(panel, min_years=3) -> list:
-    """Former ``trend_surface``: one MK, Sen and lag-1 call per cell."""
+    """Former ``trend_surface``: one MK, Sen and lag-1 call per cell, each
+    cell a tuple of the ``TREND_HEADER`` fields."""
     cells = []
     for label in panel.labels:
         for hour in range(24):
@@ -317,9 +319,9 @@ def trend_surface_cells(panel, min_years=3) -> list:
             except DegenerateDataError:
                 continue
             r1 = lag1_cell(vals)
-            cells.append(TrendCell(panel.station_id, panel.scale, label, hour, n, s,
-                                   var_s, z, p, sen_slope_cell(vals, years), r1,
-                                   abs(r1) > 1.96 / math.sqrt(years.size)))
+            cells.append((panel.station_id, panel.scale, label, hour, n, s,
+                          var_s, z, p, sen_slope_cell(vals, years), r1,
+                          abs(r1) > 1.96 / math.sqrt(years.size)))
     return cells
 
 
@@ -586,3 +588,116 @@ def write_panel_rows(path, panels):
                             _fmt_float(float(p.means[yi, w, hour])) if ok else "",
                             "1" if ok else "0",
                         ))
+
+
+# --- Former per-row trend and contour tables ------------------------------
+#
+# A trend row is a tuple of the TREND_HEADER fields: (station_id, scale,
+# window_label, hour, n, S, var_S, z, p_value, sen_slope, lag1, serial_flag).
+
+TREND_HEADER = ("station_id", "scale", "window_label", "hour", "n", "S", "var_S",
+                "z", "p_value", "sen_slope", "lag1", "serial_flag")
+
+
+def _window_order(scale):
+    return {label: i for i, label in enumerate(build_calendar(scale).labels)}
+
+
+def _parse_float(text):
+    return math.nan if text == "" else float(text)
+
+
+def _parse_bool(text):
+    t = text.strip().lower()
+    if t in ("1", "true"):
+        return True
+    if t in ("0", "false"):
+        return False
+    raise ValueError(f"not a boolean flag: {text!r}")
+
+
+def write_trend_rows(path, rows):
+    """Trend CSV writer: one sort of the rows, one ``writerow`` per row."""
+    orders = {scale: _window_order(scale) for scale in SCALES}
+    ordered = sorted(rows, key=lambda r: (r[0], r[1], orders[r[1]][r[2]], r[3]))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TREND_HEADER)
+        for sid, scale, label, hour, n, s, *stats, flag in ordered:
+            writer.writerow((sid, scale, label, hour, n, s, *map(_fmt_float, stats),
+                             "1" if flag else "0"))
+
+
+def read_trend_rows(path):
+    """Trend CSV read, row by row, into a list of row tuples, with the
+    checks of the former reader in their order."""
+    labels = {scale: _window_order(scale) for scale in SCALES}
+    rows, seen = [], set()
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, row in table_rows(fh, 12):
+            sid, scale, label, hour, n, s, var_s, z, p, slope, lag1, flag = (
+                f.strip() for f in row)
+            if scale not in SCALES:
+                raise ParseError(f"unknown scale {scale!r}", line_no)
+            try:
+                cell = (sid, scale, label, int(hour), int(n), int(s), _parse_float(var_s),
+                        _parse_float(z), _parse_float(p), _parse_float(slope),
+                        _parse_float(lag1), _parse_bool(flag))
+            except ValueError:
+                raise ParseError("malformed numeric field", line_no) from None
+            hour, p, slope = cell[3], cell[8], cell[9]
+            if not 0 <= hour <= 23:
+                raise ParseError(f"hour {hour} out of range 0-23", line_no)
+            if not 0.0 <= p <= 1.0:
+                raise ParseError(f"p_value {p} out of [0, 1]", line_no)
+            if not math.isfinite(slope):
+                raise ParseError(f"sen_slope {slope} is not finite", line_no)
+            if label not in labels[scale]:
+                raise ParseError(f"label {label!r} does not belong to scale {scale}", line_no)
+            if (sid, scale, label, hour) in seen:
+                raise ParseError(f"station {sid}: second row for scale {scale}, "
+                                 f"window {label}, hour {hour}", line_no)
+            seen.add((sid, scale, label, hour))
+            rows.append(cell)
+    if not rows:
+        raise EmptyInputError(f"no trend rows found in {path}")
+    return rows
+
+
+def _bin_cell(slope, p):
+    if not math.isfinite(slope):
+        raise ContractError("sen_slope must be finite")
+    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
+        raise ContractError(f"p_value {p} out of [0, 1]")
+    return (SLOPE_BANDS[bisect_left((-0.03, 0.0, 0.03), slope)],
+            P_BANDS[bisect_left((0.05, 0.10), p)])
+
+
+def contour_rows(rows):
+    """Contour grids of trend rows, grouped per station: a list of
+    ``(station_id, scale, [(label, hour, slope, p, slope band, p band)])`` in
+    station order, each station's cells in seasonal window and hour order."""
+    by_station, scales = {}, {}
+    for row in rows:
+        by_station.setdefault(row[0], []).append(row)
+        if scales.setdefault(row[0], row[1]) != row[1]:
+            raise ContractError(f"station {row[0]} mixes scales in one contour grid")
+    grids = []
+    for sid in sorted(by_station):
+        order = _window_order(scales[sid])
+        cells = sorted(by_station[sid], key=lambda r: (order[r[2]], r[3]))
+        grids.append((sid, scales[sid], [(r[2], r[3], r[9], r[8], *_bin_cell(r[9], r[8]))
+                                         for r in cells]))
+    return grids
+
+
+def write_contour_rows(path, grids):
+    """Contour CSV writer, one ``writerow`` per cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("station_id", "scale", "window_label", "hour",
+                         "sen_slope", "p_value", "slope_band", "p_band"))
+        for sid, scale, cells in sorted(grids, key=lambda g: g[0]):
+            for label, hour, slope, p, slope_band, p_band in cells:
+                writer.writerow((sid, scale, label, hour, _fmt_float(slope), _fmt_float(p),
+                                 slope_band, p_band))

@@ -1,4 +1,5 @@
-"""The columnar records and panel I/O against the former per-row code.
+"""The columnar records, panel, trend and contour I/O against the former
+per-row code.
 
 Readers must give bitwise-equal arrays, or raise the same exception type
 with the same message (so the same ``line N``), on any file; writers must
@@ -24,14 +25,18 @@ import oracles
 from diurnal import (
     ParseError,
     TemperatureSeries,
+    TrendTable,
     WindowHourPanel,
     build_calendar,
+    contour_grid,
     read_panel,
     read_records,
     write_panel,
     write_records,
 )
-from diurnal import _util, aggregate, ingest
+from diurnal import _util, aggregate, ingest, trend
+from diurnal.report import P_BANDS, SLOPE_BANDS, write_contour_csv
+from diurnal.trend import read_trend_csv, write_trend_csv
 from helpers import HALF_HOUR, HOUR, profile_settings
 
 
@@ -490,6 +495,211 @@ class TestSmallTableRows:
         with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
             want = _rows_until_error(oracles.table_rows(fh, n_fields))
         assert _rows_until_error(_util.iter_rows(path, n_fields)) == want
+
+
+# Trend values as the writers meet them: signed zeros, infinities, NaN and
+# values on the band edges.
+TREND_VALUES = [-0.0, 0.0, 0.03, -0.03, 0.05, 0.1, 1.0, 1e-05, 0.1 + 0.2, 1 / 3,
+                math.inf, -math.inf, math.nan, 5e-324]
+_TREND_FLOATS = st.one_of(st.sampled_from(TREND_VALUES),
+                          st.floats(-2.0, 2.0, allow_nan=False))
+
+
+@st.composite
+def trend_rows(draw, finite=False):
+    """Trend row tuples for 1-3 stations (ids csv has to quote among them),
+    cells of one or several scales per station, in any order, now and then
+    a cell twice. With ``finite``, each station keeps one scale and every
+    slope is finite and every p-value in [0, 1], as ``contour_grid`` needs."""
+    rows = []
+    for sid in draw(st.lists(st.sampled_from(ODD_IDS + ["S1", "S10", "S9"]), min_size=1,
+                             max_size=3, unique=True)):
+        scales = draw(st.lists(st.sampled_from(["10d", "30d", "60da", "60db"]), min_size=1,
+                               max_size=1 if finite else 2, unique=True))
+        for _ in range(draw(st.integers(1, 12))):
+            scale = draw(st.sampled_from(scales))
+            p = draw(st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.05, 0.1, 1.0]))
+            slope = draw(_TREND_FLOATS.filter(math.isfinite))
+            if not finite:
+                p, slope = draw(st.sampled_from([p, math.nan])), draw(_TREND_FLOATS)
+            rows.append((sid, scale, draw(st.sampled_from(build_calendar(scale).labels)),
+                         draw(st.integers(0, 23)), draw(st.integers(3, 60)),
+                         draw(st.integers(-900, 900)), draw(_TREND_FLOATS),
+                         draw(_TREND_FLOATS), p, slope, draw(_TREND_FLOATS),
+                         draw(st.booleans())))
+    rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+    return rows
+
+
+def _trend_table(rows):
+    return TrendTable(*zip(*rows))
+
+
+def _same_rows(got, want):
+    """Row tuples alike field by field: types, and floats by repr."""
+    assert repr([tuple(row) for row in got]) == repr(want)
+
+
+# Fields of a trend row as a file may spell them.
+_HOURS = st.sampled_from(["{}", "{}", " {} ", "+{}", "0{}"])
+_COUNTS = st.sampled_from(["12", "+5", "05", " 9 ", "-3", "1_0", "-0"])
+_TREND_TEXTS = st.sampled_from(["0.5", "-0.0", "1e-05", " 0.25 ", "0.30000000000000004",
+                                "inf", "-inf", "nan", "", ".5", "1_0", "٣.٥"]) | st.floats(
+    -1000, 1000).map(repr)
+_P_TEXTS = st.sampled_from(["0", "0.05", "1", "1.0", "0.001", " 0.1 ", "5e-324", "-0.0"]) | (
+    st.floats(0.0, 1.0).map(repr))
+_SLOPE_TEXTS = st.sampled_from(["0.03", "-0.03", "-0.0", "0.25", "1e-05", "2"]) | (
+    st.floats(-1.0, 1.0).map(repr))
+_FLAGS = st.sampled_from(["0", "1", "true", "FALSE", " True "])
+_GOOD = "5,3,8.5,0.7,0.49,0.1,0.2,0"
+BAD_TREND_LINES = [
+    f"T01,45d,Jan,0,{_GOOD}", f"T01,30d,Smarch,0,{_GOOD}", f"T01,10d,Jan,0,{_GOOD}",
+    f"T01,30d,Jan,24,{_GOOD}", f"T01,30d,Jan,-1,{_GOOD}", f"T01,30d,Jan,0x1,{_GOOD}",
+    f"T01,30d,Jan,3.0,{_GOOD}", "T01,30d,Jan,0,,3,8.5,0.7,0.49,0.1,0.2,0",
+    "T01,30d,Jan,0,5,3,abc,0.7,0.49,0.1,0.2,0", "T01,30d,Jan,0,5,3,8.5,0.7,1.5,0.1,0.2,0",
+    "T01,30d,Jan,0,5,3,8.5,0.7,nan,0.1,0.2,0", "T01,30d,Jan,0,5,3,8.5,0.7,,0.1,0.2,0",
+    "T01,30d,Jan,0,5,3,8.5,0.7,-0.01,0.1,0.2,0", "T01,30d,Jan,0,5,3,8.5,0.7,0.49,inf,0.2,0",
+    "T01,30d,Jan,0,5,3,8.5,0.7,0.49,,0.2,0", "T01,30d,Jan,0,5,3,8.5,0.7,0.49,0.1,0.2,yes",
+    "T01,30d,Jan,0", "T01,30d,Jan,0,5,3,8.5,0.7,0.49,0.1,0.2,0,0",
+    f"T\udcff1,30d,Jan,0,{_GOOD}",  # a byte that is not UTF-8
+]
+
+
+@st.composite
+def trend_file(draw):
+    """Trend lines for 1-3 stations, with header, blank and repeated header
+    lines and odd but valid spellings (padding, ``+5``, ``true``), shuffled,
+    and now and then a repeated cell or 1-2 bad lines."""
+    rows = []
+    for field, _ in draw(st.lists(st.sampled_from(STATION_FIELDS), min_size=1, max_size=3,
+                                  unique_by=lambda f: f[1])):
+        scale = draw(st.sampled_from(["30d", "10d", "60db"]))
+        cells = draw(st.lists(st.tuples(st.sampled_from(build_calendar(scale).labels),
+                                        st.integers(0, 23)),
+                              min_size=1, max_size=10, unique=True))
+        for label, hour in cells:
+            rows.append(",".join([field, scale, label, draw(_HOURS).format(hour),
+                                  draw(_COUNTS), draw(_COUNTS),
+                                  draw(_TREND_TEXTS), draw(_TREND_TEXTS), draw(_P_TEXTS),
+                                  draw(_SLOPE_TEXTS), draw(_TREND_TEXTS), draw(_FLAGS)]))
+    rows = draw(st.permutations(rows))
+    if draw(st.integers(0, 3)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+    fillers = ["", "  ", ",".join(oracles.TREND_HEADER)]
+    for line in draw(st.lists(st.sampled_from(fillers), max_size=3)
+                     ) + draw(st.lists(st.sampled_from(BAD_TREND_LINES), max_size=2)):
+        rows.insert(draw(st.integers(0, len(rows))), line)
+    return draw(_terminated([",".join(oracles.TREND_HEADER)] + rows))
+
+
+class TestTrendTables:
+    @given(rows=trend_rows())
+    @SETTINGS
+    def test_write_trend_csv_bytes_match_row_writer(self, tmp_path, rows):
+        write_trend_csv(tmp_path / "new.csv", _trend_table(rows))
+        oracles.write_trend_rows(tmp_path / "old.csv", rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @given(rows=trend_rows(finite=True))
+    @SETTINGS
+    def test_contour_matches_row_code(self, tmp_path, rows):
+        grid = contour_grid(_trend_table(rows))
+        want = oracles.contour_rows(rows)
+        bands = [SLOPE_BANDS[i] for i in grid.slope_band] + [P_BANDS[i] for i in grid.p_band]
+        got = list(zip(*(c.tolist() for c in grid.columns()[:6]), bands[:len(grid)],
+                       bands[len(grid):]))
+        _same_rows(got, [(sid, scale, *cell) for sid, scale, cells in want for cell in cells])
+        write_contour_csv(tmp_path / "new.csv", grid)
+        oracles.write_contour_rows(tmp_path / "old.csv", want)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @given(rows=trend_rows())
+    @SETTINGS
+    def test_contour_errors_match_row_code(self, rows):
+        got = _outcome(contour_grid, _trend_table(rows))
+        want = _outcome(oracles.contour_rows, rows)
+        assert got[0] == want[0]
+        if want[0] == "error":
+            assert got[1:] == want[1:]
+
+    @given(lines=trend_file())
+    @SETTINGS
+    def test_read_trend_csv_matches_row_reader(self, tmp_path, block_lines, lines):
+        path = tmp_path / "trend.csv"
+        path.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
+        _assert_same_outcome(_outcome(read_trend_csv, path),
+                             _outcome(oracles.read_trend_rows, path), _same_rows)
+
+    @given(rows=trend_rows(finite=True))
+    @SETTINGS
+    def test_round_trip_through_both_readers(self, tmp_path, rows):
+        write_trend_csv(tmp_path / "trend.csv", _trend_table(rows))
+        _assert_same_outcome(_outcome(read_trend_csv, tmp_path / "trend.csv"),
+                             _outcome(oracles.read_trend_rows, tmp_path / "trend.csv"),
+                             _same_rows)
+
+    @pytest.mark.parametrize("bad_first", [True, False], ids=["bad-row-first",
+                                                              "repeat-first"])
+    def test_first_error_of_the_file_wins_across_blocks(self, tmp_path, block_lines,
+                                                        bad_first):
+        # A row with hour 99 and a second row for an earlier cell, ten rows
+        # apart: whichever comes first in the file names the error.
+        rows = [f"S1,30d,{label},{h},5,3,8.5,0.7,0.49,0.1,0.2,0"
+                for label in ("Jan", "Feb") for h in range(6)]
+        bad, repeat = "S1,30d,Mar,99,5,3,8.5,0.7,0.49,0.1,0.2,0", rows[0]
+        rows[1:1] = [bad if bad_first else repeat]
+        rows[11:11] = [repeat if bad_first else bad]
+        path = tmp_path / "trend.csv"
+        path.write_text(",".join(oracles.TREND_HEADER) + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_trend_csv(path)
+        assert str(exc.value) == (
+            "line 3: hour 99 out of range 0-23" if bad_first else
+            "line 3: station S1: second row for scale 30d, window Jan, hour 0")
+        assert _outcome(oracles.read_trend_rows, path) == _outcome(read_trend_csv, path)
+
+    def test_bad_row_before_a_reader_error_wins(self, tmp_path, block_lines):
+        # The reader stops at the byte that is not UTF-8, blocks after the
+        # row with hour 99; the row comes first in the file.
+        rows = [f"S1,30d,Jan,{h},5,3,8.5,0.7,0.49,0.1,0.2,0".encode() for h in range(8)]
+        rows[2] = b"S1,30d,Feb,99,5,3,8.5,0.7,0.49,0.1,0.2,0"
+        rows[7] = b"S\xff,30d,Feb,0,5,3,8.5,0.7,0.49,0.1,0.2,0"
+        path = tmp_path / "trend.csv"
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        with pytest.raises(ParseError, match="^line 3: hour 99 out of range 0-23$"):
+            read_trend_csv(path)
+        rows[2] = rows[1].replace(b",1,", b",2,")
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        with pytest.raises(ParseError, match="^line 8: invalid UTF-8 byte 0xff$"):
+            read_trend_csv(path)
+
+    def test_counts_outside_int64_are_a_parse_error(self, tmp_path):
+        path = tmp_path / "trend.csv"
+        path.write_text(f"S1,30d,Jan,0,5,{2**63},8.5,0.7,0.49,0.1,0.2,0\n"
+                        f"S1,30d,Jan,1,5,{2**63 - 1},8.5,0.7,0.49,0.1,0.2,0\n")
+        with pytest.raises(ParseError, match="^line 1: malformed numeric field$"):
+            read_trend_csv(path)
+        path.write_text(f"S1,30d,Jan,{2**64},5,3,8.5,0.7,0.49,0.1,0.2,0\n")
+        with pytest.raises(ParseError, match=f"^line 1: hour {2**64} out of range 0-23$"):
+            read_trend_csv(path)
+
+    def test_clean_files_stay_columnar(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the row-by-row path ran on a well-formed file")
+
+        monkeypatch.setattr(_util, "BLOCK_LINES", 50)
+        monkeypatch.setattr(trend, "_word_trend_error", refuse)
+        monkeypatch.setattr(_util, "_split_rows", refuse)
+        rows = [(sid, "10d", label, h, 12, -5, 162.5, -0.2, 0.8, -0.01, 0.3, False)
+                for sid in ("S1", "S2") for label in ("Jan01-10", "Dec21-31") for h in range(24)]
+        write_trend_csv(tmp_path / "trend.csv", _trend_table(rows))
+        text = (tmp_path / "trend.csv").read_bytes()
+        for ending in (b"\r\n", b"\n", b"\r"):
+            (tmp_path / "trend.csv").write_bytes(text.replace(b"\r\n", ending))
+            back = read_trend_csv(tmp_path / "trend.csv")
+            assert sorted(back) == sorted(_trend_table(rows))
 
 
 class TestByteLines:

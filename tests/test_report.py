@@ -15,7 +15,7 @@ from diurnal import (
     Region,
     StationGroup,
     StationMeta,
-    TrendCell,
+    TrendTable,
     bin_cell,
     cluster_table,
     contour_grid,
@@ -73,7 +73,12 @@ class TestBinCell:
 
 
 def _cell(sid, label, hour, slope, p, scale="30d"):
-    return TrendCell(sid, scale, label, hour, 10, 20, 125.0, 1.7, p, slope, 0.1, False)
+    return (sid, scale, label, hour, 10, 20, 125.0, 1.7, p, slope, 0.1, False)
+
+
+def _table(cells):
+    """A trend table of row tuples."""
+    return TrendTable(*zip(*cells))
 
 
 class TestContourGrid:
@@ -83,22 +88,50 @@ class TestContourGrid:
             _cell("S1", "Dec", 23, -0.2, 0.5),
             _cell("S1", "Jan", 2, 0.01, 0.07),
         ]
-        grids = contour_grid(cells)
-        assert [g.station_id for g in grids] == ["S1", "S2"]
-        assert [(c.window_label, c.hour) for c in grids[0].cells] == [("Jan", 2), ("Dec", 23)]
-        jan = grids[0].cells[0]
-        assert jan.slope_band == "(0.0, 0.03]" and jan.p_band == "(0.05, 0.10]"
+        grid = contour_grid(_table(cells))
+        assert grid.station_id.tolist() == ["S1", "S1", "S2"]
+        assert list(zip(grid.window_label.tolist(), grid.hour.tolist())) == [
+            ("Jan", 2), ("Dec", 23), ("Feb", 0)]
+        assert grid.sen_slope.tolist() == [0.01, -0.2, 0.05]
+        assert grid.p_value.tolist() == [0.07, 0.5, 0.01]
+        assert [SLOPE_BANDS[i] for i in grid.slope_band] == [
+            "(0.0, 0.03]", "(-1.0, -0.03]", "(0.03, 1.0]"]
+        assert [P_BANDS[i] for i in grid.p_band] == [
+            "(0.05, 0.10]", "(0.10, 1]", "(0.001, 0.05]"]
+
+    def test_bands_match_bin_cell(self):
+        edges = [-5.0, -1.0, -0.03, -0.029, -0.0, 0.0, 1e-9, 0.03, 0.0301, 1.0, 5.0]
+        ps = [0.0, 0.001, 0.05, 0.0501, 0.10, 0.100001, 1.0]
+        cells = [_cell("S1", "Jan", h, slope, p)
+                 for h, (slope, p) in enumerate(zip(edges * len(ps), ps * len(edges)))]
+        grid = contour_grid(_table(cells[:24]))
+        assert [(SLOPE_BANDS[i], P_BANDS[j]) for i, j in zip(grid.slope_band, grid.p_band)] == [
+            bin_cell(c[9], c[8]) for c in cells[:24]]
+
+    @pytest.mark.parametrize("slope,p,message", [
+        (np.inf, 0.5, "sen_slope must be finite"),
+        (0.0, 1.5, "p_value 1.5 out of [0, 1]"),
+        (0.0, np.nan, "p_value nan out of [0, 1]"),
+    ])
+    def test_first_bad_cell_raises_as_bin_cell(self, slope, p, message):
+        cells = [_cell("S2", "Jan", 0, np.nan, 0.5), _cell("S1", "Feb", 0, 0.0, -1.0),
+                 _cell("S1", "Jan", 3, slope, p)]
+        with pytest.raises(ContractError) as exc:
+            contour_grid(_table(cells))
+        assert str(exc.value) == message
 
     def test_mixed_scales_rejected(self):
-        cells = [_cell("S1", "Jan", 0, 0.0, 0.5),
+        cells = [_cell("S2", "Feb", 0, 0.0, 0.5),
+                 _cell("S1", "Jan", 0, 0.0, 0.5),
+                 _cell("S2", "Feb-Mar", 0, 0.0, 0.5, scale="60db"),
                  _cell("S1", "Jan-Feb", 0, 0.0, 0.5, scale="60da")]
-        with pytest.raises(ContractError, match="mixes scales"):
-            contour_grid(cells)
+        with pytest.raises(ContractError, match="^station S2 mixes scales"):
+            contour_grid(_table(cells))
 
     def test_csv_deterministic(self, tmp_path):
         cells = [_cell("S1", "Jan", h, 0.01 * h - 0.1, 0.05) for h in range(24)]
-        write_contour_csv(tmp_path / "a.csv", contour_grid(cells))
-        write_contour_csv(tmp_path / "b.csv", contour_grid(list(reversed(cells))))
+        write_contour_csv(tmp_path / "a.csv", contour_grid(_table(cells)))
+        write_contour_csv(tmp_path / "b.csv", contour_grid(_table(reversed(cells))))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
