@@ -1,18 +1,26 @@
 """Shared CSV helpers: deterministic cell formatting, tables held as columns
 and written in whole blocks, and the one CSV reader, ``read_blocks``, that
 every table goes through: records, panels and trend tables by columns, the
-metadata and cluster tables row by row (``iter_rows``)."""
+metadata and cluster tables row by row (``iter_rows``).
+
+A columnar reader checks each rule of its rows once, as one bool mask per
+rule over a block (the parsers return a mask of the texts they reject),
+and ``check_rows`` raises the ``ParseError`` of the block's first
+marked row, worded from that row's fields by the first rule that marks it.
+As blocks come in file order, the error names the first bad row of the
+file."""
 
 from __future__ import annotations
 
 import codecs
 import csv
 import io
+import itertools
 import math
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import BinaryIO, Callable, ClassVar, Iterable, Iterator
+from typing import BinaryIO, Callable, ClassVar, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -209,9 +217,10 @@ class Column:
         return codes.view(f"<U{codes.shape[1]}").ravel()
 
 
-def parse_floats(column: Column) -> np.ndarray:
+def parse_floats(column: Column) -> tuple[np.ndarray, np.ndarray]:
     """``parse_float`` of every row of a column: NaN where it is empty, else
-    ``float()`` of its text; raises ``ValueError`` where ``float()`` does.
+    ``float()`` of its text; and a mask of the rows whose text ``float()``
+    rejects (those rows hold 0).
 
     The bulk-split rows of at most 8 bytes are factorized by their word
     keys, so ``float()`` runs once per distinct text and the result is
@@ -220,20 +229,44 @@ def parse_floats(column: Column) -> np.ndarray:
     narrow = (column.codes.dtype == np.uint8) & (column.length <= 8)
     texts, index = factorize(Column(column.codes[:, :8] * narrow[:, None],
                                     column.length * narrow))
-    out = np.array([parse_float(t) for t in texts])[index]
+    out, bad = parse_each(parse_float, texts, np.float64)
+    out, bad = out[index], bad[index]
     if not narrow.all():
         wide = ~narrow
         # A bulk-split row wider than 8 bytes is never empty.
         parse = float if column.codes.dtype == np.uint8 else parse_float
-        out[wide] = list(map(parse, column[wide].text().tolist()))
-    return out
+        out[wide], bad[wide] = parse_each(parse, column[wide].text().tolist(), np.float64)
+    return out, bad
 
 
-def parse_ints(column: Column) -> np.ndarray:
-    """``int()`` of every row's text, run once per distinct text, as int64;
-    raises ValueError, or OverflowError outside int64."""
-    uniq, inv = factorize(column)
-    return np.array([int(u) for u in uniq], dtype=np.int64)[inv]
+def parse_ints(column: Column, bound: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``int()`` of every row's text, run once per distinct text, as int64,
+    and a mask of the rows whose text ``int()`` rejects or whose value is
+    outside int64. With ``bound``, each value is first clipped to
+    ``[-bound, bound]``, so that none is outside int64."""
+    parse = int if bound is None else (lambda text: min(max(int(text), -bound), bound))
+    texts, index = factorize(column)
+    values, bad = parse_each(parse, texts, np.int64)
+    return values[index], bad[index]
+
+
+def parse_each(parse: Callable[[str], object], texts: list[str],
+               dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``parse`` of each text as an array of ``dtype``, and a mask of the
+    texts that ``parse`` or ``dtype`` rejects (``ValueError`` or
+    ``OverflowError``), whose value is 0. The texts are parsed one at a
+    time only after parsing them all at once fails."""
+    try:
+        return np.array([parse(t) for t in texts], dtype), np.zeros(len(texts), bool)
+    except (ValueError, OverflowError):
+        pass
+    values, bad = np.zeros(len(texts), dtype), np.zeros(len(texts), bool)
+    for k, text in enumerate(texts):
+        try:
+            values[k] = parse(text)
+        except (ValueError, OverflowError):
+            bad[k] = True
+    return values, bad
 
 
 def factorize(column: Column) -> tuple[list[str], np.ndarray]:
@@ -268,24 +301,11 @@ def _is_data(row: list[str]) -> bool:
         row[0].strip() != "station_id")
 
 
-def data_rows(rows: Iterable[list[str]], n_fields: int,
-              start: int = 1) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line_no, row)`` for the data rows among csv rows numbered from
-    ``start``: blank rows and ``station_id`` header rows are skipped, and a
-    data row with the wrong number of fields raises ``ParseError``."""
-    for line_no, row in enumerate(rows, start=start):
-        if not _is_data(row):
-            continue
-        if len(row) != n_fields:
-            raise ParseError(f"expected {n_fields} fields, got {len(row)}", line_no)
-        yield line_no, row
-
-
 def iter_rows(path: str | Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(line_no, row)`` for every data row of a CSV file, as
-    ``read_blocks`` reads it (see ``data_rows``): a ``csv.Error``, or a byte
-    that is not UTF-8, becomes a ``ParseError`` on its row once the rows
-    before it have been yielded."""
+    ``read_blocks`` reads it: a ``csv.Error``, a byte that is not UTF-8 or
+    a data row with another field count becomes a ``ParseError`` on its
+    row once the rows before it have been yielded."""
     with open(path, "rb") as fh:
         for block in read_blocks(fh, n_fields):
             yield from block.rows()
@@ -293,42 +313,56 @@ def iter_rows(path: str | Path, n_fields: int) -> Iterator[tuple[int, list[str]]
 
 @dataclass
 class Block:
-    """The csv rows of ``BLOCK_LINES`` consecutive lines (and of the lines
-    a quoted field carries past them), split into columns.
+    """The csv data rows of ``BLOCK_LINES`` consecutive lines (and of the
+    lines a quoted field carries past them), split into columns.
 
-    ``columns`` holds, per field, the stripped text of the data rows whose
-    field count is right, and ``line_no`` their 1-based row numbers; blank
-    and header rows are dropped. ``ragged`` is set when some data row has
-    another field count. ``csv_rows`` holds the rows ``csv.reader`` made of
-    the lines, where the block was not split in bulk. A consumer that finds
-    anything wrong in a block words the error from ``rows()``.
+    ``columns`` holds, per field, the stripped text of the data rows, and
+    ``line_no`` their 1-based row numbers; blank and header rows are
+    dropped. ``csv_rows`` holds the fields of the data rows as
+    ``csv.reader`` made them, where the block was not split in bulk. A
+    consumer checks the columns, and words an error from ``rows()``.
     """
 
-    start: int
-    n_fields: int
     line_no: np.ndarray
     columns: list[Column]
-    ragged: bool = False
     csv_rows: list[list[str]] | None = None
 
     def rows(self) -> Iterator[tuple[int, list[str]]]:
-        """``(line_no, row)`` for the block's data rows, as ``data_rows``
-        yields them."""
+        """``(line_no, row)`` for the block's data rows, fields unstripped."""
         if self.csv_rows is not None:
-            return data_rows(self.csv_rows, self.n_fields, self.start)
+            return zip(self.line_no.tolist(), self.csv_rows)
         # A bulk-split row is its fields' text: no field needed stripping.
         fields = [column.text().tolist() for column in self.columns]
         return zip(self.line_no.tolist(), map(list, zip(*fields)))
 
 
+# A rule of a columnar reader: a mask of a block's rows that break it, and
+# the message of a row that does, worded from the row's unstripped fields.
+Rule = tuple[np.ndarray, Callable[[list[str]], str]]
+
+
+def check_rows(block: Block, rules: Sequence[Rule]) -> None:
+    """Raise the ``ParseError`` of the block's first row that a rule marks,
+    if one does, with the message of the first rule that marks it."""
+    if any(mask.any() for mask, _ in rules):
+        _raise_first_bad(block, rules)
+
+
+def _raise_first_bad(block: Block, rules: Sequence[Rule]) -> NoReturn:
+    i = int(np.argmax(np.logical_or.reduce([mask for mask, _ in rules])))
+    line_no, row = next(itertools.islice(block.rows(), i, None))
+    raise ParseError(next(word for mask, word in rules if mask[i])(row), line_no)
+
+
 def read_blocks(fh: BinaryIO, n_fields: int) -> Iterator[Block]:
     """Split a CSV file opened in binary mode into ``Block``s, with the row
     semantics of ``csv.reader`` over the file read as UTF-8 text with
-    ``newline=""``, plus ``data_rows``; line numbers count csv rows, and a
-    UTF-8 byte order mark at the start of the file is skipped. A
-    ``csv.Error`` (a field over ``csv.field_size_limit()``), or a byte that
-    is not UTF-8, is raised as a ``ParseError`` with its row's line, once
-    the rows before it have been yielded.
+    ``newline=""``; line numbers count csv rows, and a UTF-8 byte order
+    mark at the start of the file is skipped. Blank rows and rows whose
+    first field is ``station_id`` are not data. A ``csv.Error`` (a field
+    over ``csv.field_size_limit()``), a byte that is not UTF-8, or a data
+    row without ``n_fields`` fields is raised as a ``ParseError`` with its
+    row's line, once the rows before it have been yielded.
 
     Each cut of ``BLOCK_LINES`` lines is split in bulk where it can be;
     any other cut goes to ``csv.reader``, which takes further lines while a
@@ -344,7 +378,8 @@ def read_blocks(fh: BinaryIO, n_fields: int) -> Iterator[Block]:
         if block is None:
             text = data.decode("utf-8", "surrogateescape")
             rows, error = _text_rows(io.StringIO(text, newline="").readlines(), more, start)
-            block = _split_rows(rows, start, n_fields)
+            block, ragged = _split_rows(rows, start, n_fields)
+            error = ragged or error
             start += len(rows)
         else:
             start += len(ends)
@@ -497,14 +532,23 @@ def _split_plain(data: bytes, end: np.ndarray, start: int, n_fields: int) -> Blo
     header = sid.view(f"S{sid.shape[1]}")[:, 0] == b"station_id"
     if header.any():
         columns = [col[~header] for col in columns]
-    return Block(start, n_fields, start + np.flatnonzero(~header), columns)
+    return Block(start + np.flatnonzero(~header), columns)
 
 
-def _split_rows(rows: list[list[str]], start: int, n_fields: int) -> Block:
-    """A block's columns from the rows ``csv.reader`` made of its lines."""
+def _split_rows(rows: list[list[str]], start: int,
+                n_fields: int) -> tuple[Block, ParseError | None]:
+    """A block's columns from the rows ``csv.reader`` made of its lines, up
+    to its first data row with another field count; returns the block and
+    the ``ParseError`` of that row, if there is one."""
     width = np.fromiter(map(len, rows), np.intp, len(rows))
     data = np.fromiter(map(_is_data, rows), bool, len(rows))
-    keep = np.flatnonzero(data & (width == n_fields))
-    columns = [Column.of([rows[i][j].strip() for i in keep]) for j in range(n_fields)]
-    return Block(start, n_fields, start + keep, columns,
-                 bool((data & (width != n_fields)).any()), rows)
+    ragged = np.flatnonzero(data & (width != n_fields))
+    error = None
+    if len(ragged):
+        r = int(ragged[0])
+        error = ParseError(f"expected {n_fields} fields, got {width[r]}", start + r)
+        data[r:] = False
+    keep = np.flatnonzero(data)
+    kept = [rows[i] for i in keep]
+    columns = [Column.of([row[j].strip() for row in kept]) for j in range(n_fields)]
+    return Block(start + keep, columns, kept), error

@@ -17,15 +17,14 @@ month is shorter; labels stay comparable across months and years that way.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from datetime import timedelta
 from pathlib import Path
-from typing import Iterable, NoReturn
+from typing import Iterable
 
 import numpy as np
 
-from ._util import (Block, csv_prefix, factorize, parse_float, parse_floats, parse_ints,
+from ._util import (check_rows, csv_prefix, factorize, parse_floats, parse_ints,
                     read_blocks, unique_runs)
 from .errors import ContractError, EmptyInputError, ParseError
 from .impute import MONTH_ABBR
@@ -83,6 +82,25 @@ def build_calendar(scale: str) -> WindowCalendar:
         # January readings belong to the Dec-Jan window opened the year before.
         offsets[0] = 1
     return WindowCalendar(scale, labels, month_window, offsets)
+
+
+_CALENDARS = {scale: build_calendar(scale) for scale in SCALES}
+# Seasonal position of each window label, per scale.
+_WINDOWS = {scale: {label: i for i, label in enumerate(cal.labels)}
+            for scale, cal in _CALENDARS.items()}
+
+
+def window_index(scale: tuple, label: tuple) -> np.ndarray:
+    """Each row's window position in its scale's calendar, from the scale
+    and label fields each given as (distinct texts, index of each row's
+    text), as ``factorize`` or ``unique_runs`` give them; looked up once per
+    distinct (scale, label) pair. -1 where the scale is not one of
+    ``SCALES`` or the label is not of its scale."""
+    (scales, scale_code), (labels, label_code) = scale, label
+    pairs, pair_code = unique_runs(scale_code * len(labels) + label_code)
+    window = [_WINDOWS.get(scales[p // len(labels)], {}).get(labels[p % len(labels)], -1)
+              for p in pairs.tolist()]
+    return np.array(window, dtype=np.int64)[pair_code]
 
 
 @dataclass
@@ -188,39 +206,6 @@ def write_panel(path: str | Path, panels: Iterable[WindowHourPanel]) -> None:
             fh.write("".join(rows.tolist()))
 
 
-def _check_panel_row(line_no: int, row: list[str], scales: dict[str, str]) -> None:
-    """Raise the ``ParseError`` one panel row earns, if any; ``scales`` maps
-    each station seen so far to its scale and learns this row's."""
-    sid, scale, year, label, hour, mean, valid = (f.strip() for f in row)
-    if scale not in SCALES:
-        raise ParseError(f"unknown scale {scale!r}", line_no)
-    if sid in scales and scales[sid] != scale:
-        raise ParseError(f"station {sid} appears under two scales", line_no)
-    scales[sid] = scale
-    try:
-        year, hour, mean = int(year), int(hour), parse_float(mean)
-        np.int64(year)  # the bulk parse holds years as int64
-    except (ValueError, OverflowError):
-        raise ParseError("malformed year, hour or mean", line_no) from None
-    if not 0 <= hour <= 23:
-        raise ParseError(f"hour {hour} out of range 0-23", line_no)
-    if valid not in ("0", "1"):
-        raise ParseError(f"valid flag {valid!r} is not 0 or 1", line_no)
-    if label not in build_calendar(scale).labels:
-        raise ParseError(f"label {label!r} does not belong to scale {scale}", line_no)
-    if valid == "1" and not math.isfinite(mean):
-        raise ParseError(f"valid cell with non-finite mean {row[5].strip()!r}", line_no)
-
-
-def _word_panel_error(block: Block, scales: dict[str, str]) -> NoReturn:
-    """Raise the error of the first bad row of a block the columnar parse
-    rejected, worded row by row from the scales known before the block."""
-    scales = dict(scales)
-    for line_no, row in block.rows():
-        _check_panel_row(line_no, row, scales)
-    raise AssertionError(f"block at line {block.start} rejected, but every row is valid")
-
-
 def read_panel(path: str | Path) -> dict[str, WindowHourPanel]:
     """Read a panel CSV back into per-station panels.
 
@@ -228,44 +213,44 @@ def read_panel(path: str | Path) -> dict[str, WindowHourPanel]:
     reports count 1 for every valid cell. Besides malformed fields, a row
     with an hour outside 0-23, a valid flag other than 0 or 1, a label
     outside its scale or a valid cell without a finite mean raises
-    ``ParseError`` with its line; so does a second row for the same
-    (station, year, window, hour) cell, once every row has been read.
+    ``ParseError`` with its line, the first bad row of the file; so does a
+    second row for the same (station, year, window, hour) cell, once every
+    row has been read.
     """
-    calendars = {scale: build_calendar(scale) for scale in SCALES}
     scale_of: dict[str, str] = {}
     codes: dict[str, int] = {}
     parts = []
     with open(path, "rb") as fh:
         for block in read_blocks(fh, len(PANEL_HEADER)):
-            if block.ragged:
-                _word_panel_error(block, scale_of)
             if not len(block.line_no):
                 continue
             sid, scale, year, label, hour, mean, valid = block.columns
             names, station = factorize(sid)
             scales, scale_code = factorize(scale)
-            labels, label_code = factorize(label)
             # Each station keeps the scale of its first row in the file.
             first = np.unique(station, return_index=True)[1]
             kept = np.array([scale_of.get(name, scales[scale_code[i]])
                              for name, i in zip(names, first)])
-            # Window of each (scale, label) pair; -1 where the label is not the scale's.
-            window = np.array([[calendars[sc].labels.index(lab)
-                                if sc in calendars and lab in calendars[sc].labels else -1
-                                for lab in labels] for sc in scales], np.int64)
-            window = window[scale_code, label_code]
-            try:
-                year, hour = parse_ints(year), parse_ints(hour)
-                value = parse_floats(mean)
-            except (ValueError, OverflowError):
-                _word_panel_error(block, scale_of)
+            window = window_index((scales, scale_code), factorize(label))
+            year, year_bad = parse_ints(year)
+            hour, hour_bad = parse_ints(hour, bound=24)
+            value, mean_bad = parse_floats(mean)
             flags, flag = factorize(valid)
             valid = (np.array(flags) == "1")[flag]
-            if (not set(scales) <= set(SCALES) or not set(flags) <= {"0", "1"}
-                    or (np.array(scales)[scale_code] != kept[station]).any()
-                    or ((hour < 0) | (hour > 23)).any() or (window < 0).any()
-                    or (valid & ~np.isfinite(value)).any()):
-                _word_panel_error(block, scale_of)
+            check_rows(block, [
+                (~np.isin(scales, SCALES)[scale_code],
+                 lambda row: f"unknown scale {row[1].strip()!r}"),
+                (np.array(scales)[scale_code] != kept[station],
+                 lambda row: f"station {row[0].strip()} appears under two scales"),
+                (year_bad | hour_bad | mean_bad, lambda row: "malformed year, hour or mean"),
+                ((hour < 0) | (hour > 23), lambda row: f"hour {int(row[4])} out of range 0-23"),
+                (~np.isin(flags, ("0", "1"))[flag],
+                 lambda row: f"valid flag {row[6].strip()!r} is not 0 or 1"),
+                (window < 0, lambda row: f"label {row[3].strip()!r} does not belong to "
+                                         f"scale {row[1].strip()}"),
+                (valid & ~np.isfinite(value),
+                 lambda row: f"valid cell with non-finite mean {row[5].strip()!r}"),
+            ])
             for name, sc in zip(names, kept.tolist()):
                 scale_of.setdefault(name, sc)
             code = np.array([codes.setdefault(name, len(codes)) for name in names], np.int64)
@@ -297,7 +282,7 @@ def _build_panels(names: list[str], scale_of: dict[str, str], code: np.ndarray,
     if len(repeat):
         k = repeat[np.argmin(line_no[repeat])]
         sid = names[code[k]]
-        label = build_calendar(scale_of[sid]).labels[window[k]]
+        label = _CALENDARS[scale_of[sid]].labels[window[k]]
         raise ParseError(f"station {sid}: second row for year {year[k]}, window {label}, "
                          f"hour {hour[k]}", int(line_no[k]))
     bounds = np.searchsorted(station[order], np.arange(len(names) + 1))
@@ -305,7 +290,7 @@ def _build_panels(names: list[str], scale_of: dict[str, str], code: np.ndarray,
     for r, c in enumerate(by_name):
         rows = order[bounds[r]:bounds[r + 1]]
         sid = names[c]
-        cal = build_calendar(scale_of[sid])
+        cal = _CALENDARS[scale_of[sid]]
         years, yi = np.unique(year[rows], return_inverse=True)
         shape = (len(years), cal.n_windows, 24)
         means = np.full(shape, np.nan)

@@ -18,6 +18,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime
@@ -121,14 +122,23 @@ def _weights_arg(text: str) -> tuple[float, float, float]:
     return wh, wv, wd
 
 
-def _seed_arg(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
-    return seed
+def _int_arg(lo: int, hi: float, expected: str) -> Callable[[str], int]:
+    """The parser of an integer option from ``lo`` to ``hi``, whose error
+    says it expected ``expected``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lo - 1
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
+        return value
+    return parse
+
+
+_seed_arg = _int_arg(0, math.inf, "a non-negative integer")
+_stations_arg = _int_arg(1, math.inf, "a positive integer")
+_year_arg = _int_arg(1, 9999, "a year from 1 to 9999")
 
 
 def _features_arg(text: str) -> str:
@@ -210,9 +220,9 @@ def _add_command(subs, name: str, help_text: str, opts: Sequence[_Opt], run) -> 
 
 _SYNTH_OPTS = (
     _Opt("--out-dir", str, _REQUIRED, "directory for records.csv and metadata.csv"),
-    _Opt("--stations", int, 6, "number of stations to generate"),
+    _Opt("--stations", _stations_arg, 6, "number of stations to generate, at least 1"),
     _Opt("--years", int, 10, "calendar years per station"),
-    _Opt("--start-year", int, 2000, "first year"),
+    _Opt("--start-year", _year_arg, 2000, "first year, 1-9999"),
     _Opt("--step", _step_arg, HOUR, "sampling step, 1h or 30m"),
     _Opt("--base", float, 10.0, "base temperature, degrees C"),
     _Opt("--diurnal-amplitude", float, 5.0, "amplitude of the daily cycle"),
@@ -229,8 +239,6 @@ _GROUP_CYCLE = (StationGroup.UKH, StationGroup.UKL, StationGroup.IH, StationGrou
 
 
 def _run_synth(ns) -> int:
-    out = Path(ns.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     start = datetime(ns.start_year, 1, 1)
     series, metas = [], []
     for i in range(ns.stations):
@@ -253,6 +261,8 @@ def _run_synth(ns) -> int:
             noise_sd=ns.noise_sd, missing_rate=ns.missing_rate,
             seed=[ns.seed, i]))
         metas.append(StationMeta(sid, f"Synthetic {i + 1:02d}", group, region, lat, lon, alt))
+    out = Path(ns.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     write_records(out / "records.csv", series)
     write_metadata(out / "metadata.csv", metas)
     print(f"wrote {out / 'records.csv'} and {out / 'metadata.csv'} ({ns.stations} stations)")

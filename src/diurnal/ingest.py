@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, NoReturn
+from typing import Iterable
 
 import numpy as np
 
@@ -24,12 +24,14 @@ from ._util import (
     BLOCK_LINES,
     Block,
     Column,
+    check_rows,
     csv_prefix,
     factorize,
     fmt,
     fmt_column,
     gather,
     iter_rows,
+    parse_each,
     parse_floats,
     read_blocks,
     write_csv,
@@ -179,7 +181,7 @@ def timestamp_us(text: str) -> int:
     return (ts - _EPOCH) // _US
 
 
-def parse_timestamps(column: Column) -> np.ndarray:
+def parse_timestamps(column: Column) -> tuple[np.ndarray, np.ndarray]:
     """``timestamp_us`` of every row of a column of stripped timestamps.
 
     Rows laid out as ``YYYY-MM-DD``, then ``T`` or a space, then
@@ -187,8 +189,8 @@ def parse_timestamps(column: Column) -> np.ndarray:
     datetime64 cast in bulk, which rejects the dates and times
     ``fromisoformat`` rejects. Any other row (another ISO 8601 spelling, or
     no timestamp at all), and every row of a column the cast refuses, goes
-    through ``timestamp_us`` one at a time, which raises where it is
-    malformed.
+    through ``timestamp_us`` one at a time. Returns the microseconds and a
+    mask of the rows ``timestamp_us`` rejects (those rows hold 0).
     """
     c = np.pad(column.codes, ((0, 0), (0, max(20 - column.codes.shape[1], 0))))
     ok = (column.length == 19) | ((column.length == 20) & (c[:, 19] == 90))  # 'Z'
@@ -208,40 +210,15 @@ def parse_timestamps(column: Column) -> np.ndarray:
         us[ok] = stamps.view("S19").ravel().astype("datetime64[us]").view(np.int64)
     except ValueError:
         ok[:] = False
+    bad = np.zeros(len(column), bool)
     if not ok.all():
         other = np.flatnonzero(~ok)
-        us[other] = [timestamp_us(t) for t in column[other].text().tolist()]
-    return us
+        us[other], bad[other] = parse_each(timestamp_us, column[other].text().tolist(), np.int64)
+    return us, bad
 
 
 def _to_datetime(us: int) -> datetime:
     return _EPOCH + timedelta(microseconds=int(us))
-
-
-def _check_record_row(line_no: int, row: list[str]) -> None:
-    """Raise the error one records row earns, if any."""
-    if not row[0].strip():
-        raise ParseError("empty station_id", line_no)
-    try:
-        timestamp_us(row[1].strip())
-    except (ValueError, OverflowError):
-        raise ParseError(f"malformed timestamp {row[1]!r}", line_no) from None
-    raw_temp = row[2].strip()
-    if raw_temp:
-        try:
-            value = float(raw_temp)
-        except ValueError:
-            raise ParseError(f"malformed temperature {row[2]!r}", line_no) from None
-        if not math.isfinite(value):
-            raise ParseError(f"non-finite temperature {row[2]!r}", line_no)
-
-
-def _word_record_error(block: Block) -> NoReturn:
-    """Raise the error of the first bad row of a block the columnar parse
-    rejected, worded row by row."""
-    for line_no, row in block.rows():
-        _check_record_row(line_no, row)
-    raise AssertionError(f"block at line {block.start} rejected, but every row is valid")
 
 
 def _read_record_columns(blocks: Iterable[Block]) -> tuple:
@@ -252,24 +229,31 @@ def _read_record_columns(blocks: Iterable[Block]) -> tuple:
     codes: dict[str, int] = {}
     parts = []
     for block in blocks:
-        if block.ragged:
-            _word_record_error(block)
         if not len(block.line_no):
             continue
-        sid, stamp, temp = block.columns
-        names, inv = factorize(sid)
-        try:
-            us = parse_timestamps(stamp)
-            value = parse_floats(temp)
-        except (ValueError, OverflowError):
-            _word_record_error(block)
-        if "" in names or not np.isfinite(value[temp.length > 0]).all():
-            _word_record_error(block)
+        us, value = _parse_records(block)
+        names, inv = factorize(block.columns[0])
         code = np.array([codes.setdefault(s, len(codes)) for s in names], np.int64)
         parts.append((code[inv], us, value, block.line_no))
     if not parts:
         return [], None, None, None, None
     return (list(codes), *map(np.concatenate, zip(*parts)))
+
+
+def _parse_records(block: Block) -> tuple[np.ndarray, np.ndarray]:
+    """The UTC microseconds and temperatures of a block's rows; the first
+    bad row raises ``ParseError``."""
+    sid, stamp, temp = block.columns
+    us, stamp_bad = parse_timestamps(stamp)
+    value, temp_bad = parse_floats(temp)
+    check_rows(block, [
+        (sid.length == 0, lambda row: "empty station_id"),
+        (stamp_bad, lambda row: f"malformed timestamp {row[1]!r}"),
+        (temp_bad, lambda row: f"malformed temperature {row[2]!r}"),
+        ((temp.length > 0) & ~np.isfinite(value),
+         lambda row: f"non-finite temperature {row[2]!r}"),
+    ])
+    return us, value
 
 
 def _build_series(step: timedelta | None, names: list[str], code: np.ndarray,

@@ -247,6 +247,9 @@ def synth_station(station_id: str,
         raise ContractError("step must be one hour or 30 minutes")
     if n_years < 1:
         raise ContractError(f"n_years must be at least 1, got {n_years}")
+    if start.year + n_years > 9999:
+        raise ContractError(
+            f"start year {start.year} plus {n_years} years passes year 9999")
     if noise_sd < 0:
         raise ContractError("noise_sd must be non-negative")
     if not 0.0 <= missing_rate < 1.0:

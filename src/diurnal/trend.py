@@ -19,14 +19,14 @@ from collections import namedtuple
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Mapping, NoReturn, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._util import (Block, ColumnTable, csv_fields, factorize, fmt_column, iter_rows,
-                    parse_bool, parse_float, parse_floats, parse_ints, read_blocks,
-                    unique_runs, write_columns)
-from .aggregate import SCALES, WindowHourPanel, build_calendar
+from ._util import (Block, ColumnTable, check_rows, csv_fields, factorize, fmt_column,
+                    parse_bool, parse_each, parse_float, parse_floats, parse_ints,
+                    read_blocks, unique_runs, write_columns)
+from .aggregate import SCALES, WindowHourPanel, window_index
 from .errors import (
     ContractError,
     DegenerateDataError,
@@ -297,29 +297,11 @@ def hour_profiles(panels: Mapping[str, WindowHourPanel], window_label: str,
     return out
 
 
-def window_order(scale: str) -> dict[str, int]:
-    """Seasonal position of each window label, for stable sorting."""
-    return {label: i for i, label in enumerate(build_calendar(scale).labels)}
-
-
-def window_index(scale: np.ndarray, label: np.ndarray) -> np.ndarray:
-    """Each row's window position in its scale's calendar (as ``window_order``
-    gives it), looked up once per distinct (scale, label) pair; -1 where the
-    scale is not one of ``SCALES`` or the label is not of its scale."""
-    scales, scale_code = unique_runs(scale)
-    labels, label_code = unique_runs(label)
-    pairs, pair_code = np.unique(scale_code * len(labels) + label_code, return_inverse=True)
-    orders = {sc: window_order(sc) for sc in SCALES}
-    window = [orders.get(scales[p // len(labels)], {}).get(labels[p % len(labels)], -1)
-              for p in pairs.tolist()]
-    return np.array(window, dtype=np.int64)[pair_code]
-
-
 def table_windows(table) -> np.ndarray:
     """``window_index`` of the rows of a table with ``scale`` and
     ``window_label`` columns; the first row whose label is not of its scale
     raises ``ContractError``."""
-    window = window_index(table.scale, table.window_label)
+    window = window_index(unique_runs(table.scale), unique_runs(table.window_label))
     if (window < 0).any():
         k = int(np.argmax(window < 0))
         raise ContractError(f"label {table.window_label[k]!r} does not belong to scale "
@@ -346,98 +328,63 @@ def read_trend_csv(path: str | Path) -> TrendTable:
     malformed fields, a row with an hour outside 0-23, a p-value outside
     [0, 1], a non-finite Sen's slope, a label outside its scale or a second
     row for the same (station, scale, window, hour) cell raises
-    ``ParseError`` with its line; so does an hour, n or S outside int64.
+    ``ParseError`` with its line, the first bad row of the file; so does an
+    n or S outside int64.
 
     Each block is parsed by columns, every distinct text of a text, int or
-    flag field once, and the checks run on whole columns. If a block or a
-    check fails, or the reader raises, ``_word_trend_error`` words the
-    error row by row from the file's first row, so that the first bad row
-    of the file names it.
+    flag field once, and each check runs once on whole columns.
     """
-    parts, parsed = [], True
-    try:
-        with open(path, "rb") as fh:
-            for block in read_blocks(fh, len(TREND_HEADER)):
-                part = None if block.ragged else _trend_columns(block)
-                if part is None:
-                    parsed = False
-                    break
-                parts.append(part)
-    except ParseError:
-        parsed = False
-    table = TrendTable.concat(parts)
-    if not parsed or not _cells_valid(table):
-        _word_trend_error(path)
-    if not len(table):
+    codes: dict[str, int] = {}
+    parts, seen = [], np.empty(0, np.int64)
+    with open(path, "rb") as fh:
+        for block in read_blocks(fh, len(TREND_HEADER)):
+            if len(block.line_no):
+                table, seen = _trend_columns(block, codes, seen)
+                parts.append(table)
+    if not parts:
         raise EmptyInputError(f"no trend rows found in {path}")
-    return table
+    return TrendTable.concat(parts)
 
 
-def _cells_valid(table: TrendTable) -> bool:
-    """Whether every row has an hour in 0-23, a p-value in [0, 1], a finite
-    Sen's slope and a label of its scale, and no (station, scale, window,
-    hour) cell has a second row."""
-    window = window_index(table.scale, table.window_label)
-    p = table.p_value
-    if (((table.hour < 0) | (table.hour > 23)).any() or not ((p >= 0.0) & (p <= 1.0)).all()
-            or not np.isfinite(table.sen_slope).all() or (window < 0).any()):
-        return False
-    # One integer per cell, below 3456 per station: a repeated cell sorts
-    # next to its first row.
-    station, scale = unique_runs(table.station_id)[1], unique_runs(table.scale)[1]
-    key = np.sort(((station * len(SCALES) + scale) * 36 + window) * 24 + table.hour)
-    return not (key[1:] == key[:-1]).any()
-
-
-def _trend_columns(block: Block) -> TrendTable | None:
+def _trend_columns(block: Block, codes: dict[str, int],
+                   seen: np.ndarray) -> tuple[TrendTable, np.ndarray]:
     """The table of one block's rows, every distinct text of a text, int or
-    flag field parsed once; None if a field is malformed."""
+    flag field parsed once, and ``seen`` with the block's cell keys added.
+    ``seen`` holds one integer per cell of the earlier blocks, from
+    ``codes``, which numbers the station ids in order of first appearance.
+    The first bad row of the block raises ``ParseError``."""
     sid, scale, label, hour, n, s, var_s, z, p, slope, lag1, flag = block.columns
-    if not len(block.line_no):
-        return TrendTable(*[[]] * len(TREND_HEADER))
-    try:
-        ints = [parse_ints(column) for column in (hour, n, s)]
-        floats = [parse_floats(column) for column in (var_s, z, p, slope, lag1)]
-        flags, flag_code = factorize(flag)
-        flag = np.array([parse_bool(f) for f in flags], dtype=bool)[flag_code]
-    except (ValueError, OverflowError):
-        return None
-    text = []
-    for column in (sid, scale, label):
-        uniq, code = factorize(column)
-        text.append(np.array(uniq, dtype=object)[code])
-    return TrendTable(*text, *ints, *floats, flag)
-
-
-def _word_trend_error(path: str | Path) -> NoReturn:
-    """Raise the error of the first bad row of a trend CSV that the columnar
-    parse rejected, checking row by row from the file's first row."""
-    labels = {scale: window_order(scale) for scale in SCALES}
-    seen = set()
-    for line_no, row in iter_rows(path, len(TREND_HEADER)):
-        sid, scale, label, hour, n, s, var_s, z, p, slope, lag1, flag = (
-            f.strip() for f in row)
-        if scale not in SCALES:
-            raise ParseError(f"unknown scale {scale!r}", line_no)
-        try:
-            hour, p, slope = int(hour), parse_float(p), parse_float(slope)
-            np.array([int(n), int(s)], dtype=np.int64)  # the columns hold int64
-            for value in (var_s, z, lag1):
-                parse_float(value)
-            parse_bool(flag)
-        except (ValueError, OverflowError):
-            raise ParseError("malformed numeric field", line_no) from None
-        if not 0 <= hour <= 23:
-            raise ParseError(f"hour {hour} out of range 0-23", line_no)
-        if not 0.0 <= p <= 1.0:
-            raise ParseError(f"p_value {p} out of [0, 1]", line_no)
-        if not math.isfinite(slope):
-            raise ParseError(f"sen_slope {slope} is not finite", line_no)
-        if label not in labels[scale]:
-            raise ParseError(f"label {label!r} does not belong to scale {scale}", line_no)
-        key = (sid, scale, label, hour)
-        if key in seen:
-            raise ParseError(f"station {sid}: second row for scale {scale}, window {label}, "
-                             f"hour {hour}", line_no)
-        seen.add(key)
-    raise AssertionError(f"{path} was rejected, but every row is valid")
+    text = [factorize(column) for column in (sid, scale, label)]
+    (names, station), (scales, scale_code) = text[:2]
+    window = window_index(text[1], text[2])
+    ints, int_bad = zip(parse_ints(hour, bound=24), parse_ints(n), parse_ints(s))
+    floats, float_bad = zip(*map(parse_floats, (var_s, z, p, slope, lag1)))
+    flags, flag_code = factorize(flag)
+    flag, flag_bad = (v[flag_code] for v in parse_each(parse_bool, flags, bool))
+    malformed = np.logical_or.reduce([*int_bad, *float_bad, flag_bad])
+    hour, p, slope = ints[0], floats[2], floats[3]
+    scale_index = np.array([SCALES.index(sc) if sc in SCALES else -1
+                            for sc in scales])[scale_code]
+    # One integer per cell, below 3456 per station: a cell's rows after its
+    # first, here or in an earlier block, are repeats.
+    code = np.array([codes.setdefault(name, len(codes)) for name in names], np.int64)
+    keys = np.concatenate((seen, ((code[station] * len(SCALES) + scale_index) * 36 + window)
+                           * 24 + hour))
+    repeat = np.ones(len(keys), bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    check_rows(block, [
+        (scale_index < 0, lambda row: f"unknown scale {row[1].strip()!r}"),
+        (malformed, lambda row: "malformed numeric field"),
+        ((hour < 0) | (hour > 23), lambda row: f"hour {int(row[3])} out of range 0-23"),
+        (~((p >= 0.0) & (p <= 1.0)),
+         lambda row: f"p_value {parse_float(row[8].strip())} out of [0, 1]"),
+        (~np.isfinite(slope),
+         lambda row: f"sen_slope {parse_float(row[9].strip())} is not finite"),
+        (window < 0, lambda row: f"label {row[2].strip()!r} does not belong to "
+                                 f"scale {row[1].strip()}"),
+        (repeat[len(seen):], lambda row: f"station {row[0].strip()}: second row for scale "
+                                         f"{row[1].strip()}, window {row[2].strip()}, "
+                                         f"hour {int(row[3])}"),
+    ])
+    columns = [np.array(uniq, dtype=object)[index] for uniq, index in text]
+    return TrendTable(*columns, *ints, *floats, flag), keys

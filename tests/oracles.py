@@ -6,7 +6,8 @@ package, so a bug in the library cannot hide in a common code path. The
 reference CSV readers and writers at the end are the package's former
 per-row I/O, except that a timestamp moved out of range by its offset, a
 ``csv.Error`` and a byte that is not UTF-8 are ``ParseError``s with their
-line, and a UTF-8 byte order mark at the start of a file is skipped; they
+line, a UTF-8 byte order mark at the start of a file is skipped, and the
+panel reader checks each row as the columnar one does; they
 borrow only its data classes, calendars and error types, so their results
 and exceptions compare directly with the columnar code.
 """
@@ -534,8 +535,11 @@ def write_records_rows(path, series):
 
 
 def read_panel_rows(path):
-    """Panel CSV read, row by row, without the checks the columnar reader
-    added (it lets a repeated cell win and keeps any hour, flag or mean)."""
+    """Panel CSV read, row by row, with the row checks of the columnar
+    reader in its order: scale, one scale per station, malformed fields,
+    hour in 0-23, valid flag 0 or 1, label of its scale, finite mean where
+    valid. It lets a repeated cell win, where the columnar reader raises
+    once every row has been read, and keeps a year outside int64."""
     rows, scales = {}, {}
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, row in table_rows(fh, 7):
@@ -550,6 +554,14 @@ def read_panel_rows(path):
                         math.nan if mean == "" else float(mean), valid == "1")
             except ValueError:
                 raise ParseError("malformed year, hour or mean", line_no) from None
+            if not 0 <= cell[2] <= 23:
+                raise ParseError(f"hour {cell[2]} out of range 0-23", line_no)
+            if valid not in ("0", "1"):
+                raise ParseError(f"valid flag {valid!r} is not 0 or 1", line_no)
+            if label not in build_calendar(scale).labels:
+                raise ParseError(f"label {label!r} does not belong to scale {scale}", line_no)
+            if cell[4] and not math.isfinite(cell[3]):
+                raise ParseError(f"valid cell with non-finite mean {mean!r}", line_no)
             rows.setdefault(sid, {})[cell[:3]] = cell[3:]
     if not rows:
         raise EmptyInputError(f"no panel rows found in {path}")
@@ -562,8 +574,6 @@ def read_panel_rows(path):
         means = np.full(shape, np.nan)
         counts = np.zeros(shape, dtype=np.int64)
         for (year, label, hour), (mean, ok) in cells.items():
-            if label not in cal.labels:
-                raise ParseError(f"label {label!r} does not belong to scale {scales[sid]}")
             if ok:
                 yi, w = years.index(year), cal.labels.index(label)
                 means[yi, w, hour] = mean

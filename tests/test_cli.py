@@ -184,6 +184,10 @@ class TestExitCodes:
         ("cluster", "metric", "cosine", "expected one of absolute, squared, got 'cosine'"),
         ("synth", "seed", "-1", "expected a non-negative integer, got -1"),
         ("dcor", "seed", "abc", "expected a non-negative integer, got abc"),
+        ("synth", "stations", "0", "expected a positive integer, got 0"),
+        ("synth", "stations", "-2", "expected a positive integer, got -2"),
+        ("synth", "start-year", "0", "expected a year from 1 to 9999, got 0"),
+        ("synth", "start-year", "10000", "expected a year from 1 to 9999, got 10000"),
     ])
     def test_bad_option_value_reads_the_same_as_flag_and_in_config(
             self, tmp_path, capsys, command, key, value, message):
@@ -196,6 +200,18 @@ class TestExitCodes:
         cfg.write_text(f"{key}={value}\n")
         assert run(command, "--config", str(cfg)) == 1
         assert capsys.readouterr().err.strip() == f"error: config key {key}: {message}"
+
+    def test_synth_past_year_9999_exits_one(self, tmp_path, capsys):
+        message = "error: start year 9995 plus 10 years passes year 9999"
+        data = tmp_path / "data"
+        assert run("synth", "--out-dir", str(data), "--start-year", "9995",
+                   "--years", "10") == 1
+        assert capsys.readouterr().err.strip() == message
+        cfg = tmp_path / "late.cfg"
+        cfg.write_text(f"out-dir={data}\nstart-year=9995\nyears=10\n")
+        assert run("synth", "--config", str(cfg)) == 1
+        assert capsys.readouterr().err.strip() == message
+        assert not data.exists()
 
     def test_missing_input_file_exits_two(self, tmp_path, capsys):
         assert run("aggregate", "--records", str(tmp_path / "nope.csv"),

@@ -34,7 +34,7 @@ from diurnal import (
     write_panel,
     write_records,
 )
-from diurnal import _util, aggregate, ingest, trend
+from diurnal import _util, ingest
 from diurnal.report import P_BANDS, SLOPE_BANDS, write_contour_csv
 from diurnal.trend import read_trend_csv, write_trend_csv
 from helpers import HALF_HOUR, HOUR, profile_settings
@@ -61,6 +61,9 @@ BAD_RECORD_LINES = [
     "T01,2001-01-01T00:00:00Z",
     "T01,2001-01-01T00:00:00Z,1,2",
     " ,2001-01-01T00:00:00Z,1.0",
+    # Lines that break several rules: the first rule in the row order names them.
+    " ,bad,abc",
+    "T01,bad,inf",
 ]
 FILLER_LINES = ["", "   ", "\t", "station_id,timestamp,temp_c", "station_id",
                 " station_id ,x"]
@@ -379,14 +382,22 @@ BAD_PANEL_LINES = [
     "T01,30d,2000,Jan,0,zz,0",
     "T01,30d,2000,Jan,0,1.0",
     "T01,60da,2000,Jan-Feb,0,1.0,1",
+    "T01,30d,2000,Jan,24,1.0,1",
+    "T01,30d,2000,Jan,0,1.0,2",
+    "T01,30d,2000,Smarch,0,1.0,1",
+    "T01,30d,2000,Jan,0,,1",
+    "T01,45d,20x0,Smarch,99,zz,7",
+    "T01,30d,2000,Smarch,24,,2",
+    "T01,30d,2000,Smarch,0,,2",
+    "T01,30d,2000,Smarch,0,,1",
 ]
 
 
 @st.composite
 def panel_file(draw):
     """Panel lines for 1-3 stations, shuffled, with blank and header lines
-    and 0-2 bad lines; cells are unique and every row passes the checks the
-    row reader lacks, so both readers must agree."""
+    and 0-3 bad lines; cells are unique, as the row reader lets a repeated
+    cell win."""
     rows = []
     stations = [("T01", "T01")] + draw(st.lists(st.sampled_from(STATION_FIELDS[1:-1])
                                                 | PLAIN_LONG_IDS.map(lambda t: (t, t)),
@@ -430,6 +441,41 @@ class TestPanelReader:
                          b"T01,30d,2000,Jan,0,1.5,1\nT01,30d,2000,Jan,1,\xe9,0\n")
         with pytest.raises(ParseError, match=r"^line 3: invalid UTF-8 byte 0xe9$"):
             read_panel(path)
+
+    @pytest.mark.parametrize("first,second,message", [
+        ("T01,30d,2000,Jan,24,1.5,1", "T01,30d,2000,Feb,0,1.5,2",
+         "line 6: hour 24 out of range 0-23"),
+        ("T01,30d,2000,Feb,0,1.5,2", "T01,30d,2000,Jan,24,1.5,1",
+         "line 6: valid flag '2' is not 0 or 1"),
+        ("T01,30d,2000,Feb,0,,1", "T01,30d,2000,Smarch,0,1.5,1",
+         "line 6: valid cell with non-finite mean ''"),
+    ])
+    def test_first_of_two_bad_lines_wins_across_blocks(self, tmp_path, block_lines,
+                                                       first, second, message):
+        good = [f"T01,30d,2001,Jan,{h},{h}.5,1\n" for h in range(10)]
+        path = tmp_path / "panel.csv"
+        path.write_text("station_id,scale,year,window_label,hour,mean_temp,valid\n"
+                        + "".join(good[:4]) + first + "\n" + "".join(good[4:])
+                        + second + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_panel(path)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("row,message", [
+        (f"T01,30d,{2**63},Jan,0,1.5,1", "line 2: malformed year, hour or mean"),
+        (f"T01,30d,{2**63 - 1},Jan,0,1.5,1", None),
+        (f"T01,30d,2000,Jan,{2**64},1.5,1", f"line 2: hour {2**64} out of range 0-23"),
+        (f"T01,30d,2000,Jan,-{2**64},1.5,1", f"line 2: hour -{2**64} out of range 0-23"),
+    ])
+    def test_numbers_outside_int64(self, tmp_path, row, message):
+        path = tmp_path / "panel.csv"
+        path.write_text(f"station_id,scale,year,window_label,hour,mean_temp,valid\n{row}\n")
+        if message is None:
+            assert read_panel(path)["T01"].years == [2**63 - 1]
+        else:
+            with pytest.raises(ParseError) as exc:
+                read_panel(path)
+            assert str(exc.value) == message
 
     def test_repeated_cell_across_blocks_reports_its_lowest_line(self, tmp_path, block_lines):
         # The last station's last cell repeats at line 6 and the first
@@ -564,6 +610,9 @@ BAD_TREND_LINES = [
     "T01,30d,Jan,0,5,3,8.5,0.7,0.49,,0.2,0", "T01,30d,Jan,0,5,3,8.5,0.7,0.49,0.1,0.2,yes",
     "T01,30d,Jan,0", "T01,30d,Jan,0,5,3,8.5,0.7,0.49,0.1,0.2,0,0",
     f"T\udcff1,30d,Jan,0,{_GOOD}",  # a byte that is not UTF-8
+    "T01,45d,Smarch,99,x,3,8.5,0.7,1.5,inf,0.2,0", "T01,30d,Smarch,99,x,3,8.5,0.7,1.5,inf,0.2,0",
+    "T01,30d,Smarch,99,5,3,8.5,0.7,1.5,inf,0.2,0", "T01,30d,Smarch,0,5,3,8.5,0.7,1.5,inf,0.2,0",
+    "T01,30d,Smarch,0,5,3,8.5,0.7,0.5,inf,0.2,0",
 ]
 
 
@@ -690,7 +739,8 @@ class TestTrendTables:
             raise AssertionError("the row-by-row path ran on a well-formed file")
 
         monkeypatch.setattr(_util, "BLOCK_LINES", 50)
-        monkeypatch.setattr(trend, "_word_trend_error", refuse)
+        monkeypatch.setattr(_util, "_raise_first_bad", refuse)
+        monkeypatch.setattr(_util.Block, "rows", refuse)
         monkeypatch.setattr(_util, "_split_rows", refuse)
         rows = [(sid, "10d", label, h, 12, -5, 162.5, -0.2, 0.8, -0.01, 0.3, False)
                 for sid in ("S1", "S2") for label in ("Jan01-10", "Dec21-31") for h in range(24)]
@@ -806,9 +856,9 @@ class TestFastPath:
         def refuse(*args, **kwargs):
             raise AssertionError("the row-by-row path ran on a well-formed file")
 
-        monkeypatch.setattr(ingest, "_word_record_error", refuse)
+        monkeypatch.setattr(_util, "_raise_first_bad", refuse)
         monkeypatch.setattr(ingest, "timestamp_us", refuse)
-        monkeypatch.setattr(aggregate, "_word_panel_error", refuse)
+        monkeypatch.setattr(_util.Block, "rows", refuse)
         monkeypatch.setattr(_util, "_split_rows", refuse)
         monkeypatch.setattr(_util, "_text_rows", refuse)  # the decode path
         n = 240
@@ -855,13 +905,14 @@ class TestParseFloats:
         assert block.csv_rows is None  # split in bulk
         want = np.array([math.nan if t == "" else float(t) for t in texts])
         for column in (block.columns[1], _util.Column.of(texts)):
-            assert _same_array(_util.parse_floats(column), want)
+            values, bad = _util.parse_floats(column)
+            assert _same_array(values, want) and not bad.any()
 
     @pytest.mark.parametrize("text", ["abc", "abcdefghi", "1.5.1"])
-    def test_malformed_text_raises(self, text):
-        (block,) = _util.read_blocks(_bytes(["x,1.5\n", f"x,{text}\n"]), 2)
-        with pytest.raises(ValueError):
-            _util.parse_floats(block.columns[1])
+    def test_malformed_text_is_marked(self, text):
+        (block,) = _util.read_blocks(_bytes(["x,1.5\n", f"x,{text}\n", "x,2.5\n"]), 2)
+        values, bad = _util.parse_floats(block.columns[1])
+        assert values.tolist() == [1.5, 0.0, 2.5] and bad.tolist() == [False, True, False]
 
     @pytest.mark.parametrize("text,message", [
         ("nan", "line 3: non-finite temperature 'nan'"),
@@ -931,7 +982,8 @@ class TestKeyPath:
     def test_parse_floats_keeps_the_bits_of_float(self, texts):
         want = np.array([math.nan if t == "" else float(t) for t in texts])
         for column in (_plain_column(texts), _util.Column.of(texts)):
-            assert _same_array(_util.parse_floats(column), want)
+            values, bad = _util.parse_floats(column)
+            assert _same_array(values, want) and not bad.any()
 
     @given(rows=st.integers(2, 4).flatmap(lambda n: st.lists(
                st.lists(st.text(PLAIN, min_size=1, max_size=24), min_size=n, max_size=n),

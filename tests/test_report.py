@@ -281,6 +281,8 @@ class TestSynthStation:
             synth_station("S1", datetime(2000, 1, 1), step=timedelta(minutes=15))
         with pytest.raises(ContractError, match="n_years"):
             synth_station("S1", datetime(2000, 1, 1), n_years=0)
+        with pytest.raises(ContractError, match="passes year 9999"):
+            synth_station("S1", datetime(9995, 1, 1), n_years=5)
         with pytest.raises(ContractError, match="missing_rate"):
             synth_station("S1", datetime(2000, 1, 1), missing_rate=1.0)
         with pytest.raises(ContractError, match="noise_sd"):
