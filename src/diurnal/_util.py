@@ -1,7 +1,7 @@
 """Shared CSV helpers: deterministic cell formatting, tables held as columns
-and written in whole blocks, and the one CSV reader, ``read_blocks``, that
-every table goes through: records, panels and trend tables by columns, the
-metadata and cluster tables row by row (``iter_rows``).
+and written in blocks by ``write_blocks``, and the one CSV reader,
+``read_blocks``, that every table goes through: records, panels and trend
+tables by columns, the metadata and cluster tables row by row (``iter_rows``).
 
 A columnar reader checks each rule of its rows once, as one bool mask per
 rule over a block (the parsers return a mask of the texts they reject),
@@ -108,42 +108,52 @@ def csv_prefix(*fields: str) -> str:
 
 
 def gather(keys: np.ndarray, texts: Callable[[np.ndarray], list[str]]) -> list[str]:
-    """``texts(distinct keys)`` looked up for every key, as a list."""
-    uniq, inv = np.unique(keys, return_inverse=True)
+    """``texts(distinct keys)`` looked up for every key, as a list; a run of
+    equal keys costs one compare per row (``unique_runs``)."""
+    uniq, inv = unique_runs(keys)
     return np.array(texts(uniq), dtype=object)[inv].tolist()
 
 
 def fmt_column(values: np.ndarray) -> list[str]:
-    """``fmt`` of every element of a bool, integer or float64 array, run once
-    per distinct value; floats are told apart by their bit patterns, so
-    ``-0.0`` stays apart from ``0.0``."""
+    """Every element of an array as ``csv.writer`` writes it as a field,
+    rendered once per distinct value: ``fmt`` of a bool, integer or float64
+    value, and text (an object array of ``str``) quoted only where it needs
+    it. Floats are told apart by their bit patterns, so ``-0.0`` stays
+    apart from ``0.0``."""
     if values.dtype == np.float64:
         return gather(values.view(np.int64), lambda bits: [
             "" if v != v else repr(v) for v in bits.view(np.float64).tolist()])
+    if values.dtype == object:
+        return gather(values, lambda uniq: [csv_prefix(t)[:-1] for t in uniq.tolist()])
     return gather(values, lambda uniq: list(map(fmt, uniq.tolist())))
 
 
-def csv_fields(*columns: np.ndarray) -> list[str]:
-    """Each row's text fields (object arrays of str) as ``csv.writer`` renders
-    them, joined by commas. ``csv_prefix`` runs once per run of rows whose
-    fields are all equal."""
-    n = len(columns[0])
-    head = np.zeros(n, dtype=bool)
-    head[:1] = True
-    for column in columns:
-        head[1:] |= column[1:] != column[:-1]
-    starts = np.flatnonzero(head)
-    texts = [csv_prefix(*row)[:-1] for row in zip(*(c[starts].tolist() for c in columns))]
-    return np.repeat(np.array(texts, dtype=object), np.diff(np.append(starts, n))).tolist()
+# A piece of a block's rows: one rendered text per row, or one for them all.
+Piece = list[str] | str
 
 
-def write_columns(path: str | Path, header: Iterable[str], columns: list[list[str]]) -> None:
-    """Write a header, then rows given as columns of rendered fields, with the
-    bytes of ``csv.writer``: the fields are already quoted where needed."""
+def csv_pieces(columns: Iterable[list[str]]) -> list[Piece]:
+    """Rendered columns as the pieces of rows, with a comma between each two."""
+    return [piece for column in columns for piece in (",", column)][1:]
+
+
+def write_blocks(path: str | Path, header: Iterable[str],
+                 blocks: Iterable[Sequence[Piece]]) -> None:
+    """Write a header with ``csv.writer``, then each block's rows as UTF-8:
+    a block is a sequence of pieces, at least one a list, and a row is its
+    pieces in order, then ``\\r\\n``. The pieces come rendered and quoted
+    (``fmt_column``), so the bytes are those of ``csv.writer``. A block is
+    one list of parts, filled by a slice assignment per list piece and
+    written with one join."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        if columns[0]:
-            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+        for pieces in blocks:
+            n = len(next(piece for piece in pieces if isinstance(piece, list)))
+            parts = [piece if isinstance(piece, str) else "" for piece in (*pieces, "\r\n")] * n
+            for i, piece in enumerate(pieces):
+                if isinstance(piece, list):
+                    parts[i::len(pieces) + 1] = piece
+            fh.write("".join(parts))
 
 
 @dataclass(frozen=True, eq=False)

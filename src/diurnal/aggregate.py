@@ -16,7 +16,6 @@ month is shorter; labels stay comparable across months and years that way.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from datetime import timedelta
 from pathlib import Path
@@ -24,8 +23,8 @@ from typing import Iterable
 
 import numpy as np
 
-from ._util import (check_rows, csv_prefix, factorize, parse_floats, parse_ints,
-                    read_blocks, unique_runs)
+from ._util import (Piece, check_rows, csv_pieces, csv_prefix, factorize, fmt_column,
+                    parse_floats, parse_ints, read_blocks, unique_runs, write_blocks)
 from .errors import ContractError, EmptyInputError, ParseError
 from .impute import MONTH_ABBR
 from .ingest import TemperatureSeries, time_fields
@@ -178,32 +177,26 @@ def year_series(panel: WindowHourPanel, window_label: str, hour: int) -> tuple[n
     return years, panel.means[valid, w, hour]
 
 
-_HOURS = [f"{h}," for h in range(24)]
-
-
 def write_panel(path: str | Path, panels: Iterable[WindowHourPanel]) -> None:
     """Write panels as CSV rows, one per (station, year, window, hour).
 
     Invalid cells keep their row with an empty mean and valid=0 so the grid
-    shape survives the round trip. Each panel's rows are built as one
-    (year, window, hour) array of strings.
+    shape survives the round trip. Each panel is one block of
+    ``write_blocks``, its columns rendered by ``fmt_column`` from its
+    (year, window, hour) grid.
     """
-    panels = sorted(panels, key=lambda p: p.station_id)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(PANEL_HEADER)
-        for p in panels:
-            head = csv_prefix(p.station_id, p.scale)
-            years = np.array([f"{head}{year}," for year in p.years], dtype=str)
-            labels = np.array([csv_prefix(label) for label in p.labels], dtype=str)
-            keys = np.strings.add(np.strings.add(years[:, None, None], labels[None, :, None]),
-                                  np.array(_HOURS)[None, None, :])
-            ok = (p.counts > 0).ravel()
-            means = p.means.ravel()
-            text = np.array(list(map(repr, means.tolist())), dtype=str)
-            text = np.where(ok & ~np.isnan(means), text, "")
-            rows = np.strings.add(np.strings.add(keys.ravel(), text),
-                                  np.where(ok, ",1\r\n", ",0\r\n"))
-            fh.write("".join(rows.tolist()))
+    write_blocks(path, PANEL_HEADER,
+                 map(_panel_pieces, sorted(panels, key=lambda p: p.station_id)))
+
+
+def _panel_pieces(p: WindowHourPanel) -> list[Piece]:
+    """The ``write_blocks`` pieces of a panel's rows."""
+    year, window, hour = np.indices(p.means.shape).reshape(3, -1)
+    ok = (p.counts > 0).ravel()
+    return [csv_prefix(p.station_id, p.scale), *csv_pieces([
+        fmt_column(np.asarray(p.years, np.int64)[year]),
+        fmt_column(np.array(p.labels, dtype=object)[window]), fmt_column(hour),
+        fmt_column(np.where(ok, p.means.ravel(), np.nan)), fmt_column(ok)])]
 
 
 def read_panel(path: str | Path) -> dict[str, WindowHourPanel]:

@@ -10,13 +10,12 @@ omitted. Half-hourly series are normalized to hourly means with
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from ._util import (
     BLOCK_LINES,
     Block,
     Column,
+    Piece,
     check_rows,
     csv_prefix,
     factorize,
@@ -34,6 +34,7 @@ from ._util import (
     parse_each,
     parse_floats,
     read_blocks,
+    write_blocks,
     write_csv,
 )
 from .errors import (
@@ -323,25 +324,21 @@ def read_records(path: str | Path,
 def write_records(path: str | Path, series: Iterable[TemperatureSeries]) -> None:
     """Write series back out in the records CSV layout (masked slots stay empty).
 
-    Rows go out in blocks. A block's distinct days, times of day and
+    Each ``BLOCK_LINES`` slots of a series are one block of
+    ``write_blocks``: the block's distinct days, times of day and
     temperatures are each formatted once (``np.datetime_as_string``, and
-    ``repr`` as ``fmt`` renders a float) and then gathered per row.
+    ``fmt_column``) and then gathered per row.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(RECORDS_HEADER)
+    def blocks() -> Iterator[list[Piece]]:
         for s in sorted(series, key=lambda s: s.station_id):
-            prefix = csv_prefix(s.station_id)
-            start_us = (s.start - _EPOCH) // _US
-            step_us = s.step // _US
             for lo in range(0, s.n, BLOCK_LINES):
                 k = np.arange(lo, min(lo + BLOCK_LINES, s.n))
-                day, tod = np.divmod(start_us + k * step_us, _DAY_US)
-                parts = [prefix, "", "", "Z,", "", "\r\n"] * len(k)
-                parts[1::6] = gather(day, _day_text)
-                parts[2::6] = gather(tod, _time_text)
+                day, tod = np.divmod((s.start - _EPOCH) // _US + k * (s.step // _US), _DAY_US)
                 # Every masked slot, and only those, holds NaN.
-                parts[4::6] = fmt_column(s.values[k])
-                fh.write("".join(parts))
+                yield [csv_prefix(s.station_id), gather(day, _day_text),
+                       gather(tod, _time_text), "Z,", fmt_column(s.values[k])]
+
+    write_blocks(path, RECORDS_HEADER, blocks())
 
 
 def _day_text(days: np.ndarray) -> list[str]:

@@ -18,8 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._util import (ColumnTable, csv_fields, csv_prefix, fmt, fmt_column, iter_rows,
-                    parse_float, roman, unique_runs, write_columns, write_csv)
+from ._util import (ColumnTable, csv_pieces, fmt, fmt_column, iter_rows, parse_float,
+                    roman, unique_runs, write_blocks, write_csv)
 from .errors import ContractError, EmptyInputError, ParseError
 from .impute import MONTH_ABBR
 from .ingest import HALF_HOUR, HOUR, StationMeta, TemperatureSeries
@@ -103,15 +103,12 @@ def contour_grid(table: TrendTable) -> ContourTable:
 
 
 def write_contour_csv(path: str | Path, table: ContourTable) -> None:
-    """Write binned cells in table order, with the bytes of ``csv.writer``;
-    each column is rendered as in ``write_trend_csv``, and each band text is
-    quoted once."""
-    slope_bands = np.array([csv_prefix(b)[:-1] for b in SLOPE_BANDS], dtype=object)
-    p_bands = np.array([csv_prefix(b)[:-1] for b in P_BANDS], dtype=object)
-    write_columns(path, CONTOUR_HEADER, [
-        csv_fields(table.station_id, table.scale, table.window_label),
-        *map(fmt_column, (table.hour, table.sen_slope, table.p_value)),
-        slope_bands[table.slope_band].tolist(), p_bands[table.p_band].tolist()])
+    """Write binned cells in table order, with the bytes of ``csv.writer``:
+    one block of ``write_blocks``, each column rendered as in
+    ``write_trend_csv`` and each band as its text."""
+    write_blocks(path, CONTOUR_HEADER, [csv_pieces(map(fmt_column, (
+        *table.columns()[:6], np.array(SLOPE_BANDS, dtype=object)[table.slope_band],
+        np.array(P_BANDS, dtype=object)[table.p_band])))])
 
 
 def write_cluster_csv(path: str | Path, report: ClusterReport,
@@ -236,7 +233,9 @@ def synth_station(station_id: str,
             + Normal(0, noise_sd)
 
     The series runs from ``start`` (naive UTC, on the step grid) up to but
-    not including the same instant ``n_years`` calendar years later. With
+    not including the same instant ``n_years`` calendar years later; a
+    series that starts on 29 February and whose end year is not a leap
+    year ends at the same time on 1 March of that year instead. With
     ``noise_sd`` zero no random numbers are drawn at all, so the output is
     a pure closed-form surface; ``missing_rate`` masks slots independently
     at that rate, after the noise draw.
@@ -254,7 +253,10 @@ def synth_station(station_id: str,
         raise ContractError("noise_sd must be non-negative")
     if not 0.0 <= missing_rate < 1.0:
         raise ContractError("missing_rate must be in [0, 1)")
-    end = start.replace(year=start.year + n_years)
+    try:
+        end = start.replace(year=start.year + n_years)
+    except ValueError:  # 29 February, and the end year is not a leap year
+        end = start.replace(year=start.year + n_years, month=3, day=1)
     step_s = int(step.total_seconds())
     n = int((end - start).total_seconds()) // step_s
     idx = np.datetime64(start, "s") + np.arange(n) * np.timedelta64(step_s, "s")

@@ -23,9 +23,9 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._util import (Block, ColumnTable, check_rows, csv_fields, factorize, fmt_column,
+from ._util import (Block, ColumnTable, check_rows, csv_pieces, factorize, fmt_column,
                     parse_bool, parse_each, parse_float, parse_floats, parse_ints,
-                    read_blocks, unique_runs, write_columns)
+                    read_blocks, unique_runs, write_blocks)
 from .aggregate import SCALES, WindowHourPanel, window_index
 from .errors import (
     ContractError,
@@ -311,16 +311,13 @@ def table_windows(table) -> np.ndarray:
 
 def write_trend_csv(path: str | Path, table: TrendTable) -> None:
     """Write trend cells in (station, scale, window, hour) order, with the
-    bytes of ``csv.writer``. Rows are ordered by one lexsort, and each
-    column is rendered once per distinct value (``fmt``), or for the text
-    fields once per (station, scale, window)."""
+    bytes of ``csv.writer``. Rows are ordered by one lexsort, and written
+    as one block of ``write_blocks``: each column rendered once per
+    distinct value by ``fmt_column``."""
     order = np.lexsort((table.hour, table_windows(table), unique_runs(table.scale)[1],
                         unique_runs(table.station_id)[1]))
-    t = table.take(order)
-    write_columns(path, TREND_HEADER, [
-        csv_fields(t.station_id, t.scale, t.window_label),
-        *map(fmt_column, (t.hour, t.n, t.s, t.var_s, t.z, t.p_value, t.sen_slope, t.lag1,
-                          t.serial_flag))])
+    write_blocks(path, TREND_HEADER,
+                 [csv_pieces(map(fmt_column, table.take(order).columns()))])
 
 
 def read_trend_csv(path: str | Path) -> TrendTable:

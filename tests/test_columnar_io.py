@@ -846,6 +846,36 @@ class TestWriters:
         oracles.write_panel_rows(tmp_path / "old.csv", panels)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+    @pytest.mark.parametrize("series", [
+        [TemperatureSeries("S1", datetime(2000, 1, 1), HOUR, [], [])], [],
+    ], ids=["zero-slot series", "no series"])
+    def test_empty_records_write_only_the_header(self, tmp_path, series):
+        write_records(tmp_path / "new.csv", series)
+        oracles.write_records_rows(tmp_path / "old.csv", series)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_bytes().count(b"\n") == 1
+
+    @pytest.mark.parametrize("panels", [
+        [WindowHourPanel("S1", "30d", [], list(build_calendar("30d").labels),
+                         np.empty((0, 12, 24)), np.empty((0, 12, 24), np.int64))], [],
+    ], ids=["panel without years", "no panels"])
+    def test_empty_panels_write_only_the_header(self, tmp_path, panels):
+        write_panel(tmp_path / "new.csv", panels)
+        oracles.write_panel_rows(tmp_path / "old.csv", panels)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_bytes().count(b"\n") == 1
+
+    def test_empty_trend_and_contour_tables_write_only_the_header(self, tmp_path):
+        table = TrendTable.concat([])
+        write_trend_csv(tmp_path / "new.csv", table)
+        oracles.write_trend_rows(tmp_path / "old.csv", [])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_bytes().count(b"\n") == 1
+        write_contour_csv(tmp_path / "new.csv", contour_grid(table))
+        oracles.write_contour_rows(tmp_path / "old.csv", [])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_bytes().count(b"\n") == 1
+
 
 class TestFastPath:
     """Well-formed files must never reach the row-by-row code."""

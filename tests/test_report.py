@@ -260,6 +260,16 @@ class TestSynthStation:
         _, months, days, _ = time_fields(s.index64())
         assert ((months == 2) & (days == 29)).sum() == 24
 
+    @pytest.mark.parametrize("start, n_years, end", [
+        (datetime(2000, 2, 29), 1, datetime(2001, 3, 1)),
+        (datetime(2000, 2, 29, 6), 3, datetime(2003, 3, 1, 6)),
+        (datetime(2000, 2, 29), 4, datetime(2004, 2, 29)),
+    ])
+    def test_leap_day_start_ends_on_1_march_of_a_common_year(self, start, n_years, end):
+        s = synth_station("S1", start, n_years=n_years)
+        assert s.n == (end - start) // HOUR
+        assert s.timestamp(s.n - 1) == end - HOUR
+
     def test_noiseless_output_ignores_seed(self):
         a = synth_station("S1", datetime(2000, 1, 1), n_years=1, seed=1)
         b = synth_station("S1", datetime(2000, 1, 1), n_years=1, seed=999)
