@@ -1,7 +1,8 @@
 """Shared CSV helpers: deterministic cell formatting, tables held as columns
 and written in blocks by ``write_blocks``, and the one CSV reader,
 ``read_blocks``, that every table goes through: records, panels and trend
-tables by columns, the metadata and cluster tables row by row (``iter_rows``).
+tables by columns through one front end, ``read_station_rows``, the
+metadata and cluster tables row by row (``iter_rows``).
 
 A columnar reader checks each rule of its rows once, as one bool mask per
 rule over a block (the parsers return a mask of the texts they reject),
@@ -24,7 +25,7 @@ from typing import BinaryIO, Callable, ClassVar, Iterable, Iterator, NoReturn, S
 
 import numpy as np
 
-from .errors import ContractError, ParseError
+from .errors import ContractError, EmptyInputError, ParseError
 
 # Lines per block of the columnar reader. It bounds the reader's working
 # memory (a few MB per block) whatever the file size.
@@ -319,6 +320,39 @@ def iter_rows(path: str | Path, n_fields: int) -> Iterator[tuple[int, list[str]]
     with open(path, "rb") as fh:
         for block in read_blocks(fh, n_fields):
             yield from block.rows()
+
+
+def read_station_rows(path: str | Path, n_fields: int, what: str,
+                      parse: Callable[[Block, np.ndarray], Sequence[np.ndarray]]
+                      ) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
+    """A CSV file's rows, keyed by a station id in the first field, as columns
+    in file order: the ids by number, in order of first appearance; each
+    row's station number; and the arrays that ``parse(block, station)``
+    returns for each block with a data row, concatenated. A file without a
+    data row raises ``EmptyInputError``."""
+    numbers: dict[str, int] = {}
+    parts = []
+    with open(path, "rb") as fh:
+        for block in read_blocks(fh, n_fields):
+            if not len(block.line_no):
+                continue
+            ids, index = factorize(block.columns[0])
+            station = np.array([numbers.setdefault(s, len(numbers)) for s in ids],
+                               np.int64)[index]
+            parts.append((station, *parse(block, station)))
+    if not parts:
+        raise EmptyInputError(f"no {what} found in {path}")
+    station, *columns = map(np.concatenate, zip(*parts))
+    return list(numbers), station, columns
+
+
+def by_station(names: list[str], station: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The station numbers in the order of their ids, and each row's rank
+    in that order, from the ids by number and each row's number."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), np.int64)
+    rank[order] = np.arange(len(names))
+    return order, rank[station]
 
 
 @dataclass

@@ -23,8 +23,9 @@ from typing import Iterable
 
 import numpy as np
 
-from ._util import (Piece, check_rows, csv_pieces, csv_prefix, factorize, fmt_column,
-                    parse_floats, parse_ints, read_blocks, unique_runs, write_blocks)
+from ._util import (Piece, by_station, check_rows, csv_pieces, csv_prefix, factorize,
+                    fmt_column, parse_floats, parse_ints, read_station_rows, unique_runs,
+                    write_blocks)
 from .errors import ContractError, EmptyInputError, ParseError
 from .impute import MONTH_ABBR
 from .ingest import TemperatureSeries, time_fields
@@ -108,6 +109,7 @@ class WindowHourPanel:
 
     ``means`` has shape (len(years), n_windows, 24) with NaN where no
     reading contributed; ``counts`` holds the contributing reading count.
+    ``years`` is strictly increasing: the trend tests read its axis as time.
     """
 
     station_id: str
@@ -121,6 +123,9 @@ class WindowHourPanel:
         shape = (len(self.years), len(self.labels), 24)
         if self.means.shape != shape or self.counts.shape != shape:
             raise ContractError(f"panel arrays must have shape {shape}")
+        if any(a >= b for a, b in zip(self.years, self.years[1:])):
+            raise ContractError(f"station {self.station_id}: panel years must be strictly "
+                                f"increasing, got {self.years}")
 
     def cell_valid(self) -> np.ndarray:
         return self.counts > 0
@@ -210,88 +215,77 @@ def read_panel(path: str | Path) -> dict[str, WindowHourPanel]:
     second row for the same (station, year, window, hour) cell, once every
     row has been read.
     """
-    scale_of: dict[str, str] = {}
-    codes: dict[str, int] = {}
-    parts = []
-    with open(path, "rb") as fh:
-        for block in read_blocks(fh, len(PANEL_HEADER)):
-            if not len(block.line_no):
-                continue
-            sid, scale, year, label, hour, mean, valid = block.columns
-            names, station = factorize(sid)
-            scales, scale_code = factorize(scale)
-            # Each station keeps the scale of its first row in the file.
-            first = np.unique(station, return_index=True)[1]
-            kept = np.array([scale_of.get(name, scales[scale_code[i]])
-                             for name, i in zip(names, first)])
-            window = window_index((scales, scale_code), factorize(label))
-            year, year_bad = parse_ints(year)
-            hour, hour_bad = parse_ints(hour, bound=24)
-            value, mean_bad = parse_floats(mean)
-            flags, flag = factorize(valid)
-            valid = (np.array(flags) == "1")[flag]
-            check_rows(block, [
-                (~np.isin(scales, SCALES)[scale_code],
-                 lambda row: f"unknown scale {row[1].strip()!r}"),
-                (np.array(scales)[scale_code] != kept[station],
-                 lambda row: f"station {row[0].strip()} appears under two scales"),
-                (year_bad | hour_bad | mean_bad, lambda row: "malformed year, hour or mean"),
-                ((hour < 0) | (hour > 23), lambda row: f"hour {int(row[4])} out of range 0-23"),
-                (~np.isin(flags, ("0", "1"))[flag],
-                 lambda row: f"valid flag {row[6].strip()!r} is not 0 or 1"),
-                (window < 0, lambda row: f"label {row[3].strip()!r} does not belong to "
-                                         f"scale {row[1].strip()}"),
-                (valid & ~np.isfinite(value),
-                 lambda row: f"valid cell with non-finite mean {row[5].strip()!r}"),
-            ])
-            for name, sc in zip(names, kept.tolist()):
-                scale_of.setdefault(name, sc)
-            code = np.array([codes.setdefault(name, len(codes)) for name in names], np.int64)
-            parts.append((code[station], year, window, hour, value, valid, block.line_no))
-    if not parts:
-        raise EmptyInputError(f"no panel rows found in {path}")
-    return _build_panels(list(codes), scale_of, *map(np.concatenate, zip(*parts)))
+    scale_of = []  # each station's position in SCALES, by station number
+
+    def parse(block, station):
+        _, scale, year, label, hour, mean, valid = block.columns
+        scales, scale_code = factorize(scale)
+        scale_index = np.array([SCALES.index(sc) if sc in SCALES else -1
+                                for sc in scales])[scale_code]
+        # Each station keeps the scale of its first row in the file; the
+        # stations first seen in this block hold the numbers after the others.
+        numbers, first = np.unique(station, return_index=True)
+        scale_of.extend(scale_index[first[numbers >= len(scale_of)]].tolist())
+        window = window_index((scales, scale_code), factorize(label))
+        year, year_bad = parse_ints(year)
+        hour, hour_bad = parse_ints(hour, bound=24)
+        value, mean_bad = parse_floats(mean)
+        flags, flag = factorize(valid)
+        valid = (np.array(flags) == "1")[flag]
+        check_rows(block, [
+            (scale_index < 0, lambda row: f"unknown scale {row[1].strip()!r}"),
+            (scale_index != np.array(scale_of)[station],
+             lambda row: f"station {row[0].strip()} appears under two scales"),
+            (year_bad | hour_bad | mean_bad, lambda row: "malformed year, hour or mean"),
+            ((hour < 0) | (hour > 23), lambda row: f"hour {int(row[4])} out of range 0-23"),
+            (~np.isin(flags, ("0", "1"))[flag],
+             lambda row: f"valid flag {row[6].strip()!r} is not 0 or 1"),
+            (window < 0, lambda row: f"label {row[3].strip()!r} does not belong to "
+                                     f"scale {row[1].strip()}"),
+            (valid & ~np.isfinite(value),
+             lambda row: f"valid cell with non-finite mean {row[5].strip()!r}"),
+        ])
+        return year, window, hour, value, valid, block.line_no
+
+    names, station, columns = read_station_rows(path, len(PANEL_HEADER), "panel rows", parse)
+    return _build_panels(names, [_CALENDARS[SCALES[i]] for i in scale_of], station, *columns)
 
 
-def _build_panels(names: list[str], scale_of: dict[str, str], code: np.ndarray,
+def _build_panels(names: list[str], calendars: list[WindowCalendar], station: np.ndarray,
                   year: np.ndarray, window: np.ndarray, hour: np.ndarray,
                   value: np.ndarray, valid: np.ndarray,
                   line_no: np.ndarray) -> dict[str, WindowHourPanel]:
-    """Per-station panels from every panel row: one stable sort of a cell key
-    (station, year, window, hour) finds repeated cells and each station's
-    rows, which are then scattered onto its (year, window, hour) grid."""
-    by_name = sorted(range(len(names)), key=names.__getitem__)
-    rank = np.empty(len(names), np.int64)
-    rank[by_name] = np.arange(len(names))
-    station = rank[code]
-    # Ranked (station, year) pairs keep the key below 864 x rows in int64 (a
-    # pair's code is below rows ** 2). The stable sort keeps a cell's rows in
-    # file order, and is adaptive: write_panel's files come in key order.
-    pair = unique_runs(station * len(year) + unique_runs(year)[1])[1]
-    key = (pair * 36 + window) * 24 + hour
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    repeat = order[1:][key[1:] == key[:-1]]
-    if len(repeat):
-        k = repeat[np.argmin(line_no[repeat])]
-        sid = names[code[k]]
-        label = _CALENDARS[scale_of[sid]].labels[window[k]]
+    """Per-station panels from every panel row, with each station's
+    calendar by number: the ranked (station, year) pairs are the rows of
+    one (pair, window, hour) grid, as wide as the widest calendar. The
+    first row that hits a cell hit before is an error; else the rows fill
+    the grid, and a station's panel is its pairs' slice."""
+    by_name, rank = by_station(names, station)
+    years, year_code = unique_runs(year)
+    pairs, pair = unique_runs(rank * len(years) + year_code)
+    pair_rank, pair_year = np.divmod(pairs, len(years))
+    width = max(cal.n_windows for cal in calendars)
+    cell = (pair * width + window) * 24 + hour
+    shape = (len(pairs), width, 24)
+    counts = np.bincount(cell, minlength=np.prod(shape)).reshape(shape)
+    if counts.max() > 1:
+        repeat = np.ones(len(cell), bool)
+        repeat[np.unique(cell, return_index=True)[1]] = False
+        k = int(np.argmax(repeat))
+        sid = names[station[k]]
+        label = calendars[station[k]].labels[window[k]]
         raise ParseError(f"station {sid}: second row for year {year[k]}, window {label}, "
                          f"hour {hour[k]}", int(line_no[k]))
-    bounds = np.searchsorted(station[order], np.arange(len(names) + 1))
+    counts.reshape(-1)[cell] = valid
+    means = np.full(shape, np.nan)
+    means.reshape(-1)[cell] = np.where(valid, value, np.nan)
+    bounds = np.searchsorted(pair_rank, np.arange(len(names) + 1))
     out = {}
     for r, c in enumerate(by_name):
-        rows = order[bounds[r]:bounds[r + 1]]
+        lo, hi = bounds[r], bounds[r + 1]
         sid = names[c]
-        cal = _CALENDARS[scale_of[sid]]
-        years, yi = np.unique(year[rows], return_inverse=True)
-        shape = (len(years), cal.n_windows, 24)
-        means = np.full(shape, np.nan)
-        counts = np.zeros(shape, dtype=np.int64)
-        v = valid[rows]
-        cell = (yi[v], window[rows][v], hour[rows][v])
-        means[cell] = value[rows][v]
-        counts[cell] = 1
-        out[sid] = WindowHourPanel(sid, cal.scale, [int(y) for y in years],
-                                   list(cal.labels), means, counts)
+        cal = calendars[c]
+        out[sid] = WindowHourPanel(sid, cal.scale, years[pair_year[lo:hi]].tolist(),
+                                   list(cal.labels), means[lo:hi, :cal.n_windows],
+                                   counts[lo:hi, :cal.n_windows])
     return out

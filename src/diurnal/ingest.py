@@ -24,16 +24,16 @@ from ._util import (
     Block,
     Column,
     Piece,
+    by_station,
     check_rows,
     csv_prefix,
-    factorize,
     fmt,
     fmt_column,
     gather,
     iter_rows,
     parse_each,
     parse_floats,
-    read_blocks,
+    read_station_rows,
     write_blocks,
     write_csv,
 )
@@ -222,28 +222,9 @@ def _to_datetime(us: int) -> datetime:
     return _EPOCH + timedelta(microseconds=int(us))
 
 
-def _read_record_columns(blocks: Iterable[Block]) -> tuple:
-    """Every row of a records file's blocks as columns, in file order: ``(names,
-    code, us, value, line_no)`` with the station ids by code in order of
-    first appearance, each row's station code, UTC microseconds since 1970,
-    temperature (NaN where the field is empty) and line number."""
-    codes: dict[str, int] = {}
-    parts = []
-    for block in blocks:
-        if not len(block.line_no):
-            continue
-        us, value = _parse_records(block)
-        names, inv = factorize(block.columns[0])
-        code = np.array([codes.setdefault(s, len(codes)) for s in names], np.int64)
-        parts.append((code[inv], us, value, block.line_no))
-    if not parts:
-        return [], None, None, None, None
-    return (list(codes), *map(np.concatenate, zip(*parts)))
-
-
-def _parse_records(block: Block) -> tuple[np.ndarray, np.ndarray]:
-    """The UTC microseconds and temperatures of a block's rows; the first
-    bad row raises ``ParseError``."""
+def _parse_records(block: Block, station: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The UTC microseconds, temperatures and lines of a block's rows; the
+    first bad row raises ``ParseError``."""
     sid, stamp, temp = block.columns
     us, stamp_bad = parse_timestamps(stamp)
     value, temp_bad = parse_floats(temp)
@@ -254,23 +235,20 @@ def _parse_records(block: Block) -> tuple[np.ndarray, np.ndarray]:
         ((temp.length > 0) & ~np.isfinite(value),
          lambda row: f"non-finite temperature {row[2]!r}"),
     ])
-    return us, value
+    return us, value, block.line_no
 
 
-def _build_series(step: timedelta | None, names: list[str], code: np.ndarray,
+def _build_series(step: timedelta | None, names: list[str], station: np.ndarray,
                   us: np.ndarray, value: np.ndarray,
                   line_no: np.ndarray) -> dict[str, TemperatureSeries]:
-    """Dense series for every station, in station-id order, from the columns
-    of ``_read_record_columns``: one lexsort by (station, time) orders all
-    rows, then each station's slice is checked and scattered onto its slot
-    grid. ``step=None`` infers each station's step as the smallest positive
-    gap between its records."""
-    by_name = sorted(range(len(names)), key=names.__getitem__)
-    rank = np.empty(len(by_name), np.int64)
-    rank[by_name] = np.arange(len(by_name))
-    key = rank[code]
-    order = np.lexsort((us, key))
-    bounds = np.searchsorted(key[order], np.arange(len(by_name) + 1))
+    """Dense series for every station, in station-id order, from the rows of
+    ``read_station_rows``: one lexsort by (station, time) orders all rows,
+    then each station's slice is checked and scattered onto its slot grid.
+    ``step=None`` infers each station's step as the smallest positive gap
+    between its records."""
+    by_name, rank = by_station(names, station)
+    order = np.lexsort((us, rank))
+    bounds = np.searchsorted(rank[order], np.arange(len(names) + 1))
     out = {}
     for r, c in enumerate(by_name):
         rows = order[bounds[r]:bounds[r + 1]]
@@ -314,11 +292,9 @@ def read_records(path: str | Path,
     With ``expected_step=None`` the step is inferred per station from the
     smallest gap between its records.
     """
-    with open(path, "rb") as fh:
-        columns = _read_record_columns(read_blocks(fh, len(RECORDS_HEADER)))
-    if not columns[0]:
-        raise EmptyInputError(f"no records found in {path}")
-    return _build_series(expected_step or None, *columns)
+    names, station, columns = read_station_rows(path, len(RECORDS_HEADER), "records",
+                                                _parse_records)
+    return _build_series(expected_step or None, names, station, *columns)
 
 
 def write_records(path: str | Path, series: Iterable[TemperatureSeries]) -> None:

@@ -25,12 +25,11 @@ import numpy as np
 
 from ._util import (Block, ColumnTable, check_rows, csv_pieces, factorize, fmt_column,
                     parse_bool, parse_each, parse_float, parse_floats, parse_ints,
-                    read_blocks, unique_runs, write_blocks)
+                    read_station_rows, unique_runs, write_blocks)
 from .aggregate import SCALES, WindowHourPanel, window_index
 from .errors import (
     ContractError,
     DegenerateDataError,
-    EmptyInputError,
     ParseError,
     SampleTooSmallError,
 )
@@ -269,8 +268,10 @@ def hour_profiles(panels: Mapping[str, WindowHourPanel], window_label: str,
                   kind: str) -> dict[str, np.ndarray]:
     """Each station's 24-hour profile of one window, in sorted station order:
     Sen's slope across each cell's valid years (``kind="slope"``, two
-    needed) or their mean (``"level"``, one needed). The first station and
-    hour short of years, or with a non-finite slope input, raises."""
+    needed) or their mean (``"level"``, one needed; no other kind). The first
+    station and hour short of years, or with a non-finite slope input, raises."""
+    if kind not in ("slope", "level"):
+        raise ContractError(f"unknown profile kind {kind!r}, expected 'slope' or 'level'")
     need = 2 if kind == "slope" else 1
     out = {}
     for sid in sorted(panels):
@@ -331,29 +332,23 @@ def read_trend_csv(path: str | Path) -> TrendTable:
     Each block is parsed by columns, every distinct text of a text, int or
     flag field once, and each check runs once on whole columns.
     """
-    codes: dict[str, int] = {}
-    parts, seen = [], np.empty(0, np.int64)
-    with open(path, "rb") as fh:
-        for block in read_blocks(fh, len(TREND_HEADER)):
-            if len(block.line_no):
-                table, seen = _trend_columns(block, codes, seen)
-                parts.append(table)
-    if not parts:
-        raise EmptyInputError(f"no trend rows found in {path}")
-    return TrendTable.concat(parts)
+    seen: list[np.ndarray] = []
+    names, station, columns = read_station_rows(
+        path, len(TREND_HEADER), "trend rows",
+        lambda block, station: _trend_columns(block, station, seen))
+    return TrendTable(np.array(names, dtype=object)[station], *columns)
 
 
-def _trend_columns(block: Block, codes: dict[str, int],
-                   seen: np.ndarray) -> tuple[TrendTable, np.ndarray]:
-    """The table of one block's rows, every distinct text of a text, int or
-    flag field parsed once, and ``seen`` with the block's cell keys added.
-    ``seen`` holds one integer per cell of the earlier blocks, from
-    ``codes``, which numbers the station ids in order of first appearance.
-    The first bad row of the block raises ``ParseError``."""
-    sid, scale, label, hour, n, s, var_s, z, p, slope, lag1, flag = block.columns
-    text = [factorize(column) for column in (sid, scale, label)]
-    (names, station), (scales, scale_code) = text[:2]
-    window = window_index(text[1], text[2])
+def _trend_columns(block: Block, station: np.ndarray,
+                   seen: list[np.ndarray]) -> list[np.ndarray]:
+    """The columns after ``station_id`` of one block's rows (numbered by
+    ``station``), every distinct text of a text, int or flag field parsed
+    once; the block's cell keys join ``seen``, the keys of the earlier
+    blocks. The first bad row of the block raises ``ParseError``."""
+    _, scale, label, hour, n, s, var_s, z, p, slope, lag1, flag = block.columns
+    text = [factorize(column) for column in (scale, label)]
+    scales, scale_code = text[0]
+    window = window_index(*text)
     ints, int_bad = zip(parse_ints(hour, bound=24), parse_ints(n), parse_ints(s))
     floats, float_bad = zip(*map(parse_floats, (var_s, z, p, slope, lag1)))
     flags, flag_code = factorize(flag)
@@ -364,9 +359,8 @@ def _trend_columns(block: Block, codes: dict[str, int],
                             for sc in scales])[scale_code]
     # One integer per cell, below 3456 per station: a cell's rows after its
     # first, here or in an earlier block, are repeats.
-    code = np.array([codes.setdefault(name, len(codes)) for name in names], np.int64)
-    keys = np.concatenate((seen, ((code[station] * len(SCALES) + scale_index) * 36 + window)
-                           * 24 + hour))
+    seen.append(((station * len(SCALES) + scale_index) * 36 + window) * 24 + hour)
+    keys = np.concatenate(seen)
     repeat = np.ones(len(keys), bool)
     repeat[np.unique(keys, return_index=True)[1]] = False
     check_rows(block, [
@@ -379,9 +373,9 @@ def _trend_columns(block: Block, codes: dict[str, int],
          lambda row: f"sen_slope {parse_float(row[9].strip())} is not finite"),
         (window < 0, lambda row: f"label {row[2].strip()!r} does not belong to "
                                  f"scale {row[1].strip()}"),
-        (repeat[len(seen):], lambda row: f"station {row[0].strip()}: second row for scale "
-                                         f"{row[1].strip()}, window {row[2].strip()}, "
-                                         f"hour {int(row[3])}"),
+        (repeat[-len(station):],
+         lambda row: f"station {row[0].strip()}: second row for scale {row[1].strip()}, "
+                     f"window {row[2].strip()}, hour {int(row[3])}"),
     ])
     columns = [np.array(uniq, dtype=object)[index] for uniq, index in text]
-    return TrendTable(*columns, *ints, *floats, flag), keys
+    return [*columns, *ints, *floats, flag]

@@ -11,6 +11,7 @@ from diurnal import (
     ContractError,
     EmptyInputError,
     ParseError,
+    WindowHourPanel,
     build_calendar,
     hourly_window_means,
     read_panel,
@@ -180,6 +181,24 @@ class TestYearSeries:
         assert years.tolist() == [2000, 2002]
 
 
+class TestPanelYears:
+    """The trend tests read the years axis as time order, so it must rise."""
+
+    def test_descending_years_are_rejected(self):
+        s = synth_station("S1", datetime(2000, 1, 1), n_years=3, trend_per_year=0.1, seed=3)
+        panel = hourly_window_means(s, build_calendar("30d"))
+        with pytest.raises(ContractError, match=r"station S1: panel years must be strictly "
+                                                r"increasing, got \[2002, 2001, 2000\]"):
+            WindowHourPanel("S1", "30d", panel.years[::-1], panel.labels,
+                            panel.means[::-1], panel.counts[::-1])
+
+    def test_repeated_year_is_rejected(self):
+        shape = (2, 12, 24)
+        with pytest.raises(ContractError, match="strictly increasing"):
+            WindowHourPanel("S1", "30d", [2000, 2000], list(build_calendar("30d").labels),
+                            np.zeros(shape), np.ones(shape, np.int64))
+
+
 class TestPanelRoundTrip:
     def test_write_read_identity(self, tmp_path):
         s1 = synth_station("S1", datetime(2000, 1, 1), n_years=2, noise_sd=0.7,
@@ -268,3 +287,38 @@ class TestPanelReadErrors:
         path = tmp_path / "p.csv"
         path.write_text(PANEL_HEAD + "S1,30d,2000,Jan,24,1.5,1\n")
         assert cli(["trend", "--panel", str(path), "--out", str(tmp_path / "t.csv")]) != 0
+
+    def test_repeat_of_an_invalid_row_names_the_later_row(self, tmp_path):
+        with pytest.raises(ParseError, match=r"^line 4: station S1: second row for year "
+                                             r"2000, window Feb, hour 0"):
+            self._read(tmp_path, "S1,30d,2000,Feb,0,,0", "S1,30d,2000,Feb,0,2.0,1")
+
+    def test_two_invalid_rows_for_one_cell(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(PANEL_HEAD + "S1,30d,2000,Feb,3,,0\nS1,30d,2000,Feb,3,,0\n"
+                        "S1,30d,2000,Jan,0,1.5,1\n")
+        with pytest.raises(ParseError, match=r"^line 3: station S1: second row for year "
+                                             r"2000, window Feb, hour 3"):
+            read_panel(path)
+
+    ROWS_10D_30D = ["A,10d,2000,Dec21-31,23,1.0,1", "A,10d,2001,Jan01-10,0,1.0,1",
+                    "B,30d,2000,Dec,23,1.0,1", "A,10d,2000,Dec21-31,23,2.0,1",
+                    "B,30d,2001,Jan,0,1.0,1"]
+
+    def test_last_10d_window_repeated_beside_a_30d_station(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(PANEL_HEAD + "".join(r + "\n" for r in self.ROWS_10D_30D))
+        with pytest.raises(ParseError, match=r"^line 5: station A: second row for year "
+                                             r"2000, window Dec21-31, hour 23"):
+            read_panel(path)
+
+    def test_10d_and_30d_stations_without_the_repeat(self, tmp_path):
+        path = tmp_path / "p.csv"
+        rows = self.ROWS_10D_30D[:3] + self.ROWS_10D_30D[4:]
+        path.write_text(PANEL_HEAD + "".join(r + "\n" for r in rows))
+        panels = read_panel(path)
+        a, b = panels["A"], panels["B"]
+        assert (a.means.shape, b.means.shape) == ((2, 36, 24), (2, 12, 24))
+        assert (a.years, b.years) == ([2000, 2001], [2000, 2001])
+        assert np.flatnonzero(a.counts).tolist() == [35 * 24 + 23, 36 * 24]
+        assert np.flatnonzero(b.counts).tolist() == [11 * 24 + 23, 12 * 24]

@@ -1,15 +1,19 @@
 """The library imports only the standard library and numpy: scipy and the
-other test tools stay test-only extras."""
+other test tools stay test-only extras. CI's oldest job runs the lowest
+Python that pyproject.toml allows."""
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "diurnal"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "diurnal"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 
 
@@ -32,3 +36,13 @@ def test_module_imports_only_the_standard_library_and_numpy(path):
 def test_the_scan_sees_imports():
     assert {"numpy", "csv"} <= imported_modules(PACKAGE / "_util.py")
     assert "scipy" in imported_modules(Path(__file__).with_name("oracles.py")) - ALLOWED
+
+
+def test_oldest_ci_job_runs_the_python_floor():
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        requires = tomllib.load(fh)["project"]["requires-python"]
+    floor = re.fullmatch(r">=\s*(\d+\.\d+)", requires).group(1)
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    # The job's lines are indented past its name, up to the next job or comment.
+    job = re.search(r"^  tier1-oldest:\n((?:    .*\n|\s*\n)*)", workflow, re.M).group(1)
+    assert re.search(r'python-version:\s*"?([\d.]+)"?', job).group(1) == floor

@@ -367,6 +367,13 @@ class TestBatchedSurface:
                 want = {sid: v.tolist() for sid, v in want.items()}
             assert repr(got) == repr(want)
 
+    @pytest.mark.parametrize("kind", ["slopes", "Level", ""])
+    def test_unknown_profile_kind_is_rejected(self, kind):
+        panels = {"S1": grid_panel(np.random.default_rng(6), n_years=4, valid_rate=1.0)}
+        with pytest.raises(ContractError, match=rf"unknown profile kind {kind!r}, "
+                                                r"expected 'slope' or 'level'"):
+            hour_profiles(panels, panels["S1"].labels[0], kind)
+
     def test_profile_of_non_finite_cell_raises_as_before(self):
         panels = {"S1": grid_panel(np.random.default_rng(5), n_years=4, valid_rate=1.0)}
         panels["S1"].means[2, 0, 9] = np.inf
