@@ -306,6 +306,13 @@ def unique_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uniq, np.repeat(inv, np.diff(np.append(heads, len(values))))
 
 
+def repeats(keys: np.ndarray) -> np.ndarray:
+    """Whether each row's key is held by an earlier row."""
+    repeat = np.ones(len(keys), bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False
+    return repeat
+
+
 def _is_data(row: list[str]) -> bool:
     """Whether a csv row is a data row: neither blank nor a header."""
     return bool(row) and (len(row) > 1 or bool(row[0].strip())) and (

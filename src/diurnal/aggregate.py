@@ -24,11 +24,11 @@ from typing import Iterable
 import numpy as np
 
 from ._util import (Piece, by_station, check_rows, csv_pieces, csv_prefix, factorize,
-                    fmt_column, parse_floats, parse_ints, read_station_rows, unique_runs,
-                    write_blocks)
+                    fmt_column, parse_floats, parse_ints, read_station_rows, repeats,
+                    unique_runs, write_blocks)
 from .errors import ContractError, EmptyInputError, ParseError
 from .impute import MONTH_ABBR
-from .ingest import TemperatureSeries, time_fields
+from .ingest import TemperatureSeries, binned_means, time_fields
 
 SCALES = ("10d", "30d", "60da", "60db")
 
@@ -90,17 +90,20 @@ _WINDOWS = {scale: {label: i for i, label in enumerate(cal.labels)}
             for scale, cal in _CALENDARS.items()}
 
 
-def window_index(scale: tuple, label: tuple) -> np.ndarray:
-    """Each row's window position in its scale's calendar, from the scale
-    and label fields each given as (distinct texts, index of each row's
-    text), as ``factorize`` or ``unique_runs`` give them; looked up once per
-    distinct (scale, label) pair. -1 where the scale is not one of
-    ``SCALES`` or the label is not of its scale."""
+def window_index(scale: tuple, label: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's scale position in ``SCALES`` and window position in its
+    scale's calendar, from the scale and label fields each given as
+    (distinct texts, index of each row's text), as ``factorize`` or
+    ``unique_runs`` give them; looked up once per distinct (scale, label)
+    pair. Both are -1 where the scale is not one of ``SCALES``, and the
+    window is -1 where the label is not of its scale."""
     (scales, scale_code), (labels, label_code) = scale, label
     pairs, pair_code = unique_runs(scale_code * len(labels) + label_code)
-    window = [_WINDOWS.get(scales[p // len(labels)], {}).get(labels[p % len(labels)], -1)
-              for p in pairs.tolist()]
-    return np.array(window, dtype=np.int64)[pair_code]
+    found = [(SCALES.index(sc), _WINDOWS[sc].get(labels[p % len(labels)], -1))
+             if (sc := scales[p // len(labels)]) in SCALES else (-1, -1)
+             for p in pairs.tolist()]
+    scale_index, window = np.array(found, np.int64).reshape(-1, 2)[pair_code].T
+    return scale_index, window
 
 
 @dataclass
@@ -154,12 +157,8 @@ def hourly_window_means(series: TemperatureSeries, calendar: WindowCalendar,
     ypos = np.searchsorted(uniq_years, pyears)
     nW = calendar.n_windows
     flat = (ypos * nW + widx) * 24 + hours
-    size = len(uniq_years) * nW * 24
-    keep = ~series.missing
-    sums = np.bincount(flat[keep], weights=series.values[keep], minlength=size)
-    counts = np.bincount(flat[keep], minlength=size).astype(np.int64)
-    with np.errstate(invalid="ignore"):
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    means, counts = binned_means(flat, series.values, ~series.missing,
+                                 len(uniq_years) * nW * 24)
     shape = (len(uniq_years), nW, 24)
     return WindowHourPanel(series.station_id, calendar.scale,
                            [int(y) for y in uniq_years], list(calendar.labels),
@@ -177,7 +176,7 @@ def year_series(panel: WindowHourPanel, window_label: str, hour: int) -> tuple[n
     if not 0 <= hour <= 23:
         raise ContractError(f"hour {hour} out of range 0-23")
     w = panel.labels.index(window_label)
-    valid = panel.counts[:, w, hour] > 0
+    valid = panel.cell_valid()[:, w, hour]
     years = np.asarray(panel.years, dtype=np.int64)[valid]
     return years, panel.means[valid, w, hour]
 
@@ -197,7 +196,7 @@ def write_panel(path: str | Path, panels: Iterable[WindowHourPanel]) -> None:
 def _panel_pieces(p: WindowHourPanel) -> list[Piece]:
     """The ``write_blocks`` pieces of a panel's rows."""
     year, window, hour = np.indices(p.means.shape).reshape(3, -1)
-    ok = (p.counts > 0).ravel()
+    ok = p.cell_valid().ravel()
     return [csv_prefix(p.station_id, p.scale), *csv_pieces([
         fmt_column(np.asarray(p.years, np.int64)[year]),
         fmt_column(np.array(p.labels, dtype=object)[window]), fmt_column(hour),
@@ -219,14 +218,11 @@ def read_panel(path: str | Path) -> dict[str, WindowHourPanel]:
 
     def parse(block, station):
         _, scale, year, label, hour, mean, valid = block.columns
-        scales, scale_code = factorize(scale)
-        scale_index = np.array([SCALES.index(sc) if sc in SCALES else -1
-                                for sc in scales])[scale_code]
+        scale_index, window = window_index(factorize(scale), factorize(label))
         # Each station keeps the scale of its first row in the file; the
         # stations first seen in this block hold the numbers after the others.
         numbers, first = np.unique(station, return_index=True)
         scale_of.extend(scale_index[first[numbers >= len(scale_of)]].tolist())
-        window = window_index((scales, scale_code), factorize(label))
         year, year_bad = parse_ints(year)
         hour, hour_bad = parse_ints(hour, bound=24)
         value, mean_bad = parse_floats(mean)
@@ -269,9 +265,7 @@ def _build_panels(names: list[str], calendars: list[WindowCalendar], station: np
     shape = (len(pairs), width, 24)
     counts = np.bincount(cell, minlength=np.prod(shape)).reshape(shape)
     if counts.max() > 1:
-        repeat = np.ones(len(cell), bool)
-        repeat[np.unique(cell, return_index=True)[1]] = False
-        k = int(np.argmax(repeat))
+        k = int(np.argmax(repeats(cell)))
         sid = names[station[k]]
         label = calendars[station[k]].labels[window[k]]
         raise ParseError(f"station {sid}: second row for year {year[k]}, window {label}, "

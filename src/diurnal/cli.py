@@ -99,18 +99,20 @@ class _Opt:
         return self.dest or self.key.replace("-", "_")
 
 
-def _step_arg(text: str):
-    if text == "1h":
-        return HOUR
-    if text == "30m":
-        return HALF_HOUR
-    raise argparse.ArgumentTypeError(f"expected 1h or 30m, got {text!r}")
+def _choice_arg(choices: Mapping[str, object], expected: str) -> Callable[[str], object]:
+    """The parser of an option whose text is a key of ``choices``, giving
+    its value; the error says it expected ``expected``."""
+    def parse(text: str) -> object:
+        if text not in choices:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return choices[text]
+    return parse
 
 
-def _scale_arg(text: str) -> str:
-    if text not in SCALES:
-        raise argparse.ArgumentTypeError(f"expected one of {', '.join(SCALES)}, got {text!r}")
-    return text
+_step_arg = _choice_arg({"1h": HOUR, "30m": HALF_HOUR}, "1h or 30m")
+_scale_arg = _choice_arg(dict(zip(SCALES, SCALES)), f"one of {', '.join(SCALES)}")
+_features_arg = _choice_arg({"slope": "slope", "level": "level"}, "slope or level")
+_metric_arg = _choice_arg(dict(zip(METRICS, METRICS)), f"one of {', '.join(METRICS)}")
 
 
 def _weights_arg(text: str) -> tuple[float, float, float]:
@@ -139,18 +141,6 @@ def _int_arg(lo: int, hi: float, expected: str) -> Callable[[str], int]:
 _seed_arg = _int_arg(0, math.inf, "a non-negative integer")
 _stations_arg = _int_arg(1, math.inf, "a positive integer")
 _year_arg = _int_arg(1, 9999, "a year from 1 to 9999")
-
-
-def _features_arg(text: str) -> str:
-    if text not in ("slope", "level"):
-        raise argparse.ArgumentTypeError(f"expected slope or level, got {text!r}")
-    return text
-
-
-def _metric_arg(text: str) -> str:
-    if text not in METRICS:
-        raise argparse.ArgumentTypeError(f"expected one of {', '.join(METRICS)}, got {text!r}")
-    return text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -372,34 +362,34 @@ _CLUSTER_OPTS = (
 )
 
 
-def _shared_scale(panels: Mapping[str, WindowHourPanel]) -> str:
+def _window_panels(ns) -> tuple[dict[str, WindowHourPanel], str, list[str], list[str]]:
+    """The panels of ``--panel``, their one scale, the scale's window labels
+    and the windows that ``--window`` selects (default: all of them)."""
+    panels = read_panel(ns.panel)
     scales = {p.scale for p in panels.values()}
     if len(scales) != 1:
         raise ContractError(f"panel mixes scales {sorted(scales)}; aggregate per scale")
-    return scales.pop()
-
-
-def _select_windows(ns, scale: str) -> list[str]:
+    scale = scales.pop()
     labels = build_calendar(scale).labels
-    if ns.window is None:
-        return list(labels)
-    if ns.window not in labels:
+    if ns.window is not None and ns.window not in labels:
         raise ContractError(f"window {ns.window!r} does not belong to scale {scale}")
-    return [ns.window]
+    return panels, scale, labels, list(labels) if ns.window is None else [ns.window]
 
 
 def _run_cluster(ns) -> int:
-    panels = read_panel(ns.panel)
-    scale = _shared_scale(panels)
-    windows = _select_windows(ns, scale)
+    panels, _, _, windows = _window_panels(ns)
     config = DtwConfig(*ns.weights, lam=ns.lam, metric=ns.metric)
     meta = read_metadata(ns.meta) if ns.meta else None
-    out = Path(ns.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    # Every window is clustered before the first file is written, so a
+    # window that fails leaves no output behind.
+    results = []
     for label in windows:
         dist = pairwise_dtw(hour_profiles(panels, label, ns.features), config)
         rep = agglomerative_cluster(dist, ns.k)
-        scores, mean = silhouette(dist, rep.assignment)
+        results.append((label, dist, rep, *silhouette(dist, rep.assignment)))
+    out = Path(ns.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for label, dist, rep, scores, mean in results:
         write_distance_csv(out / f"dtw_{label}.csv", dist)
         write_cluster_csv(out / f"clusters_{label}.csv", rep, scores)
         write_merges_csv(out / f"merges_{label}.csv", rep.merges)
@@ -422,10 +412,7 @@ _DCOR_OPTS = (
 
 
 def _run_dcor(ns) -> int:
-    panels = read_panel(ns.panel)
-    scale = _shared_scale(panels)
-    windows = _select_windows(ns, scale)
-    labels = build_calendar(scale).labels
+    panels, scale, labels, windows = _window_panels(ns)
     if len(panels) < 2:
         raise ContractError("dcor needs at least 2 stations in the panel")
     rows = []

@@ -345,12 +345,19 @@ def to_hourly(series: TemperatureSeries) -> TemperatureSeries:
     slot_min = offset_min + 30 * np.arange(series.n)
     hour_idx = slot_min // 60
     n_out = int(hour_idx[-1]) + 1 if series.n else 0
-    keep = ~series.missing
-    sums = np.bincount(hour_idx[keep], weights=series.values[keep], minlength=n_out)
-    counts = np.bincount(hour_idx[keep], minlength=n_out)
+    means, counts = binned_means(hour_idx, series.values, ~series.missing, n_out)
+    return TemperatureSeries(series.station_id, first_hour, HOUR, means, counts == 0)
+
+
+def binned_means(bins: np.ndarray, values: np.ndarray, keep: np.ndarray,
+                 size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mean of the kept values in each of ``size`` bins, NaN where no
+    kept value falls, and the count of kept values in each bin."""
+    sums = np.bincount(bins[keep], weights=values[keep], minlength=size)
+    counts = np.bincount(bins[keep], minlength=size)
     with np.errstate(invalid="ignore"):
         means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return TemperatureSeries(series.station_id, first_hour, HOUR, means, counts == 0)
+    return means, counts
 
 
 def missing_report(series: TemperatureSeries,

@@ -105,10 +105,12 @@ def contour_grid(table: TrendTable) -> ContourTable:
 def write_contour_csv(path: str | Path, table: ContourTable) -> None:
     """Write binned cells in table order, with the bytes of ``csv.writer``:
     one block of ``write_blocks``, each column rendered as in
-    ``write_trend_csv`` and each band as its text."""
-    write_blocks(path, CONTOUR_HEADER, [csv_pieces(map(fmt_column, (
-        *table.columns()[:6], np.array(SLOPE_BANDS, dtype=object)[table.slope_band],
-        np.array(P_BANDS, dtype=object)[table.p_band])))])
+    ``write_trend_csv`` and each band as its text: each band's field
+    rendered once, then picked by the band index."""
+    bands = [np.array(fmt_column(np.array(texts, dtype=object)), dtype=object)[index].tolist()
+             for index, texts in ((table.slope_band, SLOPE_BANDS), (table.p_band, P_BANDS))]
+    write_blocks(path, CONTOUR_HEADER,
+                 [csv_pieces([*map(fmt_column, table.columns()[:6]), *bands])])
 
 
 def write_cluster_csv(path: str | Path, report: ClusterReport,

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._util import (Block, ColumnTable, check_rows, csv_pieces, factorize, fmt_column,
                     parse_bool, parse_each, parse_float, parse_floats, parse_ints,
-                    read_station_rows, unique_runs, write_blocks)
+                    read_station_rows, repeats, unique_runs, write_blocks)
 from .aggregate import SCALES, WindowHourPanel, window_index
 from .errors import (
     ContractError,
@@ -299,10 +299,10 @@ def hour_profiles(panels: Mapping[str, WindowHourPanel], window_label: str,
 
 
 def table_windows(table) -> np.ndarray:
-    """``window_index`` of the rows of a table with ``scale`` and
-    ``window_label`` columns; the first row whose label is not of its scale
-    raises ``ContractError``."""
-    window = window_index(unique_runs(table.scale), unique_runs(table.window_label))
+    """The window positions (``window_index``) of the rows of a table with
+    ``scale`` and ``window_label`` columns; the first row whose label is not
+    of its scale raises ``ContractError``."""
+    window = window_index(unique_runs(table.scale), unique_runs(table.window_label))[1]
     if (window < 0).any():
         k = int(np.argmax(window < 0))
         raise ContractError(f"label {table.window_label[k]!r} does not belong to scale "
@@ -347,22 +347,17 @@ def _trend_columns(block: Block, station: np.ndarray,
     blocks. The first bad row of the block raises ``ParseError``."""
     _, scale, label, hour, n, s, var_s, z, p, slope, lag1, flag = block.columns
     text = [factorize(column) for column in (scale, label)]
-    scales, scale_code = text[0]
-    window = window_index(*text)
+    scale_index, window = window_index(*text)
     ints, int_bad = zip(parse_ints(hour, bound=24), parse_ints(n), parse_ints(s))
     floats, float_bad = zip(*map(parse_floats, (var_s, z, p, slope, lag1)))
     flags, flag_code = factorize(flag)
     flag, flag_bad = (v[flag_code] for v in parse_each(parse_bool, flags, bool))
     malformed = np.logical_or.reduce([*int_bad, *float_bad, flag_bad])
     hour, p, slope = ints[0], floats[2], floats[3]
-    scale_index = np.array([SCALES.index(sc) if sc in SCALES else -1
-                            for sc in scales])[scale_code]
     # One integer per cell, below 3456 per station: a cell's rows after its
     # first, here or in an earlier block, are repeats.
     seen.append(((station * len(SCALES) + scale_index) * 36 + window) * 24 + hour)
-    keys = np.concatenate(seen)
-    repeat = np.ones(len(keys), bool)
-    repeat[np.unique(keys, return_index=True)[1]] = False
+    repeat = repeats(np.concatenate(seen))
     check_rows(block, [
         (scale_index < 0, lambda row: f"unknown scale {row[1].strip()!r}"),
         (malformed, lambda row: "malformed numeric field"),

@@ -412,6 +412,86 @@ class TestProfileErrors:
             "error: station S2, window Jan, hour 5: no valid years for level features")
 
 
+def _write_panels(path, specs, rng):
+    """A panel CSV of ``(station, scale, n_years, window, hour, n_valid)``
+    specs: every cell valid, except that the given (window, hour) cell is
+    valid in its first ``n_valid`` years only."""
+    panels = []
+    for sid, scale, n_years, window, hour, n_valid in specs:
+        labels = list(build_calendar(scale).labels)
+        counts = np.ones((n_years, len(labels), 24), np.int64)
+        counts[n_valid:, window, hour] = 0
+        means = np.where(counts > 0, rng.normal(5.0, 3.0, counts.shape), np.nan)
+        panels.append(WindowHourPanel(sid, scale, list(range(2001, 2001 + n_years)),
+                                      labels, means, counts))
+    write_panel(path, panels)
+    return path
+
+
+class TestNothingWrittenOnFailure:
+    """A cluster or dcor run that fails exits 1 and leaves no output."""
+
+    @pytest.fixture
+    def three_stations(self, tmp_path):
+        """3 stations x 3 years at 30d; S1's Jul cell at hour 3 is valid in
+        one year only."""
+        return _write_panels(tmp_path / "panel.csv", [
+            ("S1", "30d", 3, 6, 3, 1), ("S2", "30d", 3, 0, 0, 3), ("S3", "30d", 3, 0, 0, 3)],
+            np.random.default_rng(7))
+
+    @pytest.fixture
+    def mixed_scales(self, tmp_path):
+        return _write_panels(tmp_path / "mixed.csv", [
+            ("A", "30d", 2, 0, 0, 2), ("B", "10d", 2, 0, 0, 2)], np.random.default_rng(8))
+
+    def test_cluster_window_failing_after_others(self, three_stations, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert run("cluster", "--panel", str(three_stations), "--out-dir", str(out),
+                   "--k", "2") == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == (
+            "error: station S1, window Jul, hour 3: "
+            "need at least 2 valid years for slope features, have 1")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_cluster_k_above_station_count(self, pipeline_dir, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert run("cluster", "--panel", str(pipeline_dir / "panel.csv"),
+                   "--out-dir", str(out), "--k", "99") == 1
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,out_option", [("cluster", "--out-dir"),
+                                                    ("dcor", "--out")])
+    def test_window_outside_the_scale(self, pipeline_dir, tmp_path, capsys,
+                                      command, out_option):
+        out = tmp_path / "out"
+        assert run(command, "--panel", str(pipeline_dir / "panel.csv"),
+                   out_option, str(out), "--window", "Foo") == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: window 'Foo' does not belong to scale 30d")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,out_option", [("cluster", "--out-dir"),
+                                                    ("dcor", "--out")])
+    def test_panel_mixing_scales(self, mixed_scales, tmp_path, capsys, command, out_option):
+        out = tmp_path / "out"
+        assert run(command, "--panel", str(mixed_scales), out_option, str(out)) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: panel mixes scales ['10d', '30d']; aggregate per scale")
+        assert not out.exists()
+
+    def test_cluster_success_prints_one_line_per_window(self, three_stations, tmp_path,
+                                                        capsys):
+        out = tmp_path / "c"
+        assert run("cluster", "--panel", str(three_stations), "--out-dir", str(out),
+                   "--k", "2", "--features", "level") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == list(build_calendar("30d").labels)
+        assert len(list(out.iterdir())) == 36
+
+
 class TestConsoleScript:
     def test_help_exits_zero(self):
         proc = subprocess.run([sys.executable, "-m", "diurnal.cli", "--help"],
