@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -281,9 +281,10 @@ def _centered_distances(x: np.ndarray) -> np.ndarray:
     return d - row - col + d.mean()
 
 
-def _dcor_centered(samples: Sequence[Sequence[float]]) -> list[np.ndarray]:
-    """Each sample's double-centered distance matrix, after the checks that
-    a pair loop over ``samples`` would make first: equal lengths, at least 2
+def _dcor_centered(samples: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's double-centered distance matrix, flattened into one row
+    of a stack, and each row's sum of squares, after the checks that a pair
+    loop over ``samples`` would make first: equal lengths, at least 2
     values, finite values.
 
     Each sample is first scaled by a power of two to a largest magnitude in
@@ -302,8 +303,30 @@ def _dcor_centered(samples: Sequence[Sequence[float]]) -> list[np.ndarray]:
             raise SampleTooSmallError(f"dcor needs at least 2 values, got {a.size}")
         if not (finite[0] and ok):
             raise ContractError("dcor inputs must be finite")
-    return [_centered_distances(np.ldexp(a, -np.frexp(np.abs(a).max())[1]))
-            for a in arrays]
+    stack = np.stack([_centered_distances(np.ldexp(a, -np.frexp(np.abs(a).max())[1])).ravel()
+                      for a in arrays])
+    return stack, np.einsum("ik,ik->i", stack, stack)
+
+
+def _dcor_cross(Bs: np.ndarray, As: np.ndarray) -> np.ndarray:
+    """The cross terms ``sum_k Bs[p, k] * As[i, k]`` as a (p, i) array.
+
+    Observed and permuted terms both come from here, so a permutation that
+    leaves a matrix unchanged ties with the observed value exactly. einsum's
+    own loop sums every entry the same way whatever rows are stacked around
+    it; a BLAS product (``@``, ``np.dot``, ``einsum(optimize=...)``) does
+    not, and would make results depend on the batch size and thread count.
+    """
+    return np.einsum("pk,ik->pi", Bs, As)
+
+
+def _dcor_squared(ab: np.ndarray, a2: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """dcor squared from cross terms ``ab`` and the two sides' sums of
+    squares, clamped to [0, 1]; a zero variance or a non-positive cross
+    term scores 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.minimum(1.0, ab / np.sqrt(a2 * b2))
+    return np.where((a2 > 0.0) & (b2 > 0.0) & (ab > 0.0), r2, 0.0)
 
 
 def dcor(x: Sequence[float], y: Sequence[float]) -> float:
@@ -311,27 +334,24 @@ def dcor(x: Sequence[float], y: Sequence[float]) -> float:
 
     Pairwise absolute-difference matrices are double-centered; dcor is
     dCov/sqrt(dVarX*dVarY), clamped to [0, 1]. A constant sample has zero
-    distance variance and scores 0 against anything.
+    distance variance and scores 0 against anything. The value is bitwise
+    the observed dcor that ``dcor_table`` reports for the pair.
     """
-    A, B = (M.ravel() for M in _dcor_centered((x, y)))
-    return float(_dcor_stack(A, B[None])[0])
-
-
-def _dcor_stack(A: np.ndarray, Bs: np.ndarray) -> np.ndarray:
-    """dcor of flattened centered ``A`` against each row of the C-contiguous
-    stack ``Bs`` of flattened centered matrices; a zero variance or a
-    non-positive covariance scores 0."""
-    a2 = (A * A).mean()
-    b2 = (Bs * Bs).mean(axis=1)
-    ab = (A * Bs).mean(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.minimum(1.0, np.sqrt(ab / np.sqrt(a2 * b2)))
-    return np.where((a2 > 0.0) & (b2 > 0.0) & (ab > 0.0), r, 0.0)
+    stack, squares = _dcor_centered((x, y))
+    r2 = _dcor_squared(_dcor_cross(stack[1:], stack[:1]), squares[0], squares[1])
+    return float(np.sqrt(r2[0, 0]))
 
 
 # Matrix cells one batch of permuted matrices may hold (8 bytes each), so
 # the permutation test's memory does not grow with ``n_perm``.
 PERM_BATCH_CELLS = 1 << 16
+
+# How far a permuted dcor squared may fall below the observed one and still
+# count as a tie. Ties in exact arithmetic are common: in one dimension,
+# swapping two values can leave the cross term unchanged. Rounding, which
+# depends on the order of summation, would otherwise decide them. The
+# rounding error of dcor squared is at most about n**2 * 2**-53.
+DCOR_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -341,51 +361,64 @@ class DcorResult:
     n_perm: int
 
 
-def _dcor_tests(samples: Sequence[Sequence[float]], pairs: Sequence[tuple[int, int]],
-                seeds: Sequence[int | Sequence[int]], n_perm: int) -> list[DcorResult]:
-    """``dcor_permutation_test`` of ``samples[i]`` against ``samples[j]``
-    seeded ``seeds[k]``, for each ``pairs[k] = (i, j)``.
+def _dcor_tests(samples: Sequence[Sequence[float]], seed_of: Callable[[int], int | Sequence[int]],
+                n_perm: int) -> tuple[np.ndarray, np.ndarray]:
+    """Observed dcor and permutation p-value of ``samples[i]`` against
+    ``samples[j]`` as the entries [i, j], i < j, of two square arrays.
 
     Permuting y and re-centering equals permuting the centered matrix's rows
-    and columns together, so every sample is centered once. A pair's
-    permutations are drawn in batches: one ``permuted`` call per batch
-    gives the rows that as many ``permutation`` calls would, in order, and
-    one flat gather builds the batch's permuted matrices.
+    and columns together, so every sample is centered once. Each station
+    j >= 1 draws ``n_perm`` permutations from seed ``seed_of(j)`` in batches
+    of at most ``PERM_BATCH_CELLS`` cells: one ``permuted`` call per batch
+    gives the rows that as many ``permutation`` calls would, in order. One
+    flat gather builds the batch's permuted copies of j's matrix, and one
+    product scores them against every i < j. A matrix's sum of squares does
+    not change under permutation, so it is taken once per station.
+
+    A draw counts as a hit when its dcor squared is at least the observed
+    one less ``DCOR_TIE``. Every pair's test is an exact permutation test;
+    pairs that share station j share its draws, so their p-values are
+    dependent.
     """
-    if not pairs:
-        return []
     if n_perm < 99:
         raise ContractError(f"n_perm must be at least 99, got {n_perm}")
-    centered = _dcor_centered(samples)
-    n = len(centered[0])
-    batch = max(1, PERM_BATCH_CELLS // (n * n))
+    if len(samples) < 2:
+        empty = np.zeros((len(samples),) * 2)
+        return empty, empty
+    stack, squares = _dcor_centered(samples)
+    s, cells = stack.shape
+    n = len(samples[0])
+    batch = max(1, PERM_BATCH_CELLS // cells)
     order = np.tile(np.arange(n), (min(batch, n_perm), 1))
-    out = []
-    for (i, j), seed in zip(pairs, seeds):
-        A, B = centered[i].ravel(), centered[j].ravel()
-        observed = float(_dcor_stack(A, B[None])[0])
-        rng = np.random.default_rng(seed)
-        hits = 0
+    observed = np.zeros((s, s))
+    hits = np.zeros((s, s), dtype=np.int64)
+    for j in range(1, s):
+        A, a2, B = stack[:j], squares[:j], stack[j]
+        observed[:j, j] = _dcor_squared(_dcor_cross(B[None], A), a2, squares[j])[0]
+        rng = np.random.default_rng(seed_of(j))
         for done in range(0, n_perm, batch):
             p = rng.permuted(order[:n_perm - done], axis=1)
-            Bs = B.take((p[:, :, None] * n + p[:, None, :]).reshape(len(p), n * n))
-            hits += int(np.count_nonzero(_dcor_stack(A, Bs) >= observed))
-        out.append(DcorResult(observed, (1 + hits) / (n_perm + 1), n_perm))
-    return out
+            Bs = B.take((p[:, :, None] * n + p[:, None, :]).reshape(len(p), cells))
+            r2 = _dcor_squared(_dcor_cross(Bs, A), a2, squares[j])
+            hits[:j, j] += np.count_nonzero(r2 >= observed[:j, j] - DCOR_TIE, axis=0)
+    return np.sqrt(observed), (1 + hits) / (n_perm + 1)
 
 
 def dcor_permutation_test(x: Sequence[float], y: Sequence[float],
                           n_perm: int = 199,
                           seed: int | Sequence[int] = 0) -> DcorResult:
-    """Permutation p-value for dcor(x, y), the one-pair case of the kernel
-    ``dcor_table`` runs.
+    """Permutation p-value for dcor(x, y), the two-station case of the
+    kernel ``dcor_table`` runs.
 
-    y is permuted ``n_perm`` times with a seeded generator; the p-value is
-    (1 + #{dcor_perm >= dcor_observed}) / (n_perm + 1), so it can never be
-    exactly zero. Fewer than 99 permutations would put the resolution above
-    the usual 0.05 working level, so that is the allowed minimum.
+    y is permuted ``n_perm`` times with a generator seeded ``seed``; the
+    p-value is (1 + #{dcor_perm >= dcor_observed}) / (n_perm + 1), so it can
+    never be exactly zero. A permuted dcor squared within ``DCOR_TIE`` below
+    the observed one counts as a tie. Fewer than 99 permutations would put the
+    resolution above the usual 0.05 working level, so that is the allowed
+    minimum.
     """
-    return _dcor_tests((x, y), [(0, 1)], [seed], n_perm)[0]
+    observed, p = _dcor_tests((x, y), lambda j: seed, n_perm)
+    return DcorResult(float(observed[0, 1]), float(p[0, 1]), n_perm)
 
 
 DCOR_HEADER = ("scale", "window_label", "station_a", "station_b",
@@ -394,15 +427,19 @@ DCOR_HEADER = ("scale", "window_label", "station_a", "station_b",
 
 def dcor_table(profiles: Mapping[str, Sequence[float]], n_perm: int = 199,
                seed: Sequence[int] = (0,)) -> list[tuple[str, str, DcorResult]]:
-    """``(label_a, label_b, dcor_permutation_test)`` of every pair of sorted
-    labels; pair (i, j) draws its permutations from seed ``[*seed, i, j]``.
-    Every profile is checked and centered once, and the first bad input
-    raises what a loop of ``dcor_permutation_test`` over the pairs would."""
+    """``(label_a, label_b, result)`` for every pair of sorted labels, where
+    pair (i, j) is ``dcor_permutation_test`` with station j permuted by the
+    draws of seed ``[*seed, j]``: every station is permuted once, and its
+    draws serve all its pairs with lower-sorted labels. Every profile is
+    checked and centered once, and the first bad input raises what a loop
+    of ``dcor_permutation_test`` over the pairs would. Fewer than 99
+    permutations are rejected whatever the number of profiles.
+    """
     labels = sorted(profiles)
-    pairs = list(combinations(range(len(labels)), 2))
-    results = _dcor_tests([profiles[lab] for lab in labels], pairs,
-                          [[*seed, i, j] for i, j in pairs], n_perm)
-    return [(labels[i], labels[j], res) for (i, j), res in zip(pairs, results)]
+    observed, p = _dcor_tests([profiles[lab] for lab in labels],
+                              lambda j: [*seed, j], n_perm)
+    return [(labels[i], labels[j], DcorResult(float(observed[i, j]), float(p[i, j]), n_perm))
+            for i, j in combinations(range(len(labels)), 2)]
 
 
 def write_dcor_csv(path: str | Path,

@@ -363,8 +363,8 @@ def _dcor_from_centered(A, B) -> float:
 
 
 def dcor_permutation_loop(x, y, n_perm=199, seed=0):
-    """Former ``dcor_permutation_test``: its input checks in their order,
-    then one re-indexed matrix per permutation."""
+    """One-by-one ``dcor_permutation_test``: its input checks in their
+    order, then one re-indexed matrix per permutation of y."""
     if n_perm < 99:
         raise ContractError(f"n_perm must be at least 99, got {n_perm}")
     xa, ya = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
@@ -382,17 +382,19 @@ def dcor_permutation_loop(x, y, n_perm=199, seed=0):
     hits = 0
     for _ in range(n_perm):
         perm = rng.permutation(xa.size)
-        if _dcor_from_centered(A, B[np.ix_(perm, perm)]) >= observed:
+        # dcor squared within the kernel's tie tolerance counts as a tie.
+        if _dcor_from_centered(A, B[np.ix_(perm, perm)]) ** 2 >= observed ** 2 - 1e-12:
             hits += 1
     return DcorResult(observed, (1 + hits) / (n_perm + 1), n_perm)
 
 
 def dcor_table_loop(profiles, n_perm, seed):
-    """Former pair loop of the ``dcor`` command: sorted labels, pair (i, j)
-    seeded ``[*seed, i, j]``."""
+    """Pair loop of the ``dcor`` command: sorted labels, and pair (i, j)
+    permutes station j with the draws of seed ``[*seed, j]``, in order, so
+    every pair with j shares them."""
     sids = sorted(profiles)
     return [(sids[i], sids[j], dcor_permutation_loop(profiles[sids[i]], profiles[sids[j]],
-                                                      n_perm, [*seed, i, j]))
+                                                      n_perm, [*seed, j]))
             for i in range(len(sids)) for j in range(i + 1, len(sids))]
 
 

@@ -415,9 +415,23 @@ class TestDcor:
             dcor_permutation_test([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], n_perm=50)
 
 
+def _assert_matches(got: DcorResult, want: DcorResult) -> None:
+    """The same p-value bit for bit and a dcor within 1e-12: the kernel sums
+    the cross terms in einsum's order, the loop takes their mean."""
+    assert (got.p_value, got.n_perm) == (want.p_value, want.n_perm)
+    assert got.dcor == pytest.approx(want.dcor, abs=1e-12)
+
+
+def _assert_same_table(got, want) -> None:
+    """The same pairs in the same order, each matching as ``_assert_matches``."""
+    assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in want]
+    for (_, _, res), (_, _, ref) in zip(got, want):
+        _assert_matches(res, ref)
+
+
 class TestBatchedPermutations:
-    """The batched permutation test against the former one-permutation loop:
-    the same draws in the same order, so the same p-value bit for bit."""
+    """The batched permutation test against the one-permutation loop: the
+    same draws in the same order, so the same p-value bit for bit."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 30), st.sampled_from([None, 0, 1]),
            st.integers(99, 260))
@@ -428,7 +442,7 @@ class TestBatchedPermutations:
         if decimals is not None:  # ties
             x, y = np.round(x, decimals), np.round(y + 0.5 * x, decimals)
         got = dcor_permutation_test(x, y, n_perm=n_perm, seed=[seed, 1])
-        assert repr(got) == repr(oracles.dcor_permutation_loop(x, y, n_perm, [seed, 1]))
+        _assert_matches(got, oracles.dcor_permutation_loop(x, y, n_perm, [seed, 1]))
 
     def test_constant_profile_p_is_one(self):
         res = dcor_permutation_test(np.full(24, 3.5), np.arange(24.0), n_perm=199, seed=2)
@@ -444,13 +458,13 @@ class TestBatchedPermutations:
         y = x + rng.normal(size=24)
         monkeypatch.setattr(similarity, "PERM_BATCH_CELLS", batch * 24 * 24)
         got = dcor_permutation_test(x, y, n_perm=n_perm, seed=[5, 0, 1, 2])
-        assert got == oracles.dcor_permutation_loop(x, y, n_perm, [5, 0, 1, 2])
+        _assert_matches(got, oracles.dcor_permutation_loop(x, y, n_perm, [5, 0, 1, 2]))
 
     def test_table_matches_pair_loop(self):
         rng = np.random.default_rng(9)
         profiles = {sid: rng.normal(size=24) for sid in ("S4", "S1", "S3", "S2", "S5")}
         got = dcor_table(profiles, n_perm=199, seed=[7, 3])
-        assert got == oracles.dcor_table_loop(profiles, 199, [7, 3])
+        _assert_same_table(got, oracles.dcor_table_loop(profiles, 199, [7, 3]))
         assert [(a, b) for a, b, _ in got][:4] == [("S1", "S2"), ("S1", "S3"),
                                                    ("S1", "S4"), ("S1", "S5")]
 
@@ -465,10 +479,10 @@ class TestBatchedPermutations:
 
 
 def _outcome(fn, *args):
-    """The repr of a call's result, or the type and message of the pipeline
-    error it raised."""
+    """A call's result, or the type and message of the pipeline error it
+    raised."""
     try:
-        return "ok", repr(fn(*args))
+        return "ok", fn(*args)
     except PipelineError as exc:
         return "error", type(exc), str(exc)
 
@@ -498,8 +512,10 @@ def dcor_profiles(draw, max_stations=8, lengths=st.integers(2, 30)):
 
 
 class TestDcorKernel:
-    """``dcor_table`` against the former pair loop of one-permutation tests,
-    bit for bit, and the numpy draw equivalence that the kernel rests on."""
+    """``dcor_table`` against the pair loop of one-permutation tests in which
+    pair (i, j) permutes station j with the draws of seed ``[*seed, j]``,
+    the numpy draw equivalence that the kernel rests on, and the kernel's
+    own properties."""
 
     @given(n=st.integers(1, 200), k=st.integers(1, 130),
            seed=st.one_of(st.integers(0, 2**64 - 1),
@@ -517,12 +533,12 @@ class TestDcorKernel:
            rows=st.one_of(st.none(), st.integers(1, 98)))
     @profile_settings(30)
     def test_table_matches_pair_loop(self, profiles, n_perm, seed, rows):
-        # ``rows`` permutations per batch splits every pair over batches.
+        # ``rows`` permutations per batch splits every station over batches.
         n = len(next(iter(profiles.values())))
         cells = similarity.PERM_BATCH_CELLS if rows is None else rows * n * n
         with mock.patch.object(similarity, "PERM_BATCH_CELLS", cells):
             got = dcor_table(profiles, n_perm=n_perm, seed=seed)
-        assert repr(got) == repr(oracles.dcor_table_loop(profiles, n_perm, seed))
+        _assert_same_table(got, oracles.dcor_table_loop(profiles, n_perm, seed))
 
     @given(profiles=dcor_profiles(max_stations=6, lengths=st.integers(0, 6)),
            bad=st.lists(st.sampled_from(BAD_PROFILES), min_size=6, max_size=6),
@@ -536,8 +552,13 @@ class TestDcorKernel:
                 profiles[label] = np.append(x, 1.0)
             elif how is not None and x.size:
                 profiles[label] = np.where(np.arange(x.size) == x.size // 2, how, x)
-        assert _outcome(dcor_table, profiles, n_perm, [4]) == _outcome(
-            oracles.dcor_table_loop, profiles, n_perm, [4])
+        got = _outcome(dcor_table, profiles, n_perm, [4])
+        want = _outcome(oracles.dcor_table_loop, profiles, n_perm, [4])
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            _assert_same_table(got[1], want[1])
+        else:
+            assert got == want
 
     @pytest.mark.parametrize("position", range(4))
     @pytest.mark.parametrize("bad", ["nan", "inf", "short", "long"])
@@ -553,7 +574,84 @@ class TestDcorKernel:
         assert _outcome(dcor_table, profiles, 99, [2]) == want
 
     def test_one_station_has_no_pairs(self):
-        assert dcor_table({"S1": [np.nan]}, n_perm=5) == []
+        assert dcor_table({"S1": [np.nan]}, n_perm=99) == []
+        assert dcor_table({}, n_perm=99) == []
+
+    @pytest.mark.parametrize("stations", range(4))
+    def test_too_few_permutations_rejected_at_any_station_count(self, stations):
+        profiles = {f"S{k}": [1.0, 2.0, 4.0] for k in range(stations)}
+        with pytest.raises(ContractError, match="at least 99, got 5"):
+            dcor_table(profiles, n_perm=5)
+
+    @given(profiles=dcor_profiles(), seed=st.lists(st.integers(0, 2**32 - 1), max_size=2))
+    @profile_settings(40)
+    def test_pair_is_the_two_station_case(self, profiles, seed):
+        # dcor() and dcor_permutation_test() run the table's own kernel on
+        # the pair, with station j's seed, so they agree bit for bit.
+        labels = sorted(profiles)
+        for a, b, res in dcor_table(profiles, n_perm=99, seed=seed):
+            x, y = profiles[a], profiles[b]
+            assert dcor(x, y) == res.dcor
+            assert dcor_permutation_test(x, y, 99, [*seed, labels.index(b)]) == res
+
+    @pytest.mark.parametrize("rows", [1, 7, 113, 500])
+    def test_batch_rows_do_not_change_the_table(self, monkeypatch, rows):
+        # A BLAS product sums a row differently inside a larger stack.
+        rng = np.random.default_rng(21)
+        shared = rng.normal(size=24)
+        profiles = {f"S{k}": np.round(rng.uniform(-1, 1) * shared + rng.normal(size=24), k % 3)
+                    for k in range(9)}
+        profiles["S9"] = np.full(24, 2.5)
+        want = repr(dcor_table(profiles, n_perm=250, seed=[3]))
+        monkeypatch.setattr(similarity, "PERM_BATCH_CELLS", rows * 24 * 24)
+        assert repr(dcor_table(profiles, n_perm=250, seed=[3])) == want
+
+    @pytest.mark.parametrize("n", [3, 24, 400])
+    def test_permuted_stack_stays_within_budget(self, monkeypatch, n):
+        stacks = []
+
+        def cross(Bs, As):
+            stacks.append(Bs.shape)
+            return np.einsum("pk,ik->pi", Bs, As)
+
+        monkeypatch.setattr(similarity, "_dcor_cross", cross)
+        rng = np.random.default_rng(n)
+        dcor_table({f"S{k}": rng.normal(size=n) for k in range(4)}, n_perm=199)
+        # Stations 1-3 each score their observed matrix and 199 permuted ones.
+        assert sum(rows for rows, _ in stacks) == 3 * (1 + 199)
+        assert max(rows * cells for rows, cells in stacks) <= max(similarity.PERM_BATCH_CELLS,
+                                                                 n * n)
+
+    def test_every_draw_ties_on_length_two_or_constant_profiles(self):
+        rng = np.random.default_rng(4)
+        two = dcor_table({f"S{k}": rng.normal(size=2) for k in range(5)}, n_perm=199, seed=[1])
+        assert {res.p_value for _, _, res in two} == {1.0}
+        profiles = {f"S{k}": rng.normal(size=24) for k in range(4)}
+        profiles["S2"] = np.full(24, -0.7)
+        for a, b, res in dcor_table(profiles, n_perm=199, seed=[1]):
+            if "S2" in (a, b):
+                assert res == DcorResult(0.0, 1.0, 199)
+
+    def test_p_values_roughly_uniform_for_independent_profiles(self):
+        p = np.array([res.p_value for seed in range(3) for _, _, res in dcor_table(
+            {f"S{k}": np.random.default_rng([seed, k]).normal(size=24) for k in range(12)},
+            n_perm=199, seed=[seed])])
+        assert p.size == 3 * 66
+        assert 0.4 <= p.mean() <= 0.6
+        assert np.mean(p <= 0.05) <= 0.12
+        assert 0.3 <= np.mean(p <= 0.5) <= 0.7
+
+    def test_p_values_small_for_a_shared_signal(self):
+        p = []
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            shared = rng.normal(size=24)
+            p += [res.p_value for _, _, res in dcor_table(
+                {f"S{k}": shared + 0.5 * rng.normal(size=24) for k in range(8)},
+                n_perm=199, seed=[seed])]
+        assert len(p) == 3 * 28
+        assert np.median(p) == 1 / 200
+        assert np.mean(np.array(p) <= 0.05) >= 0.9
 
 
 class TestDistanceCsv:
