@@ -25,7 +25,7 @@ from .errors import (
     PipelineError,
     SampleTooSmallError,
 )
-from .impute import SeasonalBlockPlan, seasonal_plan, seasonal_split_impute
+from .impute import seasonal_split_impute
 from .ingest import (
     MissingReport,
     Region,
@@ -43,7 +43,6 @@ from .ingest import (
 from .report import (
     ContourTable,
     RadarRow,
-    RadarSheet,
     bin_cell,
     cluster_table,
     contour_grid,
@@ -85,11 +84,11 @@ __all__ = [
     "read_panel", "write_panel", "year_series",
     "PipelineError", "ContractError", "SampleTooSmallError", "DegenerateDataError",
     "ParseError", "DuplicateTimestampError", "EmptyInputError", "ImputationError",
-    "SeasonalBlockPlan", "seasonal_plan", "seasonal_split_impute",
+    "seasonal_split_impute",
     "StationMeta", "StationGroup", "Region", "TemperatureSeries", "MissingReport",
     "read_records", "write_records", "read_metadata", "write_metadata",
     "to_hourly", "missing_report", "time_fields",
-    "ContourTable", "RadarRow", "RadarSheet",
+    "ContourTable", "RadarRow",
     "bin_cell", "cluster_table", "contour_grid", "radar_sheet", "synth_station",
     "DtwConfig", "DistanceMatrix", "ClusterReport", "Merge", "DcorResult",
     "dtw_distance", "pairwise_dtw", "agglomerative_cluster", "silhouette",

@@ -503,12 +503,20 @@ def _text_rows(lines: list[str], more: Iterator[str],
     rows, error = _csv_rows(lines, more)
     if _UNDECODED.search("".join(lines)):
         for i, row in enumerate(rows):
-            if bad := _UNDECODED.search("".join(row)):
-                byte = ord(bad.group()) - 0xDC00
-                return rows[:i], ParseError(f"invalid UTF-8 byte 0x{byte:02x}", start + i)
+            if bad := undecoded_error("".join(row), start + i):
+                return rows[:i], bad
     if error is not None:
         return rows, ParseError(str(error), start + len(rows))
     return rows, None
+
+
+def undecoded_error(text: str, line_no: int) -> ParseError | None:
+    """The ``ParseError`` naming the first byte of line ``line_no`` that is
+    not UTF-8, in its ``text`` decoded with ``surrogateescape``; None if
+    every byte is UTF-8."""
+    if bad := _UNDECODED.search(text):
+        return ParseError(f"invalid UTF-8 byte 0x{ord(bad.group()) - 0xDC00:02x}", line_no)
+    return None
 
 
 def _csv_rows(lines: list[str],

@@ -26,7 +26,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
-from ._util import parse_bool
+from ._util import parse_bool, undecoded_error
 from .aggregate import (
     SCALES,
     WindowHourPanel,
@@ -152,9 +152,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(path: str) -> dict[str, str]:
+    """The ``key=value`` lines of a config file, read as the data readers
+    read a file: one UTF-8 byte order mark at its start is skipped, and a
+    byte that is not UTF-8 raises ``ParseError`` with its line."""
     cfg: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
+            if error := undecoded_error(line, line_no):
+                raise error
             s = line.strip()
             if not s or s.startswith("#"):
                 continue
@@ -234,13 +239,16 @@ def _run_synth(ns) -> int:
     for i in range(ns.stations):
         g = i % len(_GROUP_CYCLE)
         group = _GROUP_CYCLE[g]
+        # The UK latitude would pass 90 degrees at i = 128, so station 129 on
+        # takes the site of the station 128 places before it, in its group.
+        k = i % 128
         if group in (StationGroup.UKH, StationGroup.UKL):
             region = Region.UK
-            lat, lon = 52.0 + 0.3 * i, -1.5 - 0.2 * i
+            lat, lon = 52.0 + 0.3 * k, -1.5 - 0.2 * k
         else:
             region = Region.VALLE_DAOSTA if group is StationGroup.IH else Region.PIEMONTE
-            lat, lon = 45.2 + 0.1 * i, 7.0 + 0.2 * i
-        alt = 600.0 + 25.0 * i if group in (StationGroup.UKH, StationGroup.IH) else 80.0 + 5.0 * i
+            lat, lon = 45.2 + 0.1 * k, 7.0 + 0.2 * k
+        alt = 600.0 + 25.0 * k if group in (StationGroup.UKH, StationGroup.IH) else 80.0 + 5.0 * k
         sid = f"SYN{i + 1:02d}"
         series.append(synth_station(
             sid, start, n_years=ns.years, step=ns.step,
@@ -273,7 +281,7 @@ def _run_impute(ns) -> int:
     series = read_records(ns.records)
     out_series = []
     for sid in sorted(series):
-        filled, _ = seasonal_split_impute(series[sid])
+        filled = seasonal_split_impute(series[sid])
         if ns.to_hourly:
             if filled.step == HALF_HOUR:
                 filled = to_hourly(filled)
@@ -444,9 +452,9 @@ def _run_radar(ns) -> int:
             monthly[mon] = read_cluster_csv(path)
     if not monthly:
         raise EmptyInputError(f"no clusters_<Mon>.csv files found in {ns.clusters_dir}")
-    sheet = radar_sheet(monthly, meta)
-    write_radar_csv(ns.out, sheet)
-    print(f"wrote {ns.out} ({len(sheet.rows)} rows, {len(monthly)} months)")
+    rows = radar_sheet(monthly, meta)
+    write_radar_csv(ns.out, rows)
+    print(f"wrote {ns.out} ({len(rows)} rows, {len(monthly)} months)")
     return 0
 
 

@@ -360,33 +360,12 @@ def binned_means(bins: np.ndarray, values: np.ndarray, keep: np.ndarray,
     return means, counts
 
 
-def missing_report(series: TemperatureSeries,
-                   span: tuple[datetime, datetime] | None = None) -> MissingReport:
-    """Quantify missingness over the series' own dense span.
-
-    ``span=(start, end)`` pins the denominator to a fixed period instead;
-    slots outside the series count as missing. Span bounds must sit on the
-    series' step grid.
-    """
+def missing_report(series: TemperatureSeries) -> MissingReport:
+    """Quantify missingness over the series' own slots, first to last."""
     if series.n == 0:
         raise EmptyInputError("cannot report missingness of an empty series")
-    if span is None:
-        total = series.n
-        miss = int(series.missing.sum())
-    else:
-        start, end = span
-        if end < start:
-            raise ContractError("span end precedes span start")
-        if (start - series.start) % series.step or (end - start) % series.step:
-            raise ContractError("span bounds must align to the series step grid")
-        total = (end - start) // series.step + 1
-        first_k = (start - series.start) // series.step
-        ks = first_k + np.arange(total)
-        inside = (ks >= 0) & (ks < series.n)
-        present = np.zeros(total, dtype=bool)
-        present[inside] = ~series.missing[ks[inside]]
-        miss = int(total - present.sum())
-    return MissingReport(series.station_id, int(total), miss, 100.0 * miss / total)
+    miss = int(series.missing.sum())
+    return MissingReport(series.station_id, series.n, miss, 100.0 * miss / series.n)
 
 
 def read_metadata(path: str | Path) -> dict[str, StationMeta]:

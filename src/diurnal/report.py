@@ -1,4 +1,4 @@
-"""Plot-ready outputs: contour bins, cluster tables, radar sheets, plus a
+"""Plot-ready outputs: contour bins, cluster tables, radar rows, plus a
 synthetic station generator for demos and self-checks.
 
 Everything here emits plain CSV or text; actual drawing is left to whatever
@@ -9,8 +9,6 @@ block.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -40,20 +38,32 @@ RADAR_HEADER = ("month", "cluster", "region", "mean_silhouette", "count")
 
 
 def bin_cell(sen_slope: float, p_value: float) -> tuple[str, str]:
-    """Assign a trend cell to its (slope band, p band).
+    """Assign a trend cell to its (slope band, p band): the one-row case of
+    ``contour_grid``'s banding.
 
     Band intervals are left-exclusive, right-inclusive. Slopes beyond
     +/-1 degree per year and p-values below 0.001 land in the nearest
     extreme band rather than falling off the grid.
     """
-    if not math.isfinite(sen_slope):
-        raise ContractError("sen_slope must be finite")
-    if not (math.isfinite(p_value) and 0.0 <= p_value <= 1.0):
-        raise ContractError(f"p_value {p_value} out of [0, 1]")
-    # bisect_left counts the band edges below the value, so an edge value
-    # stays in the band it closes.
-    return (SLOPE_BANDS[bisect_left(_SLOPE_EDGES, sen_slope)],
-            P_BANDS[bisect_left(_P_EDGES, p_value)])
+    slope_band, p_band = _bands(np.array([sen_slope], np.float64),
+                                np.array([p_value], np.float64))
+    return SLOPE_BANDS[slope_band[0]], P_BANDS[p_band[0]]
+
+
+def _bands(slope: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slope and p band index of each cell, into ``SLOPE_BANDS`` and
+    ``P_BANDS``. The first cell whose slope is not finite, or whose p-value
+    is outside [0, 1], raises ``ContractError``; the slope is checked first."""
+    bad = ~np.isfinite(slope) | ~((p >= 0.0) & (p <= 1.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not np.isfinite(slope[k]):
+            raise ContractError("sen_slope must be finite")
+        raise ContractError(f"p_value {float(p[k])} out of [0, 1]")
+    # searchsorted on the left counts the band edges below the value, so an
+    # edge value stays in the band it closes.
+    return (np.searchsorted(_SLOPE_EDGES, slope, side="left"),
+            np.searchsorted(_P_EDGES, p, side="left"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,11 +87,11 @@ class ContourTable(ColumnTable):
 
 
 def contour_grid(table: TrendTable) -> ContourTable:
-    """Bin trend cells (``bin_cell`` row by row) and order them by station,
+    """Bin trend cells into slope and p bands and order them by station,
     then in seasonal window order and by hour. The first row of a station
     whose scale differs from the station's first row raises
     ``ContractError``, and so does the first row in that order that
-    ``bin_cell`` rejects."""
+    ``bin_cell`` would reject."""
     station = unique_runs(table.station_id)[1]
     scale = unique_runs(table.scale)[1]
     first = np.unique(station, return_index=True)[1]
@@ -90,16 +100,8 @@ def contour_grid(table: TrendTable) -> ContourTable:
         sid = table.station_id[np.argmax(mixed)]
         raise ContractError(f"station {sid} mixes scales in one contour grid")
     t = table.take(np.lexsort((table.hour, table_windows(table), station)))
-    slope, p = t.sen_slope, t.p_value
-    bad = ~np.isfinite(slope) | ~((p >= 0.0) & (p <= 1.0))
-    if bad.any():
-        k = int(np.argmax(bad))
-        bin_cell(float(slope[k]), float(p[k]))
-    # searchsorted on the left counts the band edges below the value, as
-    # bin_cell's bisect_left does.
-    return ContourTable(t.station_id, t.scale, t.window_label, t.hour, slope, p,
-                        np.searchsorted(_SLOPE_EDGES, slope, side="left"),
-                        np.searchsorted(_P_EDGES, p, side="left"))
+    return ContourTable(t.station_id, t.scale, t.window_label, t.hour, t.sen_slope,
+                        t.p_value, *_bands(t.sen_slope, t.p_value))
 
 
 def write_contour_csv(path: str | Path, table: ContourTable) -> None:
@@ -177,16 +179,10 @@ class RadarRow:
     count: int
 
 
-@dataclass
-class RadarSheet:
-    """Month x cluster x region silhouette summary for radar plots."""
-
-    rows: list[RadarRow]
-
-
 def radar_sheet(monthly: Mapping[str, Mapping[str, tuple[int, float]]],
-                meta: Mapping[str, StationMeta]) -> RadarSheet:
-    """Summarize monthly clusterings by region.
+                meta: Mapping[str, StationMeta]) -> list[RadarRow]:
+    """Summarize monthly clusterings by region: month x cluster x region
+    silhouette rows for radar plots.
 
     ``monthly`` maps a month label to that month's station ->
     (cluster_id, silhouette) assignment. Each output row covers the
@@ -207,12 +203,12 @@ def radar_sheet(monthly: Mapping[str, Mapping[str, tuple[int, float]]],
     unknown = set(monthly) - set(MONTH_ABBR)
     if unknown:
         raise ContractError(f"unknown month labels: {sorted(unknown)}")
-    return RadarSheet(rows)
+    return rows
 
 
-def write_radar_csv(path: str | Path, sheet: RadarSheet) -> None:
+def write_radar_csv(path: str | Path, rows: Iterable[RadarRow]) -> None:
     write_csv(path, RADAR_HEADER, ((r.month, r.cluster, r.region, fmt(r.mean_silhouette),
-                                   r.count) for r in sheet.rows))
+                                   r.count) for r in rows))
 
 
 def synth_station(station_id: str,

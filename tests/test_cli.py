@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from diurnal import WindowHourPanel, build_calendar, write_panel
+from diurnal import WindowHourPanel, build_calendar, read_metadata, write_panel
 from diurnal.cli import cli
 
 
@@ -88,6 +89,22 @@ class TestDeterminism:
         for name in ("records.csv", "metadata.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_synth_128_station_sites_unchanged(self, tmp_path):
+        # The metadata of 128 stations as written before stations past the
+        # 128th wrapped round to the first sites.
+        assert run("synth", "--out-dir", str(tmp_path), "--stations", "128",
+                   "--years", "1", "--noise-sd", "0") == 0
+        digest = hashlib.sha256((tmp_path / "metadata.csv").read_bytes()).hexdigest()
+        assert digest == "020c444f6dc87fa6b3a12ce6a6fa38c1de4dc024b5e80c08f86446545dbafcba"
+
+    def test_synth_past_128_stations_keeps_coordinates_in_range(self, tmp_path):
+        assert run("synth", "--out-dir", str(tmp_path), "--stations", "200",
+                   "--years", "1", "--noise-sd", "0") == 0
+        meta = read_metadata(tmp_path / "metadata.csv")
+        assert len(meta) == 200
+        assert all(-90 <= m.latitude <= 90 and -180 <= m.longitude <= 180
+                   for m in meta.values())
+
     def test_downstream_byte_identical(self, pipeline_dir, tmp_path):
         again = tmp_path / "again.csv"
         assert run("aggregate", "--records", str(pipeline_dir / "filled.csv"),
@@ -134,6 +151,19 @@ class TestConfigFile:
         cfg.write_text("scale=45d\n")
         assert run("aggregate", "--config", str(cfg)) == 1
         assert "45d" in capsys.readouterr().err
+
+    def test_config_byte_order_mark_skipped(self, pipeline_dir, tmp_path):
+        cfg = tmp_path / "trend.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfmin-years=4\n" + (
+            f"panel={pipeline_dir / 'panel.csv'}\nout={tmp_path / 'trend.csv'}\n").encode())
+        assert run("trend", "--config", str(cfg)) == 0
+        assert (tmp_path / "trend.csv").exists()
+
+    def test_config_byte_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"scale=30d\nout=caf\xe9.csv\n")
+        assert run("aggregate", "--config", str(cfg)) == 1
+        assert capsys.readouterr().err.strip() == "error: line 2: invalid UTF-8 byte 0xe9"
 
 
 class TestExitCodes:
@@ -347,6 +377,17 @@ class TestHalfHourPath:
                    "--out", str(tmp_path / "panel.csv")) == 0
         lines = (tmp_path / "panel.csv").read_text(encoding="utf-8").splitlines()
         assert lines[1].split(",")[3] == "Jan01-10"
+
+    def test_to_hourly_rejects_15_minute_records(self, tmp_path, capsys):
+        records = tmp_path / "q.csv"
+        records.write_text("station_id,timestamp,temp_c\n" + "".join(
+            f"Q1,2000-01-01T00:{m:02d}:00Z,{m / 10}\n" for m in range(0, 60, 15)))
+        out = tmp_path / "filled.csv"
+        assert run("impute", "--records", str(records), "--out", str(out),
+                   "--to-hourly") == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: station Q1: cannot collapse step 0:15:00 to hourly")
+        assert not out.exists()
 
     def test_aggregate_averages_raw_30m(self, tmp_path):
         data = tmp_path / "d"

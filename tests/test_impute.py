@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diurnal import EmptyInputError, ImputationError, seasonal_plan, seasonal_split_impute
+from diurnal import EmptyInputError, ImputationError, seasonal_split_impute
 from diurnal.ingest import time_fields
 from helpers import make_series
 
@@ -19,7 +19,7 @@ def test_observed_values_pass_through_bitwise():
     vals = rng.normal(0.0, 10.0, 24 * 40)
     miss = rng.random(vals.size) < 0.3
     s = make_series(vals, miss)
-    filled, _ = seasonal_split_impute(s)
+    filled = seasonal_split_impute(s)
     keep = ~miss
     assert filled.values[keep].tolist() == vals[keep].tolist()
     assert not filled.missing.any()
@@ -28,14 +28,14 @@ def test_observed_values_pass_through_bitwise():
 def test_linear_fill_inside_month():
     vals = [0.0, np.nan, np.nan, np.nan, 4.0, 5.0]
     miss = [False, True, True, True, False, False]
-    filled, _ = seasonal_split_impute(make_series(vals, miss))
+    filled = seasonal_split_impute(make_series(vals, miss))
     assert filled.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 def test_edge_gaps_take_nearest_observed():
     vals = [np.nan, np.nan, 7.0, 9.0, np.nan]
     miss = [True, True, False, False, True]
-    filled, _ = seasonal_split_impute(make_series(vals, miss))
+    filled = seasonal_split_impute(make_series(vals, miss))
     assert filled.values.tolist() == [7.0, 7.0, 7.0, 9.0, 9.0]
 
 
@@ -55,10 +55,8 @@ def test_gap_bridged_within_month_pool_across_years():
     vals[jan2001[0]] = 20.0
     miss = np.zeros(n, dtype=bool)
     miss[jan2000[-1]] = True
-    filled, plan = seasonal_split_impute(make_series(vals, miss, start=start))
+    filled = seasonal_split_impute(make_series(vals, miss, start=start))
     assert filled.values[jan2000[-1]] == 15.0
-    jan_pool = plan.slots[plan.labels.index("Jan")]
-    assert jan_pool.tolist() == np.concatenate([jan2000, jan2001]).tolist()
 
 
 def test_all_missing_month_pool_is_an_error():
@@ -72,19 +70,9 @@ def test_all_missing_month_pool_is_an_error():
         seasonal_split_impute(make_series(np.ones(n), miss, start=start))
 
 
-def test_plan_partitions_all_slots():
-    s = make_series(np.arange(24 * 400, dtype=float), start=datetime(2000, 11, 15))
-    plan = seasonal_plan(s)
-    assert plan.labels == sorted(plan.labels, key=["Jan", "Feb", "Mar", "Apr", "May",
-                                                   "Jun", "Jul", "Aug", "Sep", "Oct",
-                                                   "Nov", "Dec"].index)
-    union = np.sort(np.concatenate(plan.slots))
-    assert union.tolist() == list(range(s.n))
-
-
 def test_empty_series_rejected():
     with pytest.raises(EmptyInputError):
-        seasonal_plan(make_series([]))
+        seasonal_split_impute(make_series([]))
 
 
 @given(st.data())
@@ -96,14 +84,15 @@ def test_filled_values_bounded_by_month_pool(data):
     vals = rng.normal(0.0, 5.0, n)
     miss = rng.random(n) < data.draw(st.floats(0.0, 0.6))
     s = make_series(vals, miss, start=datetime(2003, 1, 1))
-    plan = seasonal_plan(s)
-    for idx in plan.slots:
+    months = time_fields(s.index64())[1]
+    pools = [np.flatnonzero(months == m) for m in np.unique(months)]
+    for idx in pools:
         if not (~miss[idx]).any():
             return  # the error path is covered elsewhere
-    filled, _ = seasonal_split_impute(s)
+    filled = seasonal_split_impute(s)
     assert not filled.missing.any()
     assert np.isfinite(filled.values).all()
-    for idx in plan.slots:
+    for idx in pools:
         observed = vals[idx][~miss[idx]]
         assert filled.values[idx].min() >= observed.min() - 1e-9
         assert filled.values[idx].max() <= observed.max() + 1e-9

@@ -196,22 +196,6 @@ class TestMissingReport:
         assert rep.missing_slots == 774
         assert rep.missing_pct == pytest.approx(7.74)
 
-    def test_fixed_span_counts_outside_as_missing(self):
-        s = make_series([1.0, 2.0], start=datetime(2000, 1, 1, 6))
-        rep = missing_report(s, span=(datetime(2000, 1, 1, 0), datetime(2000, 1, 1, 9)))
-        assert rep.total_slots == 10
-        assert rep.missing_slots == 8
-
-    def test_misaligned_span_rejected(self):
-        s = make_series([1.0, 2.0])
-        with pytest.raises(ContractError, match="align"):
-            missing_report(s, span=(datetime(2000, 1, 1, 0, 30), datetime(2000, 1, 1, 5)))
-
-    def test_reversed_span_rejected(self):
-        s = make_series([1.0, 2.0])
-        with pytest.raises(ContractError, match="precedes"):
-            missing_report(s, span=(datetime(2000, 1, 2), datetime(2000, 1, 1)))
-
 
 class TestTimeFields:
     @given(st.integers(min_value=0, max_value=400_000))

@@ -1,7 +1,8 @@
-"""Binning, tables, radar sheets and the synthetic generator."""
+"""Binning, tables, radar rows and the synthetic generator."""
 
 from __future__ import annotations
 
+import math
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -33,7 +34,25 @@ from diurnal.report import (
     write_radar_csv,
 )
 from diurnal.similarity import ClusterReport, Merge
+import oracles
 from helpers import HALF_HOUR, HOUR
+
+
+_EDGE_FLOATS = st.sampled_from([
+    -0.03, 0.03, 0.0, -0.0, 0.05, 0.10, 0.001, 1.0, -1.0,
+    5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308,
+    np.nextafter(0.05, 1.0), np.nextafter(0.05, 0.0), np.nextafter(0.10, 1.0),
+    np.nextafter(-0.03, 0.0), np.nextafter(0.03, 1.0), np.nextafter(1.0, 2.0),
+    np.nextafter(0.0, -1.0), math.inf, -math.inf, math.nan,
+]).map(float)
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message it raises."""
+    try:
+        return fn(*args)
+    except ContractError as exc:
+        return type(exc), str(exc)
 
 
 class TestBinCell:
@@ -70,6 +89,13 @@ class TestBinCell:
     def test_every_cell_lands_in_one_band_pair(self, slope, p):
         slope_band, p_band = bin_cell(slope, p)
         assert slope_band in SLOPE_BANDS and p_band in P_BANDS
+
+    @given(st.one_of(_EDGE_FLOATS, st.floats()), st.one_of(_EDGE_FLOATS, st.floats()))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bisect_oracle(self, slope, p):
+        """Bands and error messages as ``bisect_left`` over the edges gives
+        them, on band edges, signed zeros, subnormals, infinities and NaN."""
+        assert _outcome(bin_cell, slope, p) == _outcome(oracles._bin_cell, slope, p)
 
 
 def _cell(sid, label, hour, slope, p, scale="30d"):
@@ -190,9 +216,8 @@ class TestRadarSheet:
             "Feb": {"UK1": (1, 0.4), "UK2": (1, 0.6), "AL1": (2, 0.3)},
             "Jan": {"UK1": (1, 0.5), "UK2": (2, 0.2), "AL1": (2, 0.1)},
         }
-        sheet = radar_sheet(monthly, meta)
         rows = [(r.month, r.cluster, r.region, r.mean_silhouette, r.count)
-                for r in sheet.rows]
+                for r in radar_sheet(monthly, meta)]
         assert rows == [
             ("Jan", 1, "UK", 0.5, 1),
             ("Jan", 2, "Piemonte", 0.1, 1),
@@ -218,8 +243,8 @@ class TestRadarSheet:
 
     def test_csv_layout(self, small_clustering, tmp_path):
         _, _, meta = small_clustering
-        sheet = radar_sheet({"Mar": {"UK1": (1, 0.25)}}, meta)
-        write_radar_csv(tmp_path / "radar.csv", sheet)
+        rows = radar_sheet({"Mar": {"UK1": (1, 0.25)}}, meta)
+        write_radar_csv(tmp_path / "radar.csv", rows)
         assert (tmp_path / "radar.csv").read_bytes() == (
             b"month,cluster,region,mean_silhouette,count\r\n"
             b"Mar,1,UK,0.25,1\r\n")
