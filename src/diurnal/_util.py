@@ -1,8 +1,9 @@
 """Shared CSV helpers: deterministic cell formatting, tables held as columns
 and written in blocks by ``write_blocks``, and the one CSV reader,
 ``read_blocks``, that every table goes through: records, panels and trend
-tables by columns through one front end, ``read_station_rows``, the
-metadata and cluster tables row by row (``iter_rows``).
+tables by columns through one front end, ``station_blocks`` (which
+``read_station_rows`` joins into whole columns for panels and trend
+tables), the metadata and cluster tables row by row (``iter_rows``).
 
 A columnar reader checks each rule of its rows once, as one bool mask per
 rule over a block (the parsers return a mask of the texts they reject),
@@ -235,18 +236,21 @@ def parse_floats(column: Column) -> tuple[np.ndarray, np.ndarray]:
 
     The bulk-split rows of at most 8 bytes are factorized by their word
     keys, so ``float()`` runs once per distinct text and the result is
-    gathered per row; any other row goes through ``float()`` on its own.
+    gathered per row; any other row goes through ``float()`` on its own. A
+    column of one kind of row is parsed whole, without a copy.
     """
     narrow = (column.codes.dtype == np.uint8) & (column.length <= 8)
-    texts, index = factorize(Column(column.codes[:, :8] * narrow[:, None],
-                                    column.length * narrow))
-    out, bad = parse_each(parse_float, texts, np.float64)
-    out, bad = out[index], bad[index]
-    if not narrow.all():
-        wide = ~narrow
+    if narrow.all():
+        texts, index = factorize(column)
+        out, bad = parse_each(parse_float, texts, np.float64)
+        return out[index], bad[index]
+    if not narrow.any():
         # A bulk-split row wider than 8 bytes is never empty.
         parse = float if column.codes.dtype == np.uint8 else parse_float
-        out[wide], bad[wide] = parse_each(parse, column[wide].text().tolist(), np.float64)
+        return parse_each(parse, column.text().tolist(), np.float64)
+    out, bad = np.empty(len(column)), np.empty(len(column), bool)
+    for rows in (narrow, ~narrow):
+        out[rows], bad[rows] = parse_floats(column[rows])
     return out, bad
 
 
@@ -296,10 +300,15 @@ def factorize(column: Column) -> tuple[list[str], np.ndarray]:
     return uniq.tolist(), inv
 
 
+def run_heads(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts."""
+    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+
+
 def unique_runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(values, return_inverse=True)``, sorting one value per run
     where the runs are long (station ids, years)."""
-    heads = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    heads = run_heads(values)
     if 2 * len(heads) > len(values):
         return np.unique(values, return_inverse=True)
     uniq, inv = np.unique(values[heads], return_inverse=True)
@@ -329,26 +338,32 @@ def iter_rows(path: str | Path, n_fields: int) -> Iterator[tuple[int, list[str]]
             yield from block.rows()
 
 
-def read_station_rows(path: str | Path, n_fields: int, what: str,
-                      parse: Callable[[Block, np.ndarray], Sequence[np.ndarray]]
-                      ) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
-    """A CSV file's rows, keyed by a station id in the first field, as columns
-    in file order: the ids by number, in order of first appearance; each
-    row's station number; and the arrays that ``parse(block, station)``
-    returns for each block with a data row, concatenated. A file without a
-    data row raises ``EmptyInputError``."""
-    numbers: dict[str, int] = {}
-    parts = []
+def station_blocks(path: str | Path, n_fields: int, what: str,
+                   numbers: dict[str, int]) -> Iterator[tuple[Block, np.ndarray]]:
+    """Each block with a data row of a CSV file keyed by a station id in the
+    first field, with each row's station number: ``numbers`` maps each id
+    to its number, in order of first appearance, and is filled as the
+    blocks come. A file without a data row raises ``EmptyInputError``."""
     with open(path, "rb") as fh:
         for block in read_blocks(fh, n_fields):
             if not len(block.line_no):
                 continue
             ids, index = factorize(block.columns[0])
-            station = np.array([numbers.setdefault(s, len(numbers)) for s in ids],
-                               np.int64)[index]
-            parts.append((station, *parse(block, station)))
-    if not parts:
+            yield block, np.array([numbers.setdefault(s, len(numbers)) for s in ids],
+                                  np.int64)[index]
+    if not numbers:
         raise EmptyInputError(f"no {what} found in {path}")
+
+
+def read_station_rows(path: str | Path, n_fields: int, what: str,
+                      parse: Callable[[Block, np.ndarray], Sequence[np.ndarray]]
+                      ) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
+    """A CSV file's rows, from ``station_blocks``, as columns in file order:
+    the ids by number; each row's station number; and the arrays that
+    ``parse(block, station)`` returns for each block, concatenated."""
+    numbers: dict[str, int] = {}
+    parts = [(station, *parse(block, station))
+             for block, station in station_blocks(path, n_fields, what, numbers)]
     station, *columns = map(np.concatenate, zip(*parts))
     return list(numbers), station, columns
 

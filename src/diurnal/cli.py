@@ -154,7 +154,8 @@ class _Parser(argparse.ArgumentParser):
 def _load_config(path: str) -> dict[str, str]:
     """The ``key=value`` lines of a config file, read as the data readers
     read a file: one UTF-8 byte order mark at its start is skipped, and a
-    byte that is not UTF-8 raises ``ParseError`` with its line."""
+    byte that is not UTF-8, and a key given a second time, raise
+    ``ParseError`` with its line."""
     cfg: dict[str, str] = {}
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -163,10 +164,12 @@ def _load_config(path: str) -> dict[str, str]:
             s = line.strip()
             if not s or s.startswith("#"):
                 continue
-            key, sep, value = s.partition("=")
-            if not sep or not key.strip():
+            key, sep, value = (part.strip() for part in s.partition("="))
+            if not sep or not key:
                 raise ParseError(f"expected key=value, got {s!r}", line_no)
-            cfg[key.strip()] = value.strip()
+            if key in cfg:
+                raise ParseError(f"duplicate config key {key!r}", line_no)
+            cfg[key] = value
     return cfg
 
 

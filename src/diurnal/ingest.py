@@ -24,7 +24,6 @@ from ._util import (
     Block,
     Column,
     Piece,
-    by_station,
     check_rows,
     csv_prefix,
     fmt,
@@ -33,7 +32,8 @@ from ._util import (
     iter_rows,
     parse_each,
     parse_floats,
-    read_station_rows,
+    run_heads,
+    station_blocks,
     write_blocks,
     write_csv,
 )
@@ -222,9 +222,9 @@ def _to_datetime(us: int) -> datetime:
     return _EPOCH + timedelta(microseconds=int(us))
 
 
-def _parse_records(block: Block, station: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The UTC microseconds, temperatures and lines of a block's rows; the
-    first bad row raises ``ParseError``."""
+def _parse_records(block: Block) -> tuple[np.ndarray, np.ndarray]:
+    """The UTC microseconds and temperatures of a block's rows; the first
+    bad row raises ``ParseError``."""
     sid, stamp, temp = block.columns
     us, stamp_bad = parse_timestamps(stamp)
     value, temp_bad = parse_floats(temp)
@@ -235,48 +235,84 @@ def _parse_records(block: Block, station: np.ndarray) -> tuple[np.ndarray, ...]:
         ((temp.length > 0) & ~np.isfinite(value),
          lambda row: f"non-finite temperature {row[2]!r}"),
     ])
-    return us, value, block.line_no
+    return us, value
 
 
-def _build_series(step: timedelta | None, names: list[str], station: np.ndarray,
-                  us: np.ndarray, value: np.ndarray,
-                  line_no: np.ndarray) -> dict[str, TemperatureSeries]:
-    """Dense series for every station, in station-id order, from the rows of
-    ``read_station_rows``: one lexsort by (station, time) orders all rows,
-    then each station's slice is checked and scattered onto its slot grid.
-    ``step=None`` infers each station's step as the smallest positive gap
-    between its records."""
-    by_name, rank = by_station(names, station)
-    order = np.lexsort((us, rank))
-    bounds = np.searchsorted(rank[order], np.arange(len(names) + 1))
-    out = {}
-    for r, c in enumerate(by_name):
-        rows = order[bounds[r]:bounds[r + 1]]
-        sid = names[c]
-        stamps = us[rows]
-        gaps = np.diff(stamps)
-        step_us = (_smallest_gap(gaps) if step is None else step) // _US
-        delta = stamps - stamps[0]
-        n = int(delta[-1]) // step_us + 1
-        bad = np.concatenate(([False], gaps == 0)) | (delta % step_us != 0)
-        if bad.any():
-            k = int(np.argmax(bad))
-            stamp = _to_datetime(stamps[k]).isoformat()
-            if k and gaps[k - 1] == 0:
-                raise DuplicateTimestampError(f"station {sid}: duplicate timestamp {stamp}")
-            raise ParseError(
-                f"timestamp {stamp} not aligned to the "
-                f"{int((step_us * _US).total_seconds())}s step", int(line_no[rows[k]]))
-        slot = delta // step_us
-        reading = value[rows]
-        present = ~np.isnan(reading)
-        values = np.full(n, np.nan)
-        values[slot[present]] = reading[present]
-        missing = np.ones(n, dtype=bool)
-        missing[slot[present]] = False
-        out[sid] = TemperatureSeries(sid, _to_datetime(stamps[0]), step_us * _US,
-                                     values, missing)
-    return out
+# A run of one station's rows in a block: their microseconds, temperatures
+# and lines (a ``range`` where the rows are consecutive lines).
+_Run = tuple[np.ndarray, np.ndarray, range | np.ndarray]
+
+
+def _station_pieces(block: Block, station: np.ndarray,
+                    pieces: dict[int, list[_Run]]) -> None:
+    """Parse a block and append each station's run of its rows to
+    ``pieces[station number]``, rows in file order. A block whose stations
+    do not each come in one run is grouped by one stable argsort first."""
+    us, value = _parse_records(block)
+    lines = block.line_no
+    heads = run_heads(station)
+    if len(np.unique(station[heads])) < len(heads):
+        order = np.argsort(station, kind="stable")
+        station, us, value, lines = station[order], us[order], value[order], lines[order]
+        heads = run_heads(station)
+    for lo, hi in zip(heads.tolist(), [*heads[1:].tolist(), len(station)]):
+        first, last = int(lines[lo]), int(lines[hi - 1])
+        rows = range(first, last + 1) if last - first == hi - lo - 1 else lines[lo:hi]
+        pieces.setdefault(int(station[lo]), []).append((us[lo:hi], value[lo:hi], rows))
+
+
+def _station_series(sid: str, pieces: list[_Run],
+                    step: timedelta | None) -> TemperatureSeries:
+    """A station's dense series from its pieces, in file order, which it
+    empties: its rows are sorted by time (stable) only where they are out
+    of order, then checked and scattered onto its slot grid. ``step=None``
+    infers the step as the smallest positive gap between its records.
+    Each per-row array is dropped once the next step no longer needs it."""
+    stamps = np.concatenate([us for us, _, _ in pieces])
+    reading = np.concatenate([value for _, value, _ in pieces])
+    lines = [rows for _, _, rows in pieces]
+    pieces.clear()
+    order = None
+    if (stamps[1:] < stamps[:-1]).any():
+        order = np.argsort(stamps, kind="stable")
+        stamps, reading = stamps[order], reading[order]
+    start = int(stamps[0])
+    stamps -= start
+    gaps = np.diff(stamps)
+    step_us = (_smallest_gap(gaps) if step is None else step) // _US
+    repeat = gaps == 0
+    del gaps
+    slot, offset = np.divmod(stamps, step_us)
+    bad = offset != 0
+    del offset
+    bad[1:] |= repeat
+    if bad.any():
+        k = int(np.argmax(bad))
+        stamp = _to_datetime(start + int(stamps[k])).isoformat()
+        if k and repeat[k - 1]:
+            raise DuplicateTimestampError(f"station {sid}: duplicate timestamp {stamp}")
+        raise ParseError(
+            f"timestamp {stamp} not aligned to the "
+            f"{int((step_us * _US).total_seconds())}s step",
+            _line_of(lines, k if order is None else int(order[k])))
+    n = int(slot[-1]) + 1
+    del stamps, order
+    present = ~np.isnan(reading)
+    slot = slot[present]
+    values = np.full(n, np.nan)
+    values[slot] = reading[present]
+    missing = np.ones(n, dtype=bool)
+    missing[slot] = False
+    return TemperatureSeries(sid, _to_datetime(start), step_us * _US, values, missing)
+
+
+def _line_of(lines: list[range | np.ndarray], i: int) -> int:
+    """The line of row ``i`` of the runs whose lines are ``lines``, in order."""
+    for rows in lines:
+        if i < len(rows):
+            break
+        i -= len(rows)
+    return int(rows[i])
 
 
 def _smallest_gap(gaps: np.ndarray) -> timedelta:
@@ -287,14 +323,24 @@ def _smallest_gap(gaps: np.ndarray) -> timedelta:
 
 def read_records(path: str | Path,
                  expected_step: timedelta | None = None) -> dict[str, TemperatureSeries]:
-    """Read a (possibly multi-station) records CSV into per-station series.
+    """Read a (possibly multi-station) records CSV into per-station series,
+    in station-id order.
 
     With ``expected_step=None`` the step is inferred per station from the
     smallest gap between its records.
+
+    Each block's rows are parsed and grouped by station as the block is
+    read; a row keeps only its microseconds and temperature (16 bytes), and
+    its line only where the lines of its run are not consecutive. Each
+    station's series is then built from its own pieces, which are dropped
+    once it is.
     """
-    names, station, columns = read_station_rows(path, len(RECORDS_HEADER), "records",
-                                                _parse_records)
-    return _build_series(expected_step or None, names, station, *columns)
+    numbers: dict[str, int] = {}
+    pieces: dict[int, list[_Run]] = {}
+    for block, station in station_blocks(path, len(RECORDS_HEADER), "records", numbers):
+        _station_pieces(block, station, pieces)
+    return {sid: _station_series(sid, pieces[numbers[sid]], expected_step or None)
+            for sid in sorted(numbers)}
 
 
 def write_records(path: str | Path, series: Iterable[TemperatureSeries]) -> None:

@@ -321,6 +321,10 @@ def write_trend_csv(path: str | Path, table: TrendTable) -> None:
                  [csv_pieces(map(fmt_column, table.take(order).columns()))])
 
 
+# (scale, window, hour) cells per station: no scale has more than 36 windows.
+_STATION_CELLS = len(SCALES) * 36 * 24
+
+
 def read_trend_csv(path: str | Path) -> TrendTable:
     """Read a trend CSV back into a table, rows in file order. Besides
     malformed fields, a row with an hour outside 0-23, a p-value outside
@@ -332,19 +336,25 @@ def read_trend_csv(path: str | Path) -> TrendTable:
     Each block is parsed by columns, every distinct text of a text, int or
     flag field once, and each check runs once on whole columns.
     """
-    seen: list[np.ndarray] = []
-    names, station, columns = read_station_rows(
-        path, len(TREND_HEADER), "trend rows",
-        lambda block, station: _trend_columns(block, station, seen))
+    seen = np.zeros(0, bool)
+
+    def parse(block, station):
+        nonlocal seen
+        if (grow := (int(station.max()) + 1) * _STATION_CELLS - len(seen)) > 0:
+            seen = np.concatenate((seen, np.zeros(grow, bool)))
+        return _trend_columns(block, station, seen)
+
+    names, station, columns = read_station_rows(path, len(TREND_HEADER), "trend rows", parse)
     return TrendTable(np.array(names, dtype=object)[station], *columns)
 
 
 def _trend_columns(block: Block, station: np.ndarray,
-                   seen: list[np.ndarray]) -> list[np.ndarray]:
+                   seen: np.ndarray) -> list[np.ndarray]:
     """The columns after ``station_id`` of one block's rows (numbered by
     ``station``), every distinct text of a text, int or flag field parsed
-    once; the block's cell keys join ``seen``, the keys of the earlier
-    blocks. The first bad row of the block raises ``ParseError``."""
+    once; ``seen``, a grid of ``_STATION_CELLS`` cells per station, marks
+    the cells of the earlier blocks' rows and then of the block's own. The
+    first bad row of the block raises ``ParseError``."""
     _, scale, label, hour, n, s, var_s, z, p, slope, lag1, flag = block.columns
     text = [factorize(column) for column in (scale, label)]
     scale_index, window = window_index(*text)
@@ -354,10 +364,13 @@ def _trend_columns(block: Block, station: np.ndarray,
     flag, flag_bad = (v[flag_code] for v in parse_each(parse_bool, flags, bool))
     malformed = np.logical_or.reduce([*int_bad, *float_bad, flag_bad])
     hour, p, slope = ints[0], floats[2], floats[3]
-    # One integer per cell, below 3456 per station: a cell's rows after its
-    # first, here or in an earlier block, are repeats.
-    seen.append(((station * len(SCALES) + scale_index) * 36 + window) * 24 + hour)
-    repeat = repeats(np.concatenate(seen))
+    # A cell's rows after its first, here or in an earlier block, are
+    # repeats. A row off the grid breaks a rule before this one.
+    cell = station * _STATION_CELLS + (scale_index * 36 + window) * 24 + hour
+    on_grid = (scale_index >= 0) & (window >= 0) & (hour >= 0) & (hour <= 23)
+    repeat = np.zeros(len(cell), bool)
+    repeat[on_grid] = seen[cell[on_grid]] | repeats(cell[on_grid])
+    seen[cell[on_grid]] = True
     check_rows(block, [
         (scale_index < 0, lambda row: f"unknown scale {row[1].strip()!r}"),
         (malformed, lambda row: "malformed numeric field"),
@@ -368,7 +381,7 @@ def _trend_columns(block: Block, station: np.ndarray,
          lambda row: f"sen_slope {parse_float(row[9].strip())} is not finite"),
         (window < 0, lambda row: f"label {row[2].strip()!r} does not belong to "
                                  f"scale {row[1].strip()}"),
-        (repeat[-len(station):],
+        (repeat,
          lambda row: f"station {row[0].strip()}: second row for scale {row[1].strip()}, "
                      f"window {row[2].strip()}, hour {int(row[3])}"),
     ])

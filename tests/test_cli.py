@@ -146,6 +146,15 @@ class TestConfigFile:
         assert run("aggregate", "--config", str(cfg)) == 1
         assert "key=value" in capsys.readouterr().err
 
+    def test_repeated_config_key_names_its_second_line(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(f"stations=1\n# a comment\nout-dir={tmp_path / 'out'}\n"
+                       " stations = 2\n")
+        assert run("synth", "--config", str(cfg)) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: line 4: duplicate config key 'stations'")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("scale=45d\n")

@@ -150,20 +150,32 @@ _TEMPS = st.one_of(
 
 
 @st.composite
-def records_file(draw, max_stations=3):
+def records_file(draw, max_stations=3, runs=False):
     """Record lines for 1-3 stations, shuffled, with blank and header lines,
-    duplicate or misaligned timestamps now and then, and 0-2 bad lines."""
-    rows = []
+    duplicate or misaligned timestamps now and then, and 0-2 bad lines.
+    With ``runs``, the stations come one after another, each with its rows
+    in time order but for a swap now and then, and the last rows of the
+    first station now and then move to the end of the file."""
+    stations = []
     for field, _ in draw(st.lists(st.sampled_from(STATION_FIELDS), min_size=1,
                                   max_size=max_stations, unique_by=lambda f: f[1])):
         step = draw(st.sampled_from([HOUR, HALF_HOUR, timedelta(milliseconds=500)]))
         start = datetime(2000, 12, 31, 22) + draw(st.sampled_from(
             [timedelta(0), timedelta(microseconds=500000), timedelta(minutes=30)]))
         slots = draw(st.lists(st.integers(0, 30), min_size=1, max_size=25))
-        for k in slots:
-            stamp = draw(_stamp(start + k * step))
-            rows.append(f"{field},{stamp},{draw(_TEMPS)}")
-    random.Random(draw(st.integers(0, 2**32))).shuffle(rows)
+        if runs:
+            slots.sort()
+            for _ in range(draw(st.integers(0, 2))):
+                i, j = (draw(st.integers(0, len(slots) - 1)) for _ in range(2))
+                slots[i], slots[j] = slots[j], slots[i]
+        stations.append([f"{field},{draw(_stamp(start + k * step))},{draw(_TEMPS)}"
+                         for k in slots])
+    rows = [row for station in stations for row in station]
+    if runs:
+        cut = len(stations[0]) - draw(st.integers(0, len(stations[0]) - 1))
+        rows = rows[:cut] + rows[len(stations[0]):] + rows[cut:len(stations[0])]
+    else:
+        random.Random(draw(st.integers(0, 2**32))).shuffle(rows)
     for line in draw(st.lists(st.sampled_from(FILLER_LINES + BAD_RECORD_LINES), max_size=3)):
         rows.insert(draw(st.integers(0, len(rows))), line)
     if draw(st.booleans()):
@@ -210,6 +222,12 @@ def _assert_same_read(tmp_path, lines, expected_step):
                          _assert_same_series)
 
 
+def _hour_row(field, h, late=(7,)):
+    """A record at hour ``h`` of 1 January 2001, at half past for the hours
+    in ``late``."""
+    return f"{field},2001-01-01T{h:02d}:{30 if h in late else 0:02d}:00Z,{h}.5"
+
+
 class TestRecordsReader:
     @given(lines=records_file(), expected=st.sampled_from([None, HOUR, HALF_HOUR]))
     @SETTINGS
@@ -220,6 +238,41 @@ class TestRecordsReader:
     @SETTINGS
     def test_single_station_read_matches_row_reader(self, tmp_path, block_lines, lines, step):
         _assert_same_read(tmp_path, lines, step)
+
+    @given(lines=records_file(runs=True), expected=st.sampled_from([None, HOUR, HALF_HOUR]))
+    @SETTINGS
+    def test_station_runs_read_as_the_row_reader(self, tmp_path, block_lines, lines,
+                                                 expected):
+        # A block whose stations each come in one run is cut into slices,
+        # and a station's rows are sorted only when they are out of order.
+        _assert_same_read(tmp_path, lines, expected)
+
+    @pytest.mark.parametrize("rows,line", [
+        # In order: row k of T01 is line k + 2.
+        ([_hour_row("T01", h) for h in range(12)], 9),
+        # T01 in two runs with blocks between them.
+        ([_hour_row("T01", h) for h in range(4)] + [_hour_row("B2", h) for h in range(6)]
+         + [_hour_row("T01", h) for h in range(4, 12)], 15),
+        # T01's rows backwards, with 09:30 as well: the first bad row in
+        # time is the second bad row in the file.
+        ([_hour_row("T01", h, late=(7, 9)) for h in range(11, -1, -1)], 6),
+        # A header row and a blank line mid-file: the data rows are not
+        # consecutive lines.
+        ([_hour_row("T01", h) for h in range(4)] + ["station_id,timestamp,temp_c", ""]
+         + [_hour_row("T01", h) for h in range(4, 12)], 11),
+        # A quoted id over two lines after each T01 row: every block goes to
+        # csv.reader, and lines count csv rows.
+        ([row for h in range(12) for row in (_hour_row("T01", h),
+                                              _hour_row('"M\nL"', h, late=()))], 16),
+    ], ids=["ordered", "split-station", "out-of-order", "header-mid-file", "csv-split"])
+    def test_misaligned_timestamp_names_its_line(self, tmp_path, block_lines, rows, line):
+        path = tmp_path / "records.csv"
+        path.write_text("station_id,timestamp,temp_c\n" + "\n".join(rows) + "\n")
+        message = f"line {line}: timestamp 2001-01-01T07:30:00 not aligned to the 3600s step"
+        with pytest.raises(ParseError) as exc:
+            read_records(path, HOUR)
+        assert str(exc.value) == message
+        assert _outcome(oracles.read_records_rows, path, HOUR) == ("error", ParseError, message)
 
     def test_first_of_two_bad_lines_wins_across_blocks(self, tmp_path, block_lines):
         good = [f"T01,2001-01-01T{h:02d}:00:00Z,{h}.5\n" for h in range(20)]
@@ -709,6 +762,24 @@ class TestTrendTables:
             "line 3: station S1: second row for scale 30d, window Jan, hour 0")
         assert _outcome(oracles.read_trend_rows, path) == _outcome(read_trend_csv, path)
 
+    def test_repeated_cell_across_blocks_reports_its_lowest_line(self, tmp_path, block_lines):
+        # The last cell of the last station repeats at line 7 and the first
+        # cell of the first station at line 8; station C first appears in
+        # a later block, after the repeated cells were first seen.
+        rows = [f"{sid},{scale},{label},{h},5,3,8.5,0.7,0.49,0.1,0.2,0"
+                for sid, scale, label, h in [
+                    ("A", "10d", "Jan01-10", 0), ("Z", "60db", "Oct-Nov", 23),
+                    ("Z", "10d", "Jan01-10", 0), ("A", "60db", "Oct-Nov", 23),
+                    ("C", "30d", "Jun", 12), ("Z", "60db", "Oct-Nov", 23),
+                    ("A", "10d", "Jan01-10", 0), ("C", "30d", "Jun", 12)]]
+        path = tmp_path / "trend.csv"
+        path.write_text(",".join(oracles.TREND_HEADER) + "\n" + "\n".join(rows) + "\n")
+        message = "line 7: station Z: second row for scale 60db, window Oct-Nov, hour 23"
+        with pytest.raises(ParseError) as exc:
+            read_trend_csv(path)
+        assert str(exc.value) == message
+        assert _outcome(oracles.read_trend_rows, path) == ("error", ParseError, message)
+
     def test_bad_row_before_a_reader_error_wins(self, tmp_path, block_lines):
         # The reader stops at the byte that is not UTF-8, blocks after the
         # row with hour 99; the row comes first in the file.
@@ -1010,10 +1081,16 @@ class TestKeyPath:
     @given(texts=runs(NUMBER_TEXTS))
     @SETTINGS
     def test_parse_floats_keeps_the_bits_of_float(self, texts):
-        want = np.array([math.nan if t == "" else float(t) for t in texts])
-        for column in (_plain_column(texts), _util.Column.of(texts)):
-            values, bad = _util.parse_floats(column)
-            assert _same_array(values, want) and not bad.any()
+        # The texts as drawn, then their rows of at most 8 bytes alone and
+        # their wider rows alone: a column of one kind is parsed whole.
+        for part in (texts, [t for t in texts if len(t) <= 8],
+                     [t for t in texts if len(t) > 8]):
+            if not part:
+                continue
+            want = np.array([math.nan if t == "" else float(t) for t in part])
+            for column in (_plain_column(part), _util.Column.of(part)):
+                values, bad = _util.parse_floats(column)
+                assert _same_array(values, want) and not bad.any()
 
     @given(rows=st.integers(2, 4).flatmap(lambda n: st.lists(
                st.lists(st.text(PLAIN, min_size=1, max_size=24), min_size=n, max_size=n),

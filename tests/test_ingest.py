@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import tracemalloc
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -161,6 +162,39 @@ class TestRecordsRoundTrip:
         assert (back["G01"].step, back["G01"].missing.tolist()) == (
             HOUR, [False, True, False, False])
         assert back["S01"].step == HOUR  # a single record defaults to an hour
+
+
+class TestRecordsMemory:
+    @staticmethod
+    def _read_peak(path) -> int:
+        """The tracemalloc peak of one ``read_records`` call, in bytes."""
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            read_records(path)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    def test_peak_grows_by_at_most_40_bytes_a_row(self, tmp_path):
+        # A row is held as its microseconds and temperature (16 bytes) until
+        # its station's series is built. The peak also holds one block's
+        # working memory, about 5 MB whatever the file size (50 bytes a row
+        # on its own at 100k rows), so the bound is on the peak's growth
+        # from 100k rows to 200k: the reader that held 32 bytes a row
+        # twice and sorted the whole file grew by 66-86 bytes a row.
+        rng = np.random.default_rng(7)
+        peaks = []
+        for n in (25_000, 50_000):
+            series = [make_series(np.round(rng.normal(5, 3, n), 1), rng.random(n) < 0.02,
+                                  sid=sid) for sid in ("S1", "S2", "S3", "S4")]
+            write_records(tmp_path / f"{n}.csv", series)
+            read_records(tmp_path / f"{n}.csv")
+            peaks.append(self._read_peak(tmp_path / f"{n}.csv"))
+        assert (peaks[1] - peaks[0]) / 100_000 <= 40
 
 
 class TestToHourly:
