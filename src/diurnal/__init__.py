@@ -32,6 +32,7 @@ from .ingest import (
     StationGroup,
     StationMeta,
     TemperatureSeries,
+    day_fields,
     missing_report,
     read_metadata,
     read_records,
@@ -87,7 +88,7 @@ __all__ = [
     "seasonal_split_impute",
     "StationMeta", "StationGroup", "Region", "TemperatureSeries", "MissingReport",
     "read_records", "write_records", "read_metadata", "write_metadata",
-    "to_hourly", "missing_report", "time_fields",
+    "to_hourly", "missing_report", "day_fields", "time_fields",
     "ContourTable", "RadarRow",
     "bin_cell", "cluster_table", "contour_grid", "radar_sheet", "synth_station",
     "DtwConfig", "DistanceMatrix", "ClusterReport", "Merge", "DcorResult",

@@ -237,21 +237,25 @@ def parse_floats(column: Column) -> tuple[np.ndarray, np.ndarray]:
     The bulk-split rows of at most 8 bytes are factorized by their word
     keys, so ``float()`` runs once per distinct text and the result is
     gathered per row; any other row goes through ``float()`` on its own. A
-    column of one kind of row is parsed whole, without a copy.
+    column of one kind of row is parsed whole, without a copy; in a mixed
+    column only the narrow rows' keys and the wide rows are copied.
     """
     narrow = (column.codes.dtype == np.uint8) & (column.length <= 8)
-    if narrow.all():
-        texts, index = factorize(column)
-        out, bad = parse_each(parse_float, texts, np.float64)
-        return out[index], bad[index]
     if not narrow.any():
         # A bulk-split row wider than 8 bytes is never empty.
         parse = float if column.codes.dtype == np.uint8 else parse_float
         return parse_each(parse, column.text().tolist(), np.float64)
-    out, bad = np.empty(len(column)), np.empty(len(column), bool)
-    for rows in (narrow, ~narrow):
-        out[rows], bad[rows] = parse_floats(column[rows])
-    return out, bad
+    every = narrow.all()
+    keys = _first_words(column)
+    texts, index = _word_texts(keys if every else keys[narrow])
+    values, bad = parse_each(parse_float, texts, np.float64)
+    if every:
+        return values[index], bad[index]
+    out, out_bad = np.empty(len(column)), np.empty(len(column), bool)
+    out[narrow], out_bad[narrow] = values[index], bad[index]
+    wide = np.flatnonzero(~narrow)
+    out[wide], out_bad[wide] = parse_floats(column[wide])
+    return out, out_bad
 
 
 def parse_ints(column: Column, bound: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -288,16 +292,27 @@ def factorize(column: Column) -> tuple[list[str], np.ndarray]:
     """``(distinct texts in sorted order, index of each row's text)``.
 
     A bulk-split column whose rows all fit one 8-byte word is keyed by each
-    row's first word read big-endian: its zero padding sorts first, so the
-    keys sort as the texts do. Any other column is keyed by its text. The
-    keys go through ``unique_runs``.
+    row's first word (``_word_texts``). Any other column is keyed by its
+    text, through ``unique_runs``.
     """
-    keyed = column.codes.dtype == np.uint8 and column.length.max(initial=0) <= 8
-    uniq, inv = unique_runs(column.codes[:, :8].view(">u8").ravel() if keyed else column.text())
-    if keyed:
-        # A bytes string drops the zero padding.
-        uniq = uniq.astype(">u8").view("S8").astype(str)
+    if column.codes.dtype == np.uint8 and column.length.max(initial=0) <= 8:
+        return _word_texts(_first_words(column))
+    uniq, inv = unique_runs(column.text())
     return uniq.tolist(), inv
+
+
+def _first_words(column: Column) -> np.ndarray:
+    """Each row's first 8 bytes of a bulk-split column, read big-endian: a
+    view, not a copy."""
+    return column.codes[:, :8].view(">u8")[:, 0]
+
+
+def _word_texts(keys: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """``factorize`` of rows of at most 8 bytes by their ``_first_words``
+    keys: the zero padding sorts first, so the keys sort as the texts do."""
+    uniq, inv = unique_runs(keys)
+    # A bytes string drops the zero padding.
+    return uniq.astype(">u8").view("S8").astype(str).tolist(), inv
 
 
 def run_heads(values: np.ndarray) -> np.ndarray:

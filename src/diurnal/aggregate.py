@@ -28,7 +28,7 @@ from ._util import (Piece, by_station, check_rows, csv_pieces, csv_prefix, facto
                     unique_runs, write_blocks)
 from .errors import ContractError, EmptyInputError, ParseError
 from .impute import MONTH_ABBR
-from .ingest import TemperatureSeries, binned_means, time_fields
+from .ingest import TemperatureSeries, binned_means, day_fields
 
 SCALES = ("10d", "30d", "60da", "60db")
 
@@ -150,14 +150,13 @@ def hourly_window_means(series: TemperatureSeries, calendar: WindowCalendar,
         raise ContractError(
             f"station {series.station_id}: series has masked slots; impute first "
             "or pass skip_missing=True")
-    years, months, days, hours = time_fields(series.index64())
-    widx = calendar.window_index(months, days)
-    pyears = calendar.panel_years(years, months)
-    uniq_years = np.unique(pyears)
-    ypos = np.searchsorted(uniq_years, pyears)
+    # Each day's (panel year, window) cell is found once; a slot's bin is
+    # its day's cell and its hour.
+    (years, months, days), slot_day, hours = day_fields(series.index64())
+    uniq_years, ypos = np.unique(calendar.panel_years(years, months), return_inverse=True)
     nW = calendar.n_windows
-    flat = (ypos * nW + widx) * 24 + hours
-    means, counts = binned_means(flat, series.values, ~series.missing,
+    day_cell = (ypos * nW + calendar.window_index(months, days)) * 24
+    means, counts = binned_means(day_cell[slot_day] + hours, series.values, ~series.missing,
                                  len(uniq_years) * nW * 24)
     shape = (len(uniq_years), nW, 24)
     return WindowHourPanel(series.station_id, calendar.scale,

@@ -15,7 +15,7 @@ import calendar
 import numpy as np
 
 from .errors import EmptyInputError, ImputationError
-from .ingest import TemperatureSeries, time_fields
+from .ingest import TemperatureSeries, day_fields
 
 MONTH_ABBR = tuple(calendar.month_abbr[1:])  # ("Jan", ..., "Dec")
 
@@ -31,7 +31,8 @@ def seasonal_split_impute(series: TemperatureSeries) -> TemperatureSeries:
     """
     if series.n == 0:
         raise EmptyInputError("cannot impute an empty series")
-    _, months, _, _ = time_fields(series.index64())
+    (_, day_month, _), slot_day, _ = day_fields(series.index64())
+    months = day_month[slot_day]
     filled = series.values.copy()
     for m in range(1, 13):
         idx = np.flatnonzero(months == m)

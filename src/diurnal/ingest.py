@@ -34,6 +34,7 @@ from ._util import (
     parse_floats,
     run_heads,
     station_blocks,
+    unique_runs,
     write_blocks,
     write_csv,
 )
@@ -110,7 +111,8 @@ class TemperatureSeries:
 
     The timestamp of slot ``k`` is ``start + k * step``; gaps are masked,
     never dropped, so the index itself never has holes. Masked slots hold
-    NaN in ``values``.
+    NaN in ``values``: a float64 ``values`` that already does is kept as
+    given, not copied.
     """
 
     station_id: str
@@ -126,10 +128,12 @@ class TemperatureSeries:
             raise ContractError("values and missing must be equal-length 1-D arrays")
         if self.step <= timedelta(0):
             raise ContractError("step must be positive")
-        observed = self.values[~self.missing]
-        if observed.size and not np.all(np.isfinite(observed)):
+        if not (np.isfinite(self.values) | self.missing).all():
             raise ContractError("non-missing values must be finite")
-        self.values = np.where(self.missing, np.nan, self.values)
+        # Observed slots are finite now, so a slot's NaN-ness differs from
+        # its mask only where a masked slot holds a number.
+        if (np.isnan(self.values) != self.missing).any():
+            self.values = np.where(self.missing, np.nan, self.values)
 
     @property
     def n(self) -> int:
@@ -152,15 +156,32 @@ class MissingReport:
     missing_pct: float
 
 
-def time_fields(index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split a datetime64 index into (year, month, day, hour) integer arrays."""
-    months64 = index.astype("datetime64[M]")
-    days64 = index.astype("datetime64[D]")
-    years = index.astype("datetime64[Y]").astype(np.int64) + 1970
+def day_fields(index: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray],
+                                             np.ndarray, np.ndarray]:
+    """The calendar of a datetime64 index (any unit, any order), worked out
+    once per distinct day: ``((year, month, day) of each distinct day in
+    ascending order, each slot's position among those days, each slot's
+    hour)``, all int64.
+
+    The days come from one cast to hours and ``unique_runs`` (an hourly
+    index holds runs of 24 slots a day), so only the distinct days go
+    through the year, month and day casts.
+    """
+    day, hours = np.divmod(index.astype("datetime64[h]").astype(np.int64), 24)
+    days, slot_day = unique_runs(day)
+    days64 = days.astype("datetime64[D]")
+    months64 = days64.astype("datetime64[M]")
+    years = days64.astype("datetime64[Y]").astype(np.int64) + 1970
     months = months64.astype(np.int64) % 12 + 1
-    days = (days64 - months64.astype("datetime64[D]")).astype(np.int64) + 1
-    hours = (index.astype("datetime64[h]") - days64.astype("datetime64[h]")).astype(np.int64)
-    return years, months, days, hours
+    dom = (days64 - months64.astype("datetime64[D]")).astype(np.int64) + 1
+    return (years, months, dom), slot_day, hours
+
+
+def time_fields(index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Split a datetime64 index into (year, month, day, hour) integer arrays,
+    each slot given its day's ``day_fields``."""
+    (years, months, days), slot_day, hours = day_fields(index)
+    return years[slot_day], months[slot_day], days[slot_day], hours
 
 
 _US = timedelta(microseconds=1)
@@ -193,7 +214,9 @@ def parse_timestamps(column: Column) -> tuple[np.ndarray, np.ndarray]:
     through ``timestamp_us`` one at a time. Returns the microseconds and a
     mask of the rows ``timestamp_us`` rejects (those rows hold 0).
     """
-    c = np.pad(column.codes, ((0, 0), (0, max(20 - column.codes.shape[1], 0))))
+    c = column.codes
+    if c.shape[1] < 20:
+        c = np.pad(c, ((0, 0), (0, 20 - c.shape[1])))
     ok = (column.length == 19) | ((column.length == 20) & (c[:, 19] == 90))  # 'Z'
     head = c[:, :19]
     # Positions as rows: with every digit read as '0' and a space as 'T',
@@ -347,18 +370,24 @@ def write_records(path: str | Path, series: Iterable[TemperatureSeries]) -> None
     """Write series back out in the records CSV layout (masked slots stay empty).
 
     Each ``BLOCK_LINES`` slots of a series are one block of
-    ``write_blocks``: the block's distinct days, times of day and
-    temperatures are each formatted once (``np.datetime_as_string``, and
-    ``fmt_column``) and then gathered per row.
+    ``write_blocks``: the block's distinct days and temperatures are each
+    formatted once (``np.datetime_as_string``, and ``fmt_column``) and then
+    gathered per row. A series' times of day repeat every
+    ``DAY / gcd(step, DAY)`` slots, so they are formatted once per series,
+    for its first slots up to that period, and looked up per row.
     """
     def blocks() -> Iterator[list[Piece]]:
         for s in sorted(series, key=lambda s: s.station_id):
+            start, step = (s.start - _EPOCH) // _US, s.step // _US
+            period = _DAY_US // math.gcd(step, _DAY_US)
+            tod_text = np.array(_time_text((start + np.arange(min(period, s.n)) * step)
+                                           % _DAY_US), dtype=object)
+            prefix = csv_prefix(s.station_id)
             for lo in range(0, s.n, BLOCK_LINES):
                 k = np.arange(lo, min(lo + BLOCK_LINES, s.n))
-                day, tod = np.divmod((s.start - _EPOCH) // _US + k * (s.step // _US), _DAY_US)
                 # Every masked slot, and only those, holds NaN.
-                yield [csv_prefix(s.station_id), gather(day, _day_text),
-                       gather(tod, _time_text), "Z,", fmt_column(s.values[k])]
+                yield [prefix, gather((start + k * step) // _DAY_US, _day_text),
+                       tod_text[k % period].tolist(), "Z,", fmt_column(s.values[k])]
 
     write_blocks(path, RECORDS_HEADER, blocks())
 
@@ -399,8 +428,10 @@ def binned_means(bins: np.ndarray, values: np.ndarray, keep: np.ndarray,
                  size: int) -> tuple[np.ndarray, np.ndarray]:
     """The mean of the kept values in each of ``size`` bins, NaN where no
     kept value falls, and the count of kept values in each bin."""
-    sums = np.bincount(bins[keep], weights=values[keep], minlength=size)
-    counts = np.bincount(bins[keep], minlength=size)
+    if not keep.all():
+        bins, values = bins[keep], values[keep]
+    sums = np.bincount(bins, weights=values, minlength=size)
+    counts = np.bincount(bins, minlength=size)
     with np.errstate(invalid="ignore"):
         means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     return means, counts

@@ -19,6 +19,7 @@ import itertools
 import math
 import statistics
 from bisect import bisect_left
+from calendar import month_abbr
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -30,6 +31,7 @@ from diurnal import (
     DegenerateDataError,
     DuplicateTimestampError,
     EmptyInputError,
+    ImputationError,
     ParseError,
     SampleTooSmallError,
     TemperatureSeries,
@@ -396,6 +398,91 @@ def dcor_table_loop(profiles, n_perm, seed):
     return [(sids[i], sids[j], dcor_permutation_loop(profiles[sids[i]], profiles[sids[j]],
                                                       n_perm, [*seed, j]))
             for i in range(len(sids)) for j in range(i + 1, len(sids))]
+
+
+# --- Calendar binning: one Python step per slot ---------------------------
+
+def _panel_cell(scale, ts) -> tuple[int, str]:
+    """The panel year and window label of a timestamp under one of the four
+    window calendars, read off its month and day of month."""
+    m = ts.month
+    if scale == "10d":
+        return ts.year, month_abbr[m] + ("01-10", "11-20", "21-31")[min((ts.day - 1) // 10, 2)]
+    if scale == "30d":
+        return ts.year, month_abbr[m]
+    if scale == "60da":
+        first = m if m % 2 else m - 1
+        return ts.year, f"{month_abbr[first]}-{month_abbr[first + 1]}"
+    # 60db: December opens the Dec-Jan window that the next January closes.
+    if m in (12, 1):
+        return ts.year - (m == 1), "Dec-Jan"
+    first = m if m % 2 == 0 else m - 1
+    return ts.year, f"{month_abbr[first]}-{month_abbr[first + 1]}"
+
+
+def hourly_window_means_loop(series, window_calendar, skip_missing=False):
+    """``hourly_window_means`` slot by slot: every slot's ``datetime`` names
+    its panel year, and each observed slot adds its value to its (year,
+    window, hour) cell's sum and count, in slot order."""
+    if series.step != timedelta(hours=1):
+        raise ContractError(f"aggregation needs an hourly series, got step {series.step}")
+    if series.n == 0:
+        raise EmptyInputError("cannot aggregate an empty series")
+    if series.missing.any() and not skip_missing:
+        raise ContractError(
+            f"station {series.station_id}: series has masked slots; impute first "
+            "or pass skip_missing=True")
+    years, sums, counts = set(), {}, {}
+    for k in range(series.n):
+        ts = series.start + k * series.step
+        year, label = _panel_cell(window_calendar.scale, ts)
+        years.add(year)
+        if not series.missing[k]:
+            cell = (year, label, ts.hour)
+            sums[cell] = sums.get(cell, 0.0) + float(series.values[k])
+            counts[cell] = counts.get(cell, 0) + 1
+    years, labels = sorted(years), list(window_calendar.labels)
+    means = np.full((len(years), len(labels), 24), np.nan)
+    count = np.zeros(means.shape, np.int64)
+    for (year, label, hour), c in counts.items():
+        cell = years.index(year), labels.index(label), hour
+        means[cell] = sums[year, label, hour] / c
+        count[cell] = c
+    return WindowHourPanel(series.station_id, window_calendar.scale, years, labels,
+                           means, count)
+
+
+def seasonal_split_impute_loop(series):
+    """``seasonal_split_impute`` slot by slot: each slot joins its month's
+    pool by its ``datetime``, and a masked slot takes the line between its
+    nearest observed neighbours in the pool (``numpy.interp``'s formula), or
+    the one neighbour it has."""
+    if series.n == 0:
+        raise EmptyInputError("cannot impute an empty series")
+    pools = {m: [] for m in range(1, 13)}
+    for k in range(series.n):
+        pools[(series.start + k * series.step).month].append(k)
+    values = series.values.tolist()
+    filled = list(values)
+    for m, pool in pools.items():
+        seen = [p for p, k in enumerate(pool) if not series.missing[k]]
+        if len(seen) == len(pool):
+            continue
+        if not seen:
+            raise ImputationError(f"station {series.station_id}: month pool "
+                                  f"{month_abbr[m]} has no observed values")
+        for p, k in enumerate(pool):
+            if not series.missing[k]:
+                continue
+            j = bisect_left(seen, p)
+            if j == 0 or j == len(seen):
+                filled[k] = values[pool[seen[min(j, len(seen) - 1)]]]
+                continue
+            p0, p1 = seen[j - 1], seen[j]
+            y0, y1 = values[pool[p0]], values[pool[p1]]
+            filled[k] = (y1 - y0) / (p1 - p0) * (p - p0) + y0
+    return TemperatureSeries(series.station_id, series.start, series.step,
+                             np.array(filled), np.zeros(series.n, bool))
 
 
 # --- Reference CSV I/O: one Python step per row ---------------------------

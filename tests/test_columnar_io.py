@@ -846,9 +846,12 @@ ODD_IDS = ["T01", "a,b", 'q"x', "Zürich", " pad ", "line\nbreak"]
 
 @st.composite
 def series_list(draw):
+    """Up to three series, some longer than the small ``BLOCK_LINES`` the
+    writer test draws, with steps that divide a day and steps that do not
+    (7 min; 5 h, whose times of day repeat every 24 slots)."""
     out = []
     for sid in draw(st.lists(st.sampled_from(ODD_IDS), min_size=1, max_size=3, unique=True)):
-        n = draw(st.integers(1, 40))
+        n = draw(st.integers(1, 100))
         values = draw(st.lists(st.one_of(st.sampled_from(ODD_VALUES),
                                          st.floats(allow_nan=False, allow_infinity=False)),
                                min_size=n, max_size=n))
@@ -856,7 +859,8 @@ def series_list(draw):
         start = datetime(1999, 12, 31, 23) + timedelta(
             microseconds=draw(st.sampled_from([0, 500000, 1])))
         step = draw(st.sampled_from([HOUR, HALF_HOUR, timedelta(milliseconds=250),
-                                     timedelta(seconds=1.5)]))
+                                     timedelta(seconds=1.5), timedelta(minutes=7),
+                                     timedelta(hours=5)]))
         out.append(TemperatureSeries(sid, start, step, values, missing))
     return out
 
@@ -883,10 +887,11 @@ def panel_list(draw):
 
 
 class TestWriters:
-    @given(series=series_list())
+    @given(series=series_list(), block_lines=st.sampled_from([7, 16, _util.BLOCK_LINES]))
     @settings(profile_settings(100), suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_write_records_bytes_match_row_writer(self, tmp_path, series):
-        write_records(tmp_path / "new.csv", series)
+    def test_write_records_bytes_match_row_writer(self, tmp_path, series, block_lines):
+        with mock.patch.object(ingest, "BLOCK_LINES", block_lines):
+            write_records(tmp_path / "new.csv", series)
         oracles.write_records_rows(tmp_path / "old.csv", series)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 

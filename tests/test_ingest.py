@@ -231,6 +231,20 @@ class TestMissingReport:
         assert rep.missing_pct == pytest.approx(7.74)
 
 
+class TestTemperatureSeries:
+    @pytest.mark.parametrize("held", [7.5, 0.0, np.inf, -np.inf])
+    def test_masked_slot_holding_a_number_becomes_nan(self, held):
+        values = np.array([1.0, held, 3.0])
+        s = make_series(values, [False, True, False])
+        assert s.values[0] == 1.0 and np.isnan(s.values[1]) and s.values[2] == 3.0
+        assert values[1] == held  # the caller's array is left as it was
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observed_value_raises(self, bad):
+        with pytest.raises(ContractError, match="^non-missing values must be finite$"):
+            make_series([1.0, bad, 3.0], [True, False, False])
+
+
 class TestTimeFields:
     @given(st.integers(min_value=0, max_value=400_000))
     @settings(max_examples=60, deadline=None)
