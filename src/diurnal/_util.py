@@ -1,9 +1,10 @@
 """Shared CSV helpers: deterministic cell formatting, tables held as columns
 and written in blocks by ``write_blocks``, and the one CSV reader,
 ``read_blocks``, that every table goes through: records, panels and trend
-tables by columns through one front end, ``station_blocks`` (which
-``read_station_rows`` joins into whole columns for panels and trend
-tables), the metadata and cluster tables row by row (``iter_rows``).
+tables by columns through one front end, ``station_blocks`` (records and
+panels keep what each block holds and drop its columns; trend tables are
+joined into whole columns by ``read_station_rows``), the metadata and
+cluster tables row by row (``iter_rows``).
 
 A columnar reader checks each rule of its rows once, as one bool mask per
 rule over a block (the parsers return a mask of the texts they reject),

@@ -24,8 +24,8 @@ from typing import Iterable
 import numpy as np
 
 from ._util import (Piece, by_station, check_rows, csv_pieces, csv_prefix, factorize,
-                    fmt_column, parse_floats, parse_ints, read_station_rows, repeats,
-                    unique_runs, write_blocks)
+                    fmt_column, parse_floats, parse_ints, repeats, station_blocks, unique_runs,
+                    write_blocks)
 from .errors import ContractError, EmptyInputError, ParseError
 from .impute import MONTH_ABBR
 from .ingest import TemperatureSeries, binned_means, day_fields
@@ -212,6 +212,10 @@ def read_panel(path: str | Path) -> dict[str, WindowHourPanel]:
     ``ParseError`` with its line, the first bad row of the file; so does a
     second row for the same (station, year, window, hour) cell, once every
     row has been read.
+
+    Each block's rows are checked and then scattered onto one grid
+    (``_PanelGrid``), which holds a mean, a seen mark and a valid flag per
+    cell; the block's columns are dropped once it is scattered.
     """
     scale_of = []  # each station's position in SCALES, by station number
 
@@ -240,45 +244,98 @@ def read_panel(path: str | Path) -> dict[str, WindowHourPanel]:
             (valid & ~np.isfinite(value),
              lambda row: f"valid cell with non-finite mean {row[5].strip()!r}"),
         ])
-        return year, window, hour, value, valid, block.line_no
+        return year, window, hour, value, valid
 
-    names, station, columns = read_station_rows(path, len(PANEL_HEADER), "panel rows", parse)
-    return _build_panels(names, [_CALENDARS[SCALES[i]] for i in scale_of], station, *columns)
+    numbers: dict[str, int] = {}
+    grid = _PanelGrid()
+    repeat = None  # the error of the first repeated cell of the file
+    for block, station in station_blocks(path, len(PANEL_HEADER), "panel rows", numbers):
+        year, window, hour, value, valid = parse(block, station)
+        if repeat is not None:
+            continue
+        width = max(_CALENDARS[SCALES[i]].n_windows for i in scale_of)
+        k = grid.scatter(station, year, window, hour, value, valid, width)
+        if k >= 0:
+            sid = list(numbers)[station[k]]
+            label = _CALENDARS[SCALES[scale_of[station[k]]]].labels[window[k]]
+            repeat = ParseError(f"station {sid}: second row for year {year[k]}, "
+                                f"window {label}, hour {hour[k]}", int(block.line_no[k]))
+    if repeat is not None:
+        raise repeat
+    return grid.panels(list(numbers), [_CALENDARS[SCALES[i]] for i in scale_of])
 
 
-def _build_panels(names: list[str], calendars: list[WindowCalendar], station: np.ndarray,
-                  year: np.ndarray, window: np.ndarray, hour: np.ndarray,
-                  value: np.ndarray, valid: np.ndarray,
-                  line_no: np.ndarray) -> dict[str, WindowHourPanel]:
-    """Per-station panels from every panel row, with each station's
-    calendar by number: the ranked (station, year) pairs are the rows of
-    one (pair, window, hour) grid, as wide as the widest calendar. The
-    first row that hits a cell hit before is an error; else the rows fill
-    the grid, and a station's panel is its pairs' slice."""
-    by_name, rank = by_station(names, station)
-    years, year_code = unique_runs(year)
-    pairs, pair = unique_runs(rank * len(years) + year_code)
-    pair_rank, pair_year = np.divmod(pairs, len(years))
-    width = max(cal.n_windows for cal in calendars)
-    cell = (pair * width + window) * 24 + hour
-    shape = (len(pairs), width, 24)
-    counts = np.bincount(cell, minlength=np.prod(shape)).reshape(shape)
-    if counts.max() > 1:
-        k = int(np.argmax(repeats(cell)))
-        sid = names[station[k]]
-        label = calendars[station[k]].labels[window[k]]
-        raise ParseError(f"station {sid}: second row for year {year[k]}, window {label}, "
-                         f"hour {hour[k]}", int(line_no[k]))
-    counts.reshape(-1)[cell] = valid
-    means = np.full(shape, np.nan)
-    means.reshape(-1)[cell] = np.where(valid, value, np.nan)
-    bounds = np.searchsorted(pair_rank, np.arange(len(names) + 1))
-    out = {}
-    for r, c in enumerate(by_name):
-        lo, hi = bounds[r], bounds[r + 1]
-        sid = names[c]
-        cal = calendars[c]
-        out[sid] = WindowHourPanel(sid, cal.scale, years[pair_year[lo:hi]].tolist(),
-                                   list(cal.labels), means[lo:hi, :cal.n_windows],
-                                   counts[lo:hi, :cal.n_windows])
-    return out
+class _PanelGrid:
+    """The cells of a panel file as its blocks are read. A grid row is one
+    (station number, year) pair, numbered in order of first appearance, and
+    holds ``width`` windows × 24 hours, as many windows as the widest
+    calendar so far. Per cell it keeps the mean (NaN where invalid),
+    whether a row has set it, and the valid flag. Rows grow by doubling,
+    and the width grows when a wider calendar comes."""
+
+    def __init__(self):
+        self.rows: dict[tuple[int, int], int] = {}
+        self.means = np.full((0, 0, 24), np.nan)
+        self.seen = np.zeros((0, 0, 24), bool)
+        self.valid = np.zeros((0, 0, 24), bool)
+
+    def _fit(self, width: int) -> None:
+        """Room for every grid row, ``width`` windows wide."""
+        capacity, old_width = self.means.shape[:2]
+        if len(self.rows) <= capacity and width <= old_width:
+            return
+        if len(self.rows) > capacity:
+            capacity = max(len(self.rows), 2 * capacity)
+        shape = (capacity, max(width, old_width), 24)
+        old = self.means, self.seen, self.valid
+        self.means = np.full(shape, np.nan)
+        self.seen, self.valid = np.zeros(shape, bool), np.zeros(shape, bool)
+        for new, grid in zip((self.means, self.seen, self.valid), old):
+            new[:len(grid), :grid.shape[1]] = grid
+
+    def scatter(self, station: np.ndarray, year: np.ndarray, window: np.ndarray,
+                hour: np.ndarray, value: np.ndarray, valid: np.ndarray, width: int) -> int:
+        """Set the cells of a block's rows; returns the index of the block's
+        first row whose cell an earlier row, in this block or an earlier
+        one, set, or -1. A block without such a row sets as many cells as it
+        has rows, and is told by that count."""
+        years, year_code = unique_runs(year)
+        pairs, pair = unique_runs(station * len(years) + year_code)
+        pair_station, pair_year = np.divmod(pairs, len(years))
+        grid_row = np.array([self.rows.setdefault(key, len(self.rows)) for key in
+                             zip(pair_station.tolist(), years[pair_year].tolist())], np.int64)
+        self._fit(width)
+        cell = (grid_row[pair] * self.means.shape[1] + window) * 24 + hour
+        seen = self.seen.reshape(-1)
+        was = seen[cell]
+        before = np.count_nonzero(self.seen[grid_row])
+        seen[cell] = True
+        self.means.reshape(-1)[cell] = np.where(valid, value, np.nan)
+        self.valid.reshape(-1)[cell] = valid
+        if was.any() or np.count_nonzero(self.seen[grid_row]) - before != len(cell):
+            return int(np.argmax(was | repeats(cell)))
+        return -1
+
+    def panels(self, names: list[str],
+               calendars: list[WindowCalendar]) -> dict[str, WindowHourPanel]:
+        """Per-station panels, from the ids and calendars by station number:
+        a station's panel is its grid rows in year order, cut to its
+        calendar's windows. Where the grid rows came in (station id, year)
+        order, as ``write_panel`` writes them, each panel is a slice of the
+        grid; else the grid is put in that order once."""
+        keys = np.array(list(self.rows), np.int64).reshape(-1, 2)
+        by_name, rank = by_station(names, keys[:, 0])
+        order = np.lexsort((keys[:, 1], rank))
+        means, valid = self.means, self.valid
+        if (order != np.arange(len(order))).any():
+            means, valid = means[order], valid[order]
+        bounds = np.searchsorted(rank[order], np.arange(len(names) + 1))
+        years = keys[order, 1]
+        out = {}
+        for r, c in enumerate(by_name):
+            lo, hi = bounds[r], bounds[r + 1]
+            sid, cal = names[c], calendars[c]
+            out[sid] = WindowHourPanel(sid, cal.scale, years[lo:hi].tolist(), list(cal.labels),
+                                       means[lo:hi, :cal.n_windows],
+                                       valid[lo:hi, :cal.n_windows].astype(np.int64))
+        return out

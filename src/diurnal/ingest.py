@@ -165,8 +165,15 @@ def day_fields(index: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray, np.ndar
 
     The days come from one cast to hours and ``unique_runs`` (an hourly
     index holds runs of 24 slots a day), so only the distinct days go
-    through the year, month and day casts.
+    through the year, month and day casts. A unit finer than microseconds
+    is first floor-divided to microseconds as integers: numpy's casts of
+    such a unit to a coarser one overflow near the int64 minimum (a cast of
+    nanoseconds to hours reads 1677-09-21T01 as 2262-04-11T23).
     """
+    unit = np.datetime_data(index.dtype)
+    if unit[0] in ("ns", "ps", "fs", "as"):
+        since_epoch = index - np.datetime64(0, unit)
+        index = (since_epoch // np.timedelta64(1, "us")).astype("datetime64[us]")
     day, hours = np.divmod(index.astype("datetime64[h]").astype(np.int64), 24)
     days, slot_day = unique_runs(day)
     days64 = days.astype("datetime64[D]")

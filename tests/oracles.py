@@ -627,9 +627,11 @@ def read_panel_rows(path):
     """Panel CSV read, row by row, with the row checks of the columnar
     reader in its order: scale, one scale per station, malformed fields,
     hour in 0-23, valid flag 0 or 1, label of its scale, finite mean where
-    valid. It lets a repeated cell win, where the columnar reader raises
-    once every row has been read, and keeps a year outside int64."""
+    valid. A second row for a cell is an error too, but the first such
+    row's error is raised only once every row has been read, so a bad row
+    after it still wins. It keeps a year outside int64."""
     rows, scales = {}, {}
+    repeat = None
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, row in table_rows(fh, 7):
             sid, scale, year, label, hour, mean, valid = (f.strip() for f in row)
@@ -651,9 +653,15 @@ def read_panel_rows(path):
                 raise ParseError(f"label {label!r} does not belong to scale {scale}", line_no)
             if cell[4] and not math.isfinite(cell[3]):
                 raise ParseError(f"valid cell with non-finite mean {mean!r}", line_no)
-            rows.setdefault(sid, {})[cell[:3]] = cell[3:]
+            cells = rows.setdefault(sid, {})
+            if cell[:3] in cells and repeat is None:
+                repeat = ParseError(f"station {sid}: second row for year {cell[0]}, "
+                                    f"window {label}, hour {cell[2]}", line_no)
+            cells[cell[:3]] = cell[3:]
     if not rows:
         raise EmptyInputError(f"no panel rows found in {path}")
+    if repeat is not None:
+        raise repeat
     out = {}
     for sid in sorted(rows):
         cal = build_calendar(scales[sid])

@@ -35,9 +35,9 @@ _EPOCH = datetime(1970, 1, 1)
 _FIRST_S = (datetime(1, 1, 1) - _EPOCH) // timedelta(seconds=1)
 _LAST_S = (datetime(9999, 12, 31, 23, 59, 59) - _EPOCH) // timedelta(seconds=1)
 # datetime64 unit -> microseconds per unit (0 for nanoseconds). ns covers
-# only the years int64 reaches (1677-2262), less its first day: numpy's
-# floor cast to a coarser unit overflows within an hour of the int64 minimum
-# (NaT is the minimum itself).
+# the years int64 reaches (1677-2262), from just after the int64 minimum
+# (NaT is the minimum itself), where numpy's cast of nanoseconds straight to
+# hours overflows.
 _UNITS = {"h": 3_600_000_000, "m": 60_000_000, "s": 1_000_000, "ms": 1000, "us": 1, "ns": 0}
 _PER_HOUR = {"h": 1, "m": 60, "s": 3600, "ms": 3_600_000, "us": 3_600_000_000,
              "ns": 3_600_000_000_000}
@@ -46,7 +46,7 @@ _PER_HOUR = {"h": 1, "m": 60, "s": 3600, "ms": 3_600_000, "us": 3_600_000_000,
 def _bounds(unit: str) -> tuple[int, int]:
     per_us = _UNITS[unit]
     if not per_us:
-        return -(2**63) + 86_400 * 10**9, 2**63 - 1
+        return -(2**63) + 1, 2**63 - 1
     return -(-_FIRST_S * 1_000_000 // per_us), _LAST_S * 1_000_000 // per_us
 
 
@@ -110,6 +110,18 @@ class TestDayFields:
     ])
     def test_pre_1970_leap_day_and_sub_second_stamps(self, stamp, fields):
         index = np.array([stamp], "datetime64[us]")
+        assert tuple(int(a[0]) for a in time_fields(index)) == fields
+
+    @pytest.mark.parametrize("value, unit, fields", [
+        (int(np.datetime64("1677-09-21T01:12:43.145224190", "ns").astype(np.int64)), "ns",
+         (1677, 9, 21, 1)),
+        (-(2**63) + 1, "ns", (1677, 9, 21, 0)),
+        (-(2**63) + 1, "ps", (1969, 9, 16, 5)),
+    ])
+    def test_stamps_near_the_int64_minimum(self, value, unit, fields):
+        # numpy's cast of these to a coarser unit overflows: cast straight
+        # to hours, the first reads 2262-04-11T23.
+        index = np.array([value], f"datetime64[{unit}]")
         assert tuple(int(a[0]) for a in time_fields(index)) == fields
 
     def test_empty_index(self):

@@ -448,9 +448,8 @@ BAD_PANEL_LINES = [
 
 @st.composite
 def panel_file(draw):
-    """Panel lines for 1-3 stations, shuffled, with blank and header lines
-    and 0-3 bad lines; cells are unique, as the row reader lets a repeated
-    cell win."""
+    """Panel lines for 1-3 stations, shuffled, now and then with a repeated
+    cell, and with blank and header lines and 0-3 bad lines."""
     rows = []
     stations = [("T01", "T01")] + draw(st.lists(st.sampled_from(STATION_FIELDS[1:-1])
                                                 | PLAIN_LONG_IDS.map(lambda t: (t, t)),
@@ -460,6 +459,8 @@ def panel_file(draw):
         years = draw(st.lists(st.integers(1998, 2003), min_size=1, max_size=3, unique=True))
         rows += _panel_cell_rows(draw, field, scale, years)
     random.Random(draw(st.integers(0, 2**32))).shuffle(rows)
+    if draw(st.integers(0, 3)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
     fillers = ["", "  ", "station_id,scale,year,window_label,hour,mean_temp,valid"]
     for line in draw(st.lists(st.sampled_from(fillers) | st.sampled_from(BAD_PANEL_LINES),
                               max_size=3, unique=True)):

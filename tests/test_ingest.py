@@ -21,15 +21,17 @@ from diurnal import (
     StationMeta,
     missing_report,
     read_metadata,
+    read_panel,
     read_records,
     time_fields,
     to_hourly,
     write_metadata,
+    write_panel,
     write_records,
 )
 from diurnal.report import read_cluster_csv
 from diurnal.trend import read_trend_csv
-from helpers import HALF_HOUR, HOUR, make_series
+from helpers import HALF_HOUR, HOUR, grid_panel, make_series
 
 
 def _lines(*rows):
@@ -164,21 +166,21 @@ class TestRecordsRoundTrip:
         assert back["S01"].step == HOUR  # a single record defaults to an hour
 
 
-class TestRecordsMemory:
-    @staticmethod
-    def _read_peak(path) -> int:
-        """The tracemalloc peak of one ``read_records`` call, in bytes."""
-        started = not tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            read_records(path)
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
+def _read_peak(read, path) -> int:
+    """The tracemalloc peak of one ``read(path)`` call, in bytes."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        read(path)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
+
+class TestRecordsMemory:
     def test_peak_grows_by_at_most_40_bytes_a_row(self, tmp_path):
         # A row is held as its microseconds and temperature (16 bytes) until
         # its station's series is built. The peak also holds one block's
@@ -193,8 +195,26 @@ class TestRecordsMemory:
                                   sid=sid) for sid in ("S1", "S2", "S3", "S4")]
             write_records(tmp_path / f"{n}.csv", series)
             read_records(tmp_path / f"{n}.csv")
-            peaks.append(self._read_peak(tmp_path / f"{n}.csv"))
+            peaks.append(_read_peak(read_records, tmp_path / f"{n}.csv"))
         assert (peaks[1] - peaks[0]) / 100_000 <= 40
+
+
+class TestPanelMemory:
+    def test_peak_grows_by_at_most_40_bytes_a_row(self, tmp_path):
+        # A row is one grid cell, held as its mean, seen mark and valid flag
+        # (10 bytes, in a grid whose rows grow by doubling) until the panels
+        # are built with their int64 counts. The bound is on the peak's
+        # growth from 345 600 rows (10 stations x 40 years of 10d cells) to
+        # 691 200, past one block's working memory: the reader that kept
+        # every row's seven columns until the end grew by 106 bytes a row.
+        rng = np.random.default_rng(7)
+        peaks = []
+        for n in (10, 20):
+            panels = [grid_panel(rng, f"S{k:02d}", "10d", n_years=40) for k in range(n)]
+            write_panel(tmp_path / f"{n}.csv", panels)
+            read_panel(tmp_path / f"{n}.csv")
+            peaks.append(_read_peak(read_panel, tmp_path / f"{n}.csv"))
+        assert (peaks[1] - peaks[0]) / 345_600 <= 40
 
 
 class TestToHourly:

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
@@ -33,7 +33,7 @@ from diurnal import (
     silhouette,
 )
 from diurnal import similarity
-from diurnal.similarity import DcorResult, write_dcor_csv, write_distance_csv
+from diurnal.similarity import DCOR_TIE, DcorResult, write_dcor_csv, write_distance_csv
 from helpers import profile_settings
 
 values = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
@@ -416,10 +416,13 @@ class TestDcor:
 
 
 def _assert_matches(got: DcorResult, want: DcorResult) -> None:
-    """The same p-value bit for bit and a dcor within 1e-12: the kernel sums
-    the cross terms in einsum's order, the loop takes their mean."""
+    """The same p-value bit for bit and a dcor squared within ``DCOR_TIE``:
+    the kernel sums the cross terms in einsum's order, the loop takes their
+    mean. The square is compared, as its rounding is what ``DCOR_TIE``
+    bounds: near an exact zero, an error of 1e-17 in dcor squared is one of
+    3e-9 in dcor."""
     assert (got.p_value, got.n_perm) == (want.p_value, want.n_perm)
-    assert got.dcor == pytest.approx(want.dcor, abs=1e-12)
+    assert got.dcor ** 2 == pytest.approx(want.dcor ** 2, abs=DCOR_TIE)
 
 
 def _assert_same_table(got, want) -> None:
@@ -531,6 +534,10 @@ class TestDcorKernel:
     @given(profiles=dcor_profiles(), n_perm=st.integers(99, 260),
            seed=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=2),
            rows=st.one_of(st.none(), st.integers(1, 98)))
+    # A dcor squared of exactly 0 that the loop rounds to about 1e-17.
+    @example(profiles={"S1": np.array([0.0, 0, 1, -1, -1, 1]),
+                       "S3": np.array([-1.0, -0.0, 0, 0, -1, -1])},
+             n_perm=99, seed=[0], rows=None)
     @profile_settings(30)
     def test_table_matches_pair_loop(self, profiles, n_perm, seed, rows):
         # ``rows`` permutations per batch splits every station over batches.
