@@ -75,6 +75,7 @@ from .trend import (
     sen_slope,
     serial_flag,
     trend_surface,
+    window_profiles,
 )
 
 __version__ = "0.1.0"
@@ -96,5 +97,5 @@ __all__ = [
     "dcor", "dcor_permutation_test", "dcor_table",
     "MKResult", "SenSlope", "TrendRow", "TrendTable",
     "mk_test", "sen_slope", "lag1_autocorrelation", "serial_flag", "trend_surface",
-    "hour_profiles",
+    "hour_profiles", "window_profiles",
 ]

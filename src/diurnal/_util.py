@@ -620,8 +620,11 @@ def _split_plain(data: bytes, end: np.ndarray, start: int, n_fields: int) -> Blo
         columns.append(Column(word.view(np.uint8), chars))
     sid = columns[0].codes  # holds no NUL, so an S view drops only the padding
     header = sid.view(f"S{sid.shape[1]}")[:, 0] == b"station_id"
-    if header.any():
+    if header[1:].any():
         columns = [col[~header] for col in columns]
+    elif header[0]:
+        # A file's own header: a slice is a view, where a mask copies.
+        columns = [col[1:] for col in columns]
     return Block(start + np.flatnonzero(~header), columns)
 
 

@@ -72,9 +72,9 @@ from .similarity import (
 )
 from .trend import (
     TrendTable,
-    hour_profiles,
     read_trend_csv,
     trend_surface,
+    window_profiles,
     write_trend_csv,
 )
 
@@ -392,10 +392,11 @@ def _run_cluster(ns) -> int:
     config = DtwConfig(*ns.weights, lam=ns.lam, metric=ns.metric)
     meta = read_metadata(ns.meta) if ns.meta else None
     # Every window is clustered before the first file is written, so a
-    # window that fails leaves no output behind.
+    # window that fails leaves no output behind. The profiles of all windows
+    # come from one pass, but a window's error is raised at its turn.
     results = []
-    for label in windows:
-        dist = pairwise_dtw(hour_profiles(panels, label, ns.features), config)
+    for label, profiles in zip(windows, window_profiles(panels, windows, ns.features)):
+        dist = pairwise_dtw(profiles, config)
         rep = agglomerative_cluster(dist, ns.k)
         results.append((label, dist, rep, *silhouette(dist, rep.assignment)))
     out = Path(ns.out_dir)
@@ -427,9 +428,8 @@ def _run_dcor(ns) -> int:
     if len(panels) < 2:
         raise ContractError("dcor needs at least 2 stations in the panel")
     rows = []
-    for label in windows:
-        pairs = dcor_table(hour_profiles(panels, label, "level"), n_perm=ns.n_perm,
-                           seed=[ns.seed, labels.index(label)])
+    for label, profiles in zip(windows, window_profiles(panels, windows, "level")):
+        pairs = dcor_table(profiles, n_perm=ns.n_perm, seed=[ns.seed, labels.index(label)])
         rows += [(scale, label, *pair) for pair in pairs]
     write_dcor_csv(ns.out, rows)
     print(f"wrote {ns.out} ({len(rows)} pairs)")

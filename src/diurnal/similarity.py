@@ -3,8 +3,9 @@ scores and distance correlation.
 
 The DTW variant here weights the three alignment moves separately and adds
 an off-diagonal penalty, so warped alignments can be made progressively more
-expensive than lockstep ones. Because unequal horizontal and vertical
-weights break symmetry, the pairwise matrix averages both directions.
+expensive than lockstep ones. Unequal horizontal and vertical weights
+break symmetry, so the pairwise matrix averages both directions; with equal
+ones DTW is symmetric and each pair runs in one direction only.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._util import fmt, write_csv
+from ._util import csv_pieces, fmt, fmt_column, write_blocks, write_csv
 from .errors import ContractError, EmptyInputError, SampleTooSmallError
 
 METRICS = ("absolute", "squared")
@@ -143,9 +144,11 @@ def pairwise_dtw(profiles: Mapping[str, Sequence[float]],
     """All-pairs DTW distances, symmetrized as (d(a,b) + d(b,a)) / 2.
 
     Labels are taken in sorted order so the matrix layout does not depend
-    on dict insertion order. Both directions of every pair run as jobs of
-    one batched kernel per profile-length combination, so each entry is
-    bitwise equal to the mean of ``dtw_distance`` both ways.
+    on dict insertion order. Every pair runs as a job of one batched kernel
+    per profile-length combination, so each entry is bitwise equal to the
+    mean of ``dtw_distance`` both ways. With ``wh == wv`` the (b, a) table
+    is the transpose of the (a, b) one, each cell adding the same operands,
+    so d(b, a) is d(a, b) bit for bit and only the (a, b) job runs.
     """
     labels = sorted(profiles)
     if len(labels) < 2:
@@ -153,8 +156,10 @@ def pairwise_dtw(profiles: Mapping[str, Sequence[float]],
     arrays = _dtw_inputs([profiles[lab] for lab in labels])
     n = len(labels)
     iu, ju = np.triu_indices(n, 1)
-    first = np.concatenate([iu, ju])
-    second = np.concatenate([ju, iu])
+    if config.wh == config.wv:
+        first, second = iu, ju
+    else:
+        first, second = np.concatenate([iu, ju]), np.concatenate([ju, iu])
     sizes = np.array([a.size for a in arrays])
     sizes_a, sizes_b = sizes[first], sizes[second]
     totals = np.empty(first.size)
@@ -163,7 +168,9 @@ def pairwise_dtw(profiles: Mapping[str, Sequence[float]],
         totals[jobs] = _dtw_batch(np.stack([arrays[k] for k in first[jobs]], axis=1),
                                   np.stack([arrays[k] for k in second[jobs]], axis=1), config)
     values = np.zeros((n, n))
-    values[iu, ju] = values[ju, iu] = 0.5 * (totals[:iu.size] + totals[iu.size:])
+    # The (a, b) costs come first and the (b, a) costs last; with one
+    # direction run, both are the same costs.
+    values[iu, ju] = values[ju, iu] = 0.5 * (totals[:iu.size] + totals[-iu.size:])
     return DistanceMatrix(labels, values)
 
 
@@ -450,6 +457,10 @@ def write_dcor_csv(path: str | Path,
 
 
 def write_distance_csv(path: str | Path, dist: DistanceMatrix) -> None:
-    """Write a labeled distance matrix; first column holds the row label."""
-    write_csv(path, ["label"] + dist.labels,
-              ([lab] + [fmt(float(v)) for v in row] for lab, row in zip(dist.labels, dist.values)))
+    """Write a labeled distance matrix; first column holds the row label.
+    The rows are one block of ``write_blocks``, each distinct value
+    rendered once by ``fmt_column``."""
+    cells = fmt_column(dist.values.ravel())
+    write_blocks(path, ["label"] + dist.labels, [csv_pieces(
+        [fmt_column(np.array(dist.labels, dtype=object)),
+         *(cells[j::dist.n] for j in range(dist.n))])])

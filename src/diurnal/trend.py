@@ -23,9 +23,9 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._util import (Block, ColumnTable, check_rows, csv_pieces, factorize, fmt_column,
-                    parse_bool, parse_each, parse_float, parse_floats, parse_ints,
-                    read_station_rows, repeats, unique_runs, write_blocks)
+from ._util import (BLOCK_LINES, Block, ColumnTable, check_rows, csv_pieces, factorize,
+                    fmt_column, parse_bool, parse_each, parse_float, parse_floats,
+                    parse_ints, read_station_rows, repeats, unique_runs, write_blocks)
 from .aggregate import SCALES, WindowHourPanel, window_index
 from .errors import (
     ContractError,
@@ -210,17 +210,26 @@ def _unique_rows(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mask[first], inverse
 
 
-def _year_groups(panel: WindowHourPanel, cells: np.ndarray) -> Iterator[tuple]:
-    """Panel cells (flat ``window * 24 + hour`` indices) grouped by valid-year
-    mask: per mask, its cells, valid years and C-contiguous (cells x years)
-    matrix of yearly means."""
-    shape = (len(panel.years), len(panel.labels) * 24)
-    means = panel.means.reshape(shape)[:, cells]
-    masks, group = _unique_rows(panel.cell_valid().reshape(shape)[:, cells].T)
-    years = np.asarray(panel.years, dtype=np.float64)
+# Year pairs that one batch of ``_year_groups`` holds, summed over its
+# cells, so that the kernels' (cells x pairs) arrays stay within a few MB
+# however many cells a group has.
+BATCH_PAIRS = 1 << 16
+
+
+def _year_groups(years: np.ndarray, means: np.ndarray,
+                 valid: np.ndarray) -> Iterator[tuple]:
+    """The rows (cells) of a (cells x years) matrix of yearly means, grouped
+    by valid-year mask and cut into batches of at most ``BATCH_PAIRS`` year
+    pairs: per batch, its cells, their valid years and C-contiguous
+    (cells x valid years) matrix of yearly means. Every kernel works row by
+    row, so the batches do not change a result."""
+    masks, group = _unique_rows(valid)
     for g, mask in enumerate(masks):
-        rows = np.flatnonzero(group.ravel() == g)
-        yield cells[rows], years[mask], np.ascontiguousarray(means[mask][:, rows].T)
+        cells = np.flatnonzero(group.ravel() == g)
+        at = np.flatnonzero(mask)
+        size = max(1, BATCH_PAIRS // max(1, at.size * (at.size - 1) // 2))
+        for lo in range(0, len(cells), size):
+            yield cells[lo:lo + size], years[at], means[np.ix_(cells[lo:lo + size], at)]
 
 
 def trend_surface(panel: WindowHourPanel, min_years: int = MIN_YEARS) -> TrendTable:
@@ -236,7 +245,10 @@ def trend_surface(panel: WindowHourPanel, min_years: int = MIN_YEARS) -> TrendTa
     if min_years < MIN_YEARS:
         raise ContractError(f"min_years must be at least {MIN_YEARS}")
     found, bad = [], []
-    for cells, years, x in _year_groups(panel, np.arange(len(panel.labels) * 24)):
+    shape = (len(panel.years), len(panel.labels) * 24)
+    for cells, years, x in _year_groups(np.asarray(panel.years, dtype=np.float64),
+                                        panel.means.reshape(shape).T,
+                                        panel.cell_valid().reshape(shape).T):
         if years.size < min_years:
             continue
         finite = np.isfinite(x).all(axis=1)
@@ -269,33 +281,65 @@ def hour_profiles(panels: Mapping[str, WindowHourPanel], window_label: str,
     """Each station's 24-hour profile of one window, in sorted station order:
     Sen's slope across each cell's valid years (``kind="slope"``, two
     needed) or their mean (``"level"``, one needed; no other kind). The first
-    station and hour short of years, or with a non-finite slope input, raises."""
+    station and hour short of years, or with a non-finite slope input, raises.
+    This is the one-window case of ``window_profiles``."""
+    return next(window_profiles(panels, [window_label], kind))
+
+
+def window_profiles(panels: Mapping[str, WindowHourPanel], window_labels: Sequence[str],
+                    kind: str) -> Iterator[dict[str, np.ndarray]]:
+    """``hour_profiles`` of each window of ``window_labels``, in order, from
+    one pass: the cells of every station, window and hour are grouped by
+    their valid years (on the union of the stations' years), with one Sen
+    kernel or mean per group. The profiles come out bitwise as window by
+    window. A window that ``hour_profiles`` rejects raises its error when
+    its turn comes, after the windows before it have been yielded."""
     if kind not in ("slope", "level"):
         raise ContractError(f"unknown profile kind {kind!r}, expected 'slope' or 'level'")
     need = 2 if kind == "slope" else 1
-    out = {}
-    for sid in sorted(panels):
+    sids = sorted(panels)
+    years = np.array(sorted(set().union(*(panels[sid].years for sid in sids))), np.float64)
+    # One row of years per (station, window, hour) cell.
+    shape = (len(sids), len(window_labels), 24, len(years))
+    means, valid = np.zeros(shape), np.zeros(shape, bool)
+    unknown = np.zeros(shape[:2], bool)
+    for s, sid in enumerate(sids):
         panel = panels[sid]
-        if window_label not in panel.labels:
-            raise ContractError(f"unknown window label {window_label!r} for scale {panel.scale}")
-        w = panel.labels.index(window_label)
-        valid = panel.cell_valid()[:, w]
-        n = valid.sum(axis=0)
-        bad = n < need
-        if kind == "slope":
-            bad |= ~np.isfinite(np.where(valid, panel.means[:, w], 0.0)).all(axis=0)
-        if bad.any():
-            hour = int(np.argmax(bad))
-            if n[hour] >= need:
+        column = {label: w for w, label in enumerate(panel.labels)}
+        w = np.array([column.get(label, -1) for label in window_labels], np.int64)
+        unknown[s] = w < 0
+        known = np.flatnonzero(w >= 0)
+        at = np.ix_(known, np.arange(24), np.searchsorted(years, panel.years))
+        means[s][at] = panel.means[:, w[known]].transpose(1, 2, 0)
+        valid[s][at] = panel.cell_valid()[:, w[known]].transpose(1, 2, 0)
+    n = valid.sum(axis=3)
+    bad = n < need
+    if kind == "slope":
+        bad |= (valid & ~np.isfinite(means)).any(axis=3)
+    failed = unknown | bad.any(axis=2)
+    # The cells of a failing station and window get no valid year, so they
+    # make up a group of their own, which is skipped.
+    valid[failed] = False
+    cells = (failed.size * 24, len(years))
+    out = np.empty(cells[0])
+    for rows, t, x in _year_groups(years, means.reshape(cells), valid.reshape(cells)):
+        if t.size >= need:
+            out[rows] = _sen_rows(x, t) if kind == "slope" else x.mean(axis=1)
+    out = out.reshape(shape[:3])
+    for w, label in enumerate(window_labels):
+        if failed[:, w].any():
+            s = int(np.argmax(failed[:, w]))
+            sid = sids[s]
+            if unknown[s, w]:
+                raise ContractError(f"unknown window label {label!r} for scale "
+                                    f"{panels[sid].scale}")
+            hour = int(np.argmax(bad[s, w]))
+            if n[s, w, hour] >= need:
                 raise ContractError("Sen's slope input must be finite")
-            raise ContractError(f"station {sid}, window {window_label}, hour {hour}: " + (
-                f"need at least 2 valid years for slope features, have {n[hour]}"
+            raise ContractError(f"station {sid}, window {label}, hour {hour}: " + (
+                f"need at least 2 valid years for slope features, have {n[s, w, hour]}"
                 if kind == "slope" else "no valid years for level features"))
-        out[sid] = np.empty(24)
-        for cells, years, x in _year_groups(panel, w * 24 + np.arange(24)):
-            out[sid][cells - w * 24] = (_sen_rows(x, years) if kind == "slope"
-                                        else x.mean(axis=1))
-    return out
+        yield {sid: out[s, w] for s, sid in enumerate(sids)}
 
 
 def table_windows(table) -> np.ndarray:
@@ -312,13 +356,14 @@ def table_windows(table) -> np.ndarray:
 
 def write_trend_csv(path: str | Path, table: TrendTable) -> None:
     """Write trend cells in (station, scale, window, hour) order, with the
-    bytes of ``csv.writer``. Rows are ordered by one lexsort, and written
-    as one block of ``write_blocks``: each column rendered once per
-    distinct value by ``fmt_column``."""
+    bytes of ``csv.writer``. Rows are ordered by one lexsort, and each
+    ``BLOCK_LINES`` of them are one block of ``write_blocks``: each column
+    rendered once per distinct value by ``fmt_column``."""
     order = np.lexsort((table.hour, table_windows(table), unique_runs(table.scale)[1],
                         unique_runs(table.station_id)[1]))
-    write_blocks(path, TREND_HEADER,
-                 [csv_pieces(map(fmt_column, table.take(order).columns()))])
+    write_blocks(path, TREND_HEADER, (
+        csv_pieces(map(fmt_column, table.take(order[lo:lo + BLOCK_LINES]).columns()))
+        for lo in range(0, len(order), BLOCK_LINES)))
 
 
 # (scale, window, hour) cells per station: no scale has more than 36 windows.

@@ -808,3 +808,12 @@ def write_contour_rows(path, grids):
             for label, hour, slope, p, slope_band, p_band in cells:
                 writer.writerow((sid, scale, label, hour, _fmt_float(slope), _fmt_float(p),
                                  slope_band, p_band))
+
+
+def write_distance_rows(path, labels, values):
+    """Distance matrix CSV writer, one ``writerow`` per matrix row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["label", *labels])
+        for label, row in zip(labels, values):
+            writer.writerow([label, *(_fmt_float(v) for v in row)])

@@ -512,6 +512,28 @@ class TestNothingWrittenOnFailure:
         assert capsys.readouterr().out == ""
         assert not out.exists()
 
+    def test_k_above_station_count_beats_a_later_short_window(self, three_stations,
+                                                               tmp_path, capsys):
+        # S1 is short of years in Jul; Jan, the first window, already fails
+        # on --k.
+        out = tmp_path / "c"
+        assert run("cluster", "--panel", str(three_stations), "--out-dir", str(out),
+                   "--k", "4") == 1
+        assert capsys.readouterr().err.strip() == "error: k must be in 1..3, got 4"
+        assert not out.exists()
+
+    def test_first_of_two_short_windows_is_named(self, tmp_path, capsys):
+        # S1 is short of years in Jul, S2 in Mar: Mar comes first.
+        panel = _write_panels(tmp_path / "panel.csv", [
+            ("S1", "30d", 3, 6, 3, 1), ("S2", "30d", 3, 2, 5, 1), ("S3", "30d", 3, 0, 0, 3)],
+            np.random.default_rng(11))
+        out = tmp_path / "c"
+        assert run("cluster", "--panel", str(panel), "--out-dir", str(out), "--k", "2") == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: station S2, window Mar, hour 5: "
+            "need at least 2 valid years for slope features, have 1")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,out_option", [("cluster", "--out-dir"),
                                                     ("dcor", "--out")])
     def test_window_outside_the_scale(self, pipeline_dir, tmp_path, capsys,

@@ -34,7 +34,7 @@ from diurnal import (
     write_panel,
     write_records,
 )
-from diurnal import _util, ingest
+from diurnal import _util, ingest, trend
 from diurnal.report import P_BANDS, SLOPE_BANDS, write_contour_csv
 from diurnal.trend import read_trend_csv, write_trend_csv
 from helpers import HALF_HOUR, HOUR, profile_settings
@@ -698,10 +698,11 @@ def trend_file(draw):
 
 
 class TestTrendTables:
-    @given(rows=trend_rows())
+    @given(rows=trend_rows(), block_lines=st.sampled_from([1, 3, 7, _util.BLOCK_LINES]))
     @SETTINGS
-    def test_write_trend_csv_bytes_match_row_writer(self, tmp_path, rows):
-        write_trend_csv(tmp_path / "new.csv", _trend_table(rows))
+    def test_write_trend_csv_bytes_match_row_writer(self, tmp_path, rows, block_lines):
+        with mock.patch.object(trend, "BLOCK_LINES", block_lines):
+            write_trend_csv(tmp_path / "new.csv", _trend_table(rows))
         oracles.write_trend_rows(tmp_path / "old.csv", rows)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -1001,6 +1002,28 @@ def _bytes(lines):
 # Texts of at most 8 bytes, exactly 8 and 9 bytes, and longer.
 NARROW_TEXTS = ["-0.0", "+4", ".5", "5.", "1E3", "1_0", "12.5", "-12.3456", "12.5", "+4"]
 WIDE_TEXTS = ["-123.4567", "0.30000000000000004", "1.7976931348623157e+308", "-123.4567"]
+
+
+class TestHeaderLines:
+    """A header line is dropped wherever it sits in a bulk-split block, and
+    the data rows keep their own line numbers."""
+
+    @pytest.mark.parametrize("headers", [(), (0,), (2,), (0, 3), (0, 1), (4,)],
+                             ids=["none", "first", "middle", "first-and-middle",
+                                  "first-two", "last"])
+    def test_header_dropped_line_numbers_kept(self, monkeypatch, headers):
+        def refuse(*args):
+            raise AssertionError("a plain block went to csv.reader")
+
+        monkeypatch.setattr(_util, "_split_rows", refuse)
+        rows = [f"S{k},{k}.5\n" for k in range(5)]
+        for k in headers:
+            rows[k] = "station_id,temp_c\n"
+        (block,) = _util.read_blocks(_bytes(rows), 2)
+        kept = [k for k in range(5) if k not in headers]
+        assert block.line_no.tolist() == [k + 1 for k in kept]
+        assert [c.text().tolist() for c in block.columns] == [
+            [f"S{k}" for k in kept], [f"{k}.5" for k in kept]]
 
 
 class TestParseFloats:

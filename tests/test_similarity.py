@@ -33,11 +33,13 @@ from diurnal import (
     silhouette,
 )
 from diurnal import similarity
-from diurnal.similarity import DCOR_TIE, DcorResult, write_dcor_csv, write_distance_csv
+from diurnal.similarity import (DCOR_TIE, METRICS, DcorResult, write_dcor_csv,
+                                write_distance_csv)
 from helpers import profile_settings
 
 values = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 short_seq = st.lists(values, min_size=1, max_size=6)
+wide_values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 
 class TestDtw:
@@ -118,7 +120,8 @@ class TestBatchedDtw:
     """``pairwise_dtw`` and ``dtw_distance`` run one batched kernel; it must
     equal the scalar dynamic program exactly, not just closely."""
 
-    CONFIGS = (DtwConfig(), DtwConfig(wh=1.0, wv=1.5, wd=2.5, lam=0.3, metric="squared"))
+    CONFIGS = (DtwConfig(), DtwConfig(wh=1.0, wv=1.5, wd=2.5, lam=0.3, metric="squared"),
+               DtwConfig(wh=0.7, wv=0.7, wd=1.3, lam=0.4, metric="squared"))
 
     @staticmethod
     def assert_matches_scalar(profiles, cfg):
@@ -161,6 +164,40 @@ class TestBatchedDtw:
             pairwise_dtw({"A": [1.0, 2.0], "B": [3.0, np.nan], "C": [0.0]})
         with pytest.raises(ContractError):
             pairwise_dtw({"A": [np.inf], "B": [1.0]})
+
+
+class TestDtwSymmetry:
+    """With equal side weights DTW is symmetric bit for bit, which is what
+    lets ``pairwise_dtw`` run each pair in one direction only."""
+
+    @given(st.lists(wide_values, min_size=1, max_size=30),
+           st.lists(wide_values, min_size=1, max_size=30),
+           st.sampled_from([0.7, 1.0, 2.5]), st.sampled_from([1.3, 2.0]))
+    @profile_settings(60)
+    def test_equal_side_weights_give_the_same_bits_both_ways(self, x, y, side, wd):
+        for lam in (0.0, 0.7):
+            for metric in METRICS:
+                cfg = DtwConfig(wh=side, wv=side, wd=wd, lam=lam, metric=metric)
+                assert dtw_distance(x, y, cfg).hex() == dtw_distance(y, x, cfg).hex()
+
+    @pytest.mark.parametrize("cfg,jobs", [
+        (DtwConfig(), 1), (DtwConfig(wh=0.7, wv=0.7, wd=1.3, lam=0.4, metric="squared"), 1),
+        (DtwConfig(wh=1.0, wv=1.5), 2), (DtwConfig(wh=2.0, wv=0.5, lam=0.3), 2)],
+        ids=["default", "equal-sides", "wh-lt-wv", "wh-gt-wv"])
+    def test_jobs_per_pair(self, monkeypatch, cfg, jobs):
+        columns, batch = [], similarity._dtw_batch
+
+        def counted(x, y, config):
+            columns.append(x.shape[1])
+            return batch(x, y, config)
+
+        monkeypatch.setattr(similarity, "_dtw_batch", counted)
+        rng = np.random.default_rng(8)
+        lengths = [24, 24, 5, 24, 1, 5, 24]
+        profiles = {f"S{i}": rng.normal(0.0, 2.0, n) for i, n in enumerate(lengths)}
+        pairwise_dtw(profiles, cfg)
+        n = len(lengths)
+        assert sum(columns) == jobs * n * (n - 1) // 2
 
 
 class TestClustering:
@@ -673,6 +710,20 @@ class TestDistanceCsv:
             b"s0,0.0,0.3333333333333333,1e-05\r\n"
             b'"a,b",0.3333333333333333,0.0,2.5\r\n'
             b"s2,1e-05,2.5,0.0\r\n")
+
+    @given(st.lists(st.text(st.sampled_from('ab ,"\n\ré'), max_size=4), min_size=1,
+                    max_size=6, unique=True),
+           st.lists(st.sampled_from([0.0, -0.0, 1 / 3, 1e-05, 2.5, 1e16, np.inf]),
+                    min_size=36, max_size=36))
+    @profile_settings(60)
+    def test_bytes_match_row_writer(self, tmp_path, labels, draws):
+        n = len(labels)
+        values = np.array(draws[:n * n]).reshape(n, n)
+        lower = np.tril_indices(n, -1)
+        values[lower] = values.T[lower]
+        write_distance_csv(tmp_path / "new.csv", DistanceMatrix(labels, values))
+        oracles.write_distance_rows(tmp_path / "old.csv", labels, values)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_matrix_validation(self):
         with pytest.raises(ContractError, match="symmetric"):

@@ -27,9 +27,11 @@ from diurnal import (
     serial_flag,
     synth_station,
     trend_surface,
+    window_profiles,
 )
+from diurnal import trend
 from diurnal.trend import read_trend_csv, write_trend_csv
-from helpers import grid_panel
+from helpers import grid_panel, profile_settings
 
 finite_values = st.floats(min_value=-50.0, max_value=50.0,
                           allow_nan=False, allow_infinity=False)
@@ -381,3 +383,98 @@ class TestBatchedSurface:
         assert got == _outcome(oracles.hour_profile_cells, panels["S1"],
                                panels["S1"].labels[0], "slope")
         assert got == (ContractError, "Sen's slope input must be finite")
+
+
+def _window_outcomes(panels, labels, kind):
+    """What ``window_profiles`` yields, each window's profiles as lists,
+    then the type and message of the error it raises, if one."""
+    got = []
+    try:
+        for profiles in window_profiles(panels, labels, kind):
+            got.append({sid: v.tolist() for sid, v in profiles.items()})
+    except PipelineError as exc:
+        got.append((type(exc), str(exc)))
+    return got
+
+
+def _window_oracle(panels, labels, kind):
+    """The per-cell loop window by window, up to the first error."""
+    want = []
+    for label in labels:
+        want.append(_outcome(lambda: {sid: oracles.hour_profile_cells(
+            panels[sid], label, kind).tolist() for sid in sorted(panels)}))
+        if not isinstance(want[-1], dict):
+            break
+    return want
+
+
+class TestWindowProfiles:
+    """``window_profiles``, one pass over every window, against the per-cell
+    loop window by window: bitwise profiles, and the first failing window's
+    error after the windows before it."""
+
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(2, 8), min_size=1, max_size=4),
+           st.integers(1, 5), st.sampled_from([0.6, 0.9, 0.97, 1.0]),
+           st.sampled_from(["slope", "level"]), st.booleans())
+    @profile_settings(40)
+    def test_matches_per_cell_loop(self, seed, n_years, levels, rate, kind, non_finite):
+        rng = np.random.default_rng(seed)
+        # Each station has its own years (grid_panel draws them) and count.
+        panels = {f"S{k}": grid_panel(rng, f"S{k}", n_years=n, levels=levels, step=0.1,
+                                      valid_rate=rate) for k, n in enumerate(n_years)}
+        if non_finite:
+            panel = panels[f"S{rng.integers(len(panels))}"]
+            panel.means[tuple(rng.integers(panel.means.shape))] = np.inf
+        labels = list(rng.permutation(panels["S0"].labels)[:rng.integers(1, 7)])
+        got = _window_outcomes(panels, labels, kind)
+        assert repr(got) == repr(_window_oracle(panels, labels, kind))
+        for k, label in enumerate(labels[:len(got)]):
+            one = _outcome(hour_profiles, panels, label, kind)
+            assert repr(got[k]) == repr({sid: v.tolist() for sid, v in one.items()}
+                                        if isinstance(one, dict) else one)
+
+    def test_first_failing_window_is_named_not_the_first_station(self):
+        # S1 is short of years in the second window, S2 in the first.
+        rng = np.random.default_rng(9)
+        panels = {sid: grid_panel(rng, sid, n_years=3, valid_rate=1.0) for sid in ("S1", "S2")}
+        labels = panels["S1"].labels
+        panels["S1"].counts[1:, 1, 4] = 0
+        panels["S2"].counts[1:, 0, 7] = 0
+        got = _window_outcomes(panels, labels, "slope")
+        assert got == [(ContractError, f"station S2, window {labels[0]}, hour 7: "
+                                       "need at least 2 valid years for slope features, have 1")]
+        got = _window_outcomes(panels, labels[1:], "slope")
+        assert got == [(ContractError, f"station S1, window {labels[1]}, hour 4: "
+                                       "need at least 2 valid years for slope features, have 1")]
+
+    def test_window_outside_a_station_scale(self):
+        # The first station in sorted order that lacks the window, or is
+        # short of years in it, names the error.
+        rng = np.random.default_rng(10)
+        ten = grid_panel(rng, "T", scale="10d", valid_rate=1.0)
+        ten.counts[:, 0, 0] = 0
+        thirty = grid_panel(rng, "M", scale="30d", valid_rate=1.0)
+        got = _window_outcomes({"A": ten, "B": thirty}, ["Jan01-10"], "level")
+        assert got == [(ContractError, "station A, window Jan01-10, hour 0: "
+                                       "no valid years for level features")]
+        got = _window_outcomes({"A": thirty, "B": ten}, ["Jan01-10"], "level")
+        assert got == [(ContractError, "unknown window label 'Jan01-10' for scale 30d")]
+        got = _window_outcomes({"B": ten}, ["Jan11-20", "Jan"], "level")
+        assert len(got) == 2 and list(got[0]) == ["B"]
+        assert got[1] == (ContractError, "unknown window label 'Jan' for scale 10d")
+
+    @pytest.mark.parametrize("batch", [1, 50, 1000])
+    def test_batches_do_not_change_results(self, monkeypatch, batch):
+        rng = np.random.default_rng(12)
+        panels = {sid: grid_panel(rng, sid, n_years=n, levels=4, valid_rate=0.97)
+                  for sid, n in (("S1", 6), ("S2", 8), ("S3", 7))}
+        labels = panels["S1"].labels
+        want = [_bits(trend_surface(panels[sid])) for sid in sorted(panels)]
+        want += [_window_outcomes(panels, labels, kind) for kind in ("slope", "level")]
+        monkeypatch.setattr(trend, "BATCH_PAIRS", batch)
+        got = [_bits(trend_surface(panels[sid])) for sid in sorted(panels)]
+        got += [_window_outcomes(panels, labels, kind) for kind in ("slope", "level")]
+        assert repr(got) == repr(want)
+
+    def test_no_stations(self):
+        assert _window_outcomes({}, ["Jan", "Feb"], "slope") == [{}, {}]
