@@ -7,11 +7,12 @@ a CLI wiring the stages together.
 
 from .aggregate import (
     SCALES,
+    NetworkPanel,
     WindowCalendar,
-    WindowHourPanel,
     build_calendar,
     hourly_window_means,
     read_panel,
+    stack_panels,
     write_panel,
     year_series,
 )
@@ -82,8 +83,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SCALES",
-    "WindowCalendar", "WindowHourPanel", "build_calendar", "hourly_window_means",
-    "read_panel", "write_panel", "year_series",
+    "NetworkPanel", "WindowCalendar", "build_calendar", "hourly_window_means",
+    "read_panel", "stack_panels", "write_panel", "year_series",
     "PipelineError", "ContractError", "SampleTooSmallError", "DegenerateDataError",
     "ParseError", "DuplicateTimestampError", "EmptyInputError", "ImputationError",
     "seasonal_split_impute",

@@ -384,13 +384,11 @@ def read_station_rows(path: str | Path, n_fields: int, what: str,
     return list(numbers), station, columns
 
 
-def by_station(names: list[str], station: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """The station numbers in the order of their ids, and each row's rank
-    in that order, from the ids by number and each row's number."""
-    order = sorted(range(len(names)), key=names.__getitem__)
+def sorted_ranks(names: list[str]) -> np.ndarray:
+    """The position of each name in the sorted order of ``names``."""
     rank = np.empty(len(names), np.int64)
-    rank[order] = np.arange(len(names))
-    return order, rank[station]
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    return rank
 
 
 @dataclass

@@ -23,9 +23,9 @@ from typing import Iterable
 
 import numpy as np
 
-from ._util import (Piece, by_station, check_rows, csv_pieces, csv_prefix, factorize,
-                    fmt_column, parse_floats, parse_ints, repeats, station_blocks, unique_runs,
-                    write_blocks)
+from ._util import (Piece, check_rows, csv_pieces, csv_prefix, factorize, fmt_column,
+                    parse_floats, parse_ints, repeats, sorted_ranks, station_blocks,
+                    unique_runs, write_blocks)
 from .errors import ContractError, EmptyInputError, ParseError
 from .impute import MONTH_ABBR
 from .ingest import TemperatureSeries, binned_means, day_fields
@@ -107,36 +107,39 @@ def window_index(scale: tuple, label: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class WindowHourPanel:
-    """Per-station (year, window, hour-of-day) mean temperatures.
+class NetworkPanel:
+    """The (year, window, hour-of-day) mean temperatures of a network of
+    stations at one scale. ``stations`` are sorted and distinct; ``years``
+    is one strictly increasing int64 axis that every station shares, which
+    the trend tests read as time. ``means`` has shape (stations, years,
+    windows, 24), NaN where no reading contributed; ``counts`` holds the
+    contributing reading count, 0 there and in a year a station lacks."""
 
-    ``means`` has shape (len(years), n_windows, 24) with NaN where no
-    reading contributed; ``counts`` holds the contributing reading count.
-    ``years`` is strictly increasing: the trend tests read its axis as time.
-    """
-
-    station_id: str
     scale: str
-    years: list[int]
+    stations: list[str]
+    years: np.ndarray
     labels: list[str]
     means: np.ndarray
     counts: np.ndarray
 
     def __post_init__(self):
-        shape = (len(self.years), len(self.labels), 24)
+        self.years = np.asarray(self.years, np.int64)
+        shape = (len(self.stations), len(self.years), len(self.labels), 24)
         if self.means.shape != shape or self.counts.shape != shape:
             raise ContractError(f"panel arrays must have shape {shape}")
-        if any(a >= b for a, b in zip(self.years, self.years[1:])):
-            raise ContractError(f"station {self.station_id}: panel years must be strictly "
-                                f"increasing, got {self.years}")
+        if (np.diff(self.years) <= 0).any():
+            raise ContractError(f"panel years must be strictly increasing, "
+                                f"got {self.years.tolist()}")
+        if any(a >= b for a, b in zip(self.stations, self.stations[1:])):
+            raise ContractError(f"panel stations must be sorted and distinct, got {self.stations}")
 
     def cell_valid(self) -> np.ndarray:
         return self.counts > 0
 
 
 def hourly_window_means(series: TemperatureSeries, calendar: WindowCalendar,
-                        *, skip_missing: bool = False) -> WindowHourPanel:
-    """Aggregate an hourly series into a window/hour panel.
+                        *, skip_missing: bool = False) -> NetworkPanel:
+    """Aggregate an hourly series into a one-station panel.
 
     The series is normally expected to be gap-free (imputed first); masked
     slots raise unless ``skip_missing`` is set, in which case they are simply
@@ -158,74 +161,88 @@ def hourly_window_means(series: TemperatureSeries, calendar: WindowCalendar,
     day_cell = (ypos * nW + calendar.window_index(months, days)) * 24
     means, counts = binned_means(day_cell[slot_day] + hours, series.values, ~series.missing,
                                  len(uniq_years) * nW * 24)
-    shape = (len(uniq_years), nW, 24)
-    return WindowHourPanel(series.station_id, calendar.scale,
-                           [int(y) for y in uniq_years], list(calendar.labels),
-                           means.reshape(shape), counts.reshape(shape))
+    shape = (1, len(uniq_years), nW, 24)
+    return NetworkPanel(calendar.scale, [series.station_id], uniq_years, list(calendar.labels),
+                        means.reshape(shape), counts.reshape(shape))
 
 
-def year_series(panel: WindowHourPanel, window_label: str, hour: int) -> tuple[np.ndarray, np.ndarray]:
-    """The across-years sequence for one (window, hour) cell.
-
-    Returns (years, means) with invalid years dropped; both arrays are in
-    ascending year order.
-    """
+def year_series(panel: NetworkPanel, window_label: str, hour: int) -> tuple[np.ndarray, np.ndarray]:
+    """The valid years of one (window, hour) cell of a one-station panel,
+    and their means, both in ascending year order."""
+    if len(panel.stations) != 1:
+        raise ContractError(f"year_series needs a one-station panel, "
+                            f"got {len(panel.stations)} stations")
     if window_label not in panel.labels:
         raise ContractError(f"unknown window label {window_label!r} for scale {panel.scale}")
     if not 0 <= hour <= 23:
         raise ContractError(f"hour {hour} out of range 0-23")
     w = panel.labels.index(window_label)
-    valid = panel.cell_valid()[:, w, hour]
-    years = np.asarray(panel.years, dtype=np.int64)[valid]
-    return years, panel.means[valid, w, hour]
+    valid = panel.cell_valid()[0, :, w, hour]
+    return panel.years[valid], panel.means[0, valid, w, hour]
 
 
-def write_panel(path: str | Path, panels: Iterable[WindowHourPanel]) -> None:
-    """Write panels as CSV rows, one per (station, year, window, hour).
+def stack_panels(panels: Iterable[NetworkPanel]) -> NetworkPanel:
+    """The stations of ``panels``, which share one scale, on one panel over
+    the union of their years: a station's cells in a year its own panel
+    lacks are NaN with count 0."""
+    panels = list(panels)
+    if len(scales := sorted({p.scale for p in panels})) != 1:
+        raise ContractError(f"panels to stack must share one scale, got {scales}")
+    stations = [sid for p in panels for sid in p.stations]
+    years = np.unique(np.concatenate([p.years for p in panels]))
+    shape = (len(stations), len(years), len(panels[0].labels), 24)
+    means, counts = np.full(shape, np.nan), np.zeros(shape, np.int64)
+    rows = np.split(sorted_ranks(stations), np.cumsum([len(p.stations) for p in panels]))
+    for p, row in zip(panels, rows):
+        at = np.ix_(row, np.searchsorted(years, p.years))
+        means[at], counts[at] = p.means, p.counts
+    return NetworkPanel(panels[0].scale, sorted(stations), years, list(panels[0].labels),
+                        means, counts)
+
+
+def write_panel(path: str | Path, panels: Iterable[NetworkPanel]) -> None:
+    """Write panels as CSV rows, one per (station, year, window, hour): the
+    stations of every panel in id order, each over its own panel's years.
 
     Invalid cells keep their row with an empty mean and valid=0 so the grid
-    shape survives the round trip. Each panel is one block of
+    shape survives the round trip. Each station is one block of
     ``write_blocks``, its columns rendered by ``fmt_column`` from its
     (year, window, hour) grid.
     """
-    write_blocks(path, PANEL_HEADER,
-                 map(_panel_pieces, sorted(panels, key=lambda p: p.station_id)))
+    stations = sorted(((sid, p, s) for p in panels for s, sid in enumerate(p.stations)),
+                      key=lambda station: station[0])
+    write_blocks(path, PANEL_HEADER, (_station_pieces(p, s) for _, p, s in stations))
 
 
-def _panel_pieces(p: WindowHourPanel) -> list[Piece]:
-    """The ``write_blocks`` pieces of a panel's rows."""
-    year, window, hour = np.indices(p.means.shape).reshape(3, -1)
-    ok = p.cell_valid().ravel()
-    return [csv_prefix(p.station_id, p.scale), *csv_pieces([
-        fmt_column(np.asarray(p.years, np.int64)[year]),
+def _station_pieces(p: NetworkPanel, s: int) -> list[Piece]:
+    """The ``write_blocks`` pieces of the rows of station ``s`` of a panel."""
+    year, window, hour = np.indices(p.means.shape[1:]).reshape(3, -1)
+    ok = p.cell_valid()[s].ravel()
+    return [csv_prefix(p.stations[s], p.scale), *csv_pieces([
+        fmt_column(p.years[year]),
         fmt_column(np.array(p.labels, dtype=object)[window]), fmt_column(hour),
-        fmt_column(np.where(ok, p.means.ravel(), np.nan)), fmt_column(ok)])]
+        fmt_column(np.where(ok, p.means[s].ravel(), np.nan)), fmt_column(ok)])]
 
 
-def read_panel(path: str | Path) -> dict[str, WindowHourPanel]:
-    """Read a panel CSV back into per-station panels.
+def read_panel(path: str | Path) -> NetworkPanel:
+    """Read a panel CSV, which holds one scale, into one network panel.
 
-    Counts are reduced to the valid flag on the way out, so a re-read panel
-    reports count 1 for every valid cell. Besides malformed fields, a row
-    with an hour outside 0-23, a valid flag other than 0 or 1, a label
-    outside its scale or a valid cell without a finite mean raises
-    ``ParseError`` with its line, the first bad row of the file; so does a
-    second row for the same (station, year, window, hour) cell, once every
-    row has been read.
-
-    Each block's rows are checked and then scattered onto one grid
-    (``_PanelGrid``), which holds a mean, a seen mark and a valid flag per
-    cell; the block's columns are dropped once it is scattered.
+    Counts are reduced to the valid flag, so a re-read panel reports count
+    1 for every valid cell, and 0 in a year a station has no row for.
+    Besides malformed fields, a row whose scale is not the first row's, with
+    an hour outside 0-23, a valid flag other than 0 or 1, a label outside
+    its scale or a valid cell without a finite mean raises ``ParseError``
+    with its line, the first bad row of the file; so does a second row for
+    the same (station, year, window, hour) cell, once every row has been
+    read. Each block's rows are checked and then scattered onto one grid
+    (``_PanelGrid``), and its columns are dropped.
     """
-    scale_of = []  # each station's position in SCALES, by station number
-
-    def parse(block, station):
+    numbers: dict[str, int] = {}
+    first = grid = repeat = None  # repeat: the error of the first repeated cell of the file
+    for block, station in station_blocks(path, len(PANEL_HEADER), "panel rows", numbers):
         _, scale, year, label, hour, mean, valid = block.columns
         scale_index, window = window_index(factorize(scale), factorize(label))
-        # Each station keeps the scale of its first row in the file; the
-        # stations first seen in this block hold the numbers after the others.
-        numbers, first = np.unique(station, return_index=True)
-        scale_of.extend(scale_index[first[numbers >= len(scale_of)]].tolist())
+        first = int(scale_index[0]) if first is None else first  # the first row's scale
         year, year_bad = parse_ints(year)
         hour, hour_bad = parse_ints(hour, bound=24)
         value, mean_bad = parse_floats(mean)
@@ -233,8 +250,9 @@ def read_panel(path: str | Path) -> dict[str, WindowHourPanel]:
         valid = (np.array(flags) == "1")[flag]
         check_rows(block, [
             (scale_index < 0, lambda row: f"unknown scale {row[1].strip()!r}"),
-            (scale_index != np.array(scale_of)[station],
-             lambda row: f"station {row[0].strip()} appears under two scales"),
+            (scale_index != first,
+             lambda row: f"scale {row[1].strip()} differs from the first row's scale "
+                         f"{SCALES[first]}; a panel file holds one scale"),
             (year_bad | hour_bad | mean_bad, lambda row: "malformed year, hour or mean"),
             ((hour < 0) | (hour > 23), lambda row: f"hour {int(row[4])} out of range 0-23"),
             (~np.isin(flags, ("0", "1"))[flag],
@@ -244,57 +262,46 @@ def read_panel(path: str | Path) -> dict[str, WindowHourPanel]:
             (valid & ~np.isfinite(value),
              lambda row: f"valid cell with non-finite mean {row[5].strip()!r}"),
         ])
-        return year, window, hour, value, valid
-
-    numbers: dict[str, int] = {}
-    grid = _PanelGrid()
-    repeat = None  # the error of the first repeated cell of the file
-    for block, station in station_blocks(path, len(PANEL_HEADER), "panel rows", numbers):
-        year, window, hour, value, valid = parse(block, station)
+        calendar = _CALENDARS[SCALES[first]]
+        grid = grid or _PanelGrid(calendar.n_windows)
         if repeat is not None:
             continue
-        width = max(_CALENDARS[SCALES[i]].n_windows for i in scale_of)
-        k = grid.scatter(station, year, window, hour, value, valid, width)
+        k = grid.scatter(station, year, window, hour, value, valid)
         if k >= 0:
-            sid = list(numbers)[station[k]]
-            label = _CALENDARS[SCALES[scale_of[station[k]]]].labels[window[k]]
-            repeat = ParseError(f"station {sid}: second row for year {year[k]}, "
-                                f"window {label}, hour {hour[k]}", int(block.line_no[k]))
+            repeat = ParseError(f"station {list(numbers)[station[k]]}: second row for year "
+                                f"{year[k]}, window {calendar.labels[window[k]]}, "
+                                f"hour {hour[k]}", int(block.line_no[k]))
     if repeat is not None:
         raise repeat
-    return grid.panels(list(numbers), [_CALENDARS[SCALES[i]] for i in scale_of])
+    return grid.panel(list(numbers), calendar)
 
 
 class _PanelGrid:
     """The cells of a panel file as its blocks are read. A grid row is one
     (station number, year) pair, numbered in order of first appearance, and
-    holds ``width`` windows × 24 hours, as many windows as the widest
-    calendar so far. Per cell it keeps the mean (NaN where invalid),
-    whether a row has set it, and the valid flag. Rows grow by doubling,
-    and the width grows when a wider calendar comes."""
+    holds ``width`` windows × 24 hours. Per cell it keeps the mean (NaN
+    where invalid), whether a row has set it, and the valid flag. Rows grow
+    by doubling."""
 
-    def __init__(self):
+    def __init__(self, width: int):
         self.rows: dict[tuple[int, int], int] = {}
-        self.means = np.full((0, 0, 24), np.nan)
-        self.seen = np.zeros((0, 0, 24), bool)
-        self.valid = np.zeros((0, 0, 24), bool)
+        self.means = np.full((0, width, 24), np.nan)
+        self.seen = np.zeros((0, width, 24), bool)
+        self.valid = np.zeros((0, width, 24), bool)
 
-    def _fit(self, width: int) -> None:
-        """Room for every grid row, ``width`` windows wide."""
-        capacity, old_width = self.means.shape[:2]
-        if len(self.rows) <= capacity and width <= old_width:
+    def _fit(self) -> None:
+        """Room for every grid row."""
+        if len(self.rows) <= len(self.means):
             return
-        if len(self.rows) > capacity:
-            capacity = max(len(self.rows), 2 * capacity)
-        shape = (capacity, max(width, old_width), 24)
+        shape = (max(len(self.rows), 2 * len(self.means)), *self.means.shape[1:])
         old = self.means, self.seen, self.valid
         self.means = np.full(shape, np.nan)
         self.seen, self.valid = np.zeros(shape, bool), np.zeros(shape, bool)
         for new, grid in zip((self.means, self.seen, self.valid), old):
-            new[:len(grid), :grid.shape[1]] = grid
+            new[:len(grid)] = grid
 
     def scatter(self, station: np.ndarray, year: np.ndarray, window: np.ndarray,
-                hour: np.ndarray, value: np.ndarray, valid: np.ndarray, width: int) -> int:
+                hour: np.ndarray, value: np.ndarray, valid: np.ndarray) -> int:
         """Set the cells of a block's rows; returns the index of the block's
         first row whose cell an earlier row, in this block or an earlier
         one, set, or -1. A block without such a row sets as many cells as it
@@ -304,7 +311,7 @@ class _PanelGrid:
         pair_station, pair_year = np.divmod(pairs, len(years))
         grid_row = np.array([self.rows.setdefault(key, len(self.rows)) for key in
                              zip(pair_station.tolist(), years[pair_year].tolist())], np.int64)
-        self._fit(width)
+        self._fit()
         cell = (grid_row[pair] * self.means.shape[1] + window) * 24 + hour
         seen = self.seen.reshape(-1)
         was = seen[cell]
@@ -316,26 +323,26 @@ class _PanelGrid:
             return int(np.argmax(was | repeats(cell)))
         return -1
 
-    def panels(self, names: list[str],
-               calendars: list[WindowCalendar]) -> dict[str, WindowHourPanel]:
-        """Per-station panels, from the ids and calendars by station number:
-        a station's panel is its grid rows in year order, cut to its
-        calendar's windows. Where the grid rows came in (station id, year)
-        order, as ``write_panel`` writes them, each panel is a slice of the
-        grid; else the grid is put in that order once."""
+    def panel(self, names: list[str], calendar: WindowCalendar) -> NetworkPanel:
+        """The network panel, from the station ids by number and the file's
+        calendar; the grid gives up its arrays to it. Where the grid rows
+        came in (station id, year) order with every station over the same
+        years, the panel is the grid reshaped; else the grid rows are
+        scattered onto it once, each grid array dropped once it is."""
         keys = np.array(list(self.rows), np.int64).reshape(-1, 2)
-        by_name, rank = by_station(names, keys[:, 0])
-        order = np.lexsort((keys[:, 1], rank))
-        means, valid = self.means, self.valid
-        if (order != np.arange(len(order))).any():
-            means, valid = means[order], valid[order]
-        bounds = np.searchsorted(rank[order], np.arange(len(names) + 1))
-        years = keys[order, 1]
-        out = {}
-        for r, c in enumerate(by_name):
-            lo, hi = bounds[r], bounds[r + 1]
-            sid, cal = names[c], calendars[c]
-            out[sid] = WindowHourPanel(sid, cal.scale, years[lo:hi].tolist(), list(cal.labels),
-                                       means[lo:hi, :cal.n_windows],
-                                       valid[lo:hi, :cal.n_windows].astype(np.int64))
-        return out
+        rank = sorted_ranks(names)[keys[:, 0]]
+        years, year = np.unique(keys[:, 1], return_inverse=True)
+        n, at = len(keys), rank * len(years) + year
+        means, valid = self.means[:n], self.valid[:n]
+        self.means = self.seen = self.valid = None
+        if n < len(names) * len(years) or (at != np.arange(n)).any():
+            rows, means = means, np.full((len(names) * len(years), *means.shape[1:]), np.nan)
+            means[at] = rows
+            del rows
+            counts = np.zeros(means.shape, np.int64)
+            counts[at] = valid
+        else:
+            counts = valid.astype(np.int64)
+        shape = (len(names), len(years), calendar.n_windows, 24)
+        return NetworkPanel(calendar.scale, sorted(names), years, list(calendar.labels),
+                            means.reshape(shape), counts.reshape(shape))

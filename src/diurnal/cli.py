@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 from ._util import parse_bool, undecoded_error
 from .aggregate import (
     SCALES,
-    WindowHourPanel,
+    NetworkPanel,
     build_calendar,
     hourly_window_means,
     read_panel,
@@ -71,7 +71,6 @@ from .similarity import (
     write_distance_csv,
 )
 from .trend import (
-    TrendTable,
     read_trend_csv,
     trend_surface,
     window_profiles,
@@ -332,9 +331,7 @@ _TREND_OPTS = (
 
 
 def _run_trend(ns) -> int:
-    panels = read_panel(ns.panel)
-    table = TrendTable.concat([trend_surface(panels[sid], min_years=ns.min_years)
-                               for sid in sorted(panels)])
+    table = trend_surface(read_panel(ns.panel), min_years=ns.min_years)
     if not len(table):
         raise EmptyInputError("no cell had enough usable years for a trend test")
     write_trend_csv(ns.out, table)
@@ -373,29 +370,24 @@ _CLUSTER_OPTS = (
 )
 
 
-def _window_panels(ns) -> tuple[dict[str, WindowHourPanel], str, list[str], list[str]]:
-    """The panels of ``--panel``, their one scale, the scale's window labels
-    and the windows that ``--window`` selects (default: all of them)."""
-    panels = read_panel(ns.panel)
-    scales = {p.scale for p in panels.values()}
-    if len(scales) != 1:
-        raise ContractError(f"panel mixes scales {sorted(scales)}; aggregate per scale")
-    scale = scales.pop()
-    labels = build_calendar(scale).labels
-    if ns.window is not None and ns.window not in labels:
-        raise ContractError(f"window {ns.window!r} does not belong to scale {scale}")
-    return panels, scale, labels, list(labels) if ns.window is None else [ns.window]
+def _window_panel(ns) -> tuple[NetworkPanel, list[str]]:
+    """The panel of ``--panel`` and the windows that ``--window`` selects
+    (default: all of them)."""
+    panel = read_panel(ns.panel)
+    if ns.window is not None and ns.window not in panel.labels:
+        raise ContractError(f"window {ns.window!r} does not belong to scale {panel.scale}")
+    return panel, list(panel.labels) if ns.window is None else [ns.window]
 
 
 def _run_cluster(ns) -> int:
-    panels, _, _, windows = _window_panels(ns)
+    panel, windows = _window_panel(ns)
     config = DtwConfig(*ns.weights, lam=ns.lam, metric=ns.metric)
     meta = read_metadata(ns.meta) if ns.meta else None
     # Every window is clustered before the first file is written, so a
     # window that fails leaves no output behind. The profiles of all windows
     # come from one pass, but a window's error is raised at its turn.
     results = []
-    for label, profiles in zip(windows, window_profiles(panels, windows, ns.features)):
+    for label, profiles in zip(windows, window_profiles(panel, windows, ns.features)):
         dist = pairwise_dtw(profiles, config)
         rep = agglomerative_cluster(dist, ns.k)
         results.append((label, dist, rep, *silhouette(dist, rep.assignment)))
@@ -424,13 +416,14 @@ _DCOR_OPTS = (
 
 
 def _run_dcor(ns) -> int:
-    panels, scale, labels, windows = _window_panels(ns)
-    if len(panels) < 2:
+    panel, windows = _window_panel(ns)
+    if len(panel.stations) < 2:
         raise ContractError("dcor needs at least 2 stations in the panel")
     rows = []
-    for label, profiles in zip(windows, window_profiles(panels, windows, "level")):
-        pairs = dcor_table(profiles, n_perm=ns.n_perm, seed=[ns.seed, labels.index(label)])
-        rows += [(scale, label, *pair) for pair in pairs]
+    for label, profiles in zip(windows, window_profiles(panel, windows, "level")):
+        pairs = dcor_table(profiles, n_perm=ns.n_perm,
+                           seed=[ns.seed, panel.labels.index(label)])
+        rows += [(panel.scale, label, *pair) for pair in pairs]
     write_dcor_csv(ns.out, rows)
     print(f"wrote {ns.out} ({len(rows)} pairs)")
     return 0

@@ -19,14 +19,14 @@ from collections import namedtuple
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from ._util import (BLOCK_LINES, Block, ColumnTable, check_rows, csv_pieces, factorize,
                     fmt_column, parse_bool, parse_each, parse_float, parse_floats,
                     parse_ints, read_station_rows, repeats, unique_runs, write_blocks)
-from .aggregate import SCALES, WindowHourPanel, window_index
+from .aggregate import SCALES, NetworkPanel, window_index
 from .errors import (
     ContractError,
     DegenerateDataError,
@@ -86,12 +86,6 @@ class TrendTable(ColumnTable):
         if not isinstance(other, TrendTable):
             return NotImplemented
         return list(self) == list(other)
-
-    @classmethod
-    def concat(cls, tables: Sequence[TrendTable]) -> TrendTable:
-        """The rows of every table, in order."""
-        return cls(*(np.concatenate([getattr(t, f.name) for t in tables]) if tables else []
-                     for f in fields(cls)))
 
 
 # One row of a ``TrendTable``, as iterating over the table yields it.
@@ -218,12 +212,13 @@ BATCH_PAIRS = 1 << 16
 
 def _year_groups(years: np.ndarray, means: np.ndarray,
                  valid: np.ndarray) -> Iterator[tuple]:
-    """The rows (cells) of a (cells x years) matrix of yearly means, grouped
-    by valid-year mask and cut into batches of at most ``BATCH_PAIRS`` year
-    pairs: per batch, its cells, their valid years and C-contiguous
-    (cells x valid years) matrix of yearly means. Every kernel works row by
-    row, so the batches do not change a result."""
-    masks, group = _unique_rows(valid)
+    """The cells of (..., years) arrays of yearly means and valid flags,
+    numbered in C order, grouped by valid-year mask and cut into batches of
+    at most ``BATCH_PAIRS`` year pairs: per batch, its cells, their valid
+    years and C-contiguous (cells x valid years) matrix of yearly means.
+    Every kernel works row by row, so the batches do not change a result."""
+    rows = (math.prod(valid.shape[:-1]), len(years))
+    means, (masks, group) = means.reshape(rows), _unique_rows(valid.reshape(rows))
     for g, mask in enumerate(masks):
         cells = np.flatnonzero(group.ravel() == g)
         at = np.flatnonzero(mask)
@@ -232,11 +227,23 @@ def _year_groups(years: np.ndarray, means: np.ndarray,
             yield cells[lo:lo + size], years[at], means[np.ix_(cells[lo:lo + size], at)]
 
 
-def trend_surface(panel: WindowHourPanel, min_years: int = MIN_YEARS) -> TrendTable:
+def _cell_rows(panel: NetworkPanel, windows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The yearly means and valid flags of each (station, window, hour) cell
+    of ``windows``, as (stations, windows, 24, years) arrays filled one
+    window at a time, so that no larger copy is made on the way."""
+    shape = (len(panel.stations), len(windows), 24, len(panel.years))
+    means, valid, cell_valid = np.empty(shape), np.empty(shape, bool), panel.cell_valid()
+    for k, w in enumerate(windows):
+        means[:, k] = panel.means[:, :, w].transpose(0, 2, 1)
+        valid[:, k] = cell_valid[:, :, w].transpose(0, 2, 1)
+    return means, valid
+
+
+def trend_surface(panel: NetworkPanel, min_years: int = MIN_YEARS) -> TrendTable:
     """Run MK + Sen + serial-correlation screening over every panel cell.
 
-    Returns one row per kept cell, in (window, hour) order. Cells with
-    fewer than ``min_years`` valid years, or whose yearly means are all
+    Returns one row per kept cell, in (station, window, hour) order. Cells
+    with fewer than ``min_years`` valid years, or whose yearly means are all
     tied, are left out of the result rather than reported with unusable
     statistics. The first kept cell with a non-finite mean, or a centered
     sum of squares that underflows to zero, raises the error ``mk_test``
@@ -245,10 +252,8 @@ def trend_surface(panel: WindowHourPanel, min_years: int = MIN_YEARS) -> TrendTa
     if min_years < MIN_YEARS:
         raise ContractError(f"min_years must be at least {MIN_YEARS}")
     found, bad = [], []
-    shape = (len(panel.years), len(panel.labels) * 24)
-    for cells, years, x in _year_groups(np.asarray(panel.years, dtype=np.float64),
-                                        panel.means.reshape(shape).T,
-                                        panel.cell_valid().reshape(shape).T):
+    for cells, years, x in _year_groups(panel.years.astype(np.float64),
+                                        *_cell_rows(panel, range(len(panel.labels)))):
         if years.size < min_years:
             continue
         finite = np.isfinite(x).all(axis=1)
@@ -269,49 +274,38 @@ def trend_surface(panel: WindowHourPanel, min_years: int = MIN_YEARS) -> TrendTa
         found = [(np.empty(0, np.int64),) + (np.empty(0),) * 8]
     cells, *stats = map(np.concatenate, zip(*found))
     order = np.argsort(cells)
-    cells = cells[order]
-    return TrendTable(np.full(len(cells), panel.station_id, dtype=object),
-                      np.full(len(cells), panel.scale, dtype=object),
-                      np.array(panel.labels, dtype=object)[cells // 24], cells % 24,
+    station, cell = np.divmod(cells[order], len(panel.labels) * 24)
+    return TrendTable(np.array(panel.stations, dtype=object)[station],
+                      np.full(len(cell), panel.scale, dtype=object),
+                      np.array(panel.labels, dtype=object)[cell // 24], cell % 24,
                       *(v[order] for v in stats))
 
 
-def hour_profiles(panels: Mapping[str, WindowHourPanel], window_label: str,
-                  kind: str) -> dict[str, np.ndarray]:
+def hour_profiles(panel: NetworkPanel, window_label: str, kind: str) -> dict[str, np.ndarray]:
     """Each station's 24-hour profile of one window, in sorted station order:
     Sen's slope across each cell's valid years (``kind="slope"``, two
     needed) or their mean (``"level"``, one needed; no other kind). The first
     station and hour short of years, or with a non-finite slope input, raises.
     This is the one-window case of ``window_profiles``."""
-    return next(window_profiles(panels, [window_label], kind))
+    return next(window_profiles(panel, [window_label], kind))
 
 
-def window_profiles(panels: Mapping[str, WindowHourPanel], window_labels: Sequence[str],
+def window_profiles(panel: NetworkPanel, window_labels: Sequence[str],
                     kind: str) -> Iterator[dict[str, np.ndarray]]:
     """``hour_profiles`` of each window of ``window_labels``, in order, from
-    one pass: the cells of every station, window and hour are grouped by
-    their valid years (on the union of the stations' years), with one Sen
-    kernel or mean per group. The profiles come out bitwise as window by
-    window. A window that ``hour_profiles`` rejects raises its error when
-    its turn comes, after the windows before it have been yielded."""
+    one pass: the cells of every station, selected window and hour are
+    grouped by their valid years, with one Sen kernel or mean per group.
+    The profiles come out bitwise as window by window. A window that
+    ``hour_profiles`` rejects raises its error when its turn comes, after
+    the windows before it have been yielded."""
     if kind not in ("slope", "level"):
         raise ContractError(f"unknown profile kind {kind!r}, expected 'slope' or 'level'")
     need = 2 if kind == "slope" else 1
-    sids = sorted(panels)
-    years = np.array(sorted(set().union(*(panels[sid].years for sid in sids))), np.float64)
-    # One row of years per (station, window, hour) cell.
-    shape = (len(sids), len(window_labels), 24, len(years))
-    means, valid = np.zeros(shape), np.zeros(shape, bool)
-    unknown = np.zeros(shape[:2], bool)
-    for s, sid in enumerate(sids):
-        panel = panels[sid]
-        column = {label: w for w, label in enumerate(panel.labels)}
-        w = np.array([column.get(label, -1) for label in window_labels], np.int64)
-        unknown[s] = w < 0
-        known = np.flatnonzero(w >= 0)
-        at = np.ix_(known, np.arange(24), np.searchsorted(years, panel.years))
-        means[s][at] = panel.means[:, w[known]].transpose(1, 2, 0)
-        valid[s][at] = panel.cell_valid()[:, w[known]].transpose(1, 2, 0)
+    column = {label: w for w, label in enumerate(panel.labels)}
+    w = np.array([column.get(label, -1) for label in window_labels], np.int64)
+    unknown = w < 0
+    means, valid = _cell_rows(panel, w)
+    valid[:, unknown] = False
     n = valid.sum(axis=3)
     bad = n < need
     if kind == "slope":
@@ -320,26 +314,22 @@ def window_profiles(panels: Mapping[str, WindowHourPanel], window_labels: Sequen
     # The cells of a failing station and window get no valid year, so they
     # make up a group of their own, which is skipped.
     valid[failed] = False
-    cells = (failed.size * 24, len(years))
-    out = np.empty(cells[0])
-    for rows, t, x in _year_groups(years, means.reshape(cells), valid.reshape(cells)):
+    out = np.empty(means.shape[:3])
+    for cells, t, x in _year_groups(panel.years.astype(np.float64), means, valid):
         if t.size >= need:
-            out[rows] = _sen_rows(x, t) if kind == "slope" else x.mean(axis=1)
-    out = out.reshape(shape[:3])
+            out.reshape(-1)[cells] = _sen_rows(x, t) if kind == "slope" else x.mean(axis=1)
     for w, label in enumerate(window_labels):
+        if unknown[w]:
+            raise ContractError(f"unknown window label {label!r} for scale {panel.scale}")
         if failed[:, w].any():
             s = int(np.argmax(failed[:, w]))
-            sid = sids[s]
-            if unknown[s, w]:
-                raise ContractError(f"unknown window label {label!r} for scale "
-                                    f"{panels[sid].scale}")
             hour = int(np.argmax(bad[s, w]))
             if n[s, w, hour] >= need:
                 raise ContractError("Sen's slope input must be finite")
-            raise ContractError(f"station {sid}, window {label}, hour {hour}: " + (
+            raise ContractError(f"station {panel.stations[s]}, window {label}, hour {hour}: " + (
                 f"need at least 2 valid years for slope features, have {n[s, w, hour]}"
                 if kind == "slope" else "no valid years for level features"))
-        yield {sid: out[s, w] for s, sid in enumerate(sids)}
+        yield {sid: out[s, w] for s, sid in enumerate(panel.stations)}
 
 
 def table_windows(table) -> np.ndarray:

@@ -7,7 +7,7 @@ from datetime import datetime, timedelta
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from diurnal import TemperatureSeries, WindowHourPanel, build_calendar
+from diurnal import NetworkPanel, TemperatureSeries, build_calendar
 
 HOUR = timedelta(hours=1)
 HALF_HOUR = timedelta(minutes=30)
@@ -33,16 +33,18 @@ def hourly_year_series(year: int, value_fn, sid="T01") -> TemperatureSeries:
 
 
 def grid_panel(rng, sid="S1", scale="60da", n_years=6, levels=3, step=0.25,
-               valid_rate=0.8) -> WindowHourPanel:
-    """A panel whose valid means take one of ``levels`` grid values, so
-    cells hold ties; each cell is valid with probability ``valid_rate``, and
-    the years are distinct but not consecutive."""
+               valid_rate=0.8, years=None) -> NetworkPanel:
+    """A one-station panel whose valid means take one of ``levels`` grid
+    values, so cells hold ties; each cell is valid with probability
+    ``valid_rate``, and the years are ``years`` or else ``n_years`` distinct
+    but not consecutive ones."""
     cal = build_calendar(scale)
-    years = np.sort(rng.choice(np.arange(1980, 2040), n_years, replace=False))
-    shape = (n_years, cal.n_windows, 24)
+    if years is None:
+        years = np.sort(rng.choice(np.arange(1980, 2040), n_years, replace=False))
+    shape = (1, len(years), cal.n_windows, 24)
     counts = (rng.random(shape) < valid_rate).astype(np.int64)
     means = np.where(counts > 0, rng.integers(0, levels, shape) * step - 1.0, np.nan)
-    return WindowHourPanel(sid, scale, years.tolist(), list(cal.labels), means, counts)
+    return NetworkPanel(scale, [sid], years, list(cal.labels), means, counts)
 
 
 def profile_settings(examples: int) -> settings:

@@ -34,8 +34,8 @@ from diurnal import (
     ImputationError,
     ParseError,
     SampleTooSmallError,
+    NetworkPanel,
     TemperatureSeries,
-    WindowHourPanel,
     build_calendar,
 )
 from diurnal.aggregate import SCALES
@@ -302,50 +302,55 @@ def lag1_cell(x) -> float:
     return float(np.dot(d[:-1], d[1:]) / denom)
 
 
-def _year_series(panel, label, hour):
+def _year_series(panel, s, label, hour):
     w = panel.labels.index(label)
-    valid = panel.counts[:, w, hour] > 0
-    return np.asarray(panel.years, dtype=np.int64)[valid], panel.means[valid, w, hour]
+    valid = panel.counts[s, :, w, hour] > 0
+    return np.asarray(panel.years, dtype=np.int64)[valid], panel.means[s, valid, w, hour]
 
 
 def trend_surface_cells(panel, min_years=3) -> list:
-    """Former ``trend_surface``: one MK, Sen and lag-1 call per cell, each
-    cell a tuple of the ``TREND_HEADER`` fields."""
+    """Former ``trend_surface``: one MK, Sen and lag-1 call per cell, station
+    by station, each cell a tuple of the ``TREND_HEADER`` fields."""
     cells = []
-    for label in panel.labels:
-        for hour in range(24):
-            years, vals = _year_series(panel, label, hour)
-            if years.size < min_years:
-                continue
-            try:
-                n, s, var_s, z, p = mk_test_cell(vals)
-            except DegenerateDataError:
-                continue
-            r1 = lag1_cell(vals)
-            cells.append((panel.station_id, panel.scale, label, hour, n, s,
-                          var_s, z, p, sen_slope_cell(vals, years), r1,
-                          abs(r1) > 1.96 / math.sqrt(years.size)))
+    for s, sid in enumerate(panel.stations):
+        for label in panel.labels:
+            for hour in range(24):
+                years, vals = _year_series(panel, s, label, hour)
+                if years.size < min_years:
+                    continue
+                try:
+                    n, S, var_s, z, p = mk_test_cell(vals)
+                except DegenerateDataError:
+                    continue
+                r1 = lag1_cell(vals)
+                cells.append((sid, panel.scale, label, hour, n, S, var_s, z, p,
+                              sen_slope_cell(vals, years), r1,
+                              abs(r1) > 1.96 / math.sqrt(years.size)))
     return cells
 
 
-def hour_profile_cells(panel, label, kind) -> np.ndarray:
-    """Former ``cli._hour_profile``: one Sen call or mean per hour."""
-    vals = []
-    for hour in range(24):
-        years, v = _year_series(panel, label, hour)
-        if kind == "slope":
-            if years.size < 2:
-                raise ContractError(
-                    f"station {panel.station_id}, window {label}, hour {hour}: "
-                    f"need at least 2 valid years for slope features, have {years.size}")
-            vals.append(sen_slope_cell(v, years))
-        else:
-            if v.size == 0:
-                raise ContractError(
-                    f"station {panel.station_id}, window {label}, hour {hour}: "
-                    "no valid years for level features")
-            vals.append(float(v.mean()))
-    return np.asarray(vals)
+def hour_profile_cells(panel, label, kind) -> dict:
+    """Former ``cli._hour_profile``, station by station: one Sen call or
+    mean per hour."""
+    out = {}
+    for s, sid in enumerate(panel.stations):
+        vals = []
+        for hour in range(24):
+            years, v = _year_series(panel, s, label, hour)
+            if kind == "slope":
+                if years.size < 2:
+                    raise ContractError(
+                        f"station {sid}, window {label}, hour {hour}: "
+                        f"need at least 2 valid years for slope features, have {years.size}")
+                vals.append(sen_slope_cell(v, years))
+            else:
+                if v.size == 0:
+                    raise ContractError(
+                        f"station {sid}, window {label}, hour {hour}: "
+                        "no valid years for level features")
+                vals.append(float(v.mean()))
+        out[sid] = np.asarray(vals)
+    return out
 
 
 def _centered_distances(x):
@@ -442,14 +447,14 @@ def hourly_window_means_loop(series, window_calendar, skip_missing=False):
             sums[cell] = sums.get(cell, 0.0) + float(series.values[k])
             counts[cell] = counts.get(cell, 0) + 1
     years, labels = sorted(years), list(window_calendar.labels)
-    means = np.full((len(years), len(labels), 24), np.nan)
+    means = np.full((1, len(years), len(labels), 24), np.nan)
     count = np.zeros(means.shape, np.int64)
     for (year, label, hour), c in counts.items():
-        cell = years.index(year), labels.index(label), hour
+        cell = 0, years.index(year), labels.index(label), hour
         means[cell] = sums[year, label, hour] / c
         count[cell] = c
-    return WindowHourPanel(series.station_id, window_calendar.scale, years, labels,
-                           means, count)
+    return NetworkPanel(window_calendar.scale, [series.station_id], years, labels,
+                        means, count)
 
 
 def seasonal_split_impute_loop(series):
@@ -624,22 +629,23 @@ def write_records_rows(path, series):
 
 
 def read_panel_rows(path):
-    """Panel CSV read, row by row, with the row checks of the columnar
-    reader in its order: scale, one scale per station, malformed fields,
-    hour in 0-23, valid flag 0 or 1, label of its scale, finite mean where
-    valid. A second row for a cell is an error too, but the first such
-    row's error is raised only once every row has been read, so a bad row
-    after it still wins. It keeps a year outside int64."""
-    rows, scales = {}, {}
+    """Panel CSV read, row by row, into one network panel, with the row
+    checks of the columnar reader in its order: scale, the first row's
+    scale, malformed fields, hour in 0-23, valid flag 0 or 1, label of its
+    scale, finite mean where valid. A second row for a cell is an error
+    too, but the first such row's error is raised only once every row has
+    been read, so a bad row after it still wins."""
+    rows, first = {}, None
     repeat = None
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, row in table_rows(fh, 7):
             sid, scale, year, label, hour, mean, valid = (f.strip() for f in row)
             if scale not in SCALES:
                 raise ParseError(f"unknown scale {scale!r}", line_no)
-            if sid in scales and scales[sid] != scale:
-                raise ParseError(f"station {sid} appears under two scales", line_no)
-            scales[sid] = scale
+            first = first or scale
+            if scale != first:
+                raise ParseError(f"scale {scale} differs from the first row's scale {first}; "
+                                 "a panel file holds one scale", line_no)
             try:
                 cell = (int(year), label, int(hour),
                         math.nan if mean == "" else float(mean), valid == "1")
@@ -662,37 +668,38 @@ def read_panel_rows(path):
         raise EmptyInputError(f"no panel rows found in {path}")
     if repeat is not None:
         raise repeat
-    out = {}
-    for sid in sorted(rows):
-        cal = build_calendar(scales[sid])
-        cells = rows[sid]
-        years = sorted({y for y, _, _ in cells})
-        shape = (len(years), cal.n_windows, 24)
-        means = np.full(shape, np.nan)
-        counts = np.zeros(shape, dtype=np.int64)
-        for (year, label, hour), (mean, ok) in cells.items():
+    cal = build_calendar(first)
+    stations = sorted(rows)
+    years = sorted({y for cells in rows.values() for y, _, _ in cells})
+    shape = (len(stations), len(years), cal.n_windows, 24)
+    means = np.full(shape, np.nan)
+    counts = np.zeros(shape, dtype=np.int64)
+    for s, sid in enumerate(stations):
+        for (year, label, hour), (mean, ok) in rows[sid].items():
             if ok:
-                yi, w = years.index(year), cal.labels.index(label)
-                means[yi, w, hour] = mean
-                counts[yi, w, hour] = 1
-        out[sid] = WindowHourPanel(sid, scales[sid], years, list(cal.labels), means, counts)
-    return out
+                cell = s, years.index(year), cal.labels.index(label), hour
+                means[cell] = mean
+                counts[cell] = 1
+    return NetworkPanel(first, stations, years, list(cal.labels), means, counts)
 
 
 def write_panel_rows(path, panels):
-    """Panel CSV writer: four nested loops, one ``writerow`` per cell."""
+    """Panel CSV writer: five nested loops, one ``writerow`` per cell; the
+    stations of every panel in id order, each over its panel's years."""
+    stations = sorted(((sid, p, s) for p in panels for s, sid in enumerate(p.stations)),
+                      key=lambda station: station[0])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("station_id", "scale", "year", "window_label", "hour",
                          "mean_temp", "valid"))
-        for p in sorted(panels, key=lambda p: p.station_id):
+        for sid, p, s in stations:
             for yi, year in enumerate(p.years):
                 for w, label in enumerate(p.labels):
                     for hour in range(24):
-                        ok = p.counts[yi, w, hour] > 0
+                        ok = p.counts[s, yi, w, hour] > 0
                         writer.writerow((
-                            p.station_id, p.scale, year, label, hour,
-                            _fmt_float(float(p.means[yi, w, hour])) if ok else "",
+                            sid, p.scale, year, label, hour,
+                            _fmt_float(float(p.means[s, yi, w, hour])) if ok else "",
                             "1" if ok else "0",
                         ))
 

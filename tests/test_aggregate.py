@@ -10,11 +10,12 @@ import pytest
 from diurnal import (
     ContractError,
     EmptyInputError,
+    NetworkPanel,
     ParseError,
-    WindowHourPanel,
     build_calendar,
     hourly_window_means,
     read_panel,
+    stack_panels,
     synth_station,
     write_panel,
     year_series,
@@ -81,12 +82,12 @@ class TestAggregation:
         s = synth_station("S1", datetime(2000, 1, 1), n_years=2, base=10.0,
                           diurnal_amplitude=5.0, annual_amplitude=0.0)
         panel = hourly_window_means(s, build_calendar("30d"))
-        assert panel.years == [2000, 2001]
+        assert (panel.stations, panel.years.tolist()) == (["S1"], [2000, 2001])
         expected = 10.0 + 5.0 * np.sin(2.0 * np.pi * np.arange(24) / 24.0)
         assert panel.cell_valid().all()
         for yi in range(2):
             for w in range(12):
-                np.testing.assert_allclose(panel.means[yi, w], expected, rtol=1e-12)
+                np.testing.assert_allclose(panel.means[0, yi, w], expected, rtol=1e-12)
 
     def test_trend_moves_yearly_cells(self):
         s = synth_station("S1", datetime(2000, 1, 1), n_years=3, base=0.0,
@@ -102,21 +103,21 @@ class TestAggregation:
         with pytest.raises(ContractError, match="impute first"):
             hourly_window_means(s, cal)
         panel = hourly_window_means(s, cal, skip_missing=True)
-        assert panel.counts[0, 0, 1] == 0
-        assert np.isnan(panel.means[0, 0, 1])
+        assert panel.counts[0, 0, 0, 1] == 0
+        assert np.isnan(panel.means[0, 0, 0, 1])
 
     def test_counts_match_window_sizes(self):
         s = synth_station("S1", datetime(2001, 1, 1), n_years=1)
         panel = hourly_window_means(s, build_calendar("10d"))
-        jan_counts = panel.counts[0, :3, 0]
+        jan_counts = panel.counts[0, 0, :3, 0]
         assert jan_counts.tolist() == [10, 10, 11]
-        feb_counts = panel.counts[0, 3:6, 0]
+        feb_counts = panel.counts[0, 0, 3:6, 0]
         assert feb_counts.tolist() == [10, 10, 8]  # 2001 is not a leap year
 
     def test_leap_day_joins_late_february(self):
         s = synth_station("S1", datetime(2004, 1, 1), n_years=1)
         panel = hourly_window_means(s, build_calendar("10d"))
-        assert panel.counts[0, 5, 0] == 9  # Feb 21-29
+        assert panel.counts[0, 0, 5, 0] == 9  # Feb 21-29
 
     def test_day10_aggregates_to_day30(self):
         s = synth_station("S1", datetime(2002, 1, 1), n_years=2, noise_sd=1.0,
@@ -127,25 +128,25 @@ class TestAggregation:
         sums10 = np.where(p10.counts > 0, p10.means, 0.0) * p10.counts
         for m in range(12):
             w10 = slice(3 * m, 3 * m + 3)
-            counts = p10.counts[:, w10, :].sum(axis=1)
-            sums = sums10[:, w10, :].sum(axis=1)
+            counts = p10.counts[0, :, w10, :].sum(axis=1)
+            sums = sums10[0, :, w10, :].sum(axis=1)
             ok = counts > 0
-            np.testing.assert_allclose(sums[ok] / counts[ok], p30.means[:, m, :][ok],
+            np.testing.assert_allclose(sums[ok] / counts[ok], p30.means[0, :, m, :][ok],
                                        rtol=1e-12)
-            assert (counts == p30.counts[:, m, :]).all()
+            assert (counts == p30.counts[0, :, m, :]).all()
 
     def test_60db_spans_calendar_years(self):
         s = synth_station("S1", datetime(2000, 1, 1), n_years=3, base=1.0)
         panel = hourly_window_means(s, build_calendar("60db"))
         # January 2000 has no December 1999 partner but still lands in panel
         # year 1999; December 2002 opens panel year 2002 alone.
-        assert panel.years == [1999, 2000, 2001, 2002]
+        assert panel.years.tolist() == [1999, 2000, 2001, 2002]
         dec_jan = panel.labels.index("Dec-Jan")
-        assert panel.counts[0, dec_jan, 0] == 31       # Jan 2000 only
-        assert panel.counts[1, dec_jan, 0] == 31 + 31  # Dec 2000 + Jan 2001
-        assert panel.counts[3, dec_jan, 0] == 31       # Dec 2002 only
+        assert panel.counts[0, 0, dec_jan, 0] == 31       # Jan 2000 only
+        assert panel.counts[0, 1, dec_jan, 0] == 31 + 31  # Dec 2000 + Jan 2001
+        assert panel.counts[0, 3, dec_jan, 0] == 31       # Dec 2002 only
         feb_mar = panel.labels.index("Feb-Mar")
-        assert panel.counts[0, feb_mar, 0] == 0
+        assert panel.counts[0, 0, feb_mar, 0] == 0
 
     def test_requires_hourly_step(self):
         s = make_series([1.0, 2.0], step=HALF_HOUR)
@@ -180,23 +181,63 @@ class TestYearSeries:
         years, _ = year_series(panel, "Mar", 5)
         assert years.tolist() == [2000, 2002]
 
+    def test_needs_a_one_station_panel(self):
+        cal = build_calendar("30d")
+        panel = stack_panels([hourly_window_means(synth_station(sid, datetime(2000, 1, 1),
+                                                                n_years=1), cal)
+                              for sid in ("S1", "S2")])
+        with pytest.raises(ContractError, match="year_series needs a one-station panel, "
+                                                "got 2 stations"):
+            year_series(panel, "Jan", 0)
+
 
 class TestPanelYears:
-    """The trend tests read the years axis as time order, so it must rise."""
+    """The trend tests read the years axis as time order, so it must rise;
+    the stations come in sorted order, once each."""
 
     def test_descending_years_are_rejected(self):
         s = synth_station("S1", datetime(2000, 1, 1), n_years=3, trend_per_year=0.1, seed=3)
         panel = hourly_window_means(s, build_calendar("30d"))
-        with pytest.raises(ContractError, match=r"station S1: panel years must be strictly "
+        with pytest.raises(ContractError, match=r"panel years must be strictly "
                                                 r"increasing, got \[2002, 2001, 2000\]"):
-            WindowHourPanel("S1", "30d", panel.years[::-1], panel.labels,
-                            panel.means[::-1], panel.counts[::-1])
+            NetworkPanel("30d", ["S1"], panel.years[::-1], panel.labels,
+                         panel.means[:, ::-1], panel.counts[:, ::-1])
 
     def test_repeated_year_is_rejected(self):
-        shape = (2, 12, 24)
+        shape = (1, 2, 12, 24)
         with pytest.raises(ContractError, match="strictly increasing"):
-            WindowHourPanel("S1", "30d", [2000, 2000], list(build_calendar("30d").labels),
-                            np.zeros(shape), np.ones(shape, np.int64))
+            NetworkPanel("30d", ["S1"], [2000, 2000], list(build_calendar("30d").labels),
+                         np.zeros(shape), np.ones(shape, np.int64))
+
+    @pytest.mark.parametrize("stations", [["S2", "S1"], ["S1", "S1"]])
+    def test_unsorted_or_repeated_stations_are_rejected(self, stations):
+        shape = (2, 1, 12, 24)
+        with pytest.raises(ContractError, match="panel stations must be sorted and distinct"):
+            NetworkPanel("30d", stations, [2000], list(build_calendar("30d").labels),
+                         np.zeros(shape), np.ones(shape, np.int64))
+
+
+class TestStackPanels:
+    def test_stations_on_the_union_of_their_years(self):
+        cal = build_calendar("30d")
+        late = hourly_window_means(synth_station("B", datetime(2001, 1, 1), n_years=2), cal)
+        early = hourly_window_means(synth_station("A", datetime(2000, 1, 1), n_years=1), cal)
+        panel = stack_panels([late, early])
+        assert (panel.stations, panel.years.tolist()) == (["A", "B"], [2000, 2001, 2002])
+        assert panel.counts[:, :, 0, 0].tolist() == [[31, 0, 0], [0, 31, 31]]
+        assert np.isnan(panel.means[0, 1:]).all() and np.isnan(panel.means[1, 0]).all()
+        assert panel.means[1, 1:].tolist() == late.means[0].tolist()
+
+    def test_mixed_scales_and_repeated_stations_are_rejected(self):
+        s = synth_station("S1", datetime(2000, 1, 1), n_years=1)
+        p30, p10 = (hourly_window_means(s, build_calendar(sc)) for sc in ("30d", "10d"))
+        with pytest.raises(ContractError, match=r"panels to stack must share one scale, "
+                                                r"got \['10d', '30d'\]"):
+            stack_panels([p30, p10])
+        with pytest.raises(ContractError, match=r"one scale, got \[\]"):
+            stack_panels([])
+        with pytest.raises(ContractError, match="sorted and distinct"):
+            stack_panels([p30, p30])
 
 
 class TestPanelRoundTrip:
@@ -210,14 +251,13 @@ class TestPanelRoundTrip:
         path = tmp_path / "panel.csv"
         write_panel(path, panels)
         back = read_panel(path)
-        assert list(back) == ["S1", "S2"]
-        for orig in panels:
-            got = back[orig.station_id]
-            assert got.years == orig.years
-            assert got.labels == orig.labels
-            assert (got.cell_valid() == orig.cell_valid()).all()
-            ok = orig.cell_valid()
-            assert got.means[ok].tolist() == orig.means[ok].tolist()
+        orig = stack_panels(panels)
+        assert (back.scale, back.stations, back.labels) == (orig.scale, orig.stations,
+                                                            orig.labels)
+        assert back.years.tolist() == orig.years.tolist()
+        assert (back.cell_valid() == orig.cell_valid()).all()
+        ok = orig.cell_valid()
+        assert back.means[ok].tolist() == orig.means[ok].tolist()
 
     def test_write_is_deterministic(self, tmp_path):
         s = synth_station("S1", datetime(2000, 1, 1), n_years=1, noise_sd=0.3, seed=2)
@@ -269,7 +309,7 @@ class TestPanelReadErrors:
             self._read(tmp_path, f"S1,30d,2000,Jan,1,{mean},1")
 
     def test_invalid_cell_may_hold_any_mean(self, tmp_path):
-        panel = self._read(tmp_path, "S1,30d,2000,Jan,1,nan,0", "S1,30d,2000,Jan,2,,0")["S1"]
+        panel = self._read(tmp_path, "S1,30d,2000,Jan,1,nan,0", "S1,30d,2000,Jan,2,,0")
         assert panel.counts.sum() == 1
 
     @pytest.mark.parametrize("flag", ["2", "yes", "", "true"])
@@ -301,24 +341,32 @@ class TestPanelReadErrors:
                                              r"2000, window Feb, hour 3"):
             read_panel(path)
 
-    ROWS_10D_30D = ["A,10d,2000,Dec21-31,23,1.0,1", "A,10d,2001,Jan01-10,0,1.0,1",
-                    "B,30d,2000,Dec,23,1.0,1", "A,10d,2000,Dec21-31,23,2.0,1",
-                    "B,30d,2001,Jan,0,1.0,1"]
+    ROWS_10D = ["A,10d,2000,Dec21-31,23,1.0,1", "A,10d,2001,Jan01-10,0,1.0,1",
+                "B,10d,2001,Dec21-31,23,1.0,1", "A,10d,2000,Dec21-31,23,2.0,1",
+                "B,10d,2003,Jan01-10,0,1.0,1"]
 
-    def test_last_10d_window_repeated_beside_a_30d_station(self, tmp_path):
+    def test_last_10d_window_repeated(self, tmp_path):
         path = tmp_path / "p.csv"
-        path.write_text(PANEL_HEAD + "".join(r + "\n" for r in self.ROWS_10D_30D))
+        path.write_text(PANEL_HEAD + "".join(r + "\n" for r in self.ROWS_10D))
         with pytest.raises(ParseError, match=r"^line 5: station A: second row for year "
                                              r"2000, window Dec21-31, hour 23"):
             read_panel(path)
 
-    def test_10d_and_30d_stations_without_the_repeat(self, tmp_path):
+    def test_stations_of_other_years_without_the_repeat(self, tmp_path):
         path = tmp_path / "p.csv"
-        rows = self.ROWS_10D_30D[:3] + self.ROWS_10D_30D[4:]
+        rows = self.ROWS_10D[:3] + self.ROWS_10D[4:]
         path.write_text(PANEL_HEAD + "".join(r + "\n" for r in rows))
-        panels = read_panel(path)
-        a, b = panels["A"], panels["B"]
-        assert (a.means.shape, b.means.shape) == ((2, 36, 24), (2, 12, 24))
-        assert (a.years, b.years) == ([2000, 2001], [2000, 2001])
-        assert np.flatnonzero(a.counts).tolist() == [35 * 24 + 23, 36 * 24]
-        assert np.flatnonzero(b.counts).tolist() == [11 * 24 + 23, 12 * 24]
+        panel = read_panel(path)
+        assert panel.means.shape == (2, 3, 36, 24)
+        assert (panel.stations, panel.years.tolist()) == (["A", "B"], [2000, 2001, 2003])
+        assert np.flatnonzero(panel.counts[0]).tolist() == [35 * 24 + 23, 36 * 24]
+        assert np.flatnonzero(panel.counts[1]).tolist() == [36 * 24 + 35 * 24 + 23,
+                                                            2 * 36 * 24]
+
+    def test_a_second_scale_names_its_first_row(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(PANEL_HEAD + "A,10d,2000,Dec21-31,23,1.0,1\nB,30d,2000,Dec,23,,7\n"
+                        "B,60da,2000,Jan-Feb,0,1.0,1\n")
+        with pytest.raises(ParseError, match=r"^line 3: scale 30d differs from the first "
+                                             r"row's scale 10d; a panel file holds one scale$"):
+            read_panel(path)

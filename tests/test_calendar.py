@@ -170,8 +170,8 @@ class TestHourlyWindowMeansOracle:
         if isinstance(want, tuple):
             assert got == want
             return
-        assert (got.station_id, got.scale, got.years, got.labels) == (
-            want.station_id, want.scale, want.years, want.labels)
+        assert (got.stations, got.scale, got.years.tolist(), got.labels) == (
+            want.stations, want.scale, want.years.tolist(), want.labels)
         np.testing.assert_array_equal(got.counts, want.counts)
         np.testing.assert_array_equal(got.means, want.means)
 

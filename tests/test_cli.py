@@ -10,8 +10,21 @@ import sys
 import numpy as np
 import pytest
 
-from diurnal import WindowHourPanel, build_calendar, read_metadata, write_panel
+import oracles
+from diurnal import (
+    NetworkPanel,
+    agglomerative_cluster,
+    build_calendar,
+    dcor_table,
+    pairwise_dtw,
+    read_metadata,
+    silhouette,
+    write_panel,
+)
 from diurnal.cli import cli
+from diurnal.report import write_cluster_csv, write_merges_csv
+from diurnal.similarity import write_dcor_csv, write_distance_csv
+from helpers import grid_panel
 
 
 def run(*argv):
@@ -436,10 +449,10 @@ class TestProfileErrors:
         rng = np.random.default_rng(5)
         panels = []
         for sid, hour, n_valid in (("S1", 3, 1), ("S2", 5, 0)):
-            counts = np.ones((2, 12, 24), np.int64)
-            counts[n_valid:, 0, hour] = 0
+            counts = np.ones((1, 2, 12, 24), np.int64)
+            counts[0, n_valid:, 0, hour] = 0
             means = np.where(counts > 0, rng.normal(5.0, 3.0, counts.shape), np.nan)
-            panels.append(WindowHourPanel(sid, "30d", [2001, 2002], labels, means, counts))
+            panels.append(NetworkPanel("30d", [sid], [2001, 2002], labels, means, counts))
         path = tmp_path / "panel.csv"
         write_panel(path, panels)
         return path
@@ -469,11 +482,11 @@ def _write_panels(path, specs, rng):
     panels = []
     for sid, scale, n_years, window, hour, n_valid in specs:
         labels = list(build_calendar(scale).labels)
-        counts = np.ones((n_years, len(labels), 24), np.int64)
-        counts[n_valid:, window, hour] = 0
+        counts = np.ones((1, n_years, len(labels), 24), np.int64)
+        counts[0, n_valid:, window, hour] = 0
         means = np.where(counts > 0, rng.normal(5.0, 3.0, counts.shape), np.nan)
-        panels.append(WindowHourPanel(sid, scale, list(range(2001, 2001 + n_years)),
-                                      labels, means, counts))
+        panels.append(NetworkPanel(scale, [sid], range(2001, 2001 + n_years),
+                                   labels, means, counts))
     write_panel(path, panels)
     return path
 
@@ -546,12 +559,15 @@ class TestNothingWrittenOnFailure:
         assert not out.exists()
 
     @pytest.mark.parametrize("command,out_option", [("cluster", "--out-dir"),
-                                                    ("dcor", "--out")])
+                                                    ("dcor", "--out"), ("trend", "--out")])
     def test_panel_mixing_scales(self, mixed_scales, tmp_path, capsys, command, out_option):
+        # A's 2 x 12 x 24 rows at 30d come first; B's first row, at 10d, is
+        # line 578.
         out = tmp_path / "out"
         assert run(command, "--panel", str(mixed_scales), out_option, str(out)) == 1
         assert capsys.readouterr().err.strip() == (
-            "error: panel mixes scales ['10d', '30d']; aggregate per scale")
+            "error: line 578: scale 10d differs from the first row's scale 30d; "
+            "a panel file holds one scale")
         assert not out.exists()
 
     def test_cluster_success_prints_one_line_per_window(self, three_stations, tmp_path,
@@ -575,3 +591,59 @@ class TestConsoleScript:
         proc = subprocess.run([sys.executable, "-m", "diurnal.cli"],
                               capture_output=True, text=True)
         assert proc.returncode == 1
+
+
+class TestRaggedYears:
+    """A panel file whose stations cover different years: S2 lacks a middle
+    year and S3 starts two years after the others. ``trend``, ``cluster``
+    and ``dcor`` give bitwise what the per-station oracles give on each
+    station's own years."""
+
+    YEARS = {"S1": range(2001, 2009), "S2": [2001, 2002, 2003, 2005, 2006, 2007, 2008],
+             "S3": range(2003, 2009)}
+
+    @pytest.fixture
+    def ragged(self, tmp_path):
+        rng = np.random.default_rng(23)
+        panels = [grid_panel(rng, sid, "30d", levels=40, step=0.1, valid_rate=0.9,
+                             years=years) for sid, years in self.YEARS.items()]
+        write_panel(tmp_path / "panel.csv", panels)
+        return tmp_path / "panel.csv", panels
+
+    def test_trend(self, ragged, tmp_path):
+        path, panels = ragged
+        assert run("trend", "--panel", str(path), "--out", str(tmp_path / "trend.csv")) == 0
+        rows = [row for p in panels for row in oracles.trend_surface_cells(p)]
+        oracles.write_trend_rows(tmp_path / "want.csv", rows)
+        assert (tmp_path / "trend.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["slope", "level"])
+    def test_cluster(self, ragged, tmp_path, kind):
+        path, panels = ragged
+        out, want = tmp_path / "out", tmp_path / "want"
+        assert run("cluster", "--panel", str(path), "--out-dir", str(out), "--k", "2",
+                   "--features", kind) == 0
+        want.mkdir()
+        for label in build_calendar("30d").labels:
+            dist = pairwise_dtw({sid: v for p in panels
+                                 for sid, v in oracles.hour_profile_cells(p, label, kind).items()})
+            rep = agglomerative_cluster(dist, 2)
+            write_distance_csv(want / f"dtw_{label}.csv", dist)
+            write_cluster_csv(want / f"clusters_{label}.csv", rep,
+                              silhouette(dist, rep.assignment)[0])
+            write_merges_csv(want / f"merges_{label}.csv", rep.merges)
+        assert sorted(f.name for f in out.iterdir()) == sorted(f.name for f in want.iterdir())
+        for f in want.iterdir():
+            assert (out / f.name).read_bytes() == f.read_bytes(), f.name
+
+    def test_dcor(self, ragged, tmp_path):
+        path, panels = ragged
+        assert run("dcor", "--panel", str(path), "--out", str(tmp_path / "dcor.csv"),
+                   "--n-perm", "99", "--seed", "4") == 0
+        rows = []
+        for w, label in enumerate(build_calendar("30d").labels):
+            levels = {sid: v for p in panels
+                      for sid, v in oracles.hour_profile_cells(p, label, "level").items()}
+            rows += [("30d", label, *pair) for pair in dcor_table(levels, 99, [4, w])]
+        write_dcor_csv(tmp_path / "want.csv", rows)
+        assert (tmp_path / "dcor.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -23,10 +23,10 @@ from hypothesis import strategies as st
 
 import oracles
 from diurnal import (
+    NetworkPanel,
     ParseError,
     TemperatureSeries,
     TrendTable,
-    WindowHourPanel,
     build_calendar,
     contour_grid,
     read_panel,
@@ -92,13 +92,10 @@ def _assert_same_series(got, want):
 
 
 def _assert_same_panels(got, want):
-    assert list(got) == list(want)
-    for sid in want:
-        g, w = got[sid], want[sid]
-        assert (g.station_id, g.scale, g.years, g.labels) == (
-            w.station_id, w.scale, w.years, w.labels)
-        assert _same_array(g.means, w.means)
-        assert _same_array(g.counts, w.counts)
+    assert (got.scale, got.stations, got.labels) == (want.scale, want.stations, want.labels)
+    assert _same_array(got.years, want.years)
+    assert _same_array(got.means, want.means)
+    assert _same_array(got.counts, want.counts)
 
 
 def _assert_same_outcome(got, want, same):
@@ -448,14 +445,17 @@ BAD_PANEL_LINES = [
 
 @st.composite
 def panel_file(draw):
-    """Panel lines for 1-3 stations, shuffled, now and then with a repeated
-    cell, and with blank and header lines and 0-3 bad lines."""
+    """Panel lines for 1-3 stations of one scale, now and then one station
+    under a scale of its own, shuffled, now and then with a repeated cell,
+    and with blank and header lines and 0-3 bad lines."""
     rows = []
     stations = [("T01", "T01")] + draw(st.lists(st.sampled_from(STATION_FIELDS[1:-1])
                                                 | PLAIN_LONG_IDS.map(lambda t: (t, t)),
                                                 max_size=2, unique_by=lambda f: f[1]))
+    scales = st.sampled_from(["30d", "60db", "10d"])
+    file_scale = draw(scales)
     for field, sid in stations:
-        scale = "30d" if sid == "T01" else draw(st.sampled_from(["30d", "60db", "10d"]))
+        scale = file_scale if draw(st.integers(0, 4)) else draw(scales)
         years = draw(st.lists(st.integers(1998, 2003), min_size=1, max_size=3, unique=True))
         rows += _panel_cell_rows(draw, field, scale, years)
     random.Random(draw(st.integers(0, 2**32))).shuffle(rows)
@@ -525,7 +525,7 @@ class TestPanelReader:
         path = tmp_path / "panel.csv"
         path.write_text(f"station_id,scale,year,window_label,hour,mean_temp,valid\n{row}\n")
         if message is None:
-            assert read_panel(path)["T01"].years == [2**63 - 1]
+            assert read_panel(path).years.tolist() == [2**63 - 1]
         else:
             with pytest.raises(ParseError) as exc:
                 read_panel(path)
@@ -869,14 +869,18 @@ def series_list(draw):
 
 @st.composite
 def panel_list(draw):
+    """Panels of 1-3 stations in all, one or two to a panel."""
     out = []
-    for sid in draw(st.lists(st.sampled_from(ODD_IDS), min_size=1, max_size=3, unique=True)):
+    ids = draw(st.lists(st.sampled_from(ODD_IDS), min_size=1, max_size=3, unique=True))
+    while ids:
+        k = draw(st.integers(1, min(2, len(ids))))
+        stations, ids = sorted(ids[:k]), ids[k:]
         scale = draw(st.sampled_from(["30d", "60db", "10d"]))
         labels = list(build_calendar(scale).labels)
         if draw(st.booleans()):
             labels[0] = "Dec,Jan"  # a label csv has to quote
         n_years = draw(st.integers(1, 3))
-        shape = (n_years, len(labels), 24)
+        shape = (len(stations), n_years, len(labels), 24)
         rng = np.random.default_rng(draw(st.integers(0, 2**32)))
         odd = np.array(ODD_VALUES + [math.nan])
         means = np.where(rng.random(shape) < 0.2, rng.choice(odd, shape),
@@ -884,7 +888,7 @@ def panel_list(draw):
         counts = rng.choice([0, 1, 3], shape)
         years = sorted(draw(st.lists(st.integers(1, 9999), min_size=n_years,
                                      max_size=n_years, unique=True)))
-        out.append(WindowHourPanel(sid, scale, years, labels, means, counts))
+        out.append(NetworkPanel(scale, stations, years, labels, means, counts))
     return out
 
 
@@ -934,8 +938,8 @@ class TestWriters:
         assert (tmp_path / "new.csv").read_bytes().count(b"\n") == 1
 
     @pytest.mark.parametrize("panels", [
-        [WindowHourPanel("S1", "30d", [], list(build_calendar("30d").labels),
-                         np.empty((0, 12, 24)), np.empty((0, 12, 24), np.int64))], [],
+        [NetworkPanel("30d", ["S1"], [], list(build_calendar("30d").labels),
+                      np.empty((1, 0, 12, 24)), np.empty((1, 0, 12, 24), np.int64))], [],
     ], ids=["panel without years", "no panels"])
     def test_empty_panels_write_only_the_header(self, tmp_path, panels):
         write_panel(tmp_path / "new.csv", panels)
@@ -944,7 +948,7 @@ class TestWriters:
         assert (tmp_path / "new.csv").read_bytes().count(b"\n") == 1
 
     def test_empty_trend_and_contour_tables_write_only_the_header(self, tmp_path):
-        table = TrendTable.concat([])
+        table = TrendTable(*[[]] * len(TrendTable.DTYPES))
         write_trend_csv(tmp_path / "new.csv", table)
         oracles.write_trend_rows(tmp_path / "old.csv", [])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -973,8 +977,8 @@ class TestFastPath:
         rng = np.random.default_rng(1)
         series = [TemperatureSeries(sid, datetime(2001, 1, 1), HOUR, rng.normal(5, 3, n),
                                     rng.random(n) < 0.2) for sid in ("S1", "S2")]
-        panels = [WindowHourPanel("S1", "30d", [2001], list(build_calendar("30d").labels),
-                                  rng.normal(5, 3, (1, 12, 24)), np.ones((1, 12, 24), int))]
+        panels = [NetworkPanel("30d", ["S1"], [2001], list(build_calendar("30d").labels),
+                               rng.normal(5, 3, (1, 1, 12, 24)), np.ones((1, 1, 12, 24), int))]
         write_records(tmp_path / "records.csv", series)
         write_panel(tmp_path / "panel.csv", panels)
         records, panel = ((tmp_path / name).read_bytes() for name in ("records.csv", "panel.csv"))
@@ -983,15 +987,15 @@ class TestFastPath:
             back = read_records(tmp_path / "records.csv")
             assert [s.n for s in back.values()] == [n, n]
             (tmp_path / "panel.csv").write_bytes(panel.replace(b"\r\n", ending))
-            assert read_panel(tmp_path / "panel.csv")["S1"].counts.sum() == 288
+            assert read_panel(tmp_path / "panel.csv").counts.sum() == 288
         # Means at 0.1 degC: every field below the header is at most 8 bytes,
         # so each one is read as one integer key and never as text.
-        short = WindowHourPanel("S1", "30d", [2001], list(build_calendar("30d").labels),
-                                np.round(rng.normal(5, 3, (1, 12, 24)), 1),
-                                np.ones((1, 12, 24), int))
+        short = NetworkPanel("30d", ["S1"], [2001], list(build_calendar("30d").labels),
+                             np.round(rng.normal(5, 3, (1, 1, 12, 24)), 1),
+                             np.ones((1, 1, 12, 24), int))
         write_panel(tmp_path / "short.csv", [short])
         monkeypatch.setattr(_util.Column, "text", refuse)
-        assert _same_array(read_panel(tmp_path / "short.csv")["S1"].means, short.means)
+        assert _same_array(read_panel(tmp_path / "short.csv").means, short.means)
 
 
 def _bytes(lines):

@@ -43,7 +43,7 @@ def test_walkthrough_runs_and_its_tables_read_back(tmp_path, monkeypatch):
     filled = read_records("filled.csv")
     assert sorted(filled) == stations
     assert not any(s.missing.any() for s in filled.values())
-    assert sorted(read_panel("panel.csv")) == stations
+    assert read_panel("panel.csv").stations == stations
     assert sorted(set(read_trend_csv("trend.csv").station_id)) == stations
 
 

@@ -15,6 +15,7 @@ import oracles
 from diurnal import (
     ContractError,
     DegenerateDataError,
+    NetworkPanel,
     ParseError,
     PipelineError,
     SampleTooSmallError,
@@ -25,6 +26,7 @@ from diurnal import (
     mk_test,
     sen_slope,
     serial_flag,
+    stack_panels,
     synth_station,
     trend_surface,
     window_profiles,
@@ -324,7 +326,7 @@ class TestBatchedSurface:
 
     def test_all_tied_cells_dropped(self):
         panel = grid_panel(np.random.default_rng(2), n_years=5, levels=6, valid_rate=1.0)
-        panel.means[:, 1, :12] = 4.5
+        panel.means[0, :, 1, :12] = 4.5
         cells = trend_surface(panel)
         assert len(cells) == 6 * 24 - 12
         assert not any(c.window_label == panel.labels[1] and c.hour < 12 for c in cells)
@@ -346,23 +348,49 @@ class TestBatchedSurface:
         # whose centered sum of squares underflows to zero. Whichever comes
         # first in (window, hour) order names the error.
         panel = grid_panel(np.random.default_rng(4), n_years=3, levels=4, valid_rate=1.0)
-        panel.means[1][nan_cell] = np.nan
-        panel.means[(slice(None), *flat_cell)] = [0.0, 1e-170, 0.0]
+        panel.means[0, 1][nan_cell] = np.nan
+        panel.means[(0, slice(None), *flat_cell)] = [0.0, 1e-170, 0.0]
         got = _outcome(trend_surface, panel)
         assert got == _outcome(oracles.trend_surface_cells, panel)
         assert got[0] is error
+
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(3, 8), min_size=1, max_size=4),
+           st.integers(1, 5), st.sampled_from([0.6, 0.9, 1.0]), st.integers(3, 5),
+           st.sampled_from([None, "nan", "flat"]))
+    @profile_settings(40)
+    def test_network_surface_matches_per_station_loop(self, seed, n_years, levels, rate,
+                                                      min_years, bad):
+        # Stations with their own years on one union axis: the network
+        # surface is the per-station loop's rows, station after station,
+        # and raises the error of the first bad cell in (station, window,
+        # hour) order.
+        rng = np.random.default_rng(seed)
+        singles = [grid_panel(rng, f"S{k}", n_years=n, levels=levels, valid_rate=rate)
+                   for k, n in enumerate(n_years)]
+        if bad is not None:
+            # One station's cell valid in every year, with a NaN, or else
+            # with yearly means whose centered sum of squares underflows.
+            p = singles[rng.integers(len(singles))]
+            cell = (0, slice(None), rng.integers(6), rng.integers(24))
+            p.counts[cell] = 1
+            p.means[cell] = rng.integers(levels, size=len(p.years)) * 0.25 if bad == "nan" else 0
+            p.means[cell][rng.integers(len(p.years))] = np.nan if bad == "nan" else 1e-170
+        got = _outcome(lambda: _bits(trend_surface(stack_panels(singles), min_years)))
+        want = _outcome(lambda: _bits(
+            [row for p in singles for row in oracles.trend_surface_cells(p, min_years)]))
+        assert got == want
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(1, 5),
            st.floats(0.6, 1.0), st.sampled_from(["slope", "level"]))
     @settings(max_examples=40, deadline=None)
     def test_profiles_match_per_cell_loop(self, seed, n_years, levels, rate, kind):
         rng = np.random.default_rng(seed)
-        panels = {sid: grid_panel(rng, sid, n_years=n_years, levels=levels, step=0.1,
-                                  valid_rate=rate) for sid in ("S3", "S1", "S2")}
-        for label in panels["S1"].labels:
-            got = _outcome(hour_profiles, panels, label, kind)
-            want = _outcome(lambda: {sid: oracles.hour_profile_cells(panels[sid], label, kind)
-                                     for sid in sorted(panels)})
+        singles = [grid_panel(rng, sid, n_years=n_years, levels=levels, step=0.1,
+                              valid_rate=rate) for sid in ("S3", "S1", "S2")]
+        panel = stack_panels(singles)
+        for label in panel.labels:
+            got = _outcome(hour_profiles, panel, label, kind)
+            want = _outcome(_per_station_profiles, singles, label, kind)
             if isinstance(want, dict):
                 assert list(got) == list(want)
                 got = {sid: v.tolist() for sid, v in got.items()}
@@ -371,47 +399,54 @@ class TestBatchedSurface:
 
     @pytest.mark.parametrize("kind", ["slopes", "Level", ""])
     def test_unknown_profile_kind_is_rejected(self, kind):
-        panels = {"S1": grid_panel(np.random.default_rng(6), n_years=4, valid_rate=1.0)}
+        panel = grid_panel(np.random.default_rng(6), n_years=4, valid_rate=1.0)
         with pytest.raises(ContractError, match=rf"unknown profile kind {kind!r}, "
                                                 r"expected 'slope' or 'level'"):
-            hour_profiles(panels, panels["S1"].labels[0], kind)
+            hour_profiles(panel, panel.labels[0], kind)
 
     def test_profile_of_non_finite_cell_raises_as_before(self):
-        panels = {"S1": grid_panel(np.random.default_rng(5), n_years=4, valid_rate=1.0)}
-        panels["S1"].means[2, 0, 9] = np.inf
-        got = _outcome(hour_profiles, panels, panels["S1"].labels[0], "slope")
-        assert got == _outcome(oracles.hour_profile_cells, panels["S1"],
-                               panels["S1"].labels[0], "slope")
+        panel = grid_panel(np.random.default_rng(5), n_years=4, valid_rate=1.0)
+        panel.means[0, 2, 0, 9] = np.inf
+        got = _outcome(hour_profiles, panel, panel.labels[0], "slope")
+        assert got == _outcome(oracles.hour_profile_cells, panel, panel.labels[0], "slope")
         assert got == (ContractError, "Sen's slope input must be finite")
 
 
-def _window_outcomes(panels, labels, kind):
+def _per_station_profiles(singles, label, kind):
+    """The per-cell loop's profiles of one window, one-station panel by
+    panel in station order, up to the first error."""
+    return {sid: v for p in sorted(singles, key=lambda p: p.stations)
+            for sid, v in oracles.hour_profile_cells(p, label, kind).items()}
+
+
+def _window_outcomes(panel, labels, kind):
     """What ``window_profiles`` yields, each window's profiles as lists,
     then the type and message of the error it raises, if one."""
     got = []
     try:
-        for profiles in window_profiles(panels, labels, kind):
+        for profiles in window_profiles(panel, labels, kind):
             got.append({sid: v.tolist() for sid, v in profiles.items()})
     except PipelineError as exc:
         got.append((type(exc), str(exc)))
     return got
 
 
-def _window_oracle(panels, labels, kind):
+def _window_oracle(singles, labels, kind):
     """The per-cell loop window by window, up to the first error."""
     want = []
     for label in labels:
-        want.append(_outcome(lambda: {sid: oracles.hour_profile_cells(
-            panels[sid], label, kind).tolist() for sid in sorted(panels)}))
+        want.append(_outcome(lambda: {sid: v.tolist() for sid, v in _per_station_profiles(
+            singles, label, kind).items()}))
         if not isinstance(want[-1], dict):
             break
     return want
 
 
 class TestWindowProfiles:
-    """``window_profiles``, one pass over every window, against the per-cell
-    loop window by window: bitwise profiles, and the first failing window's
-    error after the windows before it."""
+    """``window_profiles`` of a network panel whose stations have their own
+    years, one pass over every window, against the per-cell loop window by
+    window on each station's own panel: bitwise profiles, and the first
+    failing window's error after the windows before it."""
 
     @given(st.integers(0, 2**32 - 1), st.lists(st.integers(2, 8), min_size=1, max_size=4),
            st.integers(1, 5), st.sampled_from([0.6, 0.9, 0.97, 1.0]),
@@ -420,61 +455,54 @@ class TestWindowProfiles:
     def test_matches_per_cell_loop(self, seed, n_years, levels, rate, kind, non_finite):
         rng = np.random.default_rng(seed)
         # Each station has its own years (grid_panel draws them) and count.
-        panels = {f"S{k}": grid_panel(rng, f"S{k}", n_years=n, levels=levels, step=0.1,
-                                      valid_rate=rate) for k, n in enumerate(n_years)}
+        singles = [grid_panel(rng, f"S{k}", n_years=n, levels=levels, step=0.1,
+                              valid_rate=rate) for k, n in enumerate(n_years)]
         if non_finite:
-            panel = panels[f"S{rng.integers(len(panels))}"]
-            panel.means[tuple(rng.integers(panel.means.shape))] = np.inf
-        labels = list(rng.permutation(panels["S0"].labels)[:rng.integers(1, 7)])
-        got = _window_outcomes(panels, labels, kind)
-        assert repr(got) == repr(_window_oracle(panels, labels, kind))
+            means = singles[rng.integers(len(singles))].means
+            means[tuple(rng.integers(means.shape))] = np.inf
+        panel = stack_panels(singles)
+        labels = list(rng.permutation(panel.labels)[:rng.integers(1, 7)])
+        got = _window_outcomes(panel, labels, kind)
+        assert repr(got) == repr(_window_oracle(singles, labels, kind))
         for k, label in enumerate(labels[:len(got)]):
-            one = _outcome(hour_profiles, panels, label, kind)
+            one = _outcome(hour_profiles, panel, label, kind)
             assert repr(got[k]) == repr({sid: v.tolist() for sid, v in one.items()}
                                         if isinstance(one, dict) else one)
 
     def test_first_failing_window_is_named_not_the_first_station(self):
         # S1 is short of years in the second window, S2 in the first.
         rng = np.random.default_rng(9)
-        panels = {sid: grid_panel(rng, sid, n_years=3, valid_rate=1.0) for sid in ("S1", "S2")}
-        labels = panels["S1"].labels
-        panels["S1"].counts[1:, 1, 4] = 0
-        panels["S2"].counts[1:, 0, 7] = 0
-        got = _window_outcomes(panels, labels, "slope")
+        s1, s2 = (grid_panel(rng, sid, n_years=3, valid_rate=1.0) for sid in ("S1", "S2"))
+        s1.counts[0, 1:, 1, 4] = 0
+        s2.counts[0, 1:, 0, 7] = 0
+        panel = stack_panels([s1, s2])
+        labels = panel.labels
+        got = _window_outcomes(panel, labels, "slope")
         assert got == [(ContractError, f"station S2, window {labels[0]}, hour 7: "
                                        "need at least 2 valid years for slope features, have 1")]
-        got = _window_outcomes(panels, labels[1:], "slope")
+        got = _window_outcomes(panel, labels[1:], "slope")
         assert got == [(ContractError, f"station S1, window {labels[1]}, hour 4: "
                                        "need at least 2 valid years for slope features, have 1")]
-
-    def test_window_outside_a_station_scale(self):
-        # The first station in sorted order that lacks the window, or is
-        # short of years in it, names the error.
-        rng = np.random.default_rng(10)
-        ten = grid_panel(rng, "T", scale="10d", valid_rate=1.0)
-        ten.counts[:, 0, 0] = 0
-        thirty = grid_panel(rng, "M", scale="30d", valid_rate=1.0)
-        got = _window_outcomes({"A": ten, "B": thirty}, ["Jan01-10"], "level")
-        assert got == [(ContractError, "station A, window Jan01-10, hour 0: "
-                                       "no valid years for level features")]
-        got = _window_outcomes({"A": thirty, "B": ten}, ["Jan01-10"], "level")
-        assert got == [(ContractError, "unknown window label 'Jan01-10' for scale 30d")]
-        got = _window_outcomes({"B": ten}, ["Jan11-20", "Jan"], "level")
-        assert len(got) == 2 and list(got[0]) == ["B"]
-        assert got[1] == (ContractError, "unknown window label 'Jan' for scale 10d")
 
     @pytest.mark.parametrize("batch", [1, 50, 1000])
     def test_batches_do_not_change_results(self, monkeypatch, batch):
         rng = np.random.default_rng(12)
-        panels = {sid: grid_panel(rng, sid, n_years=n, levels=4, valid_rate=0.97)
-                  for sid, n in (("S1", 6), ("S2", 8), ("S3", 7))}
-        labels = panels["S1"].labels
-        want = [_bits(trend_surface(panels[sid])) for sid in sorted(panels)]
-        want += [_window_outcomes(panels, labels, kind) for kind in ("slope", "level")]
+        singles = [grid_panel(rng, sid, n_years=n, levels=4, valid_rate=0.97)
+                   for sid, n in (("S1", 6), ("S2", 8), ("S3", 7))]
+        panel = stack_panels(singles)
+        labels = panel.labels
+        want = [_bits(trend_surface(panel))]
+        want += [_window_outcomes(panel, labels, kind) for kind in ("slope", "level")]
+        assert want[0] == _bits([row for p in singles for row in oracles.trend_surface_cells(p)])
         monkeypatch.setattr(trend, "BATCH_PAIRS", batch)
-        got = [_bits(trend_surface(panels[sid])) for sid in sorted(panels)]
-        got += [_window_outcomes(panels, labels, kind) for kind in ("slope", "level")]
+        got = [_bits(trend_surface(panel))]
+        got += [_window_outcomes(panel, labels, kind) for kind in ("slope", "level")]
         assert repr(got) == repr(want)
 
     def test_no_stations(self):
-        assert _window_outcomes({}, ["Jan", "Feb"], "slope") == [{}, {}]
+        # A label outside the scale raises at its turn, with or without stations.
+        shape = (0, 0, 12, 24)
+        panel = NetworkPanel("30d", [], [], list(build_calendar("30d").labels),
+                             np.empty(shape), np.empty(shape, np.int64))
+        assert _window_outcomes(panel, ["Jan", "Feb", "Jan01-10"], "slope") == [
+            {}, {}, (ContractError, "unknown window label 'Jan01-10' for scale 30d")]
