@@ -64,6 +64,7 @@ from .similarity import (
     dtw_distance,
     pairwise_dtw,
     silhouette,
+    window_dtw,
 )
 from .trend import (
     MKResult,
@@ -94,7 +95,7 @@ __all__ = [
     "ContourTable", "RadarRow",
     "bin_cell", "cluster_table", "contour_grid", "radar_sheet", "synth_station",
     "DtwConfig", "DistanceMatrix", "ClusterReport", "Merge", "DcorResult",
-    "dtw_distance", "pairwise_dtw", "agglomerative_cluster", "silhouette",
+    "dtw_distance", "pairwise_dtw", "window_dtw", "agglomerative_cluster", "silhouette",
     "dcor", "dcor_permutation_test", "dcor_table",
     "MKResult", "SenSlope", "TrendRow", "TrendTable",
     "mk_test", "sen_slope", "lag1_autocorrelation", "serial_flag", "trend_surface",

@@ -208,9 +208,9 @@ class Column:
     def of(cls, strings: list[str]) -> Column:
         text = np.array(strings, dtype=str)
         codes = text.view(np.uint32).reshape(len(text), text.dtype.itemsize // 4)
-        if "\0" not in "".join(strings):
-            return cls(codes, np.strings.str_len(text))
         length = np.fromiter(map(len, strings), np.int64, len(strings))
+        if "\0" not in "".join(strings):
+            return cls(codes, length)
         codes = np.pad(codes, ((0, 0), (0, int(length.max()) - codes.shape[1])))
         codes[(codes == 0) & (np.arange(codes.shape[1]) < length[:, None])] = _NUL_CODE
         return cls(codes, length, np.array(strings, dtype=object))

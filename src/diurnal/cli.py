@@ -65,8 +65,8 @@ from .similarity import (
     DtwConfig,
     agglomerative_cluster,
     dcor_table,
-    pairwise_dtw,
     silhouette,
+    window_dtw,
     write_dcor_csv,
     write_distance_csv,
 )
@@ -385,10 +385,11 @@ def _run_cluster(ns) -> int:
     meta = read_metadata(ns.meta) if ns.meta else None
     # Every window is clustered before the first file is written, so a
     # window that fails leaves no output behind. The profiles of all windows
-    # come from one pass, but a window's error is raised at its turn.
+    # come from one pass and their DTW matrices from one batched run, but a
+    # window's error is raised at its turn.
     results = []
-    for label, profiles in zip(windows, window_profiles(panel, windows, ns.features)):
-        dist = pairwise_dtw(profiles, config)
+    profiles = window_profiles(panel, windows, ns.features)
+    for label, dist in zip(windows, window_dtw(profiles, config)):
         rep = agglomerative_cluster(dist, ns.k)
         results.append((label, dist, rep, *silhouette(dist, rep.assignment)))
     out = Path(ns.out_dir)

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ._util import csv_pieces, fmt, fmt_column, write_blocks, write_csv
-from .errors import ContractError, EmptyInputError, SampleTooSmallError
+from .errors import ContractError, EmptyInputError, PipelineError, SampleTooSmallError
 
 METRICS = ("absolute", "squared")
 
@@ -67,39 +67,43 @@ def _dtw_inputs(arrays: Sequence[Sequence[float]]) -> list[np.ndarray]:
 def _dtw_batch(x: np.ndarray, y: np.ndarray, config: DtwConfig) -> np.ndarray:
     """The DTW cost of ``x[:, k]`` against ``y[:, k]`` for every column k.
 
-    ``x`` is (n, jobs) and ``y`` is (m, jobs). Cell by cell over the n x m
-    grid, each step vectorised over the job axis, D[i, j] = min(D[i-1, j-1]
-    + wd * c, D[i-1, j] + wh * c, D[i, j-1] + wv * c) + lam * |i - j| for
-    local cost c, from D[0, 0] = c. Only two DP rows of shape (m + 1, jobs)
-    are kept and the local cost row is formed per i, so memory stays
-    O(jobs * m).
+    ``x`` is (n, jobs) and ``y`` is (m, jobs). D[i, j] = min(D[i-1, j-1] +
+    wd * c, D[i-1, j] + wh * c, D[i, j-1] + wv * c) + lam * |i - j| for
+    local cost c, from D[0, 0] = c; the penalty is added only when ``lam``
+    is not 0. Cell (i, j) needs only the anti-diagonals i + j - 1 and
+    i + j - 2, so the sweep takes one step per anti-diagonal, n + m - 1 in
+    all, each a few numpy calls over the diagonal's cells and the job axis.
+    Three diagonals of shape (n + 1, jobs) are kept, cell (i, j) at row
+    i + 1; row 0 and the rows past a diagonal's end are never written and
+    hold the table's inf border. Memory stays O(n * jobs).
     """
     n, m = x.shape[0], y.shape[0]
-    prev = np.full((m + 1, x.shape[1]), np.inf)
-    cur = prev.copy()
-    c = np.empty_like(y)
-    best = np.empty_like(y)
-    step = np.empty_like(y)
-    for i in range(n):
-        np.subtract(x[i], y, out=c)
+    diags = [np.full((n + 1, x.shape[1]), np.inf) for _ in range(3)]
+    temps = np.empty((3, min(n, m), x.shape[1]))
+    for d in range(n + m - 1):
+        lo, hi = max(0, d - m + 1), min(n - 1, d)
+        cur, prev, prev2 = diags[d % 3], diags[(d - 1) % 3], diags[(d - 2) % 3]
+        c, best, step = temps[:, :hi - lo + 1]
+        # Cells (i, d - i) for i in lo..hi: x[i] against y[d - i].
+        np.subtract(x[lo:hi + 1], y[d - hi:d - lo + 1][::-1], out=c)
         if config.metric == "absolute":
             np.abs(c, out=c)
         else:
             np.multiply(c, c, out=c)
+        if d == 0:
+            cur[1] = c[0]
+            continue
         np.multiply(config.wd, c, out=best)
-        best += prev[:-1]
+        best += prev2[lo:hi + 1]
         np.multiply(config.wh, c, out=step)
-        step += prev[1:]
+        step += prev[lo:hi + 1]
         np.minimum(best, step, out=best)
         np.multiply(config.wv, c, out=step)
-        if i == 0:
-            cur[1] = c[0]
-        for j in range(int(i == 0), m):
-            np.add(cur[j], step[j], out=cur[j + 1])
-            np.minimum(best[j], cur[j + 1], out=cur[j + 1])
-            cur[j + 1] += config.lam * abs(i - j)
-        prev, cur = cur, prev
-    return prev[m].copy()
+        step += prev[lo + 1:hi + 2]
+        np.minimum(best, step, out=cur[lo + 1:hi + 2])
+        if config.lam != 0:
+            cur[lo + 1:hi + 2] += (config.lam * np.abs(2 * np.arange(lo, hi + 1) - d))[:, None]
+    return diags[(n + m - 2) % 3][n].copy()
 
 
 def dtw_distance(x: Sequence[float], y: Sequence[float],
@@ -139,39 +143,90 @@ class DistanceMatrix:
         return float(self.values[self._index[a], self._index[b]])
 
 
+# Jobs one ``_dtw_batch`` call takes at most, so the kernel's working memory
+# (six arrays of about n x jobs doubles, 2.4 MB for 24-hour profiles) does
+# not grow with the number of windows: 36 windows of 32 stations at 10d
+# make 17 856 jobs. Calls of 1 000-2 000 such jobs ran fastest on a 2 MB L2
+# cache, and 80 stations' 3 160 pairs take two.
+DTW_BATCH_JOBS = 1 << 11
+
+
+def window_dtw(windows: Iterable[Mapping[str, Sequence[float]]],
+               config: DtwConfig = DEFAULT_CONFIG) -> Iterator[DistanceMatrix]:
+    """``pairwise_dtw`` of each window's profiles, in order, with the
+    station pairs of every window run together: one ``_dtw_batch`` call per
+    profile-length pair and chunk of at most ``DTW_BATCH_JOBS`` jobs. Each
+    entry is a job's own column of the kernel, so the matrices are bitwise
+    as window by window.
+
+    Windows are read up to the first that raises a ``PipelineError``, in
+    the iterable or in ``pairwise_dtw``'s checks; the matrices of the
+    windows before it are yielded, then its error is raised.
+    """
+    labels: list[list[str]] = []
+    arrays: list[np.ndarray] = []
+    error = None
+    try:
+        for profiles in windows:
+            names = sorted(profiles)
+            if len(names) < 2:
+                raise SampleTooSmallError("pairwise DTW needs at least 2 profiles")
+            arrays += _dtw_inputs([profiles[lab] for lab in names])
+            labels.append(names)
+    except PipelineError as exc:
+        error = exc
+    # Job k runs profile first[k] against second[k], both numbered across
+    # the windows: each window's (a, b) jobs, then its (b, a) jobs when the
+    # side weights differ.
+    first, second, counts, start = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [], 0
+    for names in labels:
+        a, b = np.triu_indices(len(names), 1)
+        if config.wh != config.wv:
+            a, b = np.r_[a, b], np.r_[b, a]
+        first.append(a + start)
+        second.append(b + start)
+        counts.append(a.size)
+        start += len(names)
+    first, second = np.concatenate(first), np.concatenate(second)
+    # The profiles of each length as the columns of one matrix. (A plain
+    # ``np.unique`` would import ``numpy.ma``, about 15 ms, on numpy 2.4.)
+    sizes = np.array([a.size for a in arrays], dtype=np.int64)
+    stacks, column = {}, np.empty(sizes.size, np.int64)
+    for size in set(sizes.tolist()):
+        members = np.flatnonzero(sizes == size)
+        stacks[size] = np.stack([arrays[k] for k in members], axis=1)
+        column[members] = np.arange(members.size)
+    totals = np.empty(first.size)
+    sizes_a, sizes_b = sizes[first], sizes[second]
+    for len_a, len_b in set(zip(sizes_a.tolist(), sizes_b.tolist())):
+        jobs = np.flatnonzero((sizes_a == len_a) & (sizes_b == len_b))
+        for part in np.array_split(jobs, -(-jobs.size // DTW_BATCH_JOBS)):
+            totals[part] = _dtw_batch(stacks[len_a].take(column[first[part]], axis=1),
+                                      stacks[len_b].take(column[second[part]], axis=1), config)
+    for names, runs in zip(labels, np.split(totals, np.cumsum(counts)[:-1])):
+        n = len(names)
+        iu, ju = np.triu_indices(n, 1)
+        values = np.zeros((n, n))
+        # With one direction run, the (a, b) and (b, a) costs are the same.
+        values[iu, ju] = values[ju, iu] = 0.5 * (runs[:iu.size] + runs[-iu.size:])
+        yield DistanceMatrix(names, values)
+    if error is not None:
+        raise error
+
+
 def pairwise_dtw(profiles: Mapping[str, Sequence[float]],
                  config: DtwConfig = DEFAULT_CONFIG) -> DistanceMatrix:
     """All-pairs DTW distances, symmetrized as (d(a,b) + d(b,a)) / 2.
 
     Labels are taken in sorted order so the matrix layout does not depend
-    on dict insertion order. Every pair runs as a job of one batched kernel
-    per profile-length combination, so each entry is bitwise equal to the
-    mean of ``dtw_distance`` both ways. With ``wh == wv`` the (b, a) table
-    is the transpose of the (a, b) one, each cell adding the same operands,
-    so d(b, a) is d(a, b) bit for bit and only the (a, b) job runs.
+    on dict insertion order. Every pair runs as a job of the batched kernel,
+    so each entry is bitwise equal to the mean of ``dtw_distance`` both
+    ways. With ``wh == wv`` the (b, a) table is the transpose of the (a, b)
+    one, each cell adding the same operands, so d(b, a) is d(a, b) bit for
+    bit and only the (a, b) job runs. This is the one-window case of
+    ``window_dtw``.
     """
-    labels = sorted(profiles)
-    if len(labels) < 2:
-        raise SampleTooSmallError("pairwise DTW needs at least 2 profiles")
-    arrays = _dtw_inputs([profiles[lab] for lab in labels])
-    n = len(labels)
-    iu, ju = np.triu_indices(n, 1)
-    if config.wh == config.wv:
-        first, second = iu, ju
-    else:
-        first, second = np.concatenate([iu, ju]), np.concatenate([ju, iu])
-    sizes = np.array([a.size for a in arrays])
-    sizes_a, sizes_b = sizes[first], sizes[second]
-    totals = np.empty(first.size)
-    for len_a, len_b in set(zip(sizes_a.tolist(), sizes_b.tolist())):
-        jobs = np.flatnonzero((sizes_a == len_a) & (sizes_b == len_b))
-        totals[jobs] = _dtw_batch(np.stack([arrays[k] for k in first[jobs]], axis=1),
-                                  np.stack([arrays[k] for k in second[jobs]], axis=1), config)
-    values = np.zeros((n, n))
-    # The (a, b) costs come first and the (b, a) costs last; with one
-    # direction run, both are the same costs.
-    values[iu, ju] = values[ju, iu] = 0.5 * (totals[:iu.size] + totals[-iu.size:])
-    return DistanceMatrix(labels, values)
+    return next(window_dtw([profiles], config))
 
 
 @dataclass(frozen=True)

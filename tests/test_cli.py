@@ -580,6 +580,25 @@ class TestNothingWrittenOnFailure:
         assert len(list(out.iterdir())) == 36
 
 
+class TestClusterErrorOrder:
+    """Within a window, its profiles are checked before ``--k``; across
+    windows, the first failing window's error is named, whichever check it
+    fails."""
+
+    def test_first_window_short_of_years_beats_k(self, tmp_path, capsys):
+        # S1 is short of years in Jan, the first window, and --k is above
+        # the station count.
+        panel = _write_panels(tmp_path / "panel.csv", [
+            ("S1", "30d", 3, 0, 3, 1), ("S2", "30d", 3, 0, 0, 3), ("S3", "30d", 3, 0, 0, 3)],
+            np.random.default_rng(7))
+        out = tmp_path / "c"
+        assert run("cluster", "--panel", str(panel), "--out-dir", str(out), "--k", "4") == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: station S1, window Jan, hour 3: "
+            "need at least 2 valid years for slope features, have 1")
+        assert not out.exists()
+
+
 class TestConsoleScript:
     def test_help_exits_zero(self):
         proc = subprocess.run([sys.executable, "-m", "diurnal.cli", "--help"],

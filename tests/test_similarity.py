@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -31,11 +32,14 @@ from diurnal import (
     dtw_distance,
     pairwise_dtw,
     silhouette,
+    window_dtw,
+    write_panel,
 )
 from diurnal import similarity
 from diurnal.similarity import (DCOR_TIE, METRICS, DcorResult, write_dcor_csv,
                                 write_distance_csv)
-from helpers import profile_settings
+from diurnal.cli import cli
+from helpers import grid_panel, profile_settings
 
 values = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 short_seq = st.lists(values, min_size=1, max_size=6)
@@ -116,6 +120,12 @@ def _loop(x, y, cfg):
     return oracles.dtw_loop(x, y, cfg.wh, cfg.wv, cfg.wd, cfg.lam, cfg.metric)
 
 
+# One config per branch of the DTW kernel.
+KERNEL_CONFIGS = {"default": DtwConfig(), "wh-ne-wv": DtwConfig(wh=0.5, wv=3.0),
+                  "lam": DtwConfig(lam=0.7),
+                  "squared": DtwConfig(wh=1.5, wv=1.0, wd=2.5, lam=0.2, metric="squared")}
+
+
 class TestBatchedDtw:
     """``pairwise_dtw`` and ``dtw_distance`` run one batched kernel; it must
     equal the scalar dynamic program exactly, not just closely."""
@@ -132,10 +142,7 @@ class TestBatchedDtw:
                                                  + _loop(profiles[b], profiles[a], cfg))
                 assert dist.get(a, b) == want, (a, b)
 
-    @pytest.mark.parametrize("cfg", [
-        DtwConfig(), DtwConfig(wh=0.5, wv=3.0), DtwConfig(lam=0.7),
-        DtwConfig(wh=1.5, wv=1.0, wd=2.5, lam=0.2, metric="squared")],
-        ids=["default", "wh-ne-wv", "lam", "squared"])
+    @pytest.mark.parametrize("cfg", KERNEL_CONFIGS.values(), ids=KERNEL_CONFIGS.keys())
     def test_dtw_distance_matches_loop_each_way(self, cfg):
         rng = np.random.default_rng(7)
         for n in range(1, 31):
@@ -198,6 +205,87 @@ class TestDtwSymmetry:
         pairwise_dtw(profiles, cfg)
         n = len(lengths)
         assert sum(columns) == jobs * n * (n - 1) // 2
+
+
+profile_window = st.dictionaries(st.sampled_from([f"S{i}" for i in range(6)]),
+                         st.lists(values, min_size=1, max_size=8), min_size=2)
+
+
+class TestWindowDtw:
+    """``window_dtw`` runs the station pairs of every window together, one
+    kernel call per profile-length pair and job chunk. Each window's matrix
+    must be ``pairwise_dtw``'s bit for bit, and a failing window must raise
+    at its turn."""
+
+    @given(st.lists(profile_window, min_size=1, max_size=5), st.integers(1, 40))
+    @profile_settings(60)
+    def test_matches_pairwise_dtw_window_by_window(self, windows, batch):
+        for cfg in KERNEL_CONFIGS.values():
+            with mock.patch.object(similarity, "DTW_BATCH_JOBS", batch):
+                got = list(window_dtw(windows, cfg))
+            want = [pairwise_dtw(profiles, cfg) for profiles in windows]
+            assert [d.labels for d in got] == [d.labels for d in want]
+            for g, w in zip(got, want):
+                assert g.values.tobytes() == w.values.tobytes()
+
+    @pytest.mark.parametrize("bad,error", [
+        ({"A": [1.0]}, SampleTooSmallError), ({"A": [1.0], "B": []}, EmptyInputError),
+        ({"A": [np.nan], "B": [1.0]}, ContractError)], ids=["one", "empty", "nan"])
+    def test_failing_window_raises_after_the_windows_before_it(self, bad, error):
+        good = {"A": [1.0, 2.0], "B": [0.0], "C": [3.0, 1.0]}
+        got = window_dtw([good, dict(good, B=[5.0]), bad, good])
+        assert next(got).values.tobytes() == pairwise_dtw(good).values.tobytes()
+        assert next(got).get("A", "B") == pairwise_dtw({"A": [1.0, 2.0], "B": [5.0]}).values[0, 1]
+        with pytest.raises(error):
+            next(got)
+
+    def test_error_of_the_windows_iterable_raises_at_its_turn(self):
+        def windows():
+            yield {"A": [1.0, 2.0], "B": [0.0]}
+            raise ContractError("second window")
+
+        got = window_dtw(windows())
+        assert next(got).get("A", "B") == dtw_distance([1.0, 2.0], [0.0])
+        with pytest.raises(ContractError, match="^second window$"):
+            next(got)
+
+    @pytest.mark.parametrize("batch,weights,calls", [
+        (similarity.DTW_BATCH_JOBS, "1,1,2", [72]), (10, "1,1,2", [9] * 8),
+        (10, "0.5,1,2", [10] * 9 + [9] * 6)])
+    def test_cluster_run_calls_the_kernel_once_per_chunk(self, tmp_path, monkeypatch,
+                                                          batch, weights, calls):
+        # 4 stations at 30d: 12 windows of 6 pairs, all of 24-hour profiles.
+        rng = np.random.default_rng(3)
+        write_panel(tmp_path / "panel.csv", [
+            grid_panel(rng, f"S{i}", "30d", levels=40, step=0.1, valid_rate=1.0,
+                       years=range(2001, 2007)) for i in range(4)])
+        sizes, kernel = [], similarity._dtw_batch
+
+        def counted(x, y, config):
+            sizes.append(x.shape[1])
+            return kernel(x, y, config)
+
+        monkeypatch.setattr(similarity, "_dtw_batch", counted)
+        monkeypatch.setattr(similarity, "DTW_BATCH_JOBS", batch)
+        assert cli(["cluster", "--panel", str(tmp_path / "panel.csv"), "--out-dir",
+                    str(tmp_path / "out"), "--k", "2", "--weights", weights]) == 0
+        assert sizes == calls
+
+
+class TestDtwKernelMemory:
+    def test_working_memory_is_linear_in_the_profile_length(self):
+        n, jobs = 24, 20_000
+        rng = np.random.default_rng(9)
+        x, y = rng.normal(size=(n, jobs)), rng.normal(size=(n, jobs))
+        tracemalloc.start()
+        try:
+            similarity._dtw_batch(x, y, DtwConfig(lam=0.3, metric="squared"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The kernel keeps six arrays of at most (n + 1) x jobs doubles; an
+        # n x m x jobs cost table alone would be 24 of them.
+        assert peak < 8 * (n + 1) * jobs * 8
 
 
 class TestClustering:
