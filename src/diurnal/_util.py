@@ -3,8 +3,8 @@ and written in blocks by ``write_blocks``, and the one CSV reader,
 ``read_blocks``, that every table goes through: records, panels and trend
 tables by columns through one front end, ``station_blocks`` (records and
 panels keep what each block holds and drop its columns; trend tables are
-joined into whole columns by ``read_station_rows``), the metadata and
-cluster tables row by row (``iter_rows``).
+joined into whole columns), the metadata and cluster tables row by row
+(``iter_rows``).
 
 A columnar reader checks each rule of its rows once, as one bool mask per
 rule over a block (the parsers return a mask of the texts they reject),
@@ -369,19 +369,6 @@ def station_blocks(path: str | Path, n_fields: int, what: str,
                                   np.int64)[index]
     if not numbers:
         raise EmptyInputError(f"no {what} found in {path}")
-
-
-def read_station_rows(path: str | Path, n_fields: int, what: str,
-                      parse: Callable[[Block, np.ndarray], Sequence[np.ndarray]]
-                      ) -> tuple[list[str], np.ndarray, list[np.ndarray]]:
-    """A CSV file's rows, from ``station_blocks``, as columns in file order:
-    the ids by number; each row's station number; and the arrays that
-    ``parse(block, station)`` returns for each block, concatenated."""
-    numbers: dict[str, int] = {}
-    parts = [(station, *parse(block, station))
-             for block, station in station_blocks(path, n_fields, what, numbers)]
-    station, *columns = map(np.concatenate, zip(*parts))
-    return list(numbers), station, columns
 
 
 def sorted_ranks(names: list[str]) -> np.ndarray:

@@ -280,25 +280,21 @@ class _PanelGrid:
     """The cells of a panel file as its blocks are read. A grid row is one
     (station number, year) pair, numbered in order of first appearance, and
     holds ``width`` windows × 24 hours. Per cell it keeps the mean (NaN
-    where invalid), whether a row has set it, and the valid flag. Rows grow
-    by doubling."""
+    where invalid) and whether a row has set it. Rows grow by doubling."""
 
     def __init__(self, width: int):
         self.rows: dict[tuple[int, int], int] = {}
         self.means = np.full((0, width, 24), np.nan)
         self.seen = np.zeros((0, width, 24), bool)
-        self.valid = np.zeros((0, width, 24), bool)
 
     def _fit(self) -> None:
         """Room for every grid row."""
         if len(self.rows) <= len(self.means):
             return
         shape = (max(len(self.rows), 2 * len(self.means)), *self.means.shape[1:])
-        old = self.means, self.seen, self.valid
-        self.means = np.full(shape, np.nan)
-        self.seen, self.valid = np.zeros(shape, bool), np.zeros(shape, bool)
-        for new, grid in zip((self.means, self.seen, self.valid), old):
-            new[:len(grid)] = grid
+        means, seen = self.means, self.seen
+        self.means, self.seen = np.full(shape, np.nan), np.zeros(shape, bool)
+        self.means[:len(means)], self.seen[:len(seen)] = means, seen
 
     def scatter(self, station: np.ndarray, year: np.ndarray, window: np.ndarray,
                 hour: np.ndarray, value: np.ndarray, valid: np.ndarray) -> int:
@@ -318,31 +314,21 @@ class _PanelGrid:
         before = np.count_nonzero(self.seen[grid_row])
         seen[cell] = True
         self.means.reshape(-1)[cell] = np.where(valid, value, np.nan)
-        self.valid.reshape(-1)[cell] = valid
         if was.any() or np.count_nonzero(self.seen[grid_row]) - before != len(cell):
             return int(np.argmax(was | repeats(cell)))
         return -1
 
     def panel(self, names: list[str], calendar: WindowCalendar) -> NetworkPanel:
         """The network panel, from the station ids by number and the file's
-        calendar; the grid gives up its arrays to it. Where the grid rows
-        came in (station id, year) order with every station over the same
-        years, the panel is the grid reshaped; else the grid rows are
-        scattered onto it once, each grid array dropped once it is."""
+        calendar: the grid rows scattered onto its stations in sorted order
+        × the union of their years, the grid given up once they are. A
+        valid cell, and only a valid cell, has a finite mean, so its count
+        is whether it does."""
         keys = np.array(list(self.rows), np.int64).reshape(-1, 2)
-        rank = sorted_ranks(names)[keys[:, 0]]
         years, year = np.unique(keys[:, 1], return_inverse=True)
-        n, at = len(keys), rank * len(years) + year
-        means, valid = self.means[:n], self.valid[:n]
-        self.means = self.seen = self.valid = None
-        if n < len(names) * len(years) or (at != np.arange(n)).any():
-            rows, means = means, np.full((len(names) * len(years), *means.shape[1:]), np.nan)
-            means[at] = rows
-            del rows
-            counts = np.zeros(means.shape, np.int64)
-            counts[at] = valid
-        else:
-            counts = valid.astype(np.int64)
-        shape = (len(names), len(years), calendar.n_windows, 24)
+        self.seen = None
+        means = np.full((len(names), len(years), calendar.n_windows, 24), np.nan)
+        means[sorted_ranks(names)[keys[:, 0]], year] = self.means[:len(keys)]
+        self.means = None
         return NetworkPanel(calendar.scale, sorted(names), years, list(calendar.labels),
-                            means.reshape(shape), counts.reshape(shape))
+                            means, np.isfinite(means).astype(np.int64))

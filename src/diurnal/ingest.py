@@ -32,6 +32,7 @@ from ._util import (
     iter_rows,
     parse_each,
     parse_floats,
+    repeats,
     run_heads,
     station_blocks,
     unique_runs,
@@ -281,7 +282,7 @@ def _station_pieces(block: Block, station: np.ndarray,
     us, value = _parse_records(block)
     lines = block.line_no
     heads = run_heads(station)
-    if len(np.unique(station[heads])) < len(heads):
+    if repeats(station[heads]).any():
         order = np.argsort(station, kind="stable")
         station, us, value, lines = station[order], us[order], value[order], lines[order]
         heads = run_heads(station)
@@ -470,7 +471,10 @@ def read_metadata(path: str | Path) -> dict[str, StationMeta]:
             raise ParseError("malformed coordinate or altitude", line_no)
         if sid in out:
             raise ParseError(f"duplicate station_id {sid!r}", line_no)
-        out[sid] = StationMeta(sid, row[1].strip(), group, region, lat, lon, alt)
+        try:
+            out[sid] = StationMeta(sid, row[1].strip(), group, region, lat, lon, alt)
+        except ContractError as exc:
+            raise ParseError(str(exc), line_no) from None
     if not out:
         raise EmptyInputError(f"no station metadata found in {path}")
     return out

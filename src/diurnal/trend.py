@@ -25,7 +25,7 @@ import numpy as np
 
 from ._util import (BLOCK_LINES, Block, ColumnTable, check_rows, csv_pieces, factorize,
                     fmt_column, parse_bool, parse_each, parse_float, parse_floats,
-                    parse_ints, read_station_rows, repeats, unique_runs, write_blocks)
+                    parse_ints, repeats, station_blocks, unique_runs, write_blocks)
 from .aggregate import SCALES, NetworkPanel, window_index
 from .errors import (
     ContractError,
@@ -371,16 +371,14 @@ def read_trend_csv(path: str | Path) -> TrendTable:
     Each block is parsed by columns, every distinct text of a text, int or
     flag field once, and each check runs once on whole columns.
     """
-    seen = np.zeros(0, bool)
-
-    def parse(block, station):
-        nonlocal seen
+    numbers: dict[str, int] = {}
+    seen, parts = np.zeros(0, bool), []
+    for block, station in station_blocks(path, len(TREND_HEADER), "trend rows", numbers):
         if (grow := (int(station.max()) + 1) * _STATION_CELLS - len(seen)) > 0:
             seen = np.concatenate((seen, np.zeros(grow, bool)))
-        return _trend_columns(block, station, seen)
-
-    names, station, columns = read_station_rows(path, len(TREND_HEADER), "trend rows", parse)
-    return TrendTable(np.array(names, dtype=object)[station], *columns)
+        parts.append((station, *_trend_columns(block, station, seen)))
+    station, *columns = map(np.concatenate, zip(*parts))
+    return TrendTable(np.array(list(numbers), dtype=object)[station], *columns)
 
 
 def _trend_columns(block: Block, station: np.ndarray,

@@ -31,13 +31,14 @@ from diurnal import (
     contour_grid,
     read_panel,
     read_records,
+    stack_panels,
     write_panel,
     write_records,
 )
 from diurnal import _util, ingest, trend
 from diurnal.report import P_BANDS, SLOPE_BANDS, write_contour_csv
 from diurnal.trend import read_trend_csv, write_trend_csv
-from helpers import HALF_HOUR, HOUR, profile_settings
+from helpers import HALF_HOUR, HOUR, grid_panel, profile_settings
 
 
 SETTINGS = profile_settings(60)
@@ -480,6 +481,31 @@ class TestPanelReader:
                              _outcome(oracles.read_panel_rows, path),
                              _assert_same_panels)
 
+
+    def test_panel_arrays_hold_only_their_own_bytes(self, tmp_path, monkeypatch):
+        # Three stations over the same three years, as write_panel writes
+        # them: 9 grid rows of 288 lines, read 50 lines a block, grow the
+        # grid to 16 rows.
+        rng = np.random.default_rng(5)
+        panels = [grid_panel(rng, sid, "30d", years=[2001, 2002, 2003])
+                  for sid in ("S1", "S2", "S3")]
+        write_panel(tmp_path / "panel.csv", panels)
+        monkeypatch.setattr(_util, "BLOCK_LINES", 50)
+        back = read_panel(tmp_path / "panel.csv")
+        _assert_same_panels(back, stack_panels(panels))
+        for array in (back.means, back.counts):
+            assert array.base is None or array.base.nbytes == array.nbytes
+
+    def test_row_order_does_not_change_the_panel(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(6)
+        panels = [grid_panel(rng, sid, "10d", years=[2001, 2002]) for sid in ("S1", "S2")]
+        write_panel(tmp_path / "ordered.csv", panels)
+        head, *rows = (tmp_path / "ordered.csv").read_bytes().splitlines(keepends=True)
+        random.Random(7).shuffle(rows)
+        (tmp_path / "shuffled.csv").write_bytes(head + b"".join(rows))
+        monkeypatch.setattr(_util, "BLOCK_LINES", 50)
+        _assert_same_panels(read_panel(tmp_path / "shuffled.csv"),
+                            read_panel(tmp_path / "ordered.csv"))
 
     def test_byte_order_mark_at_file_start_is_skipped(self, tmp_path, block_lines):
         text = ("station_id,scale,year,window_label,hour,mean_temp,valid\n"

@@ -348,6 +348,19 @@ class TestStationMeta:
             read_metadata(path)
         assert str(exc.value) == "line 3: malformed coordinate or altitude"
 
+    @pytest.mark.parametrize("row,message", [
+        ("S1,A,UKH,UK,95,-2.0,600", "line 3: station S1: latitude 95.0 out of [-90, 90]"),
+        ("S1,A,UKH,Piemonte,54.0,-2.0,600",
+         "line 3: station S1: group UKH is inconsistent with region Piemonte"),
+    ], ids=["latitude-95", "group-region"])
+    def test_station_rule_is_a_parse_error_with_its_line(self, tmp_path, row, message):
+        path = tmp_path / "meta.csv"
+        path.write_text("station_id,name,group,region,latitude,longitude,altitude_m\n"
+                        f"S0,A,UKH,UK,54.0,-2.0,600\n{row}\n")
+        with pytest.raises(ParseError) as exc:
+            read_metadata(path)
+        assert str(exc.value) == message
+
 
 # A header and one valid row for each reader of the small tables.
 SMALL_TABLES = {
