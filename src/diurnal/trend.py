@@ -5,7 +5,8 @@ yearly means. The Mann-Kendall test gives the trend's significance, Sen's
 slope estimates its magnitude in degrees per year, and the lag-1
 autocorrelation of the cell flags series whose significance may be
 inflated by serial dependence. Each statistic is one kernel over the rows
-of a (cells x years) matrix; the scalar functions are its one-row case.
+of a (cells x years) matrix, S and Sen's slope reading each batch's
+year-pair differences from one kernel; the scalar functions are its one-row case.
 
 A trend surface is a ``TrendTable``: one numpy array per ``TREND_HEADER``
 field, from the kernels through ``trend.csv`` and back, with no Python
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, fields
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -92,13 +94,21 @@ class TrendTable(ColumnTable):
 TrendRow = namedtuple("TrendRow", [f.name for f in fields(TrendTable)])
 
 
-def _mk_rows(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Mann-Kendall S (the sign-sum of the pair differences), var_S, z and p
-    of each row. A value tied t times removes (t - 1)(2t + 5) from 18 var_S;
-    a row whose values are all tied gets var_S = 0 and NaN z and p."""
+def _pairs(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one place year pairs are formed: x[:, j] - x[:, k] of each row and
+    t[j] - t[k], pairs k < j in ``np.triu_indices`` order; a difference that
+    overflows is an infinity, without a warning."""
+    k, j = np.triu_indices(t.size, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return x[:, j] - x[:, k], t[j] - t[k]
+
+
+def _mk_rows(x: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mann-Kendall S (the sign-sum of the pair differences ``d``), var_S, z and
+    p of each row of ``x``. A value tied t times removes (t - 1)(2t + 5) from
+    18 var_S; a row whose values are all tied gets var_S = 0 and NaN z and p."""
     n = x.shape[1]
-    k, j = np.triu_indices(n, 1)
-    s = np.sign(x[:, j] - x[:, k]).sum(axis=1).astype(np.int64)
+    s = np.sign(d).sum(axis=1).astype(np.int64)
     t = (x[:, :, None] == x[:, None, :]).sum(axis=2)
     var_s = (n * (n - 1) * (2 * n + 5) - ((t - 1) * (2 * t + 5)).sum(axis=1)) / 18.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -107,27 +117,24 @@ def _mk_rows(x: np.ndarray) -> tuple[np.ndarray, ...]:
     return s, var_s, z, p
 
 
-def _sen_rows(x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Sen's slope of each row against ``t`` (two distinct values at least):
-    the middle of the sorted pair slopes, pairs with equal t left out."""
-    k, j = np.triu_indices(t.size, 1)
-    dt = t[j] - t[k]
-    usable = dt != 0
-    slopes = np.sort((x[:, j[usable]] - x[:, k[usable]]) / dt[usable], axis=1)
-    m = slopes.shape[1]
-    if m % 2:
-        return slopes[:, m // 2]
-    return 0.5 * (slopes[:, m // 2 - 1] + slopes[:, m // 2])
+def _sen_rows(d: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Sen's slope of each row of pair differences ``d`` over ``dt`` (a dt != 0 at least):
+    the middle of the sorted slopes with dt != 0, not finite if a slope or the middle is."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = np.sort(d[:, dt != 0] / dt[dt != 0], axis=1)
+        m = slopes.shape[1]
+        mid = slopes[:, m // 2] if m % 2 else 0.5 * (slopes[:, m // 2 - 1] + slopes[:, m // 2])
+    return np.where(np.isfinite(slopes[:, [0, -1]]).all(axis=1), mid, np.nan)
 
 
 def _lag1_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lag-1 autocorrelation of each C-contiguous row, and whether its
-    centered sum of squares is zero. ``np.vecdot`` rounds each row as
-    ``np.dot`` does; a batched ``sum`` or ``einsum`` does not."""
-    d = x - x.mean(axis=1, keepdims=True)
-    denom = np.vecdot(d, d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.vecdot(d[:, :-1], d[:, 1:]) / denom, denom == 0.0
+    """Lag-1 autocorrelation of each C-contiguous row, NaN where its centered
+    sums are 0 or not finite, and whether its sum of squares is 0. ``np.vecdot``
+    rounds each row as ``np.dot`` does; a batched ``sum`` or ``einsum`` does not."""
+    with np.errstate(all="ignore"):
+        d = x - x.mean(axis=1, keepdims=True)
+        num, denom = np.vecdot(d[:, :-1], d[:, 1:]), np.vecdot(d, d)
+        return np.where(np.isfinite(num) & np.isfinite(denom), num / denom, np.nan), denom == 0.0
 
 
 def mk_test(x: Sequence[float]) -> MKResult:
@@ -145,7 +152,8 @@ def mk_test(x: Sequence[float]) -> MKResult:
         raise SampleTooSmallError(f"Mann-Kendall needs at least {MIN_YEARS} values, got {n}")
     if not np.all(np.isfinite(arr)):
         raise ContractError("Mann-Kendall input must be finite")
-    s, var_s, z, p = (float(v[0]) for v in _mk_rows(arr[None]))
+    row = arr[None]
+    s, var_s, z, p = (float(v[0]) for v in _mk_rows(row, _pairs(row, np.arange(n))[0]))
     if var_s <= 0:
         raise DegenerateDataError("all values tied, Mann-Kendall variance is zero")
     return MKResult(n, int(s), var_s, z, p)
@@ -155,8 +163,8 @@ def sen_slope(x: Sequence[float], t: Sequence[float] | None = None) -> SenSlope:
     """Sen's slope: the median of all pairwise slopes (x_j - x_k)/(t_j - t_k).
 
     ``t`` defaults to 0..n-1. Pairs with equal t are skipped; if every pair
-    collapses that way the slope is undefined and ``DegenerateDataError``
-    is raised.
+    collapses that way the slope is undefined and ``DegenerateDataError`` is
+    raised; a pair slope or median that overflows raises ``ContractError``.
     """
     arr = np.asarray(x, dtype=np.float64)
     n = arr.size
@@ -169,11 +177,15 @@ def sen_slope(x: Sequence[float], t: Sequence[float] | None = None) -> SenSlope:
         raise ContractError("Sen's slope input must be finite")
     if np.all(tt == tt[0]):
         raise DegenerateDataError("all time points coincide, Sen's slope is undefined")
-    return SenSlope(float(_sen_rows(arr[None], tt)[0]))
+    slope = float(_sen_rows(*_pairs(arr[None], tt))[0])
+    if not math.isfinite(slope):
+        raise ContractError("Sen's slope overflows: a pair slope or their median is not finite")
+    return SenSlope(slope)
 
 
 def lag1_autocorrelation(x: Sequence[float]) -> float:
-    """Lag-1 autocorrelation r1 = sum(d_t * d_{t+1}) / sum(d_t^2), d = x - mean."""
+    """Lag-1 autocorrelation r1 = sum(d_t * d_{t+1}) / sum(d_t^2), d = x - mean.
+    Finite input whose centered sums overflow raises ``ContractError``."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.size < 2:
         raise SampleTooSmallError(f"lag-1 autocorrelation needs at least 2 values, got {arr.size}")
@@ -183,6 +195,8 @@ def lag1_autocorrelation(x: Sequence[float]) -> float:
     if flat[0]:
         raise DegenerateDataError(
             "centered sum of squares is zero, lag-1 autocorrelation is undefined")
+    if math.isnan(r1[0]):
+        raise ContractError("lag-1 autocorrelation overflows: centered sums are not finite")
     return float(r1[0])
 
 
@@ -245,33 +259,33 @@ def trend_surface(panel: NetworkPanel, min_years: int = MIN_YEARS) -> TrendTable
     Returns one row per kept cell, in (station, window, hour) order. Cells
     with fewer than ``min_years`` valid years, or whose yearly means are all
     tied, are left out of the result rather than reported with unusable
-    statistics. The first kept cell with a non-finite mean, or a centered
-    sum of squares that underflows to zero, raises the error ``mk_test``
-    or ``lag1_autocorrelation`` raises for it.
+    statistics. The first kept cell with a non-finite mean, a centered sum
+    of squares that underflows to zero, or an overflow, raises the error
+    ``mk_test``, ``lag1_autocorrelation`` or ``sen_slope`` raises for it.
     """
     if min_years < MIN_YEARS:
         raise ContractError(f"min_years must be at least {MIN_YEARS}")
-    found, bad = [], []
+    found, bad = [[np.empty(0, np.int64)] * 9], []  # one empty batch: no cell, no rows
     for cells, years, x in _year_groups(panel.years.astype(np.float64),
                                         *_cell_rows(panel, range(len(panel.labels)))):
         if years.size < min_years:
             continue
         finite = np.isfinite(x).all(axis=1)
-        bad += zip(cells[~finite], x[~finite])
-        s, var_s, z, p = _mk_rows(x[finite])
+        bad += zip(cells[~finite], x[~finite], repeat(years))
+        cells, x = cells[finite], x[finite]
+        d, dt = _pairs(x, years)
+        s, var_s, z, p = _mk_rows(x, d)
+        slope, (r1, _) = _sen_rows(d, dt), _lag1_rows(x)
         untied = var_s > 0
-        cells, x = cells[finite][untied], x[finite][untied]
-        r1, flat = _lag1_rows(x)
-        bad += zip(cells[flat], x[flat])
-        found.append((cells, np.full(len(cells), years.size), s[untied], var_s[untied],
-                      z[untied], p[untied], _sen_rows(x, years), r1,
-                      serial_flag(r1, years.size)))
+        undefined = untied & ~(np.isfinite(slope) & np.isfinite(r1))
+        bad += zip(cells[undefined], x[undefined], repeat(years))
+        found.append([v[untied] for v in (cells, np.full(len(cells), years.size), s, var_s,
+                                          z, p, slope, r1, serial_flag(r1, years.size))])
     if bad:
-        row = min(bad, key=itemgetter(0))[1]
+        _, row, years = min(bad, key=itemgetter(0))
         mk_test(row)
         lag1_autocorrelation(row)
-    if not found:
-        found = [(np.empty(0, np.int64),) + (np.empty(0),) * 8]
+        sen_slope(row, years)
     cells, *stats = map(np.concatenate, zip(*found))
     order = np.argsort(cells)
     station, cell = np.divmod(cells[order], len(panel.labels) * 24)
@@ -285,8 +299,8 @@ def hour_profiles(panel: NetworkPanel, window_label: str, kind: str) -> dict[str
     """Each station's 24-hour profile of one window, in sorted station order:
     Sen's slope across each cell's valid years (``kind="slope"``, two
     needed) or their mean (``"level"``, one needed; no other kind). The first
-    station and hour short of years, or with a non-finite slope input, raises.
-    This is the one-window case of ``window_profiles``."""
+    station and hour short of years, or whose slope ``sen_slope`` rejects,
+    raises. This is the one-window case of ``window_profiles``."""
     return next(window_profiles(panel, [window_label], kind))
 
 
@@ -294,10 +308,10 @@ def window_profiles(panel: NetworkPanel, window_labels: Sequence[str],
                     kind: str) -> Iterator[dict[str, np.ndarray]]:
     """``hour_profiles`` of each window of ``window_labels``, in order, from
     one pass: the cells of every station, selected window and hour are
-    grouped by their valid years, with one Sen kernel or mean per group.
-    The profiles come out bitwise as window by window. A window that
-    ``hour_profiles`` rejects raises its error when its turn comes, after
-    the windows before it have been yielded."""
+    grouped by their valid years, with one Sen kernel (and no Mann-Kendall)
+    or mean per group. The profiles come out bitwise as window by window. A
+    window that ``hour_profiles`` rejects raises its error at its turn,
+    after the windows before it have been yielded."""
     if kind not in ("slope", "level"):
         raise ContractError(f"unknown profile kind {kind!r}, expected 'slope' or 'level'")
     need = 2 if kind == "slope" else 1
@@ -307,17 +321,12 @@ def window_profiles(panel: NetworkPanel, window_labels: Sequence[str],
     means, valid = _cell_rows(panel, w)
     valid[:, unknown] = False
     n = valid.sum(axis=3)
-    bad = n < need
-    if kind == "slope":
-        bad |= (valid & ~np.isfinite(means)).any(axis=3)
-    failed = unknown | bad.any(axis=2)
-    # The cells of a failing station and window get no valid year, so they
-    # make up a group of their own, which is skipped.
-    valid[failed] = False
-    out = np.empty(means.shape[:3])
+    out = np.zeros(means.shape[:3])  # finite where no kernel runs
     for cells, t, x in _year_groups(panel.years.astype(np.float64), means, valid):
         if t.size >= need:
-            out.reshape(-1)[cells] = _sen_rows(x, t) if kind == "slope" else x.mean(axis=1)
+            out.reshape(-1)[cells] = _sen_rows(*_pairs(x, t)) if kind == "slope" else x.mean(axis=1)
+    bad = (n < need) | (~np.isfinite(out) if kind == "slope" else False)
+    failed = unknown | bad.any(axis=2)
     for w, label in enumerate(window_labels):
         if unknown[w]:
             raise ContractError(f"unknown window label {label!r} for scale {panel.scale}")
@@ -325,7 +334,7 @@ def window_profiles(panel: NetworkPanel, window_labels: Sequence[str],
             s = int(np.argmax(failed[:, w]))
             hour = int(np.argmax(bad[s, w]))
             if n[s, w, hour] >= need:
-                raise ContractError("Sen's slope input must be finite")
+                sen_slope(means[s, w, hour][valid[s, w, hour]], panel.years[valid[s, w, hour]])
             raise ContractError(f"station {panel.stations[s]}, window {label}, hour {hour}: " + (
                 f"need at least 2 valid years for slope features, have {n[s, w, hour]}"
                 if kind == "slope" else "no valid years for level features"))

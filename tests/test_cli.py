@@ -625,6 +625,21 @@ class TestConsoleScript:
         assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
 
+class TestTrendOverflow:
+    def test_overflowing_means_exit_one_and_write_nothing(self, tmp_path, capsys):
+        # Finite yearly means whose pair differences overflow: the trend
+        # stage once wrote sen_slope -inf and an empty lag1 for this cell,
+        # which contour then rejected.
+        panel = grid_panel(np.random.default_rng(16), n_years=4, valid_rate=1.0)
+        panel.means[0, :, 2, 7] = [1e308, -1e308, 1.5e308, -1.7e308]
+        write_panel(tmp_path / "panel.csv", [panel])
+        assert run("trend", "--panel", str(tmp_path / "panel.csv"),
+                   "--out", str(tmp_path / "trend.csv")) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: lag-1 autocorrelation overflows: centered sums are not finite")
+        assert not (tmp_path / "trend.csv").exists()
+
+
 class TestRaggedYears:
     """A panel file whose stations cover different years: S2 lacks a middle
     year and S3 starts two years after the others. ``trend``, ``cluster``

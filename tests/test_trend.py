@@ -7,7 +7,7 @@ from datetime import datetime
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -286,20 +286,25 @@ class TestKernelsMatchFormerScalarCode:
     """The row kernels, one row at a time, give the former functions' bits."""
 
     @given(st.lists(st.integers(-3, 3), min_size=3, max_size=12), st.sampled_from([0.1, 1.7]))
-    @settings(max_examples=100, deadline=None)
+    @profile_settings(100)
     def test_mk_test(self, xs, step):
         x = [v * step for v in xs]
         got = _outcome(lambda: astuple(mk_test(x)))
         assert repr(got) == repr(_outcome(oracles.mk_test_cell, x))
 
-    @given(st.lists(finite_values, min_size=2, max_size=12))
-    @settings(max_examples=100, deadline=None)
-    def test_sen_slope(self, x):
-        t = np.arange(len(x)) + 2000
+    @given(st.lists(st.tuples(finite_values, st.integers(0, 4)), min_size=2, max_size=12),
+           st.booleans())
+    @profile_settings(100)
+    def test_sen_slope(self, points, repeated):
+        # Distinct years, or times drawn from five values, so that some
+        # pairs share a time and drop out of the slopes.
+        x = [v for v, _ in points]
+        t = [2000 + k for _, k in points] if repeated else np.arange(len(x)) + 2000
+        assume(len(set(t)) >= 2)
         assert repr(sen_slope(x, t).slope) == repr(oracles.sen_slope_cell(x, t))
 
     @given(st.lists(finite_values, min_size=2, max_size=20))
-    @settings(max_examples=100, deadline=None)
+    @profile_settings(100)
     def test_lag1(self, x):
         got = _outcome(lag1_autocorrelation, x)
         assert repr(got) == repr(_outcome(oracles.lag1_cell, x))
@@ -311,7 +316,7 @@ class TestBatchedSurface:
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 9), st.integers(1, 5),
            st.sampled_from([0.1, 0.25, 1.7]), st.floats(0.3, 1.0), st.integers(3, 6))
-    @settings(max_examples=60, deadline=None)
+    @profile_settings(60)
     def test_surface_matches_per_cell_loop(self, seed, n_years, levels, step, rate, min_years):
         panel = grid_panel(np.random.default_rng(seed), n_years=n_years, levels=levels,
                            step=step, valid_rate=rate)
@@ -382,7 +387,7 @@ class TestBatchedSurface:
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(1, 5),
            st.floats(0.6, 1.0), st.sampled_from(["slope", "level"]))
-    @settings(max_examples=40, deadline=None)
+    @profile_settings(40)
     def test_profiles_match_per_cell_loop(self, seed, n_years, levels, rate, kind):
         rng = np.random.default_rng(seed)
         singles = [grid_panel(rng, sid, n_years=n_years, levels=levels, step=0.1,
@@ -506,3 +511,106 @@ class TestWindowProfiles:
                              np.empty(shape), np.empty(shape, np.int64))
         assert _window_outcomes(panel, ["Jan", "Feb", "Jan01-10"], "slope") == [
             {}, {}, (ContractError, "unknown window label 'Jan01-10' for scale 30d")]
+
+    def test_slope_profiles_compute_no_mann_kendall(self, monkeypatch):
+        # The profile pass forms Sen's slopes only: a Mann-Kendall statistic
+        # (its tie count and a p-value per cell) would double its time.
+        rng = np.random.default_rng(14)
+        singles = [grid_panel(rng, sid, n_years=n, levels=4, step=0.1, valid_rate=0.9)
+                   for sid, n in (("S1", 6), ("S2", 8))]
+        panel = stack_panels(singles)
+        want = _window_oracle(singles, panel.labels, "slope")
+        assert all(isinstance(profiles, dict) for profiles in want)
+
+        def no_mann_kendall(*args):
+            raise AssertionError("a slope profile computed a Mann-Kendall statistic")
+
+        monkeypatch.setattr(trend, "_mk_rows", no_mann_kendall)
+        with pytest.raises(AssertionError):
+            trend_surface(panel)
+        assert repr(_window_outcomes(panel, panel.labels, "slope")) == repr(want)
+
+
+# Finite yearly means whose pair differences and centered sums overflow.
+HUGE = [1e308, -1e308, 1.5e308, -1.7e308]
+SEN_OVERFLOW = (ContractError, "Sen's slope overflows: a pair slope or their median is not finite")
+LAG1_OVERFLOW = (ContractError, "lag-1 autocorrelation overflows: centered sums are not finite")
+
+
+class TestOverflow:
+    """Finite means whose pair slopes or centered sums overflow raise
+    ``ContractError`` (pyproject turns a numpy ``RuntimeWarning`` into an
+    error, so none may escape), and a trend surface or profile pass raises
+    it for the first such cell, in the order of its other bad cells."""
+
+    def test_mann_kendall_counts_overflowing_differences_by_sign(self):
+        got = mk_test(HUGE)
+        assert (got.s, got.var_s) == (oracles.mk_s_enumerated(HUGE),
+                                      oracles.mk_var_enumerated(HUGE))
+
+    @pytest.mark.parametrize("x,t", [
+        (HUGE, None),
+        # Every pair slope is finite, but the middle two sum past the largest double.
+        ([0.0, 1.7e308, 1.6e308], [0.0, 1.0, 1.0]),
+        # A finite difference over a small time step.
+        ([0.0, 1e300], [0.0, 1e-10]),
+    ])
+    def test_sen_slope(self, x, t):
+        assert _outcome(sen_slope, x, t) == SEN_OVERFLOW
+
+    @pytest.mark.parametrize("x", [
+        HUGE, [v / 1e148 for v in HUGE],
+        # The sum of squares overflows but the lag-1 sum does not: their
+        # ratio would read -0.0.
+        [0.0, 1.5e154] + [0.0] * 18,
+    ])
+    def test_lag1(self, x):
+        assert _outcome(lag1_autocorrelation, x) == LAG1_OVERFLOW
+
+    @pytest.mark.parametrize("first,second", [
+        ("huge", "nan"), ("nan", "huge"), ("large", "flat"), ("flat", "large")])
+    def test_surface_raises_for_the_first_bad_cell(self, first, second):
+        # S1 holds the first cell, S2 the second one at an earlier window
+        # and hour: S1 comes first in station order. The means at 1e160
+        # overflow the centered sums only.
+        cells = {"huge": HUGE, "large": [v / 1e148 for v in HUGE],
+                 "nan": [1.0, np.nan, 2.0, 3.0], "flat": [0.0, 1e-170, 0.0, 0.0]}
+        errors = {"huge": LAG1_OVERFLOW, "large": LAG1_OVERFLOW,
+                  "nan": (ContractError, "Mann-Kendall input must be finite"),
+                  "flat": (DegenerateDataError, "centered sum of squares is zero, "
+                                                "lag-1 autocorrelation is undefined")}
+        rng = np.random.default_rng(15)
+        s1, s2 = (grid_panel(rng, sid, n_years=4, levels=4, valid_rate=1.0)
+                  for sid in ("S1", "S2"))
+        s1.means[0, :, 4, 20] = cells[first]
+        s2.means[0, :, 1, 3] = cells[second]
+        assert _outcome(trend_surface, stack_panels([s1, s2])) == errors[first]
+        assert _outcome(trend_surface, s2) == errors[second]
+
+    @pytest.mark.parametrize("hour3,hour9,error", [
+        ("huge", None, SEN_OVERFLOW),
+        ("huge", "short", SEN_OVERFLOW),
+        ("short", "huge", (ContractError, "station S1, window {label}, hour 3: need at least "
+                                          "2 valid years for slope features, have 1")),
+        ("inf", "huge", (ContractError, "Sen's slope input must be finite")),
+        ("huge", "inf", SEN_OVERFLOW),
+    ])
+    def test_profiles_raise_at_the_window_turn(self, hour3, hour9, error):
+        rng = np.random.default_rng(17)
+        s1, s2 = (grid_panel(rng, sid, n_years=4, valid_rate=1.0) for sid in ("S1", "S2"))
+        for hour, cell in ((3, hour3), (9, hour9)):
+            if cell == "huge":
+                s1.means[0, :, 2, hour] = HUGE
+            elif cell == "inf":
+                s1.means[0, 1, 2, hour] = np.inf
+            elif cell == "short":
+                s1.counts[0, 1:, 2, hour] = 0
+        panel = stack_panels([s1, s2])
+        labels = panel.labels
+        got = _window_outcomes(panel, labels, "slope")
+        assert got[:2] == _window_oracle([s1, s2], labels[:2], "slope")
+        assert got[2:] == [(error[0], error[1].format(label=labels[2]))]
+        # Level profiles, the means of the same cells, do not overflow.
+        got = _window_outcomes(panel, labels, "level")
+        assert repr(got) == repr(_window_oracle([s1, s2], labels, "level"))
+        assert len(got) == len(labels)
