@@ -338,6 +338,22 @@ def repeats(keys: np.ndarray) -> np.ndarray:
     return repeat
 
 
+def repeated_cells(seen: np.ndarray, cell: np.ndarray, keyed: np.ndarray) -> np.ndarray:
+    """Whether each row of a block repeats a cell: a ``keyed`` row whose
+    cell (``cell`` holds the keyed rows' positions in the flat flags
+    ``seen``) an earlier block marked or an earlier row of the block holds
+    (``repeats``). Marks the cells. A block without a repeat marks as many
+    new cells as it has keyed rows: only a block with a repeat is sorted."""
+    repeat = np.zeros(len(keyed), bool)
+    span = seen[cell.min(initial=len(seen)):cell.max(initial=-1) + 1]
+    before = np.count_nonzero(span)
+    was = seen[cell]
+    seen[cell] = True
+    if was.any() or np.count_nonzero(span) - before != len(cell):
+        repeat[keyed] = was | repeats(cell)
+    return repeat
+
+
 def _is_data(row: list[str]) -> bool:
     """Whether a csv row is a data row: neither blank nor a header."""
     return bool(row) and (len(row) > 1 or bool(row[0].strip())) and (

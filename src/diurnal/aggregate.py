@@ -24,9 +24,9 @@ from typing import Iterable
 import numpy as np
 
 from ._util import (Piece, check_rows, csv_pieces, csv_prefix, factorize, fmt_column,
-                    parse_floats, parse_ints, repeats, sorted_ranks, station_blocks,
+                    parse_floats, parse_ints, repeated_cells, sorted_ranks, station_blocks,
                     unique_runs, write_blocks)
-from .errors import ContractError, EmptyInputError, ParseError
+from .errors import ContractError, EmptyInputError
 from .impute import MONTH_ABBR
 from .ingest import TemperatureSeries, binned_means, day_fields
 
@@ -231,14 +231,13 @@ def read_panel(path: str | Path) -> NetworkPanel:
     1 for every valid cell, and 0 in a year a station has no row for.
     Besides malformed fields, a row whose scale is not the first row's, with
     an hour outside 0-23, a valid flag other than 0 or 1, a label outside
-    its scale or a valid cell without a finite mean raises ``ParseError``
-    with its line, the first bad row of the file; so does a second row for
-    the same (station, year, window, hour) cell, once every row has been
-    read. Each block's rows are checked and then scattered onto one grid
-    (``_PanelGrid``), and its columns are dropped.
+    its scale, a valid cell without a finite mean or a second row for the
+    same (station, year, window, hour) cell raises ``ParseError`` with its
+    line, the first bad row of the file. Each block's rows are scattered
+    onto one grid (``_PanelGrid``) and checked, and its columns are dropped.
     """
     numbers: dict[str, int] = {}
-    first = grid = repeat = None  # repeat: the error of the first repeated cell of the file
+    first = grid = None
     for block, station in station_blocks(path, len(PANEL_HEADER), "panel rows", numbers):
         _, scale, year, label, hour, mean, valid = block.columns
         scale_index, window = window_index(factorize(scale), factorize(label))
@@ -248,6 +247,11 @@ def read_panel(path: str | Path) -> NetworkPanel:
         value, mean_bad = parse_floats(mean)
         flags, flag = factorize(valid)
         valid = (np.array(flags) == "1")[flag]
+        # Rows off the grid (every row, if the first row's scale is unknown)
+        # break a rule before the repeat rule.
+        grid = grid or _PanelGrid(_CALENDARS[SCALES[first]].n_windows)
+        on_grid = (scale_index == first) & (window >= 0) & (hour >= 0) & (hour <= 23)
+        repeat = grid.scatter(on_grid, station, year, window, hour, value, valid)
         check_rows(block, [
             (scale_index < 0, lambda row: f"unknown scale {row[1].strip()!r}"),
             (scale_index != first,
@@ -261,19 +265,10 @@ def read_panel(path: str | Path) -> NetworkPanel:
                                      f"scale {row[1].strip()}"),
             (valid & ~np.isfinite(value),
              lambda row: f"valid cell with non-finite mean {row[5].strip()!r}"),
+            (repeat, lambda row: f"station {row[0].strip()}: second row for year "
+                                 f"{int(row[2])}, window {row[3].strip()}, hour {int(row[4])}"),
         ])
-        calendar = _CALENDARS[SCALES[first]]
-        grid = grid or _PanelGrid(calendar.n_windows)
-        if repeat is not None:
-            continue
-        k = grid.scatter(station, year, window, hour, value, valid)
-        if k >= 0:
-            repeat = ParseError(f"station {list(numbers)[station[k]]}: second row for year "
-                                f"{year[k]}, window {calendar.labels[window[k]]}, "
-                                f"hour {hour[k]}", int(block.line_no[k]))
-    if repeat is not None:
-        raise repeat
-    return grid.panel(list(numbers), calendar)
+    return grid.panel(list(numbers), _CALENDARS[SCALES[first]])
 
 
 class _PanelGrid:
@@ -296,27 +291,22 @@ class _PanelGrid:
         self.means, self.seen = np.full(shape, np.nan), np.zeros(shape, bool)
         self.means[:len(means)], self.seen[:len(seen)] = means, seen
 
-    def scatter(self, station: np.ndarray, year: np.ndarray, window: np.ndarray,
-                hour: np.ndarray, value: np.ndarray, valid: np.ndarray) -> int:
-        """Set the cells of a block's rows; returns the index of the block's
-        first row whose cell an earlier row, in this block or an earlier
-        one, set, or -1. A block without such a row sets as many cells as it
-        has rows, and is told by that count."""
-        years, year_code = unique_runs(year)
-        pairs, pair = unique_runs(station * len(years) + year_code)
+    def scatter(self, keyed: np.ndarray, station: np.ndarray, year: np.ndarray,
+                window: np.ndarray, hour: np.ndarray, value: np.ndarray,
+                valid: np.ndarray) -> np.ndarray:
+        """Set the cells of a block's ``keyed`` rows to their values (NaN
+        where not valid); returns whether each row repeats a cell
+        (``repeated_cells``)."""
+        at = np.flatnonzero(keyed)
+        years, year_code = unique_runs(year[at])
+        pairs, pair = unique_runs(station[at] * len(years) + year_code)
         pair_station, pair_year = np.divmod(pairs, len(years))
         grid_row = np.array([self.rows.setdefault(key, len(self.rows)) for key in
                              zip(pair_station.tolist(), years[pair_year].tolist())], np.int64)
         self._fit()
-        cell = (grid_row[pair] * self.means.shape[1] + window) * 24 + hour
-        seen = self.seen.reshape(-1)
-        was = seen[cell]
-        before = np.count_nonzero(self.seen[grid_row])
-        seen[cell] = True
-        self.means.reshape(-1)[cell] = np.where(valid, value, np.nan)
-        if was.any() or np.count_nonzero(self.seen[grid_row]) - before != len(cell):
-            return int(np.argmax(was | repeats(cell)))
-        return -1
+        cell = (grid_row[pair] * self.means.shape[1] + window[at]) * 24 + hour[at]
+        self.means.reshape(-1)[cell] = np.where(valid, value, np.nan)[at]
+        return repeated_cells(self.seen.reshape(-1), cell, keyed)
 
     def panel(self, names: list[str], calendar: WindowCalendar) -> NetworkPanel:
         """The network panel, from the station ids by number and the file's

@@ -23,7 +23,6 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
 from ._util import parse_bool, undecoded_error
@@ -172,31 +171,22 @@ def _load_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _resolve(args: argparse.Namespace, opts: Sequence[_Opt],
-             config: Mapping[str, str]) -> SimpleNamespace:
-    allowed = {o.key: o for o in opts}
+def _config_defaults(path: str, opts: Sequence[_Opt]) -> dict[str, object]:
+    """The parsed value of each key of a config file, by option dest; the
+    whole file is checked before any value is used."""
+    config, allowed = _load_config(path), {o.key: o for o in opts}
     for key in config:
         if key not in allowed:
             raise ContractError(
                 f"unknown config key {key!r}; allowed: {', '.join(sorted(allowed))}")
     parsed = {}
-    for key, raw in config.items():  # validate the whole file before precedence
+    for key, raw in config.items():
         o = allowed[key]
         try:
-            parsed[key] = parse_bool(raw) if o.is_flag else o.parse(raw)
+            parsed[o.dest_name] = o.parse(raw)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ContractError(f"config key {key}: {exc}") from None
-    out = {}
-    for o in opts:
-        val = getattr(args, o.dest_name)
-        if val is None and o.key in parsed:
-            val = parsed[o.key]
-        if val is None:
-            if o.default is _REQUIRED:
-                raise ContractError(f"missing required option {o.flag}")
-            val = False if o.is_flag else o.default
-        out[o.dest_name] = val
-    return SimpleNamespace(**out)
+    return parsed
 
 
 def _add_command(subs, name: str, help_text: str, opts: Sequence[_Opt], run) -> None:
@@ -205,12 +195,11 @@ def _add_command(subs, name: str, help_text: str, opts: Sequence[_Opt], run) -> 
                     help="key=value file supplying defaults for the options below")
     for o in opts:
         if o.is_flag:
-            sp.add_argument(o.flag, dest=o.dest_name, action="store_true",
-                            default=None, help=o.help)
+            sp.add_argument(o.flag, dest=o.dest_name, action="store_true", help=o.help)
         else:
-            sp.add_argument(o.flag, dest=o.dest_name, type=o.parse, default=None,
+            sp.add_argument(o.flag, dest=o.dest_name, type=o.parse, default=o.default,
                             metavar=o.key.upper().replace("-", "_"), help=o.help)
-    sp.set_defaults(_run=run, _opts=tuple(opts))
+    sp.set_defaults(_run=run, _opts=tuple(opts), _parser=sp)
 
 
 # ---------------------------------------------------------------- synth
@@ -274,7 +263,7 @@ def _run_synth(ns) -> int:
 _IMPUTE_OPTS = (
     _Opt("--records", str, _REQUIRED, "input records CSV"),
     _Opt("--out", str, _REQUIRED, "output records CSV with gaps filled"),
-    _Opt("--to-hourly", parse_bool, None, "collapse a 30-minute series to hourly means "
+    _Opt("--to-hourly", parse_bool, False, "collapse a 30-minute series to hourly means "
          "after filling", is_flag=True),
 )
 
@@ -302,7 +291,7 @@ _AGGREGATE_OPTS = (
     _Opt("--records", str, _REQUIRED, "input records CSV (hourly, or 30m to be averaged)"),
     _Opt("--scale", _scale_arg, _REQUIRED, "window calendar: " + ", ".join(SCALES)),
     _Opt("--out", str, _REQUIRED, "output panel CSV"),
-    _Opt("--skip-missing", parse_bool, None, "aggregate around masked slots instead of "
+    _Opt("--skip-missing", parse_bool, False, "aggregate around masked slots instead of "
          "requiring an imputed series", is_flag=True),
 )
 
@@ -384,9 +373,7 @@ def _run_cluster(ns) -> int:
     config = DtwConfig(*ns.weights, lam=ns.lam, metric=ns.metric)
     meta = read_metadata(ns.meta) if ns.meta else None
     # Every window is clustered before the first file is written, so a
-    # window that fails leaves no output behind. The profiles of all windows
-    # come from one pass and their DTW matrices from one batched run, but a
-    # window's error is raised at its turn.
+    # window that fails leaves no output behind.
     results = []
     profiles = window_profiles(panel, windows, ns.features)
     for label, dist in zip(windows, window_dtw(profiles, config)):
@@ -488,9 +475,15 @@ def cli(argv: Sequence[str] | None = None) -> int:
     if not hasattr(args, "_run"):
         parser.error("a subcommand is required")
     try:
-        config = _load_config(args.config) if args.config else {}
-        ns = _resolve(args, args._opts, config)
-        return args._run(ns)
+        if args.config:
+            # The file's values are the defaults, so a command-line flag wins (argparse
+            # parses a text default again; each option's parser gives its text back).
+            args._parser.set_defaults(**_config_defaults(args.config, args._opts))
+            args = parser.parse_args(argv)
+        for o in args._opts:
+            if getattr(args, o.dest_name) is _REQUIRED:
+                raise ContractError(f"missing required option {o.flag}")
+        return args._run(args)
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

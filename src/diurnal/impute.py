@@ -44,8 +44,6 @@ def seasonal_split_impute(series: TemperatureSeries) -> TemperatureSeries:
                 f"station {series.station_id}: month pool {MONTH_ABBR[m - 1]} "
                 "has no observed values")
         pos = np.arange(idx.size, dtype=np.float64)
-        filled[idx] = np.interp(pos, pos[obs], series.values[idx][obs])
-    keep = ~series.missing
-    filled[keep] = series.values[keep]
+        filled[idx[~obs]] = np.interp(pos[~obs], pos[obs], series.values[idx][obs])
     return TemperatureSeries(series.station_id, series.start, series.step,
                              filled, np.zeros(series.n, dtype=bool))

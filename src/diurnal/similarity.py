@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ._util import csv_pieces, fmt, fmt_column, write_blocks, write_csv
-from .errors import ContractError, EmptyInputError, PipelineError, SampleTooSmallError
+from .errors import ContractError, EmptyInputError, SampleTooSmallError
 
 METRICS = ("absolute", "squared")
 
@@ -152,29 +152,23 @@ DTW_BATCH_JOBS = 1 << 11
 
 
 def window_dtw(windows: Iterable[Mapping[str, Sequence[float]]],
-               config: DtwConfig = DEFAULT_CONFIG) -> Iterator[DistanceMatrix]:
+               config: DtwConfig = DEFAULT_CONFIG) -> list[DistanceMatrix]:
     """``pairwise_dtw`` of each window's profiles, in order, with the
     station pairs of every window run together: one ``_dtw_batch`` call per
     profile-length pair and chunk of at most ``DTW_BATCH_JOBS`` jobs. Each
     entry is a job's own column of the kernel, so the matrices are bitwise
-    as window by window.
-
-    Windows are read up to the first that raises a ``PipelineError``, in
-    the iterable or in ``pairwise_dtw``'s checks; the matrices of the
-    windows before it are yielded, then its error is raised.
+    as window by window. Every window's profiles are checked before any
+    DTW runs, and the first window that fails ``pairwise_dtw``'s checks
+    raises its error.
     """
     labels: list[list[str]] = []
     arrays: list[np.ndarray] = []
-    error = None
-    try:
-        for profiles in windows:
-            names = sorted(profiles)
-            if len(names) < 2:
-                raise SampleTooSmallError("pairwise DTW needs at least 2 profiles")
-            arrays += _dtw_inputs([profiles[lab] for lab in names])
-            labels.append(names)
-    except PipelineError as exc:
-        error = exc
+    for profiles in windows:
+        names = sorted(profiles)
+        if len(names) < 2:
+            raise SampleTooSmallError("pairwise DTW needs at least 2 profiles")
+        arrays += _dtw_inputs([profiles[lab] for lab in names])
+        labels.append(names)
     # Job k runs profile first[k] against second[k], both numbered across
     # the windows: each window's (a, b) jobs, then its (b, a) jobs when the
     # side weights differ.
@@ -203,15 +197,15 @@ def window_dtw(windows: Iterable[Mapping[str, Sequence[float]]],
         for part in np.array_split(jobs, -(-jobs.size // DTW_BATCH_JOBS)):
             totals[part] = _dtw_batch(stacks[len_a].take(column[first[part]], axis=1),
                                       stacks[len_b].take(column[second[part]], axis=1), config)
+    out = []
     for names, runs in zip(labels, np.split(totals, np.cumsum(counts)[:-1])):
         n = len(names)
         iu, ju = np.triu_indices(n, 1)
         values = np.zeros((n, n))
         # With one direction run, the (a, b) and (b, a) costs are the same.
         values[iu, ju] = values[ju, iu] = 0.5 * (runs[:iu.size] + runs[-iu.size:])
-        yield DistanceMatrix(names, values)
-    if error is not None:
-        raise error
+        out.append(DistanceMatrix(names, values))
+    return out
 
 
 def pairwise_dtw(profiles: Mapping[str, Sequence[float]],
@@ -226,7 +220,7 @@ def pairwise_dtw(profiles: Mapping[str, Sequence[float]],
     bit and only the (a, b) job runs. This is the one-window case of
     ``window_dtw``.
     """
-    return next(window_dtw([profiles], config))
+    return window_dtw([profiles], config)[0]
 
 
 @dataclass(frozen=True)

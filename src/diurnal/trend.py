@@ -27,7 +27,7 @@ import numpy as np
 
 from ._util import (BLOCK_LINES, Block, ColumnTable, check_rows, csv_pieces, factorize,
                     fmt_column, parse_bool, parse_each, parse_float, parse_floats,
-                    parse_ints, repeats, station_blocks, unique_runs, write_blocks)
+                    parse_ints, repeated_cells, station_blocks, unique_runs, write_blocks)
 from .aggregate import SCALES, NetworkPanel, window_index
 from .errors import (
     ContractError,
@@ -261,7 +261,8 @@ def trend_surface(panel: NetworkPanel, min_years: int = MIN_YEARS) -> TrendTable
     tied, are left out of the result rather than reported with unusable
     statistics. The first kept cell with a non-finite mean, a centered sum
     of squares that underflows to zero, or an overflow, raises the error
-    ``mk_test``, ``lag1_autocorrelation`` or ``sen_slope`` raises for it.
+    ``mk_test``, ``lag1_autocorrelation`` or ``sen_slope`` raises for it,
+    prefixed with ``station S, window W, hour H: ``.
     """
     if min_years < MIN_YEARS:
         raise ContractError(f"min_years must be at least {MIN_YEARS}")
@@ -282,10 +283,15 @@ def trend_surface(panel: NetworkPanel, min_years: int = MIN_YEARS) -> TrendTable
         found.append([v[untied] for v in (cells, np.full(len(cells), years.size), s, var_s,
                                           z, p, slope, r1, serial_flag(r1, years.size))])
     if bad:
-        _, row, years = min(bad, key=itemgetter(0))
-        mk_test(row)
-        lag1_autocorrelation(row)
-        sen_slope(row, years)
+        cell, row, years = min(bad, key=itemgetter(0))
+        station, cell = divmod(int(cell), len(panel.labels) * 24)
+        try:
+            mk_test(row)
+            lag1_autocorrelation(row)
+            sen_slope(row, years)
+        except ContractError as exc:
+            raise type(exc)(f"station {panel.stations[station]}, window "
+                            f"{panel.labels[cell // 24]}, hour {cell % 24}: {exc}") from None
     cells, *stats = map(np.concatenate, zip(*found))
     order = np.argsort(cells)
     station, cell = np.divmod(cells[order], len(panel.labels) * 24)
@@ -299,19 +305,19 @@ def hour_profiles(panel: NetworkPanel, window_label: str, kind: str) -> dict[str
     """Each station's 24-hour profile of one window, in sorted station order:
     Sen's slope across each cell's valid years (``kind="slope"``, two
     needed) or their mean (``"level"``, one needed; no other kind). The first
-    station and hour short of years, or whose slope ``sen_slope`` rejects,
-    raises. This is the one-window case of ``window_profiles``."""
-    return next(window_profiles(panel, [window_label], kind))
+    station and hour short of years, whose slope ``sen_slope`` rejects or
+    whose mean is not finite, raises. This is the one-window case of
+    ``window_profiles``."""
+    return window_profiles(panel, [window_label], kind)[0]
 
 
 def window_profiles(panel: NetworkPanel, window_labels: Sequence[str],
-                    kind: str) -> Iterator[dict[str, np.ndarray]]:
+                    kind: str) -> list[dict[str, np.ndarray]]:
     """``hour_profiles`` of each window of ``window_labels``, in order, from
     one pass: the cells of every station, selected window and hour are
     grouped by their valid years, with one Sen kernel (and no Mann-Kendall)
-    or mean per group. The profiles come out bitwise as window by window. A
-    window that ``hour_profiles`` rejects raises its error at its turn,
-    after the windows before it have been yielded."""
+    or mean per group. The profiles come out bitwise as window by window.
+    The first window that ``hour_profiles`` rejects raises its error."""
     if kind not in ("slope", "level"):
         raise ContractError(f"unknown profile kind {kind!r}, expected 'slope' or 'level'")
     need = 2 if kind == "slope" else 1
@@ -322,23 +328,26 @@ def window_profiles(panel: NetworkPanel, window_labels: Sequence[str],
     valid[:, unknown] = False
     n = valid.sum(axis=3)
     out = np.zeros(means.shape[:3])  # finite where no kernel runs
-    for cells, t, x in _year_groups(panel.years.astype(np.float64), means, valid):
-        if t.size >= need:
-            out.reshape(-1)[cells] = _sen_rows(*_pairs(x, t)) if kind == "slope" else x.mean(axis=1)
-    bad = (n < need) | (~np.isfinite(out) if kind == "slope" else False)
-    failed = unknown | bad.any(axis=2)
+    # A mean that overflows is inf, without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cells, t, x in _year_groups(panel.years.astype(np.float64), means, valid):
+            if t.size >= need:
+                out.reshape(-1)[cells] = (_sen_rows(*_pairs(x, t)) if kind == "slope"
+                                          else x.mean(axis=1))
+    bad = (n < need) | ~np.isfinite(out)
     for w, label in enumerate(window_labels):
         if unknown[w]:
             raise ContractError(f"unknown window label {label!r} for scale {panel.scale}")
-        if failed[:, w].any():
-            s = int(np.argmax(failed[:, w]))
-            hour = int(np.argmax(bad[s, w]))
-            if n[s, w, hour] >= need:
+        if bad[:, w].any():
+            s, hour = np.argwhere(bad[:, w])[0].tolist()
+            have = n[s, w, hour]
+            if kind == "slope" and have >= need:
                 sen_slope(means[s, w, hour][valid[s, w, hour]], panel.years[valid[s, w, hour]])
             raise ContractError(f"station {panel.stations[s]}, window {label}, hour {hour}: " + (
-                f"need at least 2 valid years for slope features, have {n[s, w, hour]}"
-                if kind == "slope" else "no valid years for level features"))
-        yield {sid: out[s, w] for s, sid in enumerate(panel.stations)}
+                f"need at least 2 valid years for slope features, have {have}"
+                if kind == "slope" else "mean of the valid years is not finite" if have
+                else "no valid years for level features"))
+    return [dict(zip(panel.stations, out[:, k])) for k in range(len(window_labels))]
 
 
 def table_windows(table) -> np.ndarray:
@@ -410,9 +419,7 @@ def _trend_columns(block: Block, station: np.ndarray,
     # repeats. A row off the grid breaks a rule before this one.
     cell = station * _STATION_CELLS + (scale_index * 36 + window) * 24 + hour
     on_grid = (scale_index >= 0) & (window >= 0) & (hour >= 0) & (hour <= 23)
-    repeat = np.zeros(len(cell), bool)
-    repeat[on_grid] = seen[cell[on_grid]] | repeats(cell[on_grid])
-    seen[cell[on_grid]] = True
+    repeat = repeated_cells(seen, cell[on_grid], on_grid)
     check_rows(block, [
         (scale_index < 0, lambda row: f"unknown scale {row[1].strip()!r}"),
         (malformed, lambda row: "malformed numeric field"),

@@ -308,9 +308,22 @@ def _year_series(panel, s, label, hour):
     return np.asarray(panel.years, dtype=np.int64)[valid], panel.means[s, valid, w, hour]
 
 
+def _trend_cell(vals, years):
+    """One cell's (n, S, var_S, z, p, Sen's slope, lag-1, serial flag), or
+    None where its values are all tied."""
+    try:
+        n, S, var_s, z, p = mk_test_cell(vals)
+    except DegenerateDataError:
+        return None
+    r1 = lag1_cell(vals)
+    return (n, S, var_s, z, p, sen_slope_cell(vals, years), r1,
+            abs(r1) > 1.96 / math.sqrt(years.size))
+
+
 def trend_surface_cells(panel, min_years=3) -> list:
     """Former ``trend_surface``: one MK, Sen and lag-1 call per cell, station
-    by station, each cell a tuple of the ``TREND_HEADER`` fields."""
+    by station, each cell a tuple of the ``TREND_HEADER`` fields; a cell's
+    error is prefixed with its station, window and hour."""
     cells = []
     for s, sid in enumerate(panel.stations):
         for label in panel.labels:
@@ -319,13 +332,11 @@ def trend_surface_cells(panel, min_years=3) -> list:
                 if years.size < min_years:
                     continue
                 try:
-                    n, S, var_s, z, p = mk_test_cell(vals)
-                except DegenerateDataError:
-                    continue
-                r1 = lag1_cell(vals)
-                cells.append((sid, panel.scale, label, hour, n, S, var_s, z, p,
-                              sen_slope_cell(vals, years), r1,
-                              abs(r1) > 1.96 / math.sqrt(years.size)))
+                    stats = _trend_cell(vals, years)
+                except ContractError as exc:
+                    raise type(exc)(f"station {sid}, window {label}, hour {hour}: {exc}") from None
+                if stats is not None:
+                    cells.append((sid, panel.scale, label, hour, *stats))
     return cells
 
 
@@ -348,7 +359,12 @@ def hour_profile_cells(panel, label, kind) -> dict:
                     raise ContractError(
                         f"station {sid}, window {label}, hour {hour}: "
                         "no valid years for level features")
-                vals.append(float(v.mean()))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    vals.append(float(v.mean()))
+                if not math.isfinite(vals[-1]):
+                    raise ContractError(
+                        f"station {sid}, window {label}, hour {hour}: "
+                        "mean of the valid years is not finite")
         out[sid] = np.asarray(vals)
     return out
 
@@ -632,11 +648,8 @@ def read_panel_rows(path):
     """Panel CSV read, row by row, into one network panel, with the row
     checks of the columnar reader in its order: scale, the first row's
     scale, malformed fields, hour in 0-23, valid flag 0 or 1, label of its
-    scale, finite mean where valid. A second row for a cell is an error
-    too, but the first such row's error is raised only once every row has
-    been read, so a bad row after it still wins."""
+    scale, finite mean where valid, first row for its cell."""
     rows, first = {}, None
-    repeat = None
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, row in table_rows(fh, 7):
             sid, scale, year, label, hour, mean, valid = (f.strip() for f in row)
@@ -660,14 +673,12 @@ def read_panel_rows(path):
             if cell[4] and not math.isfinite(cell[3]):
                 raise ParseError(f"valid cell with non-finite mean {mean!r}", line_no)
             cells = rows.setdefault(sid, {})
-            if cell[:3] in cells and repeat is None:
-                repeat = ParseError(f"station {sid}: second row for year {cell[0]}, "
-                                    f"window {label}, hour {cell[2]}", line_no)
+            if cell[:3] in cells:
+                raise ParseError(f"station {sid}: second row for year {cell[0]}, "
+                                 f"window {label}, hour {cell[2]}", line_no)
             cells[cell[:3]] = cell[3:]
     if not rows:
         raise EmptyInputError(f"no panel rows found in {path}")
-    if repeat is not None:
-        raise repeat
     cal = build_calendar(first)
     stations = sorted(rows)
     years = sorted({y for cells in rows.values() for y, _, _ in cells})

@@ -525,14 +525,17 @@ class TestNothingWrittenOnFailure:
         assert capsys.readouterr().out == ""
         assert not out.exists()
 
-    def test_k_above_station_count_beats_a_later_short_window(self, three_stations,
-                                                               tmp_path, capsys):
-        # S1 is short of years in Jul; Jan, the first window, already fails
-        # on --k.
+    def test_later_short_window_beats_k_above_station_count(self, three_stations,
+                                                             tmp_path, capsys):
+        # S1 is short of years in Jul; Jan, the first window, would fail on
+        # --k, but every window's profiles are checked before any is
+        # clustered.
         out = tmp_path / "c"
         assert run("cluster", "--panel", str(three_stations), "--out-dir", str(out),
                    "--k", "4") == 1
-        assert capsys.readouterr().err.strip() == "error: k must be in 1..3, got 4"
+        assert capsys.readouterr().err.strip() == (
+            "error: station S1, window Jul, hour 3: "
+            "need at least 2 valid years for slope features, have 1")
         assert not out.exists()
 
     def test_first_of_two_short_windows_is_named(self, tmp_path, capsys):
@@ -636,8 +639,25 @@ class TestTrendOverflow:
         assert run("trend", "--panel", str(tmp_path / "panel.csv"),
                    "--out", str(tmp_path / "trend.csv")) == 1
         assert capsys.readouterr().err.strip() == (
-            "error: lag-1 autocorrelation overflows: centered sums are not finite")
+            "error: station S1, window May-Jun, hour 7: "
+            "lag-1 autocorrelation overflows: centered sums are not finite")
         assert not (tmp_path / "trend.csv").exists()
+
+    @pytest.mark.parametrize("command,options", [
+        ("cluster", ("--out-dir", "out", "--k", "2", "--features", "level")),
+        ("dcor", ("--out", "out", "--n-perm", "99"))])
+    def test_overflowing_level_mean_exits_one_and_writes_nothing(self, tmp_path, capsys,
+                                                                 command, options):
+        # Three finite years at 1.7e308 whose mean overflows.
+        rng = np.random.default_rng(17)
+        panels = [grid_panel(rng, sid, n_years=3, valid_rate=1.0) for sid in ("S1", "S2", "S3")]
+        panels[1].means[0, :, 4, 2] = 1.7e308
+        write_panel(tmp_path / "panel.csv", panels)
+        options = [str(tmp_path / v) if v == "out" else v for v in options]
+        assert run(command, "--panel", str(tmp_path / "panel.csv"), *options) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: station S2, window Sep-Oct, hour 2: mean of the valid years is not finite")
+        assert not (tmp_path / "out").exists()
 
 
 class TestRaggedYears:

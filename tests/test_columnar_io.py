@@ -557,6 +557,20 @@ class TestPanelReader:
                 read_panel(path)
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize("block", [4, 1 << 14], ids=["later-block", "same-block"])
+    def test_repeat_beats_a_later_malformed_row(self, tmp_path, monkeypatch, block):
+        # Line 4 repeats line 2's cell and line 6 is malformed. At 4 lines
+        # a block, line 6 is in the second block; else both are in one.
+        path = tmp_path / "panel.csv"
+        path.write_text("station_id,scale,year,window_label,hour,mean_temp,valid\n"
+                        "T01,30d,2000,Jan,0,1.5,1\nT01,30d,2000,Jan,1,1.5,1\n"
+                        "T01,30d,2000,Jan,0,2.5,1\nT01,30d,2000,Jan,2,1.5,1\n"
+                        "T01,30d,2000,Jan,3,zz,1\n")
+        monkeypatch.setattr(_util, "BLOCK_LINES", block)
+        with pytest.raises(ParseError) as exc:
+            read_panel(path)
+        assert str(exc.value) == "line 4: station T01: second row for year 2000, window Jan, hour 0"
+
     def test_repeated_cell_across_blocks_reports_its_lowest_line(self, tmp_path, block_lines):
         # The last station's last cell repeats at line 6 and the first
         # station's first cell at line 7; the first in key order is not the

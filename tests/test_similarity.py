@@ -215,61 +215,79 @@ class TestWindowDtw:
     """``window_dtw`` runs the station pairs of every window together, one
     kernel call per profile-length pair and job chunk. Each window's matrix
     must be ``pairwise_dtw``'s bit for bit, and a failing window must raise
-    at its turn."""
+    before any DTW runs."""
 
     @given(st.lists(profile_window, min_size=1, max_size=5), st.integers(1, 40))
     @profile_settings(60)
     def test_matches_pairwise_dtw_window_by_window(self, windows, batch):
         for cfg in KERNEL_CONFIGS.values():
             with mock.patch.object(similarity, "DTW_BATCH_JOBS", batch):
-                got = list(window_dtw(windows, cfg))
+                got = window_dtw(windows, cfg)
             want = [pairwise_dtw(profiles, cfg) for profiles in windows]
             assert [d.labels for d in got] == [d.labels for d in want]
             for g, w in zip(got, want):
                 assert g.values.tobytes() == w.values.tobytes()
 
-    @pytest.mark.parametrize("bad,error", [
-        ({"A": [1.0]}, SampleTooSmallError), ({"A": [1.0], "B": []}, EmptyInputError),
-        ({"A": [np.nan], "B": [1.0]}, ContractError)], ids=["one", "empty", "nan"])
-    def test_failing_window_raises_after_the_windows_before_it(self, bad, error):
-        good = {"A": [1.0, 2.0], "B": [0.0], "C": [3.0, 1.0]}
-        got = window_dtw([good, dict(good, B=[5.0]), bad, good])
-        assert next(got).values.tobytes() == pairwise_dtw(good).values.tobytes()
-        assert next(got).get("A", "B") == pairwise_dtw({"A": [1.0, 2.0], "B": [5.0]}).values[0, 1]
-        with pytest.raises(error):
-            next(got)
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """The job count of every ``_dtw_batch`` call."""
+        calls, kernel = [], similarity._dtw_batch
 
-    def test_error_of_the_windows_iterable_raises_at_its_turn(self):
+        def counted(x, y, config):
+            calls.append(x.shape[1])
+            return kernel(x, y, config)
+
+        monkeypatch.setattr(similarity, "_dtw_batch", counted)
+        return calls
+
+    @pytest.mark.parametrize("bad,error", [
+        ({"A": [1.0]}, (SampleTooSmallError, "pairwise DTW needs at least 2 profiles")),
+        ({"A": [1.0], "B": []}, (EmptyInputError, "DTW inputs must be non-empty")),
+        ({"A": [np.nan], "B": [1.0]}, (ContractError, "DTW inputs must be finite"))],
+        ids=["one", "empty", "nan"])
+    def test_failing_window_raises_before_any_dtw_runs(self, kernel_calls, bad, error):
+        good = {"A": [1.0, 2.0], "B": [0.0], "C": [3.0, 1.0]}
+        with pytest.raises(error[0]) as exc:
+            window_dtw([good, dict(good, B=[5.0]), bad, good])
+        assert str(exc.value) == error[1]
+        assert kernel_calls == []
+        assert len(window_dtw([good, dict(good, B=[5.0])])) == 2
+        assert kernel_calls
+
+    def test_error_of_the_windows_iterable_raises_before_any_dtw_runs(self, kernel_calls):
         def windows():
             yield {"A": [1.0, 2.0], "B": [0.0]}
             raise ContractError("second window")
 
-        got = window_dtw(windows())
-        assert next(got).get("A", "B") == dtw_distance([1.0, 2.0], [0.0])
         with pytest.raises(ContractError, match="^second window$"):
-            next(got)
+            window_dtw(windows())
+        assert kernel_calls == []
 
     @pytest.mark.parametrize("batch,weights,calls", [
         (similarity.DTW_BATCH_JOBS, "1,1,2", [72]), (10, "1,1,2", [9] * 8),
         (10, "0.5,1,2", [10] * 9 + [9] * 6)])
     def test_cluster_run_calls_the_kernel_once_per_chunk(self, tmp_path, monkeypatch,
-                                                          batch, weights, calls):
+                                                          kernel_calls, batch, weights, calls):
         # 4 stations at 30d: 12 windows of 6 pairs, all of 24-hour profiles.
         rng = np.random.default_rng(3)
         write_panel(tmp_path / "panel.csv", [
             grid_panel(rng, f"S{i}", "30d", levels=40, step=0.1, valid_rate=1.0,
                        years=range(2001, 2007)) for i in range(4)])
-        sizes, kernel = [], similarity._dtw_batch
-
-        def counted(x, y, config):
-            sizes.append(x.shape[1])
-            return kernel(x, y, config)
-
-        monkeypatch.setattr(similarity, "_dtw_batch", counted)
         monkeypatch.setattr(similarity, "DTW_BATCH_JOBS", batch)
         assert cli(["cluster", "--panel", str(tmp_path / "panel.csv"), "--out-dir",
                     str(tmp_path / "out"), "--k", "2", "--weights", weights]) == 0
-        assert sizes == calls
+        assert kernel_calls == calls
+
+    def test_cluster_run_with_a_failing_window_runs_no_dtw(self, tmp_path, kernel_calls):
+        # S1 is short of years in Jul: the windows before it are not run.
+        rng = np.random.default_rng(4)
+        panels = [grid_panel(rng, f"S{i}", "30d", valid_rate=1.0, years=range(2001, 2004))
+                  for i in range(3)]
+        panels[0].counts[0, 1:, 6, 3] = 0
+        write_panel(tmp_path / "panel.csv", panels)
+        assert cli(["cluster", "--panel", str(tmp_path / "panel.csv"), "--out-dir",
+                    str(tmp_path / "out"), "--k", "2"]) == 1
+        assert kernel_calls == []
 
 
 class TestDtwKernelMemory:

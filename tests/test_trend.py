@@ -425,33 +425,24 @@ def _per_station_profiles(singles, label, kind):
 
 
 def _window_outcomes(panel, labels, kind):
-    """What ``window_profiles`` yields, each window's profiles as lists,
-    then the type and message of the error it raises, if one."""
-    got = []
-    try:
-        for profiles in window_profiles(panel, labels, kind):
-            got.append({sid: v.tolist() for sid, v in profiles.items()})
-    except PipelineError as exc:
-        got.append((type(exc), str(exc)))
-    return got
+    """What ``window_profiles`` returns, each window's profiles as lists,
+    or the type and message of the error it raises."""
+    return _outcome(lambda: [{sid: v.tolist() for sid, v in profiles.items()}
+                             for profiles in window_profiles(panel, labels, kind)])
 
 
 def _window_oracle(singles, labels, kind):
-    """The per-cell loop window by window, up to the first error."""
-    want = []
-    for label in labels:
-        want.append(_outcome(lambda: {sid: v.tolist() for sid, v in _per_station_profiles(
-            singles, label, kind).items()}))
-        if not isinstance(want[-1], dict):
-            break
-    return want
+    """The per-cell loop window by window: every window's profiles, or the
+    first error."""
+    return _outcome(lambda: [{sid: v.tolist() for sid, v in _per_station_profiles(
+        singles, label, kind).items()} for label in labels])
 
 
 class TestWindowProfiles:
     """``window_profiles`` of a network panel whose stations have their own
     years, one pass over every window, against the per-cell loop window by
-    window on each station's own panel: bitwise profiles, and the first
-    failing window's error after the windows before it."""
+    window on each station's own panel: a list of bitwise profiles, or the
+    first failing window's error and nothing before it."""
 
     @given(st.integers(0, 2**32 - 1), st.lists(st.integers(2, 8), min_size=1, max_size=4),
            st.integers(1, 5), st.sampled_from([0.6, 0.9, 0.97, 1.0]),
@@ -469,10 +460,10 @@ class TestWindowProfiles:
         labels = list(rng.permutation(panel.labels)[:rng.integers(1, 7)])
         got = _window_outcomes(panel, labels, kind)
         assert repr(got) == repr(_window_oracle(singles, labels, kind))
-        for k, label in enumerate(labels[:len(got)]):
-            one = _outcome(hour_profiles, panel, label, kind)
-            assert repr(got[k]) == repr({sid: v.tolist() for sid, v in one.items()}
-                                        if isinstance(one, dict) else one)
+        ones = [_outcome(hour_profiles, panel, label, kind) for label in labels]
+        failed = [one for one in ones if not isinstance(one, dict)]
+        assert repr(got) == repr(failed[0] if failed else [
+            {sid: v.tolist() for sid, v in one.items()} for one in ones])
 
     def test_first_failing_window_is_named_not_the_first_station(self):
         # S1 is short of years in the second window, S2 in the first.
@@ -483,11 +474,11 @@ class TestWindowProfiles:
         panel = stack_panels([s1, s2])
         labels = panel.labels
         got = _window_outcomes(panel, labels, "slope")
-        assert got == [(ContractError, f"station S2, window {labels[0]}, hour 7: "
-                                       "need at least 2 valid years for slope features, have 1")]
+        assert got == (ContractError, f"station S2, window {labels[0]}, hour 7: "
+                                      "need at least 2 valid years for slope features, have 1")
         got = _window_outcomes(panel, labels[1:], "slope")
-        assert got == [(ContractError, f"station S1, window {labels[1]}, hour 4: "
-                                       "need at least 2 valid years for slope features, have 1")]
+        assert got == (ContractError, f"station S1, window {labels[1]}, hour 4: "
+                                      "need at least 2 valid years for slope features, have 1")
 
     @pytest.mark.parametrize("batch", [1, 50, 1000])
     def test_batches_do_not_change_results(self, monkeypatch, batch):
@@ -505,12 +496,19 @@ class TestWindowProfiles:
         assert repr(got) == repr(want)
 
     def test_no_stations(self):
-        # A label outside the scale raises at its turn, with or without stations.
+        # A label outside the scale raises, with or without stations.
         shape = (0, 0, 12, 24)
         panel = NetworkPanel("30d", [], [], list(build_calendar("30d").labels),
                              np.empty(shape), np.empty(shape, np.int64))
-        assert _window_outcomes(panel, ["Jan", "Feb", "Jan01-10"], "slope") == [
-            {}, {}, (ContractError, "unknown window label 'Jan01-10' for scale 30d")]
+        assert _window_outcomes(panel, ["Jan", "Feb"], "slope") == [{}, {}]
+        assert _window_outcomes(panel, ["Jan", "Feb", "Jan01-10"], "slope") == (
+            ContractError, "unknown window label 'Jan01-10' for scale 30d")
+
+    def test_returns_a_list(self):
+        panel = grid_panel(np.random.default_rng(13), n_years=3, valid_rate=1.0)
+        got = window_profiles(panel, panel.labels[:2], "level")
+        assert isinstance(got, list)
+        assert [list(profiles) for profiles in got] == [["S1"], ["S1"]]
 
     def test_slope_profiles_compute_no_mann_kendall(self, monkeypatch):
         # The profile pass forms Sen's slopes only: a Mann-Kendall statistic
@@ -520,7 +518,7 @@ class TestWindowProfiles:
                    for sid, n in (("S1", 6), ("S2", 8))]
         panel = stack_panels(singles)
         want = _window_oracle(singles, panel.labels, "slope")
-        assert all(isinstance(profiles, dict) for profiles in want)
+        assert isinstance(want, list)
 
         def no_mann_kendall(*args):
             raise AssertionError("a slope profile computed a Mann-Kendall statistic")
@@ -538,7 +536,7 @@ LAG1_OVERFLOW = (ContractError, "lag-1 autocorrelation overflows: centered sums 
 
 
 class TestOverflow:
-    """Finite means whose pair slopes or centered sums overflow raise
+    """Finite means whose pair slopes, centered sums or mean overflow raise
     ``ContractError`` (pyproject turns a numpy ``RuntimeWarning`` into an
     error, so none may escape), and a trend surface or profile pass raises
     it for the first such cell, in the order of its other bad cells."""
@@ -584,8 +582,12 @@ class TestOverflow:
                   for sid in ("S1", "S2"))
         s1.means[0, :, 4, 20] = cells[first]
         s2.means[0, :, 1, 3] = cells[second]
-        assert _outcome(trend_surface, stack_panels([s1, s2])) == errors[first]
-        assert _outcome(trend_surface, s2) == errors[second]
+        kind, message = errors[first]
+        assert _outcome(trend_surface, stack_panels([s1, s2])) == (
+            kind, f"station S1, window Sep-Oct, hour 20: {message}")
+        kind, message = errors[second]
+        assert _outcome(trend_surface, s2) == (
+            kind, f"station S2, window Mar-Apr, hour 3: {message}")
 
     @pytest.mark.parametrize("hour3,hour9,error", [
         ("huge", None, SEN_OVERFLOW),
@@ -595,7 +597,7 @@ class TestOverflow:
         ("inf", "huge", (ContractError, "Sen's slope input must be finite")),
         ("huge", "inf", SEN_OVERFLOW),
     ])
-    def test_profiles_raise_at_the_window_turn(self, hour3, hour9, error):
+    def test_profiles_raise_the_first_failing_window_error(self, hour3, hour9, error):
         rng = np.random.default_rng(17)
         s1, s2 = (grid_panel(rng, sid, n_years=4, valid_rate=1.0) for sid in ("S1", "S2"))
         for hour, cell in ((3, hour3), (9, hour9)):
@@ -607,10 +609,28 @@ class TestOverflow:
                 s1.counts[0, 1:, 2, hour] = 0
         panel = stack_panels([s1, s2])
         labels = panel.labels
-        got = _window_outcomes(panel, labels, "slope")
-        assert got[:2] == _window_oracle([s1, s2], labels[:2], "slope")
-        assert got[2:] == [(error[0], error[1].format(label=labels[2]))]
-        # Level profiles, the means of the same cells, do not overflow.
+        # Window 2 fails, and nothing of windows 0 and 1 is returned.
+        assert _window_outcomes(panel, labels, "slope") == (
+            error[0], error[1].format(label=labels[2]))
+        assert _window_outcomes(panel, labels[:2], "slope") == _window_oracle(
+            [s1, s2], labels[:2], "slope")
+        # Level profiles, the means of the same cells, do not overflow; an
+        # infinite year makes its cell's mean infinite, which is an error.
         got = _window_outcomes(panel, labels, "level")
         assert repr(got) == repr(_window_oracle([s1, s2], labels, "level"))
-        assert len(got) == len(labels)
+        assert isinstance(got, list) == ("inf" not in (hour3, hour9))
+
+    @pytest.mark.parametrize("cell", [[1.7e308] * 3, [1.0, np.inf, 2.0], [np.inf, -np.inf, 0.0]],
+                             ids=["overflow", "inf", "inf-minus-inf"])
+    def test_level_profiles_reject_a_mean_that_is_not_finite(self, cell):
+        # Three finite years at 1.7e308 sum past the largest double: the
+        # level once came out inf, with a numpy warning as the only sign.
+        rng = np.random.default_rng(18)
+        s1, s2 = (grid_panel(rng, sid, n_years=3, valid_rate=1.0) for sid in ("S1", "S2"))
+        s2.means[0, :, 3, 5] = cell
+        panel = stack_panels([s1, s2])
+        error = (ContractError, f"station S2, window {panel.labels[3]}, hour 5: "
+                                "mean of the valid years is not finite")
+        assert _outcome(hour_profiles, panel, panel.labels[3], "level") == error
+        assert _window_outcomes(panel, panel.labels, "level") == error
+        assert _window_oracle([s1, s2], panel.labels, "level") == error
