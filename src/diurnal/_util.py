@@ -189,14 +189,14 @@ class Column:
     """One field of a block's rows: the stripped text as a (rows, width)
     matrix of code units, zero-padded (uint8 bytes from the bulk split of
     plain lines, in whole 8-byte words; uint32 code points from csv rows),
-    and each row's length.
+    and each row's length (int32).
 
     numpy str arrays drop trailing NULs, so a column whose text holds a NUL
     also keeps its exact strings, and each NUL inside a row reads as a code
     that is no character.
     """
 
-    __slots__ = ("codes", "length", "strings")
+    __slots__ = ("codes", "length", "strings", "__weakref__")
 
     def __init__(self, codes: np.ndarray, length: np.ndarray,
                  strings: np.ndarray | None = None):
@@ -208,7 +208,7 @@ class Column:
     def of(cls, strings: list[str]) -> Column:
         text = np.array(strings, dtype=str)
         codes = text.view(np.uint32).reshape(len(text), text.dtype.itemsize // 4)
-        length = np.fromiter(map(len, strings), np.int64, len(strings))
+        length = np.fromiter(map(len, strings), np.int32, len(strings))
         if "\0" not in "".join(strings):
             return cls(codes, length)
         codes = np.pad(codes, ((0, 0), (0, int(length.max()) - codes.shape[1])))
@@ -378,13 +378,18 @@ def station_blocks(path: str | Path, n_fields: int, what: str,
     blocks come. A file without a data row raises ``EmptyInputError``."""
     with open(path, "rb") as fh:
         for block in read_blocks(fh, n_fields):
-            if not len(block.line_no):
-                continue
-            ids, index = factorize(block.columns[0])
-            yield block, np.array([numbers.setdefault(s, len(numbers)) for s in ids],
-                                  np.int64)[index]
+            if len(block.line_no):
+                yield block, _station_numbers(block.columns[0], numbers)
+            # Only the consumer may hold the block while the next is split.
+            del block
     if not numbers:
         raise EmptyInputError(f"no {what} found in {path}")
+
+
+def _station_numbers(ids: Column, numbers: dict[str, int]) -> np.ndarray:
+    """Each row's station number, ``numbers`` filled with the new ids."""
+    texts, index = factorize(ids)
+    return np.array([numbers.setdefault(s, len(numbers)) for s in texts], np.int64)[index]
 
 
 def sorted_ranks(names: list[str]) -> np.ndarray:
@@ -449,54 +454,77 @@ def read_blocks(fh: BinaryIO, n_fields: int) -> Iterator[Block]:
 
     Each cut of ``BLOCK_LINES`` lines is split in bulk where it can be;
     any other cut goes to ``csv.reader``, which takes further lines while a
-    quoted field is open."""
+    quoted field is open. A cut's bytes are dropped once it is split, and
+    the reader holds no block while it splits the next, so a consumer that
+    drops each block holds one block's working memory at a time."""
     lines = _ByteLines(fh)
-    more = (data.decode("utf-8", "surrogateescape")
+    more = (str(data, "utf-8", "surrogateescape")
             for data, _ in iter(lambda: lines.take(1), None))
     start = 1
     while (cut := lines.take(BLOCK_LINES)) is not None:
-        data, ends = cut
-        block = _split_plain(data, ends, start, n_fields)
-        error = None
-        if block is None:
-            text = data.decode("utf-8", "surrogateescape")
-            rows, error = _text_rows(io.StringIO(text, newline="").readlines(), more, start)
-            block, ragged = _split_rows(rows, start, n_fields)
-            error = ragged or error
-            start += len(rows)
-        else:
-            start += len(ends)
+        block, taken, error = _split(*cut, more, start, n_fields)
+        del cut
+        lines.drop()
+        start += taken
         yield block
+        del block
         if error is not None:
             raise error
 
 
+def _split(data: memoryview, ends: np.ndarray, more: Iterator[str], start: int,
+           n_fields: int) -> tuple[Block, int, ParseError | None]:
+    """The block of a cut whose first row is row ``start``, the number of
+    rows it took (a quoted field may take lines from ``more``) and the
+    ``ParseError`` that ends the file there, if one does."""
+    block = _split_plain(data, ends, start, n_fields)
+    if block is not None:
+        return block, len(ends), None
+    text = str(data, "utf-8", "surrogateescape")
+    rows, error = _text_rows(io.StringIO(text, newline="").readlines(), more, start)
+    del text
+    block, ragged = _split_rows(rows, start, n_fields)
+    return block, len(rows), ragged or error
+
+
 class _ByteLines:
-    """The lines of a binary file, read ``READ_BYTES`` at a time. A line
-    ends where text mode with ``newline=""`` ends one: after ``\\n``, after
-    ``\\r\\n``, and after a ``\\r`` that does not begin a ``\\r\\n``; the last
-    line may have no terminator. A UTF-8 byte order mark at the start of
-    the file is skipped."""
+    """The lines of a binary file, read ``READ_BYTES`` at a time into one
+    buffer. A line ends where text mode with ``newline=""`` ends one: after
+    ``\\n``, after ``\\r\\n``, and after a ``\\r`` that does not begin a
+    ``\\r\\n``; the last line may have no terminator. A UTF-8 byte order
+    mark at the start of the file is skipped."""
 
     def __init__(self, fh: BinaryIO):
         self.fh = fh
-        self.buf = fh.read(len(codecs.BOM_UTF8)).removeprefix(codecs.BOM_UTF8)
-        self.pos = 0  # where the lines not yet taken begin in buf
+        self.buf = bytearray(fh.read(len(codecs.BOM_UTF8)).removeprefix(codecs.BOM_UTF8))
+        self.view = memoryview(b"")  # the lines taken last, at the start of buf
         self.scanned = 0  # where the search for line ends goes on in buf
-        self.ends = np.empty(0, np.int64)  # the line ends found after pos
+        self.ends = np.empty(0, np.int64)  # the line ends found in buf
         self.done = False
 
-    def take(self, n: int) -> tuple[bytes, np.ndarray] | None:
-        """The next ``n`` lines (fewer at the end of the file) as bytes, and
-        the end of each in them; None once every line has been taken."""
+    def take(self, n: int) -> tuple[memoryview, np.ndarray] | None:
+        """The next ``n`` lines (fewer at the end of the file) as a view of
+        their bytes, and the end of each in them; None once every line has
+        been taken. The view is valid until the next ``take`` or ``drop``."""
+        self.drop()
         while len(self.ends) < n and self._read():
             pass
         if not len(self.ends):
             return None
-        ends, self.ends = self.ends[:n] - self.pos, self.ends[n:]
-        data = self.buf[self.pos:self.pos + int(ends[-1])]
-        self.pos += int(ends[-1])
-        return data, ends
+        ends = self.ends[:n]
+        self.view = memoryview(self.buf)[:int(ends[-1])]
+        return self.view, ends
+
+    def drop(self) -> None:
+        """Release the view of the lines taken last and free their bytes: the
+        buffer keeps only the bytes after them."""
+        taken = len(self.view)
+        self.view.release()
+        if taken:
+            del self.buf[:taken]
+            self.ends = self.ends[np.searchsorted(self.ends, taken, "right"):] - taken
+            self.scanned -= taken
+        self.view = memoryview(b"")
 
     def _read(self) -> bool:
         """Read on and find the line ends in what was read; False once the
@@ -505,8 +533,8 @@ class _ByteLines:
             return False
         chunk = self.fh.read(READ_BYTES)
         self.done = not chunk
-        self.buf = self.buf[self.pos:] + chunk
-        lo = self.scanned - self.pos
+        self.buf += chunk
+        lo = self.scanned
         # A "\r" last in what was read may begin a "\r\n": it waits for the
         # next read.
         hi = len(self.buf) - (not self.done and self.buf.endswith(b"\r"))
@@ -519,10 +547,10 @@ class _ByteLines:
             lone = cr[c[np.minimum(cr + 1, len(c) - 1)] != 10]
             if len(lone):
                 found = np.union1d(found, lone)
-        ends = np.concatenate((self.ends - self.pos, found + lo + 1))
+        ends = np.concatenate((self.ends, found + lo + 1))
         if self.done and len(self.buf) > (ends[-1] if len(ends) else 0):
             ends = np.append(ends, len(self.buf))
-        self.ends, self.pos, self.scanned = ends, 0, hi
+        self.ends, self.scanned = ends, hi
         return True
 
 
@@ -577,43 +605,56 @@ def _csv_rows(lines: list[str],
     return rows, None
 
 
-def _split_plain(data: bytes, end: np.ndarray, start: int, n_fields: int) -> Block | None:
+def _split_plain(data: memoryview, end: np.ndarray, start: int,
+                 n_fields: int) -> Block | None:
     """Split a block in bulk when every line is a plain row: ASCII, within
     ``csv``'s field size limit, with ``n_fields - 1`` commas and no quote,
     space or control character before its terminator, so that no field
     needs stripping. ``end`` is where each line ends in ``data``. Anything
-    else returns None, for ``csv.reader`` to split."""
-    if not data.isascii() or b'"' in data:
+    else, and a block of 1 GiB or more, returns None, for ``csv.reader`` to
+    split. Positions are int32: no index formed here reaches twice the
+    block's size."""
+    c = np.frombuffer(data, np.uint8)
+    if len(c) >= 1 << 30 or c.max() > 127 or np.count_nonzero(c == 34):
         return None
-    size = np.diff(end, prepend=0)
+    end = end.astype(np.int32)
+    size = np.diff(end, prepend=np.int32(0))
     if not size.all() or size.max() > csv.field_size_limit():
         return None
-    # The bytes, then room for a window of a field's whole words past
-    # their end.
-    c = np.frombuffer(data + bytes(int(size.max()) + 8), np.uint8)
     begin = end - size
     # Each line's content stops before its terminator: "\r\n", "\n" or "\r".
     last = c[end - 1]
     crlf = (size > 1) & (last == 10) & (c[np.maximum(end - 2, 0)] == 13)
     stop = end - ((last == 10) | (last == 13)) - crlf
-    if np.count_nonzero(c[:len(data)] < 33) != (end - stop).sum():
+    if np.count_nonzero(c < 33) != (end - stop).sum():
         return None
     comma = np.flatnonzero(c == 44)
     if len(comma) != len(end) * (n_fields - 1):
         return None
     # With the total right, each line holds its share iff every line's
     # share of the sorted commas falls inside that line.
-    comma = comma.reshape(len(end), n_fields - 1)
+    comma = comma.astype(np.int32).reshape(len(end), n_fields - 1)
     if (comma[:, 0] < begin).any() or (comma[:, -1] >= stop).any():
         return None
-    # The little-endian 8-byte word that starts at each byte.
-    at = np.ndarray((len(c) - 7,), "<u8", c, 0, (1,))
+    # A field is gathered as whole 8-byte words, which may run a line's
+    # length past its line. The lines from ``tail`` on, within that and a
+    # word of the end, read their words from a zero-padded copy of
+    # themselves; the lines before them read the data in place.
+    pad = int(size.max()) + 8
+    tail = int(np.searchsorted(end, len(c) - pad, "right"))
+    base = int(begin[tail]) if tail < len(end) else len(c)
+    rest = np.zeros(len(c) - base + pad, np.uint8)
+    rest[:len(c) - base] = c[base:]
+    at, rest_at = _words_at(c), _words_at(rest)
     columns = []
     for j in range(n_fields):
         lo = begin if j == 0 else comma[:, j - 1] + 1
         chars = (comma[:, j] if j < n_fields - 1 else stop) - lo
         words = max(-(-int(chars.max()) // 8), 1)
-        word = np.stack([at[lo + 8 * k] for k in range(words)], axis=1)
+        word = np.empty((len(end), words), "<u8")
+        for k in range(words):
+            word[:tail, k] = at[lo[:tail] + 8 * k]
+            word[tail:, k] = rest_at[lo[tail:] - (base - 8 * k)]
         # Zero each row past its field's end, one 8-byte word at a time,
         # from the first word that some row's field does not fill.
         for k in range(int(chars.min()) // 8, words):
@@ -627,6 +668,12 @@ def _split_plain(data: bytes, end: np.ndarray, start: int, n_fields: int) -> Blo
         # A file's own header: a slice is a view, where a mask copies.
         columns = [col[1:] for col in columns]
     return Block(start + np.flatnonzero(~header), columns)
+
+
+def _words_at(c: np.ndarray) -> np.ndarray:
+    """The little-endian 8-byte word that starts at each byte of ``c`` with
+    8 bytes from it on: a view, not a copy."""
+    return np.ndarray((max(len(c) - 7, 0),), "<u8", c, 0, (1,))
 
 
 def _split_rows(rows: list[list[str]], start: int,

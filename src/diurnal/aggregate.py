@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._util import (Piece, check_rows, csv_pieces, csv_prefix, factorize, fmt_column,
+from ._util import (Block, Piece, check_rows, csv_pieces, csv_prefix, factorize, fmt_column,
                     parse_floats, parse_ints, repeated_cells, sorted_ranks, station_blocks,
                     unique_runs, write_blocks)
 from .errors import ContractError, EmptyInputError
@@ -234,62 +234,76 @@ def read_panel(path: str | Path) -> NetworkPanel:
     its scale, a valid cell without a finite mean or a second row for the
     same (station, year, window, hour) cell raises ``ParseError`` with its
     line, the first bad row of the file. Each block's rows are scattered
-    onto one grid (``_PanelGrid``) and checked, and its columns are dropped.
+    onto one grid (``_PanelGrid``) and checked, and the block and its
+    per-row arrays are dropped before the next block is split.
     """
     numbers: dict[str, int] = {}
-    first = grid = None
+    grid = None
     for block, station in station_blocks(path, len(PANEL_HEADER), "panel rows", numbers):
-        _, scale, year, label, hour, mean, valid = block.columns
-        scale_index, window = window_index(factorize(scale), factorize(label))
-        first = int(scale_index[0]) if first is None else first  # the first row's scale
-        year, year_bad = parse_ints(year)
-        hour, hour_bad = parse_ints(hour, bound=24)
-        value, mean_bad = parse_floats(mean)
-        flags, flag = factorize(valid)
-        valid = (np.array(flags) == "1")[flag]
-        # Rows off the grid (every row, if the first row's scale is unknown)
-        # break a rule before the repeat rule.
-        grid = grid or _PanelGrid(_CALENDARS[SCALES[first]].n_windows)
-        on_grid = (scale_index == first) & (window >= 0) & (hour >= 0) & (hour <= 23)
-        repeat = grid.scatter(on_grid, station, year, window, hour, value, valid)
-        check_rows(block, [
-            (scale_index < 0, lambda row: f"unknown scale {row[1].strip()!r}"),
-            (scale_index != first,
-             lambda row: f"scale {row[1].strip()} differs from the first row's scale "
-                         f"{SCALES[first]}; a panel file holds one scale"),
-            (year_bad | hour_bad | mean_bad, lambda row: "malformed year, hour or mean"),
-            ((hour < 0) | (hour > 23), lambda row: f"hour {int(row[4])} out of range 0-23"),
-            (~np.isin(flags, ("0", "1"))[flag],
-             lambda row: f"valid flag {row[6].strip()!r} is not 0 or 1"),
-            (window < 0, lambda row: f"label {row[3].strip()!r} does not belong to "
-                                     f"scale {row[1].strip()}"),
-            (valid & ~np.isfinite(value),
-             lambda row: f"valid cell with non-finite mean {row[5].strip()!r}"),
-            (repeat, lambda row: f"station {row[0].strip()}: second row for year "
-                                 f"{int(row[2])}, window {row[3].strip()}, hour {int(row[4])}"),
-        ])
-    return grid.panel(list(numbers), _CALENDARS[SCALES[first]])
+        grid = _scatter_block(grid, block, station)
+        del block, station
+    return grid.panel(list(numbers))
+
+
+def _scatter_block(grid: _PanelGrid | None, block: Block, station: np.ndarray) -> _PanelGrid:
+    """Scatter a block's rows onto the grid (made for the scale of the
+    block's first row, if it is the file's first block) and check them; the
+    first bad row raises ``ParseError``."""
+    _, scale, year, label, hour, mean, valid = block.columns
+    scale_index, window = window_index(factorize(scale), factorize(label))
+    grid = grid or _PanelGrid(int(scale_index[0]))
+    first = grid.first
+    year, year_bad = parse_ints(year)
+    hour, hour_bad = parse_ints(hour, bound=24)
+    value, mean_bad = parse_floats(mean)
+    flags, flag = factorize(valid)
+    valid = (np.array(flags) == "1")[flag]
+    # Rows off the grid (every row, if the first row's scale is unknown)
+    # break a rule before the repeat rule.
+    on_grid = (scale_index == first) & (window >= 0) & (hour >= 0) & (hour <= 23)
+    repeat = grid.scatter(on_grid, station, year, window, hour, value, valid)
+    check_rows(block, [
+        (scale_index < 0, lambda row: f"unknown scale {row[1].strip()!r}"),
+        (scale_index != first,
+         lambda row: f"scale {row[1].strip()} differs from the first row's scale "
+                     f"{SCALES[first]}; a panel file holds one scale"),
+        (year_bad | hour_bad | mean_bad, lambda row: "malformed year, hour or mean"),
+        ((hour < 0) | (hour > 23), lambda row: f"hour {int(row[4])} out of range 0-23"),
+        (~np.isin(flags, ("0", "1"))[flag],
+         lambda row: f"valid flag {row[6].strip()!r} is not 0 or 1"),
+        (window < 0, lambda row: f"label {row[3].strip()!r} does not belong to "
+                                 f"scale {row[1].strip()}"),
+        (valid & ~np.isfinite(value),
+         lambda row: f"valid cell with non-finite mean {row[5].strip()!r}"),
+        (repeat, lambda row: f"station {row[0].strip()}: second row for year "
+                             f"{int(row[2])}, window {row[3].strip()}, hour {int(row[4])}"),
+    ])
+    return grid
 
 
 class _PanelGrid:
-    """The cells of a panel file as its blocks are read. A grid row is one
-    (station number, year) pair, numbered in order of first appearance, and
-    holds ``width`` windows × 24 hours. Per cell it keeps the mean (NaN
-    where invalid) and whether a row has set it. Rows grow by doubling."""
+    """The cells of a panel file as its blocks are read, at the scale of
+    its first row (``first``, a position in ``SCALES``; -1 if it is not
+    one, which fails the first row). A grid row is one (station number,
+    year) pair, numbered in order of first appearance, and holds the
+    scale's windows × 24 hours. Per cell it keeps the mean (NaN where
+    invalid) and whether a row has set it. The grid grows in place to the
+    rows it holds (``ndarray.resize``), so no step holds two copies of it."""
 
-    def __init__(self, width: int):
+    def __init__(self, first: int):
+        self.first = first
+        self.calendar = _CALENDARS[SCALES[first]]
         self.rows: dict[tuple[int, int], int] = {}
-        self.means = np.full((0, width, 24), np.nan)
-        self.seen = np.zeros((0, width, 24), bool)
+        self.means = np.full((0, self.calendar.n_windows, 24), np.nan)
+        self.seen = np.zeros((0, self.calendar.n_windows, 24), bool)
 
     def _fit(self) -> None:
-        """Room for every grid row."""
-        if len(self.rows) <= len(self.means):
-            return
-        shape = (max(len(self.rows), 2 * len(self.means)), *self.means.shape[1:])
-        means, seen = self.means, self.seen
-        self.means, self.seen = np.full(shape, np.nan), np.zeros(shape, bool)
-        self.means[:len(means)], self.seen[:len(seen)] = means, seen
+        """Room for every grid row, new cells unset."""
+        have, shape = len(self.means), (len(self.rows), *self.means.shape[1:])
+        if len(self.rows) > have:
+            self.means.resize(shape)
+            self.seen.resize(shape)
+            self.means[have:] = np.nan
 
     def scatter(self, keyed: np.ndarray, station: np.ndarray, year: np.ndarray,
                 window: np.ndarray, hour: np.ndarray, value: np.ndarray,
@@ -308,17 +322,17 @@ class _PanelGrid:
         self.means.reshape(-1)[cell] = np.where(valid, value, np.nan)[at]
         return repeated_cells(self.seen.reshape(-1), cell, keyed)
 
-    def panel(self, names: list[str], calendar: WindowCalendar) -> NetworkPanel:
-        """The network panel, from the station ids by number and the file's
-        calendar: the grid rows scattered onto its stations in sorted order
-        × the union of their years, the grid given up once they are. A
-        valid cell, and only a valid cell, has a finite mean, so its count
-        is whether it does."""
+    def panel(self, names: list[str]) -> NetworkPanel:
+        """The network panel, from the station ids by number: the grid rows
+        scattered onto its stations in sorted order × the union of their
+        years, the grid given up once they are. A valid cell, and only a
+        valid cell, has a finite mean, so its count is whether it does."""
         keys = np.array(list(self.rows), np.int64).reshape(-1, 2)
         years, year = np.unique(keys[:, 1], return_inverse=True)
         self.seen = None
-        means = np.full((len(names), len(years), calendar.n_windows, 24), np.nan)
-        means[sorted_ranks(names)[keys[:, 0]], year] = self.means[:len(keys)]
+        means = np.full((len(names), len(years), *self.means.shape[1:]), np.nan)
+        means[sorted_ranks(names)[keys[:, 0]], year] = self.means
         self.means = None
-        return NetworkPanel(calendar.scale, sorted(names), years, list(calendar.labels),
-                            means, np.isfinite(means).astype(np.int64))
+        return NetworkPanel(self.calendar.scale, sorted(names), years,
+                            list(self.calendar.labels), means,
+                            np.isfinite(means).astype(np.int64))

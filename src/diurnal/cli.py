@@ -376,6 +376,7 @@ def _run_cluster(ns) -> int:
     # window that fails leaves no output behind.
     results = []
     profiles = window_profiles(panel, windows, ns.features)
+    del panel  # the profiles are all the DTW phase needs
     for label, dist in zip(windows, window_dtw(profiles, config)):
         rep = agglomerative_cluster(dist, ns.k)
         results.append((label, dist, rep, *silhouette(dist, rep.assignment)))
@@ -407,11 +408,13 @@ def _run_dcor(ns) -> int:
     panel, windows = _window_panel(ns)
     if len(panel.stations) < 2:
         raise ContractError("dcor needs at least 2 stations in the panel")
+    scale, positions = panel.scale, [panel.labels.index(label) for label in windows]
+    profiles = window_profiles(panel, windows, "level")
+    del panel  # the profiles are all the permutation tests need
     rows = []
-    for label, profiles in zip(windows, window_profiles(panel, windows, "level")):
-        pairs = dcor_table(profiles, n_perm=ns.n_perm,
-                           seed=[ns.seed, panel.labels.index(label)])
-        rows += [(panel.scale, label, *pair) for pair in pairs]
+    for label, position, window in zip(windows, positions, profiles):
+        pairs = dcor_table(window, n_perm=ns.n_perm, seed=[ns.seed, position])
+        rows += [(scale, label, *pair) for pair in pairs]
     write_dcor_csv(ns.out, rows)
     print(f"wrote {ns.out} ({len(rows)} pairs)")
     return 0

@@ -362,7 +362,8 @@ def read_records(path: str | Path,
 
     Each block's rows are parsed and grouped by station as the block is
     read; a row keeps only its microseconds and temperature (16 bytes), and
-    its line only where the lines of its run are not consecutive. Each
+    its line only where the lines of its run are not consecutive. The block
+    and its per-row arrays are dropped before the next block is split. Each
     station's series is then built from its own pieces, which are dropped
     once it is.
     """
@@ -370,6 +371,7 @@ def read_records(path: str | Path,
     pieces: dict[int, list[_Run]] = {}
     for block, station in station_blocks(path, len(RECORDS_HEADER), "records", numbers):
         _station_pieces(block, station, pieces)
+        del block, station
     return {sid: _station_series(sid, pieces[numbers[sid]], expected_step or None)
             for sid in sorted(numbers)}
 

@@ -306,7 +306,8 @@ def hour_profiles(panel: NetworkPanel, window_label: str, kind: str) -> dict[str
     Sen's slope across each cell's valid years (``kind="slope"``, two
     needed) or their mean (``"level"``, one needed; no other kind). The first
     station and hour short of years, whose slope ``sen_slope`` rejects or
-    whose mean is not finite, raises. This is the one-window case of
+    whose mean is not finite, raises, its error prefixed with
+    ``station S, window W, hour H: ``. This is the one-window case of
     ``window_profiles``."""
     return window_profiles(panel, [window_label], kind)[0]
 
@@ -340,10 +341,14 @@ def window_profiles(panel: NetworkPanel, window_labels: Sequence[str],
             raise ContractError(f"unknown window label {label!r} for scale {panel.scale}")
         if bad[:, w].any():
             s, hour = np.argwhere(bad[:, w])[0].tolist()
-            have = n[s, w, hour]
+            have, cell = n[s, w, hour], f"station {panel.stations[s]}, window {label}, hour {hour}"
             if kind == "slope" and have >= need:
-                sen_slope(means[s, w, hour][valid[s, w, hour]], panel.years[valid[s, w, hour]])
-            raise ContractError(f"station {panel.stations[s]}, window {label}, hour {hour}: " + (
+                try:
+                    sen_slope(means[s, w, hour][valid[s, w, hour]],
+                              panel.years[valid[s, w, hour]])
+                except ContractError as exc:
+                    raise type(exc)(f"{cell}: {exc}") from None
+            raise ContractError(f"{cell}: " + (
                 f"need at least 2 valid years for slope features, have {have}"
                 if kind == "slope" else "mean of the valid years is not finite" if have
                 else "no valid years for level features"))
@@ -395,6 +400,7 @@ def read_trend_csv(path: str | Path) -> TrendTable:
         if (grow := (int(station.max()) + 1) * _STATION_CELLS - len(seen)) > 0:
             seen = np.concatenate((seen, np.zeros(grow, bool)))
         parts.append((station, *_trend_columns(block, station, seen)))
+        del block, station
     station, *columns = map(np.concatenate, zip(*parts))
     return TrendTable(np.array(list(numbers), dtype=object)[station], *columns)
 

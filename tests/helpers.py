@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -55,3 +56,19 @@ def profile_settings(examples: int) -> settings:
     return settings(max_examples=examples, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture,
                                            HealthCheck.too_slow])
+
+
+def read_peak(call, *args) -> tuple[int, int]:
+    """The tracemalloc peak of one ``call(*args)`` and the traced memory its
+    result holds, in bytes, both above what was traced before the call."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call(*args)  # held while its memory is read
+        held, peak = tracemalloc.get_traced_memory()
+        return peak - base, held - base
+    finally:
+        if started:
+            tracemalloc.stop()

@@ -342,7 +342,8 @@ def trend_surface_cells(panel, min_years=3) -> list:
 
 def hour_profile_cells(panel, label, kind) -> dict:
     """Former ``cli._hour_profile``, station by station: one Sen call or
-    mean per hour."""
+    mean per hour; a cell's error is prefixed with its station, window and
+    hour."""
     out = {}
     for s, sid in enumerate(panel.stations):
         vals = []
@@ -353,7 +354,10 @@ def hour_profile_cells(panel, label, kind) -> dict:
                     raise ContractError(
                         f"station {sid}, window {label}, hour {hour}: "
                         f"need at least 2 valid years for slope features, have {years.size}")
-                vals.append(sen_slope_cell(v, years))
+                try:
+                    vals.append(sen_slope_cell(v, years))
+                except ContractError as exc:
+                    raise type(exc)(f"station {sid}, window {label}, hour {hour}: {exc}") from None
             else:
                 if v.size == 0:
                     raise ContractError(

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from diurnal import (
     dcor_table,
     pairwise_dtw,
     read_metadata,
+    read_panel,
     silhouette,
     write_panel,
 )
+import diurnal.cli as cli_module
 from diurnal.cli import cli
 from diurnal.report import write_cluster_csv, write_merges_csv
 from diurnal.similarity import write_dcor_csv, write_distance_csv
@@ -658,6 +661,51 @@ class TestTrendOverflow:
         assert capsys.readouterr().err.strip() == (
             "error: station S2, window Sep-Oct, hour 2: mean of the valid years is not finite")
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_slope_cell_is_named(self, tmp_path, capsys):
+        # Its Sen's slope error was once printed without the cell.
+        rng = np.random.default_rng(16)
+        panels = [grid_panel(rng, sid, n_years=4, valid_rate=1.0) for sid in ("S1", "S2", "S3")]
+        panels[1].means[0, :, 2, 7] = [1e308, -1e308, 1.5e308, -1.7e308]
+        write_panel(tmp_path / "panel.csv", panels)
+        assert run("cluster", "--panel", str(tmp_path / "panel.csv"), "--out-dir",
+                   str(tmp_path / "out"), "--k", "2") == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: station S2, window May-Jun, hour 7: "
+            "Sen's slope overflows: a pair slope or their median is not finite")
+        assert not (tmp_path / "out").exists()
+
+
+class TestPanelReleased:
+    @pytest.mark.parametrize("command,options", [
+        ("cluster", ("--out-dir", "out", "--k", "2")),
+        ("dcor", ("--out", "out", "--n-perm", "99"))])
+    def test_no_panel_is_held_while_the_kernels_run(self, tmp_path, monkeypatch, command,
+                                                     options):
+        # The DTW phase and the permutation tests need only the profiles:
+        # the panel, as large as every station's grid, is freed before them.
+        refs, alive = [], []
+
+        def read(path):
+            panel = read_panel(path)
+            refs.append(weakref.ref(panel))
+            return panel
+
+        def check(kernel):
+            def run_kernel(*args, **kwargs):
+                alive.append(refs[0]() is not None)
+                return kernel(*args, **kwargs)
+            return run_kernel
+
+        monkeypatch.setattr(cli_module, "read_panel", read)
+        monkeypatch.setattr(cli_module, "window_dtw", check(cli_module.window_dtw))
+        monkeypatch.setattr(cli_module, "dcor_table", check(cli_module.dcor_table))
+        rng = np.random.default_rng(19)
+        write_panel(tmp_path / "panel.csv",
+                    [grid_panel(rng, sid, "60da", valid_rate=1.0) for sid in ("S1", "S2", "S3")])
+        options = [str(tmp_path / v) if v == "out" else v for v in options]
+        assert run(command, "--panel", str(tmp_path / "panel.csv"), *options) == 0
+        assert alive == [False] * (1 if command == "cluster" else 6)
 
 
 class TestRaggedYears:

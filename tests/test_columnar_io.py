@@ -13,6 +13,7 @@ import csv
 import io
 import math
 import random
+import weakref
 from datetime import datetime, timedelta
 from unittest import mock
 
@@ -877,9 +878,65 @@ class TestByteLines:
             while (cut := lines.take(take)) is not None:
                 chunk, ends = cut
                 assert 0 < len(ends) <= take and ends[-1] == len(chunk)
-                got += [chunk[b:e] for b, e in zip([0, *ends[:-1].tolist()], ends.tolist())]
+                got += [bytes(chunk[b:e]) for b, e in zip([0, *ends[:-1].tolist()], ends.tolist())]
         text = io.StringIO(data.decode("utf-8"), newline="")
         assert got == [line.encode("utf-8") for line in text]
+
+
+class TestBlockLifetime:
+    """Each block, with its columns, is freed before the next block is
+    split, once its consumer drops it: neither ``read_blocks``,
+    ``station_blocks`` nor a reader's block loop holds it on. Checked at
+    the start of each split, bulk or by ``csv.reader``."""
+
+    @pytest.fixture
+    def split_checks(self, monkeypatch):
+        """Records, at the start of each split, whether a block that
+        ``read_blocks`` yielded before, or its first column, is alive."""
+        monkeypatch.setattr(_util, "BLOCK_LINES", 40)
+        read_blocks, split_plain, refs, alive = _util.read_blocks, _util._split_plain, [], []
+
+        def blocks(*args):
+            for block in read_blocks(*args):
+                refs.extend((weakref.ref(block), weakref.ref(block.columns[0])))
+                yield block
+                del block
+
+        def split(*args):
+            alive.append(any(ref() is not None for ref in refs))
+            return split_plain(*args)
+
+        monkeypatch.setattr(_util, "read_blocks", blocks)
+        monkeypatch.setattr(_util, "_split_plain", split)
+        return alive
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["bulk", "csv-reader"])
+    @pytest.mark.parametrize("reader", ["read_blocks", "station_blocks"])
+    def test_generators(self, tmp_path, split_checks, reader, quoted):
+        path = tmp_path / "t.csv"
+        field = '"q"' if quoted else "q"
+        path.write_text("".join(f"S{i % 3},{field}{i}\n" for i in range(200)))
+        with open(path, "rb") as fh:
+            blocks = (_util.read_blocks(fh, 2) if reader == "read_blocks"
+                      else _util.station_blocks(path, 2, "rows", {}))
+            for item in blocks:
+                del item
+        assert len(split_checks) == 5 and not any(split_checks)
+
+    def test_readers(self, tmp_path, split_checks):
+        rng = np.random.default_rng(3)
+        write_records(tmp_path / "r.csv", [TemperatureSeries(
+            sid, datetime(2000, 1, 1), HOUR, np.round(rng.normal(5, 3, 100), 1),
+            np.zeros(100, bool)) for sid in ("S1", "S2")])
+        read_records(tmp_path / "r.csv")
+        write_panel(tmp_path / "p.csv", [grid_panel(rng, "S1", "60da", n_years=2)])
+        read_panel(tmp_path / "p.csv")
+        rows = [(sid, "10d", label, h, 12, -5, 162.5, -0.2, 0.8, -0.01, 0.3, False)
+                for sid in ("S1", "S2") for label in ("Jan01-10", "Dec21-31") for h in range(24)]
+        write_trend_csv(tmp_path / "t.csv", _trend_table(rows))
+        read_trend_csv(tmp_path / "t.csv")
+        # 201, 289 and 97 lines: 6 + 8 + 3 splits.
+        assert len(split_checks) == 17 and not any(split_checks)
 
 
 ODD_VALUES = [-0.0, 1e16, 1e-05, 0.1 + 0.2, 1 / 3, -273.15, 5e-324, 1.7976931348623157e308]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import tracemalloc
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -29,9 +28,11 @@ from diurnal import (
     write_panel,
     write_records,
 )
+from diurnal import aggregate
+from diurnal._util import BLOCK_LINES
 from diurnal.report import read_cluster_csv
 from diurnal.trend import read_trend_csv
-from helpers import HALF_HOUR, HOUR, grid_panel, make_series
+from helpers import HALF_HOUR, HOUR, grid_panel, make_series, read_peak
 
 
 def _lines(*rows):
@@ -166,28 +167,14 @@ class TestRecordsRoundTrip:
         assert back["S01"].step == HOUR  # a single record defaults to an hour
 
 
-def _read_peak(read, path) -> int:
-    """The tracemalloc peak of one ``read(path)`` call, in bytes."""
-    started = not tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        read(path)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if started:
-            tracemalloc.stop()
-
-
 class TestRecordsMemory:
     def test_peak_grows_by_at_most_40_bytes_a_row(self, tmp_path):
         # A row is held as its microseconds and temperature (16 bytes) until
         # its station's series is built. The peak also holds one block's
-        # working memory, about 5 MB whatever the file size (50 bytes a row
-        # on its own at 100k rows), so the bound is on the peak's growth
-        # from 100k rows to 200k: the reader that held 32 bytes a row
-        # twice and sorted the whole file grew by 66-86 bytes a row.
+        # working memory, which does not grow with the file, so the bound is
+        # on the peak's growth from 100k rows to 200k: the reader that held
+        # 32 bytes a row twice and sorted the whole file grew by 66-86
+        # bytes a row.
         rng = np.random.default_rng(7)
         peaks = []
         for n in (25_000, 50_000):
@@ -195,26 +182,70 @@ class TestRecordsMemory:
                                   sid=sid) for sid in ("S1", "S2", "S3", "S4")]
             write_records(tmp_path / f"{n}.csv", series)
             read_records(tmp_path / f"{n}.csv")
-            peaks.append(_read_peak(read_records, tmp_path / f"{n}.csv"))
+            peaks.append(read_peak(read_records, tmp_path / f"{n}.csv")[0])
         assert (peaks[1] - peaks[0]) / 100_000 <= 40
 
 
 class TestPanelMemory:
     def test_peak_grows_by_at_most_40_bytes_a_row(self, tmp_path):
-        # A row is one grid cell, held as its mean, seen mark and valid flag
-        # (10 bytes, in a grid whose rows grow by doubling) until the panels
-        # are built with their int64 counts. The bound is on the peak's
-        # growth from 345 600 rows (10 stations x 40 years of 10d cells) to
-        # 691 200, past one block's working memory: the reader that kept
-        # every row's seven columns until the end grew by 106 bytes a row.
+        # A row is one grid cell, held as its mean and seen mark (9 bytes,
+        # in a grid that grows in place to the rows it holds) until the
+        # panels are built with their int64 counts. The bound is on the
+        # peak's growth from 345 600 rows (10 stations x 40 years of 10d
+        # cells) to 691 200, past one block's working memory: the reader
+        # that kept every row's seven columns until the end grew by 106
+        # bytes a row.
         rng = np.random.default_rng(7)
         peaks = []
         for n in (10, 20):
             panels = [grid_panel(rng, f"S{k:02d}", "10d", n_years=40) for k in range(n)]
             write_panel(tmp_path / f"{n}.csv", panels)
             read_panel(tmp_path / f"{n}.csv")
-            peaks.append(_read_peak(read_panel, tmp_path / f"{n}.csv"))
+            peaks.append(read_peak(read_panel, tmp_path / f"{n}.csv")[0])
         assert (peaks[1] - peaks[0]) / 345_600 <= 40
+
+    def test_growing_grid_never_holds_two_copies(self):
+        # Each scatter adds one (station, year) grid row. A grid whose rows
+        # doubled held the old and the new buffer at once, 1.5 times its
+        # final size at 100 rows.
+        grid = aggregate._PanelGrid(aggregate.SCALES.index("10d"))
+        one, zero = np.ones(1, bool), np.zeros(1, np.int64)
+
+        def grow():
+            for k in range(100):
+                grid.scatter(one, np.array([k]), np.array([2000]), zero, zero, np.ones(1), one)
+
+        peak, held = read_peak(grow)
+        assert len(grid.means) == 100
+        assert peak - held <= 36 * 24 * 9  # one grid row
+
+
+class TestBlockMemory:
+    """A reader holds one block's working memory at a time: its peak above
+    what it returns, on a file of four blocks of ``BLOCK_LINES`` rows, stays
+    within 224 bytes a block line, loose over the 155 (records) and 173
+    (panel) measured on numpy 2.4. A reader that holds the last block while
+    it splits the next takes 338 and 484."""
+
+    BOUND = 224 * BLOCK_LINES
+
+    def test_records(self, tmp_path):
+        rng = np.random.default_rng(7)
+        n = 4 * BLOCK_LINES
+        write_records(tmp_path / "r.csv", [
+            make_series(np.round(rng.normal(5, 3, n), 1), rng.random(n) < 0.02)])
+        peak, held = read_peak(read_records, tmp_path / "r.csv")
+        assert peak - held <= self.BOUND
+
+    def test_panel(self, tmp_path):
+        rng = np.random.default_rng(7)
+        # 4 stations x 20 years of 10d cells, 69 120 rows, whose means
+        # (-1.0 to 1.0 by 0.25) are short texts, as in a panel of rounded means.
+        write_panel(tmp_path / "p.csv", [
+            grid_panel(rng, f"S{k}", "10d", levels=9, valid_rate=1.0,
+                       years=np.arange(1980, 2000)) for k in range(4)])
+        peak, held = read_peak(read_panel, tmp_path / "p.csv")
+        assert peak - held <= self.BOUND
 
 
 class TestToHourly:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -39,7 +38,7 @@ from diurnal import similarity
 from diurnal.similarity import (DCOR_TIE, METRICS, DcorResult, write_dcor_csv,
                                 write_distance_csv)
 from diurnal.cli import cli
-from helpers import grid_panel, profile_settings
+from helpers import grid_panel, profile_settings, read_peak
 
 values = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 short_seq = st.lists(values, min_size=1, max_size=6)
@@ -295,12 +294,7 @@ class TestDtwKernelMemory:
         n, jobs = 24, 20_000
         rng = np.random.default_rng(9)
         x, y = rng.normal(size=(n, jobs)), rng.normal(size=(n, jobs))
-        tracemalloc.start()
-        try:
-            similarity._dtw_batch(x, y, DtwConfig(lam=0.3, metric="squared"))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = read_peak(similarity._dtw_batch, x, y, DtwConfig(lam=0.3, metric="squared"))
         # The kernel keeps six arrays of at most (n + 1) x jobs doubles; an
         # n x m x jobs cost table alone would be 24 of them.
         assert peak < 8 * (n + 1) * jobs * 8
