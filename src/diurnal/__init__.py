@@ -49,7 +49,6 @@ from .report import (
     cluster_table,
     contour_grid,
     radar_sheet,
-    synth_station,
 )
 from .similarity import (
     ClusterReport,
@@ -66,12 +65,12 @@ from .similarity import (
     silhouette,
     window_dtw,
 )
+from .synth import synth_network, synth_station
 from .trend import (
     MKResult,
     SenSlope,
     TrendRow,
     TrendTable,
-    hour_profiles,
     lag1_autocorrelation,
     mk_test,
     sen_slope,
@@ -93,11 +92,12 @@ __all__ = [
     "read_records", "write_records", "read_metadata", "write_metadata",
     "to_hourly", "missing_report", "day_fields", "time_fields",
     "ContourTable", "RadarRow",
-    "bin_cell", "cluster_table", "contour_grid", "radar_sheet", "synth_station",
+    "bin_cell", "cluster_table", "contour_grid", "radar_sheet",
     "DtwConfig", "DistanceMatrix", "ClusterReport", "Merge", "DcorResult",
     "dtw_distance", "pairwise_dtw", "window_dtw", "agglomerative_cluster", "silhouette",
     "dcor", "dcor_permutation_test", "dcor_table",
+    "synth_network", "synth_station",
     "MKResult", "SenSlope", "TrendRow", "TrendTable",
     "mk_test", "sen_slope", "lag1_autocorrelation", "serial_flag", "trend_surface",
-    "hour_profiles", "window_profiles",
+    "window_profiles",
 ]

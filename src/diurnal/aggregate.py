@@ -113,7 +113,9 @@ class NetworkPanel:
     is one strictly increasing int64 axis that every station shares, which
     the trend tests read as time. ``means`` has shape (stations, years,
     windows, 24), NaN where no reading contributed; ``counts`` holds the
-    contributing reading count, 0 there and in a year a station lacks."""
+    contributing reading count, 0 there and in a year a station lacks. A
+    panel from ``read_panel`` holds 0/1 bytes (uint8) as its counts, since
+    the file keeps only whether a cell is valid."""
 
     scale: str
     stations: list[str]
@@ -143,7 +145,8 @@ def hourly_window_means(series: TemperatureSeries, calendar: WindowCalendar,
 
     The series is normally expected to be gap-free (imputed first); masked
     slots raise unless ``skip_missing`` is set, in which case they are simply
-    left out of the means.
+    left out of the means. The first cell in (year, window, hour) order whose
+    readings' mean overflows raises ``ContractError`` naming it.
     """
     if series.step != timedelta(hours=1):
         raise ContractError(f"aggregation needs an hourly series, got step {series.step}")
@@ -162,6 +165,11 @@ def hourly_window_means(series: TemperatureSeries, calendar: WindowCalendar,
     means, counts = binned_means(day_cell[slot_day] + hours, series.values, ~series.missing,
                                  len(uniq_years) * nW * 24)
     shape = (1, len(uniq_years), nW, 24)
+    if (overflow := (counts > 0) & ~np.isfinite(means)).any():
+        year, w, hour = np.unravel_index(np.argmax(overflow), shape[1:])
+        raise ContractError(f"station {series.station_id}, year {uniq_years[year]}, window "
+                            f"{calendar.labels[w]}, hour {hour}: mean of the readings is "
+                            "not finite")
     return NetworkPanel(calendar.scale, [series.station_id], uniq_years, list(calendar.labels),
                         means.reshape(shape), counts.reshape(shape))
 
@@ -335,4 +343,4 @@ class _PanelGrid:
         self.means = None
         return NetworkPanel(self.calendar.scale, sorted(names), years,
                             list(self.calendar.labels), means,
-                            np.isfinite(means).astype(np.int64))
+                            np.isfinite(means).view(np.uint8))

@@ -28,7 +28,6 @@ from typing import Callable, Mapping, Sequence
 from ._util import parse_bool, undecoded_error
 from .aggregate import (
     SCALES,
-    NetworkPanel,
     build_calendar,
     hourly_window_means,
     read_panel,
@@ -39,9 +38,6 @@ from .impute import MONTH_ABBR, seasonal_split_impute
 from .ingest import (
     HALF_HOUR,
     HOUR,
-    Region,
-    StationGroup,
-    StationMeta,
     read_metadata,
     read_records,
     to_hourly,
@@ -53,7 +49,6 @@ from .report import (
     contour_grid,
     radar_sheet,
     read_cluster_csv,
-    synth_station,
     write_cluster_csv,
     write_contour_csv,
     write_merges_csv,
@@ -69,6 +64,7 @@ from .similarity import (
     write_dcor_csv,
     write_distance_csv,
 )
+from .synth import synth_network
 from .trend import (
     read_trend_csv,
     trend_surface,
@@ -221,35 +217,13 @@ _SYNTH_OPTS = (
     _Opt("--seed", _seed_arg, 0, "random seed, a non-negative integer"),
 )
 
-_GROUP_CYCLE = (StationGroup.UKH, StationGroup.UKL, StationGroup.IH, StationGroup.IL)
-
 
 def _run_synth(ns) -> int:
-    start = datetime(ns.start_year, 1, 1)
-    series, metas = [], []
-    for i in range(ns.stations):
-        g = i % len(_GROUP_CYCLE)
-        group = _GROUP_CYCLE[g]
-        # The UK latitude would pass 90 degrees at i = 128, so station 129 on
-        # takes the site of the station 128 places before it, in its group.
-        k = i % 128
-        if group in (StationGroup.UKH, StationGroup.UKL):
-            region = Region.UK
-            lat, lon = 52.0 + 0.3 * k, -1.5 - 0.2 * k
-        else:
-            region = Region.VALLE_DAOSTA if group is StationGroup.IH else Region.PIEMONTE
-            lat, lon = 45.2 + 0.1 * k, 7.0 + 0.2 * k
-        alt = 600.0 + 25.0 * k if group in (StationGroup.UKH, StationGroup.IH) else 80.0 + 5.0 * k
-        sid = f"SYN{i + 1:02d}"
-        series.append(synth_station(
-            sid, start, n_years=ns.years, step=ns.step,
-            base=ns.base + g * ns.group_spread,
-            diurnal_amplitude=ns.diurnal_amplitude,
-            annual_amplitude=ns.annual_amplitude,
-            trend_per_year=ns.trend + g * ns.trend_spread,
-            noise_sd=ns.noise_sd, missing_rate=ns.missing_rate,
-            seed=[ns.seed, i]))
-        metas.append(StationMeta(sid, f"Synthetic {i + 1:02d}", group, region, lat, lon, alt))
+    series, metas = synth_network(
+        ns.stations, datetime(ns.start_year, 1, 1), n_years=ns.years, step=ns.step, base=ns.base,
+        diurnal_amplitude=ns.diurnal_amplitude, annual_amplitude=ns.annual_amplitude,
+        trend_per_year=ns.trend, trend_spread=ns.trend_spread, group_spread=ns.group_spread,
+        noise_sd=ns.noise_sd, missing_rate=ns.missing_rate, seed=ns.seed)
     out = Path(ns.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_records(out / "records.csv", series)
@@ -273,13 +247,7 @@ def _run_impute(ns) -> int:
     out_series = []
     for sid in sorted(series):
         filled = seasonal_split_impute(series[sid])
-        if ns.to_hourly:
-            if filled.step == HALF_HOUR:
-                filled = to_hourly(filled)
-            elif filled.step != HOUR:
-                raise ContractError(
-                    f"station {sid}: cannot collapse step {filled.step} to hourly")
-        out_series.append(filled)
+        out_series.append(to_hourly(filled) if ns.to_hourly else filled)
     write_records(ns.out, out_series)
     print(f"wrote {ns.out} ({len(out_series)} stations)")
     return 0
@@ -299,12 +267,8 @@ _AGGREGATE_OPTS = (
 def _run_aggregate(ns) -> int:
     cal = build_calendar(ns.scale)
     series = read_records(ns.records)
-    panels = []
-    for sid in sorted(series):
-        s = series[sid]
-        if s.step == HALF_HOUR:
-            s = to_hourly(s)
-        panels.append(hourly_window_means(s, cal, skip_missing=ns.skip_missing))
+    panels = [hourly_window_means(to_hourly(series[sid]), cal, skip_missing=ns.skip_missing)
+              for sid in sorted(series)]
     write_panel(ns.out, panels)
     print(f"wrote {ns.out} ({len(panels)} stations, scale {ns.scale})")
     return 0
@@ -359,17 +323,9 @@ _CLUSTER_OPTS = (
 )
 
 
-def _window_panel(ns) -> tuple[NetworkPanel, list[str]]:
-    """The panel of ``--panel`` and the windows that ``--window`` selects
-    (default: all of them)."""
-    panel = read_panel(ns.panel)
-    if ns.window is not None and ns.window not in panel.labels:
-        raise ContractError(f"window {ns.window!r} does not belong to scale {panel.scale}")
-    return panel, list(panel.labels) if ns.window is None else [ns.window]
-
-
 def _run_cluster(ns) -> int:
-    panel, windows = _window_panel(ns)
+    panel = read_panel(ns.panel)
+    windows = list(panel.labels) if ns.window is None else [ns.window]
     config = DtwConfig(*ns.weights, lam=ns.lam, metric=ns.metric)
     meta = read_metadata(ns.meta) if ns.meta else None
     # Every window is clustered before the first file is written, so a
@@ -405,11 +361,12 @@ _DCOR_OPTS = (
 
 
 def _run_dcor(ns) -> int:
-    panel, windows = _window_panel(ns)
+    panel = read_panel(ns.panel)
+    windows = list(panel.labels) if ns.window is None else [ns.window]
     if len(panel.stations) < 2:
         raise ContractError("dcor needs at least 2 stations in the panel")
-    scale, positions = panel.scale, [panel.labels.index(label) for label in windows]
     profiles = window_profiles(panel, windows, "level")
+    scale, positions = panel.scale, [panel.labels.index(label) for label in windows]
     del panel  # the profiles are all the permutation tests need
     rows = []
     for label, position, window in zip(windows, positions, profiles):

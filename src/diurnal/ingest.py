@@ -417,14 +417,18 @@ def _time_text(tods: np.ndarray) -> list[str]:
 
 
 def to_hourly(series: TemperatureSeries) -> TemperatureSeries:
-    """Collapse a 30-minute series to hourly means.
+    """An hourly series as it is, and a 30-minute series collapsed to hourly
+    means; any other step raises ``ContractError`` naming the station.
 
     Each output hour averages its available half-hour readings; one present
     half is used as-is, and an hour with both halves missing stays masked.
     Hours are left-labeled: readings at H:00 and H:30 both feed hour H.
     """
+    if series.step == HOUR:
+        return series
     if series.step != HALF_HOUR:
-        raise ContractError(f"to_hourly needs a 30-minute step, got {series.step}")
+        raise ContractError(
+            f"station {series.station_id}: cannot collapse step {series.step} to hourly")
     first_hour = series.start.replace(minute=0, second=0, microsecond=0)
     offset_min = int((series.start - first_hour).total_seconds()) // 60
     slot_min = offset_min + 30 * np.arange(series.n)

@@ -1,5 +1,4 @@
-"""Plot-ready outputs: contour bins, cluster tables, radar rows, plus a
-synthetic station generator for demos and self-checks.
+"""Plot-ready outputs: contour bins, cluster tables and radar rows.
 
 Everything here emits plain CSV or text; actual drawing is left to whatever
 plotting stack consumes the files. Contour bins are a ``ContourTable`` of
@@ -10,9 +9,8 @@ block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, timedelta
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -20,7 +18,7 @@ from ._util import (ColumnTable, csv_pieces, fmt, fmt_column, iter_rows, parse_f
                     roman, unique_runs, write_blocks, write_csv)
 from .errors import ContractError, EmptyInputError, ParseError
 from .impute import MONTH_ABBR
-from .ingest import HALF_HOUR, HOUR, StationMeta, TemperatureSeries
+from .ingest import StationMeta
 from .similarity import ClusterReport, Merge
 from .trend import TrendTable, table_windows
 
@@ -209,72 +207,3 @@ def radar_sheet(monthly: Mapping[str, Mapping[str, tuple[int, float]]],
 def write_radar_csv(path: str | Path, rows: Iterable[RadarRow]) -> None:
     write_csv(path, RADAR_HEADER, ((r.month, r.cluster, r.region, fmt(r.mean_silhouette),
                                    r.count) for r in rows))
-
-
-def synth_station(station_id: str,
-                  start: datetime,
-                  n_years: int = 10,
-                  step: timedelta = HOUR,
-                  base: float = 10.0,
-                  diurnal_amplitude: float = 5.0,
-                  annual_amplitude: float = 0.0,
-                  trend_per_year: float = 0.0,
-                  noise_sd: float = 0.0,
-                  missing_rate: float = 0.0,
-                  seed: int | Sequence[int] = 0) -> TemperatureSeries:
-    """Generate a synthetic station series with known structure.
-
-    temp(t) = base
-            + diurnal_amplitude * sin(2*pi * hour_of_day / 24)
-            + annual_amplitude  * sin(2*pi * day_of_year / 365.25)
-            + trend_per_year * (year - start year)
-            + Normal(0, noise_sd)
-
-    The series runs from ``start`` (naive UTC, on the step grid) up to but
-    not including the same instant ``n_years`` calendar years later; a
-    series that starts on 29 February and whose end year is not a leap
-    year ends at the same time on 1 March of that year instead. With
-    ``noise_sd`` zero no random numbers are drawn at all, so the output is
-    a pure closed-form surface; ``missing_rate`` masks slots independently
-    at that rate, after the noise draw.
-    """
-    if start.tzinfo is not None:
-        raise ContractError("start must be a naive UTC datetime")
-    if step not in (HOUR, HALF_HOUR):
-        raise ContractError("step must be one hour or 30 minutes")
-    if n_years < 1:
-        raise ContractError(f"n_years must be at least 1, got {n_years}")
-    if start.year + n_years > 9999:
-        raise ContractError(
-            f"start year {start.year} plus {n_years} years passes year 9999")
-    if noise_sd < 0:
-        raise ContractError("noise_sd must be non-negative")
-    if not 0.0 <= missing_rate < 1.0:
-        raise ContractError("missing_rate must be in [0, 1)")
-    try:
-        end = start.replace(year=start.year + n_years)
-    except ValueError:  # 29 February, and the end year is not a leap year
-        end = start.replace(year=start.year + n_years, month=3, day=1)
-    step_s = int(step.total_seconds())
-    n = int((end - start).total_seconds()) // step_s
-    idx = np.datetime64(start, "s") + np.arange(n) * np.timedelta64(step_s, "s")
-    sec_of_day = (idx - idx.astype("datetime64[D]").astype("datetime64[s]")).astype(np.int64)
-    hour_of_day = sec_of_day / 3600.0
-    year_start = idx.astype("datetime64[Y]").astype("datetime64[s]")
-    day_of_year = (idx - year_start).astype(np.int64) / 86400.0
-    years = idx.astype("datetime64[Y]").astype(np.int64) + 1970
-    temp = (base
-            + diurnal_amplitude * np.sin(2.0 * np.pi * hour_of_day / 24.0)
-            + annual_amplitude * np.sin(2.0 * np.pi * day_of_year / 365.25)
-            + trend_per_year * (years - start.year))
-    rng = None
-    if noise_sd > 0.0:
-        rng = np.random.default_rng(seed)
-        temp = temp + rng.normal(0.0, noise_sd, n)
-    missing = np.zeros(n, dtype=bool)
-    if missing_rate > 0.0:
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        missing = rng.random(n) < missing_rate
-    return TemperatureSeries(station_id, start, step, temp, missing)
-

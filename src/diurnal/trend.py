@@ -32,7 +32,6 @@ from .aggregate import SCALES, NetworkPanel, window_index
 from .errors import (
     ContractError,
     DegenerateDataError,
-    ParseError,
     SampleTooSmallError,
 )
 
@@ -301,24 +300,15 @@ def trend_surface(panel: NetworkPanel, min_years: int = MIN_YEARS) -> TrendTable
                       *(v[order] for v in stats))
 
 
-def hour_profiles(panel: NetworkPanel, window_label: str, kind: str) -> dict[str, np.ndarray]:
-    """Each station's 24-hour profile of one window, in sorted station order:
-    Sen's slope across each cell's valid years (``kind="slope"``, two
-    needed) or their mean (``"level"``, one needed; no other kind). The first
-    station and hour short of years, whose slope ``sen_slope`` rejects or
-    whose mean is not finite, raises, its error prefixed with
-    ``station S, window W, hour H: ``. This is the one-window case of
-    ``window_profiles``."""
-    return window_profiles(panel, [window_label], kind)[0]
-
-
 def window_profiles(panel: NetworkPanel, window_labels: Sequence[str],
                     kind: str) -> list[dict[str, np.ndarray]]:
-    """``hour_profiles`` of each window of ``window_labels``, in order, from
-    one pass: the cells of every station, selected window and hour are
-    grouped by their valid years, with one Sen kernel (and no Mann-Kendall)
-    or mean per group. The profiles come out bitwise as window by window.
-    The first window that ``hour_profiles`` rejects raises its error."""
+    """Each station's 24-hour profile of each window of ``window_labels``,
+    in order and by sorted station: Sen's slope across each cell's valid
+    years (``kind="slope"``, two needed) or their mean (``"level"``, one
+    needed), from one pass, bitwise as window by window. The first window
+    whose label is unknown, or that has a cell short of years, a slope
+    ``sen_slope`` rejects or a mean that is not finite, raises; a cell's
+    error starts ``station S, window W, hour H: ``."""
     if kind not in ("slope", "level"):
         raise ContractError(f"unknown profile kind {kind!r}, expected 'slope' or 'level'")
     need = 2 if kind == "slope" else 1

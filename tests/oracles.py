@@ -9,7 +9,9 @@ per-row I/O, except that a timestamp moved out of range by its offset, a
 line, a UTF-8 byte order mark at the start of a file is skipped, and the
 panel reader checks each row as the columnar one does; they
 borrow only its data classes, calendars and error types, so their results
-and exceptions compare directly with the columnar code.
+and exceptions compare directly with the columnar code. The synthetic
+network's layout loop is the one exception: it calls ``synth_station`` for
+each series, since what it pins is the layout around that call.
 """
 
 from __future__ import annotations
@@ -35,8 +37,12 @@ from diurnal import (
     ParseError,
     SampleTooSmallError,
     NetworkPanel,
+    Region,
+    StationGroup,
+    StationMeta,
     TemperatureSeries,
     build_calendar,
+    synth_station,
 )
 from diurnal.aggregate import SCALES
 from diurnal.report import P_BANDS, SLOPE_BANDS
@@ -510,6 +516,42 @@ def seasonal_split_impute_loop(series):
                              np.array(filled), np.zeros(series.n, bool))
 
 
+_GROUP_CYCLE = (StationGroup.UKH, StationGroup.UKL, StationGroup.IH, StationGroup.IL)
+
+
+def synth_network_loop(ns):
+    """The series and metadata of ``diurnal synth``'s options ``ns`` (its
+    parsed command line), station by station, with each station's group,
+    region, coordinates, altitude, base, trend and seed worked out by
+    branches, as the command once did it itself."""
+    start = datetime(ns.start_year, 1, 1)
+    series, metas = [], []
+    for i in range(ns.stations):
+        g = i % len(_GROUP_CYCLE)
+        group = _GROUP_CYCLE[g]
+        # The UK latitude would pass 90 degrees at i = 128, so station 129 on
+        # takes the site of the station 128 places before it, in its group.
+        k = i % 128
+        if group in (StationGroup.UKH, StationGroup.UKL):
+            region = Region.UK
+            lat, lon = 52.0 + 0.3 * k, -1.5 - 0.2 * k
+        else:
+            region = Region.VALLE_DAOSTA if group is StationGroup.IH else Region.PIEMONTE
+            lat, lon = 45.2 + 0.1 * k, 7.0 + 0.2 * k
+        alt = 600.0 + 25.0 * k if group in (StationGroup.UKH, StationGroup.IH) else 80.0 + 5.0 * k
+        sid = f"SYN{i + 1:02d}"
+        series.append(synth_station(
+            sid, start, n_years=ns.years, step=ns.step,
+            base=ns.base + g * ns.group_spread,
+            diurnal_amplitude=ns.diurnal_amplitude,
+            annual_amplitude=ns.annual_amplitude,
+            trend_per_year=ns.trend + g * ns.trend_spread,
+            noise_sd=ns.noise_sd, missing_rate=ns.missing_rate,
+            seed=[ns.seed, i]))
+        metas.append(StationMeta(sid, f"Synthetic {i + 1:02d}", group, region, lat, lon, alt))
+    return series, metas
+
+
 # --- Reference CSV I/O: one Python step per row ---------------------------
 
 def _fmt_float(value: float) -> str:
@@ -688,7 +730,7 @@ def read_panel_rows(path):
     years = sorted({y for cells in rows.values() for y, _, _ in cells})
     shape = (len(stations), len(years), cal.n_windows, 24)
     means = np.full(shape, np.nan)
-    counts = np.zeros(shape, dtype=np.int64)
+    counts = np.zeros(shape, dtype=np.uint8)  # the file keeps only a 0/1 flag
     for s, sid in enumerate(stations):
         for (year, label, hour), (mean, ok) in rows[sid].items():
             if ok:

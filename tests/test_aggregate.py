@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from datetime import datetime
 
 import numpy as np
@@ -156,6 +157,29 @@ class TestAggregation:
     def test_empty_series_rejected(self):
         with pytest.raises(EmptyInputError):
             hourly_window_means(make_series([]), build_calendar("30d"))
+
+    def test_first_overflowing_cell_is_named(self):
+        # Readings at 1e308 in hour 1 of September 2000 and hour 5 of June
+        # 2001: the 30 readings of each cell sum past the largest double.
+        # A mean of inf was once returned, with no warning; September 2000
+        # comes first in (year, window, hour) order. Once its readings are
+        # masked, an empty cell, the June cell is named.
+        stamps = np.arange("2000-01-01T00", "2002-01-01T00", dtype="datetime64[h]")
+        year = stamps.astype("datetime64[Y]").astype(int) + 1970
+        month = stamps.astype("datetime64[M]").astype(int) % 12 + 1
+        hour = stamps.astype(int) % 24
+        sep = (year == 2000) & (month == 9) & (hour == 1)
+        jun = (year == 2001) & (month == 6) & (hour == 5)
+        values = np.where(sep | jun, 1e308, 1e306)
+        cal = build_calendar("30d")
+        for missing, cell in ((None, "year 2000, window Sep, hour 1"),
+                              (sep, "year 2001, window Jun, hour 5")):
+            s = make_series(values, missing, sid="A")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ContractError) as info:
+                    hourly_window_means(s, cal, skip_missing=True)
+            assert str(info.value) == f"station A, {cell}: mean of the readings is not finite"
 
 
 class TestYearSeries:

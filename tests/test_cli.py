@@ -7,6 +7,7 @@ import hashlib
 import subprocess
 import sys
 import weakref
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -22,12 +23,13 @@ from diurnal import (
     read_panel,
     silhouette,
     write_panel,
+    write_records,
 )
 import diurnal.cli as cli_module
 from diurnal.cli import cli
 from diurnal.report import write_cluster_csv, write_merges_csv
 from diurnal.similarity import write_dcor_csv, write_distance_csv
-from helpers import grid_panel
+from helpers import grid_panel, make_series
 
 
 def run(*argv):
@@ -403,13 +405,16 @@ class TestHalfHourPath:
         lines = (tmp_path / "panel.csv").read_text(encoding="utf-8").splitlines()
         assert lines[1].split(",")[3] == "Jan01-10"
 
-    def test_to_hourly_rejects_15_minute_records(self, tmp_path, capsys):
+    # Both stages collapse records through to_hourly's one rule; aggregate's
+    # error once named no station.
+    @pytest.mark.parametrize("argv", [("impute", "--to-hourly"), ("aggregate", "--scale", "30d")],
+                             ids=["impute", "aggregate"])
+    def test_to_hourly_rejects_15_minute_records(self, tmp_path, capsys, argv):
         records = tmp_path / "q.csv"
         records.write_text("station_id,timestamp,temp_c\n" + "".join(
             f"Q1,2000-01-01T00:{m:02d}:00Z,{m / 10}\n" for m in range(0, 60, 15)))
-        out = tmp_path / "filled.csv"
-        assert run("impute", "--records", str(records), "--out", str(out),
-                   "--to-hourly") == 1
+        out = tmp_path / "out.csv"
+        assert run(*argv, "--records", str(records), "--out", str(out)) == 1
         assert capsys.readouterr().err.strip() == (
             "error: station Q1: cannot collapse step 0:15:00 to hourly")
         assert not out.exists()
@@ -561,7 +566,7 @@ class TestNothingWrittenOnFailure:
         assert run(command, "--panel", str(pipeline_dir / "panel.csv"),
                    out_option, str(out), "--window", "Foo") == 1
         assert capsys.readouterr().err.strip() == (
-            "error: window 'Foo' does not belong to scale 30d")
+            "error: unknown window label 'Foo' for scale 30d")
         assert not out.exists()
 
     @pytest.mark.parametrize("command,out_option", [("cluster", "--out-dir"),
@@ -629,6 +634,22 @@ class TestConsoleScript:
         proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
                               text=True)
         assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+
+
+class TestAggregateOverflow:
+    def test_overflowing_window_mean_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        # A year of hourly readings at 1e308: each month's hourly sums pass
+        # the largest double. The stage once wrote a mean of inf, which
+        # read_panel then rejected.
+        records = tmp_path / "records.csv"
+        write_records(records, [make_series(np.full(8760, 1e308), start=datetime(2001, 1, 1),
+                                            sid="A")])
+        out = tmp_path / "panel.csv"
+        assert run("aggregate", "--records", str(records), "--scale", "30d",
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: station A, year 2001, window Jan, hour 0: mean of the readings is not finite")
+        assert not out.exists()
 
 
 class TestTrendOverflow:

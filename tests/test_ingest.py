@@ -268,8 +268,13 @@ class TestToHourly:
         assert h.values.tolist() == [4.0, 2.0]
 
     def test_rejects_non_half_hour_step(self):
-        with pytest.raises(ContractError, match="30-minute"):
-            to_hourly(make_series([1.0, 2.0], step=HOUR))
+        # A 15-minute series cannot be collapsed; an hourly one comes back
+        # as it is, the same object.
+        with pytest.raises(ContractError) as info:
+            to_hourly(make_series([1.0, 2.0], step=timedelta(minutes=15), sid="Q1"))
+        assert str(info.value) == "station Q1: cannot collapse step 0:15:00 to hourly"
+        hourly = make_series([1.0, 2.0], step=HOUR)
+        assert to_hourly(hourly) is hourly
 
 
 class TestMissingReport:

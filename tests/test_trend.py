@@ -20,7 +20,6 @@ from diurnal import (
     PipelineError,
     SampleTooSmallError,
     build_calendar,
-    hour_profiles,
     hourly_window_means,
     lag1_autocorrelation,
     mk_test,
@@ -311,8 +310,9 @@ class TestKernelsMatchFormerScalarCode:
 
 
 class TestBatchedSurface:
-    """``trend_surface`` and ``hour_profiles`` against the former per-cell
-    loops: every field and value bitwise, and the same first error."""
+    """``trend_surface`` and one window's ``window_profiles`` against the
+    former per-cell loops: every field and value bitwise, and the same first
+    error."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 9), st.integers(1, 5),
            st.sampled_from([0.1, 0.25, 1.7]), st.floats(0.3, 1.0), st.integers(3, 6))
@@ -394,7 +394,7 @@ class TestBatchedSurface:
                               valid_rate=rate) for sid in ("S3", "S1", "S2")]
         panel = stack_panels(singles)
         for label in panel.labels:
-            got = _outcome(hour_profiles, panel, label, kind)
+            got = _outcome(lambda: window_profiles(panel, [label], kind)[0])
             want = _outcome(_per_station_profiles, singles, label, kind)
             if isinstance(want, dict):
                 assert list(got) == list(want)
@@ -407,12 +407,12 @@ class TestBatchedSurface:
         panel = grid_panel(np.random.default_rng(6), n_years=4, valid_rate=1.0)
         with pytest.raises(ContractError, match=rf"unknown profile kind {kind!r}, "
                                                 r"expected 'slope' or 'level'"):
-            hour_profiles(panel, panel.labels[0], kind)
+            window_profiles(panel, panel.labels[:1], kind)
 
     def test_profile_of_non_finite_cell_raises_as_before(self):
         panel = grid_panel(np.random.default_rng(5), n_years=4, valid_rate=1.0)
         panel.means[0, 2, 0, 9] = np.inf
-        got = _outcome(hour_profiles, panel, panel.labels[0], "slope")
+        got = _outcome(lambda: window_profiles(panel, panel.labels[:1], "slope")[0])
         assert got == _outcome(oracles.hour_profile_cells, panel, panel.labels[0], "slope")
         assert got == (ContractError, f"station S1, window {panel.labels[0]}, hour 9: "
                                       "Sen's slope input must be finite")
@@ -461,7 +461,7 @@ class TestWindowProfiles:
         labels = list(rng.permutation(panel.labels)[:rng.integers(1, 7)])
         got = _window_outcomes(panel, labels, kind)
         assert repr(got) == repr(_window_oracle(singles, labels, kind))
-        ones = [_outcome(hour_profiles, panel, label, kind) for label in labels]
+        ones = [_outcome(lambda: window_profiles(panel, [label], kind)[0]) for label in labels]
         failed = [one for one in ones if not isinstance(one, dict)]
         assert repr(got) == repr(failed[0] if failed else [
             {sid: v.tolist() for sid, v in one.items()} for one in ones])
@@ -632,6 +632,6 @@ class TestOverflow:
         panel = stack_panels([s1, s2])
         error = (ContractError, f"station S2, window {panel.labels[3]}, hour 5: "
                                 "mean of the valid years is not finite")
-        assert _outcome(hour_profiles, panel, panel.labels[3], "level") == error
+        assert _outcome(lambda: window_profiles(panel, [panel.labels[3]], "level")[0]) == error
         assert _window_outcomes(panel, panel.labels, "level") == error
         assert _window_oracle([s1, s2], panel.labels, "level") == error
