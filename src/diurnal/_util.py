@@ -237,15 +237,19 @@ def parse_floats(column: Column) -> tuple[np.ndarray, np.ndarray]:
 
     The bulk-split rows of at most 8 bytes are factorized by their word
     keys, so ``float()`` runs once per distinct text and the result is
-    gathered per row; any other row goes through ``float()`` on its own. A
+    gathered per row; any other row goes through ``float()`` on its own,
+    a wider bulk-split row as the bytes of an ``S`` view of its codes. A
     column of one kind of row is parsed whole, without a copy; in a mixed
     column only the narrow rows' keys and the wide rows are copied.
     """
     narrow = (column.codes.dtype == np.uint8) & (column.length <= 8)
     if not narrow.any():
-        # A bulk-split row wider than 8 bytes is never empty.
-        parse = float if column.codes.dtype == np.uint8 else parse_float
-        return parse_each(parse, column.text().tolist(), np.float64)
+        if column.codes.dtype != np.uint8:
+            return parse_each(parse_float, column.text().tolist(), np.float64)
+        # A bulk-split row wider than 8 bytes is never empty, and holds no
+        # NUL, so the S view drops only its padding.
+        codes = np.ascontiguousarray(column.codes)
+        return parse_each(float, codes.view(f"S{codes.shape[1]}").ravel().tolist(), np.float64)
     every = narrow.all()
     keys = _first_words(column)
     texts, index = _word_texts(keys if every else keys[narrow])

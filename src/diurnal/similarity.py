@@ -439,8 +439,7 @@ def _dcor_tests(samples: Sequence[Sequence[float]], seed_of: Callable[[int], int
     if n_perm < 99:
         raise ContractError(f"n_perm must be at least 99, got {n_perm}")
     if len(samples) < 2:
-        empty = np.zeros((len(samples),) * 2)
-        return empty, empty
+        raise SampleTooSmallError("distance correlation needs at least 2 profiles")
     stack, squares = _dcor_centered(samples)
     s, cells = stack.shape
     n = len(samples[0])
@@ -489,7 +488,8 @@ def dcor_table(profiles: Mapping[str, Sequence[float]], n_perm: int = 199,
     draws serve all its pairs with lower-sorted labels. Every profile is
     checked and centered once, and the first bad input raises what a loop
     of ``dcor_permutation_test`` over the pairs would. Fewer than 99
-    permutations are rejected whatever the number of profiles.
+    permutations are rejected whatever the number of profiles, and then
+    fewer than 2 profiles (``SampleTooSmallError``).
     """
     labels = sorted(profiles)
     observed, p = _dcor_tests([profiles[lab] for lab in labels],

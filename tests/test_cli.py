@@ -22,9 +22,11 @@ from diurnal import (
     read_metadata,
     read_panel,
     silhouette,
+    synth_network,
     write_panel,
     write_records,
 )
+from diurnal import ingest
 import diurnal.cli as cli_module
 from diurnal.cli import cli
 from diurnal.report import write_cluster_csv, write_merges_csv
@@ -569,6 +571,27 @@ class TestNothingWrittenOnFailure:
             "error: unknown window label 'Foo' for scale 30d")
         assert not out.exists()
 
+    @pytest.mark.parametrize("window", [[], ["--window", "Jul"]], ids=["all", "Jul"])
+    def test_dcor_on_one_station(self, tmp_path, capsys, window):
+        # The rule is the library's own (dcor_table), so it is checked
+        # after the window labels and worded as the library words it.
+        panel = _write_panels(tmp_path / "panel.csv", [("S1", "30d", 3, 0, 0, 3)],
+                              np.random.default_rng(5))
+        out = tmp_path / "dcor.csv"
+        assert run("dcor", "--panel", str(panel), "--out", str(out), *window) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: distance correlation needs at least 2 profiles")
+        assert not out.exists()
+
+    def test_dcor_label_checked_before_station_count(self, tmp_path, capsys):
+        panel = _write_panels(tmp_path / "panel.csv", [("S1", "30d", 3, 0, 0, 3)],
+                              np.random.default_rng(5))
+        out = tmp_path / "dcor.csv"
+        assert run("dcor", "--panel", str(panel), "--out", str(out), "--window", "Foo") == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: unknown window label 'Foo' for scale 30d")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,out_option", [("cluster", "--out-dir"),
                                                     ("dcor", "--out"), ("trend", "--out")])
     def test_panel_mixing_scales(self, mixed_scales, tmp_path, capsys, command, out_option):
@@ -783,3 +806,49 @@ class TestRaggedYears:
             rows += [("30d", label, *pair) for pair in dcor_table(levels, 99, [4, w])]
         write_dcor_csv(tmp_path / "want.csv", rows)
         assert (tmp_path / "dcor.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+class TestRecordsStagesBytes:
+    """``impute`` and ``aggregate`` write the bytes of the per-slot oracles,
+    and the same bytes with the compact-run path of the records reader
+    switched off, on a regular records file (every slot a row, so each
+    station's runs chain) and on an irregular one (rows left out, rows out
+    of order and a station resumed at the end of the file), whose stations
+    go through the general path."""
+
+    @pytest.fixture(params=["regular", "irregular"])
+    def records(self, request, tmp_path):
+        series, _ = synth_network(2, datetime(2001, 1, 1), n_years=1, missing_rate=0.05,
+                                  seed=3)
+        path = tmp_path / "records.csv"
+        write_records(path, series)
+        if request.param == "irregular":
+            header, *rows = path.read_text().splitlines()
+            rows = [row for k, row in enumerate(rows) if k % 97 != 5]
+            rows[100:150] = rows[149:99:-1]
+            rows = rows[:8000] + rows[8700:] + rows[8000:8700]
+            path.write_text("\n".join([header, *rows]) + "\n")
+        return path
+
+    def _stages(self, records, out):
+        out.mkdir()
+        assert run("impute", "--records", str(records), "--out", str(out / "filled.csv")) == 0
+        assert run("aggregate", "--records", str(records), "--skip-missing", "--scale", "10d",
+                   "--out", str(out / "raw.csv")) == 0
+        assert run("aggregate", "--records", str(out / "filled.csv"), "--scale", "30d",
+                   "--out", str(out / "panel.csv")) == 0
+        return {f.name: f.read_bytes() for f in out.iterdir()}
+
+    def test_outputs_match_the_oracles_and_the_general_path(self, records, tmp_path,
+                                                             monkeypatch):
+        got = self._stages(records, tmp_path / "got")
+        raw = oracles.read_records_rows(records)
+        filled = [oracles.seasonal_split_impute_loop(s) for s in raw.values()]
+        oracles.write_records_rows(tmp_path / "filled.csv", filled)
+        oracles.write_panel_rows(tmp_path / "raw.csv", [oracles.hourly_window_means_loop(
+            s, build_calendar("10d"), skip_missing=True) for s in raw.values()])
+        oracles.write_panel_rows(tmp_path / "panel.csv", [oracles.hourly_window_means_loop(
+            s, build_calendar("30d")) for s in filled])
+        assert got == {name: (tmp_path / name).read_bytes() for name in got}
+        monkeypatch.setattr(ingest, "_chained_series", lambda sid, pieces, step: None)
+        assert self._stages(records, tmp_path / "general") == got

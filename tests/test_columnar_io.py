@@ -404,6 +404,101 @@ class TestRecordsReader:
         _assert_same_series(series, oracles.read_records_rows(path, HOUR))
 
 
+REGULAR_TEMPS = ["", "1.5", "-0.0", "12.25", "0.30000000000000004", "-7"]
+
+
+@st.composite
+def regular_records_file(draw):
+    """Record lines for 1-3 stations, each a run of rows one step apart,
+    every slot written as a row (empty temperatures now and then), now and
+    then with one fault inside the run: a duplicate row, a step change, a
+    slot left out or a misaligned stamp. Now and then the first station's
+    last rows are resumed at the end of the file, or the first two
+    stations' rows are interleaved, which puts one-row runs in a block."""
+    stations = []
+    for field, _ in draw(st.lists(st.sampled_from(STATION_FIELDS), min_size=1, max_size=3,
+                                  unique_by=lambda f: f[1])):
+        step = draw(st.sampled_from([HOUR, HALF_HOUR, timedelta(milliseconds=500)]))
+        start = datetime(2000, 12, 31, 22) + draw(st.sampled_from(
+            [timedelta(0), timedelta(minutes=30)]))
+        n = draw(st.integers(1, 30))
+        stamps = [start + k * step for k in range(n)]
+        fault = draw(st.sampled_from([None, None, "duplicate", "step", "gap", "misaligned"]))
+        if fault and n > 2:
+            k = draw(st.integers(1, n - 2))
+            if fault == "duplicate":
+                stamps.insert(k, stamps[k])
+            elif fault == "step":
+                new = draw(st.sampled_from([2 * step, step / 2]))
+                stamps[k:] = [stamps[k - 1] + (j + 1) * new for j in range(n - k)]
+            elif fault == "gap":
+                del stamps[k]
+            else:
+                stamps[k] += step / 2
+        temps = draw(st.lists(st.sampled_from(REGULAR_TEMPS), min_size=len(stamps),
+                              max_size=len(stamps)))
+        stations.append([f"{field},{ts.isoformat()}Z,{t}" for ts, t in zip(stamps, temps)])
+    arrange = draw(st.sampled_from(["runs", "resumed", "interleaved"]))
+    if arrange == "interleaved" and len(stations) > 1:
+        a, b = stations[:2]
+        merged = [row for pair in zip(a, b) for row in pair]
+        stations[:2] = [merged + a[len(b):] + b[len(a):]]
+    rows = [row for station in stations for row in station]
+    if arrange == "resumed":
+        cut = draw(st.integers(1, len(stations[0])))
+        rows = rows[:cut] + rows[len(stations[0]):] + rows[cut:len(stations[0])]
+    if draw(st.booleans()):
+        rows.insert(0, "station_id,timestamp,temp_c")
+    return draw(_terminated(rows))
+
+
+class TestCompactRuns:
+    """A run of a station's rows in a block whose stamps step by one
+    constant keeps only its first stamp, step and count, and a station whose
+    runs all chain at one step is built from its temperatures alone
+    (``ingest._chained_series``). Any other station materializes its stamps
+    and goes through the general path. With the compact path switched off,
+    the general path must read every file to the same series, or fail with
+    the same error."""
+
+    @given(lines=regular_records_file(), expected=st.sampled_from([None, HOUR, HALF_HOUR]))
+    @SETTINGS
+    def test_compact_runs_read_as_the_general_path(self, tmp_path, block_lines, lines,
+                                                    expected):
+        path = tmp_path / "records.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        got = _outcome(read_records, path, expected)
+        with mock.patch.object(ingest, "_chained_series", return_value=None):
+            general = _outcome(read_records, path, expected)
+        _assert_same_outcome(got, general, _assert_same_series)
+        _assert_same_outcome(got, _outcome(oracles.read_records_rows, path, expected),
+                             _assert_same_series)
+
+    @pytest.mark.parametrize("expected", [None, HOUR])
+    def test_regular_stations_take_the_compact_path(self, tmp_path, block_lines, expected):
+        # Two hourly stations, the first resumed after the second: every run
+        # is compact and each station chains, block edges anywhere.
+        rows = ([_hour_row("T01", h, late=()) for h in range(5)]
+                + [_hour_row("B2", h, late=()) for h in range(9)]
+                + [_hour_row("T01", h, late=()) for h in range(5, 12)])
+        path = tmp_path / "records.csv"
+        path.write_text("station_id,timestamp,temp_c\n" + "\n".join(rows) + "\n")
+        built, chained_series = [], ingest._chained_series
+
+        def chained(sid, pieces, step):
+            assert all(isinstance(stamps, tuple) for stamps, _, _ in pieces)
+            series = chained_series(sid, pieces, step)
+            built.append((sid, series is not None))
+            return series
+
+        with mock.patch.object(ingest, "_chained_series", chained):
+            series = read_records(path, expected)
+        assert built == [("B2", True), ("T01", True)]
+        assert series["T01"].values.tolist() == [h + 0.5 for h in range(12)]
+        _assert_same_series(series, oracles.read_records_rows(path, expected))
+
+
 def _panel_cell_rows(draw, field, sid_scale, years):
     cal = build_calendar(sid_scale)
     cells = draw(st.lists(st.tuples(st.sampled_from(years), st.sampled_from(cal.labels),

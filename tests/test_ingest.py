@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import sys
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -169,7 +170,8 @@ class TestRecordsRoundTrip:
 
 class TestRecordsMemory:
     def test_peak_grows_by_at_most_40_bytes_a_row(self, tmp_path):
-        # A row is held as its microseconds and temperature (16 bytes) until
+        # A row is held as its temperature (8 bytes; its microseconds too,
+        # 16 bytes, where its run's stamps do not step by one constant) until
         # its station's series is built. The peak also holds one block's
         # working memory, which does not grow with the file, so the bound is
         # on the peak's growth from 100k rows to 200k: the reader that held
@@ -220,10 +222,32 @@ class TestPanelMemory:
         assert peak - held <= 36 * 24 * 9  # one grid row
 
 
+@pytest.mark.parametrize("hook", ["settrace", "setprofile"])
+def test_panel_read_under_a_trace_or_profile_hook(tmp_path, hook):
+    # A hook (coverage, a debugger, cProfile) holds extra references to the
+    # growing grid, which ndarray.resize's reference check refused.
+    rng = np.random.default_rng(7)
+    # 69 120 rows: five blocks, so the grid grows four times.
+    write_panel(tmp_path / "p.csv", [grid_panel(rng, f"S{k}", "10d", n_years=20)
+                                     for k in range(4)])
+    want = read_panel(tmp_path / "p.csv")
+    get, set_hook = (getattr(sys, "get" + hook[3:]), getattr(sys, hook))
+    before = get()
+    set_hook(lambda frame, event, arg: None)
+    try:
+        got = read_panel(tmp_path / "p.csv")
+    finally:
+        set_hook(before)
+    assert got.stations == want.stations
+    assert np.array_equal(got.years, want.years)
+    assert np.array_equal(got.means, want.means, equal_nan=True)
+    assert np.array_equal(got.counts, want.counts)
+
+
 class TestBlockMemory:
     """A reader holds one block's working memory at a time: its peak above
     what it returns, on a file of four blocks of ``BLOCK_LINES`` rows, stays
-    within 224 bytes a block line, loose over the 155 (records) and 173
+    within 224 bytes a block line, loose over the 131 (records) and 173
     (panel) measured on numpy 2.4. A reader that holds the last block while
     it splits the next takes 338 and 484."""
 
@@ -236,6 +260,21 @@ class TestBlockMemory:
             make_series(np.round(rng.normal(5, 3, n), 1), rng.random(n) < 0.02)])
         peak, held = read_peak(read_records, tmp_path / "r.csv")
         assert peak - held <= self.BOUND
+
+    def test_records_of_many_blocks_and_stations(self, tmp_path):
+        # 4 stations of 8 blocks each, every slot a row: a row keeps only
+        # its temperature (8 bytes), which becomes its station's values, so
+        # the peak above what is returned stays within one block's working
+        # memory and the largest station's series (9 bytes a slot). Measured
+        # 110 bytes a block line; a reader that keeps 16 bytes a row until
+        # every station is built takes 375, past the bound's 296.
+        rng = np.random.default_rng(7)
+        n = 8 * BLOCK_LINES
+        write_records(tmp_path / "r.csv", [
+            make_series(np.round(rng.normal(5, 3, n), 1), rng.random(n) < 0.02, sid=f"S{k}")
+            for k in range(4)])
+        peak, held = read_peak(read_records, tmp_path / "r.csv")
+        assert peak - held <= self.BOUND + 9 * n
 
     def test_panel(self, tmp_path):
         rng = np.random.default_rng(7)

@@ -717,9 +717,13 @@ class TestDcorKernel:
         assert want[:2] == ("error", ContractError)
         assert _outcome(dcor_table, profiles, 99, [2]) == want
 
-    def test_one_station_has_no_pairs(self):
-        assert dcor_table({"S1": [np.nan]}, n_perm=99) == []
-        assert dcor_table({}, n_perm=99) == []
+    @pytest.mark.parametrize("profiles", [{"S1": [1.0, 2.0, 4.0]}, {"S1": [np.nan]}, {}],
+                             ids=["one", "one-bad", "none"])
+    def test_fewer_than_two_profiles_rejected(self, profiles):
+        # As window_dtw rejects them for DTW; a table of no pairs said nothing.
+        with pytest.raises(SampleTooSmallError,
+                           match="^distance correlation needs at least 2 profiles$"):
+            dcor_table(profiles, n_perm=99)
 
     @pytest.mark.parametrize("stations", range(4))
     def test_too_few_permutations_rejected_at_any_station_count(self, stations):
