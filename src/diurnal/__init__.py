@@ -37,6 +37,7 @@ from .ingest import (
     missing_report,
     read_metadata,
     read_records,
+    station_codes,
     time_fields,
     to_hourly,
     write_metadata,
@@ -89,7 +90,7 @@ __all__ = [
     "ParseError", "DuplicateTimestampError", "EmptyInputError", "ImputationError",
     "seasonal_split_impute",
     "StationMeta", "StationGroup", "Region", "TemperatureSeries", "MissingReport",
-    "read_records", "write_records", "read_metadata", "write_metadata",
+    "read_records", "write_records", "read_metadata", "write_metadata", "station_codes",
     "to_hourly", "missing_report", "day_fields", "time_fields",
     "ContourTable", "RadarRow",
     "bin_cell", "cluster_table", "contour_grid", "radar_sheet",

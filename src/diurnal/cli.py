@@ -290,8 +290,6 @@ _TREND_OPTS = (
 
 def _run_trend(ns) -> int:
     table = trend_surface(read_panel(ns.panel), min_years=ns.min_years)
-    if not len(table):
-        raise EmptyInputError("no cell had enough usable years for a trend test")
     write_trend_csv(ns.out, table)
     print(f"wrote {ns.out} ({len(table)} cells)")
     return 0
@@ -324,7 +322,8 @@ _CLUSTER_OPTS = (
     _Opt("--weights", _weights_arg, (1.0, 1.0, 2.0), "DTW move weights wh,wv,wd"),
     _Opt("--lambda", float, 0.0, "DTW off-diagonal penalty", dest="lam"),
     _Opt("--metric", _metric_arg, "absolute", "DTW local cost: absolute or squared"),
-    _Opt("--meta", str, None, "station metadata CSV; adds a readable cluster table"),
+    _Opt("--meta", str, None, "station metadata CSV listing every panel station, as for "
+         "radar; adds a readable cluster table"),
 )
 
 
@@ -333,23 +332,24 @@ def _run_cluster(ns) -> int:
     windows = list(panel.labels) if ns.window is None else [ns.window]
     config = DtwConfig(*ns.weights, lam=ns.lam, metric=ns.metric)
     meta = read_metadata(ns.meta) if ns.meta else None
-    # Every window is clustered before the first file is written, so a
-    # window that fails leaves no output behind.
+    # Every window is clustered, and its table rendered, before the first
+    # file is written, so a window that fails leaves no output behind.
     results = []
     profiles = window_profiles(panel, windows, ns.features)
     del panel  # the profiles are all the DTW phase needs
     for label, dist in zip(windows, window_dtw(profiles, config)):
         rep = agglomerative_cluster(dist, ns.k)
-        results.append((label, dist, rep, *silhouette(dist, rep.assignment)))
+        scores, mean = silhouette(dist, rep.assignment)
+        table = None if meta is None else cluster_table(rep, scores, meta)
+        results.append((label, dist, rep, scores, mean, table))
     out = Path(ns.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for label, dist, rep, scores, mean in results:
+    for label, dist, rep, scores, mean, table in results:
         write_distance_csv(out / f"dtw_{label}.csv", dist)
         write_cluster_csv(out / f"clusters_{label}.csv", rep, scores)
         write_merges_csv(out / f"merges_{label}.csv", rep.merges)
-        if meta is not None:
-            (out / f"cluster_table_{label}.txt").write_text(
-                cluster_table(rep, scores, meta), encoding="utf-8")
+        if table is not None:
+            (out / f"cluster_table_{label}.txt").write_text(table, encoding="utf-8")
         print(f"{label}: k={ns.k} mean_silhouette={mean:.4f}")
     return 0
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -542,6 +542,24 @@ def read_metadata(path: str | Path) -> dict[str, StationMeta]:
     if not out:
         raise EmptyInputError(f"no station metadata found in {path}")
     return out
+
+
+def station_codes(station_ids: Iterable[str],
+                  meta: Mapping[str, StationMeta]) -> tuple[np.ndarray, np.ndarray]:
+    """The group and region code of each station, as two int64 arrays
+    aligned with ``station_ids``: indices into ``tuple(StationGroup)`` and
+    ``tuple(Region)``. This is the one join of stations to their metadata:
+    the first station that ``meta`` lacks raises ``ContractError``, and
+    stations of ``meta`` not asked for are ignored."""
+    group_code = {g: i for i, g in enumerate(StationGroup)}
+    region_code = {r: i for i, r in enumerate(Region)}
+    group, region = [], []
+    for sid in station_ids:
+        if sid not in meta:
+            raise ContractError(f"station {sid} missing from metadata")
+        group.append(group_code[meta[sid].group])
+        region.append(region_code[meta[sid].region])
+    return np.array(group, dtype=np.int64), np.array(region, dtype=np.int64)
 
 
 def write_metadata(path: str | Path, stations: Iterable[StationMeta]) -> None:

@@ -18,7 +18,7 @@ from ._util import (ColumnTable, csv_pieces, fmt, fmt_column, iter_rows, parse_f
                     roman, unique_runs, write_blocks, write_csv)
 from .errors import ContractError, EmptyInputError, ParseError
 from .impute import MONTH_ABBR
-from .ingest import StationMeta
+from .ingest import Region, StationGroup, StationMeta, station_codes
 from .similarity import ClusterReport, Merge
 from .trend import TrendTable, table_windows
 
@@ -148,22 +148,25 @@ def write_merges_csv(path: str | Path, merges: Iterable[Merge]) -> None:
 
 
 def cluster_table(report: ClusterReport, scores: Mapping[str, float],
-                  meta: Mapping[str, StationMeta] | None = None) -> str:
+                  meta: Mapping[str, StationMeta]) -> str:
     """Human-readable cluster membership table.
 
     One block per cluster with its size and mean silhouette, then one line
-    per member station with group, region and individual silhouette.
-    Stations missing from ``meta`` show '-' in those columns.
+    per member station with group, region and individual silhouette. The
+    group and region come from ``station_codes``, the one join of stations
+    to ``meta`` and the home of its rule: the first station of
+    ``report.labels`` that ``meta`` lacks raises ``ContractError``.
     """
+    groups, regions = tuple(StationGroup), tuple(Region)
+    names = {sid: (groups[g].value, regions[r].value)
+             for sid, g, r in zip(report.labels, *station_codes(report.labels, meta))}
     lines = []
     for cid in sorted(set(report.assignment.values())):
         members = report.members(cid)
         mean = sum(scores[m] for m in members) / len(members)
         lines.append(f"Cluster {roman(cid).lower()} (n={len(members)}, mean silhouette {mean:.3f})")
         for sid in members:
-            m = meta.get(sid) if meta else None
-            group = m.group.value if m else "-"
-            region = m.region.value if m else "-"
+            group, region = names[sid]
             lines.append(f"  {sid:<16} {group:<4} {region:<12} {scores[sid]:+.3f}")
     return "\n".join(lines) + "\n"
 
@@ -185,17 +188,21 @@ def radar_sheet(monthly: Mapping[str, Mapping[str, tuple[int, float]]],
     ``monthly`` maps a month label to that month's station ->
     (cluster_id, silhouette) assignment. Each output row covers the
     stations of one region inside one cluster of one month: their count
-    and mean silhouette.
+    and mean silhouette; a month's rows are ordered by cluster, then by
+    region text. Regions come from ``station_codes``, the one join of
+    stations to ``meta`` and the home of its rule: the first station, in
+    month order and then in each month's own order, that ``meta`` lacks
+    raises ``ContractError``.
     """
     if not monthly:
         raise EmptyInputError("no monthly clusterings given")
+    regions = tuple(Region)
     rows: list[RadarRow] = []
     for month in [m for m in MONTH_ABBR if m in monthly]:
         groups: dict[tuple[int, str], list[float]] = {}
-        for sid, (cid, score) in monthly[month].items():
-            if sid not in meta:
-                raise ContractError(f"station {sid} missing from metadata")
-            groups.setdefault((cid, meta[sid].region.value), []).append(score)
+        _, codes = station_codes(monthly[month], meta)
+        for (cid, score), code in zip(monthly[month].values(), codes):
+            groups.setdefault((cid, regions[code].value), []).append(score)
         for (cid, region), vals in sorted(groups.items()):
             rows.append(RadarRow(month, cid, region, sum(vals) / len(vals), len(vals)))
     unknown = set(monthly) - set(MONTH_ABBR)

@@ -32,6 +32,7 @@ from .aggregate import SCALES, NetworkPanel, window_index
 from .errors import (
     ContractError,
     DegenerateDataError,
+    EmptyInputError,
     SampleTooSmallError,
 )
 
@@ -261,7 +262,8 @@ def trend_surface(panel: NetworkPanel, min_years: int = MIN_YEARS) -> TrendTable
     statistics. The first kept cell with a non-finite mean, a centered sum
     of squares that underflows to zero, or an overflow, raises the error
     ``mk_test``, ``lag1_autocorrelation`` or ``sen_slope`` raises for it,
-    prefixed with ``station S, window W, hour H: ``.
+    prefixed with ``station S, window W, hour H: ``. A panel with no kept
+    cell gives an empty table, which ``write_trend_csv`` refuses to write.
     """
     if min_years < MIN_YEARS:
         raise ContractError(f"min_years must be at least {MIN_YEARS}")
@@ -361,7 +363,11 @@ def write_trend_csv(path: str | Path, table: TrendTable) -> None:
     """Write trend cells in (station, scale, window, hour) order, with the
     bytes of ``csv.writer``. Rows are ordered by one lexsort, and each
     ``BLOCK_LINES`` of them are one block of ``write_blocks``: each column
-    rendered once per distinct value by ``fmt_column``."""
+    rendered once per distinct value by ``fmt_column``. An empty table,
+    which ``read_trend_csv`` would reject, raises ``EmptyInputError``
+    before the file is opened."""
+    if not len(table):
+        raise EmptyInputError("no cell had enough usable years for a trend test")
     order = np.lexsort((table.hour, table_windows(table), unique_runs(table.scale)[1],
                         unique_runs(table.station_id)[1]))
     write_blocks(path, TREND_HEADER, (

@@ -502,7 +502,7 @@ def _write_panels(path, specs, rng):
 
 
 class TestNothingWrittenOnFailure:
-    """A cluster or dcor run that fails exits 1 and leaves no output."""
+    """A cluster, dcor or trend run that fails exits 1 and leaves no output."""
 
     @pytest.fixture
     def three_stations(self, tmp_path):
@@ -569,6 +569,33 @@ class TestNothingWrittenOnFailure:
                    out_option, str(out), "--window", "Foo") == 1
         assert capsys.readouterr().err.strip() == (
             "error: unknown window label 'Foo' for scale 30d")
+        assert not out.exists()
+
+    def test_cluster_station_missing_from_metadata(self, pipeline_dir, tmp_path, capsys):
+        # The metadata lists SYN01 and SYN02 of the panel's four stations;
+        # every window's table is rendered before the output directory is
+        # made.
+        lines = (pipeline_dir / "data" / "metadata.csv").read_text().splitlines(True)
+        meta = tmp_path / "meta.csv"
+        meta.write_text("".join(lines[:3]))
+        out = tmp_path / "c"
+        assert run("cluster", "--panel", str(pipeline_dir / "panel.csv"), "--out-dir",
+                   str(out), "--k", "2", "--meta", str(meta)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "error: station SYN03 missing from metadata"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_trend_with_no_usable_cell(self, tmp_path, capsys):
+        # The writer's rule: an empty table is not written.
+        panel = _write_panels(tmp_path / "panel.csv", [
+            ("S1", "30d", 4, 0, 0, 4), ("S2", "30d", 4, 0, 0, 4)], np.random.default_rng(9))
+        out = tmp_path / "trend.csv"
+        assert run("trend", "--panel", str(panel), "--out", str(out), "--min-years", "9") == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip() == (
+            "error: no cell had enough usable years for a trend test")
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("window", [[], ["--window", "Jul"]], ids=["all", "Jul"])

@@ -1141,12 +1141,10 @@ class TestWriters:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         assert (tmp_path / "new.csv").read_bytes().count(b"\n") == 1
 
-    def test_empty_trend_and_contour_tables_write_only_the_header(self, tmp_path):
+    def test_empty_contour_table_writes_only_the_header(self, tmp_path):
+        # An empty trend table is not written at all (write_trend_csv raises
+        # EmptyInputError; tests/test_trend.py), but its contour grid is.
         table = TrendTable(*[[]] * len(TrendTable.DTYPES))
-        write_trend_csv(tmp_path / "new.csv", table)
-        oracles.write_trend_rows(tmp_path / "old.csv", [])
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-        assert (tmp_path / "new.csv").read_bytes().count(b"\n") == 1
         write_contour_csv(tmp_path / "new.csv", contour_grid(table))
         oracles.write_contour_rows(tmp_path / "old.csv", [])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

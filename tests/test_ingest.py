@@ -15,14 +15,17 @@ from diurnal import (
     ContractError,
     DuplicateTimestampError,
     EmptyInputError,
+    NetworkPanel,
     ParseError,
     Region,
     StationGroup,
     StationMeta,
+    build_calendar,
     missing_report,
     read_metadata,
     read_panel,
     read_records,
+    station_codes,
     time_fields,
     to_hourly,
     write_metadata,
@@ -435,6 +438,61 @@ class TestStationMeta:
         with pytest.raises(ParseError) as exc:
             read_metadata(path)
         assert str(exc.value) == message
+
+
+def _stations_panel(stations):
+    """A 30d panel of ``stations`` over two years, every cell valid."""
+    labels = list(build_calendar("30d").labels)
+    shape = (len(stations), 2, len(labels), 24)
+    return NetworkPanel("30d", stations, [2001, 2002], labels, np.zeros(shape),
+                        np.ones(shape, np.int64))
+
+
+# Six stations over every group and region, each a station of its own.
+_NETWORK_META = {m.station_id: m for m in (
+    StationMeta("S0", "A", StationGroup.IL, Region.VALLE_DAOSTA, 45.7, 7.3, 600.0),
+    StationMeta("S1", "B", StationGroup.UKH, Region.UK, 54.7, -2.5, 847.0),
+    StationMeta("S2", "C", StationGroup.IH, Region.PIEMONTE, 45.0, 7.0, 1900.0),
+    StationMeta("S3", "D", StationGroup.UKL, Region.UK, 52.0, -1.0, 60.0),
+    StationMeta("S4", "E", StationGroup.IL, Region.PIEMONTE, 44.9, 7.6, 240.0),
+    StationMeta("S5", "F", StationGroup.IH, Region.VALLE_DAOSTA, 45.9, 7.1, 2100.0),
+)}
+
+
+class TestStationCodes:
+    """``station_codes``, the one join of stations to their metadata."""
+
+    def test_panel_subset_of_the_metadata_gets_codes_for_its_stations_only(self):
+        panel = _stations_panel(["S1", "S2", "S3", "S4"])
+        group, region = station_codes(panel.stations, _NETWORK_META)
+        assert group.dtype == region.dtype == np.int64
+        assert [tuple(StationGroup)[g] for g in group] == [
+            StationGroup.UKH, StationGroup.IH, StationGroup.UKL, StationGroup.IL]
+        assert [tuple(Region)[r] for r in region] == [
+            Region.UK, Region.PIEMONTE, Region.UK, Region.PIEMONTE]
+
+    def test_codes_follow_the_order_of_the_ids(self):
+        ids = ["S5", "S0", "S3"]
+        group, region = station_codes(ids, _NETWORK_META)
+        assert group.tolist() == [tuple(StationGroup).index(_NETWORK_META[s].group)
+                                  for s in ids]
+        assert region.tolist() == [tuple(Region).index(_NETWORK_META[s].region) for s in ids]
+
+    def test_panel_superset_of_the_metadata_names_its_first_missing_station(self):
+        panel = _stations_panel(["S1", "S2", "S3", "S4", "S6", "S7"])
+        meta = {sid: m for sid, m in _NETWORK_META.items() if sid not in ("S2", "S3")}
+        with pytest.raises(ContractError) as exc:
+            station_codes(panel.stations, meta)
+        assert str(exc.value) == "station S2 missing from metadata"
+
+    def test_first_missing_station_is_in_the_order_given(self):
+        with pytest.raises(ContractError, match="^station S9 missing from metadata$"):
+            station_codes(["S1", "S9", "S6"], _NETWORK_META)
+
+    def test_no_station_gives_empty_codes(self):
+        group, region = station_codes([], _NETWORK_META)
+        assert group.shape == region.shape == (0,)
+        assert group.dtype == region.dtype == np.int64
 
 
 # A header and one valid row for each reader of the small tables.

@@ -21,6 +21,7 @@ from diurnal import (
     cluster_table,
     contour_grid,
     radar_sheet,
+    station_codes,
     synth_station,
     time_fields,
 )
@@ -188,10 +189,27 @@ class TestClusterTable:
         assert lines[2] == "Cluster ii (n=2, mean silhouette 0.775)"
         assert "+0.800" in lines[3]
 
-    def test_missing_metadata_shows_dashes(self, small_clustering):
-        report, scores, _ = small_clustering
-        text = cluster_table(report, scores, None)
-        assert " - " in text.splitlines()[1]
+    def test_station_missing_from_metadata(self, small_clustering):
+        # The join's rule, the one radar_sheet has: UK1 comes first among
+        # the report's labels that the metadata lacks.
+        report, scores, meta = small_clustering
+        with pytest.raises(ContractError) as exc:
+            cluster_table(report, scores, {"AL1": meta["AL1"]})
+        assert str(exc.value) == "station UK1 missing from metadata"
+
+    def test_same_group_and_region_as_radar(self, small_clustering):
+        report, scores, meta = small_clustering
+        group, region = station_codes(report.labels, meta)
+        codes = {sid: (tuple(StationGroup)[g].value, tuple(Region)[r].value)
+                 for sid, g, r in zip(report.labels, group, region)}
+        members = [line.split() for line in cluster_table(report, scores, meta).splitlines()
+                   if line.startswith("  ")]
+        assert {sid: (g, r) for sid, g, r, _ in members} == codes
+        # One cluster per station, so each radar row holds one station.
+        own_cluster = {sid: (c, 0.5) for c, sid in enumerate(report.labels, start=1)}
+        rows = radar_sheet({"Jan": own_cluster}, meta)
+        assert {report.labels[r.cluster - 1]: r.region for r in rows} == {
+            sid: region for sid, (_, region) in codes.items()}
 
     def test_cluster_csv_round_trip(self, small_clustering, tmp_path):
         report, scores, _ = small_clustering

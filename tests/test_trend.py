@@ -15,10 +15,12 @@ import oracles
 from diurnal import (
     ContractError,
     DegenerateDataError,
+    EmptyInputError,
     NetworkPanel,
     ParseError,
     PipelineError,
     SampleTooSmallError,
+    TrendTable,
     build_calendar,
     hourly_window_means,
     lag1_autocorrelation,
@@ -230,6 +232,19 @@ class TestTrendSurface:
         write_trend_csv(tmp_path / "a.csv", cells)
         write_trend_csv(tmp_path / "b.csv", cells.take(np.arange(len(cells))[::-1]))
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_no_kept_cell_gives_an_empty_table_the_writer_refuses(self, warming_panel,
+                                                                  tmp_path):
+        # The library's rule, not the CLI's: trend_surface returns the empty
+        # table, and the writer raises before it opens a file that
+        # read_trend_csv would reject.
+        table = trend_surface(warming_panel, min_years=13)
+        assert isinstance(table, TrendTable) and len(table) == 0
+        path = tmp_path / "trend.csv"
+        with pytest.raises(EmptyInputError) as exc:
+            write_trend_csv(path, table)
+        assert str(exc.value) == "no cell had enough usable years for a trend test"
+        assert not path.exists()
 
 
 TREND_CSV_HEADER = "station_id,scale,window_label,hour,n,S,var_S,z,p_value,sen_slope,lag1,serial_flag"
