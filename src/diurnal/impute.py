@@ -10,14 +10,15 @@ months across a long outage.
 
 from __future__ import annotations
 
-import calendar
-
 import numpy as np
 
 from .errors import EmptyInputError, ImputationError
 from .ingest import TemperatureSeries, day_fields
 
-MONTH_ABBR = tuple(calendar.month_abbr[1:])  # ("Jan", ..., "Dec")
+# English whatever the locale: ``calendar.month_abbr`` follows LC_TIME, and
+# these names are written into window labels and file names.
+MONTH_ABBR = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+              "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
 
 def seasonal_split_impute(series: TemperatureSeries) -> TemperatureSeries:

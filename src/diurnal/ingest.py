@@ -216,37 +216,120 @@ def timestamp_us(text: str) -> int:
     return (ts - _EPOCH) // _US
 
 
+def _word(text: bytes) -> np.uint64:
+    """``text`` (8 bytes at most) as a little-endian 8-byte word."""
+    return np.uint64(int.from_bytes(text, "little"))
+
+
+def _bytes_at(*places: int) -> int:
+    """A word with 0x01 in each byte of ``places``."""
+    return sum(1 << 8 * k for k in places)
+
+
+# The layout's words with every digit '0': a row XORed with them holds each
+# digit's value in its byte and 0 in every byte that matches.
+_DATE_ZERO, _DAY_ZERO, _TIME_ZERO = _word(b"0000-00-"), _word(b"00"), _word(b"00:00:00")
+# The digit bytes of a packed date (all 8) and of ``HH:MM:SS``.
+_DATE_DIGITS, _TIME_DIGITS = _bytes_at(*range(8)), _bytes_at(0, 1, 3, 4, 6, 7)
+# The year, month and dash bytes of ``YYYY-MM-``, the month's bytes in a
+# packed date, and the bytes of H, M and S once each digit pair is one
+# number.
+_YEAR, _MONTH = np.uint64(0xFF * _bytes_at(0, 1, 2, 3)), np.uint64(0xFF * _bytes_at(4, 5))
+_DASHES, _HMS = np.uint64(0xFF * _bytes_at(4, 7)), np.uint64(0xFF * _bytes_at(0, 3, 6))
+# Where a packed date's digits go in its ``YYYY-MM-DD`` text.
+_DATE_PLACES = [0, 1, 2, 3, 5, 6, 8, 9]
+# Added to H, M and S, these set a byte's top bit exactly where H >= 24,
+# M >= 60 or S >= 60.
+_HMS_LIMITS = np.uint64(128 - 24 + ((128 - 60) << 24) + ((128 - 60) << 48))
+_HMS_OVER = np.uint64(0x80 * _bytes_at(0, 3, 6))
+
+
+def _digit_faults(x: np.ndarray, digits: int) -> np.ndarray:
+    """Nonzero where a word XORed with its template does not hold 0-9 in
+    each byte that ``digits`` marks with 0x01 and 0 in every other byte. A
+    word whose bytes are all below 16 carries no byte into the next when
+    6 is added to each digit byte, which sets bit 4 of those above 9."""
+    others = np.uint64(~(0x0F * digits) & 0xFFFF_FFFF_FFFF_FFFF)
+    return (x & others) | ((x + np.uint64(6 * digits)) & np.uint64(digits << 4))
+
+
 def parse_timestamps(column: Column) -> tuple[np.ndarray, np.ndarray]:
     """``timestamp_us`` of every row of a column of stripped timestamps.
 
-    Rows laid out as ``YYYY-MM-DD``, then ``T`` or a space, then
-    ``HH:MM:SS`` and an optional ``Z``, from year 1 on, go through numpy's
-    datetime64 cast in bulk, which rejects the dates and times
-    ``fromisoformat`` rejects. Any other row (another ISO 8601 spelling, or
-    no timestamp at all), and every row of a column the cast refuses, goes
+    A row laid out as ``YYYY-MM-DD``, then ``T`` or a space, then
+    ``HH:MM:SS`` and an optional ``Z``, from year 1 on, is parsed from
+    unaligned little-endian word views of its bytes (a csv.reader row's
+    code points are first narrowed to bytes where they are ASCII). Its time
+    of day is digit arithmetic on the one word that holds ``HH:MM:SS``,
+    which checks its digits, its colons and H < 24, M < 60, S < 60. Its
+    date's eight digits are packed into one word; ``unique_runs`` finds the
+    distinct dates (one per run in a sorted file), and numpy's datetime64
+    cast reads each one once, rejecting the dates ``fromisoformat``
+    rejects. Any other row (another ISO 8601 spelling, or no timestamp at
+    all), and every row of a column whose dates the cast refuses, goes
     through ``timestamp_us`` one at a time. Returns the microseconds and a
     mask of the rows ``timestamp_us`` rejects (those rows hold 0).
     """
     c = column.codes
+    ok = (column.length == 19) | (column.length == 20)
+    if c.dtype != np.uint8:
+        # csv.reader's code points: a row whose first 20 are ASCII is read
+        # as its bytes.
+        c = c[:, :20]
+        ok &= c.max(axis=1, initial=0) < 128
+        c = c.astype(np.uint8)
     if c.shape[1] < 20:
         c = np.pad(c, ((0, 0), (0, 20 - c.shape[1])))
-    ok = (column.length == 19) | ((column.length == 20) & (c[:, 19] == 90))  # 'Z'
-    head = c[:, :19]
-    # Positions as rows: with every digit read as '0' and a space as 'T',
-    # the layout is one compare.
-    codes = np.ascontiguousarray(head.T)
-    layout = np.where(codes - codes.dtype.type(48) <= 9, 48, codes)
-    layout[10, layout[10] == 32] = 84
-    ok &= (layout == np.frombuffer(b"0000-00-00T00:00:00", np.uint8)[:, None]).all(axis=0)
+    ok &= (column.length == 19) | (c[:, 19] == 90)  # 'Z'
+    ok &= (c[:, 10] == 84) | (c[:, 10] == 32)  # 'T' or a space
+    date = c[:, :8].view("<u8")[:, 0] ^ _DATE_ZERO
+    # The date's eight digits packed into one word in their order, YYYYMMDD.
+    key = c[:, 8:10].view("<u2")[:, 0].astype(np.uint64)
+    key ^= _DAY_ZERO
+    key <<= np.uint64(48)
+    key |= (date >> np.uint64(8)) & _MONTH
+    key |= date & _YEAR
+    faults = _digit_faults(key, _DATE_DIGITS)
+    faults |= date & _DASHES
+    del date
+    time = c[:, 11:19].view("<u8")[:, 0] ^ _TIME_ZERO
+    faults |= _digit_faults(time, _TIME_DIGITS)
+    # Each digit pair as one number, in the byte of its tens digit.
+    hms = (time & _HMS) * np.uint64(10)
+    hms += (time >> np.uint64(8)) & _HMS
+    del time
+    faults |= (hms + _HMS_LIMITS) & _HMS_OVER
+    ok &= faults == 0
+    del faults
     # numpy reads year 0; fromisoformat does not.
-    ok &= (codes[:4] != 48).any(axis=0)
+    ok &= (key & _YEAR) != 0
+    seconds = (hms & np.uint64(0xFF)) * np.uint64(3600)
+    seconds += ((hms >> np.uint64(24)) & np.uint64(0xFF)) * np.uint64(60)
+    seconds += hms >> np.uint64(48)
+    del hms
+    every = ok.all()
+    if not every:
+        key, seconds = key[ok], seconds[ok]
+    days, day_of = unique_runs(key)
+    del key
+    # Each distinct date's text, its dashes put back, is cast once.
+    digits = days.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    text = np.full((len(days), 10), ord("-"), np.uint8)
+    text[:, _DATE_PLACES] = digits + np.uint8(ord("0"))
     us = np.empty(len(column), np.int64)
-    # numpy warns on a trailing 'Z', so only the first 19 bytes are cast.
-    stamps = np.ascontiguousarray(head if ok.all() else head[ok], dtype=np.uint8)
     try:
-        us[ok] = stamps.view("S19").ravel().astype("datetime64[us]").view(np.int64)
+        day_us = text.view("S10")[:, 0].astype("datetime64[D]").view(np.int64)
     except ValueError:
         ok[:] = False
+    else:
+        day_us *= _DAY_US
+        seconds *= np.uint64(1_000_000)
+        stamps = day_us[day_of]
+        stamps += seconds.view(np.int64)
+        if every:
+            us = stamps
+        else:
+            us[ok] = stamps
     bad = np.zeros(len(column), bool)
     if not ok.all():
         other = np.flatnonzero(~ok)
@@ -413,9 +496,11 @@ def read_records(path: str | Path,
     smallest gap between its records.
 
     Each block's rows are parsed and grouped by station as the block is
-    read; a row keeps only its temperature where its run's stamps step by
-    one constant (8 bytes), else its microseconds too (16 bytes), and its
-    line only where the lines of its run are not consecutive. The block
+    read (``parse_timestamps`` casts each distinct day of a block once, and
+    reads each time of day from its 8-byte word); a row keeps only its
+    temperature where its run's stamps step by one constant (8 bytes), else
+    its microseconds too (16 bytes), and its line only where the lines of
+    its run are not consecutive. The block
     and its per-row arrays are dropped before the next block is split. Each
     station's series is then built from its own pieces, which are dropped
     once it is: a station whose runs chain at one step is its temperatures

@@ -13,6 +13,7 @@ import csv
 import io
 import math
 import random
+import re
 import weakref
 from datetime import datetime, timedelta
 from unittest import mock
@@ -1163,12 +1164,25 @@ class TestFastPath:
         monkeypatch.setattr(_util, "_raise_first_bad", refuse)
         monkeypatch.setattr(ingest, "timestamp_us", refuse)
         monkeypatch.setattr(_util.Block, "rows", refuse)
-        monkeypatch.setattr(_util, "_split_rows", refuse)
-        monkeypatch.setattr(_util, "_text_rows", refuse)  # the decode path
         n = 240
         rng = np.random.default_rng(1)
         series = [TemperatureSeries(sid, datetime(2001, 1, 1), HOUR, rng.normal(5, 3, n),
                                     rng.random(n) < 0.2) for sid in ("S1", "S2")]
+        # Quoted station ids send every block through csv.reader; its stamps,
+        # with a space before the time of day in S2's, are still parsed in
+        # bulk, from code points narrowed to bytes.
+        write_records(tmp_path / "quoted.csv", series)
+        text = (tmp_path / "quoted.csv").read_text()
+        text = re.sub(r"\n(S1),", r'\n"\1",', text)
+        text = re.sub(r"\n(S2),(.{10})T", r'\n"\1",\2 ', text)
+        (tmp_path / "quoted.csv").write_text(text)
+        split_rows, csv_blocks = _util._split_rows, []
+        monkeypatch.setattr(_util, "_split_rows",
+                            lambda *args: csv_blocks.append(1) or split_rows(*args))
+        back = read_records(tmp_path / "quoted.csv")
+        assert len(csv_blocks) == 10 and [s.n for s in back.values()] == [n, n]
+        monkeypatch.setattr(_util, "_split_rows", refuse)
+        monkeypatch.setattr(_util, "_text_rows", refuse)  # the decode path
         panels = [NetworkPanel("30d", ["S1"], [2001], list(build_calendar("30d").labels),
                                rng.normal(5, 3, (1, 1, 12, 24)), np.ones((1, 1, 12, 24), int))]
         write_records(tmp_path / "records.csv", series)
@@ -1180,6 +1194,11 @@ class TestFastPath:
             assert [s.n for s in back.values()] == [n, n]
             (tmp_path / "panel.csv").write_bytes(panel.replace(b"\r\n", ending))
             assert read_panel(tmp_path / "panel.csv").counts.sum() == 288
+        half_hourly = TemperatureSeries("S3", datetime(2001, 1, 1, 0, 30), HALF_HOUR,
+                                        rng.normal(5, 3, n), rng.random(n) < 0.2)
+        write_records(tmp_path / "half.csv", [half_hourly])
+        (back,) = read_records(tmp_path / "half.csv").values()
+        assert (back.start, back.step, back.n) == (half_hourly.start, HALF_HOUR, n)
         # Means at 0.1 degC: every field below the header is at most 8 bytes,
         # so each one is read as one integer key and never as text.
         short = NetworkPanel("30d", ["S1"], [2001], list(build_calendar("30d").labels),
@@ -1220,6 +1239,78 @@ class TestHeaderLines:
         assert block.line_no.tolist() == [k + 1 for k in kept]
         assert [c.text().tolist() for c in block.columns] == [
             [f"S{k}" for k in kept], [f"{k}.5" for k in kept]]
+
+
+# Stamps in the written layout that the kernel must refuse or that
+# fromisoformat refuses, and spellings it leaves to timestamp_us.
+STAMP_CORNERS = [
+    "2001-01-01T24:00:00", "2001-01-01T23:60:00", "2001-01-01T23:59:60",
+    "2000-02-29T12:00:00", "0000-01-01T00:00:00", "0000-12-31T23:59:59",
+    "0001-01-01T00:00:00", "9999-12-31T23:59:59", "2001-01-01t00:00:00",
+    "2001-01-01T00:00:00z", "2001-01-01 00:00:00", "2001-01-01T00:00:00.5",
+    "2001-01-01T00:00:00.250000", "2001-01-01T05:00:00+02:00",
+    "0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00", "2001-01-01T00:00",
+    "2001-01-01", "20010101T000000", "2001-1-01T00:00:00", "2001-01-01T0:00:00",
+    "2001-01-01T00-00-00", "2001-01-01T00:00:0a", "2001/01/01T00:00:00", "",
+    "2001-01-01T00:00:00X", "2001-01-01T00:00:001", "2001-01-01T00300:00",
+    "2001-01-01T00:00;00", "2001-01-01000:00:00",
+    # Code points whose low byte is a digit: only ASCII rows are narrowed.
+    "200\u0131-01-01T00:00:00", "2001-01-01T0\u0131:00:00",
+]
+# Days the calendar lacks. numpy's cast refuses a block that holds one, whose
+# rows then all go through timestamp_us, so they come in blocks of their own.
+CALENDAR_CORNERS = ["1900-02-29T00:00:00", "2001-02-29T00:00:00", "2001-04-31T00:00:00",
+                    "2001-06-31T23:00:00"]
+
+
+@st.composite
+def stamp_rows(draw):
+    """Time stamps on a few distinct days (any year 1-9999), in the written
+    layout with a ``T`` or a space and with or without ``Z``, now and then
+    with every one of ``STAMP_CORNERS`` and, apart from those, every one of
+    ``CALENDAR_CORNERS`` among them (each with or without ``Z``); shuffled,
+    or in text order so that rows come in runs of one day."""
+    days = draw(st.lists(st.dates(), min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(1, 40))):
+        ts = datetime.combine(draw(st.sampled_from(days)), datetime.min.time()).replace(
+            hour=draw(st.integers(0, 23)), minute=draw(st.integers(0, 59)),
+            second=draw(st.integers(0, 59)))
+        rows.append(ts.isoformat(draw(st.sampled_from("TT "))) + draw(st.sampled_from(["", "Z"])))
+    corners = draw(st.sampled_from([[], STAMP_CORNERS, CALENDAR_CORNERS]))
+    rows += [corner + draw(st.sampled_from(["", "Z"])) for corner in corners]
+    return sorted(rows) if draw(st.booleans()) else draw(st.permutations(rows))
+
+
+class TestTimestampKernel:
+    """``parse_timestamps`` against ``timestamp_us`` row by row: the same
+    microseconds and the same bad rows, from the bulk split's bytes and from
+    csv.reader's code points."""
+
+    @given(stamps=stamp_rows())
+    @SETTINGS
+    def test_kernel_matches_timestamp_us(self, stamps):
+        want = []
+        for text in stamps:
+            try:
+                want.append((ingest.timestamp_us(text), False))
+            except (ValueError, OverflowError):
+                want.append((0, True))
+        # A space or a byte that is not ASCII sends a line to csv.reader, so
+        # the bulk split takes the other rows; a quoted station id sends the
+        # whole block there.
+        (quoted,) = _util.read_blocks(_bytes(['"Q,1",' + stamps[0] + "\n"] + [
+            f"s,{text}\n" for text in stamps[1:]]), 2)
+        assert quoted.csv_rows is not None and quoted.columns[1].codes.dtype == np.uint32
+        blocks = [(quoted, range(len(stamps)))]
+        plain = [k for k, text in enumerate(stamps) if text.isascii() and " " not in text]
+        if plain:
+            (bulk,) = _util.read_blocks(_bytes(f"s,{stamps[k]}\n" for k in plain), 2)
+            assert bulk.csv_rows is None and bulk.columns[1].codes.dtype == np.uint8
+            blocks.append((bulk, plain))
+        for block, rows in blocks:
+            us, bad = ingest.parse_timestamps(block.columns[1])
+            assert list(zip(us.tolist(), bad.tolist())) == [want[k] for k in rows]
 
 
 class TestParseFloats:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import calendar
+import importlib
 from datetime import datetime
 
 import numpy as np
@@ -9,9 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diurnal import EmptyInputError, ImputationError, seasonal_split_impute
+from diurnal import EmptyInputError, ImputationError, impute, seasonal_split_impute
 from diurnal.ingest import time_fields
 from helpers import make_series
+
+
+def test_month_names_do_not_follow_the_locale(monkeypatch):
+    # calendar.month_abbr holds the current LC_TIME locale's names; the
+    # window labels, cluster file names and radar months stay English.
+    localized = ["", "janv.", "févr.", "mars", "avr.", "mai", "juin", "juil.", "août",
+                 "sept.", "oct.", "nov.", "déc."]
+    with monkeypatch.context() as patch:
+        patch.setattr(calendar, "month_abbr", localized)
+        months = importlib.reload(impute).MONTH_ABBR
+    importlib.reload(impute)
+    assert months == ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+                      "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
 
 def test_observed_values_pass_through_bitwise():
