@@ -433,6 +433,12 @@ class Block:
 Rule = tuple[np.ndarray, Callable[[list[str]], str]]
 
 
+def empty_station_id(block: Block) -> Rule:
+    """The first rule of a station table's rows: the station id, the first
+    field, is not empty."""
+    return block.columns[0].length == 0, lambda row: "empty station_id"
+
+
 def check_rows(block: Block, rules: Sequence[Rule]) -> None:
     """Raise the ``ParseError`` of the block's first row that a rule marks,
     if one does, with the message of the first rule that marks it."""

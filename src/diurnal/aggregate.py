@@ -23,9 +23,9 @@ from typing import Iterable
 
 import numpy as np
 
-from ._util import (Block, Piece, check_rows, csv_pieces, csv_prefix, factorize, fmt_column,
-                    parse_floats, parse_ints, repeated_cells, sorted_ranks, station_blocks,
-                    unique_runs, write_blocks)
+from ._util import (Block, Piece, check_rows, csv_pieces, csv_prefix, empty_station_id,
+                    factorize, fmt_column, parse_floats, parse_ints, repeated_cells,
+                    sorted_ranks, station_blocks, unique_runs, write_blocks)
 from .errors import ContractError, EmptyInputError
 from .impute import MONTH_ABBR
 from .ingest import TemperatureSeries, binned_means, day_fields
@@ -35,16 +35,18 @@ SCALES = ("10d", "30d", "60da", "60db")
 PANEL_HEADER = ("station_id", "scale", "year", "window_label", "hour", "mean_temp", "valid")
 
 
-@dataclass
+@dataclass(frozen=True)
 class WindowCalendar:
-    """Maps (month, day) to a window position for one aggregation scale."""
+    """Maps (month, day) to a window position for one aggregation scale.
+    Immutable: its labels are a tuple and its arrays are read-only, so
+    every panel and reader of a scale may share one."""
 
     scale: str
-    labels: list[str]
+    labels: tuple[str, ...]
     # month (1-12) -> window index for whole-month scales; the 10d scale
     # additionally splits on day-of-month in window_index().
-    _month_window: np.ndarray = field(repr=False, default=None)
-    _year_offset: np.ndarray = field(repr=False, default=None)
+    _month_window: np.ndarray = field(repr=False)
+    _year_offset: np.ndarray = field(repr=False)
 
     @property
     def n_windows(self) -> int:
@@ -81,52 +83,68 @@ def build_calendar(scale: str) -> WindowCalendar:
         month_window = (np.arange(1, 13) % 12) // 2
         # January readings belong to the Dec-Jan window opened the year before.
         offsets[0] = 1
-    return WindowCalendar(scale, labels, month_window, offsets)
+    month_window.setflags(write=False)
+    offsets.setflags(write=False)
+    return WindowCalendar(scale, tuple(labels), month_window, offsets)
 
 
-_CALENDARS = {scale: build_calendar(scale) for scale in SCALES}
-# Seasonal position of each window label, per scale.
-_WINDOWS = {scale: {label: i for i, label in enumerate(cal.labels)}
-            for scale, cal in _CALENDARS.items()}
+# Seasonal position of each window label, per scale: the one label -> window
+# table of each scale.
+_WINDOWS = {scale: {label: i for i, label in enumerate(build_calendar(scale).labels)}
+            for scale in SCALES}
 
 
-def window_index(scale: tuple, label: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's scale position in ``SCALES`` and window position in its
-    scale's calendar, from the scale and label fields each given as
-    (distinct texts, index of each row's text), as ``factorize`` or
-    ``unique_runs`` give them; looked up once per distinct (scale, label)
-    pair. Both are -1 where the scale is not one of ``SCALES``, and the
-    window is -1 where the label is not of its scale."""
+def window_index(scale: tuple, label: tuple,
+                 first: str | None = None) -> tuple[str, np.ndarray, np.ndarray]:
+    """The one scale of a table (``first``, or its first row's if None), and
+    per row, from the scale and label fields each given as (distinct texts,
+    index of each row's text), as ``factorize`` or ``unique_runs`` give
+    them: whether the row is off that scale (its scale differs, or is not
+    one of ``SCALES``), and its window position in that scale's calendar,
+    -1 where the label is not of it. Each distinct text is looked up once."""
     (scales, scale_code), (labels, label_code) = scale, label
-    pairs, pair_code = unique_runs(scale_code * len(labels) + label_code)
-    found = [(SCALES.index(sc), _WINDOWS[sc].get(labels[p % len(labels)], -1))
-             if (sc := scales[p // len(labels)]) in SCALES else (-1, -1)
-             for p in pairs.tolist()]
-    scale_index, window = np.array(found, np.int64).reshape(-1, 2)[pair_code].T
-    return scale_index, window
+    if first is None:
+        first = scales[scale_code[0]] if len(scale_code) else ""
+    windows = _WINDOWS.get(first, {})
+    off = np.array([s != first or s not in SCALES for s in scales], bool)[scale_code]
+    return first, off, np.array([windows.get(text, -1) for text in labels], np.int64)[label_code]
+
+
+def scale_error(scale: str, first: str, table: str) -> str:
+    """Why a row of a one-scale ``table`` whose first row's scale is
+    ``first`` is off it: its ``scale`` is unknown, or differs."""
+    if scale not in SCALES:
+        return f"unknown scale {scale!r}"
+    return f"scale {scale} differs from the first row's scale {first}; a {table} holds one scale"
 
 
 @dataclass
 class NetworkPanel:
     """The (year, window, hour-of-day) mean temperatures of a network of
-    stations at one scale. ``stations`` are sorted and distinct; ``years``
-    is one strictly increasing int64 axis that every station shares, which
-    the trend tests read as time. ``means`` has shape (stations, years,
-    windows, 24), NaN where no reading contributed; ``counts`` holds the
-    contributing reading count, 0 there and in a year a station lacks. A
-    panel from ``read_panel`` holds 0/1 bytes (uint8) as its counts, since
-    the file keeps only whether a cell is valid."""
+    stations at one scale. The scale alone gives the windows: ``calendar``
+    is its ``WindowCalendar`` (``build_calendar``'s ``ContractError`` for
+    a scale not in ``SCALES``), and ``labels`` its window labels in
+    seasonal order. ``stations`` are non-empty ids, sorted and distinct;
+    ``years`` is one strictly increasing int64 axis that every station
+    shares, which the trend tests read as time. ``means`` has shape
+    (stations, years, windows, 24), NaN where no reading contributed;
+    ``counts`` holds the contributing reading count, 0 there and in a year
+    a station lacks. A panel from ``read_panel`` holds 0/1 bytes (uint8) as
+    its counts, since the file keeps only whether a cell is valid."""
 
     scale: str
     stations: list[str]
     years: np.ndarray
-    labels: list[str]
     means: np.ndarray
     counts: np.ndarray
+    calendar: WindowCalendar = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.calendar = build_calendar(self.scale)
+        if "" in self.stations:
+            raise ContractError("station_id must be non-empty")
         self.years = np.asarray(self.years, np.int64)
-        shape = (len(self.stations), len(self.years), len(self.labels), 24)
+        shape = (len(self.stations), len(self.years), self.calendar.n_windows, 24)
         if self.means.shape != shape or self.counts.shape != shape:
             raise ContractError(f"panel arrays must have shape {shape}")
         if (np.diff(self.years) <= 0).any():
@@ -134,6 +152,10 @@ class NetworkPanel:
                                 f"got {self.years.tolist()}")
         if any(a >= b for a, b in zip(self.stations, self.stations[1:])):
             raise ContractError(f"panel stations must be sorted and distinct, got {self.stations}")
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self.calendar.labels
 
     def cell_valid(self) -> np.ndarray:
         return self.counts > 0
@@ -173,7 +195,7 @@ def hourly_window_means(series: TemperatureSeries, calendar: WindowCalendar,
         raise ContractError(f"station {series.station_id}, year {uniq_years[year]}, window "
                             f"{calendar.labels[w]}, hour {hour}: mean of the readings is "
                             "not finite")
-    return NetworkPanel(calendar.scale, [series.station_id], uniq_years, list(calendar.labels),
+    return NetworkPanel(calendar.scale, [series.station_id], uniq_years,
                         means.reshape(shape), counts.reshape(shape))
 
 
@@ -201,14 +223,13 @@ def stack_panels(panels: Iterable[NetworkPanel]) -> NetworkPanel:
         raise ContractError(f"panels to stack must share one scale, got {scales}")
     stations = [sid for p in panels for sid in p.stations]
     years = np.unique(np.concatenate([p.years for p in panels]))
-    shape = (len(stations), len(years), len(panels[0].labels), 24)
+    shape = (len(stations), len(years), panels[0].calendar.n_windows, 24)
     means, counts = np.full(shape, np.nan), np.zeros(shape, np.int64)
     rows = np.split(sorted_ranks(stations), np.cumsum([len(p.stations) for p in panels]))
     for p, row in zip(panels, rows):
         at = np.ix_(row, np.searchsorted(years, p.years))
         means[at], counts[at] = p.means, p.counts
-    return NetworkPanel(panels[0].scale, sorted(stations), years, list(panels[0].labels),
-                        means, counts)
+    return NetworkPanel(panels[0].scale, sorted(stations), years, means, counts)
 
 
 def write_panel(path: str | Path, panels: Iterable[NetworkPanel]) -> None:
@@ -261,9 +282,9 @@ def _scatter_block(grid: _PanelGrid | None, block: Block, station: np.ndarray) -
     block's first row, if it is the file's first block) and check them; the
     first bad row raises ``ParseError``."""
     _, scale, year, label, hour, mean, valid = block.columns
-    scale_index, window = window_index(factorize(scale), factorize(label))
-    grid = grid or _PanelGrid(int(scale_index[0]))
-    first = grid.first
+    first, off, window = window_index(factorize(scale), factorize(label),
+                                      None if grid is None else grid.scale)
+    grid = grid or _PanelGrid(first)
     year, year_bad = parse_ints(year)
     hour, hour_bad = parse_ints(hour, bound=24)
     value, mean_bad = parse_floats(mean)
@@ -271,13 +292,11 @@ def _scatter_block(grid: _PanelGrid | None, block: Block, station: np.ndarray) -
     valid = (np.array(flags) == "1")[flag]
     # Rows off the grid (every row, if the first row's scale is unknown)
     # break a rule before the repeat rule.
-    on_grid = (scale_index == first) & (window >= 0) & (hour >= 0) & (hour <= 23)
+    on_grid = ~off & (window >= 0) & (hour >= 0) & (hour <= 23)
     repeat = grid.scatter(on_grid, station, year, window, hour, value, valid)
     check_rows(block, [
-        (scale_index < 0, lambda row: f"unknown scale {row[1].strip()!r}"),
-        (scale_index != first,
-         lambda row: f"scale {row[1].strip()} differs from the first row's scale "
-                     f"{SCALES[first]}; a panel file holds one scale"),
+        empty_station_id(block),
+        (off, lambda row: scale_error(row[1].strip(), first, "panel file")),
         (year_bad | hour_bad | mean_bad, lambda row: "malformed year, hour or mean"),
         ((hour < 0) | (hour > 23), lambda row: f"hour {int(row[4])} out of range 0-23"),
         (~np.isin(flags, ("0", "1"))[flag],
@@ -293,20 +312,19 @@ def _scatter_block(grid: _PanelGrid | None, block: Block, station: np.ndarray) -
 
 
 class _PanelGrid:
-    """The cells of a panel file as its blocks are read, at the scale of
-    its first row (``first``, a position in ``SCALES``; -1 if it is not
-    one, which fails the first row). A grid row is one (station number,
-    year) pair, numbered in order of first appearance, and holds the
-    scale's windows × 24 hours. Per cell it keeps the mean (NaN where
+    """The cells of a panel file as its blocks are read, at ``scale``, the
+    scale of its first row (no window at all if it is not one of
+    ``SCALES``, which fails the first row). A grid row is one (station
+    number, year) pair, numbered in order of first appearance, and holds
+    the scale's windows × 24 hours. Per cell it keeps the mean (NaN where
     invalid) and whether a row has set it. The grid grows in place to the
     rows it holds (``ndarray.resize``), so no step holds two copies of it."""
 
-    def __init__(self, first: int):
-        self.first = first
-        self.calendar = _CALENDARS[SCALES[first]]
+    def __init__(self, scale: str):
+        self.scale = scale
         self.rows: dict[tuple[int, int], int] = {}
-        self.means = np.full((0, self.calendar.n_windows, 24), np.nan)
-        self.seen = np.zeros((0, self.calendar.n_windows, 24), bool)
+        self.means = np.full((0, len(_WINDOWS.get(scale, ())), 24), np.nan)
+        self.seen = np.zeros(self.means.shape, bool)
 
     def _fit(self) -> None:
         """Room for every grid row, new cells unset."""
@@ -348,6 +366,5 @@ class _PanelGrid:
         means = np.full((len(names), len(years), *self.means.shape[1:]), np.nan)
         means[sorted_ranks(names)[keys[:, 0]], year] = self.means
         self.means = None
-        return NetworkPanel(self.calendar.scale, sorted(names), years,
-                            list(self.calendar.labels), means,
+        return NetworkPanel(self.scale, sorted(names), years, means,
                             np.isfinite(means).view(np.uint8))

@@ -26,6 +26,7 @@ from ._util import (
     Piece,
     check_rows,
     csv_prefix,
+    empty_station_id,
     fmt,
     fmt_column,
     gather,
@@ -123,6 +124,8 @@ class TemperatureSeries:
     missing: np.ndarray
 
     def __post_init__(self):
+        if not self.station_id:
+            raise ContractError("station_id must be non-empty")
         self.values = np.asarray(self.values, dtype=np.float64)
         self.missing = np.asarray(self.missing, dtype=bool)
         if self.values.shape != self.missing.shape or self.values.ndim != 1:
@@ -344,11 +347,11 @@ def _to_datetime(us: int) -> datetime:
 def _parse_records(block: Block) -> tuple[np.ndarray, np.ndarray]:
     """The UTC microseconds and temperatures of a block's rows; the first
     bad row raises ``ParseError``."""
-    sid, stamp, temp = block.columns
+    _, stamp, temp = block.columns
     us, stamp_bad = parse_timestamps(stamp)
     value, temp_bad = parse_floats(temp)
     check_rows(block, [
-        (sid.length == 0, lambda row: "empty station_id"),
+        empty_station_id(block),
         (stamp_bad, lambda row: f"malformed timestamp {row[1]!r}"),
         (temp_bad, lambda row: f"malformed temperature {row[2]!r}"),
         ((temp.length > 0) & ~np.isfinite(value),

@@ -85,19 +85,13 @@ class ContourTable(ColumnTable):
 
 
 def contour_grid(table: TrendTable) -> ContourTable:
-    """Bin trend cells into slope and p bands and order them by station,
-    then in seasonal window order and by hour. The first row of a station
-    whose scale differs from the station's first row raises
-    ``ContractError``, and so does the first row in that order that
-    ``bin_cell`` would reject."""
-    station = unique_runs(table.station_id)[1]
-    scale = unique_runs(table.scale)[1]
-    first = np.unique(station, return_index=True)[1]
-    mixed = scale != scale[first[station]]
-    if mixed.any():
-        sid = table.station_id[np.argmax(mixed)]
-        raise ContractError(f"station {sid} mixes scales in one contour grid")
-    t = table.take(np.lexsort((table.hour, table_windows(table), station)))
+    """Bin trend cells, which hold one scale, into slope and p bands and
+    order them by station, then in seasonal window order and by hour. A
+    table of more than one scale, or with a label outside its scale, raises
+    the ``ContractError`` of ``table_windows``; so does the first row in
+    that order that ``bin_cell`` would reject."""
+    order = (table.hour, table_windows(table), unique_runs(table.station_id)[1])
+    t = table.take(np.lexsort(order))
     return ContourTable(t.station_id, t.scale, t.window_label, t.hour, t.sen_slope,
                         t.p_value, *_bands(t.sen_slope, t.p_value))
 
@@ -121,11 +115,14 @@ def write_cluster_csv(path: str | Path, report: ClusterReport,
 
 def read_cluster_csv(path: str | Path) -> dict[str, tuple[int, float]]:
     """Read station -> (cluster_id, silhouette) from a cluster CSV. A row
-    with a cluster id below 1, or a silhouette that is empty or outside
-    [-1, 1], raises ``ParseError`` with its line, as a malformed one does."""
+    with an empty station id, a cluster id below 1, or a silhouette that is
+    empty or outside [-1, 1], raises ``ParseError`` with its line, as a
+    malformed one does."""
     out: dict[str, tuple[int, float]] = {}
     for line_no, row in iter_rows(path, 3):
         sid = row[0].strip()
+        if not sid:
+            raise ParseError("empty station_id", line_no)
         if sid in out:
             raise ParseError(f"duplicate station_id {sid!r}", line_no)
         try:

@@ -25,10 +25,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._util import (BLOCK_LINES, Block, ColumnTable, check_rows, csv_pieces, factorize,
-                    fmt_column, parse_bool, parse_each, parse_float, parse_floats,
-                    parse_ints, repeated_cells, station_blocks, unique_runs, write_blocks)
-from .aggregate import SCALES, NetworkPanel, window_index
+from ._util import (BLOCK_LINES, Block, ColumnTable, check_rows, csv_pieces, empty_station_id,
+                    factorize, fmt_column, parse_bool, parse_each, parse_float,
+                    parse_floats, parse_ints, repeated_cells, station_blocks, unique_runs,
+                    write_blocks)
+from .aggregate import _WINDOWS, NetworkPanel, scale_error, window_index
 from .errors import (
     ContractError,
     DegenerateDataError,
@@ -314,7 +315,7 @@ def window_profiles(panel: NetworkPanel, window_labels: Sequence[str],
     if kind not in ("slope", "level"):
         raise ContractError(f"unknown profile kind {kind!r}, expected 'slope' or 'level'")
     need = 2 if kind == "slope" else 1
-    column = {label: w for w, label in enumerate(panel.labels)}
+    column = _WINDOWS[panel.scale]
     w = np.array([column.get(label, -1) for label in window_labels], np.int64)
     unknown = w < 0
     means, valid = _cell_rows(panel, w)
@@ -349,68 +350,71 @@ def window_profiles(panel: NetworkPanel, window_labels: Sequence[str],
 
 def table_windows(table) -> np.ndarray:
     """The window positions (``window_index``) of the rows of a table with
-    ``scale`` and ``window_label`` columns; the first row whose label is not
-    of its scale raises ``ContractError``."""
-    window = window_index(unique_runs(table.scale), unique_runs(table.window_label))[1]
-    if (window < 0).any():
-        k = int(np.argmax(window < 0))
-        raise ContractError(f"label {table.window_label[k]!r} does not belong to scale "
+    ``scale`` and ``window_label`` columns, which holds one scale, as a
+    trend file does: the scale of its first row. The first row whose scale
+    is unknown or differs from the first row's, or whose label is not of
+    the scale, raises ``ContractError``."""
+    first, off, window = window_index(unique_runs(table.scale), unique_runs(table.window_label))
+    if (bad := off | (window < 0)).any():
+        k = int(np.argmax(bad))
+        raise ContractError(scale_error(table.scale[k], first, "trend table") if off[k] else
+                            f"label {table.window_label[k]!r} does not belong to scale "
                             f"{table.scale[k]!r}")
     return window
 
 
 def write_trend_csv(path: str | Path, table: TrendTable) -> None:
-    """Write trend cells in (station, scale, window, hour) order, with the
-    bytes of ``csv.writer``. Rows are ordered by one lexsort, and each
-    ``BLOCK_LINES`` of them are one block of ``write_blocks``: each column
-    rendered once per distinct value by ``fmt_column``. An empty table,
-    which ``read_trend_csv`` would reject, raises ``EmptyInputError``
+    """Write trend cells, which hold one scale (``table_windows`` raises
+    its ``ContractError`` otherwise), in (station, window, hour) order,
+    with the bytes of ``csv.writer``. Rows are ordered by one lexsort, and
+    each ``BLOCK_LINES`` of them are one block of ``write_blocks``: each
+    column rendered once per distinct value by ``fmt_column``. An empty
+    table, which ``read_trend_csv`` would reject, raises ``EmptyInputError``
     before the file is opened."""
     if not len(table):
         raise EmptyInputError("no cell had enough usable years for a trend test")
-    order = np.lexsort((table.hour, table_windows(table), unique_runs(table.scale)[1],
-                        unique_runs(table.station_id)[1]))
+    order = np.lexsort((table.hour, table_windows(table), unique_runs(table.station_id)[1]))
     write_blocks(path, TREND_HEADER, (
         csv_pieces(map(fmt_column, table.take(order[lo:lo + BLOCK_LINES]).columns()))
         for lo in range(0, len(order), BLOCK_LINES)))
 
 
-# (scale, window, hour) cells per station: no scale has more than 36 windows.
-_STATION_CELLS = len(SCALES) * 36 * 24
-
-
 def read_trend_csv(path: str | Path) -> TrendTable:
-    """Read a trend CSV back into a table, rows in file order. Besides
-    malformed fields, a row with an hour outside 0-23, a p-value outside
-    [0, 1], a non-finite Sen's slope, a label outside its scale or a second
-    row for the same (station, scale, window, hour) cell raises
-    ``ParseError`` with its line, the first bad row of the file; so does an
-    n or S outside int64.
+    """Read a trend CSV, which holds one scale, back into a table, rows in
+    file order. Besides malformed fields, a row whose scale is not the
+    first row's, with an hour outside 0-23, a p-value outside [0, 1], a
+    non-finite Sen's slope, a label outside its scale or a second row for
+    the same (station, window, hour) cell raises ``ParseError`` with its
+    line, the first bad row of the file; so does an n or S outside int64.
 
     Each block is parsed by columns, every distinct text of a text, int or
     flag field once, and each check runs once on whole columns.
     """
     numbers: dict[str, int] = {}
-    seen, parts = np.zeros(0, bool), []
+    first, seen, parts = None, np.zeros(0, bool), []
     for block, station in station_blocks(path, len(TREND_HEADER), "trend rows", numbers):
-        if (grow := (int(station.max()) + 1) * _STATION_CELLS - len(seen)) > 0:
-            seen = np.concatenate((seen, np.zeros(grow, bool)))
-        parts.append((station, *_trend_columns(block, station, seen)))
+        first, seen, columns = _trend_columns(block, station, first, seen)
+        parts.append((station, *columns))
         del block, station
     station, *columns = map(np.concatenate, zip(*parts))
     return TrendTable(np.array(list(numbers), dtype=object)[station], *columns)
 
 
-def _trend_columns(block: Block, station: np.ndarray,
-                   seen: np.ndarray) -> list[np.ndarray]:
-    """The columns after ``station_id`` of one block's rows (numbered by
-    ``station``), every distinct text of a text, int or flag field parsed
-    once; ``seen``, a grid of ``_STATION_CELLS`` cells per station, marks
-    the cells of the earlier blocks' rows and then of the block's own. The
-    first bad row of the block raises ``ParseError``."""
+def _trend_columns(block: Block, station: np.ndarray, first: str | None,
+                   seen: np.ndarray) -> tuple[str, np.ndarray, list[np.ndarray]]:
+    """The file's scale (``first``, or the block's first row's if None),
+    ``seen`` grown to every station so far and the columns after
+    ``station_id`` of one block's rows (numbered by ``station``), every
+    distinct text of a text, int or flag field parsed once. ``seen``, a
+    grid of the scale's windows × 24 hours per station, marks the cells of
+    the earlier blocks' rows and then of the block's own. The first bad
+    row of the block raises ``ParseError``."""
     _, scale, label, hour, n, s, var_s, z, p, slope, lag1, flag = block.columns
     text = [factorize(column) for column in (scale, label)]
-    scale_index, window = window_index(*text)
+    first, off, window = window_index(*text, first)
+    station_cells = len(_WINDOWS.get(first, ())) * 24
+    if (grow := (int(station.max()) + 1) * station_cells - len(seen)) > 0:
+        seen = np.concatenate((seen, np.zeros(grow, bool)))
     ints, int_bad = zip(parse_ints(hour, bound=24), parse_ints(n), parse_ints(s))
     floats, float_bad = zip(*map(parse_floats, (var_s, z, p, slope, lag1)))
     flags, flag_code = factorize(flag)
@@ -419,11 +423,12 @@ def _trend_columns(block: Block, station: np.ndarray,
     hour, p, slope = ints[0], floats[2], floats[3]
     # A cell's rows after its first, here or in an earlier block, are
     # repeats. A row off the grid breaks a rule before this one.
-    cell = station * _STATION_CELLS + (scale_index * 36 + window) * 24 + hour
-    on_grid = (scale_index >= 0) & (window >= 0) & (hour >= 0) & (hour <= 23)
+    cell = station * station_cells + window * 24 + hour
+    on_grid = ~off & (window >= 0) & (hour >= 0) & (hour <= 23)
     repeat = repeated_cells(seen, cell[on_grid], on_grid)
     check_rows(block, [
-        (scale_index < 0, lambda row: f"unknown scale {row[1].strip()!r}"),
+        empty_station_id(block),
+        (off, lambda row: scale_error(row[1].strip(), first, "trend file")),
         (malformed, lambda row: "malformed numeric field"),
         ((hour < 0) | (hour > 23), lambda row: f"hour {int(row[3])} out of range 0-23"),
         (~((p >= 0.0) & (p <= 1.0)),
@@ -437,4 +442,4 @@ def _trend_columns(block: Block, station: np.ndarray,
                      f"window {row[2].strip()}, hour {int(row[3])}"),
     ])
     columns = [np.array(uniq, dtype=object)[index] for uniq, index in text]
-    return [*columns, *ints, *floats, flag]
+    return first, seen, [*columns, *ints, *floats, flag]

@@ -45,7 +45,7 @@ def grid_panel(rng, sid="S1", scale="60da", n_years=6, levels=3, step=0.25,
     shape = (1, len(years), cal.n_windows, 24)
     counts = (rng.random(shape) < valid_rate).astype(np.int64)
     means = np.where(counts > 0, rng.integers(0, levels, shape) * step - 1.0, np.nan)
-    return NetworkPanel(scale, [sid], years, list(cal.labels), means, counts)
+    return NetworkPanel(scale, [sid], years, means, counts)
 
 
 def profile_settings(examples: int) -> settings:

@@ -479,8 +479,7 @@ def hourly_window_means_loop(series, window_calendar, skip_missing=False):
         cell = 0, years.index(year), labels.index(label), hour
         means[cell] = sums[year, label, hour] / c
         count[cell] = c
-    return NetworkPanel(window_calendar.scale, [series.station_id], years, labels,
-                        means, count)
+    return NetworkPanel(window_calendar.scale, [series.station_id], years, means, count)
 
 
 def seasonal_split_impute_loop(series):
@@ -692,13 +691,15 @@ def write_records_rows(path, series):
 
 def read_panel_rows(path):
     """Panel CSV read, row by row, into one network panel, with the row
-    checks of the columnar reader in its order: scale, the first row's
-    scale, malformed fields, hour in 0-23, valid flag 0 or 1, label of its
+    checks of the columnar reader in its order: station id, scale, the
+    first row's scale, malformed fields, hour in 0-23, valid flag 0 or 1, label of its
     scale, finite mean where valid, first row for its cell."""
     rows, first = {}, None
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, row in table_rows(fh, 7):
             sid, scale, year, label, hour, mean, valid = (f.strip() for f in row)
+            if not sid:
+                raise ParseError("empty station_id", line_no)
             if scale not in SCALES:
                 raise ParseError(f"unknown scale {scale!r}", line_no)
             first = first or scale
@@ -737,7 +738,7 @@ def read_panel_rows(path):
                 cell = s, years.index(year), cal.labels.index(label), hour
                 means[cell] = mean
                 counts[cell] = 1
-    return NetworkPanel(first, stations, years, list(cal.labels), means, counts)
+    return NetworkPanel(first, stations, years, means, counts)
 
 
 def write_panel_rows(path, panels):
@@ -801,15 +802,23 @@ def write_trend_rows(path, rows):
 
 def read_trend_rows(path):
     """Trend CSV read, row by row, into a list of row tuples, with the
-    checks of the former reader in their order."""
+    checks of the former reader in their order, the records reader's
+    station id rule before them and, after the scale's, the panel reader's
+    rule that a file holds the first row's scale."""
     labels = {scale: _window_order(scale) for scale in SCALES}
-    rows, seen = [], set()
+    rows, seen, first = [], set(), None
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, row in table_rows(fh, 12):
             sid, scale, label, hour, n, s, var_s, z, p, slope, lag1, flag = (
                 f.strip() for f in row)
+            if not sid:
+                raise ParseError("empty station_id", line_no)
             if scale not in SCALES:
                 raise ParseError(f"unknown scale {scale!r}", line_no)
+            first = first or scale
+            if scale != first:
+                raise ParseError(f"scale {scale} differs from the first row's scale {first}; "
+                                 "a trend file holds one scale", line_no)
             try:
                 cell = (sid, scale, label, int(hour), int(n), int(s), _parse_float(var_s),
                         _parse_float(z), _parse_float(p), _parse_float(slope),
@@ -845,20 +854,25 @@ def _bin_cell(slope, p):
 
 
 def contour_rows(rows):
-    """Contour grids of trend rows, grouped per station: a list of
-    ``(station_id, scale, [(label, hour, slope, p, slope band, p band)])`` in
-    station order, each station's cells in seasonal window and hour order."""
-    by_station, scales = {}, {}
+    """Contour grids of trend rows, which hold the first row's scale,
+    grouped per station: a list of ``(station_id, scale, [(label, hour,
+    slope, p, slope band, p band)])`` in station order, each station's
+    cells in seasonal window and hour order."""
+    by_station = {}
     for row in rows:
+        if row[1] not in SCALES:
+            raise ContractError(f"unknown scale {row[1]!r}")
+        if row[1] != rows[0][1]:
+            raise ContractError(f"scale {row[1]} differs from the first row's scale "
+                                f"{rows[0][1]}; a trend table holds one scale")
         by_station.setdefault(row[0], []).append(row)
-        if scales.setdefault(row[0], row[1]) != row[1]:
-            raise ContractError(f"station {row[0]} mixes scales in one contour grid")
     grids = []
     for sid in sorted(by_station):
-        order = _window_order(scales[sid])
+        scale = by_station[sid][0][1]
+        order = _window_order(scale)
         cells = sorted(by_station[sid], key=lambda r: (order[r[2]], r[3]))
-        grids.append((sid, scales[sid], [(r[2], r[3], r[9], r[8], *_bin_cell(r[9], r[8]))
-                                         for r in cells]))
+        grids.append((sid, scale, [(r[2], r[3], r[9], r[8], *_bin_cell(r[9], r[8]))
+                                   for r in cells]))
     return grids
 
 

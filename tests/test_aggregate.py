@@ -31,19 +31,19 @@ class TestCalendars:
     def test_10d_labels(self):
         cal = build_calendar("10d")
         assert cal.n_windows == 36
-        assert cal.labels[:3] == ["Jan01-10", "Jan11-20", "Jan21-31"]
-        assert cal.labels[-3:] == ["Dec01-10", "Dec11-20", "Dec21-31"]
+        assert cal.labels[:3] == ("Jan01-10", "Jan11-20", "Jan21-31")
+        assert cal.labels[-3:] == ("Dec01-10", "Dec11-20", "Dec21-31")
         # Short months keep the nominal 21-31 label.
         assert "Feb21-31" in cal.labels
 
     def test_30d_labels(self):
-        assert build_calendar("30d").labels == MONTHS
+        assert build_calendar("30d").labels == tuple(MONTHS)
 
     def test_60d_labels(self):
-        assert build_calendar("60da").labels == [
-            "Jan-Feb", "Mar-Apr", "May-Jun", "Jul-Aug", "Sep-Oct", "Nov-Dec"]
-        assert build_calendar("60db").labels == [
-            "Dec-Jan", "Feb-Mar", "Apr-May", "Jun-Jul", "Aug-Sep", "Oct-Nov"]
+        assert build_calendar("60da").labels == (
+            "Jan-Feb", "Mar-Apr", "May-Jun", "Jul-Aug", "Sep-Oct", "Nov-Dec")
+        assert build_calendar("60db").labels == (
+            "Dec-Jan", "Feb-Mar", "Apr-May", "Jun-Jul", "Aug-Sep", "Oct-Nov")
 
     def test_unknown_scale(self):
         with pytest.raises(ContractError, match="unknown scale"):
@@ -224,21 +224,19 @@ class TestPanelYears:
         panel = hourly_window_means(s, build_calendar("30d"))
         with pytest.raises(ContractError, match=r"panel years must be strictly "
                                                 r"increasing, got \[2002, 2001, 2000\]"):
-            NetworkPanel("30d", ["S1"], panel.years[::-1], panel.labels,
-                         panel.means[:, ::-1], panel.counts[:, ::-1])
+            NetworkPanel("30d", ["S1"], panel.years[::-1], panel.means[:, ::-1],
+                         panel.counts[:, ::-1])
 
     def test_repeated_year_is_rejected(self):
         shape = (1, 2, 12, 24)
         with pytest.raises(ContractError, match="strictly increasing"):
-            NetworkPanel("30d", ["S1"], [2000, 2000], list(build_calendar("30d").labels),
-                         np.zeros(shape), np.ones(shape, np.int64))
+            NetworkPanel("30d", ["S1"], [2000, 2000], np.zeros(shape), np.ones(shape, np.int64))
 
     @pytest.mark.parametrize("stations", [["S2", "S1"], ["S1", "S1"]])
     def test_unsorted_or_repeated_stations_are_rejected(self, stations):
         shape = (2, 1, 12, 24)
         with pytest.raises(ContractError, match="panel stations must be sorted and distinct"):
-            NetworkPanel("30d", stations, [2000], list(build_calendar("30d").labels),
-                         np.zeros(shape), np.ones(shape, np.int64))
+            NetworkPanel("30d", stations, [2000], np.zeros(shape), np.ones(shape, np.int64))
 
 
 class TestStackPanels:

@@ -336,6 +336,17 @@ class TestExitCodes:
         assert capsys.readouterr().err.strip() == message
         assert not (tmp_path / "c.csv").exists()
 
+    def test_contour_rejects_a_trend_file_of_two_scales(self, tmp_path, capsys):
+        trend = tmp_path / "trend.csv"
+        trend.write_text("station_id,scale,window_label,hour,n,S,var_S,z,p_value,sen_slope,"
+                         "lag1,serial_flag\nA,30d,Jan,0,5,3,8.5,0.7,0.49,0.1,0.2,0\n"
+                         "B,10d,Jan01-10,0,5,3,8.5,0.7,0.49,0.1,0.2,0\n", encoding="utf-8")
+        assert run("contour", "--trend", str(trend), "--out", str(tmp_path / "c.csv")) == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: line 3: scale 10d differs from the first row's scale 30d; "
+            "a trend file holds one scale")
+        assert not (tmp_path / "c.csv").exists()
+
     @pytest.mark.parametrize("p,slope,message", [
         ("nan", "0.1", "error: line 2: p_value nan out of [0, 1]"),
         ("0.49", "", "error: line 2: sen_slope nan is not finite"),
@@ -455,14 +466,13 @@ class TestProfileErrors:
     def thin_panel(self, tmp_path):
         """Two stations over two years. S1's Jan cell at hour 3 is valid in
         one year only; S2's Jan cell at hour 5 in none."""
-        labels = list(build_calendar("30d").labels)
         rng = np.random.default_rng(5)
         panels = []
         for sid, hour, n_valid in (("S1", 3, 1), ("S2", 5, 0)):
             counts = np.ones((1, 2, 12, 24), np.int64)
             counts[0, n_valid:, 0, hour] = 0
             means = np.where(counts > 0, rng.normal(5.0, 3.0, counts.shape), np.nan)
-            panels.append(NetworkPanel("30d", [sid], [2001, 2002], labels, means, counts))
+            panels.append(NetworkPanel("30d", [sid], [2001, 2002], means, counts))
         path = tmp_path / "panel.csv"
         write_panel(path, panels)
         return path
@@ -491,12 +501,10 @@ def _write_panels(path, specs, rng):
     valid in its first ``n_valid`` years only."""
     panels = []
     for sid, scale, n_years, window, hour, n_valid in specs:
-        labels = list(build_calendar(scale).labels)
-        counts = np.ones((1, n_years, len(labels), 24), np.int64)
+        counts = np.ones((1, n_years, build_calendar(scale).n_windows, 24), np.int64)
         counts[0, n_valid:, window, hour] = 0
         means = np.where(counts > 0, rng.normal(5.0, 3.0, counts.shape), np.nan)
-        panels.append(NetworkPanel(scale, [sid], range(2001, 2001 + n_years),
-                                   labels, means, counts))
+        panels.append(NetworkPanel(scale, [sid], range(2001, 2001 + n_years), means, counts))
     write_panel(path, panels)
     return path
 

@@ -538,6 +538,8 @@ BAD_PANEL_LINES = [
     "T01,30d,2000,Smarch,24,,2",
     "T01,30d,2000,Smarch,0,,2",
     "T01,30d,2000,Smarch,0,,1",
+    ",30d,2000,Jan,0,1.0,1",
+    "  ,45d,20x0,Smarch,99,zz,7",
 ]
 
 
@@ -746,17 +748,15 @@ _TREND_FLOATS = st.one_of(st.sampled_from(TREND_VALUES),
 
 @st.composite
 def trend_rows(draw, finite=False):
-    """Trend row tuples for 1-3 stations (ids csv has to quote among them),
-    cells of one or several scales per station, in any order, now and then
-    a cell twice. With ``finite``, each station keeps one scale and every
-    slope is finite and every p-value in [0, 1], as ``contour_grid`` needs."""
+    """Trend row tuples of one scale for 1-3 stations (ids csv has to quote
+    among them), in any order, now and then a cell twice. With ``finite``,
+    every slope is finite and every p-value in [0, 1], as ``contour_grid``
+    needs."""
     rows = []
+    scale = draw(st.sampled_from(["10d", "30d", "60da", "60db"]))
     for sid in draw(st.lists(st.sampled_from(ODD_IDS + ["S1", "S10", "S9"]), min_size=1,
                              max_size=3, unique=True)):
-        scales = draw(st.lists(st.sampled_from(["10d", "30d", "60da", "60db"]), min_size=1,
-                               max_size=1 if finite else 2, unique=True))
         for _ in range(draw(st.integers(1, 12))):
-            scale = draw(st.sampled_from(scales))
             p = draw(st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.05, 0.1, 1.0]))
             slope = draw(_TREND_FLOATS.filter(math.isfinite))
             if not finite:
@@ -806,18 +806,22 @@ BAD_TREND_LINES = [
     "T01,45d,Smarch,99,x,3,8.5,0.7,1.5,inf,0.2,0", "T01,30d,Smarch,99,x,3,8.5,0.7,1.5,inf,0.2,0",
     "T01,30d,Smarch,99,5,3,8.5,0.7,1.5,inf,0.2,0", "T01,30d,Smarch,0,5,3,8.5,0.7,1.5,inf,0.2,0",
     "T01,30d,Smarch,0,5,3,8.5,0.7,0.5,inf,0.2,0",
+    f",30d,Jan,0,{_GOOD}", " ,45d,Smarch,99,x,3,8.5,0.7,1.5,inf,0.2,0",
 ]
 
 
 @st.composite
 def trend_file(draw):
-    """Trend lines for 1-3 stations, with header, blank and repeated header
-    lines and odd but valid spellings (padding, ``+5``, ``true``), shuffled,
-    and now and then a repeated cell or 1-2 bad lines."""
+    """Trend lines for 1-3 stations of one scale, now and then one station
+    under a scale of its own, with header, blank and repeated header lines
+    and odd but valid spellings (padding, ``+5``, ``true``), shuffled, and
+    now and then a repeated cell or 1-2 bad lines."""
     rows = []
+    scales = st.sampled_from(["30d", "10d", "60db"])
+    file_scale = draw(scales)
     for field, _ in draw(st.lists(st.sampled_from(STATION_FIELDS), min_size=1, max_size=3,
                                   unique_by=lambda f: f[1])):
-        scale = draw(st.sampled_from(["30d", "10d", "60db"]))
+        scale = file_scale if draw(st.integers(0, 4)) else draw(scales)
         cells = draw(st.lists(st.tuples(st.sampled_from(build_calendar(scale).labels),
                                         st.integers(0, 23)),
                               min_size=1, max_size=10, unique=True))
@@ -907,15 +911,14 @@ class TestTrendTables:
         # The last cell of the last station repeats at line 7 and the first
         # cell of the first station at line 8; station C first appears in
         # a later block, after the repeated cells were first seen.
-        rows = [f"{sid},{scale},{label},{h},5,3,8.5,0.7,0.49,0.1,0.2,0"
-                for sid, scale, label, h in [
-                    ("A", "10d", "Jan01-10", 0), ("Z", "60db", "Oct-Nov", 23),
-                    ("Z", "10d", "Jan01-10", 0), ("A", "60db", "Oct-Nov", 23),
-                    ("C", "30d", "Jun", 12), ("Z", "60db", "Oct-Nov", 23),
-                    ("A", "10d", "Jan01-10", 0), ("C", "30d", "Jun", 12)]]
+        rows = [f"{sid},10d,{label},{h},5,3,8.5,0.7,0.49,0.1,0.2,0"
+                for sid, label, h in [
+                    ("A", "Jan01-10", 0), ("Z", "Dec21-31", 23), ("Z", "Jan01-10", 0),
+                    ("A", "Dec21-31", 23), ("C", "Jun11-20", 12), ("Z", "Dec21-31", 23),
+                    ("A", "Jan01-10", 0), ("C", "Jun11-20", 12)]]
         path = tmp_path / "trend.csv"
         path.write_text(",".join(oracles.TREND_HEADER) + "\n" + "\n".join(rows) + "\n")
-        message = "line 7: station Z: second row for scale 60db, window Oct-Nov, hour 23"
+        message = "line 7: station Z: second row for scale 10d, window Dec21-31, hour 23"
         with pytest.raises(ParseError) as exc:
             read_trend_csv(path)
         assert str(exc.value) == message
@@ -1071,11 +1074,8 @@ def panel_list(draw):
         k = draw(st.integers(1, min(2, len(ids))))
         stations, ids = sorted(ids[:k]), ids[k:]
         scale = draw(st.sampled_from(["30d", "60db", "10d"]))
-        labels = list(build_calendar(scale).labels)
-        if draw(st.booleans()):
-            labels[0] = "Dec,Jan"  # a label csv has to quote
         n_years = draw(st.integers(1, 3))
-        shape = (len(stations), n_years, len(labels), 24)
+        shape = (len(stations), n_years, build_calendar(scale).n_windows, 24)
         rng = np.random.default_rng(draw(st.integers(0, 2**32)))
         odd = np.array(ODD_VALUES + [math.nan])
         means = np.where(rng.random(shape) < 0.2, rng.choice(odd, shape),
@@ -1083,7 +1083,7 @@ def panel_list(draw):
         counts = rng.choice([0, 1, 3], shape)
         years = sorted(draw(st.lists(st.integers(1, 9999), min_size=n_years,
                                      max_size=n_years, unique=True)))
-        out.append(NetworkPanel(scale, stations, years, labels, means, counts))
+        out.append(NetworkPanel(scale, stations, years, means, counts))
     return out
 
 
@@ -1133,8 +1133,8 @@ class TestWriters:
         assert (tmp_path / "new.csv").read_bytes().count(b"\n") == 1
 
     @pytest.mark.parametrize("panels", [
-        [NetworkPanel("30d", ["S1"], [], list(build_calendar("30d").labels),
-                      np.empty((1, 0, 12, 24)), np.empty((1, 0, 12, 24), np.int64))], [],
+        [NetworkPanel("30d", ["S1"], [], np.empty((1, 0, 12, 24)),
+                      np.empty((1, 0, 12, 24), np.int64))], [],
     ], ids=["panel without years", "no panels"])
     def test_empty_panels_write_only_the_header(self, tmp_path, panels):
         write_panel(tmp_path / "new.csv", panels)
@@ -1183,8 +1183,8 @@ class TestFastPath:
         assert len(csv_blocks) == 10 and [s.n for s in back.values()] == [n, n]
         monkeypatch.setattr(_util, "_split_rows", refuse)
         monkeypatch.setattr(_util, "_text_rows", refuse)  # the decode path
-        panels = [NetworkPanel("30d", ["S1"], [2001], list(build_calendar("30d").labels),
-                               rng.normal(5, 3, (1, 1, 12, 24)), np.ones((1, 1, 12, 24), int))]
+        panels = [NetworkPanel("30d", ["S1"], [2001], rng.normal(5, 3, (1, 1, 12, 24)),
+                               np.ones((1, 1, 12, 24), int))]
         write_records(tmp_path / "records.csv", series)
         write_panel(tmp_path / "panel.csv", panels)
         records, panel = ((tmp_path / name).read_bytes() for name in ("records.csv", "panel.csv"))
@@ -1201,8 +1201,7 @@ class TestFastPath:
         assert (back.start, back.step, back.n) == (half_hourly.start, HALF_HOUR, n)
         # Means at 0.1 degC: every field below the header is at most 8 bytes,
         # so each one is read as one integer key and never as text.
-        short = NetworkPanel("30d", ["S1"], [2001], list(build_calendar("30d").labels),
-                             np.round(rng.normal(5, 3, (1, 1, 12, 24)), 1),
+        short = NetworkPanel("30d", ["S1"], [2001], np.round(rng.normal(5, 3, (1, 1, 12, 24)), 1),
                              np.ones((1, 1, 12, 24), int))
         write_panel(tmp_path / "short.csv", [short])
         monkeypatch.setattr(_util.Column, "text", refuse)

@@ -1,6 +1,7 @@
 """The library imports only the standard library and numpy: scipy and the
 other test tools stay test-only extras. CI's oldest job runs the lowest
-Python that pyproject.toml allows."""
+Python that pyproject.toml allows, and the deep property tests select only
+tests that exist."""
 
 from __future__ import annotations
 
@@ -46,3 +47,28 @@ def test_oldest_ci_job_runs_the_python_floor():
     # The job's lines are indented past its name, up to the next job or comment.
     job = re.search(r"^  tier1-oldest:\n((?:    .*\n|\s*\n)*)", workflow, re.M).group(1)
     assert re.search(r'python-version:\s*"?([\d.]+)"?', job).group(1) == floor
+
+
+def deep_test_selections() -> list[tuple[list[str], set[str]]]:
+    """``(test files, -k terms)`` of each step of the deep-tests action
+    that selects tests by name."""
+    action = ROOT / ".github" / "actions" / "deep-tests" / "action.yml"
+    out = []
+    for line in action.read_text(encoding="utf-8").splitlines():
+        if "pytest" in line and (k := re.search(r'-k (?:"([^"]*)"|(\S+))', line)):
+            terms = set(re.findall(r"\w+", k.group(1) or k.group(2))) - {"or", "and", "not"}
+            out.append((re.findall(r"tests/\S+\.py", line), terms))
+    return out
+
+
+def test_deep_tests_select_only_defined_tests():
+    # A renamed class or function would drop out of the 400-example run
+    # with nothing failing: each -k term must name a test class or function
+    # of the files that its step runs.
+    selections = deep_test_selections()
+    assert {"TestDcorKernel", "TestWindowProfiles"} <= set().union(*(t for _, t in selections))
+    for files, terms in selections:
+        defined = {node.name for f in files
+                   for node in ast.walk(ast.parse((ROOT / f).read_text(encoding="utf-8")))
+                   if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+        assert files and terms - defined == set(), files

@@ -20,7 +20,6 @@ from diurnal import (
     Region,
     StationGroup,
     StationMeta,
-    build_calendar,
     missing_report,
     read_metadata,
     read_panel,
@@ -213,7 +212,7 @@ class TestPanelMemory:
         # Each scatter adds one (station, year) grid row. A grid whose rows
         # doubled held the old and the new buffer at once, 1.5 times its
         # final size at 100 rows.
-        grid = aggregate._PanelGrid(aggregate.SCALES.index("10d"))
+        grid = aggregate._PanelGrid("10d")
         one, zero = np.ones(1, bool), np.zeros(1, np.int64)
 
         def grow():
@@ -442,10 +441,8 @@ class TestStationMeta:
 
 def _stations_panel(stations):
     """A 30d panel of ``stations`` over two years, every cell valid."""
-    labels = list(build_calendar("30d").labels)
-    shape = (len(stations), 2, len(labels), 24)
-    return NetworkPanel("30d", stations, [2001, 2002], labels, np.zeros(shape),
-                        np.ones(shape, np.int64))
+    shape = (len(stations), 2, 12, 24)
+    return NetworkPanel("30d", stations, [2001, 2002], np.zeros(shape), np.ones(shape, np.int64))
 
 
 # Six stations over every group and region, each a station of its own.
@@ -588,3 +585,43 @@ class TestSmallTableValues:
         with pytest.raises(ParseError) as exc:
             read_trend_csv(path)
         assert str(exc.value) == f"line 3: {message}"
+
+
+# One bad row of each station table read by a reader: an empty id, and
+# other fields that break later rules of the row.
+EMPTY_ID_ROWS = {
+    "records": (lambda path: read_records(path, HOUR), "{},2000-13-01T00:00:00Z,x"),
+    "panel": (read_panel, "{},45d,20x0,Smarch,99,zz,7"),
+    "trend": (read_trend_csv, "{},45d,Smarch,99,x,3,8.5,0.7,1.5,inf,0.2,0"),
+    "cluster": (read_cluster_csv, "{},0,nan"),
+}
+
+
+class TestEmptyStationId:
+    """Every station table rejects an empty station id: each reader as the
+    first rule of a row, each constructor as ``StationMeta`` does."""
+
+    @pytest.mark.parametrize("sid", ["", "  ", '""'], ids=["empty", "blank", "quoted"])
+    @pytest.mark.parametrize("table", sorted(EMPTY_ID_ROWS))
+    def test_reader_rejects_it_before_any_other_rule(self, tmp_path, table, sid):
+        reader, row = EMPTY_ID_ROWS[table]
+        path = tmp_path / "t.csv"
+        path.write_text(row.format(sid) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            reader(path)
+        assert str(exc.value) == "line 1: empty station_id"
+
+    def test_series_rejects_it(self):
+        with pytest.raises(ContractError, match="^station_id must be non-empty$"):
+            make_series([1.0, 2.0], sid="")
+
+    def test_panel_rejects_it(self):
+        shape = (2, 1, 12, 24)
+        with pytest.raises(ContractError, match="^station_id must be non-empty$"):
+            NetworkPanel("30d", ["", "S1"], [2000], np.zeros(shape), np.ones(shape, np.int64))
+
+    def test_metadata_rejects_it(self, tmp_path):
+        path = tmp_path / "meta.csv"
+        path.write_text(",A,UKH,UK,54.0,-2.0,600\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="station_id must be non-empty"):
+            read_metadata(path)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple
 from datetime import datetime
 
 import numpy as np
@@ -18,19 +18,23 @@ from diurnal import (
     EmptyInputError,
     NetworkPanel,
     ParseError,
+    SCALES,
     PipelineError,
     SampleTooSmallError,
     TrendTable,
     build_calendar,
+    contour_grid,
     hourly_window_means,
     lag1_autocorrelation,
     mk_test,
+    read_panel,
     sen_slope,
     serial_flag,
     stack_panels,
     synth_station,
     trend_surface,
     window_profiles,
+    write_panel,
 )
 from diurnal import trend
 from diurnal.trend import read_trend_csv, write_trend_csv
@@ -250,15 +254,75 @@ class TestTrendSurface:
 TREND_CSV_HEADER = "station_id,scale,window_label,hour,n,S,var_S,z,p_value,sen_slope,lag1,serial_flag"
 
 
+class TestOneScale:
+    """A scale is the one source of the windows of a panel and of a trend
+    table: a panel takes no labels of its own, and a trend table or file
+    holds one scale, as a panel file does."""
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_every_scale_passes_every_stage(self, tmp_path, scale):
+        s = synth_station("S1", datetime(2000, 1, 1), n_years=4, trend_per_year=0.3, seed=4)
+        panel = hourly_window_means(s, build_calendar(scale))
+        assert (panel.calendar.scale, panel.labels) == (scale, build_calendar(scale).labels)
+        write_panel(tmp_path / "panel.csv", [panel])
+        back = read_panel(tmp_path / "panel.csv")
+        assert (back.scale, back.labels) == (scale, panel.labels)
+        assert np.array_equal(back.means, panel.means, equal_nan=True)
+        table = trend_surface(back)
+        assert len(table) and set(table.scale) == {scale}
+        write_trend_csv(tmp_path / "trend.csv", table)
+        read = read_trend_csv(tmp_path / "trend.csv")
+        assert read == table
+        grid = contour_grid(read)
+        window = [panel.labels.index(label) for label in grid.window_label]
+        assert sorted(zip(window, grid.hour.tolist())) == list(zip(window, grid.hour.tolist()))
+        assert len(grid) == len(table)
+
+    def test_unknown_scale_is_refused_at_construction(self):
+        shape = (1, 1, 7, 24)
+        with pytest.raises(ContractError) as exc:
+            NetworkPanel("7d", ["S1"], [2000], np.zeros(shape), np.ones(shape, np.int64))
+        assert str(exc.value) == f"unknown scale '7d', expected one of {SCALES}"
+
+    def test_a_panel_takes_no_labels_and_cannot_change_its_calendar(self, warming_panel):
+        p = warming_panel
+        with pytest.raises(TypeError):
+            NetworkPanel(p.scale, p.stations, p.years, list(p.labels), p.means, p.counts)
+        assert p.labels is p.calendar.labels and isinstance(p.labels, tuple)
+        with pytest.raises(FrozenInstanceError):
+            p.calendar.labels = ("M1",) * 12
+        with pytest.raises(ValueError, match="read-only"):
+            p.calendar._month_window[0] = 5
+        assert p.labels == build_calendar("30d").labels
+
+    @pytest.mark.parametrize("second,message", [
+        (("S0", "10d", "Jan01-10"),
+         "scale 10d differs from the first row's scale 30d; a trend table holds one scale"),
+        (("S0", "7d", "Jan"), "unknown scale '7d'"),
+    ], ids=["other-scale", "unknown-scale"])
+    def test_a_table_of_two_scales_is_refused(self, tmp_path, second, message):
+        stats = (0, 5, 3, 8.5, 0.7, 0.49, 0.1, 0.2, False)
+        table = TrendTable(*zip(("S1", "30d", "Jan", *stats), (*second, *stats)))
+        path = tmp_path / "trend.csv"
+        for stage in (lambda: write_trend_csv(path, table), lambda: contour_grid(table)):
+            with pytest.raises(ContractError) as exc:
+                stage()
+            assert str(exc.value) == message
+        assert not path.exists()
+
+
 class TestTrendCsvReader:
     @pytest.mark.parametrize("row,message", [
         ("S1,30d,Smarch,0,5,3,8.5,0.7,0.49,0.1,0.2,0",
          "line 3: label 'Smarch' does not belong to scale 30d"),
-        ("S1,10d,Jan,0,5,3,8.5,0.7,0.49,0.1,0.2,0",
-         "line 3: label 'Jan' does not belong to scale 10d"),
+        ("S1,30d,Jan-Feb,0,5,3,8.5,0.7,0.49,0.1,0.2,0",
+         "line 3: label 'Jan-Feb' does not belong to scale 30d"),
+        ("S1,10d,Jan01-10,0,5,3,8.5,0.7,0.49,0.1,0.2,0",
+         "line 3: scale 10d differs from the first row's scale 30d; a trend file holds one scale"),
         ("S1,30d,Feb,99,5,3,8.5,0.7,0.49,0.1,0.2,0", "line 3: hour 99 out of range 0-23"),
         ("S1,30d,Feb,-1,5,3,8.5,0.7,0.49,0.1,0.2,0", "line 3: hour -1 out of range 0-23"),
-    ], ids=["foreign-label", "label-of-other-scale", "hour-99", "hour-negative"])
+    ], ids=["foreign-label", "label-of-other-scale", "scale-other-than-the-first-row",
+            "hour-99", "hour-negative"])
     def test_row_outside_its_calendar_is_a_parse_error(self, tmp_path, row, message):
         path = tmp_path / "trend.csv"
         path.write_text(f"{TREND_CSV_HEADER}\nS1,30d,Jan,23,5,3,8.5,0.7,0.49,0.1,0.2,0\n"
@@ -272,7 +336,7 @@ class TestTrendCsvReader:
     def test_repeated_cell_is_rejected_at_its_second_row(self, tmp_path):
         path = tmp_path / "trend.csv"
         path.write_text(f"{TREND_CSV_HEADER}\nS1,30d,Jan,0,5,3,8.5,0.7,0.49,0.1,0.2,0\n"
-                        "S1,60da,Jan-Feb,0,5,3,8.5,0.7,0.49,0.1,0.2,0\n"
+                        "S1,30d,Feb,0,5,3,8.5,0.7,0.49,0.1,0.2,0\n"
                         "S2,30d,Jan,0,5,3,8.5,0.7,0.49,0.1,0.2,0\n"
                         " S1 ,30d,Jan, 0 ,5,-3,8.5,-0.7,0.49,-0.4,0.2,0\n", encoding="utf-8")
         with pytest.raises(ParseError) as exc:
@@ -514,8 +578,7 @@ class TestWindowProfiles:
     def test_no_stations(self):
         # A label outside the scale raises, with or without stations.
         shape = (0, 0, 12, 24)
-        panel = NetworkPanel("30d", [], [], list(build_calendar("30d").labels),
-                             np.empty(shape), np.empty(shape, np.int64))
+        panel = NetworkPanel("30d", [], [], np.empty(shape), np.empty(shape, np.int64))
         assert _window_outcomes(panel, ["Jan", "Feb"], "slope") == [{}, {}]
         assert _window_outcomes(panel, ["Jan", "Feb", "Jan01-10"], "slope") == (
             ContractError, "unknown window label 'Jan01-10' for scale 30d")
