@@ -439,17 +439,35 @@ def empty_station_id(block: Block) -> Rule:
     return block.columns[0].length == 0, lambda row: "empty station_id"
 
 
+def check_station_id(station_id: str) -> None:
+    """Raise ``ContractError`` for a station id that no station table can
+    hold: every reader strips its fields and rejects an empty id, so an id
+    that is blank or differs from its own ``strip()`` does not read back."""
+    if not station_id.strip():
+        raise ContractError("station_id must be non-empty")
+    if station_id != station_id.strip():
+        raise ContractError(f"station_id {station_id!r} has leading or trailing whitespace")
+
+
+def first_fault(rules: Sequence[Rule]) -> tuple[int, Callable[[list[str]], str]] | None:
+    """The first row that a rule marks and the wording of the first rule
+    that marks it, or None if no rule marks a row."""
+    if not any(mask.any() for mask, _ in rules):
+        return None
+    i = int(np.argmax(np.logical_or.reduce([mask for mask, _ in rules])))
+    return i, next(word for mask, word in rules if mask[i])
+
+
 def check_rows(block: Block, rules: Sequence[Rule]) -> None:
     """Raise the ``ParseError`` of the block's first row that a rule marks,
     if one does, with the message of the first rule that marks it."""
-    if any(mask.any() for mask, _ in rules):
-        _raise_first_bad(block, rules)
+    if (fault := first_fault(rules)) is not None:
+        _raise_first_bad(block, *fault)
 
 
-def _raise_first_bad(block: Block, rules: Sequence[Rule]) -> NoReturn:
-    i = int(np.argmax(np.logical_or.reduce([mask for mask, _ in rules])))
+def _raise_first_bad(block: Block, i: int, word: Callable[[list[str]], str]) -> NoReturn:
     line_no, row = next(itertools.islice(block.rows(), i, None))
-    raise ParseError(next(word for mask, word in rules if mask[i])(row), line_no)
+    raise ParseError(word(row), line_no)
 
 
 def read_blocks(fh: BinaryIO, n_fields: int) -> Iterator[Block]:

@@ -23,9 +23,9 @@ from typing import Iterable
 
 import numpy as np
 
-from ._util import (Block, Piece, check_rows, csv_pieces, csv_prefix, empty_station_id,
-                    factorize, fmt_column, parse_floats, parse_ints, repeated_cells,
-                    sorted_ranks, station_blocks, unique_runs, write_blocks)
+from ._util import (Block, Piece, check_rows, check_station_id, csv_pieces, csv_prefix,
+                    empty_station_id, factorize, fmt_column, parse_floats, parse_ints,
+                    repeated_cells, sorted_ranks, station_blocks, unique_runs, write_blocks)
 from .errors import ContractError, EmptyInputError
 from .impute import MONTH_ABBR
 from .ingest import TemperatureSeries, binned_means, day_fields
@@ -118,19 +118,26 @@ def scale_error(scale: str, first: str, table: str) -> str:
     return f"scale {scale} differs from the first row's scale {first}; a {table} holds one scale"
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkPanel:
     """The (year, window, hour-of-day) mean temperatures of a network of
-    stations at one scale. The scale alone gives the windows: ``calendar``
-    is its ``WindowCalendar`` (``build_calendar``'s ``ContractError`` for
-    a scale not in ``SCALES``), and ``labels`` its window labels in
-    seasonal order. ``stations`` are non-empty ids, sorted and distinct;
-    ``years`` is one strictly increasing int64 axis that every station
-    shares, which the trend tests read as time. ``means`` has shape
-    (stations, years, windows, 24), NaN where no reading contributed;
-    ``counts`` holds the contributing reading count, 0 there and in a year
-    a station lacks. A panel from ``read_panel`` holds 0/1 bytes (uint8) as
-    its counts, since the file keeps only whether a cell is valid."""
+    stations at one scale, a frozen value. The scale alone gives the
+    windows: ``calendar`` is its ``WindowCalendar`` (``build_calendar``'s
+    ``ContractError`` for a scale not in ``SCALES``), and ``labels`` its
+    window labels in seasonal order. ``stations`` are ids, sorted and
+    distinct, that a panel file can hold (``check_station_id``); ``years``
+    is one strictly increasing int64 axis that every station shares, which
+    the trend tests read as time. ``means`` and ``counts`` have shape
+    (stations, years, windows, 24); ``counts`` holds the contributing
+    reading count, 0 where no reading contributed and in a year a station
+    lacks. The constructor checks once that a cell's mean is finite exactly
+    where its count is above 0: an uncounted cell's mean becomes NaN, and
+    the first counted cell in (station, year, window, hour) order whose
+    mean is not finite raises ``ContractError``. ``years``, ``means`` and
+    ``counts`` are read-only, the arrays given kept as they are unless a
+    mean or the years need converting. A panel from ``read_panel`` holds
+    0/1 bytes (uint8) as its counts, since the file keeps only whether a
+    cell is valid."""
 
     scale: str
     stations: list[str]
@@ -140,18 +147,29 @@ class NetworkPanel:
     calendar: WindowCalendar = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.calendar = build_calendar(self.scale)
-        if "" in self.stations:
-            raise ContractError("station_id must be non-empty")
-        self.years = np.asarray(self.years, np.int64)
-        shape = (len(self.stations), len(self.years), self.calendar.n_windows, 24)
-        if self.means.shape != shape or self.counts.shape != shape:
+        object.__setattr__(self, "calendar", build_calendar(self.scale))
+        for sid in self.stations:
+            check_station_id(sid)
+        years, means, counts = np.asarray(self.years, np.int64), self.means, self.counts
+        shape = (len(self.stations), len(years), self.calendar.n_windows, 24)
+        if means.shape != shape or counts.shape != shape:
             raise ContractError(f"panel arrays must have shape {shape}")
-        if (np.diff(self.years) <= 0).any():
-            raise ContractError(f"panel years must be strictly increasing, "
-                                f"got {self.years.tolist()}")
+        if (np.diff(years) <= 0).any():
+            raise ContractError(f"panel years must be strictly increasing, got {years.tolist()}")
         if any(a >= b for a, b in zip(self.stations, self.stations[1:])):
             raise ContractError(f"panel stations must be sorted and distinct, got {self.stations}")
+        valid = counts > 0
+        if (bad := valid & ~np.isfinite(means)).any():
+            s, year, w, hour = np.unravel_index(np.argmax(bad), shape)
+            cell = f"station {self.stations[s]}, year {years[year]}, window {self.labels[w]}"
+            raise ContractError(f"{cell}, hour {hour}: mean of the readings is not finite")
+        # Counted cells are finite now, so a cell's NaN-ness differs from
+        # its being uncounted only where an uncounted cell holds a number.
+        if (np.isnan(means) == valid).any():
+            means = np.where(valid, means, np.nan)
+        for name, array in (("years", years), ("means", means), ("counts", counts)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -165,10 +183,10 @@ def hourly_window_means(series: TemperatureSeries, calendar: WindowCalendar,
                         *, skip_missing: bool = False) -> NetworkPanel:
     """Aggregate an hourly series into a one-station panel.
 
-    The series is normally expected to be gap-free (imputed first); masked
+    The series is normally expected to be gap-free (imputed first); missing
     slots raise unless ``skip_missing`` is set, in which case they are simply
-    left out of the means. The first cell in (year, window, hour) order whose
-    readings' mean overflows raises ``ContractError`` naming it.
+    left out of the means. A cell whose readings' mean overflows fails the
+    panel's own check (``NetworkPanel``), which names the first such cell.
     """
     if series.step != timedelta(hours=1):
         raise ContractError(f"aggregation needs an hourly series, got step {series.step}")
@@ -187,14 +205,8 @@ def hourly_window_means(series: TemperatureSeries, calendar: WindowCalendar,
     bins = day_cell[slot_day]
     bins += hours
     del slot_day, hours
-    means, counts = binned_means(bins, series.values, ~series.missing,
-                                 len(uniq_years) * nW * 24)
+    means, counts = binned_means(bins, series.values, len(uniq_years) * nW * 24)
     shape = (1, len(uniq_years), nW, 24)
-    if (overflow := (counts > 0) & ~np.isfinite(means)).any():
-        year, w, hour = np.unravel_index(np.argmax(overflow), shape[1:])
-        raise ContractError(f"station {series.station_id}, year {uniq_years[year]}, window "
-                            f"{calendar.labels[w]}, hour {hour}: mean of the readings is "
-                            "not finite")
     return NetworkPanel(calendar.scale, [series.station_id], uniq_years,
                         means.reshape(shape), counts.reshape(shape))
 
@@ -236,10 +248,10 @@ def write_panel(path: str | Path, panels: Iterable[NetworkPanel]) -> None:
     """Write panels as CSV rows, one per (station, year, window, hour): the
     stations of every panel in id order, each over its own panel's years.
 
-    Invalid cells keep their row with an empty mean and valid=0 so the grid
-    shape survives the round trip. Each station is one block of
-    ``write_blocks``, its columns rendered by ``fmt_column`` from its
-    (year, window, hour) grid.
+    Invalid cells, whose means the panel holds as NaN, keep their row with
+    an empty mean and valid=0 so the grid shape survives the round trip.
+    Each station is one block of ``write_blocks``, its columns rendered by
+    ``fmt_column`` from its (year, window, hour) grid.
     """
     stations = sorted(((sid, p, s) for p in panels for s, sid in enumerate(p.stations)),
                       key=lambda station: station[0])
@@ -249,11 +261,10 @@ def write_panel(path: str | Path, panels: Iterable[NetworkPanel]) -> None:
 def _station_pieces(p: NetworkPanel, s: int) -> list[Piece]:
     """The ``write_blocks`` pieces of the rows of station ``s`` of a panel."""
     year, window, hour = np.indices(p.means.shape[1:]).reshape(3, -1)
-    ok = p.cell_valid()[s].ravel()
     return [csv_prefix(p.stations[s], p.scale), *csv_pieces([
         fmt_column(p.years[year]),
         fmt_column(np.array(p.labels, dtype=object)[window]), fmt_column(hour),
-        fmt_column(np.where(ok, p.means[s].ravel(), np.nan)), fmt_column(ok)])]
+        fmt_column(p.means[s].ravel()), fmt_column(p.cell_valid()[s].ravel())])]
 
 
 def read_panel(path: str | Path) -> NetworkPanel:

@@ -22,7 +22,7 @@ MONTH_ABBR = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
 
 
 def seasonal_split_impute(series: TemperatureSeries) -> TemperatureSeries:
-    """Fill every masked slot by within-month linear interpolation.
+    """Fill every missing (NaN) slot by within-month linear interpolation.
 
     Observed values pass through bit-for-bit. Gaps at a pool's edges take
     the nearest observed value in that pool (flat extension). A month pool
@@ -38,7 +38,8 @@ def seasonal_split_impute(series: TemperatureSeries) -> TemperatureSeries:
     filled = series.values.copy()
     for m in range(1, 13):
         idx = np.flatnonzero(months == m)
-        obs = ~series.missing[idx]
+        pool = series.values[idx]
+        obs = ~np.isnan(pool)
         if obs.all():
             continue
         if not obs.any():
@@ -46,6 +47,5 @@ def seasonal_split_impute(series: TemperatureSeries) -> TemperatureSeries:
                 f"station {series.station_id}: month pool {MONTH_ABBR[m - 1]} "
                 "has no observed values")
         pos = np.arange(idx.size, dtype=np.float64)
-        filled[idx[~obs]] = np.interp(pos[~obs], pos[obs], series.values[idx][obs])
-    return TemperatureSeries(series.station_id, series.start, series.step,
-                             filled, np.zeros(series.n, dtype=bool))
+        filled[idx[~obs]] = np.interp(pos[~obs], pos[obs], pool[obs])
+    return TemperatureSeries(series.station_id, series.start, series.step, filled)

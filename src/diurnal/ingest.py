@@ -25,6 +25,7 @@ from ._util import (
     Column,
     Piece,
     check_rows,
+    check_station_id,
     csv_prefix,
     empty_station_id,
     fmt,
@@ -90,8 +91,7 @@ class StationMeta:
     altitude_m: float
 
     def __post_init__(self):
-        if not self.station_id:
-            raise ContractError("station_id must be non-empty")
+        check_station_id(self.station_id)
         if not -90.0 <= self.latitude <= 90.0:
             raise ContractError(
                 f"station {self.station_id}: latitude {self.latitude} out of [-90, 90]")
@@ -107,37 +107,47 @@ class StationMeta:
                 f"with region {self.region.value}")
 
 
-@dataclass
+@dataclass(init=False)
 class TemperatureSeries:
-    """A dense fixed-step temperature series with an explicit missing mask.
+    """A dense fixed-step temperature series: slot ``k`` is at ``start +
+    k * step`` (``start`` a naive UTC datetime), and a slot is missing
+    exactly where ``values`` holds NaN, so gaps are marked, never dropped,
+    and the index itself never has holes. Every other value is finite.
 
-    The timestamp of slot ``k`` is ``start + k * step``; gaps are masked,
-    never dropped, so the index itself never has holes. Masked slots hold
-    NaN in ``values``: a float64 ``values`` that already does is kept as
-    given, not copied.
+    The optional ``missing`` mask marks further slots missing: they are set
+    to NaN in a copy, and a slot it leaves observed must hold a finite
+    value. A float64 ``values`` that needs no change is kept as given, not
+    copied. ``missing`` reads the mask back as ``np.isnan(values)``.
     """
 
     station_id: str
     start: datetime
     step: timedelta
     values: np.ndarray
-    missing: np.ndarray
 
-    def __post_init__(self):
-        if not self.station_id:
-            raise ContractError("station_id must be non-empty")
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.missing = np.asarray(self.missing, dtype=bool)
-        if self.values.shape != self.missing.shape or self.values.ndim != 1:
-            raise ContractError("values and missing must be equal-length 1-D arrays")
-        if self.step <= timedelta(0):
+    def __init__(self, station_id: str, start: datetime, step: timedelta,
+                 values: np.ndarray, missing: np.ndarray | None = None):
+        check_station_id(station_id)
+        if start.tzinfo is not None:
+            raise ContractError("start must be a naive UTC datetime")
+        if step <= timedelta(0):
             raise ContractError("step must be positive")
-        if not (np.isfinite(self.values) | self.missing).all():
+        values = np.asarray(values, dtype=np.float64)
+        nan = np.isnan(values)
+        missing = nan if missing is None else np.asarray(missing, dtype=bool)
+        if values.shape != missing.shape or values.ndim != 1:
+            raise ContractError("values and missing must be equal-length 1-D arrays")
+        if not (np.isfinite(values) | missing).all():
             raise ContractError("non-missing values must be finite")
         # Observed slots are finite now, so a slot's NaN-ness differs from
-        # its mask only where a masked slot holds a number.
-        if (np.isnan(self.values) != self.missing).any():
-            self.values = np.where(self.missing, np.nan, self.values)
+        # the mask only where a masked slot holds a number.
+        if (nan != missing).any():
+            values = np.where(missing, np.nan, values)
+        self.station_id, self.start, self.step, self.values = station_id, start, step, values
+
+    @property
+    def missing(self) -> np.ndarray:
+        return np.isnan(self.values)
 
     @property
     def n(self) -> int:
@@ -420,8 +430,7 @@ def _chained_series(sid: str, pieces: list[_Run],
         return None
     values = np.concatenate([value for _, value, _ in pieces])
     pieces.clear()
-    return TemperatureSeries(sid, _to_datetime(int(first[0])), step_us * _US, values,
-                             np.isnan(values))
+    return TemperatureSeries(sid, _to_datetime(int(first[0])), step_us * _US, values)
 
 
 def _station_series(sid: str, pieces: list[_Run],
@@ -464,15 +473,10 @@ def _station_series(sid: str, pieces: list[_Run],
             f"timestamp {stamp} not aligned to the "
             f"{int((step_us * _US).total_seconds())}s step",
             _line_of(lines, k if order is None else int(order[k])))
-    n = int(slot[-1]) + 1
+    values = np.full(int(slot[-1]) + 1, np.nan)
     del stamps, order
-    present = ~np.isnan(reading)
-    slot = slot[present]
-    values = np.full(n, np.nan)
-    values[slot] = reading[present]
-    missing = np.ones(n, dtype=bool)
-    missing[slot] = False
-    return TemperatureSeries(sid, _to_datetime(start), step_us * _US, values, missing)
+    values[slot] = reading
+    return TemperatureSeries(sid, _to_datetime(start), step_us * _US, values)
 
 
 def _line_of(lines: list[range | np.ndarray], i: int) -> int:
@@ -578,14 +582,15 @@ def to_hourly(series: TemperatureSeries) -> TemperatureSeries:
     hour_idx += offset_min
     hour_idx //= 60
     n_out = int(hour_idx[-1]) + 1 if series.n else 0
-    means, counts = binned_means(hour_idx, series.values, ~series.missing, n_out)
-    return TemperatureSeries(series.station_id, first_hour, HOUR, means, counts == 0)
+    means, _ = binned_means(hour_idx, series.values, n_out)
+    return TemperatureSeries(series.station_id, first_hour, HOUR, means)
 
 
-def binned_means(bins: np.ndarray, values: np.ndarray, keep: np.ndarray,
+def binned_means(bins: np.ndarray, values: np.ndarray,
                  size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The mean of the kept values in each of ``size`` bins, NaN where no
-    kept value falls, and the count of kept values in each bin."""
+    """The mean of the values other than NaN in each of ``size`` bins, NaN
+    where none falls, and the count of those values in each bin."""
+    keep = ~np.isnan(values)
     every = keep.all()
     # A value left out adds +0.0, which leaves each sum's bits as they are:
     # a sum that starts at +0.0 is never -0.0. bincount of no bins is int64.

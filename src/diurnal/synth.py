@@ -111,7 +111,7 @@ def synth_station(station_id: str,
     if noise_sd > 0.0:
         rng = np.random.default_rng(seed)
         temp = temp + rng.normal(0.0, noise_sd, n)
-    missing = np.zeros(n, dtype=bool)
+    missing = None
     if missing_rate > 0.0:
         if rng is None:
             rng = np.random.default_rng(seed)

@@ -25,10 +25,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._util import (BLOCK_LINES, Block, ColumnTable, check_rows, csv_pieces, empty_station_id,
-                    factorize, fmt_column, parse_bool, parse_each, parse_float,
-                    parse_floats, parse_ints, repeated_cells, station_blocks, unique_runs,
-                    write_blocks)
+from ._util import (BLOCK_LINES, Block, ColumnTable, Rule, check_rows, csv_pieces,
+                    empty_station_id, factorize, first_fault, fmt, fmt_column, parse_bool,
+                    parse_each, parse_float, parse_floats, parse_ints, repeated_cells,
+                    station_blocks, unique_runs, write_blocks)
 from .aggregate import _WINDOWS, NetworkPanel, scale_error, window_index
 from .errors import (
     ContractError,
@@ -260,11 +260,12 @@ def trend_surface(panel: NetworkPanel, min_years: int = MIN_YEARS) -> TrendTable
     Returns one row per kept cell, in (station, window, hour) order. Cells
     with fewer than ``min_years`` valid years, or whose yearly means are all
     tied, are left out of the result rather than reported with unusable
-    statistics. The first kept cell with a non-finite mean, a centered sum
-    of squares that underflows to zero, or an overflow, raises the error
-    ``mk_test``, ``lag1_autocorrelation`` or ``sen_slope`` raises for it,
-    prefixed with ``station S, window W, hour H: ``. A panel with no kept
-    cell gives an empty table, which ``write_trend_csv`` refuses to write.
+    statistics. A panel's valid cells have finite means (``NetworkPanel``),
+    so the first kept cell with a centered sum of squares that underflows
+    to zero, or an overflow, raises the error ``lag1_autocorrelation`` or
+    ``sen_slope`` raises for it, prefixed with ``station S, window W, hour
+    H: ``. A panel with no kept cell gives an empty table, which
+    ``write_trend_csv`` refuses to write.
     """
     if min_years < MIN_YEARS:
         raise ContractError(f"min_years must be at least {MIN_YEARS}")
@@ -273,9 +274,6 @@ def trend_surface(panel: NetworkPanel, min_years: int = MIN_YEARS) -> TrendTable
                                         *_cell_rows(panel, range(len(panel.labels)))):
         if years.size < min_years:
             continue
-        finite = np.isfinite(x).all(axis=1)
-        bad += zip(cells[~finite], x[~finite], repeat(years))
-        cells, x = cells[finite], x[finite]
         d, dt = _pairs(x, years)
         s, var_s, z, p = _mk_rows(x, d)
         slope, (r1, _) = _sen_rows(d, dt), _lag1_rows(x)
@@ -288,7 +286,6 @@ def trend_surface(panel: NetworkPanel, min_years: int = MIN_YEARS) -> TrendTable
         cell, row, years = min(bad, key=itemgetter(0))
         station, cell = divmod(int(cell), len(panel.labels) * 24)
         try:
-            mk_test(row)
             lag1_autocorrelation(row)
             sen_slope(row, years)
         except ContractError as exc:
@@ -368,12 +365,36 @@ def write_trend_csv(path: str | Path, table: TrendTable) -> None:
     its ``ContractError`` otherwise), in (station, window, hour) order,
     with the bytes of ``csv.writer``. Rows are ordered by one lexsort, and
     each ``BLOCK_LINES`` of them are one block of ``write_blocks``: each
-    column rendered once per distinct value by ``fmt_column``. An empty
-    table, which ``read_trend_csv`` would reject, raises ``EmptyInputError``
-    before the file is opened."""
+    column rendered once per distinct value by ``fmt_column``.
+
+    A table that ``read_trend_csv`` would reject raises before the file is
+    opened: an empty one ``EmptyInputError``, and one with a row whose
+    station id is blank, whose hour, p-value or Sen's slope breaks the
+    reader's rule, or whose (station, window, hour) cell an earlier row
+    holds, ``ContractError`` for the row the reader would name first,
+    worded as the reader words it (``trend table row K: hour 24 out of
+    range 0-23``, K its position in the table)."""
     if not len(table):
         raise EmptyInputError("no cell had enough usable years for a trend test")
-    order = np.lexsort((table.hour, table_windows(table), unique_runs(table.station_id)[1]))
+    window = table_windows(table)
+    ids, station = unique_runs(table.station_id)
+    order = np.lexsort((table.hour, window, station))
+    # The reader's view of the file: the rows in order, each station known
+    # by its stripped id.
+    stripped = [sid.strip() for sid in ids.tolist()]
+    number = {sid: i for i, sid in enumerate(dict.fromkeys(stripped))}
+    name = np.array([number[sid] for sid in stripped], np.int64)[station[order]]
+    blank = np.array([not sid for sid in stripped], bool)[station[order]]
+    hour, station_cells = table.hour[order], len(_WINDOWS[table.scale[0]]) * 24
+    on_grid = (hour >= 0) & (hour <= 23)
+    cell = (name * station_cells + window[order] * 24 + hour)[on_grid]
+    repeat = repeated_cells(np.zeros(len(number) * station_cells, bool), cell, on_grid)
+    rules = [(blank, lambda row: "empty station_id"),
+             *_cell_rules(hour, table.p_value[order], table.sen_slope[order], repeat)]
+    if (fault := first_fault(rules)) is not None:
+        k, word = int(order[fault[0]]), fault[1]
+        row = [v if isinstance(v, str) else fmt(v) for v in next(iter(table.take([k])))]
+        raise ContractError(f"trend table row {k}: {word(row)}")
     write_blocks(path, TREND_HEADER, (
         csv_pieces(map(fmt_column, table.take(order[lo:lo + BLOCK_LINES]).columns()))
         for lo in range(0, len(order), BLOCK_LINES)))
@@ -398,6 +419,24 @@ def read_trend_csv(path: str | Path) -> TrendTable:
         del block, station
     station, *columns = map(np.concatenate, zip(*parts))
     return TrendTable(np.array(list(numbers), dtype=object)[station], *columns)
+
+
+def _cell_rules(hour: np.ndarray, p: np.ndarray, slope: np.ndarray,
+                repeat: np.ndarray) -> list[Rule]:
+    """The rules of a trend row that its writer checks too, in the reader's
+    order, worded from the row's fields as written: its hour is in 0-23,
+    its p-value in [0, 1], its Sen's slope finite, and the last, it is not
+    a second row of its (station, window, hour) cell (``repeat``)."""
+    return [
+        ((hour < 0) | (hour > 23), lambda row: f"hour {int(row[3])} out of range 0-23"),
+        (~((p >= 0.0) & (p <= 1.0)),
+         lambda row: f"p_value {parse_float(row[8].strip())} out of [0, 1]"),
+        (~np.isfinite(slope),
+         lambda row: f"sen_slope {parse_float(row[9].strip())} is not finite"),
+        (repeat,
+         lambda row: f"station {row[0].strip()}: second row for scale {row[1].strip()}, "
+                     f"window {row[2].strip()}, hour {int(row[3])}"),
+    ]
 
 
 def _trend_columns(block: Block, station: np.ndarray, first: str | None,
@@ -426,20 +465,15 @@ def _trend_columns(block: Block, station: np.ndarray, first: str | None,
     cell = station * station_cells + window * 24 + hour
     on_grid = ~off & (window >= 0) & (hour >= 0) & (hour <= 23)
     repeat = repeated_cells(seen, cell[on_grid], on_grid)
+    *fields, repeated = _cell_rules(hour, p, slope, repeat)
     check_rows(block, [
         empty_station_id(block),
         (off, lambda row: scale_error(row[1].strip(), first, "trend file")),
         (malformed, lambda row: "malformed numeric field"),
-        ((hour < 0) | (hour > 23), lambda row: f"hour {int(row[3])} out of range 0-23"),
-        (~((p >= 0.0) & (p <= 1.0)),
-         lambda row: f"p_value {parse_float(row[8].strip())} out of [0, 1]"),
-        (~np.isfinite(slope),
-         lambda row: f"sen_slope {parse_float(row[9].strip())} is not finite"),
+        *fields,
         (window < 0, lambda row: f"label {row[2].strip()!r} does not belong to "
                                  f"scale {row[1].strip()}"),
-        (repeat,
-         lambda row: f"station {row[0].strip()}: second row for scale {row[1].strip()}, "
-                     f"window {row[2].strip()}, hour {int(row[3])}"),
+        repeated,
     ])
     columns = [np.array(uniq, dtype=object)[index] for uniq, index in text]
     return first, seen, [*columns, *ints, *floats, flag]

@@ -48,6 +48,18 @@ def grid_panel(rng, sid="S1", scale="60da", n_years=6, levels=3, step=0.25,
     return NetworkPanel(scale, [sid], years, means, counts)
 
 
+def with_cells(panel: NetworkPanel, at, means=None, counts=None) -> NetworkPanel:
+    """A new panel like ``panel`` whose means, counts or both are set at
+    index ``at``: a panel's arrays are read-only, so a test builds the
+    panel it needs."""
+    new_means, new_counts = panel.means.copy(), panel.counts.copy()
+    if means is not None:
+        new_means[at] = means
+    if counts is not None:
+        new_counts[at] = counts
+    return NetworkPanel(panel.scale, panel.stations, panel.years, new_means, new_counts)
+
+
 def profile_settings(examples: int) -> settings:
     """``examples`` per property test on the default profile; another loaded
     profile (``--hypothesis-profile deep``) sets the count itself."""

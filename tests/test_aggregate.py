@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from dataclasses import FrozenInstanceError
 from datetime import datetime
 
 import numpy as np
@@ -180,6 +181,62 @@ class TestAggregation:
                 with pytest.raises(ContractError) as info:
                     hourly_window_means(s, cal, skip_missing=True)
             assert str(info.value) == f"station A, {cell}: mean of the readings is not finite"
+
+
+class TestPanelContract:
+    """A panel checks its cells once, at construction: a cell's mean is
+    finite exactly where its count is above 0. Its fields cannot change."""
+
+    @staticmethod
+    def _panel(means, counts=None):
+        means = np.asarray(means, float)
+        counts = np.ones(means.shape, np.int64) if counts is None else counts
+        return NetworkPanel("60da", ["S1", "S2"], [2000, 2001], means, counts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus-inf"])
+    def test_first_counted_cell_that_is_not_finite_is_named(self, bad):
+        # Bad cells at (S2, 2000, window 0, hour 1) and (S1, 2001, window 5,
+        # hour 23): station comes first in (station, year, window, hour)
+        # order, so S1's cell is named; once it is uncounted, S2's is.
+        means = np.zeros((2, 2, 6, 24))
+        means[1, 0, 0, 1] = means[0, 1, 5, 23] = bad
+        with pytest.raises(ContractError) as info:
+            self._panel(means)
+        assert str(info.value) == ("station S1, year 2001, window Nov-Dec, hour 23: "
+                                   "mean of the readings is not finite")
+        counts = np.ones(means.shape, np.int64)
+        counts[0, 1, 5, 23] = 0
+        with pytest.raises(ContractError) as info:
+            self._panel(means, counts)
+        assert str(info.value) == ("station S2, year 2000, window Jan-Feb, hour 1: "
+                                   "mean of the readings is not finite")
+
+    def test_uncounted_cell_holds_nan(self):
+        means = np.arange(2 * 2 * 6 * 24, dtype=float).reshape(2, 2, 6, 24)
+        counts = (means % 3 != 0).astype(np.int64)
+        panel = self._panel(means, counts)
+        assert np.array_equal(np.isnan(panel.means), counts == 0)
+        assert np.array_equal(panel.means[counts > 0], means[counts > 0])
+        assert means[0, 0, 0, 0] == 0.0  # the caller's array is left as it was
+
+    def test_fields_cannot_change(self):
+        panel = self._panel(np.zeros((2, 2, 6, 24)))
+        with pytest.raises(FrozenInstanceError):
+            panel.scale = "30d"
+        with pytest.raises(FrozenInstanceError):
+            panel.means = np.zeros((2, 2, 6, 24))
+        for array in (panel.years, panel.means, panel.counts):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        assert panel.labels == build_calendar("60da").labels
+
+    def test_padded_or_blank_station_id_is_refused(self):
+        means = np.zeros((2, 1, 12, 24))
+        for sid, message in (("  ", "station_id must be non-empty"),
+                             (" S0", "station_id ' S0' has leading or trailing whitespace")):
+            with pytest.raises(ContractError) as info:
+                NetworkPanel("30d", [sid, "S1"], [2000], means, np.ones(means.shape, np.int64))
+            assert str(info.value) == message
 
 
 class TestYearSeries:

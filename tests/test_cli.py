@@ -31,7 +31,7 @@ import diurnal.cli as cli_module
 from diurnal.cli import cli
 from diurnal.report import write_cluster_csv, write_merges_csv
 from diurnal.similarity import write_dcor_csv, write_distance_csv
-from helpers import grid_panel, make_series
+from helpers import grid_panel, make_series, with_cells
 
 
 def run(*argv):
@@ -715,8 +715,8 @@ class TestTrendOverflow:
         # Finite yearly means whose pair differences overflow: the trend
         # stage once wrote sen_slope -inf and an empty lag1 for this cell,
         # which contour then rejected.
-        panel = grid_panel(np.random.default_rng(16), n_years=4, valid_rate=1.0)
-        panel.means[0, :, 2, 7] = [1e308, -1e308, 1.5e308, -1.7e308]
+        panel = with_cells(grid_panel(np.random.default_rng(16), n_years=4, valid_rate=1.0),
+                           np.s_[0, :, 2, 7], [1e308, -1e308, 1.5e308, -1.7e308])
         write_panel(tmp_path / "panel.csv", [panel])
         assert run("trend", "--panel", str(tmp_path / "panel.csv"),
                    "--out", str(tmp_path / "trend.csv")) == 1
@@ -733,7 +733,7 @@ class TestTrendOverflow:
         # Three finite years at 1.7e308 whose mean overflows.
         rng = np.random.default_rng(17)
         panels = [grid_panel(rng, sid, n_years=3, valid_rate=1.0) for sid in ("S1", "S2", "S3")]
-        panels[1].means[0, :, 4, 2] = 1.7e308
+        panels[1] = with_cells(panels[1], np.s_[0, :, 4, 2], 1.7e308)
         write_panel(tmp_path / "panel.csv", panels)
         options = [str(tmp_path / v) if v == "out" else v for v in options]
         assert run(command, "--panel", str(tmp_path / "panel.csv"), *options) == 1
@@ -745,7 +745,8 @@ class TestTrendOverflow:
         # Its Sen's slope error was once printed without the cell.
         rng = np.random.default_rng(16)
         panels = [grid_panel(rng, sid, n_years=4, valid_rate=1.0) for sid in ("S1", "S2", "S3")]
-        panels[1].means[0, :, 2, 7] = [1e308, -1e308, 1.5e308, -1.7e308]
+        panels[1] = with_cells(panels[1], np.s_[0, :, 2, 7],
+                               [1e308, -1e308, 1.5e308, -1.7e308])
         write_panel(tmp_path / "panel.csv", panels)
         assert run("cluster", "--panel", str(tmp_path / "panel.csv"), "--out-dir",
                    str(tmp_path / "out"), "--k", "2") == 1

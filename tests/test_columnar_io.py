@@ -15,6 +15,7 @@ import math
 import random
 import re
 import weakref
+from dataclasses import replace
 from datetime import datetime, timedelta
 from unittest import mock
 
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 
 import oracles
 from diurnal import (
+    ContractError,
     NetworkPanel,
     ParseError,
     TemperatureSeries,
@@ -592,7 +594,7 @@ class TestPanelReader:
         monkeypatch.setattr(_util, "BLOCK_LINES", 50)
         back = read_panel(tmp_path / "panel.csv")
         want = stack_panels(panels)
-        want.counts = want.counts.astype(np.uint8)  # a read panel's counts are 0/1 bytes
+        want = replace(want, counts=want.counts.astype(np.uint8))  # a read panel's are 0/1 bytes
         _assert_same_panels(back, want)
         for array in (back.means, back.counts):
             assert array.base is None or array.base.nbytes == array.nbytes
@@ -754,8 +756,8 @@ def trend_rows(draw, finite=False):
     needs."""
     rows = []
     scale = draw(st.sampled_from(["10d", "30d", "60da", "60db"]))
-    for sid in draw(st.lists(st.sampled_from(ODD_IDS + ["S1", "S10", "S9"]), min_size=1,
-                             max_size=3, unique=True)):
+    for sid in draw(st.lists(st.sampled_from(ODD_IDS + [" pad ", "S1", "S10", "S9"]),
+                             min_size=1, max_size=3, unique=True)):
         for _ in range(draw(st.integers(1, 12))):
             p = draw(st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.05, 0.1, 1.0]))
             slope = draw(_TREND_FLOATS.filter(math.isfinite))
@@ -774,6 +776,11 @@ def trend_rows(draw, finite=False):
 
 def _trend_table(rows):
     return TrendTable(*zip(*rows))
+
+
+def _file_order(rows):
+    """Trend row tuples in the order a trend file holds them."""
+    return sorted(rows, key=lambda r: (r[0], build_calendar(r[1]).labels.index(r[2]), r[3]))
 
 
 def _same_rows(got, want):
@@ -844,10 +851,24 @@ class TestTrendTables:
     @given(rows=trend_rows(), block_lines=st.sampled_from([1, 3, 7, _util.BLOCK_LINES]))
     @SETTINGS
     def test_write_trend_csv_bytes_match_row_writer(self, tmp_path, rows, block_lines):
+        # The writer writes the row writer's bytes, or, where the row
+        # reader rejects those, raises the reader's error for the same row
+        # and writes nothing.
+        (tmp_path / "new.csv").unlink(missing_ok=True)  # an earlier example's
         with mock.patch.object(trend, "BLOCK_LINES", block_lines):
-            write_trend_csv(tmp_path / "new.csv", _trend_table(rows))
+            got = _outcome(write_trend_csv, tmp_path / "new.csv", _trend_table(rows))
         oracles.write_trend_rows(tmp_path / "old.csv", rows)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        want = _outcome(oracles.read_trend_rows, tmp_path / "old.csv")
+        if want[0] == "ok":
+            assert got[0] == "ok", got
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+            return
+        line, message = re.fullmatch(r"line (\d+): (.*)", want[2], re.S).groups()
+        assert got[:2] == ("error", ContractError), got
+        k, got_message = re.fullmatch(r"trend table row (\d+): (.*)", got[2], re.S).groups()
+        assert got_message == message
+        assert repr(_file_order(rows)[int(line) - 2]) == repr(rows[int(k)])
+        assert not (tmp_path / "new.csv").exists()
 
     @given(rows=trend_rows(finite=True))
     @SETTINGS
@@ -882,10 +903,15 @@ class TestTrendTables:
     @given(rows=trend_rows(finite=True))
     @SETTINGS
     def test_round_trip_through_both_readers(self, tmp_path, rows):
-        write_trend_csv(tmp_path / "trend.csv", _trend_table(rows))
-        _assert_same_outcome(_outcome(read_trend_csv, tmp_path / "trend.csv"),
-                             _outcome(oracles.read_trend_rows, tmp_path / "trend.csv"),
+        # A table the writer refuses (a repeated cell) is written by the row
+        # writer instead, which both readers must then reject.
+        written = _outcome(write_trend_csv, tmp_path / "trend.csv", _trend_table(rows))
+        if written[0] == "error":
+            oracles.write_trend_rows(tmp_path / "trend.csv", rows)
+        want = _outcome(oracles.read_trend_rows, tmp_path / "trend.csv")
+        _assert_same_outcome(_outcome(read_trend_csv, tmp_path / "trend.csv"), want,
                              _same_rows)
+        assert written[0] == want[0]
 
     @pytest.mark.parametrize("bad_first", [True, False], ids=["bad-row-first",
                                                               "repeat-first"])
@@ -1041,7 +1067,8 @@ class TestBlockLifetime:
 
 
 ODD_VALUES = [-0.0, 1e16, 1e-05, 0.1 + 0.2, 1 / 3, -273.15, 5e-324, 1.7976931348623157e308]
-ODD_IDS = ["T01", "a,b", 'q"x', "Zürich", " pad ", "line\nbreak"]
+# Station ids a series and a panel can hold (a padded id they refuse).
+ODD_IDS = ["T01", "a,b", 'q"x', "Zürich", "line\nbreak"]
 
 
 @st.composite
@@ -1067,7 +1094,9 @@ def series_list(draw):
 
 @st.composite
 def panel_list(draw):
-    """Panels of 1-3 stations in all, one or two to a panel."""
+    """Panels of 1-3 stations in all, one or two to a panel, each one the
+    constructor accepts: NaN only in uncounted cells, which hold numbers
+    too, as given (the panel holds them as NaN)."""
     out = []
     ids = draw(st.lists(st.sampled_from(ODD_IDS), min_size=1, max_size=3, unique=True))
     while ids:
@@ -1080,7 +1109,7 @@ def panel_list(draw):
         odd = np.array(ODD_VALUES + [math.nan])
         means = np.where(rng.random(shape) < 0.2, rng.choice(odd, shape),
                          rng.normal(0.0, 20.0, shape))
-        counts = rng.choice([0, 1, 3], shape)
+        counts = np.where(np.isnan(means), 0, rng.choice([0, 1, 3], shape))
         years = sorted(draw(st.lists(st.integers(1, 9999), min_size=n_years,
                                      max_size=n_years, unique=True)))
         out.append(NetworkPanel(scale, stations, years, means, counts))
@@ -1122,6 +1151,16 @@ class TestWriters:
         write_panel(tmp_path / "new.csv", panels)
         oracles.write_panel_rows(tmp_path / "old.csv", panels)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @given(panels=panel_list())
+    @settings(SETTINGS, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_accepted_panel_round_trips(self, tmp_path, panels):
+        # What the constructor accepts, write_panel writes and read_panel
+        # reads back as the same panel, its counts as 0/1 bytes.
+        for panel in panels:
+            write_panel(tmp_path / "panel.csv", [panel])
+            _assert_same_panels(read_panel(tmp_path / "panel.csv"),
+                                replace(panel, counts=(panel.counts > 0).view(np.uint8)))
 
     @pytest.mark.parametrize("series", [
         [TemperatureSeries("S1", datetime(2000, 1, 1), HOUR, [], [])], [],

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import sys
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from diurnal import (
     Region,
     StationGroup,
     StationMeta,
+    TemperatureSeries,
     missing_report,
     read_metadata,
     read_panel,
@@ -329,6 +330,19 @@ class TestMissingReport:
 
 
 class TestTemperatureSeries:
+    def test_missing_is_where_values_are_nan(self):
+        values = np.array([1.0, np.nan, -0.0, np.nan])
+        s = TemperatureSeries("S1", datetime(2000, 1, 1), HOUR, values)
+        assert s.values is values  # kept as given, not copied
+        assert np.array_equal(s.missing, np.isnan(values))
+        with pytest.raises(AttributeError):
+            s.missing = np.zeros(4, bool)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_value_without_a_mask_raises(self, bad):
+        with pytest.raises(ContractError, match="^non-missing values must be finite$"):
+            TemperatureSeries("S1", datetime(2000, 1, 1), HOUR, [1.0, bad])
+
     @pytest.mark.parametrize("held", [7.5, 0.0, np.inf, -np.inf])
     def test_masked_slot_holding_a_number_becomes_nan(self, held):
         values = np.array([1.0, held, 3.0])
@@ -619,6 +633,33 @@ class TestEmptyStationId:
         shape = (2, 1, 12, 24)
         with pytest.raises(ContractError, match="^station_id must be non-empty$"):
             NetworkPanel("30d", ["", "S1"], [2000], np.zeros(shape), np.ones(shape, np.int64))
+
+    @pytest.mark.parametrize("sid,message", [
+        ("  ", "station_id must be non-empty"),
+        (" pad ", "station_id ' pad ' has leading or trailing whitespace"),
+        ("pad\t", "station_id 'pad\\t' has leading or trailing whitespace"),
+    ], ids=["blank", "padded", "trailing-tab"])
+    def test_series_rejects_an_id_that_does_not_read_back(self, sid, message):
+        # Every reader strips its fields: a blank id was written and then
+        # refused by read_records, and " pad " read back as "pad".
+        with pytest.raises(ContractError) as info:
+            make_series([1.0, 2.0], sid=sid)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("sid,message", [
+        ("  ", "station_id must be non-empty"),
+        (" pad ", "station_id ' pad ' has leading or trailing whitespace"),
+    ], ids=["blank", "padded"])
+    def test_station_meta_rejects_an_id_that_does_not_read_back(self, sid, message):
+        with pytest.raises(ContractError) as info:
+            StationMeta(sid, "A", StationGroup.UKH, Region.UK, 54.0, -2.0, 600.0)
+        assert str(info.value) == message
+
+    def test_series_rejects_a_timezone_aware_start(self):
+        # Such a series once failed later, in index64, write_records and the
+        # stages, with a bare TypeError.
+        with pytest.raises(ContractError, match="^start must be a naive UTC datetime$"):
+            make_series([1.0, 2.0], start=datetime(2000, 1, 1, tzinfo=timezone.utc))
 
     def test_metadata_rejects_it(self, tmp_path):
         path = tmp_path / "meta.csv"

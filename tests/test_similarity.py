@@ -38,7 +38,7 @@ from diurnal import similarity
 from diurnal.similarity import (DCOR_TIE, METRICS, DcorResult, write_dcor_csv,
                                 write_distance_csv)
 from diurnal.cli import cli
-from helpers import grid_panel, profile_settings, read_peak
+from helpers import grid_panel, profile_settings, read_peak, with_cells
 
 values = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 short_seq = st.lists(values, min_size=1, max_size=6)
@@ -282,7 +282,7 @@ class TestWindowDtw:
         rng = np.random.default_rng(4)
         panels = [grid_panel(rng, f"S{i}", "30d", valid_rate=1.0, years=range(2001, 2004))
                   for i in range(3)]
-        panels[0].counts[0, 1:, 6, 3] = 0
+        panels[0] = with_cells(panels[0], np.s_[0, 1:, 6, 3], counts=0)
         write_panel(tmp_path / "panel.csv", panels)
         assert cli(["cluster", "--panel", str(tmp_path / "panel.csv"), "--out-dir",
                     str(tmp_path / "out"), "--k", "2"]) == 1

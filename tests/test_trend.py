@@ -38,7 +38,7 @@ from diurnal import (
 )
 from diurnal import trend
 from diurnal.trend import read_trend_csv, write_trend_csv
-from helpers import grid_panel, profile_settings
+from helpers import grid_panel, profile_settings, with_cells
 
 finite_values = st.floats(min_value=-50.0, max_value=50.0,
                           allow_nan=False, allow_infinity=False)
@@ -311,6 +311,53 @@ class TestOneScale:
         assert not path.exists()
 
 
+class TestWriterRefusesWhatTheReaderRejects:
+    """``write_trend_csv`` raises, before it opens the file, for a table
+    whose file ``read_trend_csv`` would reject: the error of the row the
+    reader would name, worded as the reader words it, with the row's
+    position in the table."""
+
+    STATS = (5, 3, 8.5, 0.7, 0.49, 0.1, 0.2, False)
+
+    @pytest.mark.parametrize("second,line,message", [
+        (("S1", "30d", "Jan", 1, 5, 3, 8.5, 0.7, 0.49, np.inf, 0.2, False), 3,
+         "sen_slope inf is not finite"),
+        (("S1", "30d", "Jan", 1, 5, 3, 8.5, 0.7, 0.49, np.nan, 0.2, False), 3,
+         "sen_slope nan is not finite"),
+        (("S1", "30d", "Jan", 1, 5, 3, 8.5, 0.7, 1.5, 0.1, 0.2, False), 3,
+         "p_value 1.5 out of [0, 1]"),
+        (("S1", "30d", "Jan", 24, 5, 3, 8.5, 0.7, 0.49, 0.1, 0.2, False), 3,
+         "hour 24 out of range 0-23"),
+        (("S1", "30d", "Jan", 0, 5, 3, 8.5, 0.7, 0.49, 0.1, 0.2, False), 3,
+         "station S1: second row for scale 30d, window Jan, hour 0"),
+        # A blank id sorts first.
+        ((" ", "30d", "Jan", 0, 5, 3, 8.5, 0.7, 0.49, 0.1, 0.2, False), 2,
+         "empty station_id"),
+    ], ids=["infinite-slope", "nan-slope", "p-value", "hour", "repeated-cell", "blank-id"])
+    def test_bad_row_is_refused(self, tmp_path, second, line, message):
+        table = TrendTable(*zip(("S1", "30d", "Jan", 0, *self.STATS), second))
+        path = tmp_path / "trend.csv"
+        with pytest.raises(ContractError) as exc:
+            write_trend_csv(path, table)
+        assert str(exc.value) == f"trend table row 1: {message}"
+        assert not path.exists()
+        # The row writer's file of the same rows fails the reader there.
+        oracles.write_trend_rows(path, list(table))
+        with pytest.raises(ParseError) as exc:
+            read_trend_csv(path)
+        assert str(exc.value) == f"line {line}: {message}"
+
+    def test_the_row_the_reader_meets_first_is_named(self, tmp_path):
+        # Row 0 (Feb) breaks a rule and row 1 (Jan) another: the file puts
+        # Jan first, and so does the error.
+        table = TrendTable(*zip(("S1", "30d", "Feb", 24, *self.STATS),
+                                ("S1", "30d", "Jan", 3, 5, 3, 8.5, 0.7, 1.5, 0.1, 0.2, False)))
+        with pytest.raises(ContractError) as exc:
+            write_trend_csv(tmp_path / "trend.csv", table)
+        assert str(exc.value) == "trend table row 1: p_value 1.5 out of [0, 1]"
+        assert not (tmp_path / "trend.csv").exists()
+
+
 class TestTrendCsvReader:
     @pytest.mark.parametrize("row,message", [
         ("S1,30d,Smarch,0,5,3,8.5,0.7,0.49,0.1,0.2,0",
@@ -358,6 +405,14 @@ def _outcome(fn, *args):
         return fn(*args)
     except PipelineError as exc:
         return type(exc), str(exc)
+
+
+def _not_finite(panel, year, window, hour, station=0):
+    """What building ``panel`` with a mean that is not finite at a counted
+    cell raises (``NetworkPanel``)."""
+    return (ContractError, f"station {panel.stations[station]}, year {panel.years[year]}, "
+                           f"window {panel.labels[window]}, hour {hour}: "
+                           "mean of the readings is not finite")
 
 
 class TestKernelsMatchFormerScalarCode:
@@ -409,8 +464,8 @@ class TestBatchedSurface:
         assert _bits(cells) == _bits(oracles.trend_surface_cells(panel))
 
     def test_all_tied_cells_dropped(self):
-        panel = grid_panel(np.random.default_rng(2), n_years=5, levels=6, valid_rate=1.0)
-        panel.means[0, :, 1, :12] = 4.5
+        panel = with_cells(grid_panel(np.random.default_rng(2), n_years=5, levels=6,
+                                      valid_rate=1.0), np.s_[0, :, 1, :12], 4.5)
         cells = trend_surface(panel)
         assert len(cells) == 6 * 24 - 12
         assert not any(c.window_label == panel.labels[1] and c.hour < 12 for c in cells)
@@ -423,20 +478,19 @@ class TestBatchedSurface:
         assert all(c.n >= min_years for c in cells)
         assert _bits(cells) == _bits(oracles.trend_surface_cells(panel, min_years))
 
-    @pytest.mark.parametrize("nan_cell,flat_cell,error", [
-        ((2, 0), (1, 5), DegenerateDataError),
-        ((1, 5), (2, 0), ContractError),
-    ])
-    def test_first_bad_cell_raises_as_before(self, nan_cell, flat_cell, error):
-        # One cell holds a NaN in a valid year, another one yearly means
-        # whose centered sum of squares underflows to zero. Whichever comes
-        # first in (window, hour) order names the error.
+    @pytest.mark.parametrize("nan_cell,flat_cell", [((2, 0), (1, 5)), ((1, 5), (2, 0))])
+    def test_first_bad_cell_raises_as_before(self, nan_cell, flat_cell):
+        # One cell holds yearly means whose centered sum of squares
+        # underflows to zero: the surface raises as the per-cell loop does.
+        # A NaN in a valid year, before or after it in (window, hour)
+        # order, is refused by the panel itself.
         panel = grid_panel(np.random.default_rng(4), n_years=3, levels=4, valid_rate=1.0)
-        panel.means[0, 1][nan_cell] = np.nan
-        panel.means[(0, slice(None), *flat_cell)] = [0.0, 1e-170, 0.0]
-        got = _outcome(trend_surface, panel)
-        assert got == _outcome(oracles.trend_surface_cells, panel)
-        assert got[0] is error
+        flat = with_cells(panel, (0, slice(None), *flat_cell), [0.0, 1e-170, 0.0])
+        assert _outcome(with_cells, flat, (0, 1, *nan_cell), np.nan) == _not_finite(
+            panel, 1, *nan_cell)
+        got = _outcome(trend_surface, flat)
+        assert got == _outcome(oracles.trend_surface_cells, flat)
+        assert got[0] is DegenerateDataError
 
     @given(st.integers(0, 2**32 - 1), st.lists(st.integers(3, 8), min_size=1, max_size=4),
            st.integers(1, 5), st.sampled_from([0.6, 0.9, 1.0]), st.integers(3, 5),
@@ -452,13 +506,18 @@ class TestBatchedSurface:
         singles = [grid_panel(rng, f"S{k}", n_years=n, levels=levels, valid_rate=rate)
                    for k, n in enumerate(n_years)]
         if bad is not None:
-            # One station's cell valid in every year, with a NaN, or else
-            # with yearly means whose centered sum of squares underflows.
-            p = singles[rng.integers(len(singles))]
-            cell = (0, slice(None), rng.integers(6), rng.integers(24))
-            p.counts[cell] = 1
-            p.means[cell] = rng.integers(levels, size=len(p.years)) * 0.25 if bad == "nan" else 0
-            p.means[cell][rng.integers(len(p.years))] = np.nan if bad == "nan" else 1e-170
+            # One station's cell valid in every year, with a NaN, which the
+            # panel refuses, or else with yearly means whose centered sum of
+            # squares underflows.
+            k = rng.integers(len(singles))
+            p, cell = singles[k], (0, slice(None), rng.integers(6), rng.integers(24))
+            means = (rng.integers(levels, size=len(p.years)) * 0.25 if bad == "nan"
+                     else np.zeros(len(p.years)))
+            means[year := rng.integers(len(p.years))] = np.nan if bad == "nan" else 1e-170
+            singles[k] = _outcome(with_cells, p, cell, means, 1)
+            if bad == "nan":
+                assert singles[k] == _not_finite(p, year, *cell[2:])
+                return
         got = _outcome(lambda: _bits(trend_surface(stack_panels(singles), min_years)))
         want = _outcome(lambda: _bits(
             [row for p in singles for row in oracles.trend_surface_cells(p, min_years)]))
@@ -489,12 +548,9 @@ class TestBatchedSurface:
             window_profiles(panel, panel.labels[:1], kind)
 
     def test_profile_of_non_finite_cell_raises_as_before(self):
+        # The panel refuses an infinite mean in a counted cell.
         panel = grid_panel(np.random.default_rng(5), n_years=4, valid_rate=1.0)
-        panel.means[0, 2, 0, 9] = np.inf
-        got = _outcome(lambda: window_profiles(panel, panel.labels[:1], "slope")[0])
-        assert got == _outcome(oracles.hour_profile_cells, panel, panel.labels[0], "slope")
-        assert got == (ContractError, f"station S1, window {panel.labels[0]}, hour 9: "
-                                      "Sen's slope input must be finite")
+        assert _outcome(with_cells, panel, (0, 2, 0, 9), np.inf) == _not_finite(panel, 2, 0, 9)
 
 
 def _per_station_profiles(singles, label, kind):
@@ -534,8 +590,16 @@ class TestWindowProfiles:
         singles = [grid_panel(rng, f"S{k}", n_years=n, levels=levels, step=0.1,
                               valid_rate=rate) for k, n in enumerate(n_years)]
         if non_finite:
-            means = singles[rng.integers(len(singles))].means
-            means[tuple(rng.integers(means.shape))] = np.inf
+            # An infinite mean: the panel refuses it in a counted cell and
+            # holds NaN in an uncounted one.
+            k = rng.integers(len(singles))
+            at = tuple(rng.integers(singles[k].means.shape))
+            got = _outcome(with_cells, singles[k], at, np.inf)
+            if singles[k].counts[at]:
+                assert got == _not_finite(singles[k], *at[1:])
+            else:
+                assert np.isnan(got.means[at])
+                singles[k] = got
         panel = stack_panels(singles)
         labels = list(rng.permutation(panel.labels)[:rng.integers(1, 7)])
         got = _window_outcomes(panel, labels, kind)
@@ -549,8 +613,8 @@ class TestWindowProfiles:
         # S1 is short of years in the second window, S2 in the first.
         rng = np.random.default_rng(9)
         s1, s2 = (grid_panel(rng, sid, n_years=3, valid_rate=1.0) for sid in ("S1", "S2"))
-        s1.counts[0, 1:, 1, 4] = 0
-        s2.counts[0, 1:, 0, 7] = 0
+        s1 = with_cells(s1, np.s_[0, 1:, 1, 4], counts=0)
+        s2 = with_cells(s2, np.s_[0, 1:, 0, 7], counts=0)
         panel = stack_panels([s1, s2])
         labels = panel.labels
         got = _window_outcomes(panel, labels, "slope")
@@ -612,6 +676,7 @@ class TestWindowProfiles:
 HUGE = [1e308, -1e308, 1.5e308, -1.7e308]
 SEN_OVERFLOW = (ContractError, "Sen's slope overflows: a pair slope or their median is not finite")
 LAG1_OVERFLOW = (ContractError, "lag-1 autocorrelation overflows: centered sums are not finite")
+NOT_FINITE = (ContractError, "mean of the readings is not finite")
 
 
 class TestOverflow:
@@ -653,17 +718,27 @@ class TestOverflow:
         cells = {"huge": HUGE, "large": [v / 1e148 for v in HUGE],
                  "nan": [1.0, np.nan, 2.0, 3.0], "flat": [0.0, 1e-170, 0.0, 0.0]}
         errors = {"huge": LAG1_OVERFLOW, "large": LAG1_OVERFLOW,
-                  "nan": (ContractError, "Mann-Kendall input must be finite"),
                   "flat": (DegenerateDataError, "centered sum of squares is zero, "
                                                 "lag-1 autocorrelation is undefined")}
         rng = np.random.default_rng(15)
         s1, s2 = (grid_panel(rng, sid, n_years=4, levels=4, valid_rate=1.0)
                   for sid in ("S1", "S2"))
-        s1.means[0, :, 4, 20] = cells[first]
-        s2.means[0, :, 1, 3] = cells[second]
-        kind, message = errors[first]
-        assert _outcome(trend_surface, stack_panels([s1, s2])) == (
-            kind, f"station S1, window Sep-Oct, hour 20: {message}")
+        # The panel refuses a NaN in a counted cell, naming its year.
+        refused = _not_finite(s1, 1, 4, 20), _not_finite(s2, 1, 1, 3)
+        s1 = _outcome(with_cells, s1, np.s_[0, :, 4, 20], cells[first])
+        s2 = _outcome(with_cells, s2, np.s_[0, :, 1, 3], cells[second])
+        if first == "nan":
+            assert s1 == refused[0]
+        if second == "nan":
+            assert s2 == refused[1]
+            kind, message = errors[first]
+            assert _outcome(trend_surface, s1) == (
+                kind, f"station S1, window Sep-Oct, hour 20: {message}")
+            return
+        if first != "nan":
+            kind, message = errors[first]
+            assert _outcome(trend_surface, stack_panels([s1, s2])) == (
+                kind, f"station S1, window Sep-Oct, hour 20: {message}")
         kind, message = errors[second]
         assert _outcome(trend_surface, s2) == (
             kind, f"station S2, window Mar-Apr, hour 3: {message}")
@@ -673,19 +748,23 @@ class TestOverflow:
         ("huge", "short", SEN_OVERFLOW),
         ("short", "huge", (ContractError, "need at least 2 valid years for slope features, "
                                           "have 1")),
-        ("inf", "huge", (ContractError, "Sen's slope input must be finite")),
-        ("huge", "inf", SEN_OVERFLOW),
+        ("inf", "huge", NOT_FINITE),
+        ("huge", "inf", NOT_FINITE),
     ])
     def test_profiles_raise_the_first_failing_window_error(self, hour3, hour9, error):
         rng = np.random.default_rng(17)
         s1, s2 = (grid_panel(rng, sid, n_years=4, valid_rate=1.0) for sid in ("S1", "S2"))
         for hour, cell in ((3, hour3), (9, hour9)):
             if cell == "huge":
-                s1.means[0, :, 2, hour] = HUGE
+                s1 = with_cells(s1, np.s_[0, :, 2, hour], HUGE)
             elif cell == "inf":
-                s1.means[0, 1, 2, hour] = np.inf
+                # The panel refuses an infinite mean in a counted cell.
+                assert _outcome(with_cells, s1, (0, 1, 2, hour), np.inf) == (
+                    error[0], f"station S1, year {s1.years[1]}, window {s1.labels[2]}, "
+                              f"hour {hour}: {error[1]}")
+                return
             elif cell == "short":
-                s1.counts[0, 1:, 2, hour] = 0
+                s1 = with_cells(s1, np.s_[0, 1:, 2, hour], counts=0)
         panel = stack_panels([s1, s2])
         labels = panel.labels
         # Window 2 fails at hour 3, and nothing of windows 0 and 1 is returned.
@@ -697,7 +776,7 @@ class TestOverflow:
         # infinite year makes its cell's mean infinite, which is an error.
         got = _window_outcomes(panel, labels, "level")
         assert repr(got) == repr(_window_oracle([s1, s2], labels, "level"))
-        assert isinstance(got, list) == ("inf" not in (hour3, hour9))
+        assert isinstance(got, list)
 
     @pytest.mark.parametrize("cell", [[1.7e308] * 3, [1.0, np.inf, 2.0], [np.inf, -np.inf, 0.0]],
                              ids=["overflow", "inf", "inf-minus-inf"])
@@ -706,7 +785,14 @@ class TestOverflow:
         # level once came out inf, with a numpy warning as the only sign.
         rng = np.random.default_rng(18)
         s1, s2 = (grid_panel(rng, sid, n_years=3, valid_rate=1.0) for sid in ("S1", "S2"))
-        s2.means[0, :, 3, 5] = cell
+        if not np.isfinite(cell).all():
+            # The panel refuses an infinite mean in a counted cell, the
+            # first in year order.
+            year = int(np.argmax(~np.isfinite(cell)))
+            assert _outcome(with_cells, s2, np.s_[0, :, 3, 5], cell) == _not_finite(
+                s2, year, 3, 5)
+            return
+        s2 = with_cells(s2, np.s_[0, :, 3, 5], cell)
         panel = stack_panels([s1, s2])
         error = (ContractError, f"station S2, window {panel.labels[3]}, hour 5: "
                                 "mean of the valid years is not finite")
